@@ -35,8 +35,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g to the gradient. owned=True says g is a fresh array nothing
+        else refers to, so the first contribution is kept without a copy."""
         if self.grad is None:
+            if owned:
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.values)
         self.grad += g
 
@@ -168,9 +173,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if a.requires_grad:
-            a.accumulate_grad(g @ b.values.T)
+            a.accumulate_grad(g @ b.values.T, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(a.values.T @ g)
+            b.accumulate_grad(a.values.T @ g, owned=True)
 
     return _result(a.values @ b.values, (a, b), vjp)
 
@@ -276,6 +281,8 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 def concat_rows(tensors: list[Tensor]) -> Tensor:
     if not tensors:
         raise ShapeMismatch("concat_rows of nothing")
+    if len(tensors) == 1:
+        return tensors[0]  # identity: a batch of one records no copy
     widths = {t.shape[1] for t in tensors}
     if len(widths) != 1:
         raise ShapeMismatch(f"concat_rows column counts differ: {sorted(widths)}")

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain error (bad record, bad config, missing file),
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -111,9 +112,15 @@ def cmd_pretrain(args) -> int:
     overrides = {"seed": args.seed, "epochs": args.epochs, "k": args.k}
     if args.resume:
         model, cfg, state, d_in, _, _ = tr.load_checkpoint(args.resume)
-        if any(v is not None for v in overrides.values()):
-            cfg = tr.config_from_dict({**tr.config_to_dict(cfg),
-                                       **{k: v for k, v in overrides.items() if v is not None}})
+        # k shapes the model and seed the run's random streams, both fixed by
+        # the checkpoint; only the epoch budget may change on resume.
+        for name in ("k", "seed"):
+            value = overrides[name]
+            if value is not None and value != getattr(cfg, name):
+                raise InvalidParams(f"--{name} {value} cannot change the checkpoint's "
+                                    f"{name}={getattr(cfg, name)} on --resume")
+        if args.epochs is not None:
+            cfg = dataclasses.replace(cfg, epochs=args.epochs)
         examples = tr.precompute_targets(load_dataset(args.input), cfg)
     else:
         cfg = _load_config(args.config, overrides)
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="run record CSV")
     p.add_argument("--config", help="PretrainConfig JSON")
     p.add_argument("--checkpoint-out")
-    p.add_argument("--resume", help="continue from a checkpoint")
+    p.add_argument("--resume", help="continue from a checkpoint (only --epochs may change)")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--k", type=int)

@@ -30,7 +30,7 @@ class NotSymmetric(EigenlearnError):
 
 
 class NoConvergence(EigenlearnError):
-    """Iterative eigensolver exhausted its sweep budget."""
+    """The eigensolver (LAPACK) failed to converge."""
 
 
 class KTooLarge(EigenlearnError):

@@ -1,9 +1,12 @@
 """Model zoo on top of the autodiff engine.
 
-GIN-style message passing encoder, node-wise and graph-level MLP heads,
+GIN-style message passing encoder, node-wise and graph-level MLP heads that
+run a whole mini-batch through one matrix product per layer,
 differentiable modified Gram-Schmidt orthonormalization, and tape versions of
 the training losses (which must agree with the numpy forms in `losses`).
 """
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,39 +115,51 @@ class GinEncoder:
         return out
 
 
+def flatten_padded(zs: list[Tensor], max_nodes: int) -> Tensor:
+    """Stack a batch of (n_i, d) node-embedding matrices into one (B, max_nodes*d)
+    matrix: row i is graph i's embedding, zero-padded to max_nodes rows and
+    flattened row-major. Gradients reach only the real rows."""
+    for z in zs:
+        if z.shape[0] > max_nodes:
+            raise GraphTooLarge(z.shape[0], max_nodes)
+    stacked = ad.concat_rows([ad.zero_pad_rows(z, max_nodes) for z in zs])
+    return ad.reshape(stacked, (len(zs), max_nodes * zs[0].shape[1]))
+
+
 class GraphLevelHead:
     """Concatenate all node embeddings (zero-padded to a fixed node budget) and
     map them jointly to an n x k eigenvector estimate.
 
-    The padded rows are sliced away before anything downstream sees them, so
-    phantom nodes never influence the prediction.
+    forward() takes a batch: the padded embeddings of all graphs go through the
+    MLP as one (B, max_nodes*d) matrix, so each layer is one GEMM forward and
+    one weight-gradient GEMM backward. The padded output rows are sliced away
+    before anything downstream sees them, so phantom nodes never influence a
+    prediction or a loss.
     """
 
     def __init__(self, max_nodes: int, d_hidden: int, k: int, mlp_hidden: int,
                  mlp_layers: int, dropout_rate: float, rng: np.random.Generator):
         self.max_nodes = max_nodes
-        self.d_hidden = d_hidden
         self.k = k
         dims = [max_nodes * d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [max_nodes * k]
         self.mlp = Mlp(dims, dropout_rate, rng)
 
-    def forward(self, z: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        n = z.shape[0]
-        if n > self.max_nodes:
-            raise GraphTooLarge(n, self.max_nodes)
-        padded = ad.zero_pad_rows(z, self.max_nodes)
-        flat = ad.reshape(padded, (1, self.max_nodes * self.d_hidden))
-        out = self.mlp.forward(flat, training, rng)
-        grid = ad.reshape(out, (self.max_nodes, self.k))
-        return ad.slice_rows(grid, 0, n)
+    def forward(self, zs: list[Tensor], training: bool = False,
+                rng: np.random.Generator | None = None) -> list[Tensor]:
+        out = self.mlp.forward(flatten_padded(zs, self.max_nodes), training, rng)
+        grid = ad.reshape(out, (len(zs) * self.max_nodes, self.k))
+        return [ad.slice_rows(grid, i * self.max_nodes, i * self.max_nodes + z.shape[0])
+                for i, z in enumerate(zs)]
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
 
 
 class NodeWiseHead:
-    """Per-node MLP from hidden embedding to k eigencoordinates; rows never mix."""
+    """Per-node MLP from hidden embedding to k eigencoordinates; rows never mix.
+
+    forward() takes a batch and runs the MLP once over the nodes of all graphs.
+    """
 
     def __init__(self, d_hidden: int, k: int, mlp_hidden: int, mlp_layers: int,
                  dropout_rate: float, rng: np.random.Generator):
@@ -152,9 +167,11 @@ class NodeWiseHead:
         dims = [d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [k]
         self.mlp = Mlp(dims, dropout_rate, rng)
 
-    def forward(self, z: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        return self.mlp.forward(z, training, rng)
+    def forward(self, zs: list[Tensor], training: bool = False,
+                rng: np.random.Generator | None = None) -> list[Tensor]:
+        out = self.mlp.forward(ad.concat_rows(zs), training, rng)
+        starts = accumulate((z.shape[0] for z in zs), initial=0)
+        return [ad.slice_rows(out, lo, lo + z.shape[0]) for lo, z in zip(starts, zs)]
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
@@ -188,8 +205,9 @@ def orthonormalize(u_tilde: Tensor) -> Tensor:
 
 
 class EigenModel:
-    """Encoder plus eigenvector head; forward gives the raw head output, and
-    predict() the orthonormalized eigenvector estimate."""
+    """Encoder plus eigenvector head; forward gives the raw head outputs of a
+    batch of graphs, and predict() one graph's orthonormalized eigenvector
+    estimate."""
 
     def __init__(self, encoder: GinEncoder, head, head_kind: str):
         if head_kind not in HEAD_KINDS:
@@ -198,14 +216,17 @@ class EigenModel:
         self.head = head
         self.head_kind = head_kind
 
-    def forward(self, g: Graph, x: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        z = self.encoder.forward(g, x, training, rng)
-        return self.head.forward(z, training, rng)
+    def forward(self, graphs: list[Graph], xs: list[Tensor], training: bool = False,
+                rng: np.random.Generator | None = None) -> list[Tensor]:
+        """Raw head outputs of a batch: the encoder runs graph by graph, the
+        head once over the whole batch."""
+        zs = [self.encoder.forward(g, x, training, rng) for g, x in zip(graphs, xs)]
+        return self.head.forward(zs, training, rng)
 
     def predict(self, g: Graph, features: np.ndarray) -> np.ndarray:
-        """Evaluation-mode orthonormal eigenvector estimate (no dropout)."""
-        u_tilde = self.forward(g, ad.constant(features), training=False)
+        """Evaluation-mode orthonormal eigenvector estimate (no dropout) of one
+        graph, run as a batch of one."""
+        u_tilde = self.forward([g], [ad.constant(features)])[0]
         return orthonormalize(u_tilde).values
 
     def parameters(self) -> dict[str, Tensor]:

@@ -9,9 +9,16 @@ class Adam:
     """Standard Adam with bias correction over a named parameter dict.
 
     step() consumes whatever gradients have accumulated (callers batching by
-    gradient accumulation pass grad_scale = 1/batch to average them) and
-    leaves the gradients in place until zero_grad().
+    gradient accumulation pass grad_scale = 1/batch to average them): it
+    updates the moments and the parameter values in place and uses each
+    gradient array as scratch, so the gradients hold no meaning afterwards
+    and must be cleared with zero_grad() before the next pass.
     """
+
+    # Elements per slice of the in-place update: the slices of m, v, the
+    # gradient, the values and the scratch stay in cache across the update's
+    # dozen passes, and no temporary grows with the parameter size.
+    BLOCK = 1 << 15
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -21,22 +28,51 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.values) for name, p in self.params.items()}
+        self.m = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
+        self.v = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
 
     def step(self, grad_scale: float = 1.0) -> None:
+        """One update, elementwise the same float operations in the same order as
+
+            g = grad * grad_scale
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * (g * g)
+            values = values - lr * (m / correct1) / (sqrt(v / correct2) + eps)
+
+        so it is bit-identical to that out-of-place form.
+        """
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
+        scratch = np.empty(self.BLOCK)
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad * grad_scale
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / correct1
-            v_hat = self.v[name] / correct2
-            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not p.values.flags.c_contiguous:
+                p.values = np.ascontiguousarray(p.values)
+            grad = p.grad.reshape(-1)
+            values = p.values.reshape(-1)
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+            for lo in range(0, values.size, self.BLOCK):
+                hi = min(lo + self.BLOCK, values.size)
+                g, mb, vb, pb = grad[lo:hi], m[lo:hi], v[lo:hi], values[lo:hi]
+                tmp = scratch[: hi - lo]
+                g *= grad_scale
+                mb *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=tmp)
+                mb += tmp
+                vb *= self.beta2
+                g *= g
+                g *= 1.0 - self.beta2
+                vb += g
+                np.divide(mb, correct1, out=tmp)
+                tmp *= self.lr
+                np.divide(vb, correct2, out=g)
+                np.sqrt(g, out=g)
+                g += self.eps
+                tmp /= g
+                pb -= tmp
 
     def zero_grad(self) -> None:
         for p in self.params.values():

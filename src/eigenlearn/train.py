@@ -1,15 +1,18 @@
 """Pre-training and fine-tuning loops.
 
 Pre-training drives the encoder + eigenvector head against the combined
-spectral objective per graph with gradient accumulation; fine-tuning swaps in
-a downstream scalar-regression head over the same concatenated-padded node
-embeddings. Runs are deterministic per seed, including across a checkpoint
-save/load boundary (the run generator state travels with the checkpoint).
+spectral objective in mini-batches; fine-tuning swaps in a downstream
+scalar-regression head over the same concatenated-padded node embeddings, and
+the loss comparison trains one model per loss. All three share one epoch
+runner (_run_epoch) and differ only in their per-batch loss function. Runs
+are deterministic per seed, including across a checkpoint save/load boundary
+(the run generator state travels with the checkpoint).
 """
 
 import json
 import logging
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ from .graphs import LAPLACIAN_NORMS, Graph, build_laplacian
 from .losses import LossWeights, eigvec_loss, energy_loss, ortho_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, combined_loss_t,
-                 mae_loss_t, orthonormalize)
+                 flatten_padded, mae_loss_t, orthonormalize)
 from .optim import Adam, ReduceLROnPlateau
 from .wavelets import FeatureConfig, augment_features
 
@@ -286,65 +289,97 @@ def _ortho_residual(u_hat: np.ndarray) -> float:
     return float(np.linalg.norm(u_hat.T @ u_hat - np.eye(k)))
 
 
+# Per-graph losses of one mini-batch: (loss tensor, extra metrics) per graph.
+BatchLosses = Callable[[list[TrainingExample]], list[tuple[ad.Tensor, tuple]]]
+
+
+def _run_epoch(examples: list[TrainingExample], state: TrainState, batch_size: int,
+               epoch: int, batch_losses: BatchLosses) -> list[tuple]:
+    """One pass over a fresh permutation of the examples, in mini-batches.
+
+    A batch is a fixed slice of the permutation. Its per-graph losses are
+    summed and back-propagated once, and Adam steps on the mean gradient over
+    the batch. A numerical fault or a rank-deficient orthogonalization
+    anywhere in the batch discards the whole batch (its gradients are
+    dropped, never clamped); it is counted and logged. Returns the
+    (loss, *metrics) row of every graph whose batch reached the step.
+    """
+    order = state.rng.permutation(len(examples))
+    rows = []
+    for lo in range(0, len(order), batch_size):
+        batch = [examples[i] for i in order[lo:lo + batch_size]]
+        try:
+            losses = batch_losses(batch)
+            total = losses[0][0]
+            for loss, _ in losses[1:]:
+                total = ad.add(total, loss)
+            total.backward()
+        except (NumericalFault, RankDeficient) as exc:
+            state.optimizer.zero_grad()
+            state.skipped_batches += 1
+            log.warning("skipped batch at epoch %d: %s", epoch, exc)
+            continue
+        state.optimizer.step(grad_scale=1.0 / len(batch))
+        state.optimizer.zero_grad()
+        rows.extend((loss.item(), *metrics) for loss, metrics in losses)
+    return rows
+
+
+def _fit(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
+         epochs: int, batch_losses: BatchLosses,
+         validate: Callable[[], float] | None) -> RunRecord:
+    """Epochs state.epoch..epochs-1 of _run_epoch, each followed by the
+    scheduler step; one RunRecord row per epoch holds the means of the
+    committed graphs' (loss, *metrics) rows."""
+    record = RunRecord()
+    for epoch in range(state.epoch, epochs):
+        started = time.perf_counter()
+        rows = _run_epoch(examples, state, cfg.batch_size, epoch, batch_losses)
+        means = [float(v) for v in np.mean(rows, axis=0)] if rows else []
+        means += [0.0] * (4 - len(means))  # the row's four loss columns; finetune fills one
+        if state.scheduler is not None:
+            monitored = means[0]
+            if cfg.scheduler.monitored == "val_loss" and validate is not None:
+                monitored = validate()
+            state.scheduler.step(float(monitored))
+        state.epoch = epoch + 1
+        record.rows.append(EpochRow(epoch, *means, state.optimizer.lr,
+                                    time.perf_counter() - started))
+    record.skipped_batches = state.skipped_batches
+    return record
+
+
+def _orthonormal_outputs(model: EigenModel, batch: list[TrainingExample],
+                         rng: np.random.Generator) -> list[ad.Tensor]:
+    u_tildes = model.forward([ex.graph for ex in batch],
+                             [ad.constant(ex.features) for ex in batch],
+                             training=True, rng=rng)
+    return [orthonormalize(u) for u in u_tildes]
+
+
 def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainConfig,
              state: TrainState | None = None) -> tuple[RunRecord, TrainState]:
     """Run the eigenvector-learning loop from state.epoch up to cfg.epochs.
 
-    Per graph: encoder -> head -> forced orthogonality -> combined loss;
-    gradients accumulate across graphs and an Adam step fires every
-    `batch_size` successful passes. A numerical fault or a rank-deficient
-    orthogonalization aborts the current batch (its gradients are discarded)
-    and is counted, never clamped.
+    Per mini-batch of `batch_size` graphs: encoder -> batched head -> forced
+    orthogonality -> combined loss per graph, one Adam step on the mean
+    gradient (see _run_epoch for the batch and fault semantics).
     """
     if state is None:
         state = _fresh_state(model.parameters(), cfg, rng_stream=1)
-    record = RunRecord()
-    for epoch in range(state.epoch, cfg.epochs):
-        started = time.perf_counter()
-        order = state.rng.permutation(len(examples))
-        sums = np.zeros(4)
-        evaluated = 0
-        in_batch = 0
-        for idx in order:
-            ex = examples[idx]
-            try:
-                u_tilde = model.forward(ex.graph, ad.constant(ex.features),
-                                        training=True, rng=state.rng)
-                u_hat = orthonormalize(u_tilde)
-                loss = combined_loss_t(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights)
-                loss.backward()
-            except (NumericalFault, RankDeficient) as exc:
-                state.optimizer.zero_grad()
-                in_batch = 0
-                state.skipped_batches += 1
-                log.warning("skipped batch at epoch %d: %s", epoch, exc)
-                continue
+
+    def batch_losses(batch):
+        losses = []
+        for ex, u_hat in zip(batch, _orthonormal_outputs(model, batch, state.rng)):
             values = u_hat.values
-            sums += (loss.item(),
-                     energy_loss(values, ex.laplacian),
-                     eigvec_loss(values, ex.laplacian, ex.lambda_k),
-                     _ortho_residual(values))
-            evaluated += 1
-            in_batch += 1
-            if in_batch == cfg.batch_size:
-                state.optimizer.step(grad_scale=1.0 / in_batch)
-                state.optimizer.zero_grad()
-                in_batch = 0
-        if in_batch:
-            state.optimizer.step(grad_scale=1.0 / in_batch)
-            state.optimizer.zero_grad()
-        means = sums / max(evaluated, 1)
-        if state.scheduler is not None:
-            monitored = means[0]
-            if cfg.scheduler.monitored == "val_loss":
-                monitored = evaluate_pretrain_loss(model, examples, cfg)
-            state.scheduler.step(float(monitored))
-        state.epoch = epoch + 1
-        record.rows.append(EpochRow(epoch, float(means[0]), float(means[1]),
-                                    float(means[2]), float(means[3]),
-                                    state.optimizer.lr,
-                                    time.perf_counter() - started))
-    record.skipped_batches = state.skipped_batches
+            losses.append((combined_loss_t(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights),
+                           (energy_loss(values, ex.laplacian),
+                            eigvec_loss(values, ex.laplacian, ex.lambda_k),
+                            _ortho_residual(values))))
+        return losses
+
+    record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
+                  lambda: evaluate_pretrain_loss(model, examples, cfg))
     return record, state
 
 
@@ -361,18 +396,10 @@ def evaluate_pretrain_loss(model: EigenModel, examples: list[TrainingExample],
     return total / len(examples)
 
 
-def _downstream_forward(model: EigenModel, head: Mlp, ex: TrainingExample,
-                        cfg: PretrainConfig, training: bool,
-                        rng: np.random.Generator | None):
-    z = model.encoder.forward(ex.graph, ad.constant(ex.features), training, rng)
-    padded = ad.zero_pad_rows(z, cfg.max_nodes)
-    flat = ad.reshape(padded, (1, cfg.max_nodes * cfg.hidden_dim))
-    return head.forward(flat, training, rng)
-
-
 def predict_target(model: EigenModel, head: Mlp, ex: TrainingExample,
                    cfg: PretrainConfig) -> float:
-    return float(_downstream_forward(model, head, ex, cfg, False, None).values[0, 0])
+    z = model.encoder.forward(ex.graph, ad.constant(ex.features))
+    return float(head.forward(flatten_padded([z], cfg.max_nodes)).values[0, 0])
 
 
 def evaluate_mae(model: EigenModel, head: Mlp, examples: list[TrainingExample],
@@ -390,7 +417,8 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
 
     The downstream head replaces the eigenvector head (both encoder and head
     weights update); with cfg.keep_pretrain_head the spectral objective keeps
-    training alongside the regression loss through the retained head.
+    training alongside the regression loss through the retained head, on the
+    same encoder pass.
     """
     epochs = cfg.finetune_epochs if epochs is None else epochs
     for ex in examples + (val_examples or []):
@@ -402,53 +430,24 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
         params.update({f"head.{n}": p for n, p in model.head.parameters().items()})
     if state is None:
         state = _fresh_state(params, cfg, rng_stream=4)
-    record = RunRecord()
-    for epoch in range(state.epoch, epochs):
-        started = time.perf_counter()
-        order = state.rng.permutation(len(examples))
-        total = 0.0
-        evaluated = 0
-        in_batch = 0
-        for idx in order:
-            ex = examples[idx]
-            target = ex.graph.graph_targets[target_name]
-            try:
-                pred = _downstream_forward(model, head, ex, cfg, True, state.rng)
-                loss = mae_loss_t(pred, np.array([[target]]))
-                if cfg.keep_pretrain_head:
-                    u_hat = orthonormalize(model.head.forward(
-                        model.encoder.forward(ex.graph, ad.constant(ex.features),
-                                              True, state.rng), True, state.rng))
-                    loss = ad.add(loss, combined_loss_t(u_hat, ex.laplacian,
-                                                        ex.lambda_k, cfg.loss_weights))
-                loss.backward()
-            except (NumericalFault, RankDeficient) as exc:
-                state.optimizer.zero_grad()
-                in_batch = 0
-                state.skipped_batches += 1
-                log.warning("skipped batch at epoch %d: %s", epoch, exc)
-                continue
-            total += loss.item()
-            evaluated += 1
-            in_batch += 1
-            if in_batch == cfg.batch_size:
-                state.optimizer.step(grad_scale=1.0 / in_batch)
-                state.optimizer.zero_grad()
-                in_batch = 0
-        if in_batch:
-            state.optimizer.step(grad_scale=1.0 / in_batch)
-            state.optimizer.zero_grad()
-        mean_loss = total / max(evaluated, 1)
-        if state.scheduler is not None:
-            monitored = mean_loss
-            if cfg.scheduler.monitored == "val_loss" and val_examples:
-                monitored = evaluate_mae(model, head, val_examples, cfg, target_name)
-            state.scheduler.step(float(monitored))
-        state.epoch = epoch + 1
-        record.rows.append(EpochRow(epoch, float(mean_loss), 0.0, 0.0, 0.0,
-                                    state.optimizer.lr,
-                                    time.perf_counter() - started))
-    record.skipped_batches = state.skipped_batches
+
+    def batch_losses(batch):
+        zs = [model.encoder.forward(ex.graph, ad.constant(ex.features), True, state.rng)
+              for ex in batch]
+        preds = head.forward(flatten_padded(zs, cfg.max_nodes), True, state.rng)
+        losses = [mae_loss_t(ad.slice_rows(preds, i, i + 1),
+                             np.array([[ex.graph.graph_targets[target_name]]]))
+                  for i, ex in enumerate(batch)]
+        if cfg.keep_pretrain_head:
+            u_tildes = model.head.forward(zs, True, state.rng)
+            losses = [ad.add(loss, combined_loss_t(orthonormalize(u), ex.laplacian,
+                                                   ex.lambda_k, cfg.loss_weights))
+                      for loss, u, ex in zip(losses, u_tildes, batch)]
+        return [(loss, ()) for loss in losses]
+
+    record = _fit(examples, cfg, state, epochs, batch_losses,
+                  (lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
+                  if val_examples else None)
     return record, state
 
 
@@ -510,43 +509,24 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
             continue
         model = build_model(cfg, d_in)
         state = _fresh_state(model.parameters(), cfg, rng_stream=1)
+
+        def batch_losses(batch):
+            losses = []
+            for ex, u_hat in zip(batch, _orthonormal_outputs(model, batch, state.rng)):
+                if arm == ARM_OURS:
+                    loss = combined_loss_t(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights)
+                else:
+                    loss = abs_cos_mae_loss_t(u_hat, ex.psi_k)
+                losses.append((loss, ()))
+            return losses
+
         for epoch in range(cfg.epochs):
-            _train_comparison_epoch(model, examples, cfg, state, arm)
+            _run_epoch(examples, state, cfg.batch_size, epoch, batch_losses)
             outputs = [model.predict(ex.graph, ex.features) for ex in examples]
             ev, en = _evaluate_outputs(outputs, examples)
             rows.append(ComparisonRow(arm, epoch, ev, en))
         results[arm] = rows
     return results
-
-
-def _train_comparison_epoch(model: EigenModel, examples: list[TrainingExample],
-                            cfg: PretrainConfig, state: TrainState, arm: str) -> None:
-    order = state.rng.permutation(len(examples))
-    in_batch = 0
-    for idx in order:
-        ex = examples[idx]
-        try:
-            u_tilde = model.forward(ex.graph, ad.constant(ex.features),
-                                    training=True, rng=state.rng)
-            u_hat = orthonormalize(u_tilde)
-            if arm == ARM_OURS:
-                loss = combined_loss_t(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights)
-            else:
-                loss = abs_cos_mae_loss_t(u_hat, ex.psi_k)
-            loss.backward()
-        except (NumericalFault, RankDeficient):
-            state.optimizer.zero_grad()
-            in_batch = 0
-            state.skipped_batches += 1
-            continue
-        in_batch += 1
-        if in_batch == cfg.batch_size:
-            state.optimizer.step(grad_scale=1.0 / in_batch)
-            state.optimizer.zero_grad()
-            in_batch = 0
-    if in_batch:
-        state.optimizer.step(grad_scale=1.0 / in_batch)
-        state.optimizer.zero_grad()
 
 
 # --- checkpointing -----------------------------------------------------------

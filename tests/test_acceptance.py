@@ -198,7 +198,7 @@ def test_criterion_05_gradient_correctness():
         weights = LossWeights(1.0, 2.0, 0.0)
 
         def loss_tensor():
-            u = model.forward(ex.graph, ad.constant(ex.features), training=False)
+            u = model.forward([ex.graph], [ad.constant(ex.features)], training=False)[0]
             return combined_loss_t(orthonormalize(u), ex.laplacian, ex.lambda_k, weights)
 
         loss_tensor().backward()

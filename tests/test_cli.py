@@ -174,6 +174,24 @@ def test_pretrain_resume_matches_straight_run(tmp_path, small_dataset):
     assert joined == strip_seconds(straight.read_text())[1:]
 
 
+@pytest.mark.parametrize("flag, value, field", [("--k", "3", "k=2"), ("--seed", "7", "seed=0")])
+def test_pretrain_resume_rejects_k_and_seed_overrides(tmp_path, small_dataset, capsys,
+                                                      flag, value, field):
+    ckpt = tmp_path / "half.json"
+    assert main(["--quiet", "pretrain", "--input", small_dataset,
+                 "--output", str(tmp_path / "first.csv"), "--config", small_config(tmp_path),
+                 "--checkpoint-out", str(ckpt)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "second.csv"
+    code = main(["--quiet", "pretrain", "--input", small_dataset, "--output", str(out),
+                 "--resume", str(ckpt), "--epochs", "4", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert flag in err and field in err
+    assert not out.exists()
+
+
 def test_finetune_end_to_end(tmp_path):
     data = tmp_path / "d.jsonl"
     assert main(["gen-data", "--count", "16", "--seed", "2", "--n-min", "6",

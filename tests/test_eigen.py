@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eigenlearn.eigen import (Spectrum, canonical_signs, eigendecompose,
                               eigenvalue_clusters, lowest_k)
-from eigenlearn.errors import KTooLarge, NoConvergence, NotSymmetric
+from eigenlearn.errors import KTooLarge, NotSymmetric
 from eigenlearn.graphs import build_laplacian, count_components, generate_graph
 from helpers import random_graph_soup
 
@@ -113,12 +113,6 @@ def test_symmetrizes_tiny_asymmetry():
     m = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
     s = eigendecompose(m)
     assert np.allclose(s.eigenvalues, [0.5, 1.5], atol=1e-9)
-
-
-def test_no_convergence_with_zero_budget():
-    m = build_laplacian(generate_graph("path", {"n": 4}))
-    with pytest.raises(NoConvergence):
-        eigendecompose(m, sweep_budget=0)
 
 
 def test_lowest_k_slices():

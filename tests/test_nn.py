@@ -100,7 +100,7 @@ def make_graph_head(**kw):
 def test_graph_level_head_shapes():
     head = make_graph_head()
     z = np.random.default_rng(0).standard_normal((3, 3))
-    out = head.forward(ad.constant(z))
+    out = head.forward([ad.constant(z)])[0]
     assert out.shape == (3, 2)
     assert head.mlp.dims[0] == 15 and head.mlp.dims[-1] == 10
 
@@ -108,14 +108,14 @@ def test_graph_level_head_shapes():
 def test_graph_level_head_boundary_no_padding():
     head = make_graph_head()
     z = np.random.default_rng(1).standard_normal((5, 3))
-    assert head.forward(ad.constant(z)).shape == (5, 2)
+    assert head.forward([ad.constant(z)])[0].shape == (5, 2)
 
 
 def test_graph_level_head_rejects_oversize():
     head = make_graph_head()
     z = np.zeros((6, 3))
     with pytest.raises(GraphTooLarge):
-        head.forward(ad.constant(z))
+        head.forward([ad.constant(z)])
 
 
 def test_graph_level_head_reference_dims():
@@ -126,7 +126,7 @@ def test_graph_level_head_reference_dims():
     assert head.mlp.dims[0] == 2400
     assert head.mlp.dims[-1] == 240
     z = np.zeros((3, 60))
-    assert head.forward(ad.constant(z)).shape == (3, 6)
+    assert head.forward([ad.constant(z)])[0].shape == (3, 6)
 
 
 def test_graph_level_head_is_order_sensitive():
@@ -135,9 +135,9 @@ def test_graph_level_head_is_order_sensitive():
     head = make_graph_head()
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 3))
-    out = head.forward(ad.constant(z)).values
+    out = head.forward([ad.constant(z)])[0].values
     zp = z[::-1].copy()
-    outp = head.forward(ad.constant(zp)).values
+    outp = head.forward([ad.constant(zp)])[0].values
     assert not np.allclose(outp, out[::-1], atol=1e-6)
 
 
@@ -146,15 +146,53 @@ def test_node_wise_head_row_independence():
                         dropout_rate=0.0, rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
     z = rng.standard_normal((4, 3))
-    out = head.forward(ad.constant(z)).values
+    out = head.forward([ad.constant(z)])[0].values
     # duplicating a row duplicates its output
     z2 = np.vstack([z, z[1]])
-    out2 = head.forward(ad.constant(z2)).values
+    out2 = head.forward([ad.constant(z2)])[0].values
     assert np.allclose(out2[-1], out[1])
     # permuting rows permutes outputs
     perm = [2, 0, 3, 1]
-    out3 = head.forward(ad.constant(z[perm])).values
+    out3 = head.forward([ad.constant(z[perm])])[0].values
     assert np.allclose(out3, out[perm])
+
+
+def batch_of_mixed_sizes(d, sizes=(3, 5, 1, 4), seed=6):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, d)) for n in sizes]
+
+
+@pytest.mark.parametrize("make_head", [
+    lambda: make_graph_head(),
+    lambda: NodeWiseHead(d_hidden=3, k=2, mlp_hidden=8, mlp_layers=3,
+                         dropout_rate=0.0, rng=np.random.default_rng(4)),
+], ids=["graph_level", "node_wise"])
+def test_batched_head_matches_batch_of_one(make_head):
+    head = make_head()
+    zs = batch_of_mixed_sizes(3)
+    batched = head.forward([ad.constant(z) for z in zs])
+    assert [u.shape for u in batched] == [(z.shape[0], 2) for z in zs]
+    for z, u in zip(zs, batched):
+        alone = head.forward([ad.constant(z)])[0].values
+        assert np.max(np.abs(u.values - alone)) <= 1e-12
+
+
+def test_graph_level_head_phantom_rows_never_reach_the_loss():
+    # the widest graph has 4 of the 5 node slots: the output columns of the
+    # fifth (phantom) slot must get exactly zero gradient from any loss
+    head = make_graph_head()
+    zs = [ad.parameter(z) for z in batch_of_mixed_sizes(3, sizes=(2, 4, 3))]
+    total = None
+    for u in head.forward(zs):
+        term = ad.sum_(ad.mul(u, u))
+        total = term if total is None else ad.add(total, term)
+    total.backward()
+    out_w, out_b = head.mlp.weights[-1], head.mlp.biases[-1]
+    assert np.all(out_w.grad[:, 4 * head.k:] == 0.0)
+    assert np.all(out_b.grad[4 * head.k:] == 0.0)
+    assert np.any(out_w.grad[:, :4 * head.k] != 0.0)
+    for z in zs:
+        assert z.grad.shape == z.shape
 
 
 # --- orthonormalize ---
@@ -259,7 +297,7 @@ def test_full_model_gradient_check():
     weights = LossWeights(1.0, 2.0, 0.0)
 
     def loss_tensor():
-        u = model.forward(g, ad.constant(x), training=False)
+        u = model.forward([g], [ad.constant(x)], training=False)[0]
         return combined_loss_t(orthonormalize(u), lap, lam, weights)
 
     out = loss_tensor()
@@ -283,6 +321,46 @@ def test_full_model_gradient_check():
     assert worst <= 1e-3
 
 
+def test_batched_step_gradient_check():
+    # the summed loss of one mini-batch of mixed-size graphs, as a training
+    # step back-propagates it
+    rng = np.random.default_rng(9)
+    graphs = [generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=s)
+              for n, s in ((6, 1), (9, 2), (4, 3))]
+    xs = [rng.standard_normal((g.num_nodes, 4)) for g in graphs]
+    targets = []
+    for g in graphs:
+        lap = build_laplacian(g)
+        targets.append((lap, lowest_k(eigendecompose(lap), 3)[0]))
+    model = build_small_model()
+    weights = LossWeights(1.0, 2.0, 0.5)
+
+    def loss_tensor():
+        outputs = model.forward(graphs, [ad.constant(x) for x in xs])
+        total = None
+        for u, (lap, lam) in zip(outputs, targets):
+            term = combined_loss_t(orthonormalize(u), lap, lam, weights)
+            total = term if total is None else ad.add(total, term)
+        return total
+
+    loss_tensor().backward()
+    sampler = np.random.default_rng(10)
+    worst = 0.0
+    for p in model.parameters().values():
+        flat = p.values.reshape(-1)
+        gflat = p.grad.reshape(-1)
+        for i in sampler.choice(flat.size, size=min(4, flat.size), replace=False):
+            orig = flat[i]
+            flat[i] = orig + 1e-5
+            up = loss_tensor().item()
+            flat[i] = orig - 1e-5
+            down = loss_tensor().item()
+            flat[i] = orig
+            numeric = (up - down) / 2e-5
+            worst = max(worst, abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-6))
+    assert worst <= 1e-3
+
+
 def test_eval_mode_deterministic_even_with_dropout_configured():
     g = generate_graph("cycle", {"n": 6})
     x = np.random.default_rng(1).standard_normal((6, 4))
@@ -297,8 +375,8 @@ def test_training_mode_dropout_changes_outputs():
     x = np.random.default_rng(1).standard_normal((6, 4))
     model = build_small_model(dropout=0.4)
     rng = np.random.default_rng(2)
-    a = model.forward(g, ad.constant(x), training=True, rng=rng).values
-    b = model.forward(g, ad.constant(x), training=True, rng=rng).values
+    a = model.forward([g], [ad.constant(x)], training=True, rng=rng)[0].values
+    b = model.forward([g], [ad.constant(x)], training=True, rng=rng)[0].values
     assert not np.array_equal(a, b)
 
 

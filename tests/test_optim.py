@@ -47,6 +47,52 @@ def test_grad_scale_averages_accumulated_gradients():
     assert np.allclose(p1.values, p2.values)
 
 
+def reference_adam_step(params, grads, m, v, t, lr, grad_scale,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """The out-of-place Adam update the in-place step must reproduce bit for bit."""
+    correct1 = 1.0 - beta1 ** t
+    correct2 = 1.0 - beta2 ** t
+    for name in params:
+        g = grads[name] * grad_scale
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        m_hat = m[name] / correct1
+        v_hat = v[name] / correct2
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_in_place_step_is_bit_identical_to_out_of_place_formula():
+    rng = np.random.default_rng(5)
+    # one parameter spans several update blocks, one is a scalar
+    shapes = {"w": (3, Adam.BLOCK - 7), "b": (5,), "eps": ()}
+    reference = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    params = {name: make_param(values.copy()) for name, values in reference.items()}
+    opt = Adam(params, lr=0.01)
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for t in range(1, 6):
+        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        for name, p in params.items():
+            p.grad = grads[name].copy()
+        opt.step(grad_scale=1.0 / 3.0)
+        opt.zero_grad()
+        reference_adam_step(reference, grads, m, v, t, lr=0.01, grad_scale=1.0 / 3.0)
+        for name, p in params.items():
+            assert np.array_equal(p.values, reference[name]), (name, t)
+            assert np.array_equal(opt.m[name], m[name]), (name, t)
+            assert np.array_equal(opt.v[name], v[name]), (name, t)
+
+
+def test_step_updates_values_in_place():
+    p = make_param(np.ones((4, 3)))
+    values = p.values
+    opt = Adam({"p": p}, lr=0.1)
+    p.grad = np.ones((4, 3))
+    opt.step()
+    assert p.values is values
+    assert np.all(values < 1.0)
+
+
 def test_deterministic_across_runs():
     def run():
         rng = np.random.default_rng(3)

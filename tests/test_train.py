@@ -3,7 +3,7 @@ import pytest
 
 from eigenlearn import train as tr
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
-                               MissingTarget)
+                               MissingTarget, NumericalFault)
 from eigenlearn.graphs import Graph, generate_graph
 from eigenlearn.losses import LossWeights
 
@@ -181,6 +181,42 @@ def test_pretrain_wires_scheduler_to_train_loss():
         assert row.lr == shadow.lr
 
 
+def fault_on_call(monkeypatch, name, call_number):
+    """Wrap train.<name> so that its call_number-th call raises NumericalFault;
+    returns the loss values of the calls that succeeded, in call order."""
+    original = getattr(tr, name)
+    values = []
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == call_number:
+            values.append(None)
+            raise NumericalFault("injected")
+        out = original(*args, **kwargs)
+        values.append(out.item())
+        return out
+
+    monkeypatch.setattr(tr, name, wrapped)
+    return values
+
+
+def test_epoch_means_count_only_graphs_of_committed_batches(monkeypatch, caplog):
+    # lr 0 and no dropout keep every graph's loss fixed; batches of 2 over 6
+    # graphs, and the third loss call (first graph of the second batch) fails
+    cfg = small_cfg(epochs=1, batch_size=2, lr=0.0, dropout=0.0)
+    examples = tr.precompute_targets(graph_soup(6, seed=4), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    values = fault_on_call(monkeypatch, "combined_loss_t", 3)
+    with caplog.at_level("WARNING", logger="eigenlearn.train"):
+        record, state = tr.pretrain(examples, model, cfg)
+    assert values[2] is None and len(values) == 5  # the second batch stopped at its fault
+    committed = values[:2] + values[3:]
+    assert record.skipped_batches == state.skipped_batches == 1
+    assert record.rows[0].loss_total == pytest.approx(np.mean(committed), rel=1e-12)
+    assert any("skipped batch at epoch 0: injected" in r.message for r in caplog.records)
+
+
 def test_runrecord_csv_roundtrip_format():
     record = tr.RunRecord(rows=[tr.EpochRow(0, 1.5, 0.5, 0.25, 1e-8, 0.001, 0.1)])
     text = record.to_csv()
@@ -259,6 +295,16 @@ def test_compare_losses_random_arm_is_flat_and_ordering_sane():
     assert len({(r.loss_eigvec, r.loss_energy) for r in random_rows}) == 1
     ours = results[tr.ARM_OURS]
     assert ours[-1].loss_eigvec < random_rows[-1].loss_eigvec
+
+
+def test_compare_losses_logs_skipped_batches(monkeypatch, caplog):
+    cfg = small_cfg(epochs=2, dropout=0.0)
+    examples = tr.precompute_targets(graph_soup(4, seed=11), cfg)
+    fault_on_call(monkeypatch, "abs_cos_mae_loss_t", 2)
+    with caplog.at_level("WARNING", logger="eigenlearn.train"):
+        tr.compare_losses(examples, cfg, arms=(tr.ARM_BASELINE,))
+    skipped = [r.message for r in caplog.records if "skipped batch" in r.message]
+    assert skipped == ["skipped batch at epoch 0: injected"]
 
 
 def test_compare_losses_rejects_unknown_arm():
