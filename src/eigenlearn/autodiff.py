@@ -12,7 +12,7 @@ rather than letting a poisoned value propagate.
 
 import numpy as np
 
-from .errors import NumericalFault, ShapeMismatch
+from .errors import NumericalFault, RankDeficient, ShapeMismatch
 
 
 class Tensor:
@@ -79,7 +79,7 @@ class Tensor:
 
 
 def _result(values: np.ndarray, parents: tuple, vjp) -> Tensor:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalFault("op produced non-finite values")
     if any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
@@ -354,13 +354,67 @@ def column_scale(a: Tensor, factors: np.ndarray) -> Tensor:
 
 
 def sum_neighbors(a: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Row v of the result is the sum of a's rows over v's neighbors."""
+    """Row v of the result is the sum of a's rows over v's neighbors.
+
+    A (B, m, m) adjacency is a batch of blocks: a holds B stacked (m, d)
+    blocks, and block i only sums over the rows of block i. One matmul
+    forward, one backward.
+    """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    if a.values.ndim != 2 or adjacency.shape != (a.shape[0], a.shape[0]):
+    rows = a.shape[0]
+    blocks, m = (1, rows) if adjacency.ndim == 2 else adjacency.shape[:2]
+    if (a.values.ndim != 2 or adjacency.ndim not in (2, 3) or blocks * m != rows
+            or adjacency.shape[-2:] != (m, m)):
         raise ShapeMismatch(f"sum_neighbors: {a.shape} with adjacency {adjacency.shape}")
+    stacked = (blocks, m, a.shape[1])
 
     def vjp(g):
         if a.requires_grad:
-            a.accumulate_grad(adjacency.T @ g)
+            back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked))
+            a.accumulate_grad(back.reshape(a.shape), owned=True)
 
-    return _result(adjacency @ a.values, (a,), vjp)
+    return _result(np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape), (a,), vjp)
+
+
+def scalar_with_grad(a: Tensor, value: float, grad: np.ndarray) -> Tensor:
+    """A scalar function of a whose value and gradient at a.values were
+    computed outside the tape (a closed-form loss): one node, whose backward
+    scales the given gradient."""
+    if grad.shape != a.shape:
+        raise ShapeMismatch(f"scalar_with_grad: gradient {grad.shape} for input {a.shape}")
+
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate_grad(float(g) * grad, owned=True)
+
+    return _result(value, (a,), vjp)
+
+
+def thin_qr(a: Tensor, rank_tol: float) -> Tensor:
+    """Q of the thin QR factorization a = QR, signs fixed so that R has a
+    positive diagonal (Q is then unique, and equals what Gram-Schmidt on the
+    columns gives). Raises RankDeficient(j) for the first j with
+    |R_jj| < rank_tol.
+
+    Backward is the standard QR rule with no gradient on R (Seeger et al.,
+    arXiv:1710.08717): M = -dQ^T Q, dA = (dQ + Q copyltu(M)) R^-T, where
+    copyltu(M) copies M's lower triangle onto its upper one.
+    """
+    if a.values.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ShapeMismatch(f"thin_qr needs a tall matrix, got {a.shape}")
+    q, r = np.linalg.qr(a.values)
+    diagonal = np.diagonal(r)
+    small = np.flatnonzero(np.abs(diagonal) < rank_tol)
+    if small.size:
+        raise RankDeficient(int(small[0]))
+    signs = np.where(diagonal < 0.0, -1.0, 1.0)
+    q *= signs
+    r *= signs[:, None]
+
+    def vjp(g):
+        if a.requires_grad:
+            m = -(g.T @ q)
+            m = np.where(np.tri(len(m), dtype=bool), m, m.T)  # copyltu(m)
+            a.accumulate_grad(np.linalg.solve(r, (g + q @ m).T).T, owned=True)
+
+    return _result(q, (a,), vjp)

@@ -44,14 +44,8 @@ def _feature_config(path: str | None, seed: int | None) -> FeatureConfig:
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    allowed = {"use_wavelet_positional", "use_diffused_dirac", "scales_J",
-               "dirac_seed", "keep_original_features"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise InvalidParams(f"unknown feature config fields: {sorted(unknown)}")
-    if seed is not None:
-        raw["dirac_seed"] = seed
-    return FeatureConfig(**raw)
+    cfg = tr.dataclass_from_dict(FeatureConfig, raw, "feature config")
+    return cfg if seed is None else dataclasses.replace(cfg, dirac_seed=seed)
 
 
 def cmd_gen_data(args) -> int:

@@ -1,18 +1,19 @@
 """Model zoo on top of the autodiff engine.
 
-GIN-style message passing encoder, node-wise and graph-level MLP heads that
-run a whole mini-batch through one matrix product per layer,
-differentiable modified Gram-Schmidt orthonormalization, and tape versions of
-the training losses (which must agree with the numpy forms in `losses`).
+The unit of work is a padded mini-batch: the GIN encoder runs all graphs of a
+batch at once, each graph occupying `max_nodes` consecutive rows of one
+matrix, and the node-wise and graph-level MLP heads run one matrix product
+per layer over the whole batch. Orthonormalization is one thin-QR op. Each
+training loss is one op too, built on its single numpy definition in
+`losses`, which returns the value together with its closed-form gradient.
 """
-
-from itertools import accumulate
 
 import numpy as np
 
 from . import autodiff as ad
+from . import losses
 from .autodiff import Tensor
-from .errors import GraphTooLarge, RankDeficient, ShapeMismatch
+from .errors import GraphTooLarge, ShapeMismatch
 from .graphs import Graph, build_adjacency
 from .losses import LossWeights
 
@@ -89,23 +90,52 @@ class GinLayer:
 
 
 class GinEncoder:
+    """GIN message passing over a padded mini-batch.
+
+    Graph i of a batch of B occupies rows i*max_nodes .. i*max_nodes+n_i-1 of
+    one (B*max_nodes, d) matrix; its adjacency is block i of a (B, max_nodes,
+    max_nodes) tensor. The remaining (phantom) rows have no edges, so no
+    message ever reaches a real node from them, and the MLPs act row by row;
+    the output multiplies them by zero once, after the last layer, so they
+    neither reach a head nor receive a gradient.
+    """
+
     def __init__(self, in_dim: int, hidden_dim: int, mp_layers: int,
-                 update_layers: int, dropout_rate: float, rng: np.random.Generator):
+                 update_layers: int, dropout_rate: float, rng: np.random.Generator,
+                 max_nodes: int):
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
+        self.max_nodes = max_nodes
         self.layers = []
         d = in_dim
         for _ in range(mp_layers):
             self.layers.append(GinLayer(d, hidden_dim, update_layers, dropout_rate, rng))
             d = hidden_dim
 
-    def forward(self, g: Graph, x: Tensor, training: bool = False,
+    def forward(self, graphs: list[Graph], features: list, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        adjacency = build_adjacency(g)
-        h = x
+        """Node embeddings of a batch as one (B*max_nodes, hidden_dim) tensor,
+        zero on phantom rows. features[i] is graph i's (n_i, in_dim) array
+        (a constant tensor is accepted too)."""
+        m = self.max_nodes
+        x = np.zeros((len(graphs) * m, self.in_dim))
+        adjacency = np.zeros((len(graphs), m, m))
+        mask = np.zeros((len(graphs) * m, 1))
+        for i, (g, f) in enumerate(zip(graphs, features, strict=True)):
+            n = g.num_nodes
+            if n > m:
+                raise GraphTooLarge(n, m)
+            f = f.values if isinstance(f, Tensor) else np.asarray(f, dtype=np.float64)
+            if f.shape != (n, self.in_dim):
+                raise ShapeMismatch(f"features of shape {f.shape} for a {n}-node graph; "
+                                    f"the encoder expects ({n}, {self.in_dim})")
+            x[i * m:i * m + n] = f
+            adjacency[i, :n, :n] = build_adjacency(g)
+            mask[i * m:i * m + n] = 1.0
+        h = ad.constant(x)
         for layer in self.layers:
             h = layer.forward(h, adjacency, training, rng)
-        return h
+        return ad.mul(h, ad.constant(mask))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -115,24 +145,19 @@ class GinEncoder:
         return out
 
 
-def flatten_padded(zs: list[Tensor], max_nodes: int) -> Tensor:
-    """Stack a batch of (n_i, d) node-embedding matrices into one (B, max_nodes*d)
-    matrix: row i is graph i's embedding, zero-padded to max_nodes rows and
-    flattened row-major. Gradients reach only the real rows."""
-    for z in zs:
-        if z.shape[0] > max_nodes:
-            raise GraphTooLarge(z.shape[0], max_nodes)
-    stacked = ad.concat_rows([ad.zero_pad_rows(z, max_nodes) for z in zs])
-    return ad.reshape(stacked, (len(zs), max_nodes * zs[0].shape[1]))
+def split_graphs(rows: Tensor, sizes: list[int]) -> list[Tensor]:
+    """Graph i's n_i real rows out of a padded batch of len(sizes) equal blocks."""
+    m = rows.shape[0] // len(sizes)
+    return [ad.slice_rows(rows, i * m, i * m + n) for i, n in enumerate(sizes)]
 
 
 class GraphLevelHead:
-    """Concatenate all node embeddings (zero-padded to a fixed node budget) and
-    map them jointly to an n x k eigenvector estimate.
+    """Concatenate all node embeddings of a graph (zero-padded to a fixed node
+    budget) and map them jointly to an n x k eigenvector estimate.
 
-    forward() takes a batch: the padded embeddings of all graphs go through the
-    MLP as one (B, max_nodes*d) matrix, so each layer is one GEMM forward and
-    one weight-gradient GEMM backward. The padded output rows are sliced away
+    forward() takes the encoder's padded batch: one reshape makes it the
+    (B, max_nodes*d) input, so each MLP layer is one GEMM forward and one
+    weight-gradient GEMM backward. The output's padded rows are sliced away
     before anything downstream sees them, so phantom nodes never influence a
     prediction or a loss.
     """
@@ -144,12 +169,16 @@ class GraphLevelHead:
         dims = [max_nodes * d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [max_nodes * k]
         self.mlp = Mlp(dims, dropout_rate, rng)
 
-    def forward(self, zs: list[Tensor], training: bool = False,
+    def forward(self, z: Tensor, sizes: list[int], training: bool = False,
                 rng: np.random.Generator | None = None) -> list[Tensor]:
-        out = self.mlp.forward(flatten_padded(zs, self.max_nodes), training, rng)
-        grid = ad.reshape(out, (len(zs) * self.max_nodes, self.k))
-        return [ad.slice_rows(grid, i * self.max_nodes, i * self.max_nodes + z.shape[0])
-                for i, z in enumerate(zs)]
+        """z: (B*max_nodes, d) padded embeddings of B graphs with sizes[i]
+        nodes; returns each graph's (sizes[i], k) output."""
+        b = len(sizes)
+        if z.shape[0] != b * self.max_nodes:
+            raise ShapeMismatch(f"graph-level head: {z.shape[0]} rows for {b} graphs "
+                                f"of {self.max_nodes} node slots")
+        out = self.mlp.forward(ad.reshape(z, (b, self.max_nodes * z.shape[1])), training, rng)
+        return split_graphs(ad.reshape(out, (b * self.max_nodes, self.k)), sizes)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
@@ -158,7 +187,8 @@ class GraphLevelHead:
 class NodeWiseHead:
     """Per-node MLP from hidden embedding to k eigencoordinates; rows never mix.
 
-    forward() takes a batch and runs the MLP once over the nodes of all graphs.
+    forward() runs the MLP once over every row of the padded batch, phantom
+    rows included, and returns each graph's real rows.
     """
 
     def __init__(self, d_hidden: int, k: int, mlp_hidden: int, mlp_layers: int,
@@ -167,47 +197,32 @@ class NodeWiseHead:
         dims = [d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [k]
         self.mlp = Mlp(dims, dropout_rate, rng)
 
-    def forward(self, zs: list[Tensor], training: bool = False,
+    def forward(self, z: Tensor, sizes: list[int], training: bool = False,
                 rng: np.random.Generator | None = None) -> list[Tensor]:
-        out = self.mlp.forward(ad.concat_rows(zs), training, rng)
-        starts = accumulate((z.shape[0] for z in zs), initial=0)
-        return [ad.slice_rows(out, lo, lo + z.shape[0]) for lo, z in zip(starts, zs)]
+        return split_graphs(self.mlp.forward(z, training, rng), sizes)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
 
 
 def orthonormalize(u_tilde: Tensor) -> Tensor:
-    """Differentiable modified Gram-Schmidt: returns Q with Q^T Q = I and
-    span(Q) = span(input), the thin-QR Q with positive R diagonal.
+    """Q with Q^T Q = I and span(Q) = span(input): the thin-QR Q with a
+    positive R diagonal, recorded as one op (`autodiff.thin_qr`).
 
-    Gradients flow through every projection and normalization. Raises
-    RankDeficient(j) if column j collapses below tolerance during elimination.
+    Raises RankDeficient(j) for the first column j with |R_jj| < RANK_TOL.
     """
     if len(u_tilde.shape) != 2:
         raise ShapeMismatch(f"orthonormalize needs a matrix, got {u_tilde.shape}")
     n, k = u_tilde.shape
     if n < k:
         raise ShapeMismatch(f"need n >= k to orthonormalize, got {n} x {k}")
-    columns: list[Tensor] = []
-    for j in range(k):
-        selector = np.zeros((k, 1))
-        selector[j, 0] = 1.0
-        v = ad.matmul(u_tilde, ad.constant(selector))
-        for q in columns:
-            coeff = ad.matmul(ad.transpose(q), v)
-            v = ad.sub(v, ad.mul(q, coeff))
-        norm = ad.frobenius_norm(v)
-        if norm.item() < RANK_TOL:
-            raise RankDeficient(j)
-        columns.append(ad.div(v, norm))
-    return ad.concat_cols(columns)
+    return ad.thin_qr(u_tilde, RANK_TOL)
 
 
 class EigenModel:
     """Encoder plus eigenvector head; forward gives the raw head outputs of a
-    batch of graphs, and predict() one graph's orthonormalized eigenvector
-    estimate."""
+    batch of graphs, predict_batch() their orthonormalized eigenvector
+    estimates in evaluation mode, and predict() one graph's."""
 
     def __init__(self, encoder: GinEncoder, head, head_kind: str):
         if head_kind not in HEAD_KINDS:
@@ -216,18 +231,21 @@ class EigenModel:
         self.head = head
         self.head_kind = head_kind
 
-    def forward(self, graphs: list[Graph], xs: list[Tensor], training: bool = False,
+    def forward(self, graphs: list[Graph], features: list, training: bool = False,
                 rng: np.random.Generator | None = None) -> list[Tensor]:
-        """Raw head outputs of a batch: the encoder runs graph by graph, the
-        head once over the whole batch."""
-        zs = [self.encoder.forward(g, x, training, rng) for g, x in zip(graphs, xs)]
-        return self.head.forward(zs, training, rng)
+        """Raw head outputs of a batch: one encoder pass and one head pass over
+        the padded batch (features as in GinEncoder.forward)."""
+        z = self.encoder.forward(graphs, features, training, rng)
+        return self.head.forward(z, [g.num_nodes for g in graphs], training, rng)
+
+    def predict_batch(self, graphs: list[Graph], features: list) -> list[np.ndarray]:
+        """Evaluation-mode (no dropout) orthonormal eigenvector estimates of a
+        batch of graphs."""
+        return [orthonormalize(u).values for u in self.forward(graphs, features)]
 
     def predict(self, g: Graph, features: np.ndarray) -> np.ndarray:
-        """Evaluation-mode orthonormal eigenvector estimate (no dropout) of one
-        graph, run as a batch of one."""
-        u_tilde = self.forward([g], [ad.constant(features)])[0]
-        return orthonormalize(u_tilde).values
+        """predict_batch of one graph."""
+        return self.predict_batch([g], [features])[0]
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"encoder.{n}": p for n, p in self.encoder.parameters().items()}
@@ -235,69 +253,32 @@ class EigenModel:
         return out
 
 
-# --- tape versions of the training losses ---------------------------------
-# These mirror the numpy evaluations in `losses`; tests pin them to agree.
+# --- training losses as single ops ------------------------------------------
+# Each records the value and gradient its numpy definition in `losses` returns.
 
 
 def eigvec_loss_t(u_hat: Tensor, laplacian: np.ndarray, lambda_k: np.ndarray) -> Tensor:
-    k = u_hat.shape[1]
-    residual = ad.sub(ad.matmul(ad.constant(laplacian), u_hat),
-                      ad.column_scale(u_hat, lambda_k))
-    return ad.scale(ad.frobenius_norm(residual), 1.0 / k)
+    return ad.scalar_with_grad(u_hat, *losses.eigvec_loss(u_hat.values, laplacian, lambda_k,
+                                                          grad=True))
 
 
 def energy_loss_t(u_hat: Tensor, laplacian: np.ndarray) -> Tensor:
-    k = u_hat.shape[1]
-    quad = ad.matmul(ad.transpose(u_hat), ad.matmul(ad.constant(laplacian), u_hat))
-    return ad.scale(ad.trace(quad), 1.0 / k)
+    return ad.scalar_with_grad(u_hat, *losses.energy_loss(u_hat.values, laplacian, grad=True))
 
 
 def ortho_loss_t(u_hat: Tensor) -> Tensor:
-    k = u_hat.shape[1]
-    gram = ad.matmul(ad.transpose(u_hat), u_hat)
-    return ad.scale(ad.frobenius_norm(ad.sub(gram, ad.constant(np.eye(k)))), 1.0 / k)
+    return ad.scalar_with_grad(u_hat, *losses.ortho_loss(u_hat.values, grad=True))
 
 
 def combined_loss_t(u_hat: Tensor, laplacian: np.ndarray, lambda_k: np.ndarray,
                     weights: LossWeights) -> Tensor:
-    total = None
-    if weights.alpha_energy:
-        total = ad.scale(energy_loss_t(u_hat, laplacian), weights.alpha_energy)
-    if weights.beta_eigvec:
-        term = ad.scale(eigvec_loss_t(u_hat, laplacian, lambda_k), weights.beta_eigvec)
-        total = term if total is None else ad.add(total, term)
-    if weights.gamma_ortho:
-        term = ad.scale(ortho_loss_t(u_hat), weights.gamma_ortho)
-        total = term if total is None else ad.add(total, term)
-    return total
+    return ad.scalar_with_grad(u_hat, *losses.combined_loss(u_hat.values, laplacian, lambda_k,
+                                                            weights, grad=True))
 
 
 def abs_cos_mae_loss_t(u_hat: Tensor, psi_k: np.ndarray) -> Tensor:
-    """Tape version of the absolute-value cosine + MAE baseline loss."""
-    n, k = u_hat.shape
-    if psi_k.shape != (n, k):
-        raise ShapeMismatch(f"targets shape {psi_k.shape} != prediction shape {(n, k)}")
-    total = None
-    for i in range(k):
-        selector = np.zeros((k, 1))
-        selector[i, 0] = 1.0
-        a = ad.abs_(ad.matmul(u_hat, ad.constant(selector)))
-        b_vals = np.abs(psi_k[:, i : i + 1])
-        b = ad.constant(b_vals)
-        mae = ad.mean(ad.abs_(ad.sub(a, b)))
-        nb = float(np.linalg.norm(b_vals))
-        na = ad.frobenius_norm(a)
-        if nb == 0.0 or na.item() == 0.0:
-            # zero-vector convention: maximal cosine penalty, no direction to follow
-            term = ad.add(mae, ad.constant(1.0))
-        else:
-            dot = ad.reshape(ad.matmul(ad.transpose(a), b), ())
-            cos = ad.div(dot, ad.scale(na, nb))
-            term = ad.add(mae, ad.sub(ad.constant(1.0), cos))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / k)
+    return ad.scalar_with_grad(u_hat, *losses.abs_cos_mae_loss(u_hat.values, psi_k, grad=True))
 
 
 def mae_loss_t(pred: Tensor, target: np.ndarray) -> Tensor:
-    target = np.asarray(target, dtype=np.float64).reshape(pred.shape)
-    return ad.mean(ad.abs_(ad.sub(pred, ad.constant(target))))
+    return ad.scalar_with_grad(pred, *losses.mae_loss(pred.values, target, grad=True))

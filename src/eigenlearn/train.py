@@ -13,7 +13,7 @@ import json
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
                      MissingTarget, NumericalFault, RankDeficient)
 from .graphs import LAPLACIAN_NORMS, Graph, build_laplacian
-from .losses import LossWeights, eigvec_loss, energy_loss, ortho_loss
+from .losses import LossWeights, combined_loss, eigvec_loss, energy_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
-                 Mlp, NodeWiseHead, abs_cos_mae_loss_t, combined_loss_t,
-                 flatten_padded, mae_loss_t, orthonormalize)
+                 Mlp, NodeWiseHead, abs_cos_mae_loss_t, combined_loss_t, mae_loss_t,
+                 orthonormalize)
 from .optim import Adam, ReduceLROnPlateau
 from .wavelets import FeatureConfig, augment_features
 
@@ -91,76 +91,32 @@ class PretrainConfig:
             raise InvalidParams(f"unknown head_kind {self.head_kind!r}")
 
 
-def config_to_dict(cfg: PretrainConfig) -> dict:
-    return {
-        "k": cfg.k,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "lr": cfg.lr,
-        "loss_weights": {
-            "alpha_energy": cfg.loss_weights.alpha_energy,
-            "beta_eigvec": cfg.loss_weights.beta_eigvec,
-            "gamma_ortho": cfg.loss_weights.gamma_ortho,
-        },
-        "laplacian_norm": cfg.laplacian_norm,
-        "head_kind": cfg.head_kind,
-        "max_nodes": cfg.max_nodes,
-        "scheduler": {
-            "kind": cfg.scheduler.kind,
-            "patience": cfg.scheduler.patience,
-            "factor": cfg.scheduler.factor,
-            "monitored": cfg.scheduler.monitored,
-        },
-        "seed": cfg.seed,
-        "feature_config": {
-            "use_wavelet_positional": cfg.feature_config.use_wavelet_positional,
-            "use_diffused_dirac": cfg.feature_config.use_diffused_dirac,
-            "scales_J": cfg.feature_config.scales_J,
-            "dirac_seed": cfg.feature_config.dirac_seed,
-            "keep_original_features": cfg.feature_config.keep_original_features,
-        },
-        "hidden_dim": cfg.hidden_dim,
-        "mp_layers": cfg.mp_layers,
-        "update_layers": cfg.update_layers,
-        "head_layers": cfg.head_layers,
-        "head_hidden_dim": cfg.head_hidden_dim,
-        "dropout": cfg.dropout,
-        "finetune_epochs": cfg.finetune_epochs,
-        "keep_pretrain_head": cfg.keep_pretrain_head,
-    }
-
-
-def _take(src: dict, keys) -> dict:
-    unknown = set(src) - set(keys)
+def dataclass_from_dict(cls, d: dict, where: str = "config"):
+    """Build config dataclass `cls` from a plain dict: unspecified fields take
+    their defaults, a field whose default is a config dataclass is built from
+    a nested dict the same way, and unknown fields at any depth are rejected."""
+    if not isinstance(d, dict):
+        raise InvalidParams(f"{where} must be a JSON object, got {type(d).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(d) - set(known)
     if unknown:
-        raise InvalidParams(f"unknown config fields: {sorted(unknown)}")
-    return {k: src[k] for k in keys if k in src}
+        raise InvalidParams(f"unknown {where} fields: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in d.items():
+        default = known[name].default
+        kwargs[name] = (dataclass_from_dict(type(default), value, f"{where}.{name}")
+                        if is_dataclass(default) else value)
+    return cls(**kwargs)
+
+
+def config_to_dict(cfg: PretrainConfig) -> dict:
+    return asdict(cfg)
 
 
 def config_from_dict(d: dict) -> PretrainConfig:
     """Build a config from a plain dict; unspecified fields take defaults,
     unknown fields are rejected."""
-    d = dict(d)
-    kwargs = _take(d, [
-        "k", "epochs", "batch_size", "lr", "loss_weights", "laplacian_norm",
-        "head_kind", "max_nodes", "scheduler", "seed", "feature_config",
-        "hidden_dim", "mp_layers", "update_layers", "head_layers",
-        "head_hidden_dim", "dropout", "finetune_epochs", "keep_pretrain_head",
-    ])
-    if "loss_weights" in kwargs:
-        kwargs["loss_weights"] = LossWeights(**_take(
-            kwargs["loss_weights"],
-            ["alpha_energy", "beta_eigvec", "gamma_ortho"]))
-    if "scheduler" in kwargs:
-        kwargs["scheduler"] = SchedulerConfig(**_take(
-            kwargs["scheduler"],
-            ["kind", "patience", "factor", "monitored"]))
-    if "feature_config" in kwargs:
-        kwargs["feature_config"] = FeatureConfig(**_take(
-            kwargs["feature_config"],
-            ["use_wavelet_positional", "use_diffused_dirac", "scales_J",
-             "dirac_seed", "keep_original_features"]))
-    return PretrainConfig(**kwargs)
+    return dataclass_from_dict(PretrainConfig, d)
 
 
 @dataclass
@@ -246,7 +202,7 @@ def feature_dim(examples: list[TrainingExample]) -> int:
 def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
     rng = np.random.default_rng([cfg.seed, 0])
     encoder = GinEncoder(d_in, cfg.hidden_dim, cfg.mp_layers, cfg.update_layers,
-                         cfg.dropout, rng)
+                         cfg.dropout, rng, cfg.max_nodes)
     if cfg.head_kind == GRAPH_LEVEL:
         head = GraphLevelHead(cfg.max_nodes, cfg.hidden_dim, cfg.k,
                               cfg.head_hidden_dim, cfg.head_layers, cfg.dropout, rng)
@@ -293,21 +249,38 @@ def _ortho_residual(u_hat: np.ndarray) -> float:
 BatchLosses = Callable[[list[TrainingExample]], list[tuple[ad.Tensor, tuple]]]
 
 
-def _run_epoch(examples: list[TrainingExample], state: TrainState, batch_size: int,
-               epoch: int, batch_losses: BatchLosses) -> list[tuple]:
-    """One pass over a fresh permutation of the examples, in mini-batches.
+def _batches(examples: list, batch_size: int):
+    for lo in range(0, len(examples), batch_size):
+        yield examples[lo:lo + batch_size]
+
+
+def _check_monitor(cfg: PretrainConfig, val_examples) -> None:
+    """A plateau schedule on val_loss needs validation examples to monitor."""
+    if (cfg.scheduler.kind == "reduce_on_plateau" and cfg.scheduler.monitored == "val_loss"
+            and not val_examples):
+        raise InvalidParams("scheduler.monitored='val_loss' needs validation examples; "
+                            "pass val_examples or monitor train_loss")
+
+
+def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
+               batch_losses: BatchLosses, validate: Callable[[], float] | None) -> list[float]:
+    """Epoch state.epoch: one pass over a fresh permutation of the examples in
+    mini-batches, then one scheduler step.
 
     A batch is a fixed slice of the permutation. Its per-graph losses are
     summed and back-propagated once, and Adam steps on the mean gradient over
     the batch. A numerical fault or a rank-deficient orthogonalization
     anywhere in the batch discards the whole batch (its gradients are
-    dropped, never clamped); it is counted and logged. Returns the
-    (loss, *metrics) row of every graph whose batch reached the step.
+    dropped, never clamped); it is counted and logged. The scheduler then
+    steps on the mean training loss, or on validate() when it monitors
+    val_loss. Returns the means of the (loss, *metrics) rows of the graphs
+    whose batch reached the optimizer step, padded with zeros to the run
+    record's four loss columns.
     """
+    epoch = state.epoch
     order = state.rng.permutation(len(examples))
     rows = []
-    for lo in range(0, len(order), batch_size):
-        batch = [examples[i] for i in order[lo:lo + batch_size]]
+    for batch in _batches([examples[i] for i in order], cfg.batch_size):
         try:
             losses = batch_losses(batch)
             total = losses[0][0]
@@ -322,27 +295,24 @@ def _run_epoch(examples: list[TrainingExample], state: TrainState, batch_size: i
         state.optimizer.step(grad_scale=1.0 / len(batch))
         state.optimizer.zero_grad()
         rows.extend((loss.item(), *metrics) for loss, metrics in losses)
-    return rows
+    means = [float(v) for v in np.mean(rows, axis=0)] if rows else []
+    means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
+    if state.scheduler is not None:
+        monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
+        state.scheduler.step(float(monitored))
+    state.epoch = epoch + 1
+    return means
 
 
 def _fit(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
          epochs: int, batch_losses: BatchLosses,
          validate: Callable[[], float] | None) -> RunRecord:
-    """Epochs state.epoch..epochs-1 of _run_epoch, each followed by the
-    scheduler step; one RunRecord row per epoch holds the means of the
-    committed graphs' (loss, *metrics) rows."""
+    """Epochs state.epoch..epochs-1 of _run_epoch, one RunRecord row each."""
     record = RunRecord()
-    for epoch in range(state.epoch, epochs):
+    while state.epoch < epochs:
         started = time.perf_counter()
-        rows = _run_epoch(examples, state, cfg.batch_size, epoch, batch_losses)
-        means = [float(v) for v in np.mean(rows, axis=0)] if rows else []
-        means += [0.0] * (4 - len(means))  # the row's four loss columns; finetune fills one
-        if state.scheduler is not None:
-            monitored = means[0]
-            if cfg.scheduler.monitored == "val_loss" and validate is not None:
-                monitored = validate()
-            state.scheduler.step(float(monitored))
-        state.epoch = epoch + 1
+        epoch = state.epoch
+        means = _run_epoch(examples, cfg, state, batch_losses, validate)
         record.rows.append(EpochRow(epoch, *means, state.optimizer.lr,
                                     time.perf_counter() - started))
     record.skipped_batches = state.skipped_batches
@@ -351,20 +321,24 @@ def _fit(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState
 
 def _orthonormal_outputs(model: EigenModel, batch: list[TrainingExample],
                          rng: np.random.Generator) -> list[ad.Tensor]:
-    u_tildes = model.forward([ex.graph for ex in batch],
-                             [ad.constant(ex.features) for ex in batch],
+    u_tildes = model.forward([ex.graph for ex in batch], [ex.features for ex in batch],
                              training=True, rng=rng)
     return [orthonormalize(u) for u in u_tildes]
 
 
 def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainConfig,
-             state: TrainState | None = None) -> tuple[RunRecord, TrainState]:
+             state: TrainState | None = None,
+             val_examples: list[TrainingExample] | None = None
+             ) -> tuple[RunRecord, TrainState]:
     """Run the eigenvector-learning loop from state.epoch up to cfg.epochs.
 
-    Per mini-batch of `batch_size` graphs: encoder -> batched head -> forced
-    orthogonality -> combined loss per graph, one Adam step on the mean
-    gradient (see _run_epoch for the batch and fault semantics).
+    Per mini-batch of `batch_size` graphs: one encoder pass and one head pass
+    over the padded batch -> forced orthogonality -> combined loss per graph,
+    one Adam step on the mean gradient (see _run_epoch for the batch and
+    fault semantics). A scheduler monitoring val_loss evaluates
+    evaluate_pretrain_loss on val_examples, which it then requires.
     """
+    _check_monitor(cfg, val_examples)
     if state is None:
         state = _fresh_state(model.parameters(), cfg, rng_stream=1)
 
@@ -379,34 +353,47 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
         return losses
 
     record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
-                  lambda: evaluate_pretrain_loss(model, examples, cfg))
+                  lambda: evaluate_pretrain_loss(model, val_examples, cfg))
     return record, state
+
+
+def predict_all(model: EigenModel, examples: list[TrainingExample],
+                cfg: PretrainConfig) -> list[np.ndarray]:
+    """Evaluation-mode orthonormal outputs of every example, run through
+    EigenModel.predict_batch in batches of cfg.batch_size."""
+    return [u for batch in _batches(examples, cfg.batch_size)
+            for u in model.predict_batch([ex.graph for ex in batch],
+                                         [ex.features for ex in batch])]
 
 
 def evaluate_pretrain_loss(model: EigenModel, examples: list[TrainingExample],
                            cfg: PretrainConfig) -> float:
     """Evaluation-mode (dropout-free) mean combined loss over a dataset."""
-    total = 0.0
-    for ex in examples:
-        u_hat = model.predict(ex.graph, ex.features)
-        total += (cfg.loss_weights.alpha_energy * energy_loss(u_hat, ex.laplacian)
-                  + cfg.loss_weights.beta_eigvec * eigvec_loss(u_hat, ex.laplacian, ex.lambda_k))
-        if cfg.loss_weights.gamma_ortho:
-            total += cfg.loss_weights.gamma_ortho * ortho_loss(u_hat)
-    return total / len(examples)
+    return float(np.mean([combined_loss(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights)
+                          for u_hat, ex in zip(predict_all(model, examples, cfg), examples)]))
+
+
+def predict_targets(model: EigenModel, head: Mlp, examples: list[TrainingExample],
+                    cfg: PretrainConfig) -> np.ndarray:
+    """Evaluation-mode downstream predictions of every example, in batches of
+    cfg.batch_size: one encoder pass per batch, reshaped to the head's
+    (B, max_nodes*hidden_dim) input."""
+    out = []
+    for batch in _batches(examples, cfg.batch_size):
+        z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch])
+        out.append(head.forward(ad.reshape(z, (len(batch), -1))).values[:, 0])
+    return np.concatenate(out)
 
 
 def predict_target(model: EigenModel, head: Mlp, ex: TrainingExample,
                    cfg: PretrainConfig) -> float:
-    z = model.encoder.forward(ex.graph, ad.constant(ex.features))
-    return float(head.forward(flatten_padded([z], cfg.max_nodes)).values[0, 0])
+    return float(predict_targets(model, head, [ex], cfg)[0])
 
 
 def evaluate_mae(model: EigenModel, head: Mlp, examples: list[TrainingExample],
                  cfg: PretrainConfig, target_name: str) -> float:
-    errors = [abs(predict_target(model, head, ex, cfg) - ex.graph.graph_targets[target_name])
-              for ex in examples]
-    return float(np.mean(errors))
+    targets = [ex.graph.graph_targets[target_name] for ex in examples]
+    return mae_loss(predict_targets(model, head, examples, cfg), targets)
 
 
 def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
@@ -418,9 +405,11 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     The downstream head replaces the eigenvector head (both encoder and head
     weights update); with cfg.keep_pretrain_head the spectral objective keeps
     training alongside the regression loss through the retained head, on the
-    same encoder pass.
+    same encoder pass. A scheduler monitoring val_loss evaluates the MAE on
+    val_examples, which it then requires.
     """
     epochs = cfg.finetune_epochs if epochs is None else epochs
+    _check_monitor(cfg, val_examples)
     for ex in examples + (val_examples or []):
         if target_name not in ex.graph.graph_targets:
             raise MissingTarget(target_name)
@@ -432,22 +421,22 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
         state = _fresh_state(params, cfg, rng_stream=4)
 
     def batch_losses(batch):
-        zs = [model.encoder.forward(ex.graph, ad.constant(ex.features), True, state.rng)
-              for ex in batch]
-        preds = head.forward(flatten_padded(zs, cfg.max_nodes), True, state.rng)
+        z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch],
+                                  True, state.rng)
+        preds = head.forward(ad.reshape(z, (len(batch), -1)), True, state.rng)
         losses = [mae_loss_t(ad.slice_rows(preds, i, i + 1),
                              np.array([[ex.graph.graph_targets[target_name]]]))
                   for i, ex in enumerate(batch)]
         if cfg.keep_pretrain_head:
-            u_tildes = model.head.forward(zs, True, state.rng)
+            u_tildes = model.head.forward(z, [ex.graph.num_nodes for ex in batch],
+                                          True, state.rng)
             losses = [ad.add(loss, combined_loss_t(orthonormalize(u), ex.laplacian,
                                                    ex.lambda_k, cfg.loss_weights))
                       for loss, u, ex in zip(losses, u_tildes, batch)]
         return [(loss, ()) for loss in losses]
 
     record = _fit(examples, cfg, state, epochs, batch_losses,
-                  (lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
-                  if val_examples else None)
+                  lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
     return record, state
 
 
@@ -490,10 +479,15 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
                    arms: tuple[str, ...] = COMPARISON_ARMS) -> dict[str, list[ComparisonRow]]:
     """Train one identical architecture per arm (the no-training arm emits
     seeded random orthonormal outputs) and report per-epoch eigvec/energy
-    losses from one shared evaluation pass."""
+    losses from one shared evaluation pass.
+
+    A trained arm's schedule steps once per epoch on its mean training loss;
+    there is no validation split, so a val_loss schedule is rejected.
+    """
     unknown = set(arms) - set(COMPARISON_ARMS)
     if unknown:
         raise InvalidParams(f"unknown arms: {sorted(unknown)}")
+    _check_monitor(cfg, None)
     d_in = feature_dim(examples)
     results: dict[str, list[ComparisonRow]] = {}
     for arm in arms:
@@ -521,9 +515,8 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
             return losses
 
         for epoch in range(cfg.epochs):
-            _run_epoch(examples, state, cfg.batch_size, epoch, batch_losses)
-            outputs = [model.predict(ex.graph, ex.features) for ex in examples]
-            ev, en = _evaluate_outputs(outputs, examples)
+            _run_epoch(examples, cfg, state, batch_losses, None)
+            ev, en = _evaluate_outputs(predict_all(model, examples, cfg), examples)
             rows.append(ComparisonRow(arm, epoch, ev, en))
         results[arm] = rows
     return results

@@ -115,6 +115,26 @@ def test_features_deterministic_bytes(tmp_path, small_dataset):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("config", [{"scales": 1}, [1]])
+def test_features_bad_config_exits_1_with_one_line(tmp_path, small_dataset, capsys, config):
+    cfg = tmp_path / "fcfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["features", "--input", small_dataset, "--output", str(tmp_path / "o.jsonl"),
+                 "--config", str(cfg), "--seed", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "feature config" in err and "\n" not in err
+
+
+def test_pretrain_val_loss_schedule_exits_1(tmp_path, small_dataset, capsys):
+    cfg = small_config(tmp_path, scheduler={"kind": "reduce_on_plateau",
+                                            "monitored": "val_loss"})
+    code = main(["pretrain", "--input", small_dataset, "--config", cfg,
+                 "--output", str(tmp_path / "run.csv")])
+    assert code == 1
+    assert "val_loss" in capsys.readouterr().err
+
+
 def test_features_isolated_node_exit_1(tmp_path, capsys):
     bad = tmp_path / "iso.jsonl"
     bad.write_text('{"num_nodes": 3, "edges": [[0, 1]]}\n')

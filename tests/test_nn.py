@@ -6,7 +6,7 @@ from eigenlearn.eigen import eigendecompose, lowest_k
 from eigenlearn.errors import GraphTooLarge, RankDeficient, ShapeMismatch
 from eigenlearn.graphs import Graph, build_laplacian, generate_graph, permute_graph
 from eigenlearn.losses import LossWeights
-from eigenlearn.nn import (EigenModel, GinEncoder, GinLayer, GraphLevelHead,
+from eigenlearn.nn import (RANK_TOL, EigenModel, GinEncoder, GinLayer, GraphLevelHead,
                            Mlp, NodeWiseHead, abs_cos_mae_loss_t,
                            combined_loss_t, eigvec_loss_t, energy_loss_t,
                            glorot_uniform, mae_loss_t, orthonormalize,
@@ -76,19 +76,28 @@ def test_gin_encoder_permutation_equivariance():
     g = generate_graph("erdos_renyi", {"n": 7, "p": 0.5}, seed=2)
     x = rng.standard_normal((7, 4))
     enc = GinEncoder(4, 6, mp_layers=2, update_layers=2, dropout_rate=0.0,
-                     rng=np.random.default_rng(1))
-    out = enc.forward(g, ad.constant(x)).values
+                     rng=np.random.default_rng(1), max_nodes=7)
+    out = enc.forward([g], [x]).values
     perm = list(rng.permutation(7))
     gp = permute_graph(g, perm)
     xp = np.empty_like(x)
     for old, new in enumerate(perm):
         xp[new] = x[old]
-    outp = enc.forward(gp, ad.constant(xp)).values
+    outp = enc.forward([gp], [xp]).values
     for old, new in enumerate(perm):
         assert np.allclose(outp[new], out[old], atol=1e-12)
 
 
 # --- heads ---
+
+def padded(zs, max_nodes):
+    """The encoder's layout of a batch: each (n_i, d) block zero-padded to
+    max_nodes rows, stacked into one constant."""
+    out = np.zeros((len(zs) * max_nodes, zs[0].shape[1]))
+    for i, z in enumerate(zs):
+        out[i * max_nodes:i * max_nodes + len(z)] = z
+    return ad.constant(out)
+
 
 def make_graph_head(**kw):
     args = dict(max_nodes=5, d_hidden=3, k=2, mlp_hidden=8, mlp_layers=2,
@@ -100,7 +109,7 @@ def make_graph_head(**kw):
 def test_graph_level_head_shapes():
     head = make_graph_head()
     z = np.random.default_rng(0).standard_normal((3, 3))
-    out = head.forward([ad.constant(z)])[0]
+    out = head.forward(padded([z], 5), [3])[0]
     assert out.shape == (3, 2)
     assert head.mlp.dims[0] == 15 and head.mlp.dims[-1] == 10
 
@@ -108,14 +117,27 @@ def test_graph_level_head_shapes():
 def test_graph_level_head_boundary_no_padding():
     head = make_graph_head()
     z = np.random.default_rng(1).standard_normal((5, 3))
-    assert head.forward([ad.constant(z)])[0].shape == (5, 2)
+    assert head.forward(ad.constant(z), [5])[0].shape == (5, 2)
 
 
-def test_graph_level_head_rejects_oversize():
+def test_graph_level_head_rejects_a_batch_of_another_node_budget():
     head = make_graph_head()
-    z = np.zeros((6, 3))
+    with pytest.raises(ShapeMismatch):
+        head.forward(padded([np.zeros((3, 3))], 6), [3])
+
+
+def test_encoder_rejects_oversize():
+    enc = GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
+                     rng=np.random.default_rng(0), max_nodes=5)
     with pytest.raises(GraphTooLarge):
-        head.forward([ad.constant(z)])
+        enc.forward([generate_graph("path", {"n": 6})], [np.zeros((6, 2))])
+
+
+def test_encoder_rejects_features_of_the_wrong_shape():
+    enc = GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
+                     rng=np.random.default_rng(0), max_nodes=5)
+    with pytest.raises(ShapeMismatch):
+        enc.forward([generate_graph("path", {"n": 4})], [np.zeros((4, 3))])
 
 
 def test_graph_level_head_reference_dims():
@@ -126,7 +148,7 @@ def test_graph_level_head_reference_dims():
     assert head.mlp.dims[0] == 2400
     assert head.mlp.dims[-1] == 240
     z = np.zeros((3, 60))
-    assert head.forward([ad.constant(z)])[0].shape == (3, 6)
+    assert head.forward(padded([z], 40), [3])[0].shape == (3, 6)
 
 
 def test_graph_level_head_is_order_sensitive():
@@ -135,9 +157,9 @@ def test_graph_level_head_is_order_sensitive():
     head = make_graph_head()
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 3))
-    out = head.forward([ad.constant(z)])[0].values
+    out = head.forward(padded([z], 5), [4])[0].values
     zp = z[::-1].copy()
-    outp = head.forward([ad.constant(zp)])[0].values
+    outp = head.forward(padded([zp], 5), [4])[0].values
     assert not np.allclose(outp, out[::-1], atol=1e-6)
 
 
@@ -146,14 +168,14 @@ def test_node_wise_head_row_independence():
                         dropout_rate=0.0, rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
     z = rng.standard_normal((4, 3))
-    out = head.forward([ad.constant(z)])[0].values
+    out = head.forward(ad.constant(z), [4])[0].values
     # duplicating a row duplicates its output
     z2 = np.vstack([z, z[1]])
-    out2 = head.forward([ad.constant(z2)])[0].values
+    out2 = head.forward(ad.constant(z2), [5])[0].values
     assert np.allclose(out2[-1], out[1])
     # permuting rows permutes outputs
     perm = [2, 0, 3, 1]
-    out3 = head.forward([ad.constant(z[perm])])[0].values
+    out3 = head.forward(ad.constant(z[perm]), [4])[0].values
     assert np.allclose(out3, out[perm])
 
 
@@ -170,10 +192,11 @@ def batch_of_mixed_sizes(d, sizes=(3, 5, 1, 4), seed=6):
 def test_batched_head_matches_batch_of_one(make_head):
     head = make_head()
     zs = batch_of_mixed_sizes(3)
-    batched = head.forward([ad.constant(z) for z in zs])
-    assert [u.shape for u in batched] == [(z.shape[0], 2) for z in zs]
+    sizes = [len(z) for z in zs]
+    batched = head.forward(padded(zs, 5), sizes)
+    assert [u.shape for u in batched] == [(n, 2) for n in sizes]
     for z, u in zip(zs, batched):
-        alone = head.forward([ad.constant(z)])[0].values
+        alone = head.forward(padded([z], 5), [len(z)])[0].values
         assert np.max(np.abs(u.values - alone)) <= 1e-12
 
 
@@ -181,9 +204,9 @@ def test_graph_level_head_phantom_rows_never_reach_the_loss():
     # the widest graph has 4 of the 5 node slots: the output columns of the
     # fifth (phantom) slot must get exactly zero gradient from any loss
     head = make_graph_head()
-    zs = [ad.parameter(z) for z in batch_of_mixed_sizes(3, sizes=(2, 4, 3))]
+    z = ad.parameter(padded(batch_of_mixed_sizes(3, sizes=(2, 4, 3)), 5).values)
     total = None
-    for u in head.forward(zs):
+    for u in head.forward(z, [2, 4, 3]):
         term = ad.sum_(ad.mul(u, u))
         total = term if total is None else ad.add(total, term)
     total.backward()
@@ -191,8 +214,6 @@ def test_graph_level_head_phantom_rows_never_reach_the_loss():
     assert np.all(out_w.grad[:, 4 * head.k:] == 0.0)
     assert np.all(out_b.grad[4 * head.k:] == 0.0)
     assert np.any(out_w.grad[:, :4 * head.k] != 0.0)
-    for z in zs:
-        assert z.grad.shape == z.shape
 
 
 # --- orthonormalize ---
@@ -254,6 +275,118 @@ def test_orthonormalize_gradient_vs_finite_differences():
     assert max_rel_error(t.grad, numeric) <= 1e-3
 
 
+def mgs_reference(u):
+    """Modified Gram-Schmidt, the orthonormalization the QR op replaced: the
+    reference it is pinned against."""
+    columns = []
+    for j in range(u.shape[1]):
+        v = u[:, j].copy()
+        for q in columns:
+            v -= q * (q @ v)
+        norm = np.linalg.norm(v)
+        if norm < RANK_TOL:
+            raise RankDeficient(j)
+        columns.append(v / norm)
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_qr_orthonormalize_matches_gram_schmidt(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(50):
+        u = rng.standard_normal((int(rng.integers(k, 20)), k))
+        q = orthonormalize(ad.constant(u)).values
+        assert np.max(np.abs(q - mgs_reference(u))) <= 1e-12
+
+
+@pytest.mark.parametrize("collapsed", [0, 1, 3])
+def test_qr_and_gram_schmidt_report_the_same_collapsed_column(collapsed):
+    rng = np.random.default_rng(collapsed)
+    u = rng.standard_normal((8, 4))
+    # column `collapsed` is a combination of the columns before it (or zero)
+    u[:, collapsed] = u[:, :collapsed] @ rng.standard_normal(collapsed)
+    with pytest.raises(RankDeficient) as reference:
+        mgs_reference(u)
+    with pytest.raises(RankDeficient) as ours:
+        orthonormalize(ad.constant(u))
+    assert ours.value.column_index == reference.value.column_index == collapsed
+
+
+def check_gradient(build, array, tol=1e-6):
+    """build(tensor) -> scalar Tensor; its gradient against central finite
+    differences."""
+    t = ad.parameter(array)
+    build(t).backward()
+    numeric = numeric_gradient(lambda: build(ad.constant(array)).item(), array)
+    assert max_rel_error(t.grad, numeric) <= tol
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (6, 3), (9, 6), (4, 4)])
+def test_qr_op_gradient_vs_finite_differences(shape):
+    rng = np.random.default_rng(shape[1])
+    u = rng.standard_normal(shape)
+    weights = rng.standard_normal(shape)
+    check_gradient(lambda x: ad.sum_(ad.mul(orthonormalize(x), ad.constant(weights))), u)
+
+
+def loss_fixture(seed=11, n=8, k=3):
+    rng = np.random.default_rng(seed)
+    lap = build_laplacian(generate_graph("erdos_renyi", {"n": n, "p": 0.5}, seed=seed))
+    lam, psi = lowest_k(eigendecompose(lap), k)
+    return rng.standard_normal((n, k)), lap, lam, psi
+
+
+@pytest.mark.parametrize("name", ["energy", "eigvec", "ortho", "combined", "abs_cos",
+                                  "abs_cos_zero_target_column", "mae"])
+def test_loss_op_gradient_vs_finite_differences(name):
+    u, lap, lam, psi = loss_fixture()
+    if name == "abs_cos_zero_target_column":
+        psi = psi.copy()
+        psi[:, 1] = 0.0
+    build = {
+        "energy": lambda x: energy_loss_t(x, lap),
+        "eigvec": lambda x: eigvec_loss_t(x, lap, lam),
+        "ortho": lambda x: ortho_loss_t(x),
+        "combined": lambda x: combined_loss_t(x, lap, lam, LossWeights(1.0, 2.0, 0.5)),
+        "abs_cos": lambda x: abs_cos_mae_loss_t(x, psi),
+        "abs_cos_zero_target_column": lambda x: abs_cos_mae_loss_t(x, psi),
+        "mae": lambda x: mae_loss_t(x, psi),
+    }[name]
+    check_gradient(build, u)
+    assert build(ad.constant(u)).shape == ()
+
+
+def test_abs_cos_zero_prediction_column_takes_penalty_one_without_direction():
+    u, _, _, psi = loss_fixture()
+    u[:, 2] = 0.0
+    t = ad.parameter(u)
+    loss = abs_cos_mae_loss_t(t, psi)
+    loss.backward()
+    mae = np.mean(np.abs(psi[:, 2]))
+    others = losses.abs_cos_mae_loss(u[:, :2], psi[:, :2]) * 2
+    assert loss.item() == pytest.approx((others + mae + 1.0) / 3, rel=1e-12)
+    assert np.all(t.grad[:, 2] == 0.0)  # np.sign(0) = 0, and no cosine direction
+
+
+def test_sum_neighbors_over_a_block_adjacency():
+    rng = np.random.default_rng(12)
+    blocks = []
+    for _ in range(3):
+        a = np.triu((rng.random((4, 4)) < 0.5).astype(float), 1)
+        blocks.append(a + a.T)
+    adjacency = np.stack(blocks)
+    x = rng.standard_normal((12, 2))
+    out = ad.sum_neighbors(ad.constant(x), adjacency).values
+    for i, block in enumerate(blocks):
+        alone = ad.sum_neighbors(ad.constant(x[4 * i:4 * i + 4]), block).values
+        assert np.array_equal(out[4 * i:4 * i + 4], alone)
+    weights = rng.standard_normal((12, 2))
+    check_gradient(lambda t: ad.sum_(ad.mul(ad.sum_neighbors(t, adjacency),
+                                            ad.constant(weights))), x)
+    with pytest.raises(ShapeMismatch):
+        ad.sum_neighbors(ad.constant(np.zeros((10, 2))), adjacency)
+
+
 # --- tape losses agree with the numpy forms ---
 
 def test_tape_losses_match_numpy_losses():
@@ -281,7 +414,8 @@ def test_mae_loss_tape():
 
 def build_small_model(seed=0, dropout=0.0):
     rng = np.random.default_rng(seed)
-    enc = GinEncoder(4, 8, mp_layers=2, update_layers=2, dropout_rate=dropout, rng=rng)
+    enc = GinEncoder(4, 8, mp_layers=2, update_layers=2, dropout_rate=dropout, rng=rng,
+                     max_nodes=10)
     head = GraphLevelHead(max_nodes=10, d_hidden=8, k=3, mlp_hidden=16,
                           mlp_layers=2, dropout_rate=dropout, rng=rng)
     return EigenModel(enc, head, "graph_level")
@@ -359,6 +493,80 @@ def test_batched_step_gradient_check():
             numeric = (up - down) / 2e-5
             worst = max(worst, abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-6))
     assert worst <= 1e-3
+
+
+def mixed_batch(seed=13, sizes=(7, 3, 10, 5)):
+    rng = np.random.default_rng(seed)
+    graphs = [generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + n) for n in sizes]
+    return graphs, [rng.standard_normal((g.num_nodes, 4)) for g in graphs]
+
+
+def build_small_node_wise_model(seed=0):
+    rng = np.random.default_rng(seed)
+    enc = GinEncoder(4, 8, mp_layers=2, update_layers=2, dropout_rate=0.0, rng=rng,
+                     max_nodes=10)
+    head = NodeWiseHead(d_hidden=8, k=3, mlp_hidden=16, mlp_layers=2, dropout_rate=0.0,
+                        rng=rng)
+    return EigenModel(enc, head, "node_wise")
+
+
+@pytest.mark.parametrize("build", [build_small_model, build_small_node_wise_model],
+                         ids=["graph_level", "node_wise"])
+def test_padded_batch_matches_batch_of_one(build):
+    # the padded batch gives every graph the output and the parameter
+    # gradient it gets alone: phantom rows reach neither
+    model = build()
+    graphs, xs = mixed_batch()
+    weights = [np.random.default_rng(i).standard_normal((g.num_nodes, 3))
+               for i, g in enumerate(graphs)]
+
+    def loss_and_grads(gs, fs, ws):
+        total = None
+        for u, w in zip(model.forward(gs, fs), ws):
+            term = ad.sum_(ad.mul(u, ad.constant(w)))
+            total = term if total is None else ad.add(total, term)
+        total.backward()
+        grads = {n: p.grad.copy() for n, p in model.parameters().items()}
+        for p in model.parameters().values():
+            p.grad = None
+        return total.item(), grads
+
+    batched = model.forward(graphs, xs)
+    batch_loss, batch_grads = loss_and_grads(graphs, xs, weights)
+    alone_loss = 0.0
+    alone_grads = {n: 0.0 for n in batch_grads}
+    for g, x, w, u in zip(graphs, xs, weights, batched):
+        assert np.max(np.abs(u.values - model.forward([g], [x])[0].values)) <= 1e-12
+        loss, grads = loss_and_grads([g], [x], [w])
+        alone_loss += loss
+        alone_grads = {n: alone_grads[n] + grads[n] for n in grads}
+    assert batch_loss == pytest.approx(alone_loss, rel=1e-12)
+    for n, grad in batch_grads.items():
+        assert np.max(np.abs(grad - alone_grads[n])) <= 1e-12 * max(1.0, np.max(np.abs(grad)))
+
+
+def test_encoder_phantom_rows_are_zero_and_get_zero_gradient():
+    model = build_small_model()
+    graphs, xs = mixed_batch()
+    z = model.encoder.forward(graphs, xs)
+    masked_input = z._parents[0]  # the last layer's output, before the node mask
+    total = None
+    for u in model.head.forward(z, [g.num_nodes for g in graphs]):
+        term = ad.sum_(ad.mul(u, u))
+        total = term if total is None else ad.add(total, term)
+    total.backward()
+    for i, g in enumerate(graphs):
+        phantom = slice(i * 10 + g.num_nodes, (i + 1) * 10)
+        assert np.all(z.values[phantom] == 0.0)
+        assert np.all(masked_input.grad[phantom] == 0.0)
+        assert np.any(masked_input.grad[i * 10:i * 10 + g.num_nodes] != 0.0)
+
+
+def test_predict_batch_matches_predict():
+    model = build_small_model()
+    graphs, xs = mixed_batch()
+    for u, g, x in zip(model.predict_batch(graphs, xs), graphs, xs):
+        assert np.max(np.abs(u - model.predict(g, x))) <= 1e-12
 
 
 def test_eval_mode_deterministic_even_with_dropout_configured():

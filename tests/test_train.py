@@ -1,3 +1,8 @@
+import dataclasses
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +74,61 @@ def test_config_rejects_unknown_fields():
         tr.config_from_dict({"learning_rate": 0.1})
     with pytest.raises(InvalidParams):
         tr.config_from_dict({"scheduler": {"kidn": "none"}})
+    with pytest.raises(InvalidParams, match="feature_config"):
+        tr.config_from_dict({"feature_config": {"scales": 2}})
+    with pytest.raises(InvalidParams, match="loss_weights"):
+        tr.config_from_dict({"loss_weights": {"alpha": 1.0}})
+    with pytest.raises(InvalidParams):
+        tr.config_from_dict({"scheduler": "none"})
+
+
+def _non_default(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2 if value else 1.0  # stays inside (0, 1) where it must
+    return {"unnormalized": "symmetric", "graph_level": "node_wise",
+            "reduce_on_plateau": "none", "train_loss": "val_loss"}[value]
+
+
+def _leaf_paths(obj, prefix=()):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_paths(value, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+def test_config_every_field_roundtrips():
+    # each field, nested ones included, set away from its default on its own
+    # (some pairs of non-default values are invalid together)
+    base = tr.PretrainConfig()
+    paths = list(_leaf_paths(base))
+    assert len(paths) == 28
+    for path in paths:
+        d = tr.config_to_dict(base)
+        leaf = d
+        for name in path[:-1]:
+            leaf = leaf[name]
+        leaf[path[-1]] = _non_default(leaf[path[-1]])
+        cfg = tr.config_from_dict(d)
+        assert cfg != base, path
+        assert tr.config_to_dict(cfg) == d
+        assert tr.config_from_dict(json.loads(json.dumps(d))) == cfg
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("### Config file"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    parsed = json.loads(block)
+    assert tr.config_from_dict(parsed) == tr.PretrainConfig()
+    assert parsed == tr.config_to_dict(tr.PretrainConfig())
 
 
 # --- target precomputation ---
@@ -179,6 +239,36 @@ def test_pretrain_wires_scheduler_to_train_loss():
     for row in record.rows:
         shadow.step(row.loss_total)
         assert row.lr == shadow.lr
+
+
+def test_pretrain_val_loss_monitors_the_validation_examples(monkeypatch):
+    cfg = small_cfg(epochs=3, scheduler={"kind": "reduce_on_plateau", "patience": 1,
+                                         "monitored": "val_loss"})
+    examples = tr.precompute_targets(graph_soup(6, seed=6), cfg)
+    train, val = examples[:4], examples[4:]
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    evaluated = []
+    original = tr.evaluate_pretrain_loss
+
+    def spy(model_, examples_, cfg_):
+        evaluated.append(examples_)
+        return original(model_, examples_, cfg_)
+
+    monkeypatch.setattr(tr, "evaluate_pretrain_loss", spy)
+    record, _ = tr.pretrain(train, model, cfg, val_examples=val)
+    assert len(record.rows) == 3
+    assert evaluated == [val] * 3
+
+
+def test_pretrain_val_loss_without_validation_examples_fails_at_the_start():
+    cfg = small_cfg(scheduler={"kind": "reduce_on_plateau", "monitored": "val_loss"})
+    examples = tr.precompute_targets(graph_soup(3, seed=6), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    before = {n: p.values.copy() for n, p in model.parameters().items()}
+    with pytest.raises(InvalidParams, match="val_loss"):
+        tr.pretrain(examples, model, cfg)
+    for n, p in model.parameters().items():
+        assert np.array_equal(p.values, before[n])
 
 
 def fault_on_call(monkeypatch, name, call_number):
@@ -305,6 +395,34 @@ def test_compare_losses_logs_skipped_batches(monkeypatch, caplog):
         tr.compare_losses(examples, cfg, arms=(tr.ARM_BASELINE,))
     skipped = [r.message for r in caplog.records if "skipped batch" in r.message]
     assert skipped == ["skipped batch at epoch 0: injected"]
+
+
+def test_compare_losses_steps_its_scheduler(monkeypatch):
+    # a flat objective (the optimizer never moves the model) with patience 1
+    # cuts the lr once per epoch in each trained arm
+    cfg = small_cfg(epochs=3, dropout=0.0,
+                    scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.5})
+    examples = tr.precompute_targets(graph_soup(4, seed=11), cfg)
+    states = []
+    fresh_state = tr._fresh_state
+
+    def spy(*args, **kwargs):
+        states.append(fresh_state(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(tr, "_fresh_state", spy)
+    monkeypatch.setattr(tr.Adam, "step", lambda self, grad_scale=1.0: None)
+    tr.compare_losses(examples, cfg)
+    assert len(states) == 2
+    for state in states:
+        assert state.optimizer.lr == cfg.lr * 0.5 ** 3
+
+
+def test_compare_losses_rejects_val_loss_schedule():
+    cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "monitored": "val_loss"})
+    examples = tr.precompute_targets(graph_soup(2, seed=12), cfg)
+    with pytest.raises(InvalidParams, match="val_loss"):
+        tr.compare_losses(examples, cfg)
 
 
 def test_compare_losses_rejects_unknown_arm():
