@@ -28,24 +28,18 @@ from .wavelets import FeatureConfig, augment_features
 log = logging.getLogger("eigenlearn")
 
 
-def _load_config(path: str | None, overrides: dict) -> tr.PretrainConfig:
-    raw = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise InvalidParams("config file must hold a single JSON object")
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    return tr.config_from_dict(raw)
+def _read_config(path: str | None):
+    """The JSON value of a config file; {} (all defaults) without one."""
+    if path is None:
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _feature_config(path: str | None, seed: int | None) -> FeatureConfig:
-    raw = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    cfg = tr.dataclass_from_dict(FeatureConfig, raw, "feature config")
-    return cfg if seed is None else dataclasses.replace(cfg, dirac_seed=seed)
+def _overrides(args) -> dict:
+    """The given flags that are named after a PretrainConfig field."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(tr.PretrainConfig)
+            if getattr(args, f.name, None) is not None}
 
 
 def cmd_gen_data(args) -> int:
@@ -73,7 +67,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = _feature_config(args.config, args.seed)
+    cfg = tr.dataclass_from_dict(FeatureConfig, _read_config(args.config), "feature config")
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, dirac_seed=args.seed)
     graphs = load_dataset(args.input)
     lines = []
     for idx, g in enumerate(graphs, start=1):
@@ -103,29 +99,27 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    overrides = {"seed": args.seed, "epochs": args.epochs, "k": args.k}
+    overrides = _overrides(args)
     if args.resume:
-        model, cfg, state, d_in, _, _ = tr.load_checkpoint(args.resume)
-        # k shapes the model and seed the run's random streams, both fixed by
-        # the checkpoint; only the epoch budget may change on resume.
-        for name in ("k", "seed"):
-            value = overrides[name]
-            if value is not None and value != getattr(cfg, name):
+        model, base, state, _, head, _ = tr.load_checkpoint(args.resume)
+        if head is not None:
+            raise InvalidParams(f"{args.resume} is a finetune checkpoint; pretrain --resume "
+                                "continues only a pretrain checkpoint")
+        for name, value in overrides.items():  # only the epoch budget may change
+            if name != "epochs" and value != getattr(base, name):
                 raise InvalidParams(f"--{name} {value} cannot change the checkpoint's "
-                                    f"{name}={getattr(cfg, name)} on --resume")
-        if args.epochs is not None:
-            cfg = dataclasses.replace(cfg, epochs=args.epochs)
-        examples = tr.precompute_targets(load_dataset(args.input), cfg)
+                                    f"{name}={getattr(base, name)} on --resume")
     else:
-        cfg = _load_config(args.config, overrides)
-        examples = tr.precompute_targets(load_dataset(args.input), cfg)
+        model = state = None
+        base = tr.config_from_dict(_read_config(args.config))
+    cfg = dataclasses.replace(base, **overrides)
+    examples = tr.precompute_targets(load_dataset(args.input), cfg)
+    if model is None:
         model = tr.build_model(cfg, tr.feature_dim(examples))
-        state = None
-        d_in = tr.feature_dim(examples)
     record, state = tr.pretrain(examples, model, cfg, state)
     atomic_write_text(args.output, record.to_csv())
     if args.checkpoint_out:
-        tr.save_checkpoint(args.checkpoint_out, model, cfg, state, d_in)
+        tr.save_checkpoint(args.checkpoint_out, model, cfg, state, model.encoder.in_dim)
         log.info("checkpoint -> %s", args.checkpoint_out)
     if record.rows:
         log.info("pretrain done: %d epochs, final loss %.6f, %d skipped batches",
@@ -134,9 +128,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model, cfg, _, d_in, _, _ = tr.load_checkpoint(args.checkpoint)
+    model, cfg, _, _, _, _ = tr.load_checkpoint(args.checkpoint)
     if args.seed is not None:
-        cfg = tr.config_from_dict({**tr.config_to_dict(cfg), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     examples = tr.precompute_targets(load_dataset(args.input), cfg)
     rng = np.random.default_rng([cfg.seed, 9])
     order = rng.permutation(len(examples))
@@ -148,9 +142,8 @@ def cmd_finetune(args) -> int:
                                 epochs=args.epochs, val_examples=val or None)
     atomic_write_text(args.output, record.to_csv())
     if args.checkpoint_out:
-        tr.save_checkpoint(args.checkpoint_out, model, cfg, state, d_in,
-                           kind="finetune", downstream_head=head,
-                           extra={"target": args.target})
+        tr.save_checkpoint(args.checkpoint_out, model, cfg, state, model.encoder.in_dim,
+                           downstream_head=head, extra={"target": args.target})
     if val:
         mae = tr.evaluate_mae(model, head, val, cfg, args.target)
         train_mean = float(np.mean([ex.graph.graph_targets[args.target]
@@ -162,8 +155,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_compare_losses(args) -> int:
-    cfg = _load_config(args.config, {"seed": args.seed, "epochs": args.epochs,
-                                     "k": args.k})
+    cfg = dataclasses.replace(tr.config_from_dict(_read_config(args.config)),
+                              **_overrides(args))
     examples = tr.precompute_targets(load_dataset(args.input), cfg)
     results = tr.compare_losses(examples, cfg)
     rows = [row for arm in tr.COMPARISON_ARMS for row in results[arm]]
@@ -226,9 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="eigenvector-learning pre-training run")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="run record CSV")
-    p.add_argument("--config", help="PretrainConfig JSON")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--config", help="PretrainConfig JSON")
+    start.add_argument("--resume", help="continue from a checkpoint (only --epochs may change)")
     p.add_argument("--checkpoint-out")
-    p.add_argument("--resume", help="continue from a checkpoint (only --epochs may change)")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--k", type=int)
@@ -272,10 +266,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EigenlearnError as exc:
+    except (FileNotFoundError, EigenlearnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -212,12 +212,11 @@ def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
     return EigenModel(encoder, head, cfg.head_kind)
 
 
-def build_downstream_head(cfg: PretrainConfig, d_in: int | None = None) -> Mlp:
+def build_downstream_head(cfg: PretrainConfig) -> Mlp:
     """Scalar-regression head over the concatenated-padded node embeddings."""
     rng = np.random.default_rng([cfg.seed, 3])
-    input_dim = d_in if d_in is not None else cfg.max_nodes * cfg.hidden_dim
-    dims = [input_dim] + [cfg.head_hidden_dim] * (cfg.head_layers - 1) + [1]
-    return Mlp(dims, cfg.dropout, rng)
+    hidden = [cfg.head_hidden_dim] * (cfg.head_layers - 1)
+    return Mlp([cfg.max_nodes * cfg.hidden_dim] + hidden + [1], cfg.dropout, rng)
 
 
 @dataclass
@@ -231,7 +230,18 @@ class TrainState:
     skipped_batches: int = 0
 
 
-def _fresh_state(params: dict, cfg: PretrainConfig, rng_stream: int) -> TrainState:
+def _fresh_state(model: EigenModel, cfg: PretrainConfig,
+                 downstream_head: Mlp | None = None) -> TrainState:
+    """A run's state before its first epoch. Pre-training owns every model parameter
+    and draws from generator stream 1; fine-tuning (a downstream head given) owns
+    encoder.*, downstream.* and, with cfg.keep_pretrain_head, head.*, stream 4."""
+    params, rng_stream = model.parameters(), 1
+    if downstream_head is not None:
+        params = {n: p for n, p in params.items() if n.startswith("encoder.")}
+        params.update({f"downstream.{n}": p for n, p in downstream_head.parameters().items()})
+        if cfg.keep_pretrain_head:
+            params.update({f"head.{n}": p for n, p in model.head.parameters().items()})
+        rng_stream = 4
     optimizer = Adam(params, lr=cfg.lr)
     scheduler = None
     if cfg.scheduler.kind == "reduce_on_plateau":
@@ -340,7 +350,7 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     """
     _check_monitor(cfg, val_examples)
     if state is None:
-        state = _fresh_state(model.parameters(), cfg, rng_stream=1)
+        state = _fresh_state(model, cfg)
 
     def batch_losses(batch):
         losses = []
@@ -385,11 +395,6 @@ def predict_targets(model: EigenModel, head: Mlp, examples: list[TrainingExample
     return np.concatenate(out)
 
 
-def predict_target(model: EigenModel, head: Mlp, ex: TrainingExample,
-                   cfg: PretrainConfig) -> float:
-    return float(predict_targets(model, head, [ex], cfg)[0])
-
-
 def evaluate_mae(model: EigenModel, head: Mlp, examples: list[TrainingExample],
                  cfg: PretrainConfig, target_name: str) -> float:
     targets = [ex.graph.graph_targets[target_name] for ex in examples]
@@ -413,12 +418,8 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     for ex in examples + (val_examples or []):
         if target_name not in ex.graph.graph_targets:
             raise MissingTarget(target_name)
-    params = {f"encoder.{n}": p for n, p in model.encoder.parameters().items()}
-    params.update({f"downstream.{n}": p for n, p in head.parameters().items()})
-    if cfg.keep_pretrain_head:
-        params.update({f"head.{n}": p for n, p in model.head.parameters().items()})
     if state is None:
-        state = _fresh_state(params, cfg, rng_stream=4)
+        state = _fresh_state(model, cfg, head)
 
     def batch_losses(batch):
         z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch],
@@ -502,7 +503,7 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
             results[arm] = rows
             continue
         model = build_model(cfg, d_in)
-        state = _fresh_state(model.parameters(), cfg, rng_stream=1)
+        state = _fresh_state(model, cfg)
 
         def batch_losses(batch):
             losses = []
@@ -530,31 +531,41 @@ def _params_to_jsonable(params: dict) -> dict:
             for name, p in params.items()}
 
 
-def _load_params(params: dict, blob: dict) -> None:
-    missing = set(params) - set(blob)
-    extra = set(blob) - set(params)
-    if missing or extra:
-        raise InvalidParams(f"checkpoint parameter mismatch: missing={sorted(missing)} "
-                            f"extra={sorted(extra)}")
+def _check_entries(saved: dict, built: dict, what: str) -> None:
+    """Saved arrays must match those built from the checkpoint's config by name and shape."""
+    for name in sorted(saved.keys() | built.keys()):
+        got, want = (f"shape {list(d[name].shape)}" if name in d else "absent"
+                     for d in (saved, built))
+        if got != want:
+            raise InvalidParams(f"checkpoint {what} entry {name!r}: {got} in the file, "
+                                f"{want} in the model built from its config")
+
+
+def _load_params(params: dict, blob: dict, what: str) -> None:
+    saved = {}
+    for name, entry in blob.items():
+        values = np.asarray(entry["values"], dtype=np.float64)
+        if values.size != np.prod(entry["shape"]):
+            raise InvalidParams(f"checkpoint {what} entry {name!r} holds {values.size} values "
+                                f"for shape {entry['shape']}")
+        saved[name] = values.reshape(entry["shape"])
+    _check_entries(saved, {name: p.values for name, p in params.items()}, what)
     for name, p in params.items():
-        entry = blob[name]
-        p.values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        p.values = saved[name]
 
 
 def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
-                    state: TrainState, d_in: int, kind: str = "pretrain",
-                    downstream_head: Mlp | None = None,
+                    state: TrainState, d_in: int, downstream_head: Mlp | None = None,
                     extra: dict | None = None) -> None:
-    params = model.parameters()
     blob = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "kind": kind,
+        "kind": "pretrain" if downstream_head is None else "finetune",
         "config": config_to_dict(cfg),
         "d_in": d_in,
         "epoch": state.epoch,
         "skipped_batches": state.skipped_batches,
-        "params": _params_to_jsonable(params),
+        "params": _params_to_jsonable(model.parameters()),
         "optimizer": state.optimizer.state_dict(),
         "scheduler": state.scheduler.state_dict() if state.scheduler else None,
         "rng_state": state.rng.bit_generator.state,
@@ -569,7 +580,8 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
 
 
 def load_checkpoint(path: str):
-    """Returns (model, cfg, state, d_in, downstream_head_or_None, extra)."""
+    """Returns (model, cfg, state, d_in, downstream_head_or_None, extra), built from
+    the saved config as for a fresh run, then restored from the saved values."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
@@ -577,27 +589,23 @@ def load_checkpoint(path: str):
     if blob.get("version") != CHECKPOINT_VERSION:
         raise InvalidParams(f"unsupported checkpoint version {blob.get('version')}")
     cfg = config_from_dict(blob["config"])
-    d_in = blob["d_in"]
-    model = build_model(cfg, d_in)
-    _load_params(model.parameters(), blob["params"])
+    model = build_model(cfg, blob["d_in"])
+    _load_params(model.parameters(), blob["params"], "params")
     head = None
-    params = model.parameters()
-    if blob["kind"] == "finetune":
-        head = Mlp(blob["downstream_head"]["dims"], cfg.dropout,
-                   np.random.default_rng(0))
-        _load_params(head.parameters(), blob["downstream_head"]["params"])
-        params = {f"encoder.{n}": p for n, p in model.encoder.parameters().items()}
-        params.update({f"downstream.{n}": p for n, p in head.parameters().items()})
-        if cfg.keep_pretrain_head:
-            params.update({f"head.{n}": p for n, p in model.head.parameters().items()})
-    optimizer = Adam(params, lr=cfg.lr)
-    optimizer.load_state_dict(blob["optimizer"])
-    scheduler = None
-    if blob["scheduler"] is not None:
-        scheduler = ReduceLROnPlateau(optimizer, cfg.scheduler.patience,
-                                      cfg.scheduler.factor)
-        scheduler.load_state_dict(blob["scheduler"])
-    rng = np.random.default_rng()
-    rng.bit_generator.state = blob["rng_state"]
-    state = TrainState(optimizer, scheduler, rng, blob["epoch"], blob["skipped_batches"])
-    return model, cfg, state, d_in, head, blob.get("extra", {})
+    if "downstream_head" in blob:
+        head = build_downstream_head(cfg)
+        _load_params(head.parameters(), blob["downstream_head"]["params"], "downstream_head")
+    state = _fresh_state(model, cfg, head)
+    optimizer = dict(blob["optimizer"])
+    for key in ("m", "v"):
+        optimizer[key] = {n: np.asarray(v, dtype=np.float64) for n, v in optimizer[key].items()}
+        _check_entries(optimizer[key], getattr(state.optimizer, key), f"optimizer.{key}")
+    state.optimizer.load_state_dict(optimizer)
+    if (blob["scheduler"] is None) != (state.scheduler is None):
+        raise InvalidParams(f"checkpoint scheduler state {blob['scheduler']} does not match "
+                            f"its config's scheduler.kind={cfg.scheduler.kind!r}")
+    if state.scheduler is not None:
+        state.scheduler.load_state_dict(blob["scheduler"])
+    state.rng.bit_generator.state = blob["rng_state"]
+    state.epoch, state.skipped_batches = blob["epoch"], blob["skipped_batches"]
+    return model, cfg, state, blob["d_in"], head, blob.get("extra", {})

@@ -212,6 +212,14 @@ def test_pretrain_resume_rejects_k_and_seed_overrides(tmp_path, small_dataset, c
     assert not out.exists()
 
 
+def test_pretrain_resume_rejects_a_config_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pretrain", "--input", "d.jsonl", "--output", "run.csv",
+              "--resume", "half.json", "--config", "config.json"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_finetune_end_to_end(tmp_path):
     data = tmp_path / "d.jsonl"
     assert main(["gen-data", "--count", "16", "--seed", "2", "--n-min", "6",
@@ -230,6 +238,28 @@ def test_finetune_end_to_end(tmp_path):
     blob = json.loads(ft_ckpt.read_text())
     assert blob["kind"] == "finetune"
     assert blob["extra"]["target"] == "lambda_2"
+
+
+def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    assert main(["gen-data", "--count", "8", "--seed", "2", "--n-min", "6",
+                 "--n-max", "10", "--output", str(data)]) == 0
+    pre, ft = tmp_path / "pre.json", tmp_path / "ft.json"
+    assert main(["--quiet", "pretrain", "--input", str(data), "--output",
+                 str(tmp_path / "pre.csv"), "--config", small_config(tmp_path, k=3),
+                 "--checkpoint-out", str(pre)]) == 0
+    assert main(["--quiet", "finetune", "--input", str(data), "--checkpoint", str(pre),
+                 "--output", str(tmp_path / "ft.csv"), "--epochs", "1",
+                 "--checkpoint-out", str(ft)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "resumed.csv"
+    code = main(["--quiet", "pretrain", "--input", str(data), "--output", str(out),
+                 "--resume", str(ft), "--epochs", "4"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "finetune checkpoint" in err
+    assert not out.exists()
 
 
 def test_finetune_missing_target_exit_1(tmp_path, small_dataset, capsys):

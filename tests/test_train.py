@@ -492,3 +492,70 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(InvalidParams):
         tr.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("keep_pretrain_head", [False, True])
+def test_finetune_checkpoint_resumes_bit_for_bit(tmp_path, keep_pretrain_head):
+    cfg = small_cfg(keep_pretrain_head=keep_pretrain_head,
+                    scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.5})
+    examples = tr.precompute_targets(graph_soup(5, seed=15, target=True), cfg)
+    d_in = tr.feature_dim(examples)
+
+    # uninterrupted: 4 fine-tuning epochs
+    model_a, head_a = tr.build_model(cfg, d_in), tr.build_downstream_head(cfg)
+    rec_a, _ = tr.finetune(examples, model_a, head_a, cfg, "lambda_2", epochs=4)
+
+    # 2 epochs, checkpointed, loaded, 2 more
+    model_b, head_b = tr.build_model(cfg, d_in), tr.build_downstream_head(cfg)
+    rec_b1, state = tr.finetune(examples, model_b, head_b, cfg, "lambda_2", epochs=2)
+    path = tmp_path / "ft.json"
+    tr.save_checkpoint(str(path), model_b, cfg, state, d_in, downstream_head=head_b)
+    assert json.loads(path.read_text())["kind"] == "finetune"
+    model_c, cfg_c, state_c, _, head_c, _ = tr.load_checkpoint(str(path))
+    rec_b2, _ = tr.finetune(examples, model_c, head_c, cfg_c, "lambda_2", epochs=4,
+                            state=state_c)
+
+    assert rec_b1.deterministic_key() + rec_b2.deterministic_key() == rec_a.deterministic_key()
+    for straight, resumed in ((model_a, model_c), (head_a, head_c)):
+        pa, pc = straight.parameters(), resumed.parameters()
+        assert list(pa) == list(pc)
+        for name in pa:
+            assert np.array_equal(pa[name].values, pc[name].values), name
+
+
+W0 = "encoder.layer0.mlp.w0"
+
+
+def _grow_w0(blob):
+    rows, cols = blob["params"][W0]["shape"]
+    blob["params"][W0] = {"shape": [rows + 1, cols], "values": [0.0] * ((rows + 1) * cols)}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_grow_w0, rf"params entry '{W0}': shape \[\d+, 6\] in the file, shape \[\d+, 6\] in the model"),
+    (lambda b: b["params"][W0]["values"].extend([0.0] * 6),
+     rf"params entry '{W0}' holds \d+ values for shape \[\d+, 6\]"),
+    (lambda b: b["params"].pop(W0), rf"params entry '{W0}': absent in the file"),
+    (lambda b: b["optimizer"]["m"].pop(W0), rf"optimizer.m entry '{W0}': absent in the file"),
+    (lambda b: b["optimizer"]["v"].update({"downstream.w0": [[0.0]]}),
+     r"optimizer.v entry 'downstream.w0': shape \[1, 1\] in the file, absent in the model"),
+    (lambda b: b["optimizer"]["m"][W0].pop(),
+     rf"optimizer.m entry '{W0}': shape \[\d+, 6\] in the file, shape \[\d+, 6\] in the model"),
+    (lambda b: b.update(scheduler=None), "scheduler.kind='reduce_on_plateau'"),
+], ids=["param-shape", "param-value-count", "param-missing", "moment-missing", "moment-extra",
+        "moment-shape", "scheduler-state-missing"])
+def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, message):
+    cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "patience": 2,
+                                         "factor": 0.9})
+    examples = tr.precompute_targets(graph_soup(2, seed=14), cfg)
+    d_in = tr.feature_dim(examples)
+    model = tr.build_model(cfg, d_in)
+    _, state = tr.pretrain(examples, model, cfg)
+    path = tmp_path / "ckpt.json"
+    tr.save_checkpoint(str(path), model, cfg, state, d_in)
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(InvalidParams, match=message) as exc:
+        tr.load_checkpoint(str(path))
+    assert "\n" not in str(exc.value)
