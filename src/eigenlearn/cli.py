@@ -128,7 +128,10 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model, cfg, _, _, _, _ = tr.load_checkpoint(args.checkpoint)
+    model, cfg, _, _, saved_head, _ = tr.load_checkpoint(args.checkpoint)
+    if saved_head is not None:
+        raise InvalidParams(f"{args.checkpoint} is a finetune checkpoint; finetune "
+                            "--checkpoint starts only from a pretrain checkpoint")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     examples = tr.precompute_targets(load_dataset(args.input), cfg)

@@ -79,14 +79,16 @@ class Adam:
             p.grad = None
 
     def state_dict(self) -> dict:
+        """Scalars and copies of the moment arrays; serialising them is the
+        caller's business."""
         return {
             "lr": self.lr,
             "beta1": self.beta1,
             "beta2": self.beta2,
             "eps": self.eps,
             "t": self.t,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
+            "m": {k: v.copy() for k, v in self.m.items()},
+            "v": {k: v.copy() for k, v in self.v.items()},
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -96,8 +98,8 @@ class Adam:
         self.eps = state["eps"]
         self.t = state["t"]
         for k in self.m:
-            self.m[k] = np.asarray(state["m"][k], dtype=np.float64).reshape(self.m[k].shape)
-            self.v[k] = np.asarray(state["v"][k], dtype=np.float64).reshape(self.v[k].shape)
+            self.m[k] = np.array(state["m"][k], dtype=np.float64).reshape(self.m[k].shape)
+            self.v[k] = np.array(state["v"][k], dtype=np.float64).reshape(self.v[k].shape)
 
 
 class ReduceLROnPlateau:

@@ -9,8 +9,10 @@ are deterministic per seed, including across a checkpoint save/load boundary
 (the run generator state travels with the checkpoint).
 """
 
+import base64
 import json
 import logging
+import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -33,7 +35,7 @@ from .wavelets import FeatureConfig, augment_features
 log = logging.getLogger("eigenlearn.train")
 
 CHECKPOINT_FORMAT = "eigenlearn-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ARM_OURS = "eigvec_ours"
 ARM_BASELINE = "abs_cos_mae"
@@ -526,30 +528,60 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
 # --- checkpointing -----------------------------------------------------------
 
 
-def _params_to_jsonable(params: dict) -> dict:
-    return {name: {"shape": list(p.values.shape), "values": p.values.ravel().tolist()}
-            for name, p in params.items()}
+def encode_array(a: np.ndarray) -> dict:
+    """A checkpoint array entry: the shape and the base64 of the array's
+    row-major little-endian float64 bytes. Holding the raw bytes, a save and
+    load round trip is bit-exact (-0.0, subnormals, NaN payloads included)."""
+    data = np.asarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
 
 
-def _check_entries(saved: dict, built: dict, what: str) -> None:
-    """Saved arrays must match those built from the checkpoint's config by name and shape."""
+def decode_array(entry, where: str) -> np.ndarray:
+    """The writable float64 array of an encode_array entry; a malformed entry
+    raises a one-line InvalidParams naming `where`."""
+    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
+        raise InvalidParams(f"checkpoint {where} is not a {{\"shape\", \"data\"}} object")
+    shape, data = entry["shape"], entry["data"]
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise InvalidParams(f"checkpoint {where}: shape {shape!r} is not a list of "
+                            "non-negative ints")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError):  # not a str, or not base64 (binascii.Error)
+        raise InvalidParams(f"checkpoint {where}: data is not a base64 string") from None
+    needed = 8 * math.prod(shape)
+    if len(raw) != needed:
+        raise InvalidParams(f"checkpoint {where} holds {len(raw) // 8} values for shape "
+                            f"{shape} ({len(raw)} bytes of data, {needed} needed)")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _encode_entries(arrays: dict) -> dict:
+    return {name: encode_array(a) for name, a in arrays.items()}
+
+
+def _values(params: dict) -> dict:
+    return {name: p.values for name, p in params.items()}
+
+
+def _decode_entries(entries, built: dict, what: str) -> dict:
+    """Decode a checkpoint's map of array entries; the arrays must match those
+    built from the checkpoint's config by name and shape."""
+    if not isinstance(entries, dict):
+        raise InvalidParams(f"checkpoint {what} is not a map of array entries")
+    saved = {name: decode_array(entry, f"{what} entry {name!r}")
+             for name, entry in entries.items()}
     for name in sorted(saved.keys() | built.keys()):
         got, want = (f"shape {list(d[name].shape)}" if name in d else "absent"
                      for d in (saved, built))
         if got != want:
             raise InvalidParams(f"checkpoint {what} entry {name!r}: {got} in the file, "
                                 f"{want} in the model built from its config")
+    return saved
 
 
-def _load_params(params: dict, blob: dict, what: str) -> None:
-    saved = {}
-    for name, entry in blob.items():
-        values = np.asarray(entry["values"], dtype=np.float64)
-        if values.size != np.prod(entry["shape"]):
-            raise InvalidParams(f"checkpoint {what} entry {name!r} holds {values.size} values "
-                                f"for shape {entry['shape']}")
-        saved[name] = values.reshape(entry["shape"])
-    _check_entries(saved, {name: p.values for name, p in params.items()}, what)
+def _load_params(params: dict, entries, what: str) -> None:
+    saved = _decode_entries(entries, _values(params), what)
     for name, p in params.items():
         p.values = saved[name]
 
@@ -557,6 +589,11 @@ def _load_params(params: dict, blob: dict, what: str) -> None:
 def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
                     state: TrainState, d_in: int, downstream_head: Mlp | None = None,
                     extra: dict | None = None) -> None:
+    """Write the run as one JSON object (see the README's Checkpoint table);
+    every array is an encode_array entry."""
+    optimizer = state.optimizer.state_dict()
+    for key in ("m", "v"):
+        optimizer[key] = _encode_entries(optimizer[key])
     blob = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -565,17 +602,14 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
         "d_in": d_in,
         "epoch": state.epoch,
         "skipped_batches": state.skipped_batches,
-        "params": _params_to_jsonable(model.parameters()),
-        "optimizer": state.optimizer.state_dict(),
+        "params": _encode_entries(_values(model.parameters())),
+        "optimizer": optimizer,
         "scheduler": state.scheduler.state_dict() if state.scheduler else None,
         "rng_state": state.rng.bit_generator.state,
         "extra": extra or {},
     }
     if downstream_head is not None:
-        blob["downstream_head"] = {
-            "dims": downstream_head.dims,
-            "params": _params_to_jsonable(downstream_head.parameters()),
-        }
+        blob["downstream_head"] = {"params": _encode_entries(_values(downstream_head.parameters()))}
     atomic_write_text(path, json.dumps(blob))
 
 
@@ -587,7 +621,8 @@ def load_checkpoint(path: str):
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise InvalidParams(f"{path} is not an eigenlearn checkpoint")
     if blob.get("version") != CHECKPOINT_VERSION:
-        raise InvalidParams(f"unsupported checkpoint version {blob.get('version')}")
+        raise InvalidParams(f"{path} is a version {blob.get('version')} checkpoint; this "
+                            f"eigenlearn reads only version {CHECKPOINT_VERSION}")
     cfg = config_from_dict(blob["config"])
     model = build_model(cfg, blob["d_in"])
     _load_params(model.parameters(), blob["params"], "params")
@@ -598,8 +633,8 @@ def load_checkpoint(path: str):
     state = _fresh_state(model, cfg, head)
     optimizer = dict(blob["optimizer"])
     for key in ("m", "v"):
-        optimizer[key] = {n: np.asarray(v, dtype=np.float64) for n, v in optimizer[key].items()}
-        _check_entries(optimizer[key], getattr(state.optimizer, key), f"optimizer.{key}")
+        optimizer[key] = _decode_entries(optimizer[key], getattr(state.optimizer, key),
+                                         f"optimizer.{key}")
     state.optimizer.load_state_dict(optimizer)
     if (blob["scheduler"] is None) != (state.scheduler is None):
         raise InvalidParams(f"checkpoint scheduler state {blob['scheduler']} does not match "

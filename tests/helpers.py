@@ -1,8 +1,10 @@
-"""Shared test utilities: finite-difference oracles and random graph soup."""
+"""Shared test utilities: finite-difference oracles, random graph soup and a
+version-1 checkpoint writer."""
 
 import numpy as np
 
 from eigenlearn.graphs import Graph, generate_graph
+from eigenlearn.train import decode_array
 
 
 def numeric_gradient(fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -35,3 +37,18 @@ def random_connected_graph(rng: np.random.Generator, n_low: int = 4, n_high: int
 def random_graph_soup(count: int, seed: int, n_low: int = 4, n_high: int = 16) -> list[Graph]:
     rng = np.random.default_rng(seed)
     return [random_connected_graph(rng, n_low, n_high) for _ in range(count)]
+
+
+def as_version_1(blob: dict) -> dict:
+    """A current checkpoint object rewritten in the version-1 layout, which
+    stored every array as JSON floats: parameters as {"shape", "values"} with
+    the values row-major, Adam moments as nested lists."""
+    def values(entries):
+        return {name: {"shape": e["shape"], "values": decode_array(e, name).ravel().tolist()}
+                for name, e in entries.items()}
+
+    old = {**blob, "version": 1, "params": values(blob["params"])}
+    old["optimizer"] = {**blob["optimizer"], **{
+        key: {name: decode_array(e, name).tolist() for name, e in blob["optimizer"][key].items()}
+        for key in ("m", "v")}}
+    return old

@@ -6,6 +6,7 @@ import pytest
 from eigenlearn.cli import main
 from eigenlearn.data import load_dataset, save_dataset
 from eigenlearn.graphs import generate_graph
+from helpers import as_version_1
 
 
 def write_dataset(path, graphs):
@@ -240,7 +241,10 @@ def test_finetune_end_to_end(tmp_path):
     assert blob["extra"]["target"] == "lambda_2"
 
 
-def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys):
+@pytest.fixture
+def pre_and_ft_checkpoints(tmp_path):
+    """A dataset with a target, a pretrain checkpoint and a finetune checkpoint
+    fine-tuned from it."""
     data = tmp_path / "d.jsonl"
     assert main(["gen-data", "--count", "8", "--seed", "2", "--n-min", "6",
                  "--n-max", "10", "--output", str(data)]) == 0
@@ -251,6 +255,11 @@ def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys):
     assert main(["--quiet", "finetune", "--input", str(data), "--checkpoint", str(pre),
                  "--output", str(tmp_path / "ft.csv"), "--epochs", "1",
                  "--checkpoint-out", str(ft)]) == 0
+    return data, pre, ft
+
+
+def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys, pre_and_ft_checkpoints):
+    data, _, ft = pre_and_ft_checkpoints
     capsys.readouterr()
     out = tmp_path / "resumed.csv"
     code = main(["--quiet", "pretrain", "--input", str(data), "--output", str(out),
@@ -259,6 +268,36 @@ def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "finetune checkpoint" in err
+    assert not out.exists()
+
+
+def test_finetune_rejects_a_finetune_checkpoint(tmp_path, capsys, pre_and_ft_checkpoints):
+    data, _, ft = pre_and_ft_checkpoints
+    capsys.readouterr()
+    out = tmp_path / "again.csv"
+    code = main(["--quiet", "finetune", "--input", str(data), "--checkpoint", str(ft),
+                 "--output", str(out), "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "finetune checkpoint" in err and "pretrain checkpoint" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["pretrain", "--epochs", "4", "--resume"],
+                                     ["finetune", "--epochs", "1", "--checkpoint"]])
+def test_a_version_1_checkpoint_exits_1(tmp_path, capsys, pre_and_ft_checkpoints, command):
+    data, pre, _ = pre_and_ft_checkpoints
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(as_version_1(json.loads(pre.read_text()))))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    code = main(["--quiet", command[0], "--input", str(data), "--output", str(out),
+                 *command[1:], str(old)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "version 1 checkpoint" in err
     assert not out.exists()
 
 

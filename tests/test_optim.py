@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 
 from eigenlearn import autodiff as ad
 from eigenlearn.optim import Adam, ReduceLROnPlateau
+from eigenlearn.train import decode_array, encode_array
 
 
 def make_param(values):
@@ -115,8 +118,12 @@ def test_state_dict_roundtrip_is_bitwise():
         opt.step()
         opt.zero_grad()
     state = opt.state_dict()
-    import json
-    state = json.loads(json.dumps(state))  # force a serialization boundary
+    # force a serialization boundary through the checkpoint's array codec
+    for key in ("m", "v"):
+        state[key] = {n: encode_array(a) for n, a in state[key].items()}
+    state = json.loads(json.dumps(state))
+    for key in ("m", "v"):
+        state[key] = {n: decode_array(e, n) for n, e in state[key].items()}
     clone_p = make_param(p.values.copy())
     clone = Adam({"p": clone_p}, lr=0.01)
     clone.load_state_dict(state)
@@ -126,6 +133,20 @@ def test_state_dict_roundtrip_is_bitwise():
     opt.step()
     clone.step()
     assert np.array_equal(p.values, clone_p.values)
+
+
+def test_state_dict_moments_are_copies():
+    p = make_param([1.0, 2.0])
+    opt = Adam({"p": p})
+    p.grad = np.array([0.5, -0.5])
+    opt.step()
+    state = opt.state_dict()
+    m_before = opt.m["p"].copy()
+    state["m"]["p"][:] = 0.0
+    assert np.array_equal(opt.m["p"], m_before)
+    opt.load_state_dict(state)
+    state["v"]["p"][:] = 0.0
+    assert not np.any(opt.v["p"] == 0.0)
 
 
 def test_plateau_constant_loss_decays_geometrically():

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -11,6 +12,7 @@ from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
                                MissingTarget, NumericalFault)
 from eigenlearn.graphs import Graph, generate_graph
 from eigenlearn.losses import LossWeights
+from helpers import as_version_1
 
 
 def small_cfg(**overrides):
@@ -476,13 +478,26 @@ def test_checkpoint_params_roundtrip_losslessly(tmp_path):
     d_in = tr.feature_dim(examples)
     model = tr.build_model(cfg, d_in)
     _, state = tr.pretrain(examples, model, cfg)
+    # values a decimal round trip could lose: signed zero, subnormals, a NaN payload
+    special = np.array([-0.0, 5e-324, -2.2250738585072e-308, np.nan, -np.inf])
+    special[3] = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes(), np.float64)[0]
+    model.parameters()[W0].values.ravel()[:special.size] = special
+    state.optimizer.m[W0].ravel()[:special.size] = special
     path = tmp_path / "ckpt.json"
     tr.save_checkpoint(str(path), model, cfg, state, d_in)
     loaded, _, state2, _, _, _ = tr.load_checkpoint(str(path))
     for (na, pa), (nb, pb) in zip(model.parameters().items(),
                                   loaded.parameters().items()):
         assert na == nb
-        assert np.array_equal(pa.values, pb.values)
+        assert pa.values.shape == pb.values.shape
+        assert pa.values.tobytes() == pb.values.tobytes(), na
+    for key in ("m", "v"):
+        saved, restored = getattr(state.optimizer, key), getattr(state2.optimizer, key)
+        assert list(saved) == list(restored)
+        for name in saved:
+            assert saved[name].shape == restored[name].shape
+            assert saved[name].tobytes() == restored[name].tobytes(), (key, name)
+    assert state2.optimizer.t == state.optimizer.t
     assert state2.epoch == state.epoch
     assert state2.rng.bit_generator.state == state.rng.bit_generator.state
 
@@ -492,6 +507,20 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(InvalidParams):
         tr.load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    cfg = small_cfg(epochs=1)
+    examples = tr.precompute_targets(graph_soup(2, seed=14), cfg)
+    d_in = tr.feature_dim(examples)
+    model = tr.build_model(cfg, d_in)
+    _, state = tr.pretrain(examples, model, cfg)
+    path = tmp_path / "ckpt.json"
+    tr.save_checkpoint(str(path), model, cfg, state, d_in)
+    path.write_text(json.dumps(as_version_1(json.loads(path.read_text()))))
+    with pytest.raises(InvalidParams, match="is a version 1 checkpoint") as exc:
+        tr.load_checkpoint(str(path))
+    assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("keep_pretrain_head", [False, True])
@@ -528,22 +557,44 @@ W0 = "encoder.layer0.mlp.w0"
 
 def _grow_w0(blob):
     rows, cols = blob["params"][W0]["shape"]
-    blob["params"][W0] = {"shape": [rows + 1, cols], "values": [0.0] * ((rows + 1) * cols)}
+    blob["params"][W0] = tr.encode_array(np.zeros((rows + 1, cols)))
+
+
+def _append_to_data(entry, raw):
+    entry["data"] = base64.b64encode(base64.b64decode(entry["data"]) + raw).decode("ascii")
+
+
+def _drop_last_row(entry):
+    entry.update(tr.encode_array(tr.decode_array(entry, "test")[:-1]))
 
 
 @pytest.mark.parametrize("edit, message", [
     (_grow_w0, rf"params entry '{W0}': shape \[\d+, 6\] in the file, shape \[\d+, 6\] in the model"),
-    (lambda b: b["params"][W0]["values"].extend([0.0] * 6),
+    (lambda b: _append_to_data(b["params"][W0], bytes(6 * 8)),
      rf"params entry '{W0}' holds \d+ values for shape \[\d+, 6\]"),
     (lambda b: b["params"].pop(W0), rf"params entry '{W0}': absent in the file"),
     (lambda b: b["optimizer"]["m"].pop(W0), rf"optimizer.m entry '{W0}': absent in the file"),
-    (lambda b: b["optimizer"]["v"].update({"downstream.w0": [[0.0]]}),
+    (lambda b: b["optimizer"]["v"].update({"downstream.w0": tr.encode_array(np.zeros((1, 1)))}),
      r"optimizer.v entry 'downstream.w0': shape \[1, 1\] in the file, absent in the model"),
-    (lambda b: b["optimizer"]["m"][W0].pop(),
+    (lambda b: _drop_last_row(b["optimizer"]["m"][W0]),
      rf"optimizer.m entry '{W0}': shape \[\d+, 6\] in the file, shape \[\d+, 6\] in the model"),
     (lambda b: b.update(scheduler=None), "scheduler.kind='reduce_on_plateau'"),
+    (lambda b: _append_to_data(b["params"][W0], bytes(3)),
+     rf"params entry '{W0}' holds \d+ values for shape \[\d+, 6\] \(\d+ bytes of data"),
+    (lambda b: b["params"][W0].update(data="not base64!"),
+     rf"params entry '{W0}': data is not a base64 string"),
+    (lambda b: b["optimizer"]["v"][W0].update(data=[1.0, [2.0]]),
+     rf"optimizer.v entry '{W0}': data is not a base64 string"),
+    (lambda b: b["params"][W0].update(shape=[12.0, 6]),
+     rf"params entry '{W0}': shape \[12.0, 6\] is not a list of non-negative ints"),
+    (lambda b: b["optimizer"]["m"][W0].update(shape=[-12, -6]),
+     rf"optimizer.m entry '{W0}': shape \[-12, -6\] is not a list of non-negative ints"),
+    (lambda b: b["optimizer"]["m"].update({W0: [1.0, [2.0]]}),
+     rf"optimizer.m entry '{W0}' is not a {{\"shape\", \"data\"}} object"),
 ], ids=["param-shape", "param-value-count", "param-missing", "moment-missing", "moment-extra",
-        "moment-shape", "scheduler-state-missing"])
+        "moment-shape", "scheduler-state-missing", "param-stray-bytes", "param-data-not-base64",
+        "moment-data-not-a-string", "param-shape-not-ints", "moment-shape-negative",
+        "moment-ragged-list"])
 def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, message):
     cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "patience": 2,
                                          "factor": 0.9})
