@@ -7,8 +7,11 @@ no global tape, and ops that need randomness (dropout) take an explicit
 generator, so runs are deterministic end to end.
 
 Every forward op checks its output for NaN/Inf and raises NumericalFault
-rather than letting a poisoned value propagate.
+rather than letting a poisoned value propagate. Inside `with no_grad():` ops
+compute the same values but record nothing: evaluation passes build no graph.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -33,7 +36,8 @@ class Tensor:
         return self.values.shape
 
     def item(self) -> float:
-        return float(self.values)
+        """The value of a one-element tensor (a scalar, or a batch of one)."""
+        return float(self.values.item())
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
         """Add g to the gradient. owned=True says g is a fresh array nothing
@@ -78,10 +82,25 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_recording = [True]
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block keep neither parents nor a backward closure, so
+    their results are constants: the values are the same, nothing can be
+    back-propagated, and no graph is kept alive."""
+    previous, _recording[0] = _recording[0], False
+    try:
+        yield
+    finally:
+        _recording[0] = previous
+
+
 def _result(values: np.ndarray, parents: tuple, vjp) -> Tensor:
     if not np.isfinite(values).all():
         raise NumericalFault("op produced non-finite values")
-    if any(p.requires_grad for p in parents):
+    if _recording[0] and any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(values)
 
@@ -376,45 +395,57 @@ def sum_neighbors(a: Tensor, adjacency: np.ndarray) -> Tensor:
     return _result(np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape), (a,), vjp)
 
 
-def scalar_with_grad(a: Tensor, value: float, grad: np.ndarray) -> Tensor:
-    """A scalar function of a whose value and gradient at a.values were
-    computed outside the tape (a closed-form loss): one node, whose backward
-    scales the given gradient."""
-    if grad.shape != a.shape:
-        raise ShapeMismatch(f"scalar_with_grad: gradient {grad.shape} for input {a.shape}")
+def scalar_with_grad(a: Tensor, value, grad: np.ndarray) -> Tensor:
+    """A loss of a whose value and gradient at a.values were computed outside
+    the tape (a closed-form loss), recorded as one node.
+
+    value is a scalar, or for a stack a of B graphs one value per graph, each
+    a function of its own graph a[b] alone; grad is the gradient of the value
+    (of the values' sum, for a stack), so grad[b] is graph b's own gradient
+    and backward scales it by entry b of the seed.
+    """
+    value = np.asarray(value, dtype=np.float64)
+    if grad.shape != a.shape or value.shape not in ((), a.shape[:1]):
+        raise ShapeMismatch(f"scalar_with_grad: value {value.shape} and gradient "
+                            f"{grad.shape} for input {a.shape}")
 
     def vjp(g):
         if a.requires_grad:
-            a.accumulate_grad(float(g) * grad, owned=True)
+            a.accumulate_grad(grad * g.reshape(g.shape + (1,) * (grad.ndim - g.ndim)),
+                              owned=True)
 
     return _result(value, (a,), vjp)
 
 
 def thin_qr(a: Tensor, rank_tol: float) -> Tensor:
-    """Q of the thin QR factorization a = QR, signs fixed so that R has a
+    """Q of the thin QR factorization a = QR of a tall matrix, or of each
+    matrix of a (B, m, k) stack in one call, signs fixed so that R has a
     positive diagonal (Q is then unique, and equals what Gram-Schmidt on the
-    columns gives). Raises RankDeficient(j) for the first j with
-    |R_jj| < rank_tol.
+    columns gives). Zero rows of a stay zero rows of Q. Raises
+    RankDeficient(j) for the first j with |R_jj| < rank_tol; for a stack, in
+    the first such graph i, RankDeficient(j, i).
 
     Backward is the standard QR rule with no gradient on R (Seeger et al.,
-    arXiv:1710.08717): M = -dQ^T Q, dA = (dQ + Q copyltu(M)) R^-T, where
-    copyltu(M) copies M's lower triangle onto its upper one.
+    arXiv:1710.08717), per matrix: M = -dQ^T Q, dA = (dQ + Q copyltu(M)) R^-T,
+    where copyltu(M) copies M's lower triangle onto its upper one.
     """
-    if a.values.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise ShapeMismatch(f"thin_qr needs a tall matrix, got {a.shape}")
+    if a.values.ndim not in (2, 3) or a.shape[-2] < a.shape[-1]:
+        raise ShapeMismatch(f"thin_qr needs a tall matrix or a stack of them, got {a.shape}")
     q, r = np.linalg.qr(a.values)
-    diagonal = np.diagonal(r)
-    small = np.flatnonzero(np.abs(diagonal) < rank_tol)
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    small = np.argwhere(np.abs(diagonal) < rank_tol)  # (graph, column) pairs in order
     if small.size:
-        raise RankDeficient(int(small[0]))
+        *graph, column = (int(i) for i in small[0])
+        raise RankDeficient(column, *graph)
     signs = np.where(diagonal < 0.0, -1.0, 1.0)
-    q *= signs
-    r *= signs[:, None]
+    q *= signs[..., None, :]
+    r *= signs[..., :, None]
 
     def vjp(g):
         if a.requires_grad:
-            m = -(g.T @ q)
-            m = np.where(np.tri(len(m), dtype=bool), m, m.T)  # copyltu(m)
-            a.accumulate_grad(np.linalg.solve(r, (g + q @ m).T).T, owned=True)
+            m = -(np.swapaxes(g, -1, -2) @ q)
+            m = np.where(np.tri(m.shape[-1], dtype=bool), m, np.swapaxes(m, -1, -2))  # copyltu
+            back = np.linalg.solve(r, np.swapaxes(g + q @ m, -1, -2))
+            a.accumulate_grad(np.swapaxes(back, -1, -2), owned=True)
 
     return _result(q, (a,), vjp)

@@ -67,11 +67,15 @@ class GraphTooLarge(EigenlearnError):
 
 
 class RankDeficient(EigenlearnError):
-    """A column collapsed during orthonormalization."""
+    """A column collapsed during orthonormalization; graph_index says which
+    graph of a stacked batch (None for a single matrix)."""
 
-    def __init__(self, column_index: int):
+    def __init__(self, column_index: int, graph_index: int | None = None):
         self.column_index = column_index
-        super().__init__(f"column {column_index} collapsed below tolerance during orthonormalization")
+        self.graph_index = graph_index
+        where = "" if graph_index is None else f" of graph {graph_index} in the batch"
+        super().__init__(f"column {column_index}{where} collapsed below tolerance "
+                         "during orthonormalization")
 
 
 class NumericalFault(EigenlearnError):

@@ -8,6 +8,14 @@ that value and gradient as one tape node; there is no second implementation
 to keep in step. Gradients at kinks follow fixed conventions: np.sign is 0
 at 0, and a norm that is 0 contributes no direction.
 
+Every loss takes either one (n, k) prediction, and returns a float, or a
+mini-batch as one (B, m, k) stack of predictions zero-padded to m rows, with
+targets padded alike (Laplacians (B, m, m), eigenvalues (B, k), eigenvectors
+(B, m, k)), and returns one value per graph; its gradient is then that of
+the values' sum. Zero rows change neither a Rayleigh quotient, a residual
+nor a Gram matrix, so padding is exact; the losses that average over nodes
+(abs-cos+MAE, MAE) take each graph's node count as `sizes`.
+
 Norm convention: matrix losses use the Frobenius norm. The per-vector sum of
 Euclidean norms is available behind `per_vector=True` for the eigenvector
 residual; the two differ (quadrature vs plain sum) and the Frobenius form is
@@ -39,19 +47,43 @@ class LossWeights:
 
 
 def _check_prediction(u_hat: np.ndarray, laplacian: np.ndarray | None = None,
-                      lambda_k: np.ndarray | None = None) -> None:
-    if u_hat.ndim != 2:
-        raise ShapeMismatch(f"prediction must be 2-D, got shape {u_hat.shape}")
-    n, k = u_hat.shape
-    if laplacian is not None and laplacian.shape != (n, n):
-        raise ShapeMismatch(f"operator shape {laplacian.shape} does not match n={n}")
-    if lambda_k is not None and lambda_k.shape != (k,):
-        raise ShapeMismatch(f"need {k} eigenvalues, got shape {lambda_k.shape}")
+                      lambda_k: np.ndarray | None = None, sizes=None) -> None:
+    if u_hat.ndim not in (2, 3):
+        raise ShapeMismatch(f"prediction must be an (n, k) matrix or a (B, m, k) stack, "
+                            f"got shape {u_hat.shape}")
+    *batch, n, k = u_hat.shape
+    if laplacian is not None and laplacian.shape != (*batch, n, n):
+        raise ShapeMismatch(f"operator shape {laplacian.shape} does not match "
+                            f"prediction shape {u_hat.shape}")
+    if lambda_k is not None and lambda_k.shape != (*batch, k):
+        raise ShapeMismatch(f"need {k} eigenvalues per graph, got shape {lambda_k.shape}")
+    if sizes is not None and (not batch or np.shape(sizes) != tuple(batch)
+                              or not all(1 <= s <= n for s in sizes)):
+        raise ShapeMismatch(f"sizes {list(np.ravel(sizes))} for a prediction of shape "
+                            f"{u_hat.shape}: need one node count in 1..{n} per graph of a stack")
+
+
+def _node_counts(u_hat: np.ndarray, sizes) -> np.ndarray:
+    """Each graph's real row count: sizes for a stack (default: all its rows
+    are real), the row count of one matrix."""
+    if sizes is None:
+        sizes = np.full(u_hat.shape[:-2], u_hat.shape[-2])
+    return np.asarray(sizes, dtype=np.float64)
+
+
+def _value(v):
+    """A float for one matrix, the per-graph array for a stack."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def _unit(x: np.ndarray, norm) -> np.ndarray:
     """x / norm, and 0 where the norm is 0 (no direction to follow)."""
     return np.divide(x, norm, out=np.zeros_like(x), where=np.asarray(norm) > 0.0)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def eigvec_loss(u_hat: np.ndarray, laplacian: np.ndarray, lambda_k: np.ndarray,
@@ -68,14 +100,18 @@ def eigvec_loss(u_hat: np.ndarray, laplacian: np.ndarray, lambda_k: np.ndarray,
     laplacian = np.asarray(laplacian, dtype=np.float64)
     lambda_k = np.asarray(lambda_k, dtype=np.float64)
     _check_prediction(u_hat, laplacian, lambda_k)
-    k = u_hat.shape[1]
-    residual = laplacian @ u_hat - u_hat * lambda_k[None, :]
-    norm = np.linalg.norm(residual, axis=0) if per_vector else np.linalg.norm(residual)
-    value = float(np.sum(norm)) / k
+    k = u_hat.shape[-1]
+    lam = lambda_k[..., None, :]
+    residual = laplacian @ u_hat - u_hat * lam
+    if per_vector:
+        norm = np.linalg.norm(residual, axis=-2)[..., None, :]
+    else:
+        norm = np.linalg.norm(residual, axis=(-2, -1))[..., None, None]
+    value = _value(np.sum(norm, axis=(-2, -1)) / k)
     if not grad:
         return value
     w = _unit(residual, norm)
-    return value, (laplacian.T @ w - w * lambda_k[None, :]) / k
+    return value, (_t(laplacian) @ w - w * lam) / k
 
 
 def energy_loss(u_hat: np.ndarray, laplacian: np.ndarray, grad: bool = False):
@@ -85,14 +121,15 @@ def energy_loss(u_hat: np.ndarray, laplacian: np.ndarray, grad: bool = False):
     u_hat = np.asarray(u_hat, dtype=np.float64)
     laplacian = np.asarray(laplacian, dtype=np.float64)
     _check_prediction(u_hat, laplacian)
-    k = u_hat.shape[1]
-    value = float(np.trace(u_hat.T @ laplacian @ u_hat)) / k
+    k = u_hat.shape[-1]
+    lu = laplacian @ u_hat
+    value = _value(np.sum(u_hat * lu, axis=(-2, -1)) / k)
     if not grad:
         return value
-    return value, (laplacian @ u_hat + laplacian.T @ u_hat) / k
+    return value, (lu + _t(laplacian) @ u_hat) / k
 
 
-def energy_abs_loss(u_hat: np.ndarray, laplacian: np.ndarray, lambda_k: np.ndarray) -> float:
+def energy_abs_loss(u_hat: np.ndarray, laplacian: np.ndarray, lambda_k: np.ndarray):
     """(1/k) * sum_i |u_i^T L u_i - lambda_i|.
 
     The absolute value applies to the diagonal Gram entries only (the
@@ -102,9 +139,9 @@ def energy_abs_loss(u_hat: np.ndarray, laplacian: np.ndarray, lambda_k: np.ndarr
     laplacian = np.asarray(laplacian, dtype=np.float64)
     lambda_k = np.asarray(lambda_k, dtype=np.float64)
     _check_prediction(u_hat, laplacian, lambda_k)
-    k = u_hat.shape[1]
-    quotients = np.einsum("ij,ij->j", u_hat, laplacian @ u_hat)
-    return float(np.sum(np.abs(quotients - lambda_k))) / k
+    k = u_hat.shape[-1]
+    quotients = np.sum(u_hat * (laplacian @ u_hat), axis=-2)
+    return _value(np.sum(np.abs(quotients - lambda_k), axis=-1) / k)
 
 
 def ortho_loss(u_hat: np.ndarray, grad: bool = False):
@@ -112,19 +149,20 @@ def ortho_loss(u_hat: np.ndarray, grad: bool = False):
     grad=True returns (value, 2 U E / k) with E = (U^T U - I) over its norm."""
     u_hat = np.asarray(u_hat, dtype=np.float64)
     _check_prediction(u_hat)
-    k = u_hat.shape[1]
-    excess = u_hat.T @ u_hat - np.eye(k)
-    norm = np.linalg.norm(excess)
-    value = float(norm) / k
+    k = u_hat.shape[-1]
+    excess = _t(u_hat) @ u_hat - np.eye(k)
+    norm = np.linalg.norm(excess, axis=(-2, -1))
+    value = _value(norm / k)
     if not grad:
         return value
-    return value, 2.0 * (u_hat @ _unit(excess, norm)) / k
+    return value, 2.0 * (u_hat @ _unit(excess, norm[..., None, None])) / k
 
 
-def abs_cos_mae_loss(u_hat: np.ndarray, psi_k: np.ndarray, grad: bool = False):
+def abs_cos_mae_loss(u_hat: np.ndarray, psi_k: np.ndarray, sizes=None, grad: bool = False):
     """Baseline loss on elementwise absolute values: per column, the mean
     absolute error between |u_i| and |psi_i| plus one minus their cosine
-    similarity, averaged over the k columns.
+    similarity, averaged over the k columns. The mean runs over each graph's
+    own nodes (sizes, for a stack).
 
     An all-zero column on either side takes the maximal cosine penalty 1 and
     gives its cosine no direction. grad=True returns (value, gradient), with
@@ -132,50 +170,69 @@ def abs_cos_mae_loss(u_hat: np.ndarray, psi_k: np.ndarray, grad: bool = False):
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     psi_k = np.asarray(psi_k, dtype=np.float64)
-    _check_prediction(u_hat)
+    _check_prediction(u_hat, sizes=sizes)
     if psi_k.shape != u_hat.shape:
         raise ShapeMismatch(f"targets shape {psi_k.shape} != prediction shape {u_hat.shape}")
-    n, k = u_hat.shape
+    k = u_hat.shape[-1]
+    n = _node_counts(u_hat, sizes)[..., None]
     a, b = np.abs(u_hat), np.abs(psi_k)
-    mae = np.mean(np.abs(a - b), axis=0)
-    na, nb = np.linalg.norm(a, axis=0), np.linalg.norm(b, axis=0)
-    cos = _unit(np.sum(a * b, axis=0), na * nb)
-    value = float(np.sum(mae + (1.0 - cos))) / k
+    mae = np.sum(np.abs(a - b), axis=-2) / n
+    na, nb = np.linalg.norm(a, axis=-2), np.linalg.norm(b, axis=-2)
+    cos = _unit(np.sum(a * b, axis=-2), na * nb)
+    value = _value(np.sum(mae + (1.0 - cos), axis=-1) / k)
     if not grad:
         return value
     # d cos / d a = b / (|a| |b|) - cos a / |a|^2; both terms are 0 for a
     # zero column on either side, like the cosine itself
-    d_cos = _unit(b, na * nb) - _unit(a * cos, na * na)
-    d_a = np.sign(a - b) / n - d_cos
+    d_cos = (_unit(b, (na * nb)[..., None, :])
+             - _unit(a * cos[..., None, :], (na * na)[..., None, :]))
+    d_a = np.sign(a - b) / n[..., None] - d_cos
     return value, np.sign(u_hat) * d_a / k
 
 
-def mae_loss(pred: np.ndarray, target: np.ndarray, grad: bool = False):
-    """Mean absolute error; grad=True returns (value, np.sign(pred - target) / size)."""
+def mae_loss(pred: np.ndarray, target: np.ndarray, sizes=None, grad: bool = False):
+    """Mean absolute error over every entry; grad=True returns
+    (value, np.sign(pred - target) / size). A (B, m, c) stack of B graphs'
+    zero-padded (m, c) predictions gives one value per graph, the mean over
+    its sizes[b] * c real entries (sizes default to m)."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64).reshape(pred.shape)
-    value = float(np.mean(np.abs(pred - target)))
+    diff = pred - target
+    if pred.ndim == 3:
+        _check_prediction(pred, sizes=sizes)
+        count = _node_counts(pred, sizes) * pred.shape[-1]
+        value = np.sum(np.abs(diff), axis=(-2, -1)) / count
+        count = count[:, None, None]
+    else:
+        count = diff.size
+        value = float(np.sum(np.abs(diff)) / count)
     if not grad:
         return value
-    return value, np.sign(pred - target) / pred.size
+    return value, np.sign(diff) / count
 
 
 def combined_loss(u_hat: np.ndarray, laplacian: np.ndarray, lambda_k: np.ndarray,
-                  weights: LossWeights = LossWeights(), grad: bool = False):
+                  weights: LossWeights = LossWeights(), grad: bool = False,
+                  terms: bool = False):
     """alpha * energy + beta * eigvec + gamma * ortho (terms with weight 0
-    are skipped); grad=True returns (value, the same sum of gradients)."""
-    terms = []
-    if weights.alpha_energy:
-        terms.append((weights.alpha_energy, energy_loss(u_hat, laplacian, grad=grad)))
-    if weights.beta_eigvec:
-        terms.append((weights.beta_eigvec,
-                      eigvec_loss(u_hat, laplacian, lambda_k, grad=grad)))
-    if weights.gamma_ortho:
-        terms.append((weights.gamma_ortho, ortho_loss(u_hat, grad=grad)))
-    if not grad:
-        return sum((w * v for w, v in terms), 0.0)
-    value = sum((w * v for w, (v, _) in terms), 0.0)
-    return value, sum(w * g for w, (_, g) in terms)
+    are skipped); grad=True returns (value, the same sum of gradients).
+    terms=True appends the unweighted (energy, eigvec, ortho) values, each
+    computed whatever its weight."""
+    value, gradient, unweighted = 0.0, 0.0, []
+    for weight, loss in ((weights.alpha_energy, lambda g: energy_loss(u_hat, laplacian, grad=g)),
+                         (weights.beta_eigvec,
+                          lambda g: eigvec_loss(u_hat, laplacian, lambda_k, grad=g)),
+                         (weights.gamma_ortho, lambda g: ortho_loss(u_hat, grad=g))):
+        if not weight:
+            unweighted.append(loss(False) if terms else None)
+            continue
+        v, g = loss(True) if grad else (loss(False), 0.0)
+        value, gradient = value + weight * v, gradient + weight * g
+        unweighted.append(v)
+    out = (value, gradient) if grad else (value,)
+    if terms:
+        return out + (tuple(unweighted),)
+    return out if grad else value
 
 
 def eigenspace_rotation(psi: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@
 The unit of work is a padded mini-batch: the GIN encoder runs all graphs of a
 batch at once, each graph occupying `max_nodes` consecutive rows of one
 matrix, and the node-wise and graph-level MLP heads run one matrix product
-per layer over the whole batch. Orthonormalization is one thin-QR op. Each
-training loss is one op too, built on its single numpy definition in
-`losses`, which returns the value together with its closed-form gradient.
+per layer over the whole batch. A head's output is one (B, max_nodes, k)
+stack whose phantom rows (those past each graph's node count) are zero.
+Orthonormalization is one thin-QR op over the stack, and each training loss
+is one op over it too, built on its single numpy definition in `losses`,
+which returns each graph's value together with the closed-form gradient.
 """
 
 import numpy as np
@@ -145,10 +147,18 @@ class GinEncoder:
         return out
 
 
-def split_graphs(rows: Tensor, sizes: list[int]) -> list[Tensor]:
-    """Graph i's n_i real rows out of a padded batch of len(sizes) equal blocks."""
-    m = rows.shape[0] // len(sizes)
-    return [ad.slice_rows(rows, i * m, i * m + n) for i, n in enumerate(sizes)]
+def _mask_phantom_rows(out: Tensor, sizes: list[int], k: int) -> Tensor:
+    """A head's output for a batch of graphs with sizes[i] nodes, reshaped to
+    (B, max_nodes, k) with the rows past each graph's size multiplied by zero
+    (one constant mask), so phantom nodes reach neither a prediction nor a
+    loss and receive no gradient."""
+    b = len(sizes)
+    m = out.values.size // (b * k)
+    if out.values.size != b * m * k or max(sizes) > m:
+        raise ShapeMismatch(f"head output {out.shape} does not hold {b} graphs of up to "
+                            f"{max(sizes)} nodes with {k} columns")
+    mask = np.arange(m)[None, :, None] < np.asarray(sizes)[:, None, None]
+    return ad.mul(ad.reshape(out, (b, m, k)), ad.constant(mask.astype(np.float64)))
 
 
 class GraphLevelHead:
@@ -157,9 +167,8 @@ class GraphLevelHead:
 
     forward() takes the encoder's padded batch: one reshape makes it the
     (B, max_nodes*d) input, so each MLP layer is one GEMM forward and one
-    weight-gradient GEMM backward. The output's padded rows are sliced away
-    before anything downstream sees them, so phantom nodes never influence a
-    prediction or a loss.
+    weight-gradient GEMM backward. One constant mask zeroes the output's
+    phantom rows, so phantom nodes never influence a prediction or a loss.
     """
 
     def __init__(self, max_nodes: int, d_hidden: int, k: int, mlp_hidden: int,
@@ -170,15 +179,15 @@ class GraphLevelHead:
         self.mlp = Mlp(dims, dropout_rate, rng)
 
     def forward(self, z: Tensor, sizes: list[int], training: bool = False,
-                rng: np.random.Generator | None = None) -> list[Tensor]:
+                rng: np.random.Generator | None = None) -> Tensor:
         """z: (B*max_nodes, d) padded embeddings of B graphs with sizes[i]
-        nodes; returns each graph's (sizes[i], k) output."""
+        nodes; returns their (B, max_nodes, k) outputs, zero on phantom rows."""
         b = len(sizes)
         if z.shape[0] != b * self.max_nodes:
             raise ShapeMismatch(f"graph-level head: {z.shape[0]} rows for {b} graphs "
                                 f"of {self.max_nodes} node slots")
         out = self.mlp.forward(ad.reshape(z, (b, self.max_nodes * z.shape[1])), training, rng)
-        return split_graphs(ad.reshape(out, (b * self.max_nodes, self.k)), sizes)
+        return _mask_phantom_rows(out, sizes, self.k)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
@@ -188,7 +197,7 @@ class NodeWiseHead:
     """Per-node MLP from hidden embedding to k eigencoordinates; rows never mix.
 
     forward() runs the MLP once over every row of the padded batch, phantom
-    rows included, and returns each graph's real rows.
+    rows included, and zeroes the phantom rows of the output.
     """
 
     def __init__(self, d_hidden: int, k: int, mlp_hidden: int, mlp_layers: int,
@@ -198,22 +207,27 @@ class NodeWiseHead:
         self.mlp = Mlp(dims, dropout_rate, rng)
 
     def forward(self, z: Tensor, sizes: list[int], training: bool = False,
-                rng: np.random.Generator | None = None) -> list[Tensor]:
-        return split_graphs(self.mlp.forward(z, training, rng), sizes)
+                rng: np.random.Generator | None = None) -> Tensor:
+        """z: (B*m, d) padded embeddings of B graphs with sizes[i] nodes;
+        returns their (B, m, k) outputs, zero on phantom rows."""
+        return _mask_phantom_rows(self.mlp.forward(z, training, rng), sizes, self.k)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
 
 
 def orthonormalize(u_tilde: Tensor) -> Tensor:
-    """Q with Q^T Q = I and span(Q) = span(input): the thin-QR Q with a
-    positive R diagonal, recorded as one op (`autodiff.thin_qr`).
+    """Q with Q^T Q = I and span(Q) = span(input), for one (n, k) matrix or
+    for each graph of a padded (B, max_nodes, k) batch: the thin-QR Q with a
+    positive R diagonal, recorded as one op (`autodiff.thin_qr`). Zero
+    (phantom) rows stay exactly zero.
 
-    Raises RankDeficient(j) for the first column j with |R_jj| < RANK_TOL.
+    Raises RankDeficient(j) for the first column j with |R_jj| < RANK_TOL;
+    in a batch, RankDeficient(j, i) for the first such graph i.
     """
-    if len(u_tilde.shape) != 2:
-        raise ShapeMismatch(f"orthonormalize needs a matrix, got {u_tilde.shape}")
-    n, k = u_tilde.shape
+    if len(u_tilde.shape) not in (2, 3):
+        raise ShapeMismatch(f"orthonormalize needs a matrix or a stack, got {u_tilde.shape}")
+    n, k = u_tilde.shape[-2:]
     if n < k:
         raise ShapeMismatch(f"need n >= k to orthonormalize, got {n} x {k}")
     return ad.thin_qr(u_tilde, RANK_TOL)
@@ -222,7 +236,8 @@ def orthonormalize(u_tilde: Tensor) -> Tensor:
 class EigenModel:
     """Encoder plus eigenvector head; forward gives the raw head outputs of a
     batch of graphs, predict_batch() their orthonormalized eigenvector
-    estimates in evaluation mode, and predict() one graph's."""
+    estimates in evaluation mode, and predict() one graph's. A batch's
+    outputs are one (B, max_nodes, k) stack, zero on phantom rows."""
 
     def __init__(self, encoder: GinEncoder, head, head_kind: str):
         if head_kind not in HEAD_KINDS:
@@ -232,20 +247,24 @@ class EigenModel:
         self.head_kind = head_kind
 
     def forward(self, graphs: list[Graph], features: list, training: bool = False,
-                rng: np.random.Generator | None = None) -> list[Tensor]:
-        """Raw head outputs of a batch: one encoder pass and one head pass over
-        the padded batch (features as in GinEncoder.forward)."""
+                rng: np.random.Generator | None = None) -> Tensor:
+        """Raw (B, max_nodes, k) head outputs of a batch: one encoder pass and
+        one head pass over the padded batch (features as in
+        GinEncoder.forward)."""
         z = self.encoder.forward(graphs, features, training, rng)
         return self.head.forward(z, [g.num_nodes for g in graphs], training, rng)
 
-    def predict_batch(self, graphs: list[Graph], features: list) -> list[np.ndarray]:
-        """Evaluation-mode (no dropout) orthonormal eigenvector estimates of a
-        batch of graphs."""
-        return [orthonormalize(u).values for u in self.forward(graphs, features)]
+    def predict_batch(self, graphs: list[Graph], features: list) -> np.ndarray:
+        """Evaluation-mode (no dropout, nothing recorded) orthonormal
+        eigenvector estimates of a batch of graphs: one (B, max_nodes, k)
+        array, graph i's (n_i, k) estimate in its first n_i rows, zeros
+        below."""
+        with ad.no_grad():
+            return orthonormalize(self.forward(graphs, features)).values
 
     def predict(self, g: Graph, features: np.ndarray) -> np.ndarray:
-        """predict_batch of one graph."""
-        return self.predict_batch([g], [features])[0]
+        """The (n, k) estimate of one graph: predict_batch of a batch of one."""
+        return self.predict_batch([g], [features])[0, :g.num_nodes]
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"encoder.{n}": p for n, p in self.encoder.parameters().items()}
@@ -254,7 +273,9 @@ class EigenModel:
 
 
 # --- training losses as single ops ------------------------------------------
-# Each records the value and gradient its numpy definition in `losses` returns.
+# Each records the value and gradient its numpy definition in `losses`
+# returns: for one (n, k) matrix a scalar, for a padded (B, max_nodes, k)
+# stack one value per graph (with targets padded alike), as one node.
 
 
 def eigvec_loss_t(u_hat: Tensor, laplacian: np.ndarray, lambda_k: np.ndarray) -> Tensor:
@@ -271,14 +292,19 @@ def ortho_loss_t(u_hat: Tensor) -> Tensor:
 
 
 def combined_loss_t(u_hat: Tensor, laplacian: np.ndarray, lambda_k: np.ndarray,
-                    weights: LossWeights) -> Tensor:
-    return ad.scalar_with_grad(u_hat, *losses.combined_loss(u_hat.values, laplacian, lambda_k,
-                                                            weights, grad=True))
+                    weights: LossWeights, terms: bool = False):
+    """The combined loss op; terms=True returns (op, the unweighted (energy,
+    eigvec, ortho) values) as losses.combined_loss computes them."""
+    value, grad, *rest = losses.combined_loss(u_hat.values, laplacian, lambda_k, weights,
+                                              grad=True, terms=terms)
+    loss = ad.scalar_with_grad(u_hat, value, grad)
+    return (loss, *rest) if terms else loss
 
 
-def abs_cos_mae_loss_t(u_hat: Tensor, psi_k: np.ndarray) -> Tensor:
-    return ad.scalar_with_grad(u_hat, *losses.abs_cos_mae_loss(u_hat.values, psi_k, grad=True))
+def abs_cos_mae_loss_t(u_hat: Tensor, psi_k: np.ndarray, sizes=None) -> Tensor:
+    return ad.scalar_with_grad(u_hat, *losses.abs_cos_mae_loss(u_hat.values, psi_k, sizes,
+                                                               grad=True))
 
 
-def mae_loss_t(pred: Tensor, target: np.ndarray) -> Tensor:
-    return ad.scalar_with_grad(pred, *losses.mae_loss(pred.values, target, grad=True))
+def mae_loss_t(pred: Tensor, target: np.ndarray, sizes=None) -> Tensor:
+    return ad.scalar_with_grad(pred, *losses.mae_loss(pred.values, target, sizes, grad=True))

@@ -4,9 +4,13 @@ Pre-training drives the encoder + eigenvector head against the combined
 spectral objective in mini-batches; fine-tuning swaps in a downstream
 scalar-regression head over the same concatenated-padded node embeddings, and
 the loss comparison trains one model per loss. All three share one epoch
-runner (_run_epoch) and differ only in their per-batch loss function. Runs
-are deterministic per seed, including across a checkpoint save/load boundary
-(the run generator state travels with the checkpoint).
+runner (_run_epoch) and differ only in their per-batch loss function. A
+mini-batch runs as a few ops on its padded (B, max_nodes, k) stack: one
+encoder and head pass, one thin-QR op, and one op per loss over the stack,
+against the batch's zero-padded targets (padded_targets). Evaluation runs the
+same stacked path without recording a tape. Runs are deterministic per seed,
+including across a checkpoint save/load boundary (the run generator state
+travels with the checkpoint).
 """
 
 import base64
@@ -16,6 +20,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,6 +199,35 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
     return examples
 
 
+class PaddedTargets(NamedTuple):
+    """A mini-batch's targets in the layout of its (B, max_nodes, k)
+    prediction stack, zero past each graph's node count."""
+
+    laplacian: np.ndarray  # (B, max_nodes, max_nodes)
+    lambda_k: np.ndarray   # (B, k)
+    psi_k: np.ndarray      # (B, max_nodes, k)
+    sizes: np.ndarray      # (B,) node counts
+
+
+def pad_stack(arrays: list[np.ndarray], shape: tuple) -> np.ndarray:
+    """A zeros (len(arrays), *shape) stack with arrays[i] in the leading
+    corner of block i."""
+    out = np.zeros((len(arrays), *shape))
+    for block, a in zip(out, arrays):
+        block[tuple(slice(0, d) for d in a.shape)] = a
+    return out
+
+
+def padded_targets(batch: list[TrainingExample], max_nodes: int) -> PaddedTargets:
+    """The batch's Laplacians, spectra and node counts, padded to max_nodes
+    rows; built per batch, so target precomputation does no padding."""
+    k = len(batch[0].lambda_k)
+    return PaddedTargets(pad_stack([ex.laplacian for ex in batch], (max_nodes, max_nodes)),
+                         np.stack([ex.lambda_k for ex in batch]),
+                         pad_stack([ex.psi_k for ex in batch], (max_nodes, k)),
+                         np.array([ex.graph.num_nodes for ex in batch]))
+
+
 def feature_dim(examples: list[TrainingExample]) -> int:
     dims = {ex.features.shape[1] for ex in examples}
     if len(dims) != 1:
@@ -252,13 +286,9 @@ def _fresh_state(model: EigenModel, cfg: PretrainConfig,
     return TrainState(optimizer, scheduler, np.random.default_rng([cfg.seed, rng_stream]))
 
 
-def _ortho_residual(u_hat: np.ndarray) -> float:
-    k = u_hat.shape[1]
-    return float(np.linalg.norm(u_hat.T @ u_hat - np.eye(k)))
-
-
-# Per-graph losses of one mini-batch: (loss tensor, extra metrics) per graph.
-BatchLosses = Callable[[list[TrainingExample]], list[tuple[ad.Tensor, tuple]]]
+# One mini-batch's loss: the loss op over the batch (one value per graph) and
+# the extra per-graph record metrics (a tuple of arrays of B values).
+BatchLosses = Callable[[list[TrainingExample]], tuple[ad.Tensor, tuple]]
 
 
 def _batches(examples: list, batch_size: int):
@@ -279,8 +309,8 @@ def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: Trai
     """Epoch state.epoch: one pass over a fresh permutation of the examples in
     mini-batches, then one scheduler step.
 
-    A batch is a fixed slice of the permutation. Its per-graph losses are
-    summed and back-propagated once, and Adam steps on the mean gradient over
+    A batch is a fixed slice of the permutation. The sum of its per-graph
+    losses is back-propagated once, and Adam steps on the mean gradient over
     the batch. A numerical fault or a rank-deficient orthogonalization
     anywhere in the batch discards the whole batch (its gradients are
     dropped, never clamped); it is counted and logged. The scheduler then
@@ -294,11 +324,8 @@ def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: Trai
     rows = []
     for batch in _batches([examples[i] for i in order], cfg.batch_size):
         try:
-            losses = batch_losses(batch)
-            total = losses[0][0]
-            for loss, _ in losses[1:]:
-                total = ad.add(total, loss)
-            total.backward()
+            loss, metrics = batch_losses(batch)
+            loss.backward(np.ones(loss.shape))
         except (NumericalFault, RankDeficient) as exc:
             state.optimizer.zero_grad()
             state.skipped_batches += 1
@@ -306,8 +333,8 @@ def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: Trai
             continue
         state.optimizer.step(grad_scale=1.0 / len(batch))
         state.optimizer.zero_grad()
-        rows.extend((loss.item(), *metrics) for loss, metrics in losses)
-    means = [float(v) for v in np.mean(rows, axis=0)] if rows else []
+        rows.append(np.column_stack((loss.values, *metrics)))
+    means = [float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows else []
     means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
     if state.scheduler is not None:
         monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
@@ -332,10 +359,14 @@ def _fit(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState
 
 
 def _orthonormal_outputs(model: EigenModel, batch: list[TrainingExample],
-                         rng: np.random.Generator) -> list[ad.Tensor]:
-    u_tildes = model.forward([ex.graph for ex in batch], [ex.features for ex in batch],
-                             training=True, rng=rng)
-    return [orthonormalize(u) for u in u_tildes]
+                         rng: np.random.Generator) -> ad.Tensor:
+    """The batch's training-mode orthonormal outputs: one (B, max_nodes, k) QR op."""
+    return orthonormalize(model.forward([ex.graph for ex in batch],
+                                        [ex.features for ex in batch], training=True, rng=rng))
+
+
+def _predict(model: EigenModel, batch: list[TrainingExample]) -> np.ndarray:
+    return model.predict_batch([ex.graph for ex in batch], [ex.features for ex in batch])
 
 
 def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainConfig,
@@ -345,55 +376,51 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     """Run the eigenvector-learning loop from state.epoch up to cfg.epochs.
 
     Per mini-batch of `batch_size` graphs: one encoder pass and one head pass
-    over the padded batch -> forced orthogonality -> combined loss per graph,
-    one Adam step on the mean gradient (see _run_epoch for the batch and
-    fault semantics). A scheduler monitoring val_loss evaluates
-    evaluate_pretrain_loss on val_examples, which it then requires.
+    over the padded batch -> one thin-QR op over the stack -> one combined
+    loss op (a value per graph), one Adam step on the mean gradient (see
+    _run_epoch for the batch and fault semantics). The record's energy,
+    eigvec and orthogonality columns come from the same loss call. A
+    scheduler monitoring val_loss evaluates evaluate_pretrain_loss on
+    val_examples, which it then requires.
     """
     _check_monitor(cfg, val_examples)
     if state is None:
         state = _fresh_state(model, cfg)
 
     def batch_losses(batch):
-        losses = []
-        for ex, u_hat in zip(batch, _orthonormal_outputs(model, batch, state.rng)):
-            values = u_hat.values
-            losses.append((combined_loss_t(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights),
-                           (energy_loss(values, ex.laplacian),
-                            eigvec_loss(values, ex.laplacian, ex.lambda_k),
-                            _ortho_residual(values))))
-        return losses
+        targets = padded_targets(batch, cfg.max_nodes)
+        loss, (energy, eigvec, ortho) = combined_loss_t(
+            _orthonormal_outputs(model, batch, state.rng), targets.laplacian,
+            targets.lambda_k, cfg.loss_weights, terms=True)
+        return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
     record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
                   lambda: evaluate_pretrain_loss(model, val_examples, cfg))
     return record, state
 
 
-def predict_all(model: EigenModel, examples: list[TrainingExample],
-                cfg: PretrainConfig) -> list[np.ndarray]:
-    """Evaluation-mode orthonormal outputs of every example, run through
-    EigenModel.predict_batch in batches of cfg.batch_size."""
-    return [u for batch in _batches(examples, cfg.batch_size)
-            for u in model.predict_batch([ex.graph for ex in batch],
-                                         [ex.features for ex in batch])]
-
-
 def evaluate_pretrain_loss(model: EigenModel, examples: list[TrainingExample],
                            cfg: PretrainConfig) -> float:
-    """Evaluation-mode (dropout-free) mean combined loss over a dataset."""
-    return float(np.mean([combined_loss(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights)
-                          for u_hat, ex in zip(predict_all(model, examples, cfg), examples)]))
+    """Evaluation-mode (dropout-free, no tape) mean combined loss over a
+    dataset: one predict_batch and one loss call per batch of cfg.batch_size."""
+    values = []
+    for batch in _batches(examples, cfg.batch_size):
+        targets = padded_targets(batch, cfg.max_nodes)
+        values.append(combined_loss(_predict(model, batch), targets.laplacian,
+                                    targets.lambda_k, cfg.loss_weights))
+    return float(np.mean(np.concatenate(values)))
 
 
 def predict_targets(model: EigenModel, head: Mlp, examples: list[TrainingExample],
                     cfg: PretrainConfig) -> np.ndarray:
-    """Evaluation-mode downstream predictions of every example, in batches of
-    cfg.batch_size: one encoder pass per batch, reshaped to the head's
-    (B, max_nodes*hidden_dim) input."""
+    """Evaluation-mode (no tape) downstream predictions of every example, in
+    batches of cfg.batch_size: one encoder pass per batch, reshaped to the
+    head's (B, max_nodes*hidden_dim) input."""
     out = []
-    for batch in _batches(examples, cfg.batch_size):
-        z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch])
-        out.append(head.forward(ad.reshape(z, (len(batch), -1))).values[:, 0])
+    with ad.no_grad():
+        for batch in _batches(examples, cfg.batch_size):
+            z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch])
+            out.append(head.forward(ad.reshape(z, (len(batch), -1))).values[:, 0])
     return np.concatenate(out)
 
 
@@ -424,19 +451,19 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
         state = _fresh_state(model, cfg, head)
 
     def batch_losses(batch):
+        b = len(batch)
         z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch],
                                   True, state.rng)
-        preds = head.forward(ad.reshape(z, (len(batch), -1)), True, state.rng)
-        losses = [mae_loss_t(ad.slice_rows(preds, i, i + 1),
-                             np.array([[ex.graph.graph_targets[target_name]]]))
-                  for i, ex in enumerate(batch)]
+        preds = head.forward(ad.reshape(z, (b, -1)), True, state.rng)
+        # each graph's prediction is a 1 x 1 block of a (B, 1, 1) stack
+        targets = np.array([ex.graph.graph_targets[target_name] for ex in batch])
+        loss = mae_loss_t(ad.reshape(preds, (b, 1, 1)), targets.reshape(b, 1, 1))
         if cfg.keep_pretrain_head:
-            u_tildes = model.head.forward(z, [ex.graph.num_nodes for ex in batch],
-                                          True, state.rng)
-            losses = [ad.add(loss, combined_loss_t(orthonormalize(u), ex.laplacian,
-                                                   ex.lambda_k, cfg.loss_weights))
-                      for loss, u, ex in zip(losses, u_tildes, batch)]
-        return [(loss, ()) for loss in losses]
+            spectral = padded_targets(batch, cfg.max_nodes)
+            q = orthonormalize(model.head.forward(z, spectral.sizes, True, state.rng))
+            loss = ad.add(loss, combined_loss_t(q, spectral.laplacian, spectral.lambda_k,
+                                                cfg.loss_weights))
+        return loss, ()
 
     record = _fit(examples, cfg, state, epochs, batch_losses,
                   lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
@@ -464,13 +491,14 @@ def comparison_to_csv(rows: list[ComparisonRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _evaluate_outputs(outputs: list[np.ndarray], examples: list[TrainingExample]) -> tuple[float, float]:
+def _evaluate_outputs(outputs: list[np.ndarray],
+                      targets: list[PaddedTargets]) -> tuple[float, float]:
     """Single metric path for every comparison arm: mean eigvec and energy
-    losses of orthonormal outputs against each graph's own targets."""
-    ev = np.mean([eigvec_loss(u, ex.laplacian, ex.lambda_k)
-                  for u, ex in zip(outputs, examples)])
-    en = np.mean([energy_loss(u, ex.laplacian) for u, ex in zip(outputs, examples)])
-    return float(ev), float(en)
+    losses of orthonormal outputs against each graph's own targets, one loss
+    call per batch (outputs[j] is batch j's padded stack)."""
+    ev = [eigvec_loss(u, t.laplacian, t.lambda_k) for u, t in zip(outputs, targets, strict=True)]
+    en = [energy_loss(u, t.laplacian) for u, t in zip(outputs, targets, strict=True)]
+    return float(np.mean(np.concatenate(ev))), float(np.mean(np.concatenate(en)))
 
 
 def _random_orthonormal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -492,6 +520,8 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
         raise InvalidParams(f"unknown arms: {sorted(unknown)}")
     _check_monitor(cfg, None)
     d_in = feature_dim(examples)
+    batches = list(_batches(examples, cfg.batch_size))
+    targets = [padded_targets(batch, cfg.max_nodes) for batch in batches]
     results: dict[str, list[ComparisonRow]] = {}
     for arm in arms:
         rows: list[ComparisonRow] = []
@@ -499,7 +529,9 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
             outputs = [_random_orthonormal(ex.graph.num_nodes, cfg.k,
                                            np.random.default_rng([cfg.seed, 2, i]))
                        for i, ex in enumerate(examples)]
-            ev, en = _evaluate_outputs(outputs, examples)
+            stacks = [pad_stack(batch, (cfg.max_nodes, cfg.k))
+                      for batch in _batches(outputs, cfg.batch_size)]
+            ev, en = _evaluate_outputs(stacks, targets)
             for epoch in range(cfg.epochs):
                 rows.append(ComparisonRow(arm, epoch, ev, en))
             results[arm] = rows
@@ -508,18 +540,15 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
         state = _fresh_state(model, cfg)
 
         def batch_losses(batch):
-            losses = []
-            for ex, u_hat in zip(batch, _orthonormal_outputs(model, batch, state.rng)):
-                if arm == ARM_OURS:
-                    loss = combined_loss_t(u_hat, ex.laplacian, ex.lambda_k, cfg.loss_weights)
-                else:
-                    loss = abs_cos_mae_loss_t(u_hat, ex.psi_k)
-                losses.append((loss, ()))
-            return losses
+            t = padded_targets(batch, cfg.max_nodes)
+            q = _orthonormal_outputs(model, batch, state.rng)
+            if arm == ARM_OURS:
+                return combined_loss_t(q, t.laplacian, t.lambda_k, cfg.loss_weights), ()
+            return abs_cos_mae_loss_t(q, t.psi_k, t.sizes), ()
 
         for epoch in range(cfg.epochs):
             _run_epoch(examples, cfg, state, batch_losses, None)
-            ev, en = _evaluate_outputs(predict_all(model, examples, cfg), examples)
+            ev, en = _evaluate_outputs([_predict(model, batch) for batch in batches], targets)
             rows.append(ComparisonRow(arm, epoch, ev, en))
         results[arm] = rows
     return results
@@ -613,16 +642,45 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
     atomic_write_text(path, json.dumps(blob))
 
 
-def load_checkpoint(path: str):
-    """Returns (model, cfg, state, d_in, downstream_head_or_None, extra), built from
-    the saved config as for a fresh run, then restored from the saved values."""
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
+CHECKPOINT_FIELDS = ("config", "d_in", "epoch", "skipped_batches", "params", "optimizer",
+                     "scheduler", "rng_state")
+
+
+def _require_fields(obj, names, where: str, path: str) -> None:
+    if not isinstance(obj, dict):
+        raise InvalidParams(f"{path}: the checkpoint's {where} is not a JSON object")
+    for name in names:
+        if name not in obj:
+            raise InvalidParams(f"{path}: the checkpoint's {where} has no field {name!r}")
+
+
+def _read_checkpoint(path: str) -> dict:
+    """The checkpoint object in path, with every top-level field present; a
+    file that is not one fails with a one-line InvalidParams naming the path
+    and the field."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except ValueError as exc:  # not JSON (json.JSONDecodeError) or not UTF-8
+        raise InvalidParams(f"{path} is not a JSON checkpoint: {exc}") from None
+    _require_fields(blob, (), "top level", path)
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise InvalidParams(f"{path} is not an eigenlearn checkpoint")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise InvalidParams(f"{path} is a version {blob.get('version')} checkpoint; this "
                             f"eigenlearn reads only version {CHECKPOINT_VERSION}")
+    _require_fields(blob, CHECKPOINT_FIELDS, "top level", path)
+    _require_fields(blob["optimizer"], ("lr", "beta1", "beta2", "eps", "t", "m", "v"),
+                    "optimizer", path)
+    if "downstream_head" in blob:
+        _require_fields(blob["downstream_head"], ("params",), "downstream_head", path)
+    return blob
+
+
+def load_checkpoint(path: str):
+    """Returns (model, cfg, state, d_in, downstream_head_or_None, extra), built from
+    the saved config as for a fresh run, then restored from the saved values."""
+    blob = _read_checkpoint(path)
     cfg = config_from_dict(blob["config"])
     model = build_model(cfg, blob["d_in"])
     _load_params(model.parameters(), blob["params"], "params")

@@ -198,8 +198,9 @@ def test_criterion_05_gradient_correctness():
         weights = LossWeights(1.0, 2.0, 0.0)
 
         def loss_tensor():
-            u = model.forward([ex.graph], [ad.constant(ex.features)], training=False)[0]
-            return combined_loss_t(orthonormalize(u), ex.laplacian, ex.lambda_k, weights)
+            u = model.forward([ex.graph], [ad.constant(ex.features)], training=False)
+            lap, lam, _, _ = tr.padded_targets([ex], cfg.max_nodes)
+            return combined_loss_t(orthonormalize(u), lap, lam, weights)
 
         loss_tensor().backward()
         worst = 0.0

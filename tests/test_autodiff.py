@@ -177,3 +177,49 @@ def test_frobenius_norm_zero_input_subgradient():
     x = ad.parameter(np.zeros((2, 2)))
     ad.frobenius_norm(x).backward()
     assert np.array_equal(x.grad, np.zeros((2, 2)))
+
+
+def test_no_grad_records_nothing_and_changes_no_value(monkeypatch):
+    rng = np.random.default_rng(3)
+    w, x = ad.parameter(rng.standard_normal((3, 2))), ad.constant(rng.standard_normal((4, 3)))
+
+    def forward():
+        return ad.mean(ad.relu(ad.add(ad.matmul(x, w), ad.parameter(np.ones(2)))))
+
+    produced = []
+    result = ad._result
+
+    def spy(*args):
+        produced.append(result(*args))
+        return produced[-1]
+
+    monkeypatch.setattr(ad, "_result", spy)
+    recorded = forward()
+    assert all(t._parents for t in produced)
+    produced.clear()
+    with ad.no_grad():
+        quiet = forward()
+    assert len(produced) == 4
+    assert all(t._parents == () and t._vjp is None and not t.requires_grad for t in produced)
+    assert np.array_equal(quiet.values, recorded.values)
+    assert forward()._parents  # recording resumes after the block
+
+
+def test_no_grad_restores_recording_after_an_error():
+    with pytest.raises(NumericalFault):
+        with ad.no_grad():
+            ad.add(ad.parameter(np.array([np.inf])), ad.constant(1.0))
+    assert ad.mul(ad.parameter(np.ones(2)), ad.constant(2.0))._parents
+
+
+def test_scalar_with_grad_takes_one_value_per_graph_of_a_stack():
+    rng = np.random.default_rng(4)
+    a = ad.parameter(rng.standard_normal((3, 4, 2)))
+    grad = rng.standard_normal((3, 4, 2))
+    loss = ad.scalar_with_grad(a, np.array([1.0, 2.0, 3.0]), grad)
+    assert loss.shape == (3,)
+    seed = np.array([0.5, -1.0, 2.0])
+    loss.backward(seed)
+    assert np.array_equal(a.grad, grad * seed[:, None, None])  # block b scaled by seed[b]
+    with pytest.raises(ShapeMismatch):
+        ad.scalar_with_grad(a, np.ones(2), grad)

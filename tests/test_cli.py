@@ -340,3 +340,33 @@ def test_check_invariants_passes_and_writes_summary(tmp_path, capsys):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(r["passed"] for r in records)
     assert len(records) >= 10
+
+
+CORRUPT_CHECKPOINTS = {
+    "truncated": lambda text: text[:text.index('"config"') + 4],
+    "not_json": lambda text: "this is not a checkpoint\n",
+    "top_level_array": lambda text: "[]",
+    "no_config": lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                          if k != "config"}),
+}
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPT_CHECKPOINTS))
+@pytest.mark.parametrize("command", [["pretrain", "--epochs", "4", "--resume"],
+                                     ["finetune", "--epochs", "1", "--checkpoint"]])
+def test_a_corrupt_checkpoint_exits_1_with_one_line(tmp_path, capsys, pre_and_ft_checkpoints,
+                                                    command, corrupt):
+    data, pre, _ = pre_and_ft_checkpoints
+    broken = tmp_path / "broken.json"
+    broken.write_text(CORRUPT_CHECKPOINTS[corrupt](pre.read_text()))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    code = main(["--quiet", command[0], "--input", str(data), "--output", str(out),
+                 *command[1:], str(broken)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert str(broken) in err
+    if corrupt == "no_config":
+        assert "'config'" in err
+    assert not out.exists()

@@ -11,7 +11,7 @@ from eigenlearn.graphs import build_laplacian, generate_graph
 from eigenlearn.losses import (LossWeights, abs_cos_mae_loss, combined_loss,
                                eigenspace_rotation, eigvec_loss,
                                energy_abs_loss, energy_loss,
-                               flip_column_signs, ortho_loss,
+                               flip_column_signs, mae_loss, ortho_loss,
                                random_special_orthogonal)
 from helpers import random_graph_soup
 
@@ -414,3 +414,86 @@ def test_all_losses_nonnegative(seed):
     assert abs_cos_mae_loss(u, psi) >= 0.0
     # energy is a mean Rayleigh quotient of a PSD operator
     assert energy_loss(u, lap) >= -1e-12
+
+
+# --- padded stacks: one call per mini-batch ---
+
+def padded_batch(sizes=(7, 3, 10, 5), k=3, m=10, seed=21):
+    """Per-graph (u, L, lambda, psi) of mixed sizes, and the same data as
+    zero-padded stacks of m rows."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, n in enumerate(sizes):
+        lap = build_laplacian(generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + i))
+        lam, psi = lowest_k(eigendecompose(lap), k)
+        graphs.append((rng.standard_normal((n, k)), lap, lam, psi))
+    b = len(sizes)
+    u, lap, psi = np.zeros((b, m, k)), np.zeros((b, m, m)), np.zeros((b, m, k))
+    for i, (gu, gl, _, gp) in enumerate(graphs):
+        n = len(gu)
+        u[i, :n], lap[i, :n, :n], psi[i, :n] = gu, gl, gp
+    lam = np.stack([g[2] for g in graphs])
+    return graphs, (u, lap, lam, psi, np.array(sizes))
+
+
+STACKED_LOSSES = {
+    "energy": (lambda u, lap, lam, psi, sizes, grad: energy_loss(u, lap, grad=grad)),
+    "eigvec": (lambda u, lap, lam, psi, sizes, grad: eigvec_loss(u, lap, lam, grad=grad)),
+    "eigvec_per_vector": (lambda u, lap, lam, psi, sizes, grad:
+                          eigvec_loss(u, lap, lam, per_vector=True, grad=grad)),
+    "ortho": (lambda u, lap, lam, psi, sizes, grad: ortho_loss(u, grad=grad)),
+    "abs_cos": (lambda u, lap, lam, psi, sizes, grad:
+                abs_cos_mae_loss(u, psi, sizes, grad=grad)),
+    "mae": (lambda u, lap, lam, psi, sizes, grad: mae_loss(u, psi, sizes, grad=grad)),
+    "combined": (lambda u, lap, lam, psi, sizes, grad:
+                 combined_loss(u, lap, lam, LossWeights(1.0, 2.0, 0.5), grad=grad)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_LOSSES))
+def test_stacked_loss_matches_each_graph_alone(name):
+    loss = STACKED_LOSSES[name]
+    graphs, (u, lap, lam, psi, sizes) = padded_batch()
+    values, grad = loss(u, lap, lam, psi, sizes, True)
+    assert values.shape == (len(graphs),)
+    assert np.array_equal(loss(u, lap, lam, psi, sizes, False), values)
+    for i, (gu, gl, gl_lam, gp) in enumerate(graphs):
+        n = len(gu)
+        alone_value, alone_grad = loss(gu, gl, gl_lam, gp, None, True)
+        assert isinstance(alone_value, float)
+        assert abs(values[i] - alone_value) <= 1e-12 * max(1.0, abs(alone_value))
+        assert np.max(np.abs(grad[i, :n] - alone_grad)) <= 1e-12
+        assert np.all(grad[i, n:] == 0.0)  # phantom rows get no gradient
+
+
+def test_energy_abs_loss_of_a_stack_matches_each_graph_alone():
+    graphs, (u, lap, lam, _, _) = padded_batch()
+    values = energy_abs_loss(u, lap, lam)
+    for i, (gu, gl, gl_lam, _) in enumerate(graphs):
+        assert abs(values[i] - energy_abs_loss(gu, gl, gl_lam)) <= 1e-12
+
+
+def test_combined_loss_terms_are_the_unweighted_losses():
+    _, (u, lap, lam, _, _) = padded_batch()
+    weights = LossWeights(1.0, 2.0, 0.0)
+    value, grad, (energy, eigvec, ortho) = combined_loss(u, lap, lam, weights, grad=True,
+                                                         terms=True)
+    assert np.array_equal(energy, energy_loss(u, lap))
+    assert np.array_equal(eigvec, eigvec_loss(u, lap, lam))
+    assert np.array_equal(ortho, ortho_loss(u))  # computed although its weight is 0
+    assert np.array_equal(value, combined_loss(u, lap, lam, weights))
+    assert np.array_equal(grad, combined_loss(u, lap, lam, weights, grad=True)[1])
+
+
+def test_stacked_losses_reject_mismatched_targets_and_sizes():
+    _, (u, lap, lam, psi, sizes) = padded_batch()
+    with pytest.raises(ShapeMismatch):
+        energy_loss(u, lap[:2])
+    with pytest.raises(ShapeMismatch):
+        eigvec_loss(u, lap, lam[:, :2])
+    with pytest.raises(ShapeMismatch):
+        abs_cos_mae_loss(u, psi, sizes[:2])
+    with pytest.raises(ShapeMismatch):
+        abs_cos_mae_loss(u, psi, sizes + 10)  # more nodes than rows
+    with pytest.raises(ShapeMismatch):
+        abs_cos_mae_loss(u[0], psi[0], sizes)  # sizes belong to a stack

@@ -12,6 +12,7 @@ from eigenlearn.nn import (RANK_TOL, EigenModel, GinEncoder, GinLayer, GraphLeve
                            glorot_uniform, mae_loss_t, orthonormalize,
                            ortho_loss_t)
 from eigenlearn import losses
+from eigenlearn.train import pad_stack
 from helpers import max_rel_error, numeric_gradient
 
 
@@ -109,15 +110,16 @@ def make_graph_head(**kw):
 def test_graph_level_head_shapes():
     head = make_graph_head()
     z = np.random.default_rng(0).standard_normal((3, 3))
-    out = head.forward(padded([z], 5), [3])[0]
-    assert out.shape == (3, 2)
+    out = head.forward(padded([z], 5), [3])
+    assert out.shape == (1, 5, 2)
+    assert np.all(out.values[0, 3:] == 0.0)  # phantom rows
     assert head.mlp.dims[0] == 15 and head.mlp.dims[-1] == 10
 
 
 def test_graph_level_head_boundary_no_padding():
     head = make_graph_head()
     z = np.random.default_rng(1).standard_normal((5, 3))
-    assert head.forward(ad.constant(z), [5])[0].shape == (5, 2)
+    assert head.forward(ad.constant(z), [5]).shape == (1, 5, 2)
 
 
 def test_graph_level_head_rejects_a_batch_of_another_node_budget():
@@ -148,7 +150,7 @@ def test_graph_level_head_reference_dims():
     assert head.mlp.dims[0] == 2400
     assert head.mlp.dims[-1] == 240
     z = np.zeros((3, 60))
-    assert head.forward(padded([z], 40), [3])[0].shape == (3, 6)
+    assert head.forward(padded([z], 40), [3]).shape == (1, 40, 6)
 
 
 def test_graph_level_head_is_order_sensitive():
@@ -157,9 +159,9 @@ def test_graph_level_head_is_order_sensitive():
     head = make_graph_head()
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 3))
-    out = head.forward(padded([z], 5), [4])[0].values
+    out = head.forward(padded([z], 5), [4]).values[0, :4]
     zp = z[::-1].copy()
-    outp = head.forward(padded([zp], 5), [4])[0].values
+    outp = head.forward(padded([zp], 5), [4]).values[0, :4]
     assert not np.allclose(outp, out[::-1], atol=1e-6)
 
 
@@ -168,14 +170,14 @@ def test_node_wise_head_row_independence():
                         dropout_rate=0.0, rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
     z = rng.standard_normal((4, 3))
-    out = head.forward(ad.constant(z), [4])[0].values
+    out = head.forward(ad.constant(z), [4]).values[0]
     # duplicating a row duplicates its output
     z2 = np.vstack([z, z[1]])
-    out2 = head.forward(ad.constant(z2), [5])[0].values
+    out2 = head.forward(ad.constant(z2), [5]).values[0]
     assert np.allclose(out2[-1], out[1])
     # permuting rows permutes outputs
     perm = [2, 0, 3, 1]
-    out3 = head.forward(ad.constant(z[perm]), [4])[0].values
+    out3 = head.forward(ad.constant(z[perm]), [4]).values[0]
     assert np.allclose(out3, out[perm])
 
 
@@ -194,10 +196,11 @@ def test_batched_head_matches_batch_of_one(make_head):
     zs = batch_of_mixed_sizes(3)
     sizes = [len(z) for z in zs]
     batched = head.forward(padded(zs, 5), sizes)
-    assert [u.shape for u in batched] == [(n, 2) for n in sizes]
-    for z, u in zip(zs, batched):
-        alone = head.forward(padded([z], 5), [len(z)])[0].values
-        assert np.max(np.abs(u.values - alone)) <= 1e-12
+    assert batched.shape == (len(sizes), 5, 2)
+    for z, u in zip(zs, batched.values):
+        alone = head.forward(padded([z], 5), [len(z)]).values[0]
+        assert np.max(np.abs(u - alone)) <= 1e-12
+        assert np.all(u[len(z):] == 0.0)
 
 
 def test_graph_level_head_phantom_rows_never_reach_the_loss():
@@ -205,11 +208,8 @@ def test_graph_level_head_phantom_rows_never_reach_the_loss():
     # fifth (phantom) slot must get exactly zero gradient from any loss
     head = make_graph_head()
     z = ad.parameter(padded(batch_of_mixed_sizes(3, sizes=(2, 4, 3)), 5).values)
-    total = None
-    for u in head.forward(z, [2, 4, 3]):
-        term = ad.sum_(ad.mul(u, u))
-        total = term if total is None else ad.add(total, term)
-    total.backward()
+    out = head.forward(z, [2, 4, 3])
+    ad.sum_(ad.mul(out, out)).backward()
     out_w, out_b = head.mlp.weights[-1], head.mlp.biases[-1]
     assert np.all(out_w.grad[:, 4 * head.k:] == 0.0)
     assert np.all(out_b.grad[4 * head.k:] == 0.0)
@@ -431,8 +431,8 @@ def test_full_model_gradient_check():
     weights = LossWeights(1.0, 2.0, 0.0)
 
     def loss_tensor():
-        u = model.forward([g], [ad.constant(x)], training=False)[0]
-        return combined_loss_t(orthonormalize(u), lap, lam, weights)
+        u = model.forward([g], [ad.constant(x)], training=False)
+        return combined_loss_t(orthonormalize(u), pad_stack([lap], (10, 10)), lam[None], weights)
 
     out = loss_tensor()
     out.backward()
@@ -462,20 +462,15 @@ def test_batched_step_gradient_check():
     graphs = [generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=s)
               for n, s in ((6, 1), (9, 2), (4, 3))]
     xs = [rng.standard_normal((g.num_nodes, 4)) for g in graphs]
-    targets = []
-    for g in graphs:
-        lap = build_laplacian(g)
-        targets.append((lap, lowest_k(eigendecompose(lap), 3)[0]))
+    laps = [build_laplacian(g) for g in graphs]
+    lams = np.stack([lowest_k(eigendecompose(lap), 3)[0] for lap in laps])
+    laps = pad_stack(laps, (10, 10))
     model = build_small_model()
     weights = LossWeights(1.0, 2.0, 0.5)
 
     def loss_tensor():
         outputs = model.forward(graphs, [ad.constant(x) for x in xs])
-        total = None
-        for u, (lap, lam) in zip(outputs, targets):
-            term = combined_loss_t(orthonormalize(u), lap, lam, weights)
-            total = term if total is None else ad.add(total, term)
-        return total
+        return ad.sum_(combined_loss_t(orthonormalize(outputs), laps, lams, weights))
 
     loss_tensor().backward()
     sampler = np.random.default_rng(10)
@@ -517,14 +512,11 @@ def test_padded_batch_matches_batch_of_one(build):
     # gradient it gets alone: phantom rows reach neither
     model = build()
     graphs, xs = mixed_batch()
-    weights = [np.random.default_rng(i).standard_normal((g.num_nodes, 3))
-               for i, g in enumerate(graphs)]
+    # weights on the phantom rows too: those rows must still contribute nothing
+    weights = [np.random.default_rng(i).standard_normal((1, 10, 3)) for i in range(len(graphs))]
 
     def loss_and_grads(gs, fs, ws):
-        total = None
-        for u, w in zip(model.forward(gs, fs), ws):
-            term = ad.sum_(ad.mul(u, ad.constant(w)))
-            total = term if total is None else ad.add(total, term)
+        total = ad.sum_(ad.mul(model.forward(gs, fs), ad.constant(np.concatenate(ws))))
         total.backward()
         grads = {n: p.grad.copy() for n, p in model.parameters().items()}
         for p in model.parameters().values():
@@ -535,8 +527,8 @@ def test_padded_batch_matches_batch_of_one(build):
     batch_loss, batch_grads = loss_and_grads(graphs, xs, weights)
     alone_loss = 0.0
     alone_grads = {n: 0.0 for n in batch_grads}
-    for g, x, w, u in zip(graphs, xs, weights, batched):
-        assert np.max(np.abs(u.values - model.forward([g], [x])[0].values)) <= 1e-12
+    for g, x, w, u in zip(graphs, xs, weights, batched.values):
+        assert np.max(np.abs(u - model.forward([g], [x]).values[0])) <= 1e-12
         loss, grads = loss_and_grads([g], [x], [w])
         alone_loss += loss
         alone_grads = {n: alone_grads[n] + grads[n] for n in grads}
@@ -550,11 +542,8 @@ def test_encoder_phantom_rows_are_zero_and_get_zero_gradient():
     graphs, xs = mixed_batch()
     z = model.encoder.forward(graphs, xs)
     masked_input = z._parents[0]  # the last layer's output, before the node mask
-    total = None
-    for u in model.head.forward(z, [g.num_nodes for g in graphs]):
-        term = ad.sum_(ad.mul(u, u))
-        total = term if total is None else ad.add(total, term)
-    total.backward()
+    out = model.head.forward(z, [g.num_nodes for g in graphs])
+    ad.sum_(ad.mul(out, out)).backward()
     for i, g in enumerate(graphs):
         phantom = slice(i * 10 + g.num_nodes, (i + 1) * 10)
         assert np.all(z.values[phantom] == 0.0)
@@ -566,7 +555,8 @@ def test_predict_batch_matches_predict():
     model = build_small_model()
     graphs, xs = mixed_batch()
     for u, g, x in zip(model.predict_batch(graphs, xs), graphs, xs):
-        assert np.max(np.abs(u - model.predict(g, x))) <= 1e-12
+        assert np.max(np.abs(u[:g.num_nodes] - model.predict(g, x))) <= 1e-12
+        assert np.all(u[g.num_nodes:] == 0.0)
 
 
 def test_eval_mode_deterministic_even_with_dropout_configured():
@@ -583,8 +573,8 @@ def test_training_mode_dropout_changes_outputs():
     x = np.random.default_rng(1).standard_normal((6, 4))
     model = build_small_model(dropout=0.4)
     rng = np.random.default_rng(2)
-    a = model.forward([g], [ad.constant(x)], training=True, rng=rng)[0].values
-    b = model.forward([g], [ad.constant(x)], training=True, rng=rng)[0].values
+    a = model.forward([g], [ad.constant(x)], training=True, rng=rng).values
+    b = model.forward([g], [ad.constant(x)], training=True, rng=rng).values
     assert not np.array_equal(a, b)
 
 
@@ -595,3 +585,120 @@ def test_parameter_names_are_stable_and_unique():
     assert names == list(build_small_model().parameters())
     assert any(n.startswith("encoder.layer0.") for n in names)
     assert any(n.startswith("head.mlp.") for n in names)
+
+
+# --- the padded (B, max_nodes, k) stack: one QR op and one loss op per batch ---
+
+def padded_stack(sizes=(7, 3, 10, 5), m=10, k=3, seed=31):
+    """A random (B, m, k) stack, zero past each graph's size, and targets
+    padded alike: (stack, laplacians, eigenvalues, eigenvectors, sizes)."""
+    rng = np.random.default_rng(seed)
+    u, laps, psis, lams = np.zeros((len(sizes), m, k)), [], [], []
+    for i, n in enumerate(sizes):
+        u[i, :n] = rng.standard_normal((n, k))
+        lap = build_laplacian(generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + i))
+        lam, psi = lowest_k(eigendecompose(lap), k)
+        laps.append(lap)
+        lams.append(lam)
+        psis.append(psi)
+    return (u, pad_stack(laps, (m, m)), np.stack(lams), pad_stack(psis, (m, k)),
+            np.array(sizes))
+
+
+STACK_LOSS_OPS = {
+    "energy": lambda q, lap, lam, psi, sizes: energy_loss_t(q, lap),
+    "eigvec": lambda q, lap, lam, psi, sizes: eigvec_loss_t(q, lap, lam),
+    "ortho": lambda q, lap, lam, psi, sizes: ortho_loss_t(q),
+    "combined": lambda q, lap, lam, psi, sizes: combined_loss_t(q, lap, lam,
+                                                                LossWeights(1.0, 2.0, 0.5)),
+    "abs_cos": lambda q, lap, lam, psi, sizes: abs_cos_mae_loss_t(q, psi, sizes),
+    "mae": lambda q, lap, lam, psi, sizes: mae_loss_t(q, psi, sizes),
+}
+
+
+def test_stacked_qr_matches_each_graph_alone():
+    u, *_ = padded_stack()
+    q = orthonormalize(ad.constant(u)).values
+    for block, alone, n in zip(q, u, (7, 3, 10, 5)):
+        assert np.max(np.abs(block[:n] - orthonormalize(ad.constant(alone[:n])).values)) <= 1e-12
+        assert np.all(block[n:] == 0.0)
+
+
+def test_stacked_qr_gradient_vs_finite_differences():
+    u, *_ = padded_stack()
+    weights = np.random.default_rng(32).standard_normal(u.shape)  # phantom rows included
+    check_gradient(lambda x: ad.sum_(ad.mul(orthonormalize(x), ad.constant(weights))), u)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_LOSS_OPS))
+def test_stacked_loss_op_gradient_vs_finite_differences(name):
+    u, lap, lam, psi, sizes = padded_stack()
+    # a fixed random projection of the per-graph values, so each graph's
+    # block of the gradient is checked with its own scale
+    projection = ad.constant(np.random.default_rng(33).standard_normal(len(sizes)))
+    check_gradient(lambda x: ad.sum_(ad.mul(STACK_LOSS_OPS[name](x, lap, lam, psi, sizes),
+                                            projection)), u)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_LOSS_OPS))
+def test_q_phantom_rows_and_their_gradients_are_exactly_zero(name):
+    u, lap, lam, psi, sizes = padded_stack()
+    t = ad.parameter(u)
+    q = orthonormalize(t)
+    STACK_LOSS_OPS[name](q, lap, lam, psi, sizes).backward(np.ones(len(sizes)))
+    for i, n in enumerate(sizes):
+        assert np.all(q.values[i, n:] == 0.0)
+        assert np.all(q.grad[i, n:] == 0.0)
+        assert np.all(t.grad[i, n:] == 0.0)
+
+
+def test_stacked_qr_names_the_first_rank_deficient_graph():
+    u, *_ = padded_stack()
+    u[2, :, 1] = 3.0 * u[2, :, 0]  # the third graph's column 1 collapses
+    u[3, :, 2] = 0.0  # a later graph's too: the first in batch order is reported
+    with pytest.raises(RankDeficient) as exc:
+        orthonormalize(ad.constant(u))
+    assert (exc.value.graph_index, exc.value.column_index) == (2, 1)
+    assert "column 1 of graph 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("build", [build_small_model, build_small_node_wise_model],
+                         ids=["graph_level", "node_wise"])
+@pytest.mark.parametrize("loss_name", ["combined", "abs_cos"])
+def test_batched_training_loss_matches_the_per_graph_path(build, loss_name):
+    # the per-graph reference: each graph alone, its (n, k) rows out of a
+    # batch of one, a 2-D QR op and a 2-D loss op, summed over the batch
+    model = build()
+    graphs, xs = mixed_batch(seed=15)  # every graph's output has full column rank
+    sizes = [g.num_nodes for g in graphs]
+    assert sizes == [7, 3, 10, 5]
+    laps = [build_laplacian(g) for g in graphs]
+    spectra = [lowest_k(eigendecompose(lap), 3) for lap in laps]
+    weights = LossWeights(1.0, 2.0, 0.5)
+
+    def loss_op(q, lap, lam, psi, n):
+        if loss_name == "combined":
+            return combined_loss_t(q, lap, lam, weights)
+        return abs_cos_mae_loss_t(q, psi, n)
+
+    def grads():
+        out = {n: p.grad.copy() for n, p in model.parameters().items()}
+        for p in model.parameters().values():
+            p.grad = None
+        return out
+
+    batched = loss_op(orthonormalize(model.forward(graphs, xs)), pad_stack(laps, (10, 10)),
+                      np.stack([lam for lam, _ in spectra]),
+                      pad_stack([psi for _, psi in spectra], (10, 3)), sizes)
+    batched.backward(np.ones(len(graphs)))
+    batched_grads = grads()
+    total = None
+    for i, (g, x, lap, (lam, psi)) in enumerate(zip(graphs, xs, laps, spectra)):
+        rows = ad.slice_rows(ad.reshape(model.forward([g], [x]), (10, 3)), 0, g.num_nodes)
+        term = loss_op(orthonormalize(rows), lap, lam, psi, None)
+        assert abs(batched.values[i] - term.item()) <= 1e-12 * max(1.0, abs(term.item()))
+        total = term if total is None else ad.add(total, term)
+    total.backward()
+    for name, grad in grads().items():
+        scale = max(1.0, np.max(np.abs(grad)))
+        assert np.max(np.abs(batched_grads[name] - grad)) <= 1e-12 * scale, name

@@ -1,4 +1,6 @@
 import base64
+import contextlib
+import copy
 import dataclasses
 import json
 import os
@@ -7,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from eigenlearn import autodiff as ad
 from eigenlearn import train as tr
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
                                MissingTarget, NumericalFault)
@@ -274,8 +277,9 @@ def test_pretrain_val_loss_without_validation_examples_fails_at_the_start():
 
 
 def fault_on_call(monkeypatch, name, call_number):
-    """Wrap train.<name> so that its call_number-th call raises NumericalFault;
-    returns the loss values of the calls that succeeded, in call order."""
+    """Wrap the loss op train.<name>, called once per mini-batch, so that its
+    call_number-th call raises NumericalFault; returns each call's per-graph
+    loss values in call order, None for the faulted call."""
     original = getattr(tr, name)
     values = []
     calls = [0]
@@ -286,7 +290,8 @@ def fault_on_call(monkeypatch, name, call_number):
             values.append(None)
             raise NumericalFault("injected")
         out = original(*args, **kwargs)
-        values.append(out.item())
+        loss = out[0] if isinstance(out, tuple) else out  # (op, terms) with terms=True
+        values.append(list(loss.values))
         return out
 
     monkeypatch.setattr(tr, name, wrapped)
@@ -295,15 +300,17 @@ def fault_on_call(monkeypatch, name, call_number):
 
 def test_epoch_means_count_only_graphs_of_committed_batches(monkeypatch, caplog):
     # lr 0 and no dropout keep every graph's loss fixed; batches of 2 over 6
-    # graphs, and the third loss call (first graph of the second batch) fails
+    # graphs, one loss call per batch, and the second call (the second batch)
+    # fails
     cfg = small_cfg(epochs=1, batch_size=2, lr=0.0, dropout=0.0)
     examples = tr.precompute_targets(graph_soup(6, seed=4), cfg)
     model = tr.build_model(cfg, tr.feature_dim(examples))
-    values = fault_on_call(monkeypatch, "combined_loss_t", 3)
+    values = fault_on_call(monkeypatch, "combined_loss_t", 2)
     with caplog.at_level("WARNING", logger="eigenlearn.train"):
         record, state = tr.pretrain(examples, model, cfg)
-    assert values[2] is None and len(values) == 5  # the second batch stopped at its fault
-    committed = values[:2] + values[3:]
+    assert values[1] is None and len(values) == 3  # the second batch stopped at its fault
+    committed = values[0] + values[2]
+    assert len(committed) == 4
     assert record.skipped_batches == state.skipped_batches == 1
     assert record.rows[0].loss_total == pytest.approx(np.mean(committed), rel=1e-12)
     assert any("skipped batch at epoch 0: injected" in r.message for r in caplog.records)
@@ -392,7 +399,7 @@ def test_compare_losses_random_arm_is_flat_and_ordering_sane():
 def test_compare_losses_logs_skipped_batches(monkeypatch, caplog):
     cfg = small_cfg(epochs=2, dropout=0.0)
     examples = tr.precompute_targets(graph_soup(4, seed=11), cfg)
-    fault_on_call(monkeypatch, "abs_cos_mae_loss_t", 2)
+    fault_on_call(monkeypatch, "abs_cos_mae_loss_t", 1)  # epoch 0's only batch
     with caplog.at_level("WARNING", logger="eigenlearn.train"):
         tr.compare_losses(examples, cfg, arms=(tr.ARM_BASELINE,))
     skipped = [r.message for r in caplog.records if "skipped batch" in r.message]
@@ -610,3 +617,102 @@ def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, m
     with pytest.raises(InvalidParams, match=message) as exc:
         tr.load_checkpoint(str(path))
     assert "\n" not in str(exc.value)
+
+
+# --- one batch, a few ops -----------------------------------------------------
+
+def reachable_nodes(tensor) -> int:
+    """Nodes reachable from a tensor through its parents, leaves included."""
+    seen = {id(tensor)}
+    stack = [tensor]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("run", ["pretrain", tr.ARM_OURS, tr.ARM_BASELINE])
+def test_tape_size_of_a_batch_does_not_depend_on_its_size(monkeypatch, run):
+    sizes = []
+    backward = ad.Tensor.backward
+
+    def spy(self, seed=None):
+        sizes.append(reachable_nodes(self))
+        return backward(self, seed)
+
+    monkeypatch.setattr(ad.Tensor, "backward", spy)
+    per_batch_size = {}
+    for batch_size in (2, 8):
+        cfg = small_cfg(epochs=1, batch_size=batch_size)
+        examples = tr.precompute_targets(graph_soup(8, seed=12), cfg)
+        sizes.clear()
+        if run == "pretrain":
+            tr.pretrain(examples, tr.build_model(cfg, tr.feature_dim(examples)), cfg)
+        else:
+            tr.compare_losses(examples, cfg, arms=(run,))
+        assert len(sizes) == 8 // batch_size  # one backward per batch
+        per_batch_size[batch_size] = set(sizes)
+    assert per_batch_size[2] == per_batch_size[8]
+    assert len(per_batch_size[8]) == 1
+
+
+def test_a_rank_deficient_graph_drops_its_batch_and_is_named(caplog):
+    # the graph-level head's output is its last bias alone; its first three
+    # rows span one direction, so the 3-node graph's column 1 collapses and
+    # every larger graph keeps full rank
+    cfg = small_cfg(epochs=1, dropout=0.0)
+    graphs = [generate_graph("cycle", {"n": n}) for n in (5, 6, 3, 7)]
+    examples = tr.precompute_targets(graphs, cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    model.head.mlp.weights[-1].values[:] = 0.0
+    bias = np.zeros((cfg.max_nodes, cfg.k))
+    bias[:3, 0] = [1.0, 2.0, 3.0]
+    bias[3:, 1] = 1.0
+    bias[4:, 0] = np.arange(cfg.max_nodes - 4)
+    model.head.mlp.biases[-1].values[:] = bias.ravel()
+    state = tr._fresh_state(model, cfg)
+    order = copy.deepcopy(state.rng).permutation(len(examples))
+    examples = [examples[i] for i in np.argsort(order)]  # the epoch's batch: graphs (5, 6, 3, 7)
+    with caplog.at_level("WARNING", logger="eigenlearn.train"):
+        record, _ = tr.pretrain(examples, model, cfg, state)
+    assert record.skipped_batches == 1
+    warnings = [r.message for r in caplog.records if "skipped batch" in r.message]
+    assert warnings == ["skipped batch at epoch 0: column 1 of graph 2 in the batch collapsed "
+                        "below tolerance during orthonormalization"]
+
+
+EVALUATIONS = {
+    "predict_batch": lambda model, head, examples, cfg: model.predict_batch(
+        [ex.graph for ex in examples], [ex.features for ex in examples]),
+    "predict_targets": lambda model, head, examples, cfg: tr.predict_targets(
+        model, head, examples, cfg),
+    "evaluate_pretrain_loss": lambda model, head, examples, cfg: tr.evaluate_pretrain_loss(
+        model, examples, cfg),
+    "evaluate_mae": lambda model, head, examples, cfg: tr.evaluate_mae(
+        model, head, examples, cfg, "lambda_2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_evaluation_records_no_tape_and_gives_the_recorded_values(monkeypatch, name):
+    cfg = small_cfg(batch_size=3)
+    examples = tr.precompute_targets(graph_soup(5, seed=13, target=True), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    head = tr.build_downstream_head(cfg)
+    produced = []
+    result = ad._result
+
+    def spy(*args):
+        produced.append(result(*args))
+        return produced[-1]
+
+    monkeypatch.setattr(ad, "_result", spy)
+    quiet = EVALUATIONS[name](model, head, examples, cfg)
+    assert produced and all(t._parents == () and t._vjp is None for t in produced)
+    produced.clear()
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)  # record as training does
+    recorded = EVALUATIONS[name](model, head, examples, cfg)
+    assert any(t._parents for t in produced)
+    assert np.array_equal(quiet, recorded)
