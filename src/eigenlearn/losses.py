@@ -13,8 +13,9 @@ mini-batch as one (B, m, k) stack of predictions zero-padded to m rows, with
 targets padded alike (Laplacians (B, m, m), eigenvalues (B, k), eigenvectors
 (B, m, k)), and returns one value per graph; its gradient is then that of
 the values' sum. Zero rows change neither a Rayleigh quotient, a residual
-nor a Gram matrix, so padding is exact; the losses that average over nodes
-(abs-cos+MAE, MAE) take each graph's node count as `sizes`.
+nor a Gram matrix, so padding is exact; abs-cos+MAE averages over each
+graph's nodes and takes their counts as `sizes`, and MAE averages over a
+block's every entry.
 
 Norm convention: matrix losses use the Frobenius norm. The per-vector sum of
 Euclidean norms is available behind `per_vector=True` for the eigenvector
@@ -47,7 +48,7 @@ class LossWeights:
 
 
 def _check_prediction(u_hat: np.ndarray, laplacian: np.ndarray | None = None,
-                      lambda_k: np.ndarray | None = None, sizes=None) -> None:
+                      lambda_k: np.ndarray | None = None) -> None:
     if u_hat.ndim not in (2, 3):
         raise ShapeMismatch(f"prediction must be an (n, k) matrix or a (B, m, k) stack, "
                             f"got shape {u_hat.shape}")
@@ -57,18 +58,20 @@ def _check_prediction(u_hat: np.ndarray, laplacian: np.ndarray | None = None,
                             f"prediction shape {u_hat.shape}")
     if lambda_k is not None and lambda_k.shape != (*batch, k):
         raise ShapeMismatch(f"need {k} eigenvalues per graph, got shape {lambda_k.shape}")
-    if sizes is not None and (not batch or np.shape(sizes) != tuple(batch)
-                              or not all(1 <= s <= n for s in sizes)):
-        raise ShapeMismatch(f"sizes {list(np.ravel(sizes))} for a prediction of shape "
-                            f"{u_hat.shape}: need one node count in 1..{n} per graph of a stack")
 
 
-def _node_counts(u_hat: np.ndarray, sizes) -> np.ndarray:
-    """Each graph's real row count: sizes for a stack (default: all its rows
-    are real), the row count of one matrix."""
-    if sizes is None:
-        sizes = np.full(u_hat.shape[:-2], u_hat.shape[-2])
-    return np.asarray(sizes, dtype=np.float64)
+def _node_counts(u_hat: np.ndarray, sizes):
+    """Each graph's node count, shaped to broadcast against per-column
+    values: the row count of one (n, k) matrix, or, for a (B, m, k) stack,
+    sizes, which it requires because nothing marks its phantom rows."""
+    if u_hat.ndim == 2 and sizes is None:
+        return np.float64(u_hat.shape[0])
+    if (u_hat.ndim != 3 or sizes is None or np.shape(sizes) != u_hat.shape[:1]
+            or not all(1 <= s <= u_hat.shape[1] for s in sizes)):
+        raise ShapeMismatch(f"sizes {None if sizes is None else list(np.ravel(sizes))} for "
+                            f"a prediction of shape {u_hat.shape}: a (B, m, k) stack needs "
+                            f"one node count in 1..m per graph, one matrix none")
+    return np.asarray(sizes, dtype=np.float64)[:, None]
 
 
 def _value(v):
@@ -162,7 +165,8 @@ def abs_cos_mae_loss(u_hat: np.ndarray, psi_k: np.ndarray, sizes=None, grad: boo
     """Baseline loss on elementwise absolute values: per column, the mean
     absolute error between |u_i| and |psi_i| plus one minus their cosine
     similarity, averaged over the k columns. The mean runs over each graph's
-    own nodes (sizes, for a stack).
+    own nodes: for a stack, sizes gives each graph's node count and is
+    required.
 
     An all-zero column on either side takes the maximal cosine penalty 1 and
     gives its cosine no direction. grad=True returns (value, gradient), with
@@ -170,11 +174,11 @@ def abs_cos_mae_loss(u_hat: np.ndarray, psi_k: np.ndarray, sizes=None, grad: boo
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     psi_k = np.asarray(psi_k, dtype=np.float64)
-    _check_prediction(u_hat, sizes=sizes)
+    _check_prediction(u_hat)
     if psi_k.shape != u_hat.shape:
         raise ShapeMismatch(f"targets shape {psi_k.shape} != prediction shape {u_hat.shape}")
     k = u_hat.shape[-1]
-    n = _node_counts(u_hat, sizes)[..., None]
+    n = _node_counts(u_hat, sizes)
     a, b = np.abs(u_hat), np.abs(psi_k)
     mae = np.sum(np.abs(a - b), axis=-2) / n
     na, nb = np.linalg.norm(a, axis=-2), np.linalg.norm(b, axis=-2)
@@ -190,19 +194,17 @@ def abs_cos_mae_loss(u_hat: np.ndarray, psi_k: np.ndarray, sizes=None, grad: boo
     return value, np.sign(u_hat) * d_a / k
 
 
-def mae_loss(pred: np.ndarray, target: np.ndarray, sizes=None, grad: bool = False):
+def mae_loss(pred: np.ndarray, target: np.ndarray, grad: bool = False):
     """Mean absolute error over every entry; grad=True returns
-    (value, np.sign(pred - target) / size). A (B, m, c) stack of B graphs'
-    zero-padded (m, c) predictions gives one value per graph, the mean over
-    its sizes[b] * c real entries (sizes default to m)."""
+    (value, np.sign(pred - target) / size). A (B, m, c) stack gives one value
+    per graph, the mean over its m * c entries (fine-tuning's (B, 1, 1)
+    stack holds one prediction per graph)."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64).reshape(pred.shape)
     diff = pred - target
     if pred.ndim == 3:
-        _check_prediction(pred, sizes=sizes)
-        count = _node_counts(pred, sizes) * pred.shape[-1]
+        count = diff[0].size
         value = np.sum(np.abs(diff), axis=(-2, -1)) / count
-        count = count[:, None, None]
     else:
         count = diff.size
         value = float(np.sum(np.abs(diff)) / count)

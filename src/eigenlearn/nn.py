@@ -250,7 +250,12 @@ class EigenModel:
                 rng: np.random.Generator | None = None) -> Tensor:
         """Raw (B, max_nodes, k) head outputs of a batch: one encoder pass and
         one head pass over the padded batch (features as in
-        GinEncoder.forward)."""
+        GinEncoder.forward). A graph with fewer than k nodes has no k
+        orthonormal columns to estimate and raises ShapeMismatch."""
+        for g in graphs:
+            if g.num_nodes < self.head.k:
+                raise ShapeMismatch(f"need n >= k to orthonormalize, got "
+                                    f"{g.num_nodes} x {self.head.k}")
         z = self.encoder.forward(graphs, features, training, rng)
         return self.head.forward(z, [g.num_nodes for g in graphs], training, rng)
 
@@ -306,5 +311,5 @@ def abs_cos_mae_loss_t(u_hat: Tensor, psi_k: np.ndarray, sizes=None) -> Tensor:
                                                                grad=True))
 
 
-def mae_loss_t(pred: Tensor, target: np.ndarray, sizes=None) -> Tensor:
-    return ad.scalar_with_grad(pred, *losses.mae_loss(pred.values, target, sizes, grad=True))
+def mae_loss_t(pred: Tensor, target: np.ndarray) -> Tensor:
+    return ad.scalar_with_grad(pred, *losses.mae_loss(pred.values, target, grad=True))

@@ -444,7 +444,6 @@ STACKED_LOSSES = {
     "ortho": (lambda u, lap, lam, psi, sizes, grad: ortho_loss(u, grad=grad)),
     "abs_cos": (lambda u, lap, lam, psi, sizes, grad:
                 abs_cos_mae_loss(u, psi, sizes, grad=grad)),
-    "mae": (lambda u, lap, lam, psi, sizes, grad: mae_loss(u, psi, sizes, grad=grad)),
     "combined": (lambda u, lap, lam, psi, sizes, grad:
                  combined_loss(u, lap, lam, LossWeights(1.0, 2.0, 0.5), grad=grad)),
 }
@@ -464,6 +463,18 @@ def test_stacked_loss_matches_each_graph_alone(name):
         assert abs(values[i] - alone_value) <= 1e-12 * max(1.0, abs(alone_value))
         assert np.max(np.abs(grad[i, :n] - alone_grad)) <= 1e-12
         assert np.all(grad[i, n:] == 0.0)  # phantom rows get no gradient
+
+
+def test_stacked_mae_is_the_mae_of_each_block_alone():
+    # MAE averages over a block's every entry, phantom rows included
+    _, (u, _, _, psi, _) = padded_batch()
+    values, grad = mae_loss(u, psi, grad=True)
+    assert values.shape == (len(u),)
+    assert np.array_equal(mae_loss(u, psi), values)
+    for i in range(len(u)):
+        alone_value, alone_grad = mae_loss(u[i], psi[i], grad=True)
+        assert abs(values[i] - alone_value) <= 1e-12 * max(1.0, abs(alone_value))
+        assert np.array_equal(grad[i], alone_grad)
 
 
 def test_energy_abs_loss_of_a_stack_matches_each_graph_alone():
@@ -497,3 +508,6 @@ def test_stacked_losses_reject_mismatched_targets_and_sizes():
         abs_cos_mae_loss(u, psi, sizes + 10)  # more nodes than rows
     with pytest.raises(ShapeMismatch):
         abs_cos_mae_loss(u[0], psi[0], sizes)  # sizes belong to a stack
+    for grad in (False, True):
+        with pytest.raises(ShapeMismatch):
+            abs_cos_mae_loss(u, psi, grad=grad)  # a stack's phantom rows are not marked

@@ -559,6 +559,18 @@ def test_predict_batch_matches_predict():
         assert np.all(u[g.num_nodes:] == 0.0)
 
 
+def test_predict_rejects_a_graph_with_fewer_nodes_than_k():
+    # the padded stack has max_nodes >= k rows, so the model, not the QR,
+    # must reject a graph that cannot hold k orthonormal columns
+    model = build_small_model()
+    g = generate_graph("path", {"n": 2})
+    with pytest.raises(ShapeMismatch, match="need n >= k to orthonormalize, got 2 x 3"):
+        model.predict(g, np.ones((2, 4)))
+    graphs, xs = mixed_batch()
+    with pytest.raises(ShapeMismatch, match="got 2 x 3"):
+        model.predict_batch(graphs + [g], xs + [np.ones((2, 4))])
+
+
 def test_eval_mode_deterministic_even_with_dropout_configured():
     g = generate_graph("cycle", {"n": 6})
     x = np.random.default_rng(1).standard_normal((6, 4))
@@ -612,7 +624,7 @@ STACK_LOSS_OPS = {
     "combined": lambda q, lap, lam, psi, sizes: combined_loss_t(q, lap, lam,
                                                                 LossWeights(1.0, 2.0, 0.5)),
     "abs_cos": lambda q, lap, lam, psi, sizes: abs_cos_mae_loss_t(q, psi, sizes),
-    "mae": lambda q, lap, lam, psi, sizes: mae_loss_t(q, psi, sizes),
+    "mae": lambda q, lap, lam, psi, sizes: mae_loss_t(q, psi),
 }
 
 
