@@ -6,6 +6,13 @@ recording is per-result (one forward/backward pass owns its graph), there is
 no global tape, and ops that need randomness (dropout) take an explicit
 generator, so runs are deterministic end to end.
 
+The op set is only what the model runs: broadcasting `add` and `mul`,
+`matmul`, `relu`, `dropout`, `reshape`, GIN aggregation (`sum_neighbors`),
+the thin-QR orthonormalization (`thin_qr`) and `scalar_with_grad`, which
+records a loss whose value and gradient come in closed form from `losses`.
+`slice_rows` cuts one graph's rows out of a padded batch; it builds the
+per-graph reference that the batched step is tested against.
+
 Every forward op checks its output for NaN/Inf and raises NumericalFault
 rather than letting a poisoned value propagate. Inside `with no_grad():` ops
 compute the same values but record nothing: evaluation passes build no graph.
@@ -123,15 +130,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise ShapeMismatch(f"{opname}: cannot broadcast {a.shape} with {b.shape}") from exc
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "add")
+    try:
+        values = a.values + b.values
+    except ValueError as exc:
+        raise ShapeMismatch(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
 
     def vjp(g):
         if a.requires_grad:
@@ -139,23 +142,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return _result(a.values + b.values, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return _result(a.values - b.values, (a, b), vjp)
+    return _result(values, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "mul")
+    try:
+        values = a.values * b.values
+    except ValueError as exc:
+        raise ShapeMismatch(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
 
     def vjp(g):
         if a.requires_grad:
@@ -163,27 +157,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.values, b.shape))
 
-    return _result(a.values * b.values, (a, b), vjp)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "div")
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.values, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.values / (b.values * b.values), b.shape))
-
-    return _result(a.values / b.values, (a, b), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _result(a.values * c, (a,), vjp)
+    return _result(values, (a, b), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -199,14 +173,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.values @ b.values, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.T)
-
-    return _result(a.values.T, (a,), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0
 
@@ -215,16 +181,6 @@ def relu(a: Tensor) -> Tensor:
             a.accumulate_grad(g * mask)
 
     return _result(np.where(mask, a.values, 0.0), (a,), vjp)
-
-
-def abs_(a: Tensor) -> Tensor:
-    sign = np.sign(a.values)
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * sign)
-
-    return _result(np.abs(a.values), (a,), vjp)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -246,104 +202,12 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = T
     return _result(a.values * factor, (a,), vjp)
 
 
-def trace(a: Tensor) -> Tensor:
-    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"trace needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(float(g) * np.eye(n))
-
-    return _result(np.trace(a.values), (a,), vjp)
-
-
-def frobenius_norm(a: Tensor) -> Tensor:
-    norm = float(np.sqrt(np.sum(a.values * a.values)))
-
-    def vjp(g):
-        if a.requires_grad:
-            if norm > 0.0:
-                a.accumulate_grad(float(g) * a.values / norm)
-            else:
-                a.accumulate_grad(np.zeros_like(a.values))  # subgradient at 0
-
-    return _result(norm, (a,), vjp)
-
-
-def mean(a: Tensor) -> Tensor:
-    size = a.values.size
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full(a.shape, float(g) / size))
-
-    return _result(a.values.mean(), (a,), vjp)
-
-
-def sum_(a: Tensor) -> Tensor:
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full(a.shape, float(g)))
-
-    return _result(a.values.sum(), (a,), vjp)
-
-
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     def vjp(g):
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.shape))
 
     return _result(a.values.reshape(shape), (a,), vjp)
-
-
-def concat_rows(tensors: list[Tensor]) -> Tensor:
-    if not tensors:
-        raise ShapeMismatch("concat_rows of nothing")
-    if len(tensors) == 1:
-        return tensors[0]  # identity: a batch of one records no copy
-    widths = {t.shape[1] for t in tensors}
-    if len(widths) != 1:
-        raise ShapeMismatch(f"concat_rows column counts differ: {sorted(widths)}")
-    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
-
-    def vjp(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.accumulate_grad(g[lo:hi])
-
-    return _result(np.concatenate([t.values for t in tensors], axis=0),
-                   tuple(tensors), vjp)
-
-
-def concat_cols(tensors: list[Tensor]) -> Tensor:
-    if not tensors:
-        raise ShapeMismatch("concat_cols of nothing")
-    heights = {t.shape[0] for t in tensors}
-    if len(heights) != 1:
-        raise ShapeMismatch(f"concat_cols row counts differ: {sorted(heights)}")
-    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
-
-    def vjp(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.accumulate_grad(g[:, lo:hi])
-
-    return _result(np.concatenate([t.values for t in tensors], axis=1),
-                   tuple(tensors), vjp)
-
-
-def zero_pad_rows(a: Tensor, total_rows: int) -> Tensor:
-    n = a.shape[0]
-    if total_rows < n:
-        raise ShapeMismatch(f"cannot pad {n} rows down to {total_rows}")
-    pad = np.zeros((total_rows - n, a.shape[1]))
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(g[:n])
-
-    return _result(np.concatenate([a.values, pad], axis=0), (a,), vjp)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -357,19 +221,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
             a.accumulate_grad(full)
 
     return _result(a.values[start:stop].copy(), (a,), vjp)
-
-
-def column_scale(a: Tensor, factors: np.ndarray) -> Tensor:
-    """Scale column j by the constant factors[j] (i.e. A @ diag(factors))."""
-    factors = np.asarray(factors, dtype=np.float64)
-    if a.values.ndim != 2 or factors.shape != (a.shape[1],):
-        raise ShapeMismatch(f"column_scale: {a.shape} with factors {factors.shape}")
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * factors[None, :])
-
-    return _result(a.values * factors[None, :], (a,), vjp)
 
 
 def sum_neighbors(a: Tensor, adjacency: np.ndarray) -> Tensor:

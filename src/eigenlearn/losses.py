@@ -2,11 +2,14 @@
 machinery used to check their invariances.
 
 Each loss has one definition, here, in numpy. Called with grad=True it also
-returns its closed-form gradient with respect to the prediction, and the
-training op of the same name in `nn` (`energy_loss_t`, ...) records exactly
-that value and gradient as one tape node; there is no second implementation
-to keep in step. Gradients at kinks follow fixed conventions: np.sign is 0
-at 0, and a norm that is 0 contributes no direction.
+returns its closed-form gradient with respect to the prediction. Each
+training objective (`combined_loss`, `abs_cos_mae_loss`, `mae_loss`) has an
+op of the same name in `nn` (`combined_loss_t`, ...) that records exactly
+that value and gradient as one tape node; the energy, eigenvector and
+orthogonality terms reach the tape through `combined_loss`. There is no
+second implementation to keep in step. Gradients at kinks follow fixed
+conventions: np.sign is 0 at 0, and a norm that is 0 contributes no
+direction.
 
 Every loss takes either one (n, k) prediction, and returns a float, or a
 mini-batch as one (B, m, k) stack of predictions zero-padded to m rows, with

@@ -5,9 +5,13 @@ batch at once, each graph occupying `max_nodes` consecutive rows of one
 matrix, and the node-wise and graph-level MLP heads run one matrix product
 per layer over the whole batch. A head's output is one (B, max_nodes, k)
 stack whose phantom rows (those past each graph's node count) are zero.
-Orthonormalization is one thin-QR op over the stack, and each training loss
-is one op over it too, built on its single numpy definition in `losses`,
-which returns each graph's value together with the closed-form gradient.
+Orthonormalization is one thin-QR op over the stack, and each training
+objective is one op over it too, built on its single numpy definition in
+`losses`, which returns each graph's value together with the closed-form
+gradient: `combined_loss_t` for pre-training and the eigvec_ours arm of the
+loss comparison, `abs_cos_mae_loss_t` for its baseline arm and `mae_loss_t`
+for fine-tuning. The energy, eigenvector and orthogonality terms reach the
+tape only as parts of the combined loss.
 """
 
 import numpy as np
@@ -277,23 +281,10 @@ class EigenModel:
         return out
 
 
-# --- training losses as single ops ------------------------------------------
+# --- training objectives as single ops --------------------------------------
 # Each records the value and gradient its numpy definition in `losses`
 # returns: for one (n, k) matrix a scalar, for a padded (B, max_nodes, k)
 # stack one value per graph (with targets padded alike), as one node.
-
-
-def eigvec_loss_t(u_hat: Tensor, laplacian: np.ndarray, lambda_k: np.ndarray) -> Tensor:
-    return ad.scalar_with_grad(u_hat, *losses.eigvec_loss(u_hat.values, laplacian, lambda_k,
-                                                          grad=True))
-
-
-def energy_loss_t(u_hat: Tensor, laplacian: np.ndarray) -> Tensor:
-    return ad.scalar_with_grad(u_hat, *losses.energy_loss(u_hat.values, laplacian, grad=True))
-
-
-def ortho_loss_t(u_hat: Tensor) -> Tensor:
-    return ad.scalar_with_grad(u_hat, *losses.ortho_loss(u_hat.values, grad=True))
 
 
 def combined_loss_t(u_hat: Tensor, laplacian: np.ndarray, lambda_k: np.ndarray,

@@ -655,9 +655,10 @@ def _require_fields(obj, names, where: str, path: str) -> None:
 
 
 def _read_checkpoint(path: str) -> dict:
-    """The checkpoint object in path, with every top-level field present; a
-    file that is not one fails with a one-line InvalidParams naming the path
-    and the field."""
+    """The checkpoint object in path, with every top-level field present and
+    its counts (d_in, epoch, skipped_batches) ints in range; a file that is
+    not one fails with a one-line InvalidParams naming the path and the
+    field."""
     try:
         with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -670,6 +671,11 @@ def _read_checkpoint(path: str) -> dict:
         raise InvalidParams(f"{path} is a version {blob.get('version')} checkpoint; this "
                             f"eigenlearn reads only version {CHECKPOINT_VERSION}")
     _require_fields(blob, CHECKPOINT_FIELDS, "top level", path)
+    for name, least, kind in (("d_in", 1, "positive"), ("epoch", 0, "non-negative"),
+                              ("skipped_batches", 0, "non-negative")):
+        if type(blob[name]) is not int or blob[name] < least:  # a bool is not a count
+            raise InvalidParams(f"{path}: the checkpoint's field {name!r} is {blob[name]!r}, "
+                                f"not a {kind} int")
     _require_fields(blob["optimizer"], ("lr", "beta1", "beta2", "eps", "t", "m", "v"),
                     "optimizer", path)
     if "downstream_head" in blob:

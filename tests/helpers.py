@@ -1,8 +1,9 @@
-"""Shared test utilities: finite-difference oracles, random graph soup and a
-version-1 checkpoint writer."""
+"""Shared test utilities: finite-difference oracles, a scalarizing
+projection, random graph soup and a version-1 checkpoint writer."""
 
 import numpy as np
 
+from eigenlearn import autodiff as ad
 from eigenlearn.graphs import Graph, generate_graph
 from eigenlearn.train import decode_array
 
@@ -26,6 +27,14 @@ def numeric_gradient(fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
     scale = np.maximum(np.abs(analytic), np.maximum(np.abs(numeric), floor))
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def project(t: ad.Tensor, seed: int = 0) -> ad.Tensor:
+    """A fixed random projection of t to one number, as one op: value
+    sum(w * t.values), gradient w, with w drawn from seed. Weights of both
+    signs and of different sizes let a gradient check see every entry of t."""
+    w = np.random.default_rng(seed).standard_normal(t.shape)
+    return ad.scalar_with_grad(t, float(np.sum(w * t.values)), w)
 
 
 def random_connected_graph(rng: np.random.Generator, n_low: int = 4, n_high: int = 16) -> Graph:

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
-with its runtime and asserting both the numeric tolerance and the time budget.
+with its runtime and asserting both the numeric tolerance and the time budget,
+plus a guard that criterion 5's primitive list covers every autodiff op.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -18,7 +20,7 @@ from eigenlearn.losses import (LossWeights, eigenspace_rotation, eigvec_loss,
                                energy_loss, random_special_orthogonal)
 from eigenlearn.nn import combined_loss_t, orthonormalize
 from eigenlearn.wavelets import build_wavelet_bank, diffused_dirac_embeddings
-from helpers import max_rel_error, numeric_gradient
+from helpers import max_rel_error, numeric_gradient, project
 
 
 class Criterion:
@@ -139,47 +141,53 @@ def test_criterion_04_energy_floor():
             assert energy_loss(q, lap) >= floor - 1e-9
 
 
-def _primitive_gradient_checks():
+def _primitive_checks():
+    """Criterion 5's primitive list: (op name, build, input arrays), where
+    build(*tensors) applies the op to tensors made from the arrays and
+    projects its output to one number. Every public op of `autodiff` that
+    builds a Tensor has at least one entry."""
     rng = np.random.default_rng(55)
-
-    def check(build, arrays, tol=1e-4):
-        tensors = [ad.parameter(a) for a in arrays]
-        build(*tensors).backward()
-        for t, a in zip(tensors, arrays):
-            numeric = numeric_gradient(
-                lambda: float(build(*[ad.Tensor(x) for x in arrays]).values), a)
-            assert max_rel_error(t.grad, numeric) <= tol
-
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((3, 2))
     m = rng.standard_normal((4, 4))
-    v = rng.standard_normal(3)
-    pos = np.abs(rng.standard_normal((4, 3))) + 0.5
     adj = np.triu((rng.random((4, 4)) < 0.5).astype(float), 1)
     adj = adj + adj.T
-    check(lambda x, y: ad.sum_(ad.matmul(x, y)), [a, b])
-    check(lambda x, y: ad.sum_(ad.add(x, y)), [a, rng.standard_normal((4, 3))])
-    check(lambda x, y: ad.sum_(ad.sub(x, y)), [a, rng.standard_normal((4, 3))])
-    check(lambda x, y: ad.sum_(ad.mul(x, y)), [a, rng.standard_normal((4, 3))])
-    check(lambda x, y: ad.sum_(ad.div(x, y)), [a, pos])
-    check(lambda x: ad.sum_(ad.relu(x)), [a + 0.05 * np.sign(a)])
-    check(lambda x: ad.sum_(ad.abs_(x)), [a])
-    check(lambda x: ad.mean(x), [a])
-    check(lambda x: ad.trace(x), [m])
-    check(lambda x: ad.frobenius_norm(x), [a])
-    check(lambda x: ad.frobenius_norm(ad.transpose(x)), [a])
-    check(lambda x: ad.frobenius_norm(ad.reshape(x, (3, 4))), [a])
-    check(lambda x: ad.frobenius_norm(ad.zero_pad_rows(x, 7)), [a])
-    check(lambda x: ad.frobenius_norm(ad.slice_rows(x, 1, 3)), [a])
-    check(lambda x: ad.frobenius_norm(ad.column_scale(x, v)), [a])
-    check(lambda x: ad.frobenius_norm(ad.sum_neighbors(x, adj)), [m])
-    check(lambda x, y: ad.frobenius_norm(ad.concat_rows([x, y])),
-          [a, rng.standard_normal((2, 3))])
-    check(lambda x, y: ad.frobenius_norm(ad.concat_cols([x, y])),
-          [a, rng.standard_normal((4, 2))])
-    # dropout: identical generator seed per evaluation pins the mask
-    dm = rng.standard_normal((5, 5))
-    check(lambda x: ad.sum_(ad.dropout(x, 0.3, np.random.default_rng(9), True)), [dm])
+    blocks = np.triu((rng.random((2, 4, 4)) < 0.5).astype(float), 1)
+    blocks = blocks + np.swapaxes(blocks, 1, 2)
+    stack = np.zeros((3, 6, 2))  # a padded stack of graphs with 5, 2 and 6 nodes
+    for i, n in enumerate((5, 2, 6)):
+        stack[i, :n] = rng.standard_normal((n, 2))
+
+    def cubes(x):  # one value per graph: sum(x^3) / 3, with gradient x^2
+        return ad.scalar_with_grad(x, np.sum(x.values ** 3, axis=(1, 2)) / 3.0, x.values ** 2)
+
+    return [
+        ("matmul", lambda x, y: project(ad.matmul(x, y)), [a, b]),
+        ("add", lambda x, y: project(ad.add(x, y)), [a, rng.standard_normal((4, 3))]),
+        ("mul", lambda x, y: project(ad.mul(x, y)), [a, rng.standard_normal((4, 3))]),
+        ("relu", lambda x: project(ad.relu(x)), [a + 0.05 * np.sign(a)]),
+        ("reshape", lambda x: project(ad.reshape(x, (3, 4))), [a]),
+        ("slice_rows", lambda x: project(ad.slice_rows(x, 1, 3)), [a]),
+        ("sum_neighbors", lambda x: project(ad.sum_neighbors(x, adj)), [m]),
+        ("sum_neighbors", lambda x: project(ad.sum_neighbors(x, blocks)),
+         [rng.standard_normal((8, 3))]),
+        ("thin_qr", lambda x: project(ad.thin_qr(x, 1e-8)), [rng.standard_normal((5, 3))]),
+        ("thin_qr", lambda x: project(ad.thin_qr(x, 1e-8)), [stack]),
+        ("scalar_with_grad", lambda x: project(cubes(x)), [stack]),
+        # dropout: identical generator seed per evaluation pins the mask
+        ("dropout", lambda x: project(ad.dropout(x, 0.3, np.random.default_rng(9), True)),
+         [rng.standard_normal((5, 5))]),
+    ]
+
+
+def _primitive_gradient_checks():
+    for _, build, arrays in _primitive_checks():
+        tensors = [ad.parameter(x) for x in arrays]
+        build(*tensors).backward()
+        for t, x in zip(tensors, arrays):
+            numeric = numeric_gradient(
+                lambda: float(build(*[ad.Tensor(y) for y in arrays]).values), x)
+            assert max_rel_error(t.grad, numeric) <= 1e-4
 
 
 def test_criterion_05_gradient_correctness():
@@ -218,6 +226,33 @@ def test_criterion_05_gradient_correctness():
                 denom = max(abs(numeric), abs(gflat[i]), 1e-6)
                 worst = max(worst, abs(numeric - gflat[i]) / denom)
         assert worst <= 1e-3
+
+
+def test_every_tape_op_has_a_criterion_05_gradient_check(monkeypatch):
+    # every public op of autodiff that builds a Tensor (all but the leaf
+    # constructors and no_grad) must be applied by an entry of criterion 5's
+    # primitive list that names it, so a new op cannot land unchecked
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_")} - {"constant", "parameter", "no_grad"}
+    applied = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            applied.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ops:
+        monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
+    checked = set()
+    for name, build, arrays in _primitive_checks():
+        applied.clear()
+        build(*[ad.parameter(x) for x in arrays])
+        # the last op applied is the projection to one number
+        assert applied[-1] == "scalar_with_grad" and name in applied[:-1], (name, applied)
+        checked.add(name)
+    assert ops <= checked, f"no gradient check in criterion 5 for {sorted(ops - checked)}"
 
 
 def test_criterion_06_desk_scale_eigenvector_learning():

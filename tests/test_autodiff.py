@@ -3,7 +3,7 @@ import pytest
 
 from eigenlearn import autodiff as ad
 from eigenlearn.errors import NumericalFault, ShapeMismatch
-from helpers import max_rel_error, numeric_gradient
+from helpers import max_rel_error, numeric_gradient, project
 
 
 def check_op_gradient(build, arrays, h=1e-5, tol=1e-4):
@@ -24,7 +24,7 @@ def test_matmul_gradient():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((3, 2))
-    check_op_gradient(lambda x, y: ad.sum_(ad.matmul(x, y)), [a, b])
+    check_op_gradient(lambda x, y: project(ad.matmul(x, y)), [a, b])
 
 
 def test_matmul_quadratic_gradient():
@@ -32,80 +32,58 @@ def test_matmul_quadratic_gradient():
     a = rng.standard_normal((5, 3))
     lap = rng.standard_normal((5, 5))
     lap = lap + lap.T
-    check_op_gradient(
-        lambda x: ad.trace(ad.matmul(ad.transpose(x), ad.matmul(ad.constant(lap), x))),
-        [a])
+    check_op_gradient(lambda x: project(ad.mul(x, ad.matmul(ad.constant(lap), x))), [a])
 
 
-def test_add_sub_mul_div_broadcast_gradients():
+def test_add_mul_broadcast_gradients():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 4))
-    b = rng.standard_normal(4)
-    c = rng.standard_normal(1) + 3.0
-    check_op_gradient(lambda x, y: ad.sum_(ad.add(x, y)), [a, b])
-    check_op_gradient(lambda x, y: ad.sum_(ad.sub(x, y)), [a, b])
-    check_op_gradient(lambda x, y: ad.sum_(ad.mul(x, y)), [a, b])
-    check_op_gradient(lambda x, y: ad.sum_(ad.div(x, y)), [a, c])
+    for b in (rng.standard_normal(4), rng.standard_normal((3, 1)), rng.standard_normal((3, 4))):
+        check_op_gradient(lambda x, y: project(ad.add(x, y)), [a, b])
+        check_op_gradient(lambda x, y: project(ad.mul(x, y)), [a, b])
+
+
+def test_add_and_mul_reject_shapes_that_do_not_broadcast():
+    a, b = ad.constant(np.ones((2, 3))), ad.constant(np.ones(4))
+    for op in (ad.add, ad.mul):
+        with pytest.raises(ShapeMismatch,
+                           match=rf"^{op.__name__}: cannot broadcast \(2, 3\) with \(4,\)$"):
+            op(a, b)
 
 
 def test_relu_gradient_at_strictly_positive_input():
     x = ad.parameter(np.array([[0.5, 2.0], [1.0, 3.0]]))
-    out = ad.sum_(ad.relu(x))
-    out.backward()
+    ad.relu(x).backward(np.ones((2, 2)))
     assert np.array_equal(x.grad, np.ones((2, 2)))
 
 
 def test_relu_blocks_negative_side():
     x = ad.parameter(np.array([-1.0, 2.0]))
-    ad.sum_(ad.relu(x)).backward()
+    ad.relu(x).backward(np.ones(2))
     assert x.grad.tolist() == [0.0, 1.0]
-
-
-def test_norm_trace_mean_abs_gradients():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4)) + np.eye(4)
-    check_op_gradient(lambda x: ad.frobenius_norm(x), [a])
-    check_op_gradient(lambda x: ad.trace(x), [a])
-    check_op_gradient(lambda x: ad.mean(x), [a])
-    check_op_gradient(lambda x: ad.sum_(ad.abs_(x)), [a])
 
 
 def test_structural_op_gradients():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((2, 4))
-    factors = rng.standard_normal(4)
     adj = (rng.random((3, 3)) < 0.5).astype(float)
     adj = np.triu(adj, 1) + np.triu(adj, 1).T
-    check_op_gradient(lambda x: ad.frobenius_norm(ad.zero_pad_rows(x, 6)), [a])
-    check_op_gradient(lambda x: ad.frobenius_norm(ad.slice_rows(x, 1, 3)), [a])
-    check_op_gradient(lambda x: ad.frobenius_norm(ad.reshape(x, (4, 3))), [a])
-    check_op_gradient(lambda x: ad.frobenius_norm(ad.column_scale(x, factors)), [a])
-    check_op_gradient(lambda x: ad.frobenius_norm(ad.sum_neighbors(x, adj)), [a])
-    check_op_gradient(lambda x, y: ad.frobenius_norm(ad.concat_rows([x, y])), [a, b])
-    check_op_gradient(lambda x, y: ad.frobenius_norm(ad.concat_cols([x, ad.transpose(y)])),
-                      [a, rng.standard_normal((4, 3))])
-
-
-def test_pad_then_slice_roundtrips_values_and_gradients():
-    x = ad.parameter(np.arange(6.0).reshape(3, 2))
-    out = ad.slice_rows(ad.zero_pad_rows(x, 5), 0, 3)
-    assert np.array_equal(out.values, x.values)
-    ad.sum_(out).backward()
-    assert np.array_equal(x.grad, np.ones((3, 2)))
+    check_op_gradient(lambda x: project(ad.slice_rows(x, 1, 3)), [a])
+    check_op_gradient(lambda x: project(ad.reshape(x, (4, 3))), [a])
+    check_op_gradient(lambda x: project(ad.sum_neighbors(x, adj)), [a])
 
 
 def test_gradient_accumulates_over_reuse():
     x = ad.parameter(np.array([2.0]))
     y = ad.add(ad.mul(x, x), x)  # x^2 + x -> d/dx = 2x + 1 = 5
-    ad.sum_(y).backward()
+    y.backward()
     assert np.allclose(x.grad, [5.0])
 
 
 def test_backward_twice_accumulates_into_leaves():
     x = ad.parameter(np.array([1.0, 2.0]))
-    ad.sum_(x).backward()
-    ad.sum_(ad.scale(x, 2.0)).backward()
+    ad.mul(x, ad.constant(1.0)).backward(np.ones(2))
+    ad.mul(x, ad.constant(2.0)).backward(np.ones(2))
     assert x.grad.tolist() == [3.0, 3.0]
 
 
@@ -117,7 +95,7 @@ def test_backward_requires_scalar_without_seed():
 
 def test_backward_with_explicit_seed():
     x = ad.parameter(np.ones((2, 2)))
-    y = ad.scale(x, 3.0)
+    y = ad.mul(x, ad.constant(3.0))
     y.backward(seed=np.full((2, 2), 2.0))
     assert np.array_equal(x.grad, np.full((2, 2), 6.0))
 
@@ -128,12 +106,6 @@ def test_constants_do_not_grow_graph():
     out = ad.matmul(a, b)
     assert not out.requires_grad
     assert out._parents == ()
-
-
-def test_numerical_fault_on_division_by_zero():
-    a = ad.parameter(np.array([1.0]))
-    with np.errstate(divide="ignore"), pytest.raises(NumericalFault):
-        ad.div(a, ad.constant(np.array([0.0])))
 
 
 def test_numerical_fault_on_overflow():
@@ -161,7 +133,7 @@ def test_dropout_training_masks_and_rescales():
     assert set(np.round(values, 12)) <= {0.0, np.round(1.0 / 0.75, 12)}
     kept = float(np.mean(out.values > 0))
     assert 0.65 < kept < 0.85
-    ad.sum_(out).backward()
+    out.backward(np.ones((50, 50)))
     # gradient carries the same mask and scale
     assert np.array_equal(x.grad, out.values)
 
@@ -173,18 +145,12 @@ def test_dropout_deterministic_per_seed():
     assert np.array_equal(a.values, b.values)
 
 
-def test_frobenius_norm_zero_input_subgradient():
-    x = ad.parameter(np.zeros((2, 2)))
-    ad.frobenius_norm(x).backward()
-    assert np.array_equal(x.grad, np.zeros((2, 2)))
-
-
 def test_no_grad_records_nothing_and_changes_no_value(monkeypatch):
     rng = np.random.default_rng(3)
     w, x = ad.parameter(rng.standard_normal((3, 2))), ad.constant(rng.standard_normal((4, 3)))
 
     def forward():
-        return ad.mean(ad.relu(ad.add(ad.matmul(x, w), ad.parameter(np.ones(2)))))
+        return project(ad.relu(ad.add(ad.matmul(x, w), ad.parameter(np.ones(2)))))
 
     produced = []
     result = ad._result

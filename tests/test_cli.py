@@ -348,6 +348,7 @@ CORRUPT_CHECKPOINTS = {
     "top_level_array": lambda text: "[]",
     "no_config": lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                           if k != "config"}),
+    "d_in_not_an_int": lambda text: json.dumps({**json.loads(text), "d_in": "x"}),
 }
 
 
@@ -369,4 +370,6 @@ def test_a_corrupt_checkpoint_exits_1_with_one_line(tmp_path, capsys, pre_and_ft
     assert str(broken) in err
     if corrupt == "no_config":
         assert "'config'" in err
+    if corrupt == "d_in_not_an_int":
+        assert "'d_in'" in err
     assert not out.exists()

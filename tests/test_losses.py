@@ -13,7 +13,7 @@ from eigenlearn.losses import (LossWeights, abs_cos_mae_loss, combined_loss,
                                energy_abs_loss, energy_loss,
                                flip_column_signs, mae_loss, ortho_loss,
                                random_special_orthogonal)
-from helpers import random_graph_soup
+from helpers import max_rel_error, numeric_gradient, random_graph_soup
 
 
 # --- independent straight-line oracles (no shared code with the library) ---
@@ -511,3 +511,41 @@ def test_stacked_losses_reject_mismatched_targets_and_sizes():
     for grad in (False, True):
         with pytest.raises(ShapeMismatch):
             abs_cos_mae_loss(u, psi, grad=grad)  # a stack's phantom rows are not marked
+
+
+# --- closed-form gradients against finite differences of the same function ---
+
+SPECTRAL_TERMS = {
+    "energy": lambda u, lap, lam, grad=False: energy_loss(u, lap, grad=grad),
+    "eigvec": lambda u, lap, lam, grad=False: eigvec_loss(u, lap, lam, grad=grad),
+    "ortho": lambda u, lap, lam, grad=False: ortho_loss(u, grad=grad),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_TERMS))
+def test_closed_form_gradient_vs_finite_differences(name):
+    # 1e-5: an entry near 0 (6e-5 in the eigvec stack) sees the finite
+    # differences' own error; a gradient off by 0.1% fails by 1e-3
+    loss = SPECTRAL_TERMS[name]
+    graphs, (u, lap, lam, _, _) = padded_batch()
+    gu, gl, gl_lam, _ = graphs[0]
+    _, grad = loss(gu, gl, gl_lam, grad=True)
+    assert max_rel_error(grad, numeric_gradient(lambda: loss(gu, gl, gl_lam), gu)) <= 1e-5
+    # a padded stack: a fixed random projection of its per-graph values, so
+    # each graph's block of the gradient is checked with its own scale
+    w = np.random.default_rng(22).standard_normal(len(u))
+    _, grad = loss(u, lap, lam, grad=True)
+    numeric = numeric_gradient(lambda: float(w @ loss(u, lap, lam)), u)
+    assert max_rel_error(w[:, None, None] * grad, numeric) <= 1e-5
+
+
+def test_a_zero_norm_gives_the_gradient_no_direction():
+    # exact eigenpairs of P3 and orthonormal columns make the residual and
+    # the Gram excess exactly 0: each loss sits at its kink, where the
+    # gradient is 0 rather than a division by the zero norm
+    lap = build_laplacian(generate_graph("path", {"n": 3}))
+    u = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
+    for value, grad in (eigvec_loss(u, lap, np.array([0.0, 1.0]), grad=True),
+                        ortho_loss(np.eye(3)[:, :2], grad=True)):
+        assert value == 0.0
+        assert np.array_equal(grad, np.zeros_like(grad))

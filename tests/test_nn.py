@@ -7,13 +7,11 @@ from eigenlearn.errors import GraphTooLarge, RankDeficient, ShapeMismatch
 from eigenlearn.graphs import Graph, build_laplacian, generate_graph, permute_graph
 from eigenlearn.losses import LossWeights
 from eigenlearn.nn import (RANK_TOL, EigenModel, GinEncoder, GinLayer, GraphLevelHead,
-                           Mlp, NodeWiseHead, abs_cos_mae_loss_t,
-                           combined_loss_t, eigvec_loss_t, energy_loss_t,
-                           glorot_uniform, mae_loss_t, orthonormalize,
-                           ortho_loss_t)
+                           Mlp, NodeWiseHead, abs_cos_mae_loss_t, combined_loss_t,
+                           glorot_uniform, mae_loss_t, orthonormalize)
 from eigenlearn import losses
 from eigenlearn.train import pad_stack
-from helpers import max_rel_error, numeric_gradient
+from helpers import max_rel_error, numeric_gradient, project
 
 
 def test_glorot_bounds():
@@ -209,7 +207,7 @@ def test_graph_level_head_phantom_rows_never_reach_the_loss():
     head = make_graph_head()
     z = ad.parameter(padded(batch_of_mixed_sizes(3, sizes=(2, 4, 3)), 5).values)
     out = head.forward(z, [2, 4, 3])
-    ad.sum_(ad.mul(out, out)).backward()
+    project(out).backward()
     out_w, out_b = head.mlp.weights[-1], head.mlp.biases[-1]
     assert np.all(out_w.grad[:, 4 * head.k:] == 0.0)
     assert np.all(out_b.grad[4 * head.k:] == 0.0)
@@ -325,8 +323,14 @@ def check_gradient(build, array, tol=1e-6):
 def test_qr_op_gradient_vs_finite_differences(shape):
     rng = np.random.default_rng(shape[1])
     u = rng.standard_normal(shape)
-    weights = rng.standard_normal(shape)
-    check_gradient(lambda x: ad.sum_(ad.mul(orthonormalize(x), ad.constant(weights))), u)
+    check_gradient(lambda x: project(orthonormalize(x), seed=7), u)
+
+
+# the energy, eigenvector and orthogonality terms reach the tape only inside
+# the combined loss op: with one weight set, the op is that term alone
+ENERGY_ONLY = LossWeights(1.0, 0.0, 0.0)
+EIGVEC_ONLY = LossWeights(0.0, 1.0, 0.0)
+ORTHO_ONLY = LossWeights(0.0, 0.0, 1.0)
 
 
 def loss_fixture(seed=11, n=8, k=3):
@@ -344,9 +348,9 @@ def test_loss_op_gradient_vs_finite_differences(name):
         psi = psi.copy()
         psi[:, 1] = 0.0
     build = {
-        "energy": lambda x: energy_loss_t(x, lap),
-        "eigvec": lambda x: eigvec_loss_t(x, lap, lam),
-        "ortho": lambda x: ortho_loss_t(x),
+        "energy": lambda x: combined_loss_t(x, lap, lam, ENERGY_ONLY),
+        "eigvec": lambda x: combined_loss_t(x, lap, lam, EIGVEC_ONLY),
+        "ortho": lambda x: combined_loss_t(x, lap, lam, ORTHO_ONLY),
         "combined": lambda x: combined_loss_t(x, lap, lam, LossWeights(1.0, 2.0, 0.5)),
         "abs_cos": lambda x: abs_cos_mae_loss_t(x, psi),
         "abs_cos_zero_target_column": lambda x: abs_cos_mae_loss_t(x, psi),
@@ -380,9 +384,7 @@ def test_sum_neighbors_over_a_block_adjacency():
     for i, block in enumerate(blocks):
         alone = ad.sum_neighbors(ad.constant(x[4 * i:4 * i + 4]), block).values
         assert np.array_equal(out[4 * i:4 * i + 4], alone)
-    weights = rng.standard_normal((12, 2))
-    check_gradient(lambda t: ad.sum_(ad.mul(ad.sum_neighbors(t, adjacency),
-                                            ad.constant(weights))), x)
+    check_gradient(lambda t: project(ad.sum_neighbors(t, adjacency), seed=12), x)
     with pytest.raises(ShapeMismatch):
         ad.sum_neighbors(ad.constant(np.zeros((10, 2))), adjacency)
 
@@ -396,9 +398,10 @@ def test_tape_losses_match_numpy_losses():
     lam, psi = lowest_k(eigendecompose(lap), 3)
     u = rng.standard_normal((8, 3))
     t = ad.constant(u)
-    assert abs(eigvec_loss_t(t, lap, lam).item() - losses.eigvec_loss(u, lap, lam)) <= 1e-12
-    assert abs(energy_loss_t(t, lap).item() - losses.energy_loss(u, lap)) <= 1e-12
-    assert abs(ortho_loss_t(t).item() - losses.ortho_loss(u)) <= 1e-12
+    for weights, term in ((ENERGY_ONLY, losses.energy_loss(u, lap)),
+                          (EIGVEC_ONLY, losses.eigvec_loss(u, lap, lam)),
+                          (ORTHO_ONLY, losses.ortho_loss(u))):
+        assert abs(combined_loss_t(t, lap, lam, weights).item() - term) <= 1e-12
     assert abs(abs_cos_mae_loss_t(t, psi).item() - losses.abs_cos_mae_loss(u, psi)) <= 1e-12
     w = LossWeights(1.0, 2.0, 0.5)
     assert abs(combined_loss_t(t, lap, lam, w).item()
@@ -470,9 +473,9 @@ def test_batched_step_gradient_check():
 
     def loss_tensor():
         outputs = model.forward(graphs, [ad.constant(x) for x in xs])
-        return ad.sum_(combined_loss_t(orthonormalize(outputs), laps, lams, weights))
+        return combined_loss_t(orthonormalize(outputs), laps, lams, weights)
 
-    loss_tensor().backward()
+    loss_tensor().backward(np.ones(len(graphs)))
     sampler = np.random.default_rng(10)
     worst = 0.0
     for p in model.parameters().values():
@@ -481,9 +484,9 @@ def test_batched_step_gradient_check():
         for i in sampler.choice(flat.size, size=min(4, flat.size), replace=False):
             orig = flat[i]
             flat[i] = orig + 1e-5
-            up = loss_tensor().item()
+            up = loss_tensor().values.sum()
             flat[i] = orig - 1e-5
-            down = loss_tensor().item()
+            down = loss_tensor().values.sum()
             flat[i] = orig
             numeric = (up - down) / 2e-5
             worst = max(worst, abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-6))
@@ -516,12 +519,12 @@ def test_padded_batch_matches_batch_of_one(build):
     weights = [np.random.default_rng(i).standard_normal((1, 10, 3)) for i in range(len(graphs))]
 
     def loss_and_grads(gs, fs, ws):
-        total = ad.sum_(ad.mul(model.forward(gs, fs), ad.constant(np.concatenate(ws))))
-        total.backward()
+        weighted = ad.mul(model.forward(gs, fs), ad.constant(np.concatenate(ws)))
+        weighted.backward(np.ones(weighted.shape))
         grads = {n: p.grad.copy() for n, p in model.parameters().items()}
         for p in model.parameters().values():
             p.grad = None
-        return total.item(), grads
+        return weighted.values.sum(), grads
 
     batched = model.forward(graphs, xs)
     batch_loss, batch_grads = loss_and_grads(graphs, xs, weights)
@@ -543,7 +546,7 @@ def test_encoder_phantom_rows_are_zero_and_get_zero_gradient():
     z = model.encoder.forward(graphs, xs)
     masked_input = z._parents[0]  # the last layer's output, before the node mask
     out = model.head.forward(z, [g.num_nodes for g in graphs])
-    ad.sum_(ad.mul(out, out)).backward()
+    project(out).backward()
     for i, g in enumerate(graphs):
         phantom = slice(i * 10 + g.num_nodes, (i + 1) * 10)
         assert np.all(z.values[phantom] == 0.0)
@@ -618,9 +621,9 @@ def padded_stack(sizes=(7, 3, 10, 5), m=10, k=3, seed=31):
 
 
 STACK_LOSS_OPS = {
-    "energy": lambda q, lap, lam, psi, sizes: energy_loss_t(q, lap),
-    "eigvec": lambda q, lap, lam, psi, sizes: eigvec_loss_t(q, lap, lam),
-    "ortho": lambda q, lap, lam, psi, sizes: ortho_loss_t(q),
+    "energy": lambda q, lap, lam, psi, sizes: combined_loss_t(q, lap, lam, ENERGY_ONLY),
+    "eigvec": lambda q, lap, lam, psi, sizes: combined_loss_t(q, lap, lam, EIGVEC_ONLY),
+    "ortho": lambda q, lap, lam, psi, sizes: combined_loss_t(q, lap, lam, ORTHO_ONLY),
     "combined": lambda q, lap, lam, psi, sizes: combined_loss_t(q, lap, lam,
                                                                 LossWeights(1.0, 2.0, 0.5)),
     "abs_cos": lambda q, lap, lam, psi, sizes: abs_cos_mae_loss_t(q, psi, sizes),
@@ -638,8 +641,8 @@ def test_stacked_qr_matches_each_graph_alone():
 
 def test_stacked_qr_gradient_vs_finite_differences():
     u, *_ = padded_stack()
-    weights = np.random.default_rng(32).standard_normal(u.shape)  # phantom rows included
-    check_gradient(lambda x: ad.sum_(ad.mul(orthonormalize(x), ad.constant(weights))), u)
+    # the projection weighs the phantom rows too
+    check_gradient(lambda x: project(orthonormalize(x), seed=32), u)
 
 
 @pytest.mark.parametrize("name", sorted(STACK_LOSS_OPS))
@@ -647,9 +650,7 @@ def test_stacked_loss_op_gradient_vs_finite_differences(name):
     u, lap, lam, psi, sizes = padded_stack()
     # a fixed random projection of the per-graph values, so each graph's
     # block of the gradient is checked with its own scale
-    projection = ad.constant(np.random.default_rng(33).standard_normal(len(sizes)))
-    check_gradient(lambda x: ad.sum_(ad.mul(STACK_LOSS_OPS[name](x, lap, lam, psi, sizes),
-                                            projection)), u)
+    check_gradient(lambda x: project(STACK_LOSS_OPS[name](x, lap, lam, psi, sizes), seed=33), u)
 
 
 @pytest.mark.parametrize("name", sorted(STACK_LOSS_OPS))

@@ -598,10 +598,23 @@ def _drop_last_row(entry):
      rf"optimizer.m entry '{W0}': shape \[-12, -6\] is not a list of non-negative ints"),
     (lambda b: b["optimizer"]["m"].update({W0: [1.0, [2.0]]}),
      rf"optimizer.m entry '{W0}' is not a {{\"shape\", \"data\"}} object"),
+    (lambda b: b.update(d_in="x"),
+     r"ckpt\.json: the checkpoint's field 'd_in' is 'x', not a positive int$"),
+    (lambda b: b.update(d_in=0),
+     r"ckpt\.json: the checkpoint's field 'd_in' is 0, not a positive int$"),
+    (lambda b: b.update(epoch=-1),
+     r"ckpt\.json: the checkpoint's field 'epoch' is -1, not a non-negative int$"),
+    (lambda b: b.update(epoch=1.0),
+     r"ckpt\.json: the checkpoint's field 'epoch' is 1\.0, not a non-negative int$"),
+    (lambda b: b.update(skipped_batches=False),
+     r"ckpt\.json: the checkpoint's field 'skipped_batches' is False, not a non-negative int$"),
+    (lambda b: b.update(skipped_batches=None),
+     r"ckpt\.json: the checkpoint's field 'skipped_batches' is None, not a non-negative int$"),
 ], ids=["param-shape", "param-value-count", "param-missing", "moment-missing", "moment-extra",
         "moment-shape", "scheduler-state-missing", "param-stray-bytes", "param-data-not-base64",
         "moment-data-not-a-string", "param-shape-not-ints", "moment-shape-negative",
-        "moment-ragged-list"])
+        "moment-ragged-list", "d_in-not-an-int", "d_in-zero", "epoch-negative", "epoch-float",
+        "skipped-batches-bool", "skipped-batches-null"])
 def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, message):
     cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "patience": 2,
                                          "factor": 0.9})
