@@ -13,12 +13,17 @@ records a loss whose value and gradient come in closed form from `losses`.
 `slice_rows` cuts one graph's rows out of a padded batch; it builds the
 per-graph reference that the batched step is tested against.
 
+A leaf whose optimizer keeps its gradient in a flat buffer has a
+`grad_view` there: its first gradient contribution of a pass is written into
+that view (a weight's gradient product straight into it), later ones added.
+
 Every forward op checks its output for NaN/Inf and raises NumericalFault
 rather than letting a poisoned value propagate. Inside `with no_grad():` ops
 compute the same values but record nothing: evaluation passes build no graph.
 """
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -28,13 +33,14 @@ from .errors import NumericalFault, RankDeficient, ShapeMismatch
 class Tensor:
     """Dense real array plus gradient slot and the local backward rule."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("values", "requires_grad", "grad", "_grad_view", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False,
                  _parents: tuple = (), _vjp=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
+        self._grad_view = None
         self._parents = _parents
         self._vjp = _vjp
 
@@ -42,19 +48,47 @@ class Tensor:
     def shape(self) -> tuple:
         return self.values.shape
 
+    @property
+    def grad_view(self) -> np.ndarray | None:
+        """Where the first gradient contribution of a pass is written: the
+        parameter's slot in its optimizer's gradient buffer (optim.Adam),
+        while the optimizer keeps it. The tensor holds it weakly, so a model
+        does not keep a dropped optimizer's buffer alive."""
+        return None if self._grad_view is None else self._grad_view()
+
+    @grad_view.setter
+    def grad_view(self, view: np.ndarray | None) -> None:
+        self._grad_view = None if view is None else weakref.ref(view)
+
     def item(self) -> float:
         """The value of a one-element tensor (a scalar, or a batch of one)."""
         return float(self.values.item())
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g to the gradient. owned=True says g is a fresh array nothing
-        else refers to, so the first contribution is kept without a copy."""
-        if self.grad is None:
-            if owned:
-                self.grad = g
-                return
+        """Add g to the gradient. The first contribution is written into
+        grad_view when there is one; otherwise owned=True says g is a fresh
+        array nothing else refers to, so it is kept without a copy."""
+        if self.grad is not None:
+            self.grad += g
+            return
+        view = self.grad_view
+        if view is not None:
+            np.copyto(view, g)
+            self.grad = view
+        elif owned:
+            self.grad = g
+        else:
             self.grad = np.zeros_like(self.values)
-        self.grad += g
+            self.grad += g
+
+    def accumulate_product(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Add x @ y to the gradient; a first product is computed straight
+        into grad_view, with no temporary the size of the gradient."""
+        view = self.grad_view if self.grad is None else None
+        if view is not None:
+            self.grad = np.matmul(x, y, out=view)
+        else:
+            self.accumulate_grad(x @ y, owned=True)
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf.
@@ -166,9 +200,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if a.requires_grad:
-            a.accumulate_grad(g @ b.values.T, owned=True)
+            a.accumulate_product(g, b.values.T)
         if b.requires_grad:
-            b.accumulate_grad(a.values.T @ g, owned=True)
+            b.accumulate_product(a.values.T, g)
 
     return _result(a.values @ b.values, (a, b), vjp)
 

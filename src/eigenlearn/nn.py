@@ -14,6 +14,8 @@ for fine-tuning. The energy, eigenvector and orthogonality terms reach the
 tape only as parts of the combined loss.
 """
 
+import contextlib
+
 import numpy as np
 
 from . import autodiff as ad
@@ -30,13 +32,53 @@ NODE_WISE = "node_wise"
 HEAD_KINDS = (GRAPH_LEVEL, NODE_WISE)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """A (fan_in, fan_out) Glorot-uniform draw, into `out` when given. It is
+    bit for bit rng.uniform(-limit, limit, (fan_in, fan_out)) and leaves rng
+    in the same state, without a temporary the size of the draw."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    out = np.empty((fan_in, fan_out)) if out is None else out
+    rng.random(out=out)
+    out *= limit - -limit
+    out += -limit
+    return out
+
+
+def unallocated_parameter(shape: tuple) -> Tensor:
+    """A parameter with a shape but no storage yet (a read-only zero view);
+    allocate_parameters gives it its place in a buffer."""
+    return ad.parameter(np.broadcast_to(0.0, shape))
+
+
+def allocate_parameters(params: dict[str, Tensor], rng: np.random.Generator) -> np.ndarray:
+    """Lay the parameters out, in order, as consecutive views of one new
+    float64 buffer, and initialise them in that order: each matrix (a layer's
+    weights) Glorot-uniform from rng, drawn straight into its view, everything
+    else (biases, the GIN eps) zero. Returns the buffer.
+
+    A module given a generator lays out its own parameters this way; a
+    builder of a whole model passes None to its modules and lays out the
+    model's parameters at once, so they make one buffer (and one optimizer
+    run, see optim.Adam)."""
+    flat = np.zeros(sum(p.values.size for p in params.values()))
+    offset = 0
+    for p in params.values():
+        view = flat[offset:offset + p.values.size].reshape(p.shape)
+        offset += view.size
+        if view.ndim == 2:
+            glorot_uniform(rng, *view.shape, out=view)
+        p.values = view
+    return flat
 
 
 class Mlp:
-    """Dense stack: affine + ReLU (+ dropout) per hidden layer, affine output."""
+    """Dense stack: affine + ReLU (+ dropout) per hidden layer, affine output.
+
+    Like every module here, it initialises its parameters from rng as one
+    buffer of their own (allocate_parameters), or leaves them unallocated for
+    the model builder when rng is None.
+    """
 
     def __init__(self, dims: list[int], dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None):
@@ -44,14 +86,15 @@ class Mlp:
             raise ShapeMismatch("an MLP needs at least input and output dims")
         if not 0.0 <= dropout_rate < 1.0:
             raise ShapeMismatch(f"dropout rate must be in [0,1), got {dropout_rate}")
-        rng = rng or np.random.default_rng(0)
         self.dims = list(dims)
         self.dropout_rate = dropout_rate
         self.weights = []
         self.biases = []
         for d_in, d_out in zip(dims[:-1], dims[1:]):
-            self.weights.append(ad.parameter(glorot_uniform(rng, d_in, d_out)))
-            self.biases.append(ad.parameter(np.zeros(d_out)))
+            self.weights.append(unallocated_parameter((d_in, d_out)))
+            self.biases.append(unallocated_parameter((d_out,)))
+        if rng is not None:
+            allocate_parameters(self.parameters(), rng)
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -77,10 +120,12 @@ class GinLayer:
     """One message-passing step: h_v <- MLP((1 + eps) * h_v + sum_{u in N(v)} h_u)."""
 
     def __init__(self, in_dim: int, hidden_dim: int, update_layers: int,
-                 dropout_rate: float, rng: np.random.Generator):
+                 dropout_rate: float, rng: np.random.Generator | None):
         dims = [in_dim] + [hidden_dim] * update_layers
-        self.update_mlp = Mlp(dims, dropout_rate, rng)
-        self.eps = ad.parameter(np.zeros(()))
+        self.update_mlp = Mlp(dims, dropout_rate)
+        self.eps = unallocated_parameter(())
+        if rng is not None:
+            allocate_parameters(self.parameters(), rng)
 
     def forward(self, h: Tensor, adjacency: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -107,16 +152,39 @@ class GinEncoder:
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, mp_layers: int,
-                 update_layers: int, dropout_rate: float, rng: np.random.Generator,
+                 update_layers: int, dropout_rate: float, rng: np.random.Generator | None,
                  max_nodes: int):
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
         self.max_nodes = max_nodes
+        self._kept = None  # id(graph) -> (graph, adjacency) inside keeping_adjacencies()
         self.layers = []
         d = in_dim
         for _ in range(mp_layers):
-            self.layers.append(GinLayer(d, hidden_dim, update_layers, dropout_rate, rng))
+            self.layers.append(GinLayer(d, hidden_dim, update_layers, dropout_rate, None))
             d = hidden_dim
+        if rng is not None:
+            allocate_parameters(self.parameters(), rng)
+
+    @contextlib.contextmanager
+    def keeping_adjacencies(self):
+        """Inside the block each graph's adjacency is built once, on its first
+        forward pass, and reused by later ones; they are dropped at the end. A
+        training run, which revisits its graphs every epoch, runs inside it;
+        a graph seen once is faster without it."""
+        previous = self._kept
+        self._kept = {} if previous is None else previous
+        try:
+            yield
+        finally:
+            self._kept = previous
+
+    def _adjacency(self, g: Graph) -> np.ndarray:
+        if self._kept is None:
+            return build_adjacency(g)
+        if id(g) not in self._kept:  # the graph is kept too, so its id stays its own
+            self._kept[id(g)] = (g, build_adjacency(g))
+        return self._kept[id(g)][1]
 
     def forward(self, graphs: list[Graph], features: list, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -136,7 +204,7 @@ class GinEncoder:
                 raise ShapeMismatch(f"features of shape {f.shape} for a {n}-node graph; "
                                     f"the encoder expects ({n}, {self.in_dim})")
             x[i * m:i * m + n] = f
-            adjacency[i, :n, :n] = build_adjacency(g)
+            adjacency[i, :n, :n] = self._adjacency(g)
             mask[i * m:i * m + n] = 1.0
         h = ad.constant(x)
         for layer in self.layers:
@@ -176,7 +244,7 @@ class GraphLevelHead:
     """
 
     def __init__(self, max_nodes: int, d_hidden: int, k: int, mlp_hidden: int,
-                 mlp_layers: int, dropout_rate: float, rng: np.random.Generator):
+                 mlp_layers: int, dropout_rate: float, rng: np.random.Generator | None):
         self.max_nodes = max_nodes
         self.k = k
         dims = [max_nodes * d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [max_nodes * k]
@@ -205,7 +273,7 @@ class NodeWiseHead:
     """
 
     def __init__(self, d_hidden: int, k: int, mlp_hidden: int, mlp_layers: int,
-                 dropout_rate: float, rng: np.random.Generator):
+                 dropout_rate: float, rng: np.random.Generator | None):
         self.k = k
         dims = [d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [k]
         self.mlp = Mlp(dims, dropout_rate, rng)

@@ -1,8 +1,28 @@
-"""Adam and a reduce-on-plateau learning-rate schedule."""
+"""Adam and a reduce-on-plateau learning-rate schedule.
+
+Adam keeps the gradients, first moments and second moments of its parameters
+in three flat float64 buffers, one slot per parameter in the order of its
+parameter dict. A backward pass writes each parameter's first gradient
+contribution straight into its slot (`Tensor.grad_view`). The values stay
+where their model put them: a model built by `train.build_model` holds all
+its values in one buffer (`nn.allocate_parameters`). So a step makes one
+sliced pass over each run of parameters whose values are adjacent in memory,
+one run for a whole model, instead of a dozen numpy calls per parameter.
+"""
 
 import numpy as np
 
 from .autodiff import Tensor
+
+
+def _place(a: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(the float64 buffer that a is a contiguous view of, a's offset in it in
+    elements), or None when a is no such view."""
+    base = a.base
+    if (not isinstance(base, np.ndarray) or base.dtype != np.float64
+            or not base.flags.c_contiguous or not a.flags.c_contiguous):
+        return None
+    return base, (a.ctypes.data - base.ctypes.data) // a.itemsize
 
 
 class Adam:
@@ -10,9 +30,15 @@ class Adam:
 
     step() consumes whatever gradients have accumulated (callers batching by
     gradient accumulation pass grad_scale = 1/batch to average them): it
-    updates the moments and the parameter values in place and uses each
-    gradient array as scratch, so the gradients hold no meaning afterwards
+    updates the moments and the parameter values in place and uses the
+    gradient buffer as scratch, so the gradients hold no meaning afterwards
     and must be cleared with zero_grad() before the next pass.
+
+    `runs` holds, for each maximal sequence of parameters (in dict order)
+    whose values are adjacent slices of one buffer, its values as one 1-D
+    view and the names; a parameter with an array of its own is a run of its
+    own. A gradient set from outside the tape (p.grad is not its slot) is
+    copied into the slot, and a parameter without a gradient is skipped.
     """
 
     # Elements per slice of the in-place update: the slices of m, v, the
@@ -28,8 +54,58 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
-        self.v = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
+        size = sum(p.values.size for p in self.params.values())
+        self.flat_grad, self.flat_m, self.flat_v = np.zeros(size), np.zeros(size), np.zeros(size)
+        self.m, self.v = {}, {}
+        self.runs: list[tuple[np.ndarray, list[str]]] = []
+        # per run: (p, its [lo, hi) slot, its gradient view, which Tensor.grad_view
+        # only refers to weakly)
+        self._slots: list[list[tuple[Tensor, int, int, np.ndarray]]] = []
+        lo, follows = 0, None  # (buffer, offset) just past the previous parameter's values
+        for name, p in self.params.items():
+            if not p.values.flags.c_contiguous:
+                p.values = np.ascontiguousarray(p.values)
+            hi = lo + p.values.size
+            grad = self.flat_grad[lo:hi].reshape(p.shape)
+            p.grad_view = grad
+            self.m[name] = self.flat_m[lo:hi].reshape(p.shape)
+            self.v[name] = self.flat_v[lo:hi].reshape(p.shape)
+            place = _place(p.values)
+            if place and follows and place[0] is follows[0] and place[1] == follows[1]:
+                values, names = self.runs[-1]
+                run = place[0].reshape(-1)[place[1] - values.size:place[1] + p.values.size]
+                self.runs[-1] = (run, names + [name])
+                self._slots[-1].append((p, lo, hi, grad))
+            else:
+                self.runs.append((p.values.reshape(-1), [name]))
+                self._slots.append([(p, lo, hi, grad)])
+            follows = place and (place[0], place[1] + p.values.size)
+            lo = hi
+
+    def _stretches(self):
+        """(values, grad, m, v) 1-D views over each maximal stretch of a run
+        whose parameters all have a gradient, gradients copied into their
+        slots first."""
+        for (values, _), slots in zip(self.runs, self._slots):
+            first = slots[0][1]
+
+            def cut(lo, hi):
+                return (values[lo - first:hi - first], self.flat_grad[lo:hi],
+                        self.flat_m[lo:hi], self.flat_v[lo:hi])
+
+            start = None
+            for p, lo, _, grad in slots:
+                if p.grad is None:
+                    if start is not None:
+                        yield cut(start, lo)
+                    start = None
+                    continue
+                if p.grad is not grad:
+                    np.copyto(grad, p.grad)
+                if start is None:
+                    start = lo
+            if start is not None:
+                yield cut(start, slots[-1][2])
 
     def step(self, grad_scale: float = 1.0) -> None:
         """One update, elementwise the same float operations in the same order as
@@ -45,15 +121,7 @@ class Adam:
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
         scratch = np.empty(self.BLOCK)
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            if not p.values.flags.c_contiguous:
-                p.values = np.ascontiguousarray(p.values)
-            grad = p.grad.reshape(-1)
-            values = p.values.reshape(-1)
-            m = self.m[name].reshape(-1)
-            v = self.v[name].reshape(-1)
+        for values, grad, m, v in self._stretches():
             for lo in range(0, values.size, self.BLOCK):
                 hi = min(lo + self.BLOCK, values.size)
                 g, mb, vb, pb = grad[lo:hi], m[lo:hi], v[lo:hi], values[lo:hi]
@@ -97,9 +165,9 @@ class Adam:
         self.beta2 = state["beta2"]
         self.eps = state["eps"]
         self.t = state["t"]
-        for k in self.m:
-            self.m[k] = np.array(state["m"][k], dtype=np.float64).reshape(self.m[k].shape)
-            self.v[k] = np.array(state["v"][k], dtype=np.float64).reshape(self.v[k].shape)
+        for k in self.m:  # into the moments' slots, which stay views of the buffers
+            self.m[k][...] = np.asarray(state["m"][k], dtype=np.float64).reshape(self.m[k].shape)
+            self.v[k][...] = np.asarray(state["v"][k], dtype=np.float64).reshape(self.v[k].shape)
 
 
 class ReduceLROnPlateau:

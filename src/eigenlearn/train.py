@@ -20,7 +20,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
 from .graphs import LAPLACIAN_NORMS, Graph, build_laplacian
 from .losses import LossWeights, combined_loss, eigvec_loss, energy_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
-                 Mlp, NodeWiseHead, abs_cos_mae_loss_t, combined_loss_t, mae_loss_t,
-                 orthonormalize)
+                 Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
+                 combined_loss_t, mae_loss_t, orthonormalize)
 from .optim import Adam, ReduceLROnPlateau
 from .wavelets import FeatureConfig, augment_features
 
@@ -98,21 +98,37 @@ class PretrainConfig:
             raise InvalidParams(f"unknown head_kind {self.head_kind!r}")
 
 
+# What a config field of each type takes: a bool is no int, an int is a float.
+_FIELD_TYPES = {
+    int: ("an int", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    bool: ("true or false", lambda v: type(v) is bool),
+}
+
+
 def dataclass_from_dict(cls, d: dict, where: str = "config"):
     """Build config dataclass `cls` from a plain dict: unspecified fields take
     their defaults, a field whose default is a config dataclass is built from
-    a nested dict the same way, and unknown fields at any depth are rejected."""
+    a nested dict the same way, and unknown fields at any depth are rejected,
+    as are values of the wrong type (each with one line naming the path)."""
     if not isinstance(d, dict):
         raise InvalidParams(f"{where} must be a JSON object, got {type(d).__name__}")
     known = {f.name: f for f in fields(cls)}
     unknown = set(d) - set(known)
     if unknown:
         raise InvalidParams(f"unknown {where} fields: {sorted(unknown)}")
+    kinds = get_type_hints(cls)
     kwargs = {}
     for name, value in d.items():
         default = known[name].default
-        kwargs[name] = (dataclass_from_dict(type(default), value, f"{where}.{name}")
-                        if is_dataclass(default) else value)
+        if is_dataclass(default):
+            value = dataclass_from_dict(type(default), value, f"{where}.{name}")
+        elif kinds[name] in _FIELD_TYPES:
+            kind, fits = _FIELD_TYPES[kinds[name]]
+            if not fits(value):
+                raise InvalidParams(f"{where}.{name} must be {kind}, got {value!r}")
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -236,20 +252,24 @@ def feature_dim(examples: list[TrainingExample]) -> int:
 
 
 def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
-    rng = np.random.default_rng([cfg.seed, 0])
+    """The model of a config, its parameters laid out as views of one buffer
+    and initialised from generator stream 0."""
     encoder = GinEncoder(d_in, cfg.hidden_dim, cfg.mp_layers, cfg.update_layers,
-                         cfg.dropout, rng, cfg.max_nodes)
+                         cfg.dropout, None, cfg.max_nodes)
     if cfg.head_kind == GRAPH_LEVEL:
         head = GraphLevelHead(cfg.max_nodes, cfg.hidden_dim, cfg.k,
-                              cfg.head_hidden_dim, cfg.head_layers, cfg.dropout, rng)
+                              cfg.head_hidden_dim, cfg.head_layers, cfg.dropout, None)
     else:
         head = NodeWiseHead(cfg.hidden_dim, cfg.k, cfg.head_hidden_dim,
-                            cfg.head_layers, cfg.dropout, rng)
-    return EigenModel(encoder, head, cfg.head_kind)
+                            cfg.head_layers, cfg.dropout, None)
+    model = EigenModel(encoder, head, cfg.head_kind)
+    allocate_parameters(model.parameters(), np.random.default_rng([cfg.seed, 0]))
+    return model
 
 
 def build_downstream_head(cfg: PretrainConfig) -> Mlp:
-    """Scalar-regression head over the concatenated-padded node embeddings."""
+    """Scalar-regression head over the concatenated-padded node embeddings,
+    its parameters one buffer, initialised from generator stream 3."""
     rng = np.random.default_rng([cfg.seed, 3])
     hidden = [cfg.head_hidden_dim] * (cfg.head_layers - 1)
     return Mlp([cfg.max_nodes * cfg.hidden_dim] + hidden + [1], cfg.dropout, rng)
@@ -334,6 +354,7 @@ def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: Trai
         state.optimizer.step(grad_scale=1.0 / len(batch))
         state.optimizer.zero_grad()
         rows.append(np.column_stack((loss.values, *metrics)))
+        del loss  # free this batch's tape before the next batch records its own
     means = [float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows else []
     means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
     if state.scheduler is not None:
@@ -394,8 +415,9 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
             targets.lambda_k, cfg.loss_weights, terms=True)
         return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
-    record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
-                  lambda: evaluate_pretrain_loss(model, val_examples, cfg))
+    with model.encoder.keeping_adjacencies():
+        record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
+                      lambda: evaluate_pretrain_loss(model, val_examples, cfg))
     return record, state
 
 
@@ -465,8 +487,9 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
                                                 cfg.loss_weights))
         return loss, ()
 
-    record = _fit(examples, cfg, state, epochs, batch_losses,
-                  lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
+    with model.encoder.keeping_adjacencies():
+        record = _fit(examples, cfg, state, epochs, batch_losses,
+                      lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
     return record, state
 
 
@@ -524,7 +547,6 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
     targets = [padded_targets(batch, cfg.max_nodes) for batch in batches]
     results: dict[str, list[ComparisonRow]] = {}
     for arm in arms:
-        rows: list[ComparisonRow] = []
         if arm == ARM_RANDOM:
             outputs = [_random_orthonormal(ex.graph.num_nodes, cfg.k,
                                            np.random.default_rng([cfg.seed, 2, i]))
@@ -532,26 +554,35 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
             stacks = [pad_stack(batch, (cfg.max_nodes, cfg.k))
                       for batch in _batches(outputs, cfg.batch_size)]
             ev, en = _evaluate_outputs(stacks, targets)
-            for epoch in range(cfg.epochs):
-                rows.append(ComparisonRow(arm, epoch, ev, en))
-            results[arm] = rows
-            continue
-        model = build_model(cfg, d_in)
-        state = _fresh_state(model, cfg)
+            results[arm] = [ComparisonRow(arm, epoch, ev, en) for epoch in range(cfg.epochs)]
+        else:
+            results[arm] = _train_arm(arm, examples, cfg, d_in, batches, targets)
+    return results
 
-        def batch_losses(batch):
-            t = padded_targets(batch, cfg.max_nodes)
-            q = _orthonormal_outputs(model, batch, state.rng)
-            if arm == ARM_OURS:
-                return combined_loss_t(q, t.laplacian, t.lambda_k, cfg.loss_weights), ()
-            return abs_cos_mae_loss_t(q, t.psi_k, t.sizes), ()
 
+def _train_arm(arm: str, examples: list[TrainingExample], cfg: PretrainConfig, d_in: int,
+               batches: list[list[TrainingExample]],
+               targets: list[PaddedTargets]) -> list[ComparisonRow]:
+    """A trained arm of compare_losses: a fresh model trained on the arm's
+    loss, evaluated on the fixed batches after every epoch. Its model and
+    state are gone when it returns, before the next arm builds its own."""
+    model = build_model(cfg, d_in)
+    state = _fresh_state(model, cfg)
+
+    def batch_losses(batch):
+        t = padded_targets(batch, cfg.max_nodes)
+        q = _orthonormal_outputs(model, batch, state.rng)
+        if arm == ARM_OURS:
+            return combined_loss_t(q, t.laplacian, t.lambda_k, cfg.loss_weights), ()
+        return abs_cos_mae_loss_t(q, t.psi_k, t.sizes), ()
+
+    rows = []
+    with model.encoder.keeping_adjacencies():
         for epoch in range(cfg.epochs):
             _run_epoch(examples, cfg, state, batch_losses, None)
             ev, en = _evaluate_outputs([_predict(model, batch) for batch in batches], targets)
             rows.append(ComparisonRow(arm, epoch, ev, en))
-        results[arm] = rows
-    return results
+    return rows
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -566,8 +597,9 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(entry, where: str) -> np.ndarray:
-    """The writable float64 array of an encode_array entry; a malformed entry
-    raises a one-line InvalidParams naming `where`."""
+    """The float64 array of an encode_array entry, read-only over its decoded
+    bytes (loaders copy it into place); a malformed entry raises a one-line
+    InvalidParams naming `where`."""
     if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
         raise InvalidParams(f"checkpoint {where} is not a {{\"shape\", \"data\"}} object")
     shape, data = entry["shape"], entry["data"]
@@ -582,7 +614,7 @@ def decode_array(entry, where: str) -> np.ndarray:
     if len(raw) != needed:
         raise InvalidParams(f"checkpoint {where} holds {len(raw) // 8} values for shape "
                             f"{shape} ({len(raw)} bytes of data, {needed} needed)")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64, copy=False)
 
 
 def _encode_entries(arrays: dict) -> dict:
@@ -610,9 +642,11 @@ def _decode_entries(entries, built: dict, what: str) -> dict:
 
 
 def _load_params(params: dict, entries, what: str) -> None:
+    """Copy the saved values into the parameters' arrays, which stay views of
+    their model's buffer."""
     saved = _decode_entries(entries, _values(params), what)
     for name, p in params.items():
-        p.values = saved[name]
+        p.values[...] = saved[name]
 
 
 def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
@@ -655,10 +689,11 @@ def _require_fields(obj, names, where: str, path: str) -> None:
 
 
 def _read_checkpoint(path: str) -> dict:
-    """The checkpoint object in path, with every top-level field present and
-    its counts (d_in, epoch, skipped_batches) ints in range; a file that is
-    not one fails with a one-line InvalidParams naming the path and the
-    field."""
+    """The checkpoint object in path, with every top-level and optimizer
+    field present, its counts (d_in, epoch, skipped_batches, optimizer.t)
+    ints in range, the optimizer's scalars finite numbers, the scheduler null
+    or an object and the generator state an object; a file that is not one
+    fails with a one-line InvalidParams naming the path and the field."""
     try:
         with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -676,8 +711,22 @@ def _read_checkpoint(path: str) -> dict:
         if type(blob[name]) is not int or blob[name] < least:  # a bool is not a count
             raise InvalidParams(f"{path}: the checkpoint's field {name!r} is {blob[name]!r}, "
                                 f"not a {kind} int")
-    _require_fields(blob["optimizer"], ("lr", "beta1", "beta2", "eps", "t", "m", "v"),
-                    "optimizer", path)
+    optimizer = blob["optimizer"]
+    _require_fields(optimizer, ("lr", "beta1", "beta2", "eps", "t", "m", "v"), "optimizer", path)
+    for name in ("lr", "beta1", "beta2", "eps"):
+        value = optimizer[name]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise InvalidParams(f"{path}: the checkpoint's field 'optimizer.{name}' is "
+                                f"{value!r}, not a finite number")
+    if type(optimizer["t"]) is not int or optimizer["t"] < 0:
+        raise InvalidParams(f"{path}: the checkpoint's field 'optimizer.t' is "
+                            f"{optimizer['t']!r}, not a non-negative int")
+    if blob["scheduler"] is not None and not isinstance(blob["scheduler"], dict):
+        raise InvalidParams(f"{path}: the checkpoint's field 'scheduler' is "
+                            f"{blob['scheduler']!r}, not null or an object")
+    if not isinstance(blob["rng_state"], dict):
+        raise InvalidParams(f"{path}: the checkpoint's field 'rng_state' is "
+                            f"{blob['rng_state']!r}, not an object")
     if "downstream_head" in blob:
         _require_fields(blob["downstream_head"], ("params",), "downstream_head", path)
     return blob
@@ -687,7 +736,10 @@ def load_checkpoint(path: str):
     """Returns (model, cfg, state, d_in, downstream_head_or_None, extra), built from
     the saved config as for a fresh run, then restored from the saved values."""
     blob = _read_checkpoint(path)
-    cfg = config_from_dict(blob["config"])
+    try:
+        cfg = config_from_dict(blob["config"])
+    except InvalidParams as exc:
+        raise InvalidParams(f"{path}: the checkpoint's {exc}") from None
     model = build_model(cfg, blob["d_in"])
     _load_params(model.parameters(), blob["params"], "params")
     head = None
@@ -704,7 +756,12 @@ def load_checkpoint(path: str):
         raise InvalidParams(f"checkpoint scheduler state {blob['scheduler']} does not match "
                             f"its config's scheduler.kind={cfg.scheduler.kind!r}")
     if state.scheduler is not None:
+        _require_fields(blob["scheduler"], state.scheduler.state_dict().keys(), "scheduler", path)
         state.scheduler.load_state_dict(blob["scheduler"])
-    state.rng.bit_generator.state = blob["rng_state"]
+    try:
+        state.rng.bit_generator.state = blob["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParams(f"{path}: the checkpoint's rng_state is not a "
+                            f"{type(state.rng.bit_generator).__name__} state ({exc!r})") from None
     state.epoch, state.skipped_batches = blob["epoch"], blob["skipped_batches"]
     return model, cfg, state, blob["d_in"], head, blob.get("extra", {})

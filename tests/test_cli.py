@@ -342,6 +342,12 @@ def test_check_invariants_passes_and_writes_summary(tmp_path, capsys):
     assert len(records) >= 10
 
 
+def _with_optimizer(text, **fields):
+    blob = json.loads(text)
+    blob["optimizer"].update(fields)
+    return json.dumps(blob)
+
+
 CORRUPT_CHECKPOINTS = {
     "truncated": lambda text: text[:text.index('"config"') + 4],
     "not_json": lambda text: "this is not a checkpoint\n",
@@ -349,7 +355,16 @@ CORRUPT_CHECKPOINTS = {
     "no_config": lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                           if k != "config"}),
     "d_in_not_an_int": lambda text: json.dumps({**json.loads(text), "d_in": "x"}),
+    "lr_not_a_number": lambda text: _with_optimizer(text, lr="x"),
+    "t_not_an_int": lambda text: _with_optimizer(text, t=1.5),
+    "scheduler_not_an_object": lambda text: json.dumps({**json.loads(text), "scheduler": 5}),
+    "rng_state_not_an_object": lambda text: json.dumps({**json.loads(text), "rng_state": 5}),
 }
+# the field each diagnostic must name
+NAMED_FIELDS = {"no_config": "'config'", "d_in_not_an_int": "'d_in'",
+                "lr_not_a_number": "'optimizer.lr'", "t_not_an_int": "'optimizer.t'",
+                "scheduler_not_an_object": "'scheduler'",
+                "rng_state_not_an_object": "'rng_state'"}
 
 
 @pytest.mark.parametrize("corrupt", sorted(CORRUPT_CHECKPOINTS))
@@ -368,8 +383,6 @@ def test_a_corrupt_checkpoint_exits_1_with_one_line(tmp_path, capsys, pre_and_ft
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert str(broken) in err
-    if corrupt == "no_config":
-        assert "'config'" in err
-    if corrupt == "d_in_not_an_int":
-        assert "'d_in'" in err
+    if corrupt in NAMED_FIELDS:
+        assert NAMED_FIELDS[corrupt] in err
     assert not out.exists()

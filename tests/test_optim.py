@@ -1,8 +1,11 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 
 from eigenlearn import autodiff as ad
+from eigenlearn import train as tr
 from eigenlearn.optim import Adam, ReduceLROnPlateau
 from eigenlearn.train import decode_array, encode_array
 
@@ -84,6 +87,58 @@ def test_in_place_step_is_bit_identical_to_out_of_place_formula():
             assert np.array_equal(p.values, reference[name]), (name, t)
             assert np.array_equal(opt.m[name], m[name]), (name, t)
             assert np.array_equal(opt.v[name], v[name]), (name, t)
+
+
+def test_step_over_a_model_and_standalone_parameters_is_bit_identical_to_the_formula():
+    # a built model's parameters are one run, each standalone parameter a run
+    # of its own; a standalone parameter and one in the middle of the model's
+    # run get no gradient, so the model's run is stepped in two stretches
+    cfg = tr.config_from_dict({"k": 2, "hidden_dim": 4, "mp_layers": 2, "update_layers": 2,
+                               "head_layers": 2, "head_hidden_dim": 8, "max_nodes": 6})
+    model = tr.build_model(cfg, 3).parameters()
+    rng = np.random.default_rng(6)
+    params = {"first": make_param(rng.standard_normal((2, 3))), **model,
+              "idle": make_param(rng.standard_normal(4)), "last": make_param(np.array(0.5))}
+    idle = {"idle", "encoder.layer1.eps"}
+    opt = Adam(params, lr=0.01)
+    assert [names for _, names in opt.runs] == [["first"], list(model), ["idle"], ["last"]]
+    reference = {name: p.values.copy() for name, p in params.items()}
+    m = {name: np.zeros(p.shape) for name, p in params.items()}
+    v = {name: np.zeros(p.shape) for name, p in params.items()}
+    for t in range(1, 5):
+        grads = {name: rng.standard_normal(p.shape) for name, p in params.items()
+                 if name not in idle}
+        for name, g in grads.items():
+            if name in model:
+                params[name].accumulate_grad(g)  # into its slot, as backward writes it
+            else:
+                params[name].grad = g.copy()  # set from outside: copied into the slot
+        opt.step(grad_scale=0.5)
+        opt.zero_grad()
+        stepped = [{name: d[name] for name in grads} for d in (reference, m, v)]
+        reference_adam_step(stepped[0], grads, stepped[1], stepped[2], t, lr=0.01,
+                            grad_scale=0.5)
+        for d, new in zip((reference, m, v), stepped):
+            d.update(new)
+        for name, p in params.items():
+            assert np.array_equal(p.values, reference[name]), (name, t)
+            assert np.array_equal(opt.m[name], m[name]), (name, t)
+            assert np.array_equal(opt.v[name], v[name]), (name, t)
+    for name in idle:
+        assert not opt.m[name].any() and not opt.v[name].any()
+
+
+def test_a_dropped_optimizer_leaves_no_gradient_buffer_behind():
+    # parameters refer to their gradient slots weakly: once the optimizer is
+    # gone its buffer is freed, and a gradient gets an array of its own
+    p = make_param(np.ones(3))
+    opt = Adam({"p": p})
+    buffer = weakref.ref(opt.flat_grad)
+    del opt
+    gc.collect()
+    assert buffer() is None and p.grad_view is None
+    p.accumulate_grad(np.full(3, 2.0))
+    assert p.grad.tolist() == [2.0, 2.0, 2.0]
 
 
 def test_step_updates_values_in_place():

@@ -13,8 +13,9 @@ from eigenlearn import autodiff as ad
 from eigenlearn import train as tr
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
                                MissingTarget, NumericalFault)
-from eigenlearn.graphs import Graph, generate_graph
+from eigenlearn.graphs import Graph, build_adjacency, generate_graph
 from eigenlearn.losses import LossWeights
+from eigenlearn.wavelets import FeatureConfig
 from helpers import as_version_1
 
 
@@ -85,6 +86,33 @@ def test_config_rejects_unknown_fields():
         tr.config_from_dict({"loss_weights": {"alpha": 1.0}})
     with pytest.raises(InvalidParams):
         tr.config_from_dict({"scheduler": "none"})
+
+
+@pytest.mark.parametrize("cls, d, message", [
+    (tr.PretrainConfig, {"k": "x"}, "config.k must be an int, got 'x'"),
+    (tr.PretrainConfig, {"k": True}, "config.k must be an int, got True"),
+    (tr.PretrainConfig, {"batch_size": 2.5}, "config.batch_size must be an int, got 2.5"),
+    (tr.PretrainConfig, {"lr": "x"}, "config.lr must be a number, got 'x'"),
+    (tr.PretrainConfig, {"dropout": False}, "config.dropout must be a number, got False"),
+    (tr.PretrainConfig, {"laplacian_norm": 1}, "config.laplacian_norm must be a string, got 1"),
+    (tr.PretrainConfig, {"keep_pretrain_head": 1},
+     "config.keep_pretrain_head must be true or false, got 1"),
+    (tr.PretrainConfig, {"scheduler": {"patience": "5"}},
+     "config.scheduler.patience must be an int, got '5'"),
+    (tr.PretrainConfig, {"loss_weights": {"alpha_energy": None}},
+     "config.loss_weights.alpha_energy must be a number, got None"),
+    (FeatureConfig, {"use_diffused_dirac": "yes"},
+     "config.use_diffused_dirac must be true or false, got 'yes'"),
+])
+def test_config_rejects_a_field_of_the_wrong_type_in_one_line(cls, d, message):
+    with pytest.raises(InvalidParams) as exc:
+        tr.dataclass_from_dict(cls, d)
+    assert str(exc.value) == message
+
+
+def test_config_float_fields_take_ints():
+    cfg = tr.config_from_dict({"lr": 1, "loss_weights": {"gamma_ortho": 2}})
+    assert cfg.lr == 1 and cfg.loss_weights.gamma_ortho == 2
 
 
 def _non_default(value):
@@ -507,6 +535,11 @@ def test_checkpoint_params_roundtrip_losslessly(tmp_path):
     assert state2.optimizer.t == state.optimizer.t
     assert state2.epoch == state.epoch
     assert state2.rng.bit_generator.state == state.rng.bit_generator.state
+    # loaded into place: the values are still one buffer, the moments its slots
+    assert [names for _, names in state2.optimizer.runs] == [list(loaded.parameters())]
+    for name in saved:
+        assert state2.optimizer.m[name].base is state2.optimizer.flat_m
+        assert state2.optimizer.v[name].base is state2.optimizer.flat_v
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
@@ -610,11 +643,36 @@ def _drop_last_row(entry):
      r"ckpt\.json: the checkpoint's field 'skipped_batches' is False, not a non-negative int$"),
     (lambda b: b.update(skipped_batches=None),
      r"ckpt\.json: the checkpoint's field 'skipped_batches' is None, not a non-negative int$"),
+    (lambda b: b["optimizer"].update(lr="x"),
+     r"ckpt\.json: the checkpoint's field 'optimizer\.lr' is 'x', not a finite number$"),
+    (lambda b: b["optimizer"].update(beta1=True),
+     r"ckpt\.json: the checkpoint's field 'optimizer\.beta1' is True, not a finite number$"),
+    (lambda b: b["optimizer"].update(beta2=None),
+     r"ckpt\.json: the checkpoint's field 'optimizer\.beta2' is None, not a finite number$"),
+    (lambda b: b["optimizer"].update(eps=float("nan")),
+     r"ckpt\.json: the checkpoint's field 'optimizer\.eps' is nan, not a finite number$"),
+    (lambda b: b["optimizer"].update(t="x"),
+     r"ckpt\.json: the checkpoint's field 'optimizer\.t' is 'x', not a non-negative int$"),
+    (lambda b: b["optimizer"].update(t=-1),
+     r"ckpt\.json: the checkpoint's field 'optimizer\.t' is -1, not a non-negative int$"),
+    (lambda b: b.update(scheduler=5),
+     r"ckpt\.json: the checkpoint's field 'scheduler' is 5, not null or an object$"),
+    (lambda b: b["scheduler"].pop("num_bad"),
+     r"ckpt\.json: the checkpoint's scheduler has no field 'num_bad'$"),
+    (lambda b: b.update(rng_state=5),
+     r"ckpt\.json: the checkpoint's field 'rng_state' is 5, not an object$"),
+    (lambda b: b.update(rng_state={}),
+     r"ckpt\.json: the checkpoint's rng_state is not a PCG64 state"),
+    (lambda b: b["config"].update(k="x"),
+     r"ckpt\.json: the checkpoint's config\.k must be an int, got 'x'$"),
 ], ids=["param-shape", "param-value-count", "param-missing", "moment-missing", "moment-extra",
         "moment-shape", "scheduler-state-missing", "param-stray-bytes", "param-data-not-base64",
         "moment-data-not-a-string", "param-shape-not-ints", "moment-shape-negative",
         "moment-ragged-list", "d_in-not-an-int", "d_in-zero", "epoch-negative", "epoch-float",
-        "skipped-batches-bool", "skipped-batches-null"])
+        "skipped-batches-bool", "skipped-batches-null", "lr-not-a-number", "beta1-bool",
+        "beta2-null", "eps-nan", "t-not-an-int", "t-negative", "scheduler-not-an-object",
+        "scheduler-field-missing", "rng-state-not-an-object", "rng-state-not-pcg64",
+        "config-k-not-an-int"])
 def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, message):
     cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "patience": 2,
                                          "factor": 0.9})
@@ -630,6 +688,79 @@ def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, m
     with pytest.raises(InvalidParams, match=message) as exc:
         tr.load_checkpoint(str(path))
     assert "\n" not in str(exc.value)
+
+
+# --- parameter layout -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("head_kind", tr.HEAD_KINDS)
+def test_build_model_draws_what_per_array_glorot_draws_give(head_kind):
+    # the reference: each weight matrix drawn with rng.uniform in parameter
+    # order (biases and eps zero), the model from stream 0, the downstream head
+    # from stream 3
+    cfg = small_cfg(head_kind=head_kind, seed=5)
+    for params, stream in ((tr.build_model(cfg, 7).parameters(), 0),
+                           (tr.build_downstream_head(cfg).parameters(), 3)):
+        rng = np.random.default_rng([cfg.seed, stream])
+        for name, p in params.items():
+            if p.values.ndim == 2:
+                limit = np.sqrt(6.0 / sum(p.shape))
+                expected = rng.uniform(-limit, limit, p.shape)
+            else:
+                expected = np.zeros(p.shape)
+            assert np.array_equal(p.values, expected), name
+
+
+@pytest.mark.parametrize("run", ["pretrain", "finetune", "finetune-keep-head"])
+def test_the_optimizer_holds_values_gradients_and_moments_in_flat_buffers(run):
+    cfg = small_cfg(epochs=2, keep_pretrain_head=run == "finetune-keep-head")
+    examples = tr.precompute_targets(graph_soup(5, seed=16, target=True), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    head = None if run == "pretrain" else tr.build_downstream_head(cfg)
+    state = tr._fresh_state(model, cfg, head)
+    opt = state.optimizer
+    # one run per model buffer it owns: the model; or the encoder, the
+    # downstream head and, kept, the eigenvector head
+    runs = ([model.parameters()] if head is None else
+            [model.encoder.parameters(), head.parameters()]
+            + [model.head.parameters()] * cfg.keep_pretrain_head)
+    assert [len(names) for _, names in opt.runs] == [len(r) for r in runs]
+    for (values, names), params in zip(opt.runs, runs):
+        assert [opt.params[name] for name in names] == list(params.values())
+        for name in names:
+            p = opt.params[name]
+            assert np.shares_memory(p.values, values) and p.values.base is values.base
+            assert p.grad_view.base is opt.flat_grad
+            assert opt.m[name].base is opt.flat_m and opt.v[name].base is opt.flat_v
+    slotted = []
+    step = opt.step
+    opt.step = lambda grad_scale: (
+        slotted.append(all(p.grad is p.grad_view for p in opt.params.values())),
+        step(grad_scale))
+    if head is None:
+        tr.pretrain(examples, model, cfg, state)
+    else:
+        tr.finetune(examples, model, head, cfg, "lambda_2", epochs=2, state=state)
+    assert slotted == [True] * 4  # backward wrote every gradient into its slot
+
+
+def test_a_run_builds_each_adjacency_once_over_many_epochs(monkeypatch):
+    cfg = small_cfg(epochs=3, batch_size=2)
+    examples = tr.precompute_targets(graph_soup(5, seed=17), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    built = []
+    monkeypatch.setattr("eigenlearn.nn.build_adjacency",
+                        lambda g: built.append(g) or build_adjacency(g))
+    tr.pretrain(examples, model, cfg)
+    assert sorted(map(id, built)) == sorted(id(ex.graph) for ex in examples)
+    # outside a run nothing is kept: each pass builds afresh, and a kept
+    # adjacency gives the encoder what a fresh one gives it
+    graphs, features = [ex.graph for ex in examples], [ex.features for ex in examples]
+    fresh = model.encoder.forward(graphs, features).values
+    with model.encoder.keeping_adjacencies():
+        model.encoder.forward(graphs, features)
+        assert np.array_equal(model.encoder.forward(graphs, features).values, fresh)
+    assert len(built) == 3 * len(examples)
 
 
 # --- one batch, a few ops -----------------------------------------------------
