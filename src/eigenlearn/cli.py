@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import train as tr
-from .data import atomic_write_text, dumps_graph, load_dataset
+from .data import atomic_write_text, dumps_graph, load_dataset, read_json
 from .eigen import eigendecompose
 from .errors import EigenlearnError, InvalidParams
 from .graphs import GRAPH_KINDS, Graph, build_laplacian, generate_graph
@@ -28,12 +28,11 @@ from .wavelets import FeatureConfig, augment_features
 log = logging.getLogger("eigenlearn")
 
 
-def _read_config(path: str | None):
-    """The JSON value of a config file; {} (all defaults) without one."""
+def _config(cls, path: str | None, what: str = "config"):
+    """The config dataclass cls of the JSON file at path; all defaults without one."""
     if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return cls()
+    return tr.dataclass_from_dict(cls, read_json(path), f"{path}: {what}")
 
 
 def _overrides(args) -> dict:
@@ -67,7 +66,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = tr.dataclass_from_dict(FeatureConfig, _read_config(args.config), "feature config")
+    cfg = _config(FeatureConfig, args.config, "feature config")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, dirac_seed=args.seed)
     graphs = load_dataset(args.input)
@@ -111,7 +110,7 @@ def cmd_pretrain(args) -> int:
                                     f"{name}={getattr(base, name)} on --resume")
     else:
         model = state = None
-        base = tr.config_from_dict(_read_config(args.config))
+        base = _config(tr.PretrainConfig, args.config)
     cfg = dataclasses.replace(base, **overrides)
     examples = tr.precompute_targets(load_dataset(args.input), cfg)
     if model is None:
@@ -158,8 +157,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_compare_losses(args) -> int:
-    cfg = dataclasses.replace(tr.config_from_dict(_read_config(args.config)),
-                              **_overrides(args))
+    cfg = dataclasses.replace(_config(tr.PretrainConfig, args.config), **_overrides(args))
     examples = tr.precompute_targets(load_dataset(args.input), cfg)
     results = tr.compare_losses(examples, cfg)
     rows = [row for arm in tr.COMPARISON_ARMS for row in results[arm]]

@@ -1,6 +1,7 @@
-"""Line-delimited graph dataset files.
+"""The input boundary, and graph dataset files.
 
-One graph per line, each line a JSON object:
+Every file eigenlearn reads goes through read_json and check_fields. A dataset
+file has one graph per line, each line a JSON object:
 
     {"num_nodes": 3, "edges": [[0,1],[1,2]],
      "node_features": [[...], ...],        # optional, n rows
@@ -12,12 +13,115 @@ same directory, then rename) so an interrupted run never leaves a partial file.
 
 import json
 import os
+import sys
 import tempfile
+from collections.abc import Callable
+from typing import NamedTuple
 
-import numpy as np
-
-from .errors import DatasetFormatError, InvalidGraph
+from .errors import DatasetFormatError, EigenlearnError, InvalidParams
 from .graphs import Graph
+
+
+def read_json(path: str, lines: bool = False):
+    """The JSON value in the file at path; with lines=True, an iterator over the
+    (1-based line number, value) of each non-blank line. A missing file raises
+    FileNotFoundError; any other failure to read or parse it, one line naming
+    it: InvalidParams, or with lines=True DatasetFormatError (and the line)."""
+    def fail(reason: str, line: int | None = None) -> EigenlearnError:
+        return (DatasetFormatError(path, line, reason) if lines
+                else InvalidParams(f"{path}: {reason}"))
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise fail(f"cannot read the file ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:  # the whole file's bytes, decoded at once
+        raise fail(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                   exc.object.count(b"\n", 0, exc.start) + 1) from None
+    if not lines:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise fail(f"invalid JSON: {exc}") from None
+
+    def records():  # parsed as they are reached: one parsed record alive at a time
+        for number, line in enumerate(text.split("\n"), start=1):
+            if line.strip():
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise fail(f"invalid JSON: {exc.msg}", number) from None
+                yield number, value
+    return records()
+
+
+class Kind(NamedTuple):
+    """What a field takes: a type (its description in a diagnostic, its test)
+    and a range within that type (likewise; the whole type when omitted)."""
+
+    what: str
+    fits: Callable[[object], bool]
+    range: str = ""
+    within: Callable[[object], bool] = lambda v: True
+
+
+def _number(range: str, within: Callable[[object], bool] = lambda v: True) -> Kind:
+    # an int is a number, a bool is none; a finite one is neither NaN nor
+    # infinite, nor an int beyond the floats
+    return Kind("a number", lambda v: type(v) in (int, float), range,
+                lambda v: abs(v) <= sys.float_info.max and within(v))
+
+
+# The table of field kinds.
+NON_NEGATIVE_INT = Kind("an int", lambda v: type(v) is int, ">= 0", lambda v: v >= 0)
+POSITIVE_INT = Kind("an int", lambda v: type(v) is int, ">= 1", lambda v: v >= 1)
+FINITE = _number("finite")
+NON_NEGATIVE = _number("finite and >= 0", lambda v: v >= 0)
+POSITIVE = _number("finite and > 0", lambda v: v > 0)
+FRACTION = _number("in [0, 1)", lambda v: 0 <= v < 1)
+FINITE_OR_NULL = Kind("null or a number", lambda v: v is None or FINITE.fits(v),
+                      "null or finite", lambda v: v is None or FINITE.within(v))
+FINITE_MAP = Kind("an object", lambda v: type(v) is dict, "an object of finite numbers",
+                  lambda v: all(FINITE.fits(x) and FINITE.within(x) for x in v.values()))
+BOOL = Kind("true or false", lambda v: type(v) is bool)
+OBJECT = Kind("an object", lambda v: type(v) is dict)
+OBJECT_OR_NULL = Kind("null or an object", lambda v: v is None or type(v) is dict)
+LIST = Kind("a list", lambda v: type(v) is list)
+
+
+def one_of(*choices: str) -> Kind:
+    return Kind("a string", lambda v: type(v) is str, "one of " + ", ".join(map(repr, choices)),
+                lambda v: v in choices)
+
+
+def check_fields(obj, spec: dict, where: str, optional=()) -> dict:
+    """obj, once it is an object with exactly the fields of spec (those named
+    in optional may be absent), each of its kind or, for a nested spec (a
+    dict), checked the same way; else one InvalidParams line naming the field's
+    path, `where` first, and the bad value."""
+    if type(obj) is not dict:
+        raise InvalidParams(f"{where} must be an object, got {obj!r:.80}")
+    unknown, missing = obj.keys() - spec.keys(), spec.keys() - obj.keys() - set(optional)
+    if unknown:
+        raise InvalidParams(f"{where} has unknown fields {sorted(unknown)}")
+    if missing:
+        raise InvalidParams(f"{where} has no field {min(missing)!r}")
+    for name, value in obj.items():
+        kind = spec[name]
+        if isinstance(kind, dict):
+            check_fields(value, kind, f"{where}.{name}")
+        elif not kind.fits(value):
+            raise InvalidParams(f"{where}.{name} must be {kind.what}, got {value!r:.80}")
+        elif not kind.within(value):
+            raise InvalidParams(f"{where}.{name} must be {kind.range}, got {value!r:.80}")
+    return obj
+
+
+_RECORD = {"num_nodes": POSITIVE_INT, "edges": LIST, "node_features": LIST,
+           "targets": FINITE_MAP}
 
 
 def graph_to_record(g: Graph) -> dict:
@@ -29,44 +133,24 @@ def graph_to_record(g: Graph) -> dict:
     return rec
 
 
-def record_to_graph(rec: dict) -> Graph:
-    if not isinstance(rec, dict):
-        raise InvalidGraph("record must be an object")
-    if "num_nodes" not in rec:
-        raise InvalidGraph("missing num_nodes")
-    num_nodes = rec["num_nodes"]
-    if not isinstance(num_nodes, int) or isinstance(num_nodes, bool):
-        raise InvalidGraph("num_nodes must be an integer")
-    edges = rec.get("edges", [])
-    if not isinstance(edges, list):
-        raise InvalidGraph("edges must be an array of [u, v] pairs")
-    features = rec.get("node_features")
-    if features is not None:
-        features = np.asarray(features, dtype=np.float64)
-    targets = rec.get("targets") or {}
-    if not isinstance(targets, dict):
-        raise InvalidGraph("targets must be an object")
-    return Graph(num_nodes, tuple(tuple(e) for e in edges), features, dict(targets))
-
-
-def loads_line(line: str, line_number: int) -> Graph:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(line_number, f"invalid JSON: {exc.msg}") from exc
-    try:
-        return record_to_graph(rec)
-    except (InvalidGraph, TypeError, ValueError) as exc:
-        raise DatasetFormatError(line_number, str(exc)) from exc
+def record_to_graph(rec) -> Graph:
+    check_fields(rec, _RECORD, "record", optional=("edges", "node_features", "targets"))
+    # Graph converts the features with one np.asarray
+    return Graph(rec["num_nodes"], tuple(tuple(e) for e in rec.get("edges", [])),
+                 rec.get("node_features"), dict(rec.get("targets", {})))
 
 
 def load_dataset(path: str) -> list[Graph]:
+    """The graphs of a dataset file; a bad record raises a DatasetFormatError
+    naming the file and its line, and so does a file without a record."""
     graphs = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            graphs.append(loads_line(line, i))
+    for number, rec in read_json(path, lines=True):
+        try:
+            graphs.append(record_to_graph(rec))
+        except (EigenlearnError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(path, number, str(exc)) from None
+    if not graphs:
+        raise DatasetFormatError(path, None, "holds no graph record")
     return graphs
 
 

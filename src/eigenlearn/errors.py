@@ -95,8 +95,9 @@ class MissingTarget(EigenlearnError):
 
 
 class DatasetFormatError(EigenlearnError):
-    """Malformed dataset record; carries the 1-based line number."""
+    """Malformed dataset file; carries the bad record's 1-based line number."""
 
-    def __init__(self, line_number: int, reason: str):
+    def __init__(self, path: str, line_number: int | None, reason: str):
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {reason}")
+        where = path if line_number is None else f"{path}, line {line_number}"
+        super().__init__(f"{where}: {reason}")

@@ -26,10 +26,11 @@ residual; the two differ (quadrature vs plain sum) and the Frobenius form is
 the default everywhere, training and reporting alike.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import NON_NEGATIVE, check_fields
 from .errors import InvalidParams, NotOrthonormal, ShapeMismatch
 
 ORTHONORMAL_TOL = 1e-8
@@ -43,9 +44,11 @@ class LossWeights:
     beta_eigvec: float = 2.0
     gamma_ortho: float = 0.0
 
+    FIELDS = {"alpha_energy": NON_NEGATIVE, "beta_eigvec": NON_NEGATIVE,
+              "gamma_ortho": NON_NEGATIVE}
+
     def __post_init__(self):
-        if min(self.alpha_energy, self.beta_eigvec, self.gamma_ortho) < 0:
-            raise InvalidParams("loss weights must be nonnegative")
+        check_fields(asdict(self), self.FIELDS, type(self).__name__)
         if self.alpha_energy == self.beta_eigvec == self.gamma_ortho == 0:
             raise InvalidParams("at least one loss weight must be positive")
 

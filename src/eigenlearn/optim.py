@@ -146,29 +146,6 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def state_dict(self) -> dict:
-        """Scalars and copies of the moment arrays; serialising them is the
-        caller's business."""
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self.beta1 = state["beta1"]
-        self.beta2 = state["beta2"]
-        self.eps = state["eps"]
-        self.t = state["t"]
-        for k in self.m:  # into the moments' slots, which stay views of the buffers
-            self.m[k][...] = np.asarray(state["m"][k], dtype=np.float64).reshape(self.m[k].shape)
-            self.v[k][...] = np.asarray(state["v"][k], dtype=np.float64).reshape(self.v[k].shape)
-
 
 class ReduceLROnPlateau:
     """Multiply lr by `factor` after `patience` consecutive epochs without an
@@ -208,19 +185,3 @@ class ReduceLROnPlateau:
     @property
     def lr(self) -> float:
         return self.optimizer.lr
-
-    def state_dict(self) -> dict:
-        return {
-            "patience": self.patience,
-            "factor": self.factor,
-            "threshold": self.threshold,
-            "best": self.best,
-            "num_bad": self.num_bad,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.patience = state["patience"]
-        self.factor = state["factor"]
-        self.threshold = state["threshold"]
-        self.best = state["best"]
-        self.num_bad = state["num_bad"]

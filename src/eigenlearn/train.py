@@ -20,12 +20,14 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import atomic_write_text
+from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, NON_NEGATIVE_INT, OBJECT,
+                   OBJECT_OR_NULL, POSITIVE, POSITIVE_INT, atomic_write_text, check_fields,
+                   one_of, read_json)
 from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
                      MissingTarget, NumericalFault, RankDeficient)
@@ -55,13 +57,13 @@ class SchedulerConfig:
     factor: float = 0.9
     monitored: str = "train_loss"  # or "val_loss"
 
+    FIELDS = {"kind": one_of("none", "reduce_on_plateau"), "patience": POSITIVE_INT,
+              "factor": FINITE, "monitored": one_of("train_loss", "val_loss")}
+
     def __post_init__(self):
-        if self.kind not in ("none", "reduce_on_plateau"):
-            raise InvalidParams(f"unknown scheduler kind {self.kind!r}")
-        if self.monitored not in ("train_loss", "val_loss"):
-            raise InvalidParams(f"unknown monitored metric {self.monitored!r}")
+        check_fields(asdict(self), self.FIELDS, type(self).__name__)
         if self.kind == "reduce_on_plateau" and not 0.0 < self.factor < 1.0:
-            raise InvalidParams("plateau factor must be in (0,1)")
+            raise InvalidParams(f"plateau factor must be in (0,1), got {self.factor!r}")
 
 
 @dataclass(frozen=True)
@@ -89,47 +91,31 @@ class PretrainConfig:
     finetune_epochs: int = 500
     keep_pretrain_head: bool = False
 
+    FIELDS = {"k": POSITIVE_INT, "epochs": NON_NEGATIVE_INT, "batch_size": POSITIVE_INT,
+              "lr": POSITIVE, "loss_weights": OBJECT, "laplacian_norm": one_of(*LAPLACIAN_NORMS),
+              "head_kind": one_of(*HEAD_KINDS), "max_nodes": POSITIVE_INT, "scheduler": OBJECT,
+              "seed": NON_NEGATIVE_INT, "feature_config": OBJECT, "hidden_dim": POSITIVE_INT,
+              "mp_layers": POSITIVE_INT, "update_layers": POSITIVE_INT,
+              "head_layers": POSITIVE_INT, "head_hidden_dim": POSITIVE_INT, "dropout": FRACTION,
+              "finetune_epochs": NON_NEGATIVE_INT, "keep_pretrain_head": BOOL}
+
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParams("k must be >= 1")
-        if self.laplacian_norm not in LAPLACIAN_NORMS:
-            raise InvalidParams(f"unknown laplacian_norm {self.laplacian_norm!r}")
-        if self.head_kind not in HEAD_KINDS:
-            raise InvalidParams(f"unknown head_kind {self.head_kind!r}")
-
-
-# What a config field of each type takes: a bool is no int, an int is a float.
-_FIELD_TYPES = {
-    int: ("an int", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in (int, float)),
-    str: ("a string", lambda v: type(v) is str),
-    bool: ("true or false", lambda v: type(v) is bool),
-}
+        check_fields(asdict(self), self.FIELDS, type(self).__name__)
 
 
 def dataclass_from_dict(cls, d: dict, where: str = "config"):
     """Build config dataclass `cls` from a plain dict: unspecified fields take
     their defaults, a field whose default is a config dataclass is built from
-    a nested dict the same way, and unknown fields at any depth are rejected,
-    as are values of the wrong type (each with one line naming the path)."""
-    if not isinstance(d, dict):
-        raise InvalidParams(f"{where} must be a JSON object, got {type(d).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(d) - set(known)
-    if unknown:
-        raise InvalidParams(f"unknown {where} fields: {sorted(unknown)}")
-    kinds = get_type_hints(cls)
-    kwargs = {}
-    for name, value in d.items():
-        default = known[name].default
-        if is_dataclass(default):
-            value = dataclass_from_dict(type(default), value, f"{where}.{name}")
-        elif kinds[name] in _FIELD_TYPES:
-            kind, fits = _FIELD_TYPES[kinds[name]]
-            if not fits(value):
-                raise InvalidParams(f"{where}.{name} must be {kind}, got {value!r}")
-        kwargs[name] = value
-    return cls(**kwargs)
+    a nested dict the same way, and a field (at any depth) that is unknown or
+    not of its kind in cls.FIELDS fails in one line starting with `where`."""
+    check_fields(d, cls.FIELDS, where, optional=cls.FIELDS)
+    nested = {f.name: type(f.default) for f in fields(cls) if is_dataclass(f.default)}
+    kwargs = {name: dataclass_from_dict(nested[name], value, f"{where}.{name}")
+              if name in nested else value for name, value in d.items()}
+    try:
+        return cls(**kwargs)
+    except InvalidParams as exc:
+        raise InvalidParams(f"{where}: {exc}") from None
 
 
 def config_to_dict(cfg: PretrainConfig) -> dict:
@@ -641,22 +627,34 @@ def _decode_entries(entries, built: dict, what: str) -> dict:
     return saved
 
 
-def _load_params(params: dict, entries, what: str) -> None:
-    """Copy the saved values into the parameters' arrays, which stay views of
-    their model's buffer."""
-    saved = _decode_entries(entries, _values(params), what)
-    for name, p in params.items():
-        p.values[...] = saved[name]
+def _load_arrays(arrays: dict, entries, what: str) -> None:
+    """Copy the saved values into the arrays, which stay views of their buffers."""
+    saved = _decode_entries(entries, arrays, what)
+    for name, a in arrays.items():
+        a[...] = saved[name]
+
+
+# The fields of a checkpoint and of the optimizer and plateau states in it, each
+# of its kind: a save writes these attributes, a load checks and sets them.
+_ADAM = {"lr": FINITE, "beta1": FINITE, "beta2": FINITE, "eps": FINITE, "t": NON_NEGATIVE_INT,
+         "m": OBJECT, "v": OBJECT}
+_PLATEAU = {"patience": POSITIVE_INT, "factor": FINITE, "threshold": FINITE,
+            "best": FINITE_OR_NULL, "num_bad": NON_NEGATIVE_INT}
+_CHECKPOINT = {
+    "format": one_of(CHECKPOINT_FORMAT), "version": POSITIVE_INT,
+    "kind": one_of("pretrain", "finetune"), "config": OBJECT, "d_in": POSITIVE_INT,
+    "epoch": NON_NEGATIVE_INT, "skipped_batches": NON_NEGATIVE_INT, "params": OBJECT,
+    "optimizer": _ADAM, "scheduler": OBJECT_OR_NULL, "rng_state": OBJECT, "extra": OBJECT,
+    "downstream_head": {"params": OBJECT},
+}
 
 
 def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
                     state: TrainState, d_in: int, downstream_head: Mlp | None = None,
                     extra: dict | None = None) -> None:
-    """Write the run as one JSON object (see the README's Checkpoint table);
-    every array is an encode_array entry."""
-    optimizer = state.optimizer.state_dict()
-    for key in ("m", "v"):
-        optimizer[key] = _encode_entries(optimizer[key])
+    """Write the run as one JSON object (see the README's Checkpoint table); every
+    array is an encode_array entry, Adam's moments read from its buffers in place."""
+    opt, scheduler = state.optimizer, state.scheduler
     blob = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -666,8 +664,9 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
         "epoch": state.epoch,
         "skipped_batches": state.skipped_batches,
         "params": _encode_entries(_values(model.parameters())),
-        "optimizer": optimizer,
-        "scheduler": state.scheduler.state_dict() if state.scheduler else None,
+        "optimizer": {"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
+                      "t": opt.t, "m": _encode_entries(opt.m), "v": _encode_entries(opt.v)},
+        "scheduler": {name: getattr(scheduler, name) for name in _PLATEAU} if scheduler else None,
         "rng_state": state.rng.bit_generator.state,
         "extra": extra or {},
     }
@@ -676,92 +675,39 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
     atomic_write_text(path, json.dumps(blob))
 
 
-CHECKPOINT_FIELDS = ("config", "d_in", "epoch", "skipped_batches", "params", "optimizer",
-                     "scheduler", "rng_state")
-
-
-def _require_fields(obj, names, where: str, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise InvalidParams(f"{path}: the checkpoint's {where} is not a JSON object")
-    for name in names:
-        if name not in obj:
-            raise InvalidParams(f"{path}: the checkpoint's {where} has no field {name!r}")
-
-
-def _read_checkpoint(path: str) -> dict:
-    """The checkpoint object in path, with every top-level and optimizer
-    field present, its counts (d_in, epoch, skipped_batches, optimizer.t)
-    ints in range, the optimizer's scalars finite numbers, the scheduler null
-    or an object and the generator state an object; a file that is not one
-    fails with a one-line InvalidParams naming the path and the field."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except ValueError as exc:  # not JSON (json.JSONDecodeError) or not UTF-8
-        raise InvalidParams(f"{path} is not a JSON checkpoint: {exc}") from None
-    _require_fields(blob, (), "top level", path)
-    if blob.get("format") != CHECKPOINT_FORMAT:
+def load_checkpoint(path: str):
+    """Returns (model, cfg, state, d_in, downstream_head_or_None, extra), built from
+    the saved config as for a fresh run, then restored from the saved values."""
+    blob = read_json(path)
+    if type(blob) is not dict or blob.get("format") != CHECKPOINT_FORMAT:
         raise InvalidParams(f"{path} is not an eigenlearn checkpoint")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise InvalidParams(f"{path} is a version {blob.get('version')} checkpoint; this "
                             f"eigenlearn reads only version {CHECKPOINT_VERSION}")
-    _require_fields(blob, CHECKPOINT_FIELDS, "top level", path)
-    for name, least, kind in (("d_in", 1, "positive"), ("epoch", 0, "non-negative"),
-                              ("skipped_batches", 0, "non-negative")):
-        if type(blob[name]) is not int or blob[name] < least:  # a bool is not a count
-            raise InvalidParams(f"{path}: the checkpoint's field {name!r} is {blob[name]!r}, "
-                                f"not a {kind} int")
-    optimizer = blob["optimizer"]
-    _require_fields(optimizer, ("lr", "beta1", "beta2", "eps", "t", "m", "v"), "optimizer", path)
-    for name in ("lr", "beta1", "beta2", "eps"):
-        value = optimizer[name]
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise InvalidParams(f"{path}: the checkpoint's field 'optimizer.{name}' is "
-                                f"{value!r}, not a finite number")
-    if type(optimizer["t"]) is not int or optimizer["t"] < 0:
-        raise InvalidParams(f"{path}: the checkpoint's field 'optimizer.t' is "
-                            f"{optimizer['t']!r}, not a non-negative int")
-    if blob["scheduler"] is not None and not isinstance(blob["scheduler"], dict):
-        raise InvalidParams(f"{path}: the checkpoint's field 'scheduler' is "
-                            f"{blob['scheduler']!r}, not null or an object")
-    if not isinstance(blob["rng_state"], dict):
-        raise InvalidParams(f"{path}: the checkpoint's field 'rng_state' is "
-                            f"{blob['rng_state']!r}, not an object")
-    if "downstream_head" in blob:
-        _require_fields(blob["downstream_head"], ("params",), "downstream_head", path)
-    return blob
-
-
-def load_checkpoint(path: str):
-    """Returns (model, cfg, state, d_in, downstream_head_or_None, extra), built from
-    the saved config as for a fresh run, then restored from the saved values."""
-    blob = _read_checkpoint(path)
-    try:
-        cfg = config_from_dict(blob["config"])
-    except InvalidParams as exc:
-        raise InvalidParams(f"{path}: the checkpoint's {exc}") from None
+    check_fields(blob, _CHECKPOINT, f"{path}: checkpoint", optional=("downstream_head",))
+    cfg = dataclass_from_dict(PretrainConfig, blob["config"], f"{path}: checkpoint.config")
     model = build_model(cfg, blob["d_in"])
-    _load_params(model.parameters(), blob["params"], "params")
+    _load_arrays(_values(model.parameters()), blob["params"], "params")
     head = None
     if "downstream_head" in blob:
         head = build_downstream_head(cfg)
-        _load_params(head.parameters(), blob["downstream_head"]["params"], "downstream_head")
+        _load_arrays(_values(head.parameters()), blob["downstream_head"]["params"],
+                     "downstream_head")
     state = _fresh_state(model, cfg, head)
-    optimizer = dict(blob["optimizer"])
+    saved = blob["optimizer"]
     for key in ("m", "v"):
-        optimizer[key] = _decode_entries(optimizer[key], getattr(state.optimizer, key),
-                                         f"optimizer.{key}")
-    state.optimizer.load_state_dict(optimizer)
+        _load_arrays(getattr(state.optimizer, key), saved[key], f"optimizer.{key}")
+    vars(state.optimizer).update({k: v for k, v in saved.items() if k not in ("m", "v")})
     if (blob["scheduler"] is None) != (state.scheduler is None):
-        raise InvalidParams(f"checkpoint scheduler state {blob['scheduler']} does not match "
-                            f"its config's scheduler.kind={cfg.scheduler.kind!r}")
+        raise InvalidParams(f"{path}: checkpoint scheduler state {blob['scheduler']} does not "
+                            f"match its config's scheduler.kind={cfg.scheduler.kind!r}")
     if state.scheduler is not None:
-        _require_fields(blob["scheduler"], state.scheduler.state_dict().keys(), "scheduler", path)
-        state.scheduler.load_state_dict(blob["scheduler"])
+        vars(state.scheduler).update(
+            check_fields(blob["scheduler"], _PLATEAU, f"{path}: checkpoint.scheduler"))
     try:
         state.rng.bit_generator.state = blob["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"{path}: the checkpoint's rng_state is not a "
                             f"{type(state.rng.bit_generator).__name__} state ({exc!r})") from None
     state.epoch, state.skipped_batches = blob["epoch"], blob["skipped_batches"]
-    return model, cfg, state, blob["d_in"], head, blob.get("extra", {})
+    return model, cfg, state, blob["d_in"], head, blob["extra"]

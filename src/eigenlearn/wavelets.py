@@ -11,10 +11,11 @@ The bank {I - P, P - P^2, ..., P^(2^(J-1)) - P^(2^J), P^(2^J)} telescopes to
 the identity, which is the main structural invariant tested downstream.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import BOOL, NON_NEGATIVE_INT, check_fields
 from .errors import IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic
 from .graphs import Graph, build_diffusion
 
@@ -47,9 +48,12 @@ class FeatureConfig:
     dirac_seed: int = 0
     keep_original_features: bool = False
 
+    FIELDS = {"use_wavelet_positional": BOOL, "use_diffused_dirac": BOOL,
+              "scales_J": NON_NEGATIVE_INT, "dirac_seed": NON_NEGATIVE_INT,
+              "keep_original_features": BOOL}
+
     def __post_init__(self):
-        if self.scales_J < 0:
-            raise InvalidParams("scales_J must be >= 0")
+        check_fields(asdict(self), self.FIELDS, type(self).__name__)
         if not (self.use_wavelet_positional or self.use_diffused_dirac):
             raise InvalidParams("at least one embedding flag must be set")
 

@@ -1,12 +1,16 @@
+import ast
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigenlearn.data import (atomic_write_text, dumps_graph, load_dataset,
-                             save_dataset)
-from eigenlearn.errors import DatasetFormatError
+from eigenlearn.data import (BOOL, FINITE, FINITE_MAP, FINITE_OR_NULL, FRACTION, LIST,
+                             NON_NEGATIVE, NON_NEGATIVE_INT, OBJECT, OBJECT_OR_NULL, POSITIVE,
+                             POSITIVE_INT, atomic_write_text, check_fields, dumps_graph,
+                             load_dataset, one_of, save_dataset)
+from eigenlearn.errors import DatasetFormatError, InvalidParams
 from eigenlearn.graphs import Graph, generate_graph
 
 
@@ -86,3 +90,101 @@ def test_feature_floats_roundtrip_exactly(tmp_path):
     save_dataset(str(path), [g])
     loaded = load_dataset(str(path))
     assert np.array_equal(loaded[0].node_features, x)
+
+
+def test_lines_ending_in_crlf_load_as_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    save_dataset(str(lf), [generate_graph("path", {"n": 3}), generate_graph("cycle", {"n": 4})])
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_dataset(str(crlf)) == load_dataset(str(lf))
+
+
+@pytest.mark.parametrize("content, line, message", [
+    (b'{"num_nodes": 1}\n{"num_nodes": 2, "edges": [[0, 1]]}\xff\n', 2, "not UTF-8 text"),
+    (b'{"num_nodes": 1}\n\n{"num_nodes": 0}\n', 3, r"record\.num_nodes must be >= 1, got 0$"),
+    (b'{"num_nodes": 2, "nodes": 2}\n', 1, r"record has unknown fields \['nodes'\]$"),
+    (b'{"num_nodes": 2, "targets": null}\n', 1, r"record\.targets must be an object, got None$"),
+    (b'{"num_nodes": 2, "targets": {"y": 1e999}}\n', 1,
+     r"record\.targets must be an object of finite numbers, got \{'y': inf\}$"),
+    (b'\n\n', None, "holds no graph record$"),
+])
+def test_a_bad_dataset_names_its_file_and_line(tmp_path, content, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(DatasetFormatError, match=message) as exc:
+        load_dataset(str(path))
+    assert exc.value.line_number == line
+    at = "" if line is None else f", line {line}"
+    assert str(exc.value).startswith(f"{path}{at}: ")
+
+
+@pytest.mark.parametrize("kind, good, bad", [
+    (POSITIVE_INT, [1, 10**30], [0, -1, True, 1.0, "1", None]),
+    (NON_NEGATIVE_INT, [0, 5], [-1, False, 0.0]),
+    (FINITE, [0, -2.5, 10**300], [float("nan"), float("inf"), 10**400, True, "1", None]),
+    (POSITIVE, [1e-300, 3], [0, -1.0, float("inf"), False]),
+    (NON_NEGATIVE, [0, 2.5], [-1e-300, float("nan"), True]),
+    (FRACTION, [0, 0.0, 0.5], [1, 1.0, -0.1, float("nan"), False]),
+    (FINITE_OR_NULL, [None, 0.5], [float("nan"), "x", True]),
+    (FINITE_MAP, [{}, {"a": 1, "b": -2.5}], [{"a": "x"}, {"a": float("nan")}, {"a": True}, []]),
+    (BOOL, [True, False], [0, 1, "true", None]),
+    (one_of("a", "b"), ["a", "b"], ["c", 1, None, ["a"]]),
+    (OBJECT, [{}, {"x": 1}], [[], None, "{}"]),
+    (OBJECT_OR_NULL, [None, {}], [[], 0]),
+    (LIST, [[], [1]], [(), {}, None]),
+])
+def test_a_field_kind_takes_exactly_its_values(kind, good, bad):
+    for value in good:
+        assert check_fields({"f": value}, {"f": kind}, "x") == {"f": value}
+    for value in bad:
+        with pytest.raises(InvalidParams, match=r"^x\.f must be .+, got .+$"):
+            check_fields({"f": value}, {"f": kind}, "x")
+
+
+def test_check_fields_names_a_missing_unknown_or_nested_field():
+    spec = {"a": POSITIVE_INT, "b": {"c": FINITE}}
+    for obj, message in (
+            ([], r"x must be an object, got \[\]"),
+            ({"a": 1}, "x has no field 'b'"),
+            ({"a": 1, "b": {"c": 1}, "d": 0}, r"x has unknown fields \['d'\]"),
+            ({"a": 1, "b": {"c": float("nan")}}, "x.b.c must be finite, got nan"),
+            ({"a": 1, "b": {}}, "x.b has no field 'c'")):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            check_fields(obj, spec, "x")
+    assert check_fields({"b": {"c": 0}}, spec, "x", optional=("a",)) == {"b": {"c": 0}}
+
+
+def _reads(node) -> bool:
+    """Whether an AST node parses JSON (json.load, json.loads, or importing
+    them) or opens a file for reading (open without a write-only mode,
+    Path.read_text or read_bytes)."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and any(a.name in ("load", "loads") for a in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id == "json":
+        return name in ("load", "loads")
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    if not modes:
+        return True  # the default mode reads
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("r+"))
+
+
+def files_reading_input(package: Path) -> list[str]:
+    return [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+            if path.name != "data.py" for node in ast.walk(ast.parse(path.read_text()))
+            if _reads(node)]
+
+
+def test_only_data_parses_json_or_opens_a_file_for_reading():
+    # one input boundary: every other module reads through data.read_json
+    assert files_reading_input(Path(__file__).parent.parent / "src" / "eigenlearn") == []

@@ -327,10 +327,10 @@ def fault_on_call(monkeypatch, name, call_number):
 
 
 def test_epoch_means_count_only_graphs_of_committed_batches(monkeypatch, caplog):
-    # lr 0 and no dropout keep every graph's loss fixed; batches of 2 over 6
-    # graphs, one loss call per batch, and the second call (the second batch)
-    # fails
-    cfg = small_cfg(epochs=1, batch_size=2, lr=0.0, dropout=0.0)
+    # batches of 2 over 6 graphs, one loss call per batch, each call's values
+    # recorded as the op returned them, and the second call (the second
+    # batch) fails
+    cfg = small_cfg(epochs=1, batch_size=2, dropout=0.0)
     examples = tr.precompute_targets(graph_soup(6, seed=4), cfg)
     model = tr.build_model(cfg, tr.feature_dim(examples))
     values = fault_on_call(monkeypatch, "combined_loss_t", 2)
@@ -497,6 +497,10 @@ def test_checkpoint_roundtrip_resumes_bit_for_bit(tmp_path):
     tr.save_checkpoint(str(path), model_b, full_cfg, state, d_in)
     model_c, cfg_c, state_c, d_in_c, _, _ = tr.load_checkpoint(str(path))
     assert d_in_c == d_in
+    plateau = ("patience", "factor", "threshold", "best", "num_bad")
+    assert state.scheduler.best is not None
+    assert ([getattr(state_c.scheduler, name) for name in plateau]
+            == [getattr(state.scheduler, name) for name in plateau])
     rec_b2, _ = tr.pretrain(examples, model_c, cfg_c, state_c)
 
     combined = rec_b1.deterministic_key() + rec_b2.deterministic_key()
@@ -532,7 +536,9 @@ def test_checkpoint_params_roundtrip_losslessly(tmp_path):
         for name in saved:
             assert saved[name].shape == restored[name].shape
             assert saved[name].tobytes() == restored[name].tobytes(), (key, name)
-    assert state2.optimizer.t == state.optimizer.t
+    adam = ("lr", "beta1", "beta2", "eps", "t")
+    assert [getattr(state2.optimizer, n) for n in adam] == [getattr(state.optimizer, n)
+                                                            for n in adam]
     assert state2.epoch == state.epoch
     assert state2.rng.bit_generator.state == state.rng.bit_generator.state
     # loaded into place: the values are still one buffer, the moments its slots
@@ -632,39 +638,39 @@ def _drop_last_row(entry):
     (lambda b: b["optimizer"]["m"].update({W0: [1.0, [2.0]]}),
      rf"optimizer.m entry '{W0}' is not a {{\"shape\", \"data\"}} object"),
     (lambda b: b.update(d_in="x"),
-     r"ckpt\.json: the checkpoint's field 'd_in' is 'x', not a positive int$"),
+     r"ckpt\.json: checkpoint\.d_in must be an int, got 'x'$"),
     (lambda b: b.update(d_in=0),
-     r"ckpt\.json: the checkpoint's field 'd_in' is 0, not a positive int$"),
+     r"ckpt\.json: checkpoint\.d_in must be >= 1, got 0$"),
     (lambda b: b.update(epoch=-1),
-     r"ckpt\.json: the checkpoint's field 'epoch' is -1, not a non-negative int$"),
+     r"ckpt\.json: checkpoint\.epoch must be >= 0, got -1$"),
     (lambda b: b.update(epoch=1.0),
-     r"ckpt\.json: the checkpoint's field 'epoch' is 1\.0, not a non-negative int$"),
+     r"ckpt\.json: checkpoint\.epoch must be an int, got 1\.0$"),
     (lambda b: b.update(skipped_batches=False),
-     r"ckpt\.json: the checkpoint's field 'skipped_batches' is False, not a non-negative int$"),
+     r"ckpt\.json: checkpoint\.skipped_batches must be an int, got False$"),
     (lambda b: b.update(skipped_batches=None),
-     r"ckpt\.json: the checkpoint's field 'skipped_batches' is None, not a non-negative int$"),
+     r"ckpt\.json: checkpoint\.skipped_batches must be an int, got None$"),
     (lambda b: b["optimizer"].update(lr="x"),
-     r"ckpt\.json: the checkpoint's field 'optimizer\.lr' is 'x', not a finite number$"),
+     r"ckpt\.json: checkpoint\.optimizer\.lr must be a number, got 'x'$"),
     (lambda b: b["optimizer"].update(beta1=True),
-     r"ckpt\.json: the checkpoint's field 'optimizer\.beta1' is True, not a finite number$"),
+     r"ckpt\.json: checkpoint\.optimizer\.beta1 must be a number, got True$"),
     (lambda b: b["optimizer"].update(beta2=None),
-     r"ckpt\.json: the checkpoint's field 'optimizer\.beta2' is None, not a finite number$"),
+     r"ckpt\.json: checkpoint\.optimizer\.beta2 must be a number, got None$"),
     (lambda b: b["optimizer"].update(eps=float("nan")),
-     r"ckpt\.json: the checkpoint's field 'optimizer\.eps' is nan, not a finite number$"),
+     r"ckpt\.json: checkpoint\.optimizer\.eps must be finite, got nan$"),
     (lambda b: b["optimizer"].update(t="x"),
-     r"ckpt\.json: the checkpoint's field 'optimizer\.t' is 'x', not a non-negative int$"),
+     r"ckpt\.json: checkpoint\.optimizer\.t must be an int, got 'x'$"),
     (lambda b: b["optimizer"].update(t=-1),
-     r"ckpt\.json: the checkpoint's field 'optimizer\.t' is -1, not a non-negative int$"),
+     r"ckpt\.json: checkpoint\.optimizer\.t must be >= 0, got -1$"),
     (lambda b: b.update(scheduler=5),
-     r"ckpt\.json: the checkpoint's field 'scheduler' is 5, not null or an object$"),
+     r"ckpt\.json: checkpoint\.scheduler must be null or an object, got 5$"),
     (lambda b: b["scheduler"].pop("num_bad"),
-     r"ckpt\.json: the checkpoint's scheduler has no field 'num_bad'$"),
+     r"ckpt\.json: checkpoint\.scheduler has no field 'num_bad'$"),
     (lambda b: b.update(rng_state=5),
-     r"ckpt\.json: the checkpoint's field 'rng_state' is 5, not an object$"),
+     r"ckpt\.json: checkpoint\.rng_state must be an object, got 5$"),
     (lambda b: b.update(rng_state={}),
      r"ckpt\.json: the checkpoint's rng_state is not a PCG64 state"),
     (lambda b: b["config"].update(k="x"),
-     r"ckpt\.json: the checkpoint's config\.k must be an int, got 'x'$"),
+     r"ckpt\.json: checkpoint\.config\.k must be an int, got 'x'$"),
 ], ids=["param-shape", "param-value-count", "param-missing", "moment-missing", "moment-extra",
         "moment-shape", "scheduler-state-missing", "param-stray-bytes", "param-data-not-base64",
         "moment-data-not-a-string", "param-shape-not-ints", "moment-shape-negative",
