@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import train as tr
-from .data import atomic_write_text, dumps_graph, load_dataset, read_json
+from .data import _numbered_graphs, atomic_write_text, dumps_graph, load_dataset, read_json
 from .eigen import eigendecompose
-from .errors import EigenlearnError, InvalidParams
+from .errors import DatasetFormatError, EigenlearnError, InvalidParams
 from .graphs import GRAPH_KINDS, Graph, build_laplacian, generate_graph
 from .invariants import run_all_checks
 from .wavelets import FeatureConfig, augment_features
@@ -69,16 +69,15 @@ def cmd_features(args) -> int:
     cfg = _config(FeatureConfig, args.config, "feature config")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, dirac_seed=args.seed)
-    graphs = load_dataset(args.input)
     lines = []
-    for idx, g in enumerate(graphs, start=1):
+    for number, g in _numbered_graphs(args.input):
         try:
             x = augment_features(g, cfg)
         except EigenlearnError as exc:
-            raise EigenlearnError(f"graph at line {idx}: {exc}") from exc
+            raise DatasetFormatError(args.input, number, str(exc)) from None
         lines.append(dumps_graph(g.with_features(x)))
     atomic_write_text(args.output, "".join(line + "\n" for line in lines))
-    log.info("augmented %d graphs -> %s", len(graphs), args.output)
+    log.info("augmented %d graphs -> %s", len(lines), args.output)
     return 0
 
 

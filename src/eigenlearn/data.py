@@ -140,18 +140,24 @@ def record_to_graph(rec) -> Graph:
                  rec.get("node_features"), dict(rec.get("targets", {})))
 
 
-def load_dataset(path: str) -> list[Graph]:
-    """The graphs of a dataset file; a bad record raises a DatasetFormatError
-    naming the file and its line, and so does a file without a record."""
-    graphs = []
+def _numbered_graphs(path: str):
+    """The (1-based line number, graph) of each record of a dataset file, as
+    the records are reached; a bad record raises a DatasetFormatError naming
+    the file and its line, and so does a file without a record."""
+    number = None
     for number, rec in read_json(path, lines=True):
         try:
-            graphs.append(record_to_graph(rec))
+            graph = record_to_graph(rec)
         except (EigenlearnError, TypeError, ValueError) as exc:
             raise DatasetFormatError(path, number, str(exc)) from None
-    if not graphs:
+        yield number, graph
+    if number is None:
         raise DatasetFormatError(path, None, "holds no graph record")
-    return graphs
+
+
+def load_dataset(path: str) -> list[Graph]:
+    """The graphs of a dataset file (see _numbered_graphs for its errors)."""
+    return [graph for _, graph in _numbered_graphs(path)]
 
 
 def dumps_graph(g: Graph) -> str:

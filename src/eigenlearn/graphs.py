@@ -38,7 +38,11 @@ class Graph:
         for e in self.edges:
             if len(e) != 2:
                 raise InvalidGraph(f"edge {e!r} is not a pair")
-            u, v = int(e[0]), int(e[1])
+            u, v = e
+            if type(u) is not int or type(v) is not int:  # a bool is not an int here
+                if not all(type(x) is int or isinstance(x, np.integer) for x in e):
+                    raise InvalidGraph(f"edge {e!r} has an endpoint that is not an int")
+                u, v = int(u), int(v)
             if u == v:
                 raise InvalidGraph(f"self-loop at node {u}")
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):

@@ -12,6 +12,10 @@ gradient: `combined_loss_t` for pre-training and the eigvec_ours arm of the
 loss comparison, `abs_cos_mae_loss_t` for its baseline arm and `mae_loss_t`
 for fine-tuning. The energy, eigenvector and orthogonality terms reach the
 tape only as parts of the combined loss.
+
+Modules declare the shapes of their parameters and allocate nothing. The
+model builders in `train` lay a whole model's parameters out as views of one
+buffer (allocate_parameters), the layout optim.Adam steps in one pass.
 """
 
 import contextlib
@@ -57,10 +61,9 @@ def allocate_parameters(params: dict[str, Tensor], rng: np.random.Generator) -> 
     weights) Glorot-uniform from rng, drawn straight into its view, everything
     else (biases, the GIN eps) zero. Returns the buffer.
 
-    A module given a generator lays out its own parameters this way; a
-    builder of a whole model passes None to its modules and lays out the
-    model's parameters at once, so they make one buffer (and one optimizer
-    run, see optim.Adam)."""
+    The model builders (train.build_model, train.build_downstream_head) are
+    its only callers: each lays out a whole model at once, so its parameters
+    make one buffer (and one optimizer run, see optim.Adam)."""
     flat = np.zeros(sum(p.values.size for p in params.values()))
     offset = 0
     for p in params.values():
@@ -75,13 +78,11 @@ def allocate_parameters(params: dict[str, Tensor], rng: np.random.Generator) -> 
 class Mlp:
     """Dense stack: affine + ReLU (+ dropout) per hidden layer, affine output.
 
-    Like every module here, it initialises its parameters from rng as one
-    buffer of their own (allocate_parameters), or leaves them unallocated for
-    the model builder when rng is None.
+    Like every module here, it declares its parameters' shapes and allocates
+    nothing: a model builder lays them out (allocate_parameters).
     """
 
-    def __init__(self, dims: list[int], dropout_rate: float = 0.0,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, dims: list[int], dropout_rate: float = 0.0):
         if len(dims) < 2:
             raise ShapeMismatch("an MLP needs at least input and output dims")
         if not 0.0 <= dropout_rate < 1.0:
@@ -93,8 +94,6 @@ class Mlp:
         for d_in, d_out in zip(dims[:-1], dims[1:]):
             self.weights.append(unallocated_parameter((d_in, d_out)))
             self.biases.append(unallocated_parameter((d_out,)))
-        if rng is not None:
-            allocate_parameters(self.parameters(), rng)
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -120,12 +119,10 @@ class GinLayer:
     """One message-passing step: h_v <- MLP((1 + eps) * h_v + sum_{u in N(v)} h_u)."""
 
     def __init__(self, in_dim: int, hidden_dim: int, update_layers: int,
-                 dropout_rate: float, rng: np.random.Generator | None):
+                 dropout_rate: float):
         dims = [in_dim] + [hidden_dim] * update_layers
         self.update_mlp = Mlp(dims, dropout_rate)
         self.eps = unallocated_parameter(())
-        if rng is not None:
-            allocate_parameters(self.parameters(), rng)
 
     def forward(self, h: Tensor, adjacency: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -152,8 +149,7 @@ class GinEncoder:
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, mp_layers: int,
-                 update_layers: int, dropout_rate: float, rng: np.random.Generator | None,
-                 max_nodes: int):
+                 update_layers: int, dropout_rate: float, max_nodes: int):
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
         self.max_nodes = max_nodes
@@ -161,10 +157,8 @@ class GinEncoder:
         self.layers = []
         d = in_dim
         for _ in range(mp_layers):
-            self.layers.append(GinLayer(d, hidden_dim, update_layers, dropout_rate, None))
+            self.layers.append(GinLayer(d, hidden_dim, update_layers, dropout_rate))
             d = hidden_dim
-        if rng is not None:
-            allocate_parameters(self.parameters(), rng)
 
     @contextlib.contextmanager
     def keeping_adjacencies(self):
@@ -244,11 +238,11 @@ class GraphLevelHead:
     """
 
     def __init__(self, max_nodes: int, d_hidden: int, k: int, mlp_hidden: int,
-                 mlp_layers: int, dropout_rate: float, rng: np.random.Generator | None):
+                 mlp_layers: int, dropout_rate: float):
         self.max_nodes = max_nodes
         self.k = k
         dims = [max_nodes * d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [max_nodes * k]
-        self.mlp = Mlp(dims, dropout_rate, rng)
+        self.mlp = Mlp(dims, dropout_rate)
 
     def forward(self, z: Tensor, sizes: list[int], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -273,10 +267,10 @@ class NodeWiseHead:
     """
 
     def __init__(self, d_hidden: int, k: int, mlp_hidden: int, mlp_layers: int,
-                 dropout_rate: float, rng: np.random.Generator | None):
+                 dropout_rate: float):
         self.k = k
         dims = [d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [k]
-        self.mlp = Mlp(dims, dropout_rate, rng)
+        self.mlp = Mlp(dims, dropout_rate)
 
     def forward(self, z: Tensor, sizes: list[int], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:

@@ -3,11 +3,12 @@
 Adam keeps the gradients, first moments and second moments of its parameters
 in three flat float64 buffers, one slot per parameter in the order of its
 parameter dict. A backward pass writes each parameter's first gradient
-contribution straight into its slot (`Tensor.grad_view`). The values stay
-where their model put them: a model built by `train.build_model` holds all
-its values in one buffer (`nn.allocate_parameters`). So a step makes one
-sliced pass over each run of parameters whose values are adjacent in memory,
-one run for a whole model, instead of a dozen numpy calls per parameter.
+contribution straight into its slot (`Tensor.grad_view`), the only place a
+step reads a gradient from. The values stay where their model put them: a
+model built by `train.build_model` holds all its values in one buffer
+(`nn.allocate_parameters`). So a step makes one sliced pass over each run of
+parameters whose values are adjacent in memory, one run for a whole model,
+instead of a dozen numpy calls per parameter.
 """
 
 import numpy as np
@@ -28,17 +29,19 @@ def _place(a: np.ndarray) -> tuple[np.ndarray, int] | None:
 class Adam:
     """Standard Adam with bias correction over a named parameter dict.
 
-    step() consumes whatever gradients have accumulated (callers batching by
-    gradient accumulation pass grad_scale = 1/batch to average them): it
-    updates the moments and the parameter values in place and uses the
-    gradient buffer as scratch, so the gradients hold no meaning afterwards
-    and must be cleared with zero_grad() before the next pass.
+    step() consumes the gradients that have accumulated in the slots (callers
+    batching by gradient accumulation pass grad_scale = 1/batch to average
+    them): it updates the moments and the parameter values in place and uses
+    the gradient buffer as scratch, so the gradients hold no meaning
+    afterwards and must be cleared with zero_grad() before the next pass.
+    Every parameter must have its gradient in its slot, as backward (or
+    Tensor.accumulate_grad) puts it there; a step fails before it changes
+    anything when one has not.
 
     `runs` holds, for each maximal sequence of parameters (in dict order)
     whose values are adjacent slices of one buffer, its values as one 1-D
     view and the names; a parameter with an array of its own is a run of its
-    own. A gradient set from outside the tape (p.grad is not its slot) is
-    copied into the slot, and a parameter without a gradient is skipped.
+    own. A run's slots are adjacent too, so each run is one pass.
     """
 
     # Elements per slice of the in-place update: the slices of m, v, the
@@ -56,18 +59,15 @@ class Adam:
         self.t = 0
         size = sum(p.values.size for p in self.params.values())
         self.flat_grad, self.flat_m, self.flat_v = np.zeros(size), np.zeros(size), np.zeros(size)
-        self.m, self.v = {}, {}
+        # the gradient slots, held here because Tensor.grad_view refers to them weakly
+        self._grads, self.m, self.v = {}, {}, {}
         self.runs: list[tuple[np.ndarray, list[str]]] = []
-        # per run: (p, its [lo, hi) slot, its gradient view, which Tensor.grad_view
-        # only refers to weakly)
-        self._slots: list[list[tuple[Tensor, int, int, np.ndarray]]] = []
         lo, follows = 0, None  # (buffer, offset) just past the previous parameter's values
         for name, p in self.params.items():
             if not p.values.flags.c_contiguous:
                 p.values = np.ascontiguousarray(p.values)
             hi = lo + p.values.size
-            grad = self.flat_grad[lo:hi].reshape(p.shape)
-            p.grad_view = grad
+            self._grads[name] = p.grad_view = self.flat_grad[lo:hi].reshape(p.shape)
             self.m[name] = self.flat_m[lo:hi].reshape(p.shape)
             self.v[name] = self.flat_v[lo:hi].reshape(p.shape)
             place = _place(p.values)
@@ -75,37 +75,10 @@ class Adam:
                 values, names = self.runs[-1]
                 run = place[0].reshape(-1)[place[1] - values.size:place[1] + p.values.size]
                 self.runs[-1] = (run, names + [name])
-                self._slots[-1].append((p, lo, hi, grad))
             else:
                 self.runs.append((p.values.reshape(-1), [name]))
-                self._slots.append([(p, lo, hi, grad)])
             follows = place and (place[0], place[1] + p.values.size)
             lo = hi
-
-    def _stretches(self):
-        """(values, grad, m, v) 1-D views over each maximal stretch of a run
-        whose parameters all have a gradient, gradients copied into their
-        slots first."""
-        for (values, _), slots in zip(self.runs, self._slots):
-            first = slots[0][1]
-
-            def cut(lo, hi):
-                return (values[lo - first:hi - first], self.flat_grad[lo:hi],
-                        self.flat_m[lo:hi], self.flat_v[lo:hi])
-
-            start = None
-            for p, lo, _, grad in slots:
-                if p.grad is None:
-                    if start is not None:
-                        yield cut(start, lo)
-                    start = None
-                    continue
-                if p.grad is not grad:
-                    np.copyto(grad, p.grad)
-                if start is None:
-                    start = lo
-            if start is not None:
-                yield cut(start, slots[-1][2])
 
     def step(self, grad_scale: float = 1.0) -> None:
         """One update, elementwise the same float operations in the same order as
@@ -117,11 +90,19 @@ class Adam:
 
         so it is bit-identical to that out-of-place form.
         """
+        for name, p in self.params.items():
+            if p.grad is not self._grads[name]:
+                raise ValueError(f"Adam.step: parameter {name!r} has no gradient in its "
+                                 "slot; backward or accumulate_grad puts it there")
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
         scratch = np.empty(self.BLOCK)
-        for values, grad, m, v in self._stretches():
+        first = 0  # the run's first slot
+        for values, _ in self.runs:
+            grad, m, v = (flat[first:first + values.size]
+                          for flat in (self.flat_grad, self.flat_m, self.flat_v))
+            first += values.size
             for lo in range(0, values.size, self.BLOCK):
                 hi = min(lo + self.BLOCK, values.size)
                 g, mb, vb, pb = grad[lo:hi], m[lo:hi], v[lo:hi], values[lo:hi]

@@ -19,15 +19,15 @@ import logging
 import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, NON_NEGATIVE_INT, OBJECT,
-                   OBJECT_OR_NULL, POSITIVE, POSITIVE_INT, atomic_write_text, check_fields,
-                   one_of, read_json)
+from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, NON_NEGATIVE, NON_NEGATIVE_INT,
+                   OBJECT, OBJECT_OR_NULL, POSITIVE, POSITIVE_INT, atomic_write_text,
+                   check_fields, one_of, read_json)
 from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
                      MissingTarget, NumericalFault, RankDeficient)
@@ -150,7 +150,12 @@ class EpochRow:
     seconds: float
 
 
-RUN_RECORD_HEADER = "epoch,loss_total,loss_energy,loss_eigvec,ortho_residual,lr,seconds"
+def _csv(cls, rows: list) -> str:
+    """Rows of dataclass cls as CSV: a header of its field names, then each
+    row's fields in that order (str of a float is its shortest round trip)."""
+    names = [f.name for f in fields(cls)]
+    lines = [",".join(names)] + [",".join(str(getattr(r, n)) for n in names) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -159,18 +164,14 @@ class RunRecord:
     skipped_batches: int = 0
 
     def to_csv(self, include_timing: bool = True) -> str:
-        lines = [RUN_RECORD_HEADER]
-        for r in self.rows:
-            seconds = r.seconds if include_timing else 0.0
-            lines.append(f"{r.epoch},{r.loss_total!r},{r.loss_energy!r},"
-                         f"{r.loss_eigvec!r},{r.ortho_residual!r},{r.lr!r},{seconds!r}")
-        return "\n".join(lines) + "\n"
+        return _csv(EpochRow, self.rows if include_timing
+                    else [replace(r, seconds=0.0) for r in self.rows])
 
     def deterministic_key(self) -> list[tuple]:
         """Row tuples with the wall-clock column dropped (the one
         nondeterministic field); used for run-equality comparisons."""
-        return [(r.epoch, r.loss_total, r.loss_energy, r.loss_eigvec,
-                 r.ortho_residual, r.lr) for r in self.rows]
+        return [tuple(getattr(r, f.name) for f in fields(EpochRow) if f.name != "seconds")
+                for r in self.rows]
 
 
 def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[TrainingExample]:
@@ -241,13 +242,13 @@ def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
     """The model of a config, its parameters laid out as views of one buffer
     and initialised from generator stream 0."""
     encoder = GinEncoder(d_in, cfg.hidden_dim, cfg.mp_layers, cfg.update_layers,
-                         cfg.dropout, None, cfg.max_nodes)
+                         cfg.dropout, cfg.max_nodes)
     if cfg.head_kind == GRAPH_LEVEL:
         head = GraphLevelHead(cfg.max_nodes, cfg.hidden_dim, cfg.k,
-                              cfg.head_hidden_dim, cfg.head_layers, cfg.dropout, None)
+                              cfg.head_hidden_dim, cfg.head_layers, cfg.dropout)
     else:
         head = NodeWiseHead(cfg.hidden_dim, cfg.k, cfg.head_hidden_dim,
-                            cfg.head_layers, cfg.dropout, None)
+                            cfg.head_layers, cfg.dropout)
     model = EigenModel(encoder, head, cfg.head_kind)
     allocate_parameters(model.parameters(), np.random.default_rng([cfg.seed, 0]))
     return model
@@ -256,9 +257,10 @@ def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
 def build_downstream_head(cfg: PretrainConfig) -> Mlp:
     """Scalar-regression head over the concatenated-padded node embeddings,
     its parameters one buffer, initialised from generator stream 3."""
-    rng = np.random.default_rng([cfg.seed, 3])
     hidden = [cfg.head_hidden_dim] * (cfg.head_layers - 1)
-    return Mlp([cfg.max_nodes * cfg.hidden_dim] + hidden + [1], cfg.dropout, rng)
+    head = Mlp([cfg.max_nodes * cfg.hidden_dim] + hidden + [1], cfg.dropout)
+    allocate_parameters(head.parameters(), np.random.default_rng([cfg.seed, 3]))
+    return head
 
 
 @dataclass
@@ -490,14 +492,8 @@ class ComparisonRow:
     loss_energy: float
 
 
-COMPARISON_HEADER = "arm,epoch,loss_eigvec,loss_energy"
-
-
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
-    lines = [COMPARISON_HEADER]
-    for r in rows:
-        lines.append(f"{r.arm},{r.epoch},{r.loss_eigvec!r},{r.loss_energy!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(ComparisonRow, rows)
 
 
 def _evaluate_outputs(outputs: list[np.ndarray],
@@ -635,9 +631,12 @@ def _load_arrays(arrays: dict, entries, what: str) -> None:
 
 
 # The fields of a checkpoint and of the optimizer and plateau states in it, each
-# of its kind: a save writes these attributes, a load checks and sets them.
-_ADAM = {"lr": FINITE, "beta1": FINITE, "beta2": FINITE, "eps": FINITE, "t": NON_NEGATIVE_INT,
-         "m": OBJECT, "v": OBJECT}
+# of its kind: a save writes these attributes, a load checks them. Of the
+# scalars, a load sets only the state a fresh run cannot rebuild (_RESUMED);
+# the others must equal the fresh state's: the code's betas, eps and threshold,
+# the config's patience and factor.
+_ADAM = {"lr": NON_NEGATIVE, "beta1": FINITE, "beta2": FINITE, "eps": FINITE,
+         "t": NON_NEGATIVE_INT, "m": OBJECT, "v": OBJECT}
 _PLATEAU = {"patience": POSITIVE_INT, "factor": FINITE, "threshold": FINITE,
             "best": FINITE_OR_NULL, "num_bad": NON_NEGATIVE_INT}
 _CHECKPOINT = {
@@ -647,6 +646,18 @@ _CHECKPOINT = {
     "optimizer": _ADAM, "scheduler": OBJECT_OR_NULL, "rng_state": OBJECT, "extra": OBJECT,
     "downstream_head": {"params": OBJECT},
 }
+_RESUMED = ("lr", "t", "best", "num_bad")
+
+
+def _resume(fresh, saved: dict, where: str) -> None:
+    """Set the _RESUMED fields of a fresh optimizer or schedule to the saved
+    values; every other saved scalar must equal the fresh one."""
+    for name, value in saved.items():
+        if name in _RESUMED:
+            setattr(fresh, name, value)
+        elif value != getattr(fresh, name):
+            raise InvalidParams(f"{where}.{name}: {value!r} in the file, "
+                                f"{getattr(fresh, name)!r} in the state built from its config")
 
 
 def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
@@ -697,13 +708,14 @@ def load_checkpoint(path: str):
     saved = blob["optimizer"]
     for key in ("m", "v"):
         _load_arrays(getattr(state.optimizer, key), saved[key], f"optimizer.{key}")
-    vars(state.optimizer).update({k: v for k, v in saved.items() if k not in ("m", "v")})
+    _resume(state.optimizer, {k: v for k, v in saved.items() if k not in ("m", "v")},
+            f"{path}: checkpoint.optimizer")
     if (blob["scheduler"] is None) != (state.scheduler is None):
         raise InvalidParams(f"{path}: checkpoint scheduler state {blob['scheduler']} does not "
                             f"match its config's scheduler.kind={cfg.scheduler.kind!r}")
     if state.scheduler is not None:
-        vars(state.scheduler).update(
-            check_fields(blob["scheduler"], _PLATEAU, f"{path}: checkpoint.scheduler"))
+        where = f"{path}: checkpoint.scheduler"
+        _resume(state.scheduler, check_fields(blob["scheduler"], _PLATEAU, where), where)
     try:
         state.rng.bit_generator.state = blob["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:

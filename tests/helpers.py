@@ -1,10 +1,12 @@
 """Shared test utilities: finite-difference oracles, a scalarizing
-projection, random graph soup and a version-1 checkpoint writer."""
+projection, the layout of a module built alone, random graph soup and a
+version-1 checkpoint writer."""
 
 import numpy as np
 
 from eigenlearn import autodiff as ad
 from eigenlearn.graphs import Graph, generate_graph
+from eigenlearn.nn import allocate_parameters
 from eigenlearn.train import decode_array
 
 
@@ -35,6 +37,13 @@ def project(t: ad.Tensor, seed: int = 0) -> ad.Tensor:
     signs and of different sizes let a gradient check see every entry of t."""
     w = np.random.default_rng(seed).standard_normal(t.shape)
     return ad.scalar_with_grad(t, float(np.sum(w * t.values)), w)
+
+
+def laid_out(module, rng: np.random.Generator):
+    """A module built alone, its parameters laid out and initialised from rng
+    as a model builder lays out a whole model's (nn.allocate_parameters)."""
+    allocate_parameters(module.parameters(), rng)
+    return module
 
 
 def random_connected_graph(rng: np.random.Generator, n_low: int = 4, n_high: int = 16) -> Graph:

@@ -142,12 +142,14 @@ def test_pretrain_val_loss_schedule_exits_1(tmp_path, small_dataset, capsys):
 
 
 def test_features_isolated_node_exit_1(tmp_path, capsys):
+    # the graph on line 3, after a blank line, has an isolated node
     bad = tmp_path / "iso.jsonl"
-    bad.write_text('{"num_nodes": 3, "edges": [[0, 1]]}\n')
+    bad.write_text('{"num_nodes": 2, "edges": [[0, 1]]}\n\n{"num_nodes": 3, "edges": [[0, 1]]}\n')
     code = main(["features", "--input", str(bad), "--output", str(tmp_path / "o.jsonl")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "degree 0" in err
+    assert err == f"error: {bad}, line 3: node 2 has degree 0; diffusion is undefined\n"
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_pretrain_writes_record_and_checkpoint(tmp_path, small_dataset):
@@ -359,7 +361,7 @@ def inputs(tmp_path_factory):
     data, checkpoint = root / "d.jsonl", root / "pre.json"
     assert main(["gen-data", "--count", "8", "--seed", "2", "--n-min", "6",
                  "--n-max", "10", "--output", str(data)]) == 0
-    config = small_config(root, k=3)
+    config = small_config(root, k=3, scheduler={"kind": "reduce_on_plateau"})
     features = root / "fcfg.json"
     features.write_text(json.dumps({"scales_J": 1}))
     assert main(["--quiet", "pretrain", "--input", str(data), "--output", str(root / "pre.csv"),
@@ -394,15 +396,9 @@ def _with(text, **fields):
     return json.dumps({**json.loads(text), **fields})
 
 
-def _with_optimizer(text, **fields):
+def _with_in(text, key, **fields):
     blob = json.loads(text)
-    blob["optimizer"].update(fields)
-    return json.dumps(blob)
-
-
-def _with_config(text, **fields):
-    blob = json.loads(text)
-    blob["config"].update(fields)
+    blob[key].update(fields)
     return json.dumps(blob)
 
 
@@ -421,13 +417,17 @@ CORRUPT_CHECKPOINTS = {
                                           if k != "config"}),
     "d_in_not_an_int": lambda text: _with(text, d_in="x"),
     "d_in_zero": lambda text: _with(text, d_in=0),
-    "lr_not_a_number": lambda text: _with_optimizer(text, lr="x"),
-    "lr_inf": lambda text: _with_optimizer(text, lr=float("inf")),
-    "eps_nan": lambda text: _with_optimizer(text, eps=float("nan")),
-    "t_not_an_int": lambda text: _with_optimizer(text, t=1.5),
+    "lr_not_a_number": lambda text: _with_in(text, "optimizer", lr="x"),
+    "lr_inf": lambda text: _with_in(text, "optimizer", lr=float("inf")),
+    "lr_negative": lambda text: _with_in(text, "optimizer", lr=-1.0),
+    "beta1_not_the_codes": lambda text: _with_in(text, "optimizer", beta1=1.0),
+    "eps_nan": lambda text: _with_in(text, "optimizer", eps=float("nan")),
+    "t_not_an_int": lambda text: _with_in(text, "optimizer", t=1.5),
     "scheduler_not_an_object": lambda text: _with(text, scheduler=5),
+    "patience_not_the_configs": lambda text: _with_in(text, "scheduler", patience=1),
+    "factor_not_the_configs": lambda text: _with_in(text, "scheduler", factor=5.0),
     "rng_state_not_an_object": lambda text: _with(text, rng_state=5),
-    "config_batch_size_zero": lambda text: _with_config(text, batch_size=0),
+    "config_batch_size_zero": lambda text: _with_in(text, "config", batch_size=0),
 }
 CORRUPT_DATASETS = {
     **CORRUPT_FILES,
@@ -439,6 +439,8 @@ CORRUPT_DATASETS = {
     "target_not_a_number": lambda text: text + '{"num_nodes": 2, "targets": {"y": "x"}}\n',
     "target_nan": lambda text: text + '{"num_nodes": 2, "targets": {"y": NaN}}\n',
     "features_inf": lambda text: text + '{"num_nodes": 2, "node_features": [[Infinity], [0]]}\n',
+    "edge_float_endpoint": lambda text: text + '{"num_nodes": 3, "edges": [[0.9, 1], [1, 2]]}\n',
+    "edge_bool_endpoint": lambda text: text + '{"num_nodes": 3, "edges": [[true, 2]]}\n',
 }
 # a config has no field to be missing: every field has a default
 CORRUPT_CONFIGS = {
@@ -471,14 +473,18 @@ CORRUPTIONS = {"checkpoint": CORRUPT_CHECKPOINTS, "dataset": CORRUPT_DATASETS,
 NAMED_FIELDS = {
     "no_config": "'config'", "d_in_not_an_int": "checkpoint.d_in",
     "d_in_zero": "checkpoint.d_in", "lr_not_a_number": "checkpoint.optimizer.lr",
+    "lr_negative": "checkpoint.optimizer.lr", "beta1_not_the_codes": "checkpoint.optimizer.beta1",
     "eps_nan": "checkpoint.optimizer.eps", "t_not_an_int": "checkpoint.optimizer.t",
     "scheduler_not_an_object": "checkpoint.scheduler",
+    "patience_not_the_configs": "checkpoint.scheduler.patience",
+    "factor_not_the_configs": "checkpoint.scheduler.factor",
     "rng_state_not_an_object": "checkpoint.rng_state",
     "config_batch_size_zero": "checkpoint.config.batch_size",
     "no_num_nodes": "'num_nodes'", "num_nodes_not_an_int": "record.num_nodes",
     "num_nodes_zero": "record.num_nodes", "target_not_a_number": "record.targets",
     "record_unknown_field": "'nodes'",
     "target_nan": "record.targets", "features_inf": "node_features",
+    "edge_float_endpoint": "edge (0.9, 1)", "edge_bool_endpoint": "edge (True, 2)",
     "unknown_field": "unknown fields", "k_not_an_int": "config.k", "lr_nan": "config.lr",
     "lr_zero": "config.lr", "batch_size_zero": "config.batch_size",
     "hidden_dim_zero": "config.hidden_dim", "mp_layers_zero": "config.mp_layers",

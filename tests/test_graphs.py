@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,17 @@ def test_graph_rejects_duplicate_edge():
 def test_graph_rejects_out_of_range_edge():
     with pytest.raises(InvalidGraph):
         Graph(3, ((0, 3),))
+
+
+@pytest.mark.parametrize("edge", [(0.9, 1), (True, 2), (0, 2.0), ("0", 1)])
+def test_graph_rejects_an_endpoint_that_is_not_an_int(edge):
+    with pytest.raises(InvalidGraph, match=rf"^edge {re.escape(repr(edge))} has an endpoint "
+                                           "that is not an int$"):
+        Graph(3, (edge,))
+
+
+def test_graph_takes_numpy_int_endpoints():
+    assert Graph(3, ((np.int64(2), np.int32(0)),)).edges == ((0, 2),)
 
 
 def test_graph_rejects_bad_feature_rows():

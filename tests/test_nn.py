@@ -11,7 +11,7 @@ from eigenlearn.nn import (RANK_TOL, EigenModel, GinEncoder, GinLayer, GraphLeve
                            glorot_uniform, mae_loss_t, orthonormalize)
 from eigenlearn import losses
 from eigenlearn.train import pad_stack
-from helpers import max_rel_error, numeric_gradient, project
+from helpers import laid_out, max_rel_error, numeric_gradient, project
 
 
 def test_glorot_bounds():
@@ -25,7 +25,7 @@ def test_glorot_bounds():
 # --- MLP / GIN ---
 
 def test_mlp_zero_weights_outputs_bias():
-    mlp = Mlp([3, 2], rng=np.random.default_rng(0))
+    mlp = laid_out(Mlp([3, 2]), np.random.default_rng(0))
     mlp.weights[0].values[:] = 0.0
     mlp.biases[0].values[:] = [1.5, -2.0]
     out = mlp.forward(ad.constant(np.random.default_rng(1).standard_normal((4, 3))))
@@ -35,8 +35,8 @@ def test_mlp_zero_weights_outputs_bias():
 def identity_gin_layer(dim):
     """Single affine 'MLP' wired to the identity so the layer output equals
     its pre-activation aggregate."""
-    layer = GinLayer(dim, dim, update_layers=1, dropout_rate=0.0,
-                     rng=np.random.default_rng(0))
+    layer = laid_out(GinLayer(dim, dim, update_layers=1, dropout_rate=0.0),
+                     np.random.default_rng(0))
     layer.update_mlp.weights[0].values = np.eye(dim)
     layer.update_mlp.biases[0].values[:] = 0.0
     return layer
@@ -74,8 +74,8 @@ def test_gin_encoder_permutation_equivariance():
     rng = np.random.default_rng(5)
     g = generate_graph("erdos_renyi", {"n": 7, "p": 0.5}, seed=2)
     x = rng.standard_normal((7, 4))
-    enc = GinEncoder(4, 6, mp_layers=2, update_layers=2, dropout_rate=0.0,
-                     rng=np.random.default_rng(1), max_nodes=7)
+    enc = laid_out(GinEncoder(4, 6, mp_layers=2, update_layers=2, dropout_rate=0.0,
+                              max_nodes=7), np.random.default_rng(1))
     out = enc.forward([g], [x]).values
     perm = list(rng.permutation(7))
     gp = permute_graph(g, perm)
@@ -100,9 +100,9 @@ def padded(zs, max_nodes):
 
 def make_graph_head(**kw):
     args = dict(max_nodes=5, d_hidden=3, k=2, mlp_hidden=8, mlp_layers=2,
-                dropout_rate=0.0, rng=np.random.default_rng(3))
+                dropout_rate=0.0)
     args.update(kw)
-    return GraphLevelHead(**args)
+    return laid_out(GraphLevelHead(**args), np.random.default_rng(3))
 
 
 def test_graph_level_head_shapes():
@@ -127,24 +127,23 @@ def test_graph_level_head_rejects_a_batch_of_another_node_budget():
 
 
 def test_encoder_rejects_oversize():
-    enc = GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
-                     rng=np.random.default_rng(0), max_nodes=5)
+    enc = laid_out(GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
+                              max_nodes=5), np.random.default_rng(0))
     with pytest.raises(GraphTooLarge):
         enc.forward([generate_graph("path", {"n": 6})], [np.zeros((6, 2))])
 
 
 def test_encoder_rejects_features_of_the_wrong_shape():
-    enc = GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
-                     rng=np.random.default_rng(0), max_nodes=5)
+    enc = laid_out(GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
+                              max_nodes=5), np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         enc.forward([generate_graph("path", {"n": 4})], [np.zeros((4, 3))])
 
 
 def test_graph_level_head_reference_dims():
     # hidden 60, 40-node budget, 6 eigenvectors: 2400 -> ... -> 240
-    head = GraphLevelHead(max_nodes=40, d_hidden=60, k=6, mlp_hidden=2400,
-                          mlp_layers=2, dropout_rate=0.0,
-                          rng=np.random.default_rng(0))
+    head = laid_out(GraphLevelHead(max_nodes=40, d_hidden=60, k=6, mlp_hidden=2400,
+                                   mlp_layers=2, dropout_rate=0.0), np.random.default_rng(0))
     assert head.mlp.dims[0] == 2400
     assert head.mlp.dims[-1] == 240
     z = np.zeros((3, 60))
@@ -164,8 +163,8 @@ def test_graph_level_head_is_order_sensitive():
 
 
 def test_node_wise_head_row_independence():
-    head = NodeWiseHead(d_hidden=3, k=2, mlp_hidden=8, mlp_layers=2,
-                        dropout_rate=0.0, rng=np.random.default_rng(4))
+    head = laid_out(NodeWiseHead(d_hidden=3, k=2, mlp_hidden=8, mlp_layers=2,
+                                 dropout_rate=0.0), np.random.default_rng(4))
     rng = np.random.default_rng(5)
     z = rng.standard_normal((4, 3))
     out = head.forward(ad.constant(z), [4]).values[0]
@@ -186,8 +185,8 @@ def batch_of_mixed_sizes(d, sizes=(3, 5, 1, 4), seed=6):
 
 @pytest.mark.parametrize("make_head", [
     lambda: make_graph_head(),
-    lambda: NodeWiseHead(d_hidden=3, k=2, mlp_hidden=8, mlp_layers=3,
-                         dropout_rate=0.0, rng=np.random.default_rng(4)),
+    lambda: laid_out(NodeWiseHead(d_hidden=3, k=2, mlp_hidden=8, mlp_layers=3,
+                                  dropout_rate=0.0), np.random.default_rng(4)),
 ], ids=["graph_level", "node_wise"])
 def test_batched_head_matches_batch_of_one(make_head):
     head = make_head()
@@ -417,10 +416,10 @@ def test_mae_loss_tape():
 
 def build_small_model(seed=0, dropout=0.0):
     rng = np.random.default_rng(seed)
-    enc = GinEncoder(4, 8, mp_layers=2, update_layers=2, dropout_rate=dropout, rng=rng,
-                     max_nodes=10)
-    head = GraphLevelHead(max_nodes=10, d_hidden=8, k=3, mlp_hidden=16,
-                          mlp_layers=2, dropout_rate=dropout, rng=rng)
+    enc = laid_out(GinEncoder(4, 8, mp_layers=2, update_layers=2, dropout_rate=dropout,
+                              max_nodes=10), rng)
+    head = laid_out(GraphLevelHead(max_nodes=10, d_hidden=8, k=3, mlp_hidden=16,
+                                   mlp_layers=2, dropout_rate=dropout), rng)
     return EigenModel(enc, head, "graph_level")
 
 
@@ -501,10 +500,10 @@ def mixed_batch(seed=13, sizes=(7, 3, 10, 5)):
 
 def build_small_node_wise_model(seed=0):
     rng = np.random.default_rng(seed)
-    enc = GinEncoder(4, 8, mp_layers=2, update_layers=2, dropout_rate=0.0, rng=rng,
-                     max_nodes=10)
-    head = NodeWiseHead(d_hidden=8, k=3, mlp_hidden=16, mlp_layers=2, dropout_rate=0.0,
-                        rng=rng)
+    enc = laid_out(GinEncoder(4, 8, mp_layers=2, update_layers=2, dropout_rate=0.0,
+                              max_nodes=10), rng)
+    head = laid_out(NodeWiseHead(d_hidden=8, k=3, mlp_hidden=16, mlp_layers=2,
+                                 dropout_rate=0.0), rng)
     return EigenModel(enc, head, "node_wise")
 
 

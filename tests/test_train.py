@@ -1,3 +1,4 @@
+import ast
 import base64
 import contextlib
 import copy
@@ -5,6 +6,7 @@ import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -715,6 +717,26 @@ def test_build_model_draws_what_per_array_glorot_draws_give(head_kind):
             else:
                 expected = np.zeros(p.shape)
             assert np.array_equal(p.values, expected), name
+
+
+def callers(package: Path, name: str) -> list[str]:
+    """<file>:<top-level function or class> of every call of `name` (a bare
+    name or an attribute) in the package's modules."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    found.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    return sorted(found)
+
+
+def test_only_the_model_builders_lay_parameters_out():
+    # one way in for parameters: no module lays out its own
+    package = Path(__file__).parent.parent / "src" / "eigenlearn"
+    assert callers(package, "allocate_parameters") == ["train.py:build_downstream_head",
+                                                       "train.py:build_model"]
 
 
 @pytest.mark.parametrize("run", ["pretrain", "finetune", "finetune-keep-head"])
