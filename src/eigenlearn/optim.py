@@ -8,12 +8,27 @@ step reads a gradient from. The values stay where their model put them: a
 model built by `train.build_model` holds all its values in one buffer
 (`nn.allocate_parameters`). So a step makes one sliced pass over each run of
 parameters whose values are adjacent in memory, one run for a whole model,
-instead of a dozen numpy calls per parameter.
+instead of a dozen numpy calls per parameter. The update is Kingma and Ba's
+folded form (both bias corrections in the step size and epsilon), and a run
+of millions of values is cut into pieces that threads update at once, one
+per usable CPU: the update is elementwise and numpy releases the interpreter
+lock inside it, so the pieces change nothing but the time.
 """
+
+import math
+import os
 
 import numpy as np
 
 from .autodiff import Tensor
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask (which
+    `taskset` narrows) where the platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _place(a: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -41,13 +56,21 @@ class Adam:
     `runs` holds, for each maximal sequence of parameters (in dict order)
     whose values are adjacent slices of one buffer, its values as one 1-D
     view and the names; a parameter with an array of its own is a run of its
-    own. A run's slots are adjacent too, so each run is one pass.
+    own. A run's slots are adjacent too, so each run is one pass. `pieces`
+    cuts each run, at BLOCK boundaries, into at most usable_cpus() pieces of
+    at least MIN_PIECE values each, as (values, gradients, m, v) 1-D views: a
+    desk-scale run is one piece, and a step that has cut no run uses no
+    thread.
     """
 
     # Elements per slice of the in-place update: the slices of m, v, the
     # gradient, the values and the scratch stay in cache across the update's
-    # dozen passes, and no temporary grows with the parameter size.
+    # twelve passes, and no temporary grows with the parameter size.
     BLOCK = 1 << 15
+    # Fewest values in a piece of a run. Updating this many takes milliseconds,
+    # so starting a thread for a piece (tens of microseconds) stays a small
+    # share of the step, and desk-scale models are never cut.
+    MIN_PIECE = 1 << 20
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -79,49 +102,75 @@ class Adam:
                 self.runs.append((p.values.reshape(-1), [name]))
             follows = place and (place[0], place[1] + p.values.size)
             lo = hi
+        self.pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        cpus, first = usable_cpus(), 0  # first: the run's first slot
+        for values, _ in self.runs:
+            count = max(1, min(cpus, values.size // self.MIN_PIECE))
+            # a multiple of BLOCK, and at least MIN_PIECE when count > 1; the
+            # last piece takes what is left over
+            length = values.size // count // self.BLOCK * self.BLOCK
+            cuts = [i * length for i in range(count)] + [values.size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                self.pieces.append((values[lo:hi], *(flat[first + lo:first + hi] for flat in
+                                                     (self.flat_grad, self.flat_m, self.flat_v))))
+            first += values.size
+        self._threads = min(len(self.pieces), cpus) if len(self.pieces) > len(self.runs) else 1
 
     def step(self, grad_scale: float = 1.0) -> None:
-        """One update, elementwise the same float operations in the same order as
+        """One update in Kingma and Ba's folded form (arXiv:1412.6980, section 2):
+        elementwise the same float operations in the same order as
 
-            g = grad * grad_scale
-            m = beta1 * m + (1 - beta1) * g
-            v = beta2 * v + (1 - beta2) * (g * g)
-            values = values - lr * (m / correct1) / (sqrt(v / correct2) + eps)
+            lr_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)
+            eps_t = eps * sqrt(1 - beta2**t)
+            m = beta1 * m + ((1 - beta1) * grad_scale) * grad
+            v = beta2 * v + ((1 - beta2) * grad_scale**2) * (grad * grad)
+            values = values - lr_t * m / (sqrt(v) + eps_t)
 
-        so it is bit-identical to that out-of-place form.
+        so it is bit-identical to that out-of-place form, however the runs are
+        cut into pieces. It is the textbook update with the bias corrections
+        moved into lr_t and eps_t; m and v keep their textbook meaning, and the
+        values agree with the textbook ones up to rounding.
         """
         for name, p in self.params.items():
             if p.grad is not self._grads[name]:
                 raise ValueError(f"Adam.step: parameter {name!r} has no gradient in its "
                                  "slot; backward or accumulate_grad puts it there")
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
-        scratch = np.empty(self.BLOCK)
-        first = 0  # the run's first slot
-        for values, _ in self.runs:
-            grad, m, v = (flat[first:first + values.size]
-                          for flat in (self.flat_grad, self.flat_m, self.flat_v))
-            first += values.size
-            for lo in range(0, values.size, self.BLOCK):
-                hi = min(lo + self.BLOCK, values.size)
-                g, mb, vb, pb = grad[lo:hi], m[lo:hi], v[lo:hi], values[lo:hi]
-                tmp = scratch[: hi - lo]
-                g *= grad_scale
-                mb *= self.beta1
-                np.multiply(g, 1.0 - self.beta1, out=tmp)
-                mb += tmp
-                vb *= self.beta2
-                g *= g
-                g *= 1.0 - self.beta2
-                vb += g
-                np.divide(mb, correct1, out=tmp)
-                tmp *= self.lr
-                np.divide(vb, correct2, out=g)
-                np.sqrt(g, out=g)
-                g += self.eps
-                tmp /= g
-                pb -= tmp
+        root2 = math.sqrt(1.0 - self.beta2 ** self.t)
+        factors = (self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2,
+                   (1.0 - self.beta1) * grad_scale, (1.0 - self.beta2) * grad_scale ** 2)
+        if self._threads == 1:
+            for piece in self.pieces:
+                self._update(piece, *factors)
+        else:
+            # imported only by a process that steps a cut run: imported with
+            # this module (it brings in logging), it slowed perfbench's
+            # spectra-prep, which never steps, by about 2% (2 CPUs)
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(self._threads) as pool:
+                # list() reads every result, so an error in a piece is raised here
+                list(pool.map(lambda piece: self._update(piece, *factors), self.pieces))
+
+    def _update(self, piece, lr_t: float, eps_t: float, a1: float, a2: float) -> None:
+        """The step's twelve in-place passes over one piece, slice by slice."""
+        values, grad, m, v = piece
+        scratch = np.empty(min(self.BLOCK, values.size))
+        for lo in range(0, values.size, self.BLOCK):
+            hi = min(lo + self.BLOCK, values.size)
+            g, mb, vb, pb = grad[lo:hi], m[lo:hi], v[lo:hi], values[lo:hi]
+            tmp = scratch[: hi - lo]
+            mb *= self.beta1
+            np.multiply(g, a1, out=tmp)
+            mb += tmp
+            vb *= self.beta2
+            g *= g
+            g *= a2
+            vb += g
+            np.sqrt(vb, out=g)
+            g += eps_t
+            np.multiply(mb, lr_t, out=tmp)
+            tmp /= g
+            pb -= tmp
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -1,10 +1,12 @@
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
 
 from eigenlearn import autodiff as ad
+from eigenlearn import nn, optim
 from eigenlearn import train as tr
 from eigenlearn.optim import Adam, ReduceLROnPlateau
 
@@ -65,7 +67,23 @@ def test_grad_scale_averages_accumulated_gradients():
 
 def reference_adam_step(params, grads, m, v, t, lr, grad_scale,
                         beta1=0.9, beta2=0.999, eps=1e-8):
-    """The out-of-place Adam update the in-place step must reproduce bit for bit."""
+    """The out-of-place folded Adam update (Kingma and Ba, section 2) the
+    in-place step must reproduce bit for bit."""
+    root2 = math.sqrt(1.0 - beta2 ** t)
+    lr_t = lr * root2 / (1.0 - beta1 ** t)
+    eps_t = eps * root2
+    a1 = (1.0 - beta1) * grad_scale
+    a2 = (1.0 - beta2) * grad_scale ** 2
+    for name in params:
+        g = grads[name]
+        m[name] = beta1 * m[name] + a1 * g
+        v[name] = beta2 * v[name] + a2 * (g * g)
+        params[name] = params[name] - lr_t * m[name] / (np.sqrt(v[name]) + eps_t)
+
+
+def textbook_adam_step(params, grads, m, v, t, lr, grad_scale,
+                       beta1=0.9, beta2=0.999, eps=1e-8):
+    """Algorithm 1 of Kingma and Ba as written, with explicit bias correction."""
     correct1 = 1.0 - beta1 ** t
     correct2 = 1.0 - beta2 ** t
     for name in params:
@@ -75,6 +93,24 @@ def reference_adam_step(params, grads, m, v, t, lr, grad_scale,
         m_hat = m[name] / correct1
         v_hat = v[name] / correct2
         params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_folded_step_stays_within_rounding_of_the_textbook_update():
+    rng = np.random.default_rng(7)
+    shapes = {"w": (40, 50), "b": (50,)}
+    values = {name: rng.standard_normal(shape) * 3.0 for name, shape in shapes.items()}
+    folded, textbook = dict(values), dict(values)
+    moments = [{name: np.zeros(shape) for name, shape in shapes.items()} for _ in range(4)]
+    for t in range(1, 61):
+        # gradients across twelve orders of magnitude, some exactly zero
+        grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 4, shape)
+                 * (rng.random(shape) > 0.05) for name, shape in shapes.items()}
+        reference_adam_step(folded, grads, *moments[:2], t, lr=0.01, grad_scale=0.3)
+        textbook_adam_step(textbook, grads, *moments[2:], t, lr=0.01, grad_scale=0.3)
+        for a, b in ((folded, textbook), *zip(moments[:2], moments[2:])):
+            for name in shapes:
+                assert np.all(np.abs(a[name] - b[name])
+                              <= 1e-12 * np.maximum(1.0, np.abs(b[name]))), (name, t)
 
 
 def test_in_place_step_is_bit_identical_to_out_of_place_formula():
@@ -124,6 +160,58 @@ def test_step_over_a_model_and_standalone_parameters_is_bit_identical_to_the_for
             assert np.array_equal(p.values, reference[name]), (name, t)
             assert np.array_equal(opt.m[name], m[name]), (name, t)
             assert np.array_equal(opt.v[name], v[name]), (name, t)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_cutting_a_run_into_pieces_changes_no_bit(monkeypatch, cpus):
+    # sizes that are no multiples of BLOCK, in one run of more than three
+    # times a (lowered) piece minimum
+    block = Adam.BLOCK
+    monkeypatch.setattr(Adam, "MIN_PIECE", 2 * block)
+    shapes = {"w0": (3, block + 5), "b0": (block - 3,), "w1": (2, block + 7), "b1": (7,),
+              "eps": ()}
+    rng = np.random.default_rng(8)
+
+    def build(usable):
+        params = {name: ad.parameter(np.zeros(shape)) for name, shape in shapes.items()}
+        flat = nn.allocate_parameters(params, np.random.default_rng(0))
+        flat[:] = np.random.default_rng(9).standard_normal(flat.size)
+        monkeypatch.setattr(optim, "usable_cpus", lambda: usable)
+        return params, Adam(params, lr=0.01)
+
+    params1, whole = build(1)
+    params_n, cut = build(cpus)
+    size = sum(math.prod(shape) for shape in shapes.values())
+    assert [len(opt.pieces) for opt in (whole, cut)] == [1, min(cpus, size // Adam.MIN_PIECE)]
+    sizes = [piece[0].size for piece in cut.pieces]
+    assert sum(sizes) == size and min(sizes) >= Adam.MIN_PIECE
+    assert all(n % block == 0 for n in sizes[:-1])
+    for t in range(1, 5):
+        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        for params, opt in ((params1, whole), (params_n, cut)):
+            for name, g in grads.items():
+                params[name].accumulate_grad(g)
+            opt.step(grad_scale=0.25)
+            opt.zero_grad()
+        for name in shapes:
+            assert np.array_equal(params1[name].values, params_n[name].values), (name, t)
+        assert np.array_equal(whole.flat_m, cut.flat_m) and np.array_equal(whole.flat_v, cut.flat_v)
+
+
+def test_an_error_in_a_piece_is_raised_by_the_step(monkeypatch):
+    monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    p = make_param(np.zeros(2 * Adam.BLOCK))
+    opt = Adam({"p": p})
+    assert len(opt.pieces) == 2
+
+    def fail(self, piece, *factors):
+        raise MemoryError("piece")
+
+    monkeypatch.setattr(Adam, "_update", fail)
+    p.accumulate_grad(np.ones(p.shape))
+    with pytest.raises(MemoryError, match="piece"):
+        opt.step()
 
 
 def test_a_dropped_optimizer_leaves_no_gradient_buffer_behind():

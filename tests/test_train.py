@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from eigenlearn import autodiff as ad
+from eigenlearn import optim
 from eigenlearn import train as tr
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
                                MissingTarget, NumericalFault)
@@ -480,19 +481,18 @@ def test_comparison_csv_format():
 
 # --- checkpointing ---
 
-def test_checkpoint_roundtrip_resumes_bit_for_bit(tmp_path):
-    graphs = graph_soup(5, seed=13)
-    full_cfg = small_cfg(epochs=6, scheduler={"kind": "reduce_on_plateau",
-                                              "patience": 2, "factor": 0.9})
-    examples = tr.precompute_targets(graphs, full_cfg)
+def assert_resume_is_bit_for_bit(tmp_path, full_cfg):
+    """A run interrupted halfway, checkpointed and resumed ends where the
+    uninterrupted run does: the same records, the same values."""
+    examples = tr.precompute_targets(graph_soup(5, seed=13), full_cfg)
     d_in = tr.feature_dim(examples)
 
     # uninterrupted run
     model_a = tr.build_model(full_cfg, d_in)
-    rec_a, _ = tr.pretrain(examples, model_a, full_cfg)
+    rec_a, state_a = tr.pretrain(examples, model_a, full_cfg)
 
-    # interrupted at epoch 3, checkpointed, resumed
-    half_cfg = tr.config_from_dict({**tr.config_to_dict(full_cfg), "epochs": 3})
+    # interrupted halfway, checkpointed, resumed
+    half_cfg = tr.config_from_dict({**tr.config_to_dict(full_cfg), "epochs": full_cfg.epochs // 2})
     model_b = tr.build_model(half_cfg, d_in)
     rec_b1, state = tr.pretrain(examples, model_b, half_cfg)
     path = tmp_path / "ckpt.json"
@@ -511,6 +511,24 @@ def test_checkpoint_roundtrip_resumes_bit_for_bit(tmp_path):
                                   model_c.parameters().items()):
         assert na == nc
         assert np.array_equal(pa.values, pc.values)
+    return state_a.optimizer
+
+
+def test_checkpoint_roundtrip_resumes_bit_for_bit(tmp_path):
+    assert_resume_is_bit_for_bit(tmp_path, small_cfg(
+        epochs=6, scheduler={"kind": "reduce_on_plateau", "patience": 2, "factor": 0.9}))
+
+
+def test_checkpoint_roundtrip_resumes_bit_for_bit_with_the_step_cut_into_pieces(
+        tmp_path, monkeypatch):
+    # 2.2M parameters, just over two pieces' worth, so with two usable CPUs
+    # each step updates two pieces on two threads (most of the test's time
+    # goes to writing and reading the checkpoint)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    optimizer = assert_resume_is_bit_for_bit(tmp_path, small_cfg(
+        epochs=2, batch_size=3, hidden_dim=60, max_nodes=40, head_layers=4, head_hidden_dim=600,
+        scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.9}))
+    assert len(optimizer.pieces) == 2
 
 
 def test_checkpoint_params_roundtrip_losslessly(tmp_path):
