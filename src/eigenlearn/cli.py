@@ -42,6 +42,10 @@ def _overrides(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
+    if args.count < 1:
+        raise InvalidParams(f"--count must be >= 1, got {args.count}")
+    if args.n_max < args.n_min:
+        raise InvalidParams(f"--n-max {args.n_max} must be >= --n-min {args.n_min}")
     rng = np.random.default_rng(args.seed)
     kinds = args.kinds.split(",")
     for kind in kinds:
@@ -126,6 +130,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    if not 0 <= args.val_fraction < 1:
+        raise InvalidParams(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     model, cfg, _, _, saved_head, _ = tr.load_checkpoint(args.checkpoint)
     if saved_head is not None:
         raise InvalidParams(f"{args.checkpoint} is a finetune checkpoint; finetune "
@@ -138,6 +144,8 @@ def cmd_finetune(args) -> int:
     n_val = max(1, int(len(examples) * args.val_fraction)) if args.val_fraction else 0
     val = [examples[i] for i in order[:n_val]]
     tr_examples = [examples[i] for i in order[n_val:]]
+    if not tr_examples:
+        raise InvalidParams(f"--val-fraction {args.val_fraction} leaves no training graph")
     head = tr.build_downstream_head(cfg)
     record, state = tr.finetune(tr_examples, model, head, cfg, args.target,
                                 epochs=args.epochs, val_examples=val or None)

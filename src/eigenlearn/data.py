@@ -1,7 +1,8 @@
 """The input boundary, and graph dataset files.
 
-Every file eigenlearn reads goes through read_json and check_fields. A dataset
-file has one graph per line, each line a JSON object:
+Every file eigenlearn reads goes through read_json (a checkpoint through
+read_header_and_arrays) and check_fields. A dataset file has one graph per
+line, each line a JSON object:
 
     {"num_nodes": 3, "edges": [[0,1],[1,2]],
      "node_features": [[...], ...],        # optional, n rows
@@ -56,6 +57,35 @@ def read_json(path: str, lines: bool = False):
                     raise fail(f"invalid JSON: {exc.msg}", number) from None
                 yield number, value
     return records()
+
+
+def read_header_and_arrays(path: str, arrays_of: Callable[[object], tuple[object, list]]):
+    """Read a file of one UTF-8 JSON header line, then the bytes of arrays:
+    arrays_of(header) checks the header and returns (result, arrays); each
+    array is read straight into its C-contiguous memory, and the file must end
+    after the last. Returns result. A missing file raises FileNotFoundError;
+    any other misfit, one InvalidParams line naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            try:
+                header = json.loads(fh.readline().decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise InvalidParams(f"{path}: the header is not UTF-8 JSON ({exc})") from None
+            result, arrays = arrays_of(header)
+            views = [memoryview(a).cast("B") for a in arrays]
+            # a buffered readinto fills its view unless the file ends first
+            needed, got = sum(v.nbytes for v in views), sum(map(fh.readinto, views))
+            if got < needed:
+                raise InvalidParams(f"{path}: the body ends after {got} of the {needed} bytes "
+                                    "its header's arrays take")
+            if fh.read(1):
+                raise InvalidParams(f"{path}: the body goes on past the {needed} bytes its "
+                                    "header's arrays take")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise InvalidParams(f"{path}: cannot read the file ({exc.strerror})") from None
+    return result
 
 
 class Kind(NamedTuple):
@@ -164,13 +194,14 @@ def dumps_graph(g: Graph) -> str:
     return json.dumps(graph_to_record(g), separators=(",", ":"))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+def atomic_write_text(path: str, text: str, *buffers) -> None:
+    """Write text (UTF-8), then each C-contiguous buffer's bytes straight from
+    its memory, to path via a same-directory temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([text.encode("utf-8"), *buffers])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

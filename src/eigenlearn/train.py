@@ -9,25 +9,24 @@ mini-batch runs as a few ops on its padded (B, max_nodes, k) stack: one
 encoder and head pass, one thin-QR op, and one op per loss over the stack,
 against the batch's zero-padded targets (padded_targets). Evaluation runs the
 same stacked path without recording a tape. Runs are deterministic per seed,
-including across a checkpoint save/load boundary (the run generator state
-travels with the checkpoint).
+including across a checkpoint: one JSON header line with the run's scalar state
+(the generator's too) and array layout, then the parameter and moment bytes.
 """
 
-import base64
 import json
 import logging
-import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, NON_NEGATIVE, NON_NEGATIVE_INT,
-                   OBJECT, OBJECT_OR_NULL, POSITIVE, POSITIVE_INT, atomic_write_text,
-                   check_fields, one_of, read_json)
+from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, LIST, NON_NEGATIVE,
+                   NON_NEGATIVE_INT, OBJECT, OBJECT_OR_NULL, POSITIVE, POSITIVE_INT,
+                   atomic_write_text, check_fields, one_of, read_header_and_arrays)
 from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
                      MissingTarget, NumericalFault, RankDeficient)
@@ -42,7 +41,7 @@ from .wavelets import FeatureConfig, augment_features
 log = logging.getLogger("eigenlearn.train")
 
 CHECKPOINT_FORMAT = "eigenlearn-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ARM_OURS = "eigvec_ours"
 ARM_BASELINE = "abs_cos_mae"
@@ -570,81 +569,38 @@ def _train_arm(arm: str, examples: list[TrainingExample], cfg: PretrainConfig, d
 # --- checkpointing -----------------------------------------------------------
 
 
-def encode_array(a: np.ndarray) -> dict:
-    """A checkpoint array entry: the shape and the base64 of the array's
-    row-major little-endian float64 bytes. Holding the raw bytes, a save and
-    load round trip is bit-exact (-0.0, subnormals, NaN payloads included)."""
-    data = np.asarray(a, dtype="<f8").tobytes()
-    return {"shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
+def _body(model: EigenModel, downstream_head: Mlp | None, optimizer: Adam) -> dict:
+    """The arrays of a checkpoint's body by name, in body order: the model's
+    parameter values, the downstream head's (named downstream.*), then Adam's
+    m slots (m.*) and v slots (v.*), each in the order its buffer lays them out."""
+    arrays = {name: p.values for name, p in model.parameters().items()}
+    if downstream_head is not None:
+        arrays.update({f"downstream.{name}": p.values
+                       for name, p in downstream_head.parameters().items()})
+    for key in ("m", "v"):
+        arrays.update({f"{key}.{name}": a for name, a in getattr(optimizer, key).items()})
+    return arrays
 
 
-def decode_array(entry, where: str) -> np.ndarray:
-    """The float64 array of an encode_array entry, read-only over its decoded
-    bytes (loaders copy it into place); a malformed entry raises a one-line
-    InvalidParams naming `where`."""
-    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
-        raise InvalidParams(f"checkpoint {where} is not a {{\"shape\", \"data\"}} object")
-    shape, data = entry["shape"], entry["data"]
-    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-        raise InvalidParams(f"checkpoint {where}: shape {shape!r} is not a list of "
-                            "non-negative ints")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except (TypeError, ValueError):  # not a str, or not base64 (binascii.Error)
-        raise InvalidParams(f"checkpoint {where}: data is not a base64 string") from None
-    needed = 8 * math.prod(shape)
-    if len(raw) != needed:
-        raise InvalidParams(f"checkpoint {where} holds {len(raw) // 8} values for shape "
-                            f"{shape} ({len(raw)} bytes of data, {needed} needed)")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64, copy=False)
+def _layout(arrays: dict) -> list:
+    """The header's `arrays`: [name, shape] of each body array, in body order."""
+    return [[name, list(a.shape)] for name, a in arrays.items()]
 
 
-def _encode_entries(arrays: dict) -> dict:
-    return {name: encode_array(a) for name, a in arrays.items()}
-
-
-def _values(params: dict) -> dict:
-    return {name: p.values for name, p in params.items()}
-
-
-def _decode_entries(entries, built: dict, what: str) -> dict:
-    """Decode a checkpoint's map of array entries; the arrays must match those
-    built from the checkpoint's config by name and shape."""
-    if not isinstance(entries, dict):
-        raise InvalidParams(f"checkpoint {what} is not a map of array entries")
-    saved = {name: decode_array(entry, f"{what} entry {name!r}")
-             for name, entry in entries.items()}
-    for name in sorted(saved.keys() | built.keys()):
-        got, want = (f"shape {list(d[name].shape)}" if name in d else "absent"
-                     for d in (saved, built))
-        if got != want:
-            raise InvalidParams(f"checkpoint {what} entry {name!r}: {got} in the file, "
-                                f"{want} in the model built from its config")
-    return saved
-
-
-def _load_arrays(arrays: dict, entries, what: str) -> None:
-    """Copy the saved values into the arrays, which stay views of their buffers."""
-    saved = _decode_entries(entries, arrays, what)
-    for name, a in arrays.items():
-        a[...] = saved[name]
-
-
-# The fields of a checkpoint and of the optimizer and plateau states in it, each
-# of its kind: a save writes these attributes, a load checks them. Of the
-# scalars, a load sets only the state a fresh run cannot rebuild (_RESUMED);
-# the others must equal the fresh state's: the code's betas, eps and threshold,
-# the config's patience and factor.
+# The header fields of a checkpoint and of the optimizer and plateau states in
+# it, each of its kind: a save writes these attributes, a load checks them. Of
+# the scalars, a load sets only the state a fresh run cannot rebuild
+# (_RESUMED); the others must equal the fresh state's: the code's betas, eps and
+# threshold, the config's patience and factor.
 _ADAM = {"lr": NON_NEGATIVE, "beta1": FINITE, "beta2": FINITE, "eps": FINITE,
-         "t": NON_NEGATIVE_INT, "m": OBJECT, "v": OBJECT}
+         "t": NON_NEGATIVE_INT}
 _PLATEAU = {"patience": POSITIVE_INT, "factor": FINITE, "threshold": FINITE,
             "best": FINITE_OR_NULL, "num_bad": NON_NEGATIVE_INT}
 _CHECKPOINT = {
     "format": one_of(CHECKPOINT_FORMAT), "version": POSITIVE_INT,
     "kind": one_of("pretrain", "finetune"), "config": OBJECT, "d_in": POSITIVE_INT,
-    "epoch": NON_NEGATIVE_INT, "skipped_batches": NON_NEGATIVE_INT, "params": OBJECT,
-    "optimizer": _ADAM, "scheduler": OBJECT_OR_NULL, "rng_state": OBJECT, "extra": OBJECT,
-    "downstream_head": {"params": OBJECT},
+    "epoch": NON_NEGATIVE_INT, "skipped_batches": NON_NEGATIVE_INT, "optimizer": _ADAM,
+    "scheduler": OBJECT_OR_NULL, "rng_state": OBJECT, "extra": OBJECT, "arrays": LIST,
 }
 _RESUMED = ("lr", "t", "best", "num_bad")
 
@@ -663,10 +619,12 @@ def _resume(fresh, saved: dict, where: str) -> None:
 def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
                     state: TrainState, d_in: int, downstream_head: Mlp | None = None,
                     extra: dict | None = None) -> None:
-    """Write the run as one JSON object (see the README's Checkpoint table); every
-    array is an encode_array entry, Adam's moments read from its buffers in place."""
+    """Write the run as one JSON header line, then the raw bytes of the arrays
+    its `arrays` field lists (see the README's Checkpoint section), each
+    written from its place in its buffer."""
     opt, scheduler = state.optimizer, state.scheduler
-    blob = {
+    arrays = _body(model, downstream_head, opt)
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "kind": "pretrain" if downstream_head is None else "finetune",
@@ -674,42 +632,43 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
         "d_in": d_in,
         "epoch": state.epoch,
         "skipped_batches": state.skipped_batches,
-        "params": _encode_entries(_values(model.parameters())),
-        "optimizer": {"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
-                      "t": opt.t, "m": _encode_entries(opt.m), "v": _encode_entries(opt.v)},
+        "optimizer": {name: getattr(opt, name) for name in _ADAM},
         "scheduler": {name: getattr(scheduler, name) for name in _PLATEAU} if scheduler else None,
         "rng_state": state.rng.bit_generator.state,
         "extra": extra or {},
+        "arrays": _layout(arrays),
     }
-    if downstream_head is not None:
-        blob["downstream_head"] = {"params": _encode_entries(_values(downstream_head.parameters()))}
-    atomic_write_text(path, json.dumps(blob))
+    atomic_write_text(path, json.dumps(header) + "\n", *arrays.values())
 
 
 def load_checkpoint(path: str):
     """Returns (model, cfg, state, d_in, downstream_head_or_None, extra), built from
-    the saved config as for a fresh run, then restored from the saved values."""
-    blob = read_json(path)
+    the saved config as for a fresh run; the header is checked in full, then the
+    body read straight into the built arrays. A misfit raises one InvalidParams line."""
+    return read_header_and_arrays(path, lambda header: _restore(path, header))
+
+
+def _restore(path: str, blob) -> tuple:
+    """The run of a checkpoint's header (see load_checkpoint), its state set from
+    the header's, and the arrays its body fills."""
     if type(blob) is not dict or blob.get("format") != CHECKPOINT_FORMAT:
         raise InvalidParams(f"{path} is not an eigenlearn checkpoint")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise InvalidParams(f"{path} is a version {blob.get('version')} checkpoint; this "
                             f"eigenlearn reads only version {CHECKPOINT_VERSION}")
-    check_fields(blob, _CHECKPOINT, f"{path}: checkpoint", optional=("downstream_head",))
+    check_fields(blob, _CHECKPOINT, f"{path}: checkpoint")
     cfg = dataclass_from_dict(PretrainConfig, blob["config"], f"{path}: checkpoint.config")
     model = build_model(cfg, blob["d_in"])
-    _load_arrays(_values(model.parameters()), blob["params"], "params")
-    head = None
-    if "downstream_head" in blob:
-        head = build_downstream_head(cfg)
-        _load_arrays(_values(head.parameters()), blob["downstream_head"]["params"],
-                     "downstream_head")
+    head = build_downstream_head(cfg) if blob["kind"] == "finetune" else None
     state = _fresh_state(model, cfg, head)
-    saved = blob["optimizer"]
-    for key in ("m", "v"):
-        _load_arrays(getattr(state.optimizer, key), saved[key], f"optimizer.{key}")
-    _resume(state.optimizer, {k: v for k, v in saved.items() if k not in ("m", "v")},
-            f"{path}: checkpoint.optimizer")
+    arrays = _body(model, head, state.optimizer)
+    # compared as JSON text, so that a shape of floats or bools differs too
+    saved, built = map(json.dumps, blob["arrays"]), map(json.dumps, _layout(arrays))
+    for i, (got, want) in enumerate(zip_longest(saved, built, fillvalue="absent")):
+        if got != want:
+            raise InvalidParams(f"{path}: checkpoint.arrays[{i}] is {got} in the file, {want} "
+                                "in the model built from its config")
+    _resume(state.optimizer, blob["optimizer"], f"{path}: checkpoint.optimizer")
     if (blob["scheduler"] is None) != (state.scheduler is None):
         raise InvalidParams(f"{path}: checkpoint scheduler state {blob['scheduler']} does not "
                             f"match its config's scheduler.kind={cfg.scheduler.kind!r}")
@@ -722,4 +681,4 @@ def load_checkpoint(path: str):
         raise InvalidParams(f"{path}: the checkpoint's rng_state is not a "
                             f"{type(state.rng.bit_generator).__name__} state ({exc!r})") from None
     state.epoch, state.skipped_batches = blob["epoch"], blob["skipped_batches"]
-    return model, cfg, state, blob["d_in"], head, blob["extra"]
+    return (model, cfg, state, blob["d_in"], head, blob["extra"]), list(arrays.values())

@@ -1,13 +1,17 @@
 """Shared test utilities: finite-difference oracles, a scalarizing
-projection, the layout of a module built alone, random graph soup and a
-version-1 checkpoint writer."""
+projection, the layout of a module built alone, random graph soup, and
+checkpoint helpers: a header reader and editor, and an old-version writer."""
+
+import base64
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 
 from eigenlearn import autodiff as ad
 from eigenlearn.graphs import Graph, generate_graph
 from eigenlearn.nn import allocate_parameters
-from eigenlearn.train import decode_array
 
 
 def numeric_gradient(fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -57,16 +61,41 @@ def random_graph_soup(count: int, seed: int, n_low: int = 4, n_high: int = 16) -
     return [random_connected_graph(rng, n_low, n_high) for _ in range(count)]
 
 
-def as_version_1(blob: dict) -> dict:
-    """A current checkpoint object rewritten in the version-1 layout, which
-    stored every array as JSON floats: parameters as {"shape", "values"} with
-    the values row-major, Adam moments as nested lists."""
-    def values(entries):
-        return {name: {"shape": e["shape"], "values": decode_array(e, name).ravel().tolist()}
-                for name, e in entries.items()}
+def read_header(path) -> dict:
+    """The parsed JSON header line of the checkpoint at path."""
+    return json.loads(Path(path).read_bytes().split(b"\n", 1)[0])
 
-    old = {**blob, "version": 1, "params": values(blob["params"])}
-    old["optimizer"] = {**blob["optimizer"], **{
-        key: {name: decode_array(e, name).tolist() for name, e in blob["optimizer"][key].items()}
-        for key in ("m", "v")}}
-    return old
+
+def edit_header(blob: bytes, edit) -> bytes:
+    """A checkpoint's bytes with edit(header) applied to its parsed JSON header
+    line, the body kept byte for byte."""
+    line, body = blob.split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    return json.dumps(header).encode() + b"\n" + body
+
+
+def as_old_version(blob: bytes, version: int) -> str:
+    """A pretrain checkpoint written in the layout of version 1 or 2: the whole
+    file one JSON object, the header's scalar fields beside an entry per array
+    (parameters under "params", Adam's moments under "optimizer"). Version 1
+    holds the values as JSON floats (a moment as nested lists), version 2 the
+    base64 of their little-endian float64 bytes."""
+    line, body = blob.split(b"\n", 1)
+    header = json.loads(line)
+    old = {**header, "version": version, "params": {}}
+    old["optimizer"] = {**header["optimizer"], "m": {}, "v": {}}
+    offset = 0
+    for name, shape in old.pop("arrays"):
+        a = np.frombuffer(body, "<f8", math.prod(shape), offset).reshape(shape)
+        offset += a.nbytes
+        if version == 2:
+            entry = {"shape": shape, "data": base64.b64encode(a.tobytes()).decode("ascii")}
+        else:
+            entry = {"shape": shape, "values": a.ravel().tolist()}
+        key, _, param = name.partition(".")
+        if key in ("m", "v"):
+            old["optimizer"][key][param] = a.tolist() if version == 1 else entry
+        else:
+            old["params"][name] = entry
+    return json.dumps(old)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eigenlearn.cli import main
 from eigenlearn.data import load_dataset, save_dataset
 from eigenlearn.graphs import generate_graph
-from helpers import as_version_1
+from helpers import as_old_version, edit_header, read_header
 
 
 def write_dataset(path, graphs):
@@ -161,7 +161,7 @@ def test_pretrain_writes_record_and_checkpoint(tmp_path, small_dataset):
     lines = out.read_text().splitlines()
     assert lines[0] == "epoch,loss_total,loss_energy,loss_eigvec,ortho_residual,lr,seconds"
     assert len(lines) == 3
-    blob = json.loads(ckpt.read_text())
+    blob = read_header(ckpt)
     assert blob["format"] == "eigenlearn-checkpoint"
     assert blob["epoch"] == 2
 
@@ -243,7 +243,7 @@ def test_finetune_end_to_end(tmp_path):
                  str(ckpt), "--output", str(out), "--epochs", "2",
                  "--checkpoint-out", str(ft_ckpt)]) == 0
     assert out.read_text().startswith("epoch,loss_total")
-    blob = json.loads(ft_ckpt.read_text())
+    blob = read_header(ft_ckpt)
     assert blob["kind"] == "finetune"
     assert blob["extra"]["target"] == "lambda_2"
 
@@ -296,7 +296,7 @@ def test_finetune_rejects_a_finetune_checkpoint(tmp_path, capsys, pre_and_ft_che
 def test_a_version_1_checkpoint_exits_1(tmp_path, capsys, pre_and_ft_checkpoints, command):
     data, pre, _ = pre_and_ft_checkpoints
     old = tmp_path / "v1.json"
-    old.write_text(json.dumps(as_version_1(json.loads(pre.read_text()))))
+    old.write_text(as_old_version(pre.read_bytes(), 1))
     capsys.readouterr()
     out = tmp_path / "out.csv"
     code = main(["--quiet", command[0], "--input", str(data), "--output", str(out),
@@ -354,13 +354,15 @@ def test_check_invariants_passes_and_writes_summary(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Valid input files of every role, written once: a dataset with targets, a
-    config file, a feature config file and a pretrain checkpoint trained on
-    them; `paths` by placeholder, `texts` by role."""
+    """Valid input files of every role, written once: a dataset with targets
+    (and its first graph alone), a config file, a feature config file and a
+    pretrain checkpoint trained on them; `paths` by placeholder, `texts` by
+    role (a checkpoint's as bytes)."""
     root = tmp_path_factory.mktemp("inputs")
-    data, checkpoint = root / "d.jsonl", root / "pre.json"
+    data, one_graph, checkpoint = root / "d.jsonl", root / "d1.jsonl", root / "pre.ckpt"
     assert main(["gen-data", "--count", "8", "--seed", "2", "--n-min", "6",
                  "--n-max", "10", "--output", str(data)]) == 0
+    save_dataset(str(one_graph), load_dataset(str(data))[:1])
     config = small_config(root, k=3, scheduler={"kind": "reduce_on_plateau"})
     features = root / "fcfg.json"
     features.write_text(json.dumps({"scales_J": 1}))
@@ -368,8 +370,10 @@ def inputs(tmp_path_factory):
                  "--config", config, "--checkpoint-out", str(checkpoint)]) == 0
     files = {"dataset": data, "config": config, "feature config": features,
              "checkpoint": checkpoint}
-    return SimpleNamespace(paths={"data": data, "config": config, "checkpoint": checkpoint},
-                           texts={role: Path(path).read_text() for role, path in files.items()})
+    return SimpleNamespace(paths={"data": data, "one_graph": one_graph, "config": config,
+                                  "checkpoint": checkpoint},
+                           texts={role: Path(path).read_bytes() if role == "checkpoint"
+                                  else Path(path).read_text() for role, path in files.items()})
 
 
 # (the role of the file {bad}, the arguments): each subcommand with each file it reads
@@ -392,29 +396,54 @@ COMMANDS = [
 DIRECTORY = object()  # a directory in place of the file
 
 
-def _with(text, **fields):
-    return json.dumps({**json.loads(text), **fields})
-
-
-def _with_in(text, key, **fields):
+def _edited(text, edit):
+    """text with edit applied to its JSON object; a checkpoint's (bytes) is
+    its header line, and its body stays as it is."""
+    if isinstance(text, bytes):
+        return edit_header(text, edit)
     blob = json.loads(text)
-    blob[key].update(fields)
+    edit(blob)
     return json.dumps(blob)
 
 
-# Each maps a corruption to the bad file made from the good file's text.
+def _with(text, **fields):
+    return _edited(text, lambda blob: blob.update(fields))
+
+
+def _with_in(text, key, **fields):
+    return _edited(text, lambda blob: blob[key].update(fields))
+
+
+def _with_arrays(text, change):
+    """A checkpoint with change applied to its header's `arrays` list."""
+    return _edited(text, lambda blob: change(blob["arrays"]))
+
+
+def _utf8(text):
+    return text if isinstance(text, bytes) else text.encode()
+
+
+# Each maps a corruption to the bad file made from the good file's text (a
+# checkpoint's bytes).
 CORRUPT_FILES = {
     "empty": lambda text: "",
     "not_json": lambda text: "this is not JSON\n",
-    "not_utf8": lambda text: text.encode()[:9] + b"\xff" + text.encode()[9:],
+    "not_utf8": lambda text: _utf8(text)[:9] + b"\xff" + _utf8(text)[9:],
     "directory": lambda text: DIRECTORY,
 }
 CORRUPT_CHECKPOINTS = {
     **CORRUPT_FILES,
-    "truncated": lambda text: text[:text.index('"config"') + 4],
+    "truncated": lambda text: text[:text.index(b'"config"') + 4],
     "top_level_array": lambda text: "[]",
-    "no_config": lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                          if k != "config"}),
+    "no_config": lambda text: _edited(text, lambda blob: blob.pop("config")),
+    "body_one_byte_short": lambda text: text[:-1],
+    "trailing_bytes": lambda text: text + b"\0",
+    "header_not_json": lambda text: b"{not JSON" + text[text.index(b"\n"):],
+    "header_not_utf8": lambda text: text.replace(b"-checkpoint", b"-\xffcheckpoint", 1),
+    "arrays_wrong_shape": lambda text: _with_arrays(text, lambda arrays: arrays[1][1].append(1)),
+    "arrays_missing_entry": lambda text: _with_arrays(text, lambda arrays: arrays.pop()),
+    "arrays_extra_entry": lambda text: _with_arrays(text, lambda arrays: arrays.append(["x", []])),
+    "version_2": lambda text: as_old_version(text, 2),
     "d_in_not_an_int": lambda text: _with(text, d_in="x"),
     "d_in_zero": lambda text: _with(text, d_in=0),
     "lr_not_a_number": lambda text: _with_in(text, "optimizer", lr="x"),
@@ -480,6 +509,11 @@ NAMED_FIELDS = {
     "factor_not_the_configs": "checkpoint.scheduler.factor",
     "rng_state_not_an_object": "checkpoint.rng_state",
     "config_batch_size_zero": "checkpoint.config.batch_size",
+    "arrays_wrong_shape": "checkpoint.arrays[1]", "arrays_missing_entry": "checkpoint.arrays[",
+    "arrays_extra_entry": "checkpoint.arrays[", "version_2": "version 2 checkpoint",
+    "body_one_byte_short": "the body ends after", "trailing_bytes": "the body goes on past",
+    "header_not_json": "the header is not UTF-8 JSON",
+    "header_not_utf8": "the header is not UTF-8 JSON",
     "no_num_nodes": "'num_nodes'", "num_nodes_not_an_int": "record.num_nodes",
     "num_nodes_zero": "record.num_nodes", "target_not_a_number": "record.targets",
     "record_unknown_field": "'nodes'",
@@ -534,8 +568,9 @@ def test_a_corrupt_checkpoint_exits_1_with_one_line(inputs, tmp_path, capsys, co
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_a_truncated_input_exits_1_with_one_line(inputs, tmp_path, capsys, command, data):
-    # Any proper prefix of a JSON object is not JSON; a dataset is cut inside
-    # a record, since a cut at the end of a line leaves a shorter dataset.
+    # Any proper prefix of a JSON object is not JSON, and a checkpoint cut in
+    # its body is short of its arrays; a dataset is cut inside a record, since
+    # a cut at the end of a line leaves a shorter dataset.
     role = COMMANDS[command][0]
     text = inputs.texts[role]
     cuts = [p for p in range(len(text))
@@ -550,6 +585,13 @@ def test_a_truncated_input_exits_1_with_one_line(inputs, tmp_path, capsys, comma
     ("compare-losses --input {data} --config {config} --epochs -1", "PretrainConfig.epochs"),
     ("finetune --input {data} --checkpoint {checkpoint} --seed -1", "PretrainConfig.seed"),
     ("features --input {data} --seed -1", "FeatureConfig.dirac_seed"),
+    ("finetune --input {data} --checkpoint {checkpoint} --val-fraction 1.0", "--val-fraction"),
+    ("finetune --input {data} --checkpoint {checkpoint} --val-fraction 1.5", "--val-fraction"),
+    ("finetune --input {data} --checkpoint {checkpoint} --val-fraction -0.5", "--val-fraction"),
+    ("finetune --input {one_graph} --checkpoint {checkpoint}", "no training graph"),
+    ("gen-data --n-min 10 --n-max 5", "--n-min"),
+    ("gen-data --count 0", "--count"),
+    ("gen-data --count -3", "--count"),
 ])
 def test_an_out_of_range_flag_exits_1_with_one_line(inputs, tmp_path, capsys, argv, field):
     out = tmp_path / "out"

@@ -154,20 +154,25 @@ def test_check_fields_names_a_missing_unknown_or_nested_field():
     assert check_fields({"b": {"c": 0}}, spec, "x", optional=("a",)) == {"b": {"c": 0}}
 
 
+# The calls that read a file's content, by the module that defines them.
+_MODULE_READS = {"json": ("load", "loads"), "np": ("fromfile", "load", "memmap"),
+                 "numpy": ("fromfile", "load", "memmap")}
+
+
 def _reads(node) -> bool:
-    """Whether an AST node parses JSON (json.load, json.loads, or importing
-    them) or opens a file for reading (open without a write-only mode,
-    Path.read_text or read_bytes)."""
+    """Whether an AST node reads a file or parses JSON: a _MODULE_READS call
+    or its import, a method read_text, read_bytes or readinto, or an open
+    without a write-only mode."""
     if isinstance(node, ast.ImportFrom):
-        return node.module == "json" and any(a.name in ("load", "loads") for a in node.names)
+        return any(a.name in _MODULE_READS.get(node.module, ()) for a in node.names)
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-            and func.value.id == "json":
-        return name in ("load", "loads")
-    if name in ("read_text", "read_bytes"):
+            and func.value.id in _MODULE_READS:
+        return name in _MODULE_READS[func.value.id]
+    if name in ("read_text", "read_bytes", "readinto"):
         return True
     if name not in ("open", "fdopen"):
         return False
@@ -179,6 +184,19 @@ def _reads(node) -> bool:
                 and not set(mode.value) & set("r+"))
 
 
+@pytest.mark.parametrize("source, reads", [
+    ("json.loads(text)", True), ("from json import load", True),
+    ("np.fromfile(path)", True), ("numpy.load(path)", True), ("np.memmap(path)", True),
+    ("from numpy import fromfile", True), ("fh.readinto(view)", True),
+    ("Path(path).read_bytes()", True), ("Path(path).read_text()", True),
+    ("open(path)", True), ("open(path, 'rb')", True), ("os.fdopen(fd, mode='r+b')", True),
+    ("open(path, 'wb')", False), ("os.fdopen(fd, 'w')", False), ("np.save(path, a)", False),
+    ("fh.write(view)", False), ("json.dumps(value)", False), ("from numpy import zeros", False),
+])
+def test_the_guard_flags_every_way_to_read_a_file(source, reads):
+    assert any(_reads(node) for node in ast.walk(ast.parse(source))) is reads
+
+
 def files_reading_input(package: Path) -> list[str]:
     return [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
             if path.name != "data.py" for node in ast.walk(ast.parse(path.read_text()))
@@ -186,5 +204,6 @@ def files_reading_input(package: Path) -> list[str]:
 
 
 def test_only_data_parses_json_or_opens_a_file_for_reading():
-    # one input boundary: every other module reads through data.read_json
+    # one input boundary: every other module reads through data.read_json or
+    # data.read_header_and_arrays
     assert files_reading_input(Path(__file__).parent.parent / "src" / "eigenlearn") == []

@@ -1,5 +1,4 @@
 import ast
-import base64
 import contextlib
 import copy
 import dataclasses
@@ -19,7 +18,7 @@ from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
 from eigenlearn.graphs import Graph, build_adjacency, generate_graph
 from eigenlearn.losses import LossWeights
 from eigenlearn.wavelets import FeatureConfig
-from helpers import as_version_1
+from helpers import as_old_version, edit_header, read_header
 
 
 def small_cfg(**overrides):
@@ -583,7 +582,7 @@ def test_checkpoint_rejects_version_1(tmp_path):
     _, state = tr.pretrain(examples, model, cfg)
     path = tmp_path / "ckpt.json"
     tr.save_checkpoint(str(path), model, cfg, state, d_in)
-    path.write_text(json.dumps(as_version_1(json.loads(path.read_text()))))
+    path.write_text(as_old_version(path.read_bytes(), 1))
     with pytest.raises(InvalidParams, match="is a version 1 checkpoint") as exc:
         tr.load_checkpoint(str(path))
     assert "\n" not in str(exc.value)
@@ -605,7 +604,7 @@ def test_finetune_checkpoint_resumes_bit_for_bit(tmp_path, keep_pretrain_head):
     rec_b1, state = tr.finetune(examples, model_b, head_b, cfg, "lambda_2", epochs=2)
     path = tmp_path / "ft.json"
     tr.save_checkpoint(str(path), model_b, cfg, state, d_in, downstream_head=head_b)
-    assert json.loads(path.read_text())["kind"] == "finetune"
+    assert read_header(path)["kind"] == "finetune"
     model_c, cfg_c, state_c, _, head_c, _ = tr.load_checkpoint(str(path))
     rec_b2, _ = tr.finetune(examples, model_c, head_c, cfg_c, "lambda_2", epochs=4,
                             state=state_c)
@@ -619,44 +618,64 @@ def test_finetune_checkpoint_resumes_bit_for_bit(tmp_path, keep_pretrain_head):
 
 
 W0 = "encoder.layer0.mlp.w0"
+M0 = f"m.{W0}"  # the array of its first moment
+# the `arrays` entries of W0 and M0 as their messages quote them
+W0_ENTRY, M0_ENTRY = (rf'\["{re.escape(name)}", \[\d+, 6\]\]' for name in (W0, M0))
 
 
-def _grow_w0(blob):
-    rows, cols = blob["params"][W0]["shape"]
-    blob["params"][W0] = tr.encode_array(np.zeros((rows + 1, cols)))
+def _in_layout(name, change):
+    """A header edit: the `arrays` entry of array `name` becomes change(entry),
+    or goes when change is None."""
+    def edit(header):
+        i = next(i for i, entry in enumerate(header["arrays"]) if entry[0] == name)
+        header["arrays"][i:i + 1] = [] if change is None else [change(header["arrays"][i])]
+    return edit
 
 
-def _append_to_data(entry, raw):
-    entry["data"] = base64.b64encode(base64.b64decode(entry["data"]) + raw).decode("ascii")
-
-
-def _drop_last_row(entry):
-    entry.update(tr.encode_array(tr.decode_array(entry, "test")[:-1]))
+def _of_bytes(edit):
+    """Marks a table edit as an edit of the file's bytes, not of its header."""
+    edit.of_bytes = True
+    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_grow_w0, rf"params entry '{W0}': shape \[\d+, 6\] in the file, shape \[\d+, 6\] in the model"),
-    (lambda b: _append_to_data(b["params"][W0], bytes(6 * 8)),
-     rf"params entry '{W0}' holds \d+ values for shape \[\d+, 6\]"),
-    (lambda b: b["params"].pop(W0), rf"params entry '{W0}': absent in the file"),
-    (lambda b: b["optimizer"]["m"].pop(W0), rf"optimizer.m entry '{W0}': absent in the file"),
-    (lambda b: b["optimizer"]["v"].update({"downstream.w0": tr.encode_array(np.zeros((1, 1)))}),
-     r"optimizer.v entry 'downstream.w0': shape \[1, 1\] in the file, absent in the model"),
-    (lambda b: _drop_last_row(b["optimizer"]["m"][W0]),
-     rf"optimizer.m entry '{W0}': shape \[\d+, 6\] in the file, shape \[\d+, 6\] in the model"),
+    (_in_layout(W0, lambda e: [e[0], [e[1][0] + 1, 6]]),
+     rf"checkpoint\.arrays\[1\] is {W0_ENTRY} in the file, {W0_ENTRY} in the model built "
+     "from its config$"),
+    (_of_bytes(lambda blob: blob[:-1]),
+     r"ckpt\.json: the body ends after \d+ of the \d+ bytes its header's arrays take$"),
+    (_in_layout(W0, None),
+     rf'checkpoint\.arrays\[1\] is \["encoder\.layer0\.mlp\.b0", \[6\]\] in the file, '
+     rf"{W0_ENTRY} in the model"),
+    (_in_layout(M0, None),
+     rf'checkpoint\.arrays\[\d+\] is \["m\.encoder\.layer0\.mlp\.b0", \[6\]\] in the file, '
+     rf"{M0_ENTRY} in the model"),
+    (lambda b: b["arrays"].append(["v.downstream.w0", [1, 1]]),
+     r'checkpoint\.arrays\[\d+\] is \["v\.downstream\.w0", \[1, 1\]\] in the file, absent in '
+     "the model built from its config$"),
+    (_in_layout(M0, lambda e: [e[0], [e[1][0] - 1, 6]]),
+     rf"checkpoint\.arrays\[\d+\] is {M0_ENTRY} in the file, {M0_ENTRY} in the model"),
     (lambda b: b.update(scheduler=None), "scheduler.kind='reduce_on_plateau'"),
-    (lambda b: _append_to_data(b["params"][W0], bytes(3)),
-     rf"params entry '{W0}' holds \d+ values for shape \[\d+, 6\] \(\d+ bytes of data"),
-    (lambda b: b["params"][W0].update(data="not base64!"),
-     rf"params entry '{W0}': data is not a base64 string"),
-    (lambda b: b["optimizer"]["v"][W0].update(data=[1.0, [2.0]]),
-     rf"optimizer.v entry '{W0}': data is not a base64 string"),
-    (lambda b: b["params"][W0].update(shape=[12.0, 6]),
-     rf"params entry '{W0}': shape \[12.0, 6\] is not a list of non-negative ints"),
-    (lambda b: b["optimizer"]["m"][W0].update(shape=[-12, -6]),
-     rf"optimizer.m entry '{W0}': shape \[-12, -6\] is not a list of non-negative ints"),
-    (lambda b: b["optimizer"]["m"].update({W0: [1.0, [2.0]]}),
-     rf"optimizer.m entry '{W0}' is not a {{\"shape\", \"data\"}} object"),
+    (_of_bytes(lambda blob: blob + bytes(3)),
+     r"ckpt\.json: the body goes on past the \d+ bytes its header's arrays take$"),
+    (_of_bytes(lambda blob: b"{not JSON" + blob[blob.index(b"\n"):]),
+     r"ckpt\.json: the header is not UTF-8 JSON \(Expecting property name"),
+    (_of_bytes(lambda blob: blob.replace(b"-checkpoint", b"-\xffcheckpoint", 1)),
+     r"ckpt\.json: the header is not UTF-8 JSON \('utf-8' codec can't decode byte 0xff in "
+     r"position \d+: invalid start byte\)$"),
+    (_in_layout(W0, lambda e: [e[0], [float(d) for d in e[1]]]),
+     rf'checkpoint\.arrays\[1\] is \["{W0}", \[\d+\.0, 6\.0\]\] in the file, {W0_ENTRY} in '),
+    (_in_layout(M0, lambda e: [e[0], [-d for d in e[1]]]),
+     rf'checkpoint\.arrays\[\d+\] is \["{M0}", \[-\d+, -6\]\] in the file, {M0_ENTRY} in '),
+    (_in_layout(M0, lambda e: [1.0, [2.0]]),
+     rf"checkpoint\.arrays\[\d+\] is \[1\.0, \[2\.0\]\] in the file, {M0_ENTRY} in the model"),
+    (lambda b: b.update(arrays=5),
+     r"ckpt\.json: checkpoint\.arrays must be a list, got 5$"),
+    (lambda b: b.update(kind="finetune"),
+     r'checkpoint\.arrays\[\d+\] is \["m\.encoder\.layer0\.eps", \[\]\] in the file, '
+     r'\["downstream\.w0", \[\d+, 12\]\] in the model'),
+    (_of_bytes(lambda blob: as_old_version(blob, 2).encode()),
+     r"ckpt\.json is a version 2 checkpoint; this eigenlearn reads only version 3$"),
     (lambda b: b.update(d_in="x"),
      r"ckpt\.json: checkpoint\.d_in must be an int, got 'x'$"),
     (lambda b: b.update(d_in=0),
@@ -691,10 +710,11 @@ def _drop_last_row(entry):
      r"ckpt\.json: the checkpoint's rng_state is not a PCG64 state"),
     (lambda b: b["config"].update(k="x"),
      r"ckpt\.json: checkpoint\.config\.k must be an int, got 'x'$"),
-], ids=["param-shape", "param-value-count", "param-missing", "moment-missing", "moment-extra",
-        "moment-shape", "scheduler-state-missing", "param-stray-bytes", "param-data-not-base64",
-        "moment-data-not-a-string", "param-shape-not-ints", "moment-shape-negative",
-        "moment-ragged-list", "d_in-not-an-int", "d_in-zero", "epoch-negative", "epoch-float",
+], ids=["param-shape", "body-one-byte-short", "param-missing", "moment-missing", "moment-extra",
+        "moment-shape", "scheduler-state-missing", "trailing-bytes", "header-not-json",
+        "header-not-utf8", "param-shape-not-ints", "moment-shape-negative",
+        "moment-ragged-list", "arrays-not-a-list", "kind-without-its-arrays", "version-2",
+        "d_in-not-an-int", "d_in-zero", "epoch-negative", "epoch-float",
         "skipped-batches-bool", "skipped-batches-null", "lr-not-a-number", "beta1-bool",
         "beta2-null", "eps-nan", "t-not-an-int", "t-negative", "scheduler-not-an-object",
         "scheduler-field-missing", "rng-state-not-an-object", "rng-state-not-pcg64",
@@ -708,9 +728,8 @@ def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, m
     _, state = tr.pretrain(examples, model, cfg)
     path = tmp_path / "ckpt.json"
     tr.save_checkpoint(str(path), model, cfg, state, d_in)
-    blob = json.loads(path.read_text())
-    edit(blob)
-    path.write_text(json.dumps(blob))
+    blob = path.read_bytes()
+    path.write_bytes(edit(blob) if getattr(edit, "of_bytes", False) else edit_header(blob, edit))
     with pytest.raises(InvalidParams, match=message) as exc:
         tr.load_checkpoint(str(path))
     assert "\n" not in str(exc.value)
