@@ -3,23 +3,24 @@
 Each op records its parents and a vector-Jacobian closure on the result
 Tensor; `backward()` replays the recording in reverse topological order. The
 recording is per-result (one forward/backward pass owns its graph), there is
-no global tape, and ops that need randomness (dropout) take an explicit
-generator, so runs are deterministic end to end.
+no global tape, and the one op that needs randomness (dense's dropout) takes
+an explicit generator, so runs are deterministic end to end.
 
-The op set is only what the model runs: broadcasting `add` and `mul`,
-`matmul`, `relu`, `dropout`, `reshape`, GIN aggregation (`sum_neighbors`),
-the thin-QR orthonormalization (`thin_qr`) and `scalar_with_grad`, which
-records a loss whose value and gradient come in closed form from `losses`.
-`slice_rows` cuts one graph's rows out of a padded batch; it builds the
-per-graph reference that the batched step is tested against.
+The op set is only what the model runs, each op one node with a closed-form
+backward: a whole dense layer (`dense`: product, bias, ReLU and dropout), the
+whole GIN aggregation (`gin_aggregate`), broadcasting `add` and `mul`,
+`reshape`, the thin-QR orthonormalization (`thin_qr`) and `scalar_with_grad`,
+which records a loss whose value and gradient come in closed form from
+`losses`.
 
 A leaf whose optimizer keeps its gradient in a flat buffer has a
 `grad_view` there: its first gradient contribution of a pass is written into
 that view (a weight's gradient product straight into it), later ones added.
 
-Every forward op checks its output for NaN/Inf and raises NumericalFault
-rather than letting a poisoned value propagate. Inside `with no_grad():` ops
-compute the same values but record nothing: evaluation passes build no graph.
+Every forward op checks its output for NaN/Inf (`dense` also its
+pre-activation, which ReLU would clean) and raises NumericalFault rather than
+letting a poisoned value propagate. Inside `with no_grad():` ops compute the
+same values but record nothing: evaluation passes build no graph.
 """
 
 import contextlib
@@ -138,9 +139,18 @@ def no_grad():
         _recording[0] = previous
 
 
-def _result(values: np.ndarray, parents: tuple, vjp) -> Tensor:
+def _check_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise NumericalFault("op produced non-finite values")
+
+
+def _result(values: np.ndarray, parents: tuple, vjp, check: bool = True) -> Tensor:
+    """The op's result, recording its parents and backward closure unless
+    inside no_grad or no parent needs a gradient. check=False skips the
+    NaN/Inf check of values, for an op that has checked an array whose
+    finiteness implies theirs."""
+    if check:
+        _check_finite(values)
     if _recording[0] and any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(values)
@@ -194,46 +204,78 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(values, (a, b), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0,
+          rng: np.random.Generator | None = None) -> Tensor:
+    """One dense layer as one op: x @ w + b, then ReLU when relu is set, then
+    inverted dropout when rate > 0: a keep mask drawn from rng, the kept
+    entries scaled by 1/(1 - rate). Rate 0 draws nothing from rng.
 
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_product(g, b.values.T)
-        if b.requires_grad:
-            b.accumulate_product(a.values.T, g)
-
-    return _result(a.values @ b.values, (a, b), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _result(np.where(mask, a.values, 0.0), (a,), vjp)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: mask drawn from rng, kept entries scaled by 1/(1-rate).
-
-    Identity (and no generator draw) when rate is 0 or training is off.
+    The pre-activation x @ w + b is checked for NaN/Inf before ReLU, which
+    would map a NaN or a -Inf to 0. Backward writes dw (one product) and db (a
+    column sum) into their slots and passes dx = g @ w^T on.
     """
+    if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     if not 0.0 <= rate < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
-        return a
-    keep = rng.random(a.shape) >= rate
-    factor = keep / (1.0 - rate)
+    values = x.values @ w.values
+    values += b.values
+    _check_finite(values)
+    mask = factor = None
+    if relu:
+        mask = values > 0
+        values = np.where(mask, values, 0.0)
+    if rate > 0.0:
+        factor = (rng.random(values.shape) >= rate) / (1.0 - rate)
+        values = values * factor
 
     def vjp(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * factor)
+        if factor is not None:
+            g = g * factor
+        if mask is not None:
+            g = g * mask
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0), owned=True)
+        if x.requires_grad:
+            x.accumulate_product(g, w.values.T)
+        if w.requires_grad:
+            w.accumulate_product(x.values.T, g)
 
-    return _result(a.values * factor, (a,), vjp)
+    # a finite pre-activation stays finite through ReLU, not always through
+    # dropout's scale
+    return _result(values, (x, w, b), vjp, factor is not None)
+
+
+def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:
+    """GIN aggregation (1 + eps) * h + A h, as one op: row v of A h is the sum
+    of h's rows over v's neighbors, and eps is a scalar.
+
+    A (B, m, m) adjacency is a batch of blocks: h holds B stacked (m, d)
+    blocks, and block i only sums over the rows of block i. One matmul
+    forward, one backward.
+    """
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    rows = h.shape[0]
+    blocks, m = (1, rows) if adjacency.ndim == 2 else adjacency.shape[:2]
+    if (h.values.ndim != 2 or eps.shape != () or adjacency.ndim not in (2, 3)
+            or blocks * m != rows or adjacency.shape[-2:] != (m, m)):
+        raise ShapeMismatch(f"gin_aggregate: {h.shape} and eps {eps.shape} with "
+                            f"adjacency {adjacency.shape}")
+    stacked = (blocks, m, h.shape[1])
+    scale = 1.0 + eps.values
+    values = scale * h.values
+    values += np.matmul(adjacency, h.values.reshape(stacked)).reshape(h.shape)
+
+    def vjp(g):
+        if h.requires_grad:
+            back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked)).reshape(h.shape)
+            back += g * scale
+            h.accumulate_grad(back, owned=True)
+        if eps.requires_grad:
+            eps.accumulate_grad(_unbroadcast(g * h.values, eps.shape))
+
+    return _result(values, (h, eps), vjp)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -242,42 +284,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
             a.accumulate_grad(g.reshape(a.shape))
 
     return _result(a.values.reshape(shape), (a,), vjp)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeMismatch(f"slice [{start}:{stop}] outside {a.shape[0]} rows")
-
-    def vjp(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.values)
-            full[start:stop] = g
-            a.accumulate_grad(full)
-
-    return _result(a.values[start:stop].copy(), (a,), vjp)
-
-
-def sum_neighbors(a: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Row v of the result is the sum of a's rows over v's neighbors.
-
-    A (B, m, m) adjacency is a batch of blocks: a holds B stacked (m, d)
-    blocks, and block i only sums over the rows of block i. One matmul
-    forward, one backward.
-    """
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    rows = a.shape[0]
-    blocks, m = (1, rows) if adjacency.ndim == 2 else adjacency.shape[:2]
-    if (a.values.ndim != 2 or adjacency.ndim not in (2, 3) or blocks * m != rows
-            or adjacency.shape[-2:] != (m, m)):
-        raise ShapeMismatch(f"sum_neighbors: {a.shape} with adjacency {adjacency.shape}")
-    stacked = (blocks, m, a.shape[1])
-
-    def vjp(g):
-        if a.requires_grad:
-            back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked))
-            a.accumulate_grad(back.reshape(a.shape), owned=True)
-
-    return _result(np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape), (a,), vjp)
 
 
 def scalar_with_grad(a: Tensor, value, grad: np.ndarray) -> Tensor:

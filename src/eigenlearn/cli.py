@@ -44,6 +44,8 @@ def _overrides(args) -> dict:
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise InvalidParams(f"--count must be >= 1, got {args.count}")
+    if args.n_min < 2:  # a one-node graph has no lambda_2 and no positional features
+        raise InvalidParams(f"--n-min must be >= 2, got {args.n_min}")
     if args.n_max < args.n_min:
         raise InvalidParams(f"--n-max {args.n_max} must be >= --n-min {args.n_min}")
     rng = np.random.default_rng(args.seed)
@@ -62,7 +64,7 @@ def cmd_gen_data(args) -> int:
             params = {"rows": max(2, n // 4), "cols": 4}
         g = generate_graph(kind, params, seed=args.seed + i + 1)
         s = eigendecompose(build_laplacian(g))
-        targets = {"lambda_2": float(s.eigenvalues[1])} if g.num_nodes >= 2 else {}
+        targets = {"lambda_2": float(s.eigenvalues[1])}
         lines.append(dumps_graph(Graph(g.num_nodes, g.edges, g.node_features, targets)))
     atomic_write_text(args.output, "".join(line + "\n" for line in lines))
     log.info("wrote %d graphs to %s", args.count, args.output)

@@ -2,9 +2,11 @@
 
 The unit of work is a padded mini-batch: the GIN encoder runs all graphs of a
 batch at once, each graph occupying `max_nodes` consecutive rows of one
-matrix, and the node-wise and graph-level MLP heads run one matrix product
-per layer over the whole batch. A head's output is one (B, max_nodes, k)
-stack whose phantom rows (those past each graph's node count) are zero.
+matrix. Each GIN aggregation is one tape op over the whole batch
+(`autodiff.gin_aggregate`), and so is each layer of the encoder's update MLPs
+and of the node-wise and graph-level heads (`autodiff.dense`: product, bias,
+ReLU and dropout). A head's output is one (B, max_nodes, k) stack whose
+phantom rows (those past each graph's node count) are zero.
 Orthonormalization is one thin-QR op over the stack, and each training
 objective is one op over it too, built on its single numpy definition in
 `losses`, which returns each graph's value together with the closed-form
@@ -76,7 +78,8 @@ def allocate_parameters(params: dict[str, Tensor], rng: np.random.Generator) -> 
 
 
 class Mlp:
-    """Dense stack: affine + ReLU (+ dropout) per hidden layer, affine output.
+    """Dense stack: affine + ReLU (+ dropout) per hidden layer, affine output;
+    each layer is one `autodiff.dense` op.
 
     Like every module here, it declares its parameters' shapes and allocates
     nothing: a model builder lays them out (allocate_parameters).
@@ -100,11 +103,9 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add(ad.matmul(h, w), b)
-            if i < last:
-                h = ad.relu(h)
-                if training and self.dropout_rate > 0.0:
-                    h = ad.dropout(h, self.dropout_rate, rng, training=True)
+            hidden = i < last
+            rate = self.dropout_rate if training and hidden else 0.0
+            h = ad.dense(h, w, b, relu=hidden, rate=rate, rng=rng)
         return h
 
     def parameters(self) -> dict[str, Tensor]:
@@ -116,7 +117,8 @@ class Mlp:
 
 
 class GinLayer:
-    """One message-passing step: h_v <- MLP((1 + eps) * h_v + sum_{u in N(v)} h_u)."""
+    """One message-passing step: h_v <- MLP((1 + eps) * h_v + sum_{u in N(v)} h_u),
+    the aggregation one `autodiff.gin_aggregate` op."""
 
     def __init__(self, in_dim: int, hidden_dim: int, update_layers: int,
                  dropout_rate: float):
@@ -126,9 +128,7 @@ class GinLayer:
 
     def forward(self, h: Tensor, adjacency: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        neighbor_sum = ad.sum_neighbors(h, adjacency)
-        scaled_self = ad.mul(ad.add(ad.constant(1.0), self.eps), h)
-        return self.update_mlp.forward(ad.add(scaled_self, neighbor_sum), training, rng)
+        return self.update_mlp.forward(ad.gin_aggregate(h, self.eps, adjacency), training, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"eps": self.eps}

@@ -1,5 +1,7 @@
 """Shared test utilities: finite-difference oracles, a scalarizing
-projection, the layout of a module built alone, random graph soup, and
+projection, the small tape ops that `autodiff.dense` and
+`autodiff.gin_aggregate` fuse (kept as their references) and a counter of
+recorded ops, the layout of a module built alone, random graph soup, and
 checkpoint helpers: a header reader and editor, and an old-version writer."""
 
 import base64
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from eigenlearn import autodiff as ad
+from eigenlearn.errors import ShapeMismatch
 from eigenlearn.graphs import Graph, generate_graph
 from eigenlearn.nn import allocate_parameters
 
@@ -41,6 +44,123 @@ def project(t: ad.Tensor, seed: int = 0) -> ad.Tensor:
     signs and of different sizes let a gradient check see every entry of t."""
     w = np.random.default_rng(seed).standard_normal(t.shape)
     return ad.scalar_with_grad(t, float(np.sum(w * t.values)), w)
+
+
+# --- reference ops ------------------------------------------------------------
+# The tape ops a dense layer and a GIN aggregation were built from before each
+# became one op. They record through autodiff's own result path, so each is
+# one node with its own finite check, as it was in the library.
+
+
+def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate_product(g, b.values.T)
+        if b.requires_grad:
+            b.accumulate_product(a.values.T, g)
+
+    return ad._result(a.values @ b.values, (a, b), vjp)
+
+
+def relu(a: ad.Tensor) -> ad.Tensor:
+    mask = a.values > 0
+
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * mask)
+
+    return ad._result(np.where(mask, a.values, 0.0), (a,), vjp)
+
+
+def dropout(a: ad.Tensor, rate: float, rng: np.random.Generator,
+            training: bool = True) -> ad.Tensor:
+    """Inverted dropout: mask drawn from rng, kept entries scaled by 1/(1-rate).
+
+    Identity (and no generator draw) when rate is 0 or training is off.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ShapeMismatch(f"dropout rate must be in [0,1), got {rate}")
+    if not training or rate == 0.0:
+        return a
+    keep = rng.random(a.shape) >= rate
+    factor = keep / (1.0 - rate)
+
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * factor)
+
+    return ad._result(a.values * factor, (a,), vjp)
+
+
+def slice_rows(a: ad.Tensor, start: int, stop: int) -> ad.Tensor:
+    """Rows start..stop-1 of a: one graph's rows cut out of a padded batch."""
+    if not (0 <= start <= stop <= a.shape[0]):
+        raise ShapeMismatch(f"slice [{start}:{stop}] outside {a.shape[0]} rows")
+
+    def vjp(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.values)
+            full[start:stop] = g
+            a.accumulate_grad(full)
+
+    return ad._result(a.values[start:stop].copy(), (a,), vjp)
+
+
+def sum_neighbors(a: ad.Tensor, adjacency: np.ndarray) -> ad.Tensor:
+    """Row v of the result is the sum of a's rows over v's neighbors.
+
+    A (B, m, m) adjacency is a batch of blocks: a holds B stacked (m, d)
+    blocks, and block i only sums over the rows of block i.
+    """
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    rows = a.shape[0]
+    blocks, m = (1, rows) if adjacency.ndim == 2 else adjacency.shape[:2]
+    if (a.values.ndim != 2 or adjacency.ndim not in (2, 3) or blocks * m != rows
+            or adjacency.shape[-2:] != (m, m)):
+        raise ShapeMismatch(f"sum_neighbors: {a.shape} with adjacency {adjacency.shape}")
+    stacked = (blocks, m, a.shape[1])
+
+    def vjp(g):
+        if a.requires_grad:
+            back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked))
+            a.accumulate_grad(back.reshape(a.shape), owned=True)
+
+    return ad._result(np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape),
+                      (a,), vjp)
+
+
+def dense_reference(x, w, b, relu_on: bool, rate: float, rng) -> ad.Tensor:
+    """autodiff.dense as the composition it replaces: matmul, add, then relu
+    and dropout when on."""
+    h = ad.add(matmul(x, w), b)
+    if relu_on:
+        h = relu(h)
+    return dropout(h, rate, rng) if rate > 0.0 else h
+
+
+def gin_aggregate_reference(h, eps, adjacency) -> ad.Tensor:
+    """autodiff.gin_aggregate as the composition it replaces."""
+    neighbor_sum = sum_neighbors(h, adjacency)
+    return ad.add(ad.mul(ad.add(ad.constant(1.0), eps), h), neighbor_sum)
+
+
+def recorded_ops(tensor: ad.Tensor) -> int:
+    """Backward ops recorded on the way to tensor: the nodes reachable through
+    parents that carry a backward closure (leaves and constants carry none)."""
+    seen = {id(tensor)}
+    stack = [tensor]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += node._vjp is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
 
 
 def laid_out(module, rng: np.random.Generator):

@@ -161,22 +161,27 @@ def _primitive_checks():
     def cubes(x):  # one value per graph: sum(x^3) / 3, with gradient x^2
         return ad.scalar_with_grad(x, np.sum(x.values ** 3, axis=(1, 2)) / 3.0, x.values ** 2)
 
+    def dense(relu, rate=0.0):
+        # dropout: identical generator seed per evaluation pins the mask
+        return lambda x, w, bias: project(ad.dense(x, w, bias, relu, rate,
+                                                   np.random.default_rng(9)))
+
+    # the ReLU entries' pre-activations all lie 0.25 or more from the kink,
+    # far beyond what a finite-difference step moves them
     return [
-        ("matmul", lambda x, y: project(ad.matmul(x, y)), [a, b]),
         ("add", lambda x, y: project(ad.add(x, y)), [a, rng.standard_normal((4, 3))]),
         ("mul", lambda x, y: project(ad.mul(x, y)), [a, rng.standard_normal((4, 3))]),
-        ("relu", lambda x: project(ad.relu(x)), [a + 0.05 * np.sign(a)]),
         ("reshape", lambda x: project(ad.reshape(x, (3, 4))), [a]),
-        ("slice_rows", lambda x: project(ad.slice_rows(x, 1, 3)), [a]),
-        ("sum_neighbors", lambda x: project(ad.sum_neighbors(x, adj)), [m]),
-        ("sum_neighbors", lambda x: project(ad.sum_neighbors(x, blocks)),
-         [rng.standard_normal((8, 3))]),
+        ("dense", dense(relu=True), [a, b, rng.standard_normal(2)]),
+        ("dense", dense(relu=False), [a, b, rng.standard_normal(2)]),
+        ("gin_aggregate", lambda x, e: project(ad.gin_aggregate(x, e, adj)), [m, np.array(0.3)]),
+        ("gin_aggregate", lambda x, e: project(ad.gin_aggregate(x, e, blocks)),
+         [rng.standard_normal((8, 3)), np.array(-0.2)]),
         ("thin_qr", lambda x: project(ad.thin_qr(x, 1e-8)), [rng.standard_normal((5, 3))]),
         ("thin_qr", lambda x: project(ad.thin_qr(x, 1e-8)), [stack]),
         ("scalar_with_grad", lambda x: project(cubes(x)), [stack]),
-        # dropout: identical generator seed per evaluation pins the mask
-        ("dropout", lambda x: project(ad.dropout(x, 0.3, np.random.default_rng(9), True)),
-         [rng.standard_normal((5, 5))]),
+        ("dense", dense(relu=True, rate=0.3),
+         [rng.standard_normal((5, 5)), rng.standard_normal((5, 4)), rng.standard_normal(4)]),
     ]
 
 

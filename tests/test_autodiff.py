@@ -3,7 +3,9 @@ import pytest
 
 from eigenlearn import autodiff as ad
 from eigenlearn.errors import NumericalFault, ShapeMismatch
-from helpers import max_rel_error, numeric_gradient, project
+from helpers import (dense_reference, dropout, gin_aggregate_reference, matmul,
+                     max_rel_error, numeric_gradient, project, recorded_ops, relu,
+                     slice_rows, sum_neighbors)
 
 
 def check_op_gradient(build, arrays, h=1e-5, tol=1e-4):
@@ -24,7 +26,7 @@ def test_matmul_gradient():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((3, 2))
-    check_op_gradient(lambda x, y: project(ad.matmul(x, y)), [a, b])
+    check_op_gradient(lambda x, y: project(matmul(x, y)), [a, b])
 
 
 def test_matmul_quadratic_gradient():
@@ -32,7 +34,7 @@ def test_matmul_quadratic_gradient():
     a = rng.standard_normal((5, 3))
     lap = rng.standard_normal((5, 5))
     lap = lap + lap.T
-    check_op_gradient(lambda x: project(ad.mul(x, ad.matmul(ad.constant(lap), x))), [a])
+    check_op_gradient(lambda x: project(ad.mul(x, matmul(ad.constant(lap), x))), [a])
 
 
 def test_add_mul_broadcast_gradients():
@@ -53,13 +55,13 @@ def test_add_and_mul_reject_shapes_that_do_not_broadcast():
 
 def test_relu_gradient_at_strictly_positive_input():
     x = ad.parameter(np.array([[0.5, 2.0], [1.0, 3.0]]))
-    ad.relu(x).backward(np.ones((2, 2)))
+    relu(x).backward(np.ones((2, 2)))
     assert np.array_equal(x.grad, np.ones((2, 2)))
 
 
 def test_relu_blocks_negative_side():
     x = ad.parameter(np.array([-1.0, 2.0]))
-    ad.relu(x).backward(np.ones(2))
+    relu(x).backward(np.ones(2))
     assert x.grad.tolist() == [0.0, 1.0]
 
 
@@ -68,9 +70,9 @@ def test_structural_op_gradients():
     a = rng.standard_normal((3, 4))
     adj = (rng.random((3, 3)) < 0.5).astype(float)
     adj = np.triu(adj, 1) + np.triu(adj, 1).T
-    check_op_gradient(lambda x: project(ad.slice_rows(x, 1, 3)), [a])
+    check_op_gradient(lambda x: project(slice_rows(x, 1, 3)), [a])
     check_op_gradient(lambda x: project(ad.reshape(x, (4, 3))), [a])
-    check_op_gradient(lambda x: project(ad.sum_neighbors(x, adj)), [a])
+    check_op_gradient(lambda x: project(sum_neighbors(x, adj)), [a])
 
 
 def test_gradient_accumulates_over_reuse():
@@ -103,7 +105,7 @@ def test_backward_with_explicit_seed():
 def test_constants_do_not_grow_graph():
     a = ad.constant(np.ones((2, 2)))
     b = ad.constant(np.ones((2, 2)))
-    out = ad.matmul(a, b)
+    out = matmul(a, b)
     assert not out.requires_grad
     assert out._parents == ()
 
@@ -116,19 +118,19 @@ def test_numerical_fault_on_overflow():
 
 def test_shape_mismatch_on_bad_matmul():
     with pytest.raises(ShapeMismatch):
-        ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+        matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
 
 def test_dropout_eval_mode_is_identity_without_rng_draw():
     x = ad.parameter(np.ones((4, 4)))
-    out = ad.dropout(x, 0.5, rng=None, training=False)
+    out = dropout(x, 0.5, rng=None, training=False)
     assert out is x
 
 
 def test_dropout_training_masks_and_rescales():
     rng = np.random.default_rng(7)
     x = ad.parameter(np.ones((50, 50)))
-    out = ad.dropout(x, 0.25, rng, training=True)
+    out = dropout(x, 0.25, rng, training=True)
     values = np.unique(out.values)
     assert set(np.round(values, 12)) <= {0.0, np.round(1.0 / 0.75, 12)}
     kept = float(np.mean(out.values > 0))
@@ -140,8 +142,8 @@ def test_dropout_training_masks_and_rescales():
 
 def test_dropout_deterministic_per_seed():
     x = ad.constant(np.ones((8, 8)))
-    a = ad.dropout(x, 0.3, np.random.default_rng(42), training=True)
-    b = ad.dropout(x, 0.3, np.random.default_rng(42), training=True)
+    a = dropout(x, 0.3, np.random.default_rng(42), training=True)
+    b = dropout(x, 0.3, np.random.default_rng(42), training=True)
     assert np.array_equal(a.values, b.values)
 
 
@@ -150,7 +152,7 @@ def test_no_grad_records_nothing_and_changes_no_value(monkeypatch):
     w, x = ad.parameter(rng.standard_normal((3, 2))), ad.constant(rng.standard_normal((4, 3)))
 
     def forward():
-        return project(ad.relu(ad.add(ad.matmul(x, w), ad.parameter(np.ones(2)))))
+        return project(relu(ad.add(matmul(x, w), ad.parameter(np.ones(2)))))
 
     produced = []
     result = ad._result
@@ -189,3 +191,92 @@ def test_scalar_with_grad_takes_one_value_per_graph_of_a_stack():
     assert np.array_equal(a.grad, grad * seed[:, None, None])  # block b scaled by seed[b]
     with pytest.raises(ShapeMismatch):
         ad.scalar_with_grad(a, np.ones(2), grad)
+
+
+# --- one op per layer: dense and gin_aggregate against their compositions ---
+
+def _run(build, arrays, seed_grad):
+    """Values, and each input's gradient for the seed gradient, of build(*inputs)."""
+    inputs = [ad.parameter(a.copy()) for a in arrays]
+    out = build(*inputs)
+    out.backward(seed_grad)
+    return out, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("relu_on", [True, False])
+@pytest.mark.parametrize("rate", [0.0, 0.4])
+def test_dense_is_its_composition_bit_for_bit(relu_on, rate):
+    rng = np.random.default_rng(21)
+    arrays = [rng.standard_normal((6, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)]
+    seed_grad = rng.standard_normal((6, 5))
+    fused_rng, composed_rng = np.random.default_rng(8), np.random.default_rng(8)
+    fused, fused_grads = _run(lambda x, w, b: ad.dense(x, w, b, relu_on, rate, fused_rng),
+                              arrays, seed_grad)
+    composed, composed_grads = _run(
+        lambda x, w, b: dense_reference(x, w, b, relu_on, rate, composed_rng), arrays, seed_grad)
+    assert np.array_equal(fused.values, composed.values)
+    for mine, reference in zip(fused_grads, composed_grads):
+        assert np.array_equal(mine, reference)
+    # the mask is drawn at the same point of the stream, and nothing else is
+    assert fused_rng.bit_generator.state == composed_rng.bit_generator.state
+    assert (fused_rng.bit_generator.state == np.random.default_rng(8).bit_generator.state) \
+        == (rate == 0.0)
+    if relu_on:
+        assert np.any(fused.values == 0.0) and np.any(fused_grads[2] != 0.0)
+    assert recorded_ops(fused) == 1
+    assert recorded_ops(composed) == 2 + relu_on + (rate > 0.0)
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_gin_aggregate_is_its_composition_bit_for_bit(blocks):
+    rng = np.random.default_rng(22)
+    adjacency = np.triu((rng.random((3, 5, 5) if blocks else (15, 15)) < 0.4).astype(float), 1)
+    adjacency = adjacency + np.swapaxes(adjacency, -1, -2)
+    arrays = [rng.standard_normal((15, 4)), np.array(0.37)]
+    seed_grad = rng.standard_normal((15, 4))
+    fused, fused_grads = _run(lambda h, eps: ad.gin_aggregate(h, eps, adjacency),
+                              arrays, seed_grad)
+    composed, composed_grads = _run(lambda h, eps: gin_aggregate_reference(h, eps, adjacency),
+                                    arrays, seed_grad)
+    assert np.array_equal(fused.values, composed.values)
+    for mine, reference in zip(fused_grads, composed_grads):
+        assert np.array_equal(mine, reference)
+    assert fused_grads[1].shape == ()
+    assert recorded_ops(fused) == 1 and recorded_ops(composed) == 4
+
+
+@pytest.mark.parametrize("poison", [np.nan, -np.inf, np.inf])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_dense_checks_the_pre_activation_that_relu_would_clean(poison, rate):
+    # ReLU maps NaN and -Inf to 0: only a check before it sees them
+    x = np.ones((2, 2))
+    b = np.array([0.0, poison])
+    rng = np.random.default_rng(3)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFault):
+        ad.dense(ad.constant(x), ad.parameter(np.eye(2)), ad.parameter(b), True, rate, rng)
+    # the fault is raised before the dropout mask is drawn, as the small ops raised it
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def test_dense_checks_the_output_that_dropout_scales():
+    # finite before dropout, overflowing once the kept entries are doubled
+    big = np.full((8, 1), 1.5e308)
+    with np.errstate(over="ignore"), pytest.raises(NumericalFault):
+        ad.dense(ad.constant(big), ad.parameter(np.ones((1, 1))), ad.parameter(np.zeros(1)),
+                 True, 0.5, np.random.default_rng(0))
+
+
+def test_dense_and_gin_aggregate_reject_bad_shapes_and_rates():
+    x, w, b = ad.constant(np.ones((4, 3))), ad.constant(np.ones((3, 2))), ad.constant(np.ones(2))
+    for args in ((x, x, b), (x, w, ad.constant(np.ones(3))), (x, w, ad.constant(np.ones((4, 2)))),
+                 (ad.constant(np.ones(3)), w, b)):
+        with pytest.raises(ShapeMismatch, match=r"^dense: "):
+            ad.dense(*args)
+    for rate in (-0.1, 1.0):
+        with pytest.raises(ShapeMismatch, match="dropout rate"):
+            ad.dense(x, w, b, True, rate, np.random.default_rng(0))
+    h, eps = ad.constant(np.ones((8, 2))), ad.constant(0.0)
+    for adjacency, e in ((np.zeros((8, 8, 8)), eps), (np.zeros((2, 4, 3)), eps),
+                         (np.zeros((3, 3)), eps), (np.zeros((8, 8)), ad.constant(np.zeros(2)))):
+        with pytest.raises(ShapeMismatch, match=r"^gin_aggregate: "):
+            ad.gin_aggregate(h, e, adjacency)

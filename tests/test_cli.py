@@ -592,6 +592,7 @@ def test_a_truncated_input_exits_1_with_one_line(inputs, tmp_path, capsys, comma
     ("gen-data --n-min 10 --n-max 5", "--n-min"),
     ("gen-data --count 0", "--count"),
     ("gen-data --count -3", "--count"),
+    ("gen-data --count 3 --kinds path,star --n-min 1 --n-max 1", "--n-min"),
 ])
 def test_an_out_of_range_flag_exits_1_with_one_line(inputs, tmp_path, capsys, argv, field):
     out = tmp_path / "out"

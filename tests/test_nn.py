@@ -11,7 +11,8 @@ from eigenlearn.nn import (RANK_TOL, EigenModel, GinEncoder, GinLayer, GraphLeve
                            glorot_uniform, mae_loss_t, orthonormalize)
 from eigenlearn import losses
 from eigenlearn.train import pad_stack
-from helpers import laid_out, max_rel_error, numeric_gradient, project
+from helpers import (dense_reference, gin_aggregate_reference, laid_out, max_rel_error,
+                     numeric_gradient, project, recorded_ops, slice_rows, sum_neighbors)
 
 
 def test_glorot_bounds():
@@ -68,6 +69,42 @@ def test_gin_no_edges_means_no_mixing():
     layer = identity_gin_layer(3)
     out = layer.forward(ad.constant(x), np.zeros((3, 3)))
     assert np.allclose(out.values, x)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_gin_layer_is_one_op_per_step_and_matches_the_small_ops(training):
+    # the layer as the small ops built it: sum_neighbors, mul and add for the
+    # aggregation, then matmul, add, relu and dropout per hidden MLP layer
+    layer = laid_out(GinLayer(3, 5, update_layers=3, dropout_rate=0.3),
+                     np.random.default_rng(4))
+    layer.eps.values[...] = 0.25
+    data = np.random.default_rng(5)
+    a = np.triu((data.random((2, 4, 4)) < 0.5).astype(float), 1)
+    adjacency = a + np.swapaxes(a, 1, 2)
+    x = ad.parameter(data.standard_normal((8, 3)))
+    seed = data.standard_normal((8, 5))
+
+    def grads():
+        out = [t.grad for t in [x, *layer.parameters().values()]]
+        for t in [x, *layer.parameters().values()]:
+            t.grad = None
+        return out
+
+    rng = np.random.default_rng(6)
+    fused = layer.forward(x, adjacency, training, rng)
+    fused.backward(seed)
+    fused_grads = grads()
+    reference_rng = np.random.default_rng(6)
+    mlp = layer.update_mlp
+    h = gin_aggregate_reference(x, layer.eps, adjacency)
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        hidden = i < len(mlp.weights) - 1
+        h = dense_reference(h, w, b, hidden, 0.3 if training and hidden else 0.0, reference_rng)
+    h.backward(seed)
+    assert np.array_equal(fused.values, h.values)
+    assert all(np.array_equal(f, r) for f, r in zip(fused_grads, grads()))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert recorded_ops(fused) == 1 + len(mlp.weights)
 
 
 def test_gin_encoder_permutation_equivariance():
@@ -379,13 +416,13 @@ def test_sum_neighbors_over_a_block_adjacency():
         blocks.append(a + a.T)
     adjacency = np.stack(blocks)
     x = rng.standard_normal((12, 2))
-    out = ad.sum_neighbors(ad.constant(x), adjacency).values
+    out = sum_neighbors(ad.constant(x), adjacency).values
     for i, block in enumerate(blocks):
-        alone = ad.sum_neighbors(ad.constant(x[4 * i:4 * i + 4]), block).values
+        alone = sum_neighbors(ad.constant(x[4 * i:4 * i + 4]), block).values
         assert np.array_equal(out[4 * i:4 * i + 4], alone)
-    check_gradient(lambda t: project(ad.sum_neighbors(t, adjacency), seed=12), x)
+    check_gradient(lambda t: project(sum_neighbors(t, adjacency), seed=12), x)
     with pytest.raises(ShapeMismatch):
-        ad.sum_neighbors(ad.constant(np.zeros((10, 2))), adjacency)
+        sum_neighbors(ad.constant(np.zeros((10, 2))), adjacency)
 
 
 # --- tape losses agree with the numpy forms ---
@@ -706,7 +743,7 @@ def test_batched_training_loss_matches_the_per_graph_path(build, loss_name):
     batched_grads = grads()
     total = None
     for i, (g, x, lap, (lam, psi)) in enumerate(zip(graphs, xs, laps, spectra)):
-        rows = ad.slice_rows(ad.reshape(model.forward([g], [x]), (10, 3)), 0, g.num_nodes)
+        rows = slice_rows(ad.reshape(model.forward([g], [x]), (10, 3)), 0, g.num_nodes)
         term = loss_op(orthonormalize(rows), lap, lam, psi, None)
         assert abs(batched.values[i] - term.item()) <= 1e-12 * max(1.0, abs(term.item()))
         total = term if total is None else ad.add(total, term)

@@ -18,7 +18,7 @@ from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
 from eigenlearn.graphs import Graph, build_adjacency, generate_graph
 from eigenlearn.losses import LossWeights
 from eigenlearn.wavelets import FeatureConfig
-from helpers import as_old_version, edit_header, read_header
+from helpers import as_old_version, edit_header, read_header, recorded_ops
 
 
 def small_cfg(**overrides):
@@ -830,25 +830,13 @@ def test_a_run_builds_each_adjacency_once_over_many_epochs(monkeypatch):
 
 # --- one batch, a few ops -----------------------------------------------------
 
-def reachable_nodes(tensor) -> int:
-    """Nodes reachable from a tensor through its parents, leaves included."""
-    seen = {id(tensor)}
-    stack = [tensor]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
-
-
 @pytest.mark.parametrize("run", ["pretrain", tr.ARM_OURS, tr.ARM_BASELINE])
 def test_tape_size_of_a_batch_does_not_depend_on_its_size(monkeypatch, run):
     sizes = []
     backward = ad.Tensor.backward
 
     def spy(self, seed=None):
-        sizes.append(reachable_nodes(self))
+        sizes.append(recorded_ops(self))
         return backward(self, seed)
 
     monkeypatch.setattr(ad.Tensor, "backward", spy)
@@ -865,6 +853,33 @@ def test_tape_size_of_a_batch_does_not_depend_on_its_size(monkeypatch, run):
         per_batch_size[batch_size] = set(sizes)
     assert per_batch_size[2] == per_batch_size[8]
     assert len(per_batch_size[8]) == 1
+
+
+@pytest.mark.parametrize("arm", [tr.ARM_OURS, tr.ARM_BASELINE])
+def test_a_desk_batch_records_fifteen_ops_whatever_its_size(monkeypatch, arm):
+    # the acceptance-7 config: per GIN layer one aggregation and two dense
+    # ops, the node mask, then a reshape, three dense ops, a reshape and the
+    # phantom-row mask in the head, one QR and one loss op
+    counts = []
+    backward = ad.Tensor.backward
+
+    def spy(self, seed=None):
+        counts.append(recorded_ops(self))
+        return backward(self, seed)
+
+    monkeypatch.setattr(ad.Tensor, "backward", spy)
+    for batch_size in (1, 8):
+        cfg = tr.config_from_dict({
+            "k": 3, "hidden_dim": 16, "mp_layers": 2, "update_layers": 2,
+            "head_layers": 3, "head_hidden_dim": 128, "max_nodes": 16,
+            "dropout": 0.0, "seed": 0, "epochs": 1, "batch_size": batch_size,
+            "lr": 0.002, "scheduler": {"kind": "none"},
+            "feature_config": {"scales_J": 2},
+        })
+        examples = tr.precompute_targets(graph_soup(8, seed=14, n_low=8, n_high=16), cfg)
+        counts.clear()
+        tr.compare_losses(examples, cfg, arms=(arm,))
+        assert counts == [15] * (8 // batch_size)
 
 
 def test_a_rank_deficient_graph_drops_its_batch_and_is_named(caplog):
