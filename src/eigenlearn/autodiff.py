@@ -144,13 +144,8 @@ def _check_finite(values: np.ndarray) -> None:
         raise NumericalFault("op produced non-finite values")
 
 
-def _result(values: np.ndarray, parents: tuple, vjp, check: bool = True) -> Tensor:
-    """The op's result, recording its parents and backward closure unless
-    inside no_grad or no parent needs a gradient. check=False skips the
-    NaN/Inf check of values, for an op that has checked an array whose
-    finiteness implies theirs."""
-    if check:
-        _check_finite(values)
+def _result(values: np.ndarray, parents: tuple, vjp) -> Tensor:
+    _check_finite(values)
     if _recording[0] and any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(values)
@@ -242,9 +237,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
         if w.requires_grad:
             w.accumulate_product(x.values.T, g)
 
-    # a finite pre-activation stays finite through ReLU, not always through
-    # dropout's scale
-    return _result(values, (x, w, b), vjp, factor is not None)
+    return _result(values, (x, w, b), vjp)
 
 
 def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:

@@ -147,20 +147,25 @@ def gin_aggregate_reference(h, eps, adjacency) -> ad.Tensor:
     return ad.add(ad.mul(ad.add(ad.constant(1.0), eps), h), neighbor_sum)
 
 
-def recorded_ops(tensor: ad.Tensor) -> int:
-    """Backward ops recorded on the way to tensor: the nodes reachable through
-    parents that carry a backward closure (leaves and constants carry none)."""
+def reachable_nodes(tensor: ad.Tensor) -> list:
+    """The nodes reachable from tensor through its parents, leaves and
+    constants included."""
     seen = {id(tensor)}
+    nodes = [tensor]
     stack = [tensor]
-    count = 0
     while stack:
-        node = stack.pop()
-        count += node._vjp is not None
-        for parent in node._parents:
+        for parent in stack.pop()._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
+                nodes.append(parent)
                 stack.append(parent)
-    return count
+    return nodes
+
+
+def recorded_ops(tensor: ad.Tensor) -> int:
+    """Backward ops recorded on the way to tensor: the reachable nodes that
+    carry a backward closure (leaves and constants carry none)."""
+    return sum(node._vjp is not None for node in reachable_nodes(tensor))
 
 
 def laid_out(module, rng: np.random.Generator):

@@ -18,7 +18,8 @@ from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
 from eigenlearn.graphs import Graph, build_adjacency, generate_graph
 from eigenlearn.losses import LossWeights
 from eigenlearn.wavelets import FeatureConfig
-from helpers import as_old_version, edit_header, read_header, recorded_ops
+from helpers import (as_old_version, edit_header, read_header, reachable_nodes,
+                     recorded_ops)
 
 
 def small_cfg(**overrides):
@@ -830,20 +831,42 @@ def test_a_run_builds_each_adjacency_once_over_many_epochs(monkeypatch):
 
 # --- one batch, a few ops -----------------------------------------------------
 
-@pytest.mark.parametrize("run", ["pretrain", tr.ARM_OURS, tr.ARM_BASELINE])
-def test_tape_size_of_a_batch_does_not_depend_on_its_size(monkeypatch, run):
+# the acceptance-7 config: per GIN layer one aggregation and two dense ops, the
+# node mask, then a reshape, three dense ops, a reshape and the phantom-row
+# mask in the head, one QR and one loss op; 19 parameters and constants
+DESK_TAPE = ({
+    "k": 3, "hidden_dim": 16, "mp_layers": 2, "update_layers": 2,
+    "head_layers": 3, "head_hidden_dim": 128, "max_nodes": 16, "dropout": 0.0,
+    "seed": 0, "epochs": 1, "lr": 0.002, "scheduler": {"kind": "none"},
+    "feature_config": {"scales_J": 2},
+}, dict(seed=14, n_low=8, n_high=16), (34, 15))
+
+
+@pytest.mark.parametrize("run, desk", [
+    pytest.param("pretrain", False, id="pretrain"),
+    pytest.param(tr.ARM_OURS, False, id=tr.ARM_OURS),
+    pytest.param(tr.ARM_BASELINE, False, id=tr.ARM_BASELINE),
+    pytest.param(tr.ARM_OURS, True, id=tr.ARM_OURS + "-desk"),
+    pytest.param(tr.ARM_BASELINE, True, id=tr.ARM_BASELINE + "-desk"),
+])
+def test_tape_size_of_a_batch_does_not_depend_on_its_size(monkeypatch, run, desk):
     sizes = []
     backward = ad.Tensor.backward
 
     def spy(self, seed=None):
-        sizes.append(recorded_ops(self))
+        sizes.append((len(reachable_nodes(self)), recorded_ops(self)))
         return backward(self, seed)
 
     monkeypatch.setattr(ad.Tensor, "backward", spy)
     per_batch_size = {}
-    for batch_size in (2, 8):
-        cfg = small_cfg(epochs=1, batch_size=batch_size)
-        examples = tr.precompute_targets(graph_soup(8, seed=12), cfg)
+    for batch_size in (1, 2, 8):
+        if desk:
+            config, soup, expected = DESK_TAPE
+            cfg = tr.config_from_dict({**config, "batch_size": batch_size})
+        else:
+            soup, expected = dict(seed=12), None
+            cfg = small_cfg(epochs=1, batch_size=batch_size)
+        examples = tr.precompute_targets(graph_soup(8, **soup), cfg)
         sizes.clear()
         if run == "pretrain":
             tr.pretrain(examples, tr.build_model(cfg, tr.feature_dim(examples)), cfg)
@@ -851,35 +874,10 @@ def test_tape_size_of_a_batch_does_not_depend_on_its_size(monkeypatch, run):
             tr.compare_losses(examples, cfg, arms=(run,))
         assert len(sizes) == 8 // batch_size  # one backward per batch
         per_batch_size[batch_size] = set(sizes)
-    assert per_batch_size[2] == per_batch_size[8]
+    assert per_batch_size[1] == per_batch_size[2] == per_batch_size[8]
     assert len(per_batch_size[8]) == 1
-
-
-@pytest.mark.parametrize("arm", [tr.ARM_OURS, tr.ARM_BASELINE])
-def test_a_desk_batch_records_fifteen_ops_whatever_its_size(monkeypatch, arm):
-    # the acceptance-7 config: per GIN layer one aggregation and two dense
-    # ops, the node mask, then a reshape, three dense ops, a reshape and the
-    # phantom-row mask in the head, one QR and one loss op
-    counts = []
-    backward = ad.Tensor.backward
-
-    def spy(self, seed=None):
-        counts.append(recorded_ops(self))
-        return backward(self, seed)
-
-    monkeypatch.setattr(ad.Tensor, "backward", spy)
-    for batch_size in (1, 8):
-        cfg = tr.config_from_dict({
-            "k": 3, "hidden_dim": 16, "mp_layers": 2, "update_layers": 2,
-            "head_layers": 3, "head_hidden_dim": 128, "max_nodes": 16,
-            "dropout": 0.0, "seed": 0, "epochs": 1, "batch_size": batch_size,
-            "lr": 0.002, "scheduler": {"kind": "none"},
-            "feature_config": {"scales_J": 2},
-        })
-        examples = tr.precompute_targets(graph_soup(8, seed=14, n_low=8, n_high=16), cfg)
-        counts.clear()
-        tr.compare_losses(examples, cfg, arms=(arm,))
-        assert counts == [15] * (8 // batch_size)
+    if expected is not None:  # (nodes, ops)
+        assert per_batch_size[8] == {expected}
 
 
 def test_a_rank_deficient_graph_drops_its_batch_and_is_named(caplog):
