@@ -138,8 +138,9 @@ def cmd_finetune(args) -> int:
     if saved_head is not None:
         raise InvalidParams(f"{args.checkpoint} is a finetune checkpoint; finetune "
                             "--checkpoint starts only from a pretrain checkpoint")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    # --epochs is the fine-tuning budget, so the config checks it as finetune_epochs
+    overrides = {"seed": args.seed, "finetune_epochs": args.epochs}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     examples = tr.precompute_targets(load_dataset(args.input), cfg)
     rng = np.random.default_rng([cfg.seed, 9])
     order = rng.permutation(len(examples))
@@ -150,7 +151,7 @@ def cmd_finetune(args) -> int:
         raise InvalidParams(f"--val-fraction {args.val_fraction} leaves no training graph")
     head = tr.build_downstream_head(cfg)
     record, state = tr.finetune(tr_examples, model, head, cfg, args.target,
-                                epochs=args.epochs, val_examples=val or None)
+                                val_examples=val or None)
     atomic_write_text(args.output, record.to_csv())
     if args.checkpoint_out:
         tr.save_checkpoint(args.checkpoint_out, model, cfg, state, model.encoder.in_dim,
@@ -171,10 +172,10 @@ def cmd_compare_losses(args) -> int:
     results = tr.compare_losses(examples, cfg)
     rows = [row for arm in tr.COMPARISON_ARMS for row in results[arm]]
     atomic_write_text(args.output, tr.comparison_to_csv(rows))
-    for arm in tr.COMPARISON_ARMS:
-        final = results[arm][-1]
-        log.info("%s: final eigvec %.6f, energy %.6f", arm,
-                 final.loss_eigvec, final.loss_energy)
+    for arm, arm_rows in results.items():
+        if arm_rows:  # none with --epochs 0
+            log.info("%s: final eigvec %.6f, energy %.6f", arm,
+                     arm_rows[-1].loss_eigvec, arm_rows[-1].loss_energy)
     return 0
 
 

@@ -65,11 +65,8 @@ class Graph:
             object.__setattr__(self, "node_features", x)
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.num_nodes)
-        for u, v in self.edges:
-            d[u] += 1.0
-            d[v] += 1.0
-        return d
+        """The row sums of the adjacency matrix."""
+        return build_adjacency(self).sum(axis=1)
 
     def with_features(self, x: np.ndarray) -> "Graph":
         return Graph(self.num_nodes, self.edges, x, dict(self.graph_targets))
@@ -93,7 +90,7 @@ def build_laplacian(g: Graph, norm: str = UNNORMALIZED) -> np.ndarray:
     if norm not in LAPLACIAN_NORMS:
         raise InvalidParams(f"unknown Laplacian norm {norm!r}")
     a = build_adjacency(g)
-    d = g.degrees()
+    d = a.sum(axis=1)
     if norm == UNNORMALIZED:
         return np.diag(d) - a
     d_inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
@@ -106,11 +103,12 @@ def build_diffusion(g: Graph) -> np.ndarray:
     Raises IsolatedNode for degree-0 nodes: one-step walk probabilities are
     undefined there, so callers must prune or reject such graphs.
     """
-    d = g.degrees()
+    a = build_adjacency(g)
+    d = a.sum(axis=1)
     zero = np.nonzero(d == 0)[0]
     if zero.size:
         raise IsolatedNode(int(zero[0]))
-    return build_adjacency(g) / d[:, None]
+    return a / d[:, None]
 
 
 def count_components(g: Graph) -> int:

@@ -2,12 +2,14 @@
 
 The unit of work is a padded mini-batch: the GIN encoder runs all graphs of a
 batch at once, each graph occupying `max_nodes` consecutive rows of one
-matrix. Each GIN aggregation is one tape op over the whole batch
-(`autodiff.gin_aggregate`), and so is each layer of the encoder's update MLPs
-and of the node-wise and graph-level heads (`autodiff.dense`: product, bias,
-ReLU and dropout). A head's output is one (B, max_nodes, k) stack whose
-phantom rows (those past each graph's node count) are zero.
-Orthonormalization is one thin-QR op over the stack, and each training
+matrix. It takes each graph as its dense adjacency, which the caller builds
+once per graph (a training example carries its own, see
+train.precompute_targets; EigenModel.predict builds one). Each GIN
+aggregation is one tape op over the whole batch (`autodiff.gin_aggregate`),
+and so is each layer of the encoder's update MLPs and of the node-wise and
+graph-level heads (`autodiff.dense`: product, bias, ReLU and dropout). A
+head's output is one (B, max_nodes, k) stack whose phantom rows (those past
+each graph's node count) are zero. Orthonormalization is one thin-QR op over the stack, and each training
 objective is one op over it too, built on its single numpy definition in
 `losses`, which returns each graph's value together with the closed-form
 gradient: `combined_loss_t` for pre-training and the eigvec_ours arm of the
@@ -19,8 +21,6 @@ Modules declare the shapes of their parameters and allocate nothing. The
 model builders in `train` lay a whole model's parameters out as views of one
 buffer (allocate_parameters), the layout optim.Adam steps in one pass.
 """
-
-import contextlib
 
 import numpy as np
 
@@ -153,44 +153,26 @@ class GinEncoder:
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
         self.max_nodes = max_nodes
-        self._kept = None  # id(graph) -> (graph, adjacency) inside keeping_adjacencies()
         self.layers = []
         d = in_dim
         for _ in range(mp_layers):
             self.layers.append(GinLayer(d, hidden_dim, update_layers, dropout_rate))
             d = hidden_dim
 
-    @contextlib.contextmanager
-    def keeping_adjacencies(self):
-        """Inside the block each graph's adjacency is built once, on its first
-        forward pass, and reused by later ones; they are dropped at the end. A
-        training run, which revisits its graphs every epoch, runs inside it;
-        a graph seen once is faster without it."""
-        previous = self._kept
-        self._kept = {} if previous is None else previous
-        try:
-            yield
-        finally:
-            self._kept = previous
-
-    def _adjacency(self, g: Graph) -> np.ndarray:
-        if self._kept is None:
-            return build_adjacency(g)
-        if id(g) not in self._kept:  # the graph is kept too, so its id stays its own
-            self._kept[id(g)] = (g, build_adjacency(g))
-        return self._kept[id(g)][1]
-
-    def forward(self, graphs: list[Graph], features: list, training: bool = False,
+    def forward(self, adjacencies: list[np.ndarray], features: list, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Node embeddings of a batch as one (B*max_nodes, hidden_dim) tensor,
-        zero on phantom rows. features[i] is graph i's (n_i, in_dim) array
-        (a constant tensor is accepted too)."""
+        zero on phantom rows. adjacencies[i] is graph i's (n_i, n_i) adjacency
+        (graphs.build_adjacency) and features[i] its (n_i, in_dim) array (a
+        constant tensor is accepted too)."""
         m = self.max_nodes
-        x = np.zeros((len(graphs) * m, self.in_dim))
-        adjacency = np.zeros((len(graphs), m, m))
-        mask = np.zeros((len(graphs) * m, 1))
-        for i, (g, f) in enumerate(zip(graphs, features, strict=True)):
-            n = g.num_nodes
+        x = np.zeros((len(adjacencies) * m, self.in_dim))
+        adjacency = np.zeros((len(adjacencies), m, m))
+        mask = np.zeros((len(adjacencies) * m, 1))
+        for i, (a, f) in enumerate(zip(adjacencies, features, strict=True)):
+            n = len(a)
+            if a.shape != (n, n):
+                raise ShapeMismatch(f"adjacency of shape {a.shape} is not square")
             if n > m:
                 raise GraphTooLarge(n, m)
             f = f.values if isinstance(f, Tensor) else np.asarray(f, dtype=np.float64)
@@ -198,7 +180,7 @@ class GinEncoder:
                 raise ShapeMismatch(f"features of shape {f.shape} for a {n}-node graph; "
                                     f"the encoder expects ({n}, {self.in_dim})")
             x[i * m:i * m + n] = f
-            adjacency[i, :n, :n] = self._adjacency(g)
+            adjacency[i, :n, :n] = a
             mask[i * m:i * m + n] = 1.0
         h = ad.constant(x)
         for layer in self.layers:
@@ -305,37 +287,35 @@ class EigenModel:
     estimates in evaluation mode, and predict() one graph's. A batch's
     outputs are one (B, max_nodes, k) stack, zero on phantom rows."""
 
-    def __init__(self, encoder: GinEncoder, head, head_kind: str):
-        if head_kind not in HEAD_KINDS:
-            raise ShapeMismatch(f"unknown head kind {head_kind!r}")
+    def __init__(self, encoder: GinEncoder, head):
         self.encoder = encoder
         self.head = head
-        self.head_kind = head_kind
 
-    def forward(self, graphs: list[Graph], features: list, training: bool = False,
+    def forward(self, adjacencies: list[np.ndarray], features: list, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Raw (B, max_nodes, k) head outputs of a batch: one encoder pass and
-        one head pass over the padded batch (features as in
+        one head pass over the padded batch (adjacencies and features as in
         GinEncoder.forward). A graph with fewer than k nodes has no k
         orthonormal columns to estimate and raises ShapeMismatch."""
-        for g in graphs:
-            if g.num_nodes < self.head.k:
-                raise ShapeMismatch(f"need n >= k to orthonormalize, got "
-                                    f"{g.num_nodes} x {self.head.k}")
-        z = self.encoder.forward(graphs, features, training, rng)
-        return self.head.forward(z, [g.num_nodes for g in graphs], training, rng)
+        sizes = [len(a) for a in adjacencies]
+        for n in sizes:
+            if n < self.head.k:
+                raise ShapeMismatch(f"need n >= k to orthonormalize, got {n} x {self.head.k}")
+        z = self.encoder.forward(adjacencies, features, training, rng)
+        return self.head.forward(z, sizes, training, rng)
 
-    def predict_batch(self, graphs: list[Graph], features: list) -> np.ndarray:
+    def predict_batch(self, adjacencies: list[np.ndarray], features: list) -> np.ndarray:
         """Evaluation-mode (no dropout, nothing recorded) orthonormal
         eigenvector estimates of a batch of graphs: one (B, max_nodes, k)
         array, graph i's (n_i, k) estimate in its first n_i rows, zeros
         below."""
         with ad.no_grad():
-            return orthonormalize(self.forward(graphs, features)).values
+            return orthonormalize(self.forward(adjacencies, features)).values
 
     def predict(self, g: Graph, features: np.ndarray) -> np.ndarray:
-        """The (n, k) estimate of one graph: predict_batch of a batch of one."""
-        return self.predict_batch([g], [features])[0, :g.num_nodes]
+        """The (n, k) estimate of one graph: predict_batch of a batch of one,
+        on the adjacency it builds."""
+        return self.predict_batch([build_adjacency(g)], [features])[0, :g.num_nodes]
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"encoder.{n}": p for n, p in self.encoder.parameters().items()}

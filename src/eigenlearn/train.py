@@ -7,8 +7,10 @@ the loss comparison trains one model per loss. All three share one epoch
 runner (_run_epoch) and differ only in their per-batch loss function. A
 mini-batch runs as a few ops on its padded (B, max_nodes, k) stack: one
 encoder and head pass, one thin-QR op, and one op per loss over the stack,
-against the batch's zero-padded targets (padded_targets). Evaluation runs the
-same stacked path without recording a tape. Runs are deterministic per seed,
+against the batch's zero-padded targets (padded_targets). Every per-graph
+constant, the encoder's adjacency as well as the targets, is built once by
+precompute_targets and carried on the example. Evaluation runs the same
+stacked path without recording a tape. Runs are deterministic per seed,
 including across a checkpoint: one JSON header line with the run's scalar state
 (the generator's too) and array layout, then the parameter and moment bytes.
 """
@@ -30,7 +32,7 @@ from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, LIST, NON_NEGATIVE,
 from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
                      MissingTarget, NumericalFault, RankDeficient)
-from .graphs import LAPLACIAN_NORMS, Graph, build_laplacian
+from .graphs import LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian
 from .losses import LossWeights, combined_loss, eigvec_loss, energy_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
@@ -129,10 +131,12 @@ def config_from_dict(d: dict) -> PretrainConfig:
 
 @dataclass
 class TrainingExample:
-    """A graph with everything pre-training needs attached."""
+    """A graph with everything training needs attached, each built once: the
+    encoder's input (features, adjacency) and the spectral targets."""
 
     graph: Graph
     features: np.ndarray
+    adjacency: np.ndarray
     laplacian: np.ndarray
     lambda_k: np.ndarray
     psi_k: np.ndarray
@@ -174,9 +178,9 @@ class RunRecord:
 
 
 def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[TrainingExample]:
-    """Attach augmented features, the Laplacian, and the lowest-k spectrum to
-    every usable graph; drop (and count) graphs violating the preconditions
-    (n < k, n > max_nodes, isolated nodes)."""
+    """Attach augmented features, the adjacency, the Laplacian, and the
+    lowest-k spectrum to every usable graph; drop (and count) graphs
+    violating the preconditions (n < k, n > max_nodes, isolated nodes)."""
     examples = []
     dropped = 0
     for g in graphs:
@@ -191,7 +195,8 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
         laplacian = build_laplacian(g, cfg.laplacian_norm)
         spectrum = eigendecompose(laplacian)
         lambda_k, psi_k = lowest_k(spectrum, cfg.k)
-        examples.append(TrainingExample(g, features, laplacian, lambda_k, psi_k))
+        examples.append(TrainingExample(g, features, build_adjacency(g), laplacian,
+                                        lambda_k, psi_k))
     if dropped:
         log.info("dropped %d of %d graphs during target precomputation",
                  dropped, len(graphs))
@@ -248,7 +253,7 @@ def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
     else:
         head = NodeWiseHead(cfg.hidden_dim, cfg.k, cfg.head_hidden_dim,
                             cfg.head_layers, cfg.dropout)
-    model = EigenModel(encoder, head, cfg.head_kind)
+    model = EigenModel(encoder, head)
     allocate_parameters(model.parameters(), np.random.default_rng([cfg.seed, 0]))
     return model
 
@@ -320,11 +325,12 @@ def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: Trai
     losses is back-propagated once, and Adam steps on the mean gradient over
     the batch. A numerical fault or a rank-deficient orthogonalization
     anywhere in the batch discards the whole batch (its gradients are
-    dropped, never clamped); it is counted and logged. The scheduler then
-    steps on the mean training loss, or on validate() when it monitors
-    val_loss. Returns the means of the (loss, *metrics) rows of the graphs
-    whose batch reached the optimizer step, padded with zeros to the run
-    record's four loss columns.
+    dropped, never clamped); it is counted and logged. If any batch reached
+    the optimizer, the scheduler then steps on the mean training loss, or on
+    validate() when it monitors val_loss; an epoch that changed no parameter
+    leaves the schedule as it was. Returns the means of the (loss, *metrics)
+    rows of the graphs whose batch reached the optimizer step, padded with
+    zeros to the run record's four loss columns.
     """
     epoch = state.epoch
     order = state.rng.permutation(len(examples))
@@ -344,7 +350,7 @@ def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: Trai
         del loss  # free this batch's tape before the next batch records its own
     means = [float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows else []
     means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
-    if state.scheduler is not None:
+    if state.scheduler is not None and rows:
         monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
         state.scheduler.step(float(monitored))
     state.epoch = epoch + 1
@@ -369,12 +375,12 @@ def _fit(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState
 def _orthonormal_outputs(model: EigenModel, batch: list[TrainingExample],
                          rng: np.random.Generator) -> ad.Tensor:
     """The batch's training-mode orthonormal outputs: one (B, max_nodes, k) QR op."""
-    return orthonormalize(model.forward([ex.graph for ex in batch],
+    return orthonormalize(model.forward([ex.adjacency for ex in batch],
                                         [ex.features for ex in batch], training=True, rng=rng))
 
 
 def _predict(model: EigenModel, batch: list[TrainingExample]) -> np.ndarray:
-    return model.predict_batch([ex.graph for ex in batch], [ex.features for ex in batch])
+    return model.predict_batch([ex.adjacency for ex in batch], [ex.features for ex in batch])
 
 
 def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainConfig,
@@ -402,9 +408,8 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
             targets.lambda_k, cfg.loss_weights, terms=True)
         return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
-    with model.encoder.keeping_adjacencies():
-        record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
-                      lambda: evaluate_pretrain_loss(model, val_examples, cfg))
+    record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
+                  lambda: evaluate_pretrain_loss(model, val_examples, cfg))
     return record, state
 
 
@@ -428,7 +433,8 @@ def predict_targets(model: EigenModel, head: Mlp, examples: list[TrainingExample
     out = []
     with ad.no_grad():
         for batch in _batches(examples, cfg.batch_size):
-            z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch])
+            z = model.encoder.forward([ex.adjacency for ex in batch],
+                                      [ex.features for ex in batch])
             out.append(head.forward(ad.reshape(z, (len(batch), -1))).values[:, 0])
     return np.concatenate(out)
 
@@ -461,8 +467,8 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
 
     def batch_losses(batch):
         b = len(batch)
-        z = model.encoder.forward([ex.graph for ex in batch], [ex.features for ex in batch],
-                                  True, state.rng)
+        z = model.encoder.forward([ex.adjacency for ex in batch],
+                                  [ex.features for ex in batch], True, state.rng)
         preds = head.forward(ad.reshape(z, (b, -1)), True, state.rng)
         # each graph's prediction is a 1 x 1 block of a (B, 1, 1) stack
         targets = np.array([ex.graph.graph_targets[target_name] for ex in batch])
@@ -474,9 +480,8 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
                                                 cfg.loss_weights))
         return loss, ()
 
-    with model.encoder.keeping_adjacencies():
-        record = _fit(examples, cfg, state, epochs, batch_losses,
-                      lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
+    record = _fit(examples, cfg, state, epochs, batch_losses,
+                  lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
     return record, state
 
 
@@ -558,11 +563,10 @@ def _train_arm(arm: str, examples: list[TrainingExample], cfg: PretrainConfig, d
         return abs_cos_mae_loss_t(q, t.psi_k, t.sizes), ()
 
     rows = []
-    with model.encoder.keeping_adjacencies():
-        for epoch in range(cfg.epochs):
-            _run_epoch(examples, cfg, state, batch_losses, None)
-            ev, en = _evaluate_outputs([_predict(model, batch) for batch in batches], targets)
-            rows.append(ComparisonRow(arm, epoch, ev, en))
+    for epoch in range(cfg.epochs):
+        _run_epoch(examples, cfg, state, batch_losses, None)
+        ev, en = _evaluate_outputs([_predict(model, batch) for batch in batches], targets)
+        rows.append(ComparisonRow(arm, epoch, ev, en))
     return rows
 
 

@@ -337,6 +337,13 @@ def test_compare_losses_csv(tmp_path, small_dataset):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_compare_losses_zero_epochs_writes_the_header_only(tmp_path, small_dataset):
+    out = tmp_path / "cmp.csv"
+    assert main(["--quiet", "compare-losses", "--input", small_dataset, "--output", str(out),
+                 "--config", small_config(tmp_path), "--epochs", "0"]) == 0
+    assert out.read_text() == "arm,epoch,loss_eigvec,loss_energy\n"
+
+
 def test_check_invariants_passes_and_writes_summary(tmp_path, capsys):
     out = tmp_path / "summary.jsonl"
     code = main(["check-invariants", "--output", str(out)])
@@ -584,6 +591,8 @@ def test_a_truncated_input_exits_1_with_one_line(inputs, tmp_path, capsys, comma
     ("pretrain --input {data} --config {config} --k 0", "PretrainConfig.k"),
     ("compare-losses --input {data} --config {config} --epochs -1", "PretrainConfig.epochs"),
     ("finetune --input {data} --checkpoint {checkpoint} --seed -1", "PretrainConfig.seed"),
+    ("finetune --input {data} --checkpoint {checkpoint} --epochs -2",
+     "PretrainConfig.finetune_epochs"),
     ("features --input {data} --seed -1", "FeatureConfig.dirac_seed"),
     ("finetune --input {data} --checkpoint {checkpoint} --val-fraction 1.0", "--val-fraction"),
     ("finetune --input {data} --checkpoint {checkpoint} --val-fraction 1.5", "--val-fraction"),

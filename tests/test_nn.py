@@ -4,7 +4,8 @@ import pytest
 from eigenlearn import autodiff as ad
 from eigenlearn.eigen import eigendecompose, lowest_k
 from eigenlearn.errors import GraphTooLarge, RankDeficient, ShapeMismatch
-from eigenlearn.graphs import Graph, build_laplacian, generate_graph, permute_graph
+from eigenlearn.graphs import (Graph, build_adjacency, build_laplacian, generate_graph,
+                               permute_graph)
 from eigenlearn.losses import LossWeights
 from eigenlearn.nn import (RANK_TOL, EigenModel, GinEncoder, GinLayer, GraphLevelHead,
                            Mlp, NodeWiseHead, abs_cos_mae_loss_t, combined_loss_t,
@@ -47,7 +48,6 @@ def test_gin_layer_k2_hand_evaluation():
     g = generate_graph("complete", {"n": 2})
     x = np.array([[1.0, 2.0], [10.0, 20.0]])
     layer = identity_gin_layer(2)
-    from eigenlearn.graphs import build_adjacency
     out = layer.forward(ad.constant(x), build_adjacency(g))
     # eps = 0: each node maps to x_self + x_neighbor
     assert np.allclose(out.values, [[11.0, 22.0], [11.0, 22.0]])
@@ -58,7 +58,6 @@ def test_gin_layer_eps_scales_self_term():
     x = np.array([[1.0], [3.0]])
     layer = identity_gin_layer(1)
     layer.eps.values = np.array(0.5)
-    from eigenlearn.graphs import build_adjacency
     out = layer.forward(ad.constant(x), build_adjacency(g))
     assert np.allclose(out.values, [[1.5 * 1 + 3], [1.5 * 3 + 1]])
 
@@ -113,13 +112,13 @@ def test_gin_encoder_permutation_equivariance():
     x = rng.standard_normal((7, 4))
     enc = laid_out(GinEncoder(4, 6, mp_layers=2, update_layers=2, dropout_rate=0.0,
                               max_nodes=7), np.random.default_rng(1))
-    out = enc.forward([g], [x]).values
+    out = enc.forward([build_adjacency(g)], [x]).values
     perm = list(rng.permutation(7))
     gp = permute_graph(g, perm)
     xp = np.empty_like(x)
     for old, new in enumerate(perm):
         xp[new] = x[old]
-    outp = enc.forward([gp], [xp]).values
+    outp = enc.forward([build_adjacency(gp)], [xp]).values
     for old, new in enumerate(perm):
         assert np.allclose(outp[new], out[old], atol=1e-12)
 
@@ -167,14 +166,21 @@ def test_encoder_rejects_oversize():
     enc = laid_out(GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
                               max_nodes=5), np.random.default_rng(0))
     with pytest.raises(GraphTooLarge):
-        enc.forward([generate_graph("path", {"n": 6})], [np.zeros((6, 2))])
+        enc.forward([build_adjacency(generate_graph("path", {"n": 6}))], [np.zeros((6, 2))])
 
 
 def test_encoder_rejects_features_of_the_wrong_shape():
     enc = laid_out(GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
                               max_nodes=5), np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
-        enc.forward([generate_graph("path", {"n": 4})], [np.zeros((4, 3))])
+        enc.forward([build_adjacency(generate_graph("path", {"n": 4}))], [np.zeros((4, 3))])
+
+
+def test_encoder_rejects_an_adjacency_that_is_not_square():
+    enc = laid_out(GinEncoder(2, 3, mp_layers=1, update_layers=1, dropout_rate=0.0,
+                              max_nodes=5), np.random.default_rng(0))
+    with pytest.raises(ShapeMismatch, match="not square"):
+        enc.forward([np.zeros((4, 3))], [np.zeros((4, 2))])
 
 
 def test_graph_level_head_reference_dims():
@@ -457,7 +463,7 @@ def build_small_model(seed=0, dropout=0.0):
                               max_nodes=10), rng)
     head = laid_out(GraphLevelHead(max_nodes=10, d_hidden=8, k=3, mlp_hidden=16,
                                    mlp_layers=2, dropout_rate=dropout), rng)
-    return EigenModel(enc, head, "graph_level")
+    return EigenModel(enc, head)
 
 
 def test_full_model_gradient_check():
@@ -470,7 +476,7 @@ def test_full_model_gradient_check():
     weights = LossWeights(1.0, 2.0, 0.0)
 
     def loss_tensor():
-        u = model.forward([g], [ad.constant(x)], training=False)
+        u = model.forward([build_adjacency(g)], [ad.constant(x)], training=False)
         return combined_loss_t(orthonormalize(u), pad_stack([lap], (10, 10)), lam[None], weights)
 
     out = loss_tensor()
@@ -508,7 +514,7 @@ def test_batched_step_gradient_check():
     weights = LossWeights(1.0, 2.0, 0.5)
 
     def loss_tensor():
-        outputs = model.forward(graphs, [ad.constant(x) for x in xs])
+        outputs = model.forward(adjacencies(graphs), [ad.constant(x) for x in xs])
         return combined_loss_t(orthonormalize(outputs), laps, lams, weights)
 
     loss_tensor().backward(np.ones(len(graphs)))
@@ -529,6 +535,10 @@ def test_batched_step_gradient_check():
     assert worst <= 1e-3
 
 
+def adjacencies(graphs):
+    return [build_adjacency(g) for g in graphs]
+
+
 def mixed_batch(seed=13, sizes=(7, 3, 10, 5)):
     rng = np.random.default_rng(seed)
     graphs = [generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + n) for n in sizes]
@@ -541,7 +551,7 @@ def build_small_node_wise_model(seed=0):
                               max_nodes=10), rng)
     head = laid_out(NodeWiseHead(d_hidden=8, k=3, mlp_hidden=16, mlp_layers=2,
                                  dropout_rate=0.0), rng)
-    return EigenModel(enc, head, "node_wise")
+    return EigenModel(enc, head)
 
 
 @pytest.mark.parametrize("build", [build_small_model, build_small_node_wise_model],
@@ -555,19 +565,19 @@ def test_padded_batch_matches_batch_of_one(build):
     weights = [np.random.default_rng(i).standard_normal((1, 10, 3)) for i in range(len(graphs))]
 
     def loss_and_grads(gs, fs, ws):
-        weighted = ad.mul(model.forward(gs, fs), ad.constant(np.concatenate(ws)))
+        weighted = ad.mul(model.forward(adjacencies(gs), fs), ad.constant(np.concatenate(ws)))
         weighted.backward(np.ones(weighted.shape))
         grads = {n: p.grad.copy() for n, p in model.parameters().items()}
         for p in model.parameters().values():
             p.grad = None
         return weighted.values.sum(), grads
 
-    batched = model.forward(graphs, xs)
+    batched = model.forward(adjacencies(graphs), xs)
     batch_loss, batch_grads = loss_and_grads(graphs, xs, weights)
     alone_loss = 0.0
     alone_grads = {n: 0.0 for n in batch_grads}
     for g, x, w, u in zip(graphs, xs, weights, batched.values):
-        assert np.max(np.abs(u - model.forward([g], [x]).values[0])) <= 1e-12
+        assert np.max(np.abs(u - model.forward([build_adjacency(g)], [x]).values[0])) <= 1e-12
         loss, grads = loss_and_grads([g], [x], [w])
         alone_loss += loss
         alone_grads = {n: alone_grads[n] + grads[n] for n in grads}
@@ -579,7 +589,7 @@ def test_padded_batch_matches_batch_of_one(build):
 def test_encoder_phantom_rows_are_zero_and_get_zero_gradient():
     model = build_small_model()
     graphs, xs = mixed_batch()
-    z = model.encoder.forward(graphs, xs)
+    z = model.encoder.forward(adjacencies(graphs), xs)
     masked_input = z._parents[0]  # the last layer's output, before the node mask
     out = model.head.forward(z, [g.num_nodes for g in graphs])
     project(out).backward()
@@ -593,7 +603,7 @@ def test_encoder_phantom_rows_are_zero_and_get_zero_gradient():
 def test_predict_batch_matches_predict():
     model = build_small_model()
     graphs, xs = mixed_batch()
-    for u, g, x in zip(model.predict_batch(graphs, xs), graphs, xs):
+    for u, g, x in zip(model.predict_batch(adjacencies(graphs), xs), graphs, xs):
         assert np.max(np.abs(u[:g.num_nodes] - model.predict(g, x))) <= 1e-12
         assert np.all(u[g.num_nodes:] == 0.0)
 
@@ -607,7 +617,7 @@ def test_predict_rejects_a_graph_with_fewer_nodes_than_k():
         model.predict(g, np.ones((2, 4)))
     graphs, xs = mixed_batch()
     with pytest.raises(ShapeMismatch, match="got 2 x 3"):
-        model.predict_batch(graphs + [g], xs + [np.ones((2, 4))])
+        model.predict_batch(adjacencies(graphs + [g]), xs + [np.ones((2, 4))])
 
 
 def test_eval_mode_deterministic_even_with_dropout_configured():
@@ -624,8 +634,8 @@ def test_training_mode_dropout_changes_outputs():
     x = np.random.default_rng(1).standard_normal((6, 4))
     model = build_small_model(dropout=0.4)
     rng = np.random.default_rng(2)
-    a = model.forward([g], [ad.constant(x)], training=True, rng=rng).values
-    b = model.forward([g], [ad.constant(x)], training=True, rng=rng).values
+    a = model.forward([build_adjacency(g)], [ad.constant(x)], training=True, rng=rng).values
+    b = model.forward([build_adjacency(g)], [ad.constant(x)], training=True, rng=rng).values
     assert not np.array_equal(a, b)
 
 
@@ -736,14 +746,16 @@ def test_batched_training_loss_matches_the_per_graph_path(build, loss_name):
             p.grad = None
         return out
 
-    batched = loss_op(orthonormalize(model.forward(graphs, xs)), pad_stack(laps, (10, 10)),
+    batched = loss_op(orthonormalize(model.forward(adjacencies(graphs), xs)),
+                      pad_stack(laps, (10, 10)),
                       np.stack([lam for lam, _ in spectra]),
                       pad_stack([psi for _, psi in spectra], (10, 3)), sizes)
     batched.backward(np.ones(len(graphs)))
     batched_grads = grads()
     total = None
     for i, (g, x, lap, (lam, psi)) in enumerate(zip(graphs, xs, laps, spectra)):
-        rows = slice_rows(ad.reshape(model.forward([g], [x]), (10, 3)), 0, g.num_nodes)
+        rows = slice_rows(ad.reshape(model.forward([build_adjacency(g)], [x]), (10, 3)),
+                          0, g.num_nodes)
         term = loss_op(orthonormalize(rows), lap, lam, psi, None)
         assert abs(batched.values[i] - term.item()) <= 1e-12 * max(1.0, abs(term.item()))
         total = term if total is None else ad.add(total, term)

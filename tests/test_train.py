@@ -307,17 +307,17 @@ def test_pretrain_val_loss_without_validation_examples_fails_at_the_start():
         assert np.array_equal(p.values, before[n])
 
 
-def fault_on_call(monkeypatch, name, call_number):
+def fault_on_call(monkeypatch, name, *call_numbers):
     """Wrap the loss op train.<name>, called once per mini-batch, so that its
-    call_number-th call raises NumericalFault; returns each call's per-graph
-    loss values in call order, None for the faulted call."""
+    calls numbered in call_numbers raise NumericalFault; returns each call's
+    per-graph loss values in call order, None for a faulted call."""
     original = getattr(tr, name)
     values = []
     calls = [0]
 
     def wrapped(*args, **kwargs):
         calls[0] += 1
-        if calls[0] == call_number:
+        if calls[0] in call_numbers:
             values.append(None)
             raise NumericalFault("injected")
         out = original(*args, **kwargs)
@@ -345,6 +345,28 @@ def test_epoch_means_count_only_graphs_of_committed_batches(monkeypatch, caplog)
     assert record.skipped_batches == state.skipped_batches == 1
     assert record.rows[0].loss_total == pytest.approx(np.mean(committed), rel=1e-12)
     assert any("skipped batch at epoch 0: injected" in r.message for r in caplog.records)
+
+
+def test_an_epoch_whose_every_batch_is_skipped_leaves_the_schedule_alone(monkeypatch):
+    # one batch an epoch, and the batches of epochs 1 and 2 fail: those epochs
+    # change no parameter and have no training loss, so the schedule must not
+    # step on them (a made-up 0.0 would become its best and cut the lr for good)
+    cfg = small_cfg(epochs=5, batch_size=8, dropout=0.0,
+                    scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.5})
+    examples = tr.precompute_targets(graph_soup(4, seed=5), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    fault_on_call(monkeypatch, "combined_loss_t", 2, 3)
+    record, state = tr.pretrain(examples, model, cfg)
+    assert state.skipped_batches == 2
+    shadow = optim.ReduceLROnPlateau(optim.Adam({"p": ad.parameter(np.zeros(1))}, lr=cfg.lr),
+                                     patience=1, factor=0.5)
+    expected = []
+    for row in record.rows:
+        if row.epoch not in (1, 2):
+            shadow.step(row.loss_total)
+        expected.append(shadow.lr)
+    assert [row.lr for row in record.rows] == expected
+    assert state.scheduler.best > 0.0
 
 
 def test_runrecord_csv_roundtrip_format():
@@ -810,23 +832,36 @@ def test_the_optimizer_holds_values_gradients_and_moments_in_flat_buffers(run):
     assert slotted == [True] * 4  # backward wrote every gradient into its slot
 
 
-def test_a_run_builds_each_adjacency_once_over_many_epochs(monkeypatch):
-    cfg = small_cfg(epochs=3, batch_size=2)
-    examples = tr.precompute_targets(graph_soup(5, seed=17), cfg)
-    model = tr.build_model(cfg, tr.feature_dim(examples))
+def test_adjacencies_are_built_by_precompute_targets_and_predict_only(monkeypatch):
     built = []
-    monkeypatch.setattr("eigenlearn.nn.build_adjacency",
-                        lambda g: built.append(g) or build_adjacency(g))
-    tr.pretrain(examples, model, cfg)
-    assert sorted(map(id, built)) == sorted(id(ex.graph) for ex in examples)
-    # outside a run nothing is kept: each pass builds afresh, and a kept
-    # adjacency gives the encoder what a fresh one gives it
-    graphs, features = [ex.graph for ex in examples], [ex.features for ex in examples]
-    fresh = model.encoder.forward(graphs, features).values
-    with model.encoder.keeping_adjacencies():
-        model.encoder.forward(graphs, features)
-        assert np.array_equal(model.encoder.forward(graphs, features).values, fresh)
-    assert len(built) == 3 * len(examples)
+
+    def counting(g):
+        built.append(id(g))
+        return build_adjacency(g)
+
+    for module in ("train", "nn"):
+        monkeypatch.setattr(f"eigenlearn.{module}.build_adjacency", counting)
+    cfg = small_cfg(epochs=3, batch_size=2)
+    examples = tr.precompute_targets(graph_soup(5, seed=17, target=True), cfg)
+    assert sorted(built) == sorted(id(ex.graph) for ex in examples)
+    for ex in examples:
+        assert np.array_equal(ex.adjacency, build_adjacency(ex.graph))
+    # training and its evaluation passes, over many epochs, build none: not
+    # even the graphs module's operators run
+    monkeypatch.setattr("eigenlearn.graphs.build_adjacency", counting)
+    built.clear()
+    monitored = small_cfg(epochs=3, batch_size=2, scheduler={
+        "kind": "reduce_on_plateau", "monitored": "val_loss"})
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    tr.pretrain(examples, model, monitored, val_examples=examples[:2])
+    tr.finetune(examples, model, tr.build_downstream_head(cfg), monitored, "lambda_2",
+                epochs=3, val_examples=examples[:2])
+    tr.compare_losses(examples, cfg)
+    assert built == []
+    # predict takes a graph, and builds its adjacency on each call
+    for ex in examples[:2] * 2:
+        model.predict(ex.graph, ex.features)
+    assert built == [id(ex.graph) for ex in examples[:2] * 2]
 
 
 # --- one batch, a few ops -----------------------------------------------------
@@ -907,7 +942,7 @@ def test_a_rank_deficient_graph_drops_its_batch_and_is_named(caplog):
 
 EVALUATIONS = {
     "predict_batch": lambda model, head, examples, cfg: model.predict_batch(
-        [ex.graph for ex in examples], [ex.features for ex in examples]),
+        [ex.adjacency for ex in examples], [ex.features for ex in examples]),
     "predict_targets": lambda model, head, examples, cfg: tr.predict_targets(
         model, head, examples, cfg),
     "evaluate_pretrain_loss": lambda model, head, examples, cfg: tr.evaluate_pretrain_loss(
