@@ -13,15 +13,18 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 
 import numpy as np
 
 from . import train as tr
-from .data import _numbered_graphs, atomic_write_text, dumps_graph, load_dataset, read_json
+from .data import (_numbered_graphs, atomic_write_text, dumps_graph, from_dict, load_dataset,
+                   read_json)
 from .eigen import eigendecompose
 from .errors import DatasetFormatError, EigenlearnError, InvalidParams
-from .graphs import GRAPH_KINDS, Graph, build_laplacian, generate_graph
+from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, build_laplacian,
+                     generate_graph)
 from .invariants import run_all_checks
 from .wavelets import FeatureConfig, augment_features
 
@@ -29,10 +32,10 @@ log = logging.getLogger("eigenlearn")
 
 
 def _config(cls, path: str | None, what: str = "config"):
-    """The config dataclass cls of the JSON file at path; all defaults without one."""
+    """The config class cls of the JSON file at path; all defaults without one."""
     if path is None:
         return cls()
-    return tr.dataclass_from_dict(cls, read_json(path), f"{path}: {what}")
+    return from_dict(cls, read_json(path), f"{path}: {what}")
 
 
 def _overrides(args) -> dict:
@@ -41,9 +44,17 @@ def _overrides(args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
+def _grid_shape(n: int) -> dict:
+    """The most nearly square grid of exactly n nodes (1 x n for a prime n)."""
+    rows = max(r for r in range(1, math.isqrt(n) + 1) if n % r == 0)
+    return {"rows": rows, "cols": n // rows}
+
+
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise InvalidParams(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
     if args.n_min < 2:  # a one-node graph has no lambda_2 and no positional features
         raise InvalidParams(f"--n-min must be >= 2, got {args.n_min}")
     if args.n_max < args.n_min:
@@ -61,7 +72,7 @@ def cmd_gen_data(args) -> int:
         if kind == "erdos_renyi":
             params["p"] = args.p
         if kind == "grid":
-            params = {"rows": max(2, n // 4), "cols": 4}
+            params = _grid_shape(n)
         g = generate_graph(kind, params, seed=args.seed + i + 1)
         s = eigendecompose(build_laplacian(g))
         targets = {"lambda_2": float(s.eigenvalues[1])}
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="export Laplacian spectra of every graph")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--norm", choices=["unnormalized", "symmetric"], default="unnormalized")
+    p.add_argument("--norm", choices=LAPLACIAN_NORMS, default=UNNORMALIZED)
     p.add_argument("--values-only", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 

@@ -1,8 +1,10 @@
-"""The input boundary, and graph dataset files.
+"""The input boundary, the config schema, and graph dataset files.
 
 Every file eigenlearn reads goes through read_json (a checkpoint through
-read_header_and_arrays) and check_fields. A dataset file has one graph per
-line, each line a JSON object:
+read_header_and_arrays) and check_fields. A config class (@config) declares
+each field once, with its kind, and checks every instance however it is
+built: in code, by dataclasses.replace, or from a dict by from_dict. A
+dataset file has one graph per line, each line a JSON object:
 
     {"num_nodes": 3, "edges": [[0,1],[1,2]],
      "node_features": [[...], ...],        # optional, n rows
@@ -12,12 +14,13 @@ UTF-8, LF line endings. Output files are written atomically (temp file in the
 same directory, then rename) so an interrupted run never leaves a partial file.
 """
 
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 from collections.abc import Callable
-from typing import NamedTuple
+from typing import Annotated, NamedTuple, get_origin
 
 from .errors import DatasetFormatError, EigenlearnError, InvalidParams
 from .graphs import Graph
@@ -129,9 +132,10 @@ def one_of(*choices: str) -> Kind:
 
 def check_fields(obj, spec: dict, where: str, optional=()) -> dict:
     """obj, once it is an object with exactly the fields of spec (those named
-    in optional may be absent), each of its kind or, for a nested spec (a
-    dict), checked the same way; else one InvalidParams line naming the field's
-    path, `where` first, and the bad value."""
+    in optional may be absent), each of its kind, an instance of its config
+    class or, for a nested spec (a dict), checked the same way; else one
+    InvalidParams line naming the field's path, `where` first, and the bad
+    value."""
     if type(obj) is not dict:
         raise InvalidParams(f"{where} must be an object, got {obj!r:.80}")
     unknown, missing = obj.keys() - spec.keys(), spec.keys() - obj.keys() - set(optional)
@@ -143,11 +147,60 @@ def check_fields(obj, spec: dict, where: str, optional=()) -> dict:
         kind = spec[name]
         if isinstance(kind, dict):
             check_fields(value, kind, f"{where}.{name}")
+        elif isinstance(kind, type):
+            if not isinstance(value, kind):
+                raise InvalidParams(f"{where}.{name} must be a {kind.__name__}, "
+                                    f"got {value!r:.80}")
         elif not kind.fits(value):
             raise InvalidParams(f"{where}.{name} must be {kind.what}, got {value!r:.80}")
         elif not kind.within(value):
             raise InvalidParams(f"{where}.{name} must be {kind.range}, got {value!r:.80}")
     return obj
+
+
+def config(cls):
+    """Make cls a frozen dataclass whose every field is declared with its kind,
+    `name: Annotated[type, KIND] = default`, or is a nested config,
+    `name: OtherConfig = OtherConfig()`; any other field is a TypeError here.
+    Each instance has its fields checked (check_fields, naming `Class.field`),
+    then the class's own __post_init__, its cross-field rule, runs if it has one.
+    The kinds by field name are cls._kinds, a nested config's its class."""
+    rule = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        check_fields({name: getattr(self, name) for name in cls._kinds}, cls._kinds,
+                     cls.__name__)
+        if rule is not None:
+            rule(self)
+
+    cls.__post_init__ = __post_init__
+    cls = dataclasses.dataclass(frozen=True)(cls)
+    cls._kinds = {}
+    for f in dataclasses.fields(cls):
+        if get_origin(f.type) is Annotated and isinstance(f.type.__metadata__[0], Kind):
+            cls._kinds[f.name] = f.type.__metadata__[0]
+        elif isinstance(f.type, type) and hasattr(f.type, "_kinds"):
+            cls._kinds[f.name] = f.type
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name} is declared as {f.type!r}, "
+                            "neither Annotated[type, Kind] nor a config class")
+    return cls
+
+
+def from_dict(cls, d, where: str = "config"):
+    """Config class cls built from a plain dict: unspecified fields take their
+    defaults, a nested config is built from a nested dict the same way, and a
+    field (at any depth) that is unknown or not of its kind fails in one line
+    starting with `where`, as does the class's cross-field rule."""
+    nested = {name: kind for name, kind in cls._kinds.items() if isinstance(kind, type)}
+    check_fields(d, {**cls._kinds, **dict.fromkeys(nested, OBJECT)}, where,
+                 optional=cls._kinds)
+    kwargs = {name: from_dict(nested[name], value, f"{where}.{name}")
+              if name in nested else value for name, value in d.items()}
+    try:
+        return cls(**kwargs)
+    except InvalidParams as exc:
+        raise InvalidParams(f"{where}: {exc}") from None
 
 
 _RECORD = {"num_nodes": POSITIVE_INT, "edges": LIST, "node_features": LIST,

@@ -24,31 +24,31 @@ Norm convention: matrix losses use the Frobenius norm. The per-vector sum of
 Euclidean norms is available behind `per_vector=True` for the eigenvector
 residual; the two differ (quadrature vs plain sum) and the Frobenius form is
 the default everywhere, training and reporting alike.
+
+The combined objective's weights are a LossWeights, a data.config class:
+each weight is declared with its kind (finite and >= 0), and an instance
+with every weight 0 is rejected when it is built.
 """
 
-from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .data import NON_NEGATIVE, check_fields
+from .data import NON_NEGATIVE, config
 from .errors import InvalidParams, NotOrthonormal, ShapeMismatch
 
 ORTHONORMAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@config
 class LossWeights:
     """Coefficients of the combined objective. Defaults: 1*energy + 2*eigvec."""
 
-    alpha_energy: float = 1.0
-    beta_eigvec: float = 2.0
-    gamma_ortho: float = 0.0
-
-    FIELDS = {"alpha_energy": NON_NEGATIVE, "beta_eigvec": NON_NEGATIVE,
-              "gamma_ortho": NON_NEGATIVE}
+    alpha_energy: Annotated[float, NON_NEGATIVE] = 1.0
+    beta_eigvec: Annotated[float, NON_NEGATIVE] = 2.0
+    gamma_ortho: Annotated[float, NON_NEGATIVE] = 0.0
 
     def __post_init__(self):
-        check_fields(asdict(self), self.FIELDS, type(self).__name__)
         if self.alpha_energy == self.beta_eigvec == self.gamma_ortho == 0:
             raise InvalidParams("at least one loss weight must be positive")
 

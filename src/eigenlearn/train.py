@@ -13,22 +13,29 @@ precompute_targets and carried on the example. Evaluation runs the same
 stacked path without recording a tape. Runs are deterministic per seed,
 including across a checkpoint: one JSON header line with the run's scalar state
 (the generator's too) and array layout, then the parameter and moment bytes.
+
+A run is set by one PretrainConfig, which nests a SchedulerConfig, the loss's
+LossWeights and the wavelets' FeatureConfig. Each is a data.config class: a
+field is declared once, with its kind, and every config is checked when it is
+built, in code, by dataclasses.replace or from a dict (config_from_dict); the
+checkpoint header's config is dataclasses.asdict of it.
 """
 
 import json
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, LIST, NON_NEGATIVE,
                    NON_NEGATIVE_INT, OBJECT, OBJECT_OR_NULL, POSITIVE, POSITIVE_INT,
-                   atomic_write_text, check_fields, one_of, read_header_and_arrays)
+                   atomic_write_text, check_fields, config, from_dict, one_of,
+                   read_header_and_arrays)
 from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
                      MissingTarget, NumericalFault, RankDeficient)
@@ -51,82 +58,48 @@ ARM_RANDOM = "random_orthogonal"
 COMPARISON_ARMS = (ARM_OURS, ARM_BASELINE, ARM_RANDOM)
 
 
-@dataclass(frozen=True)
+@config
 class SchedulerConfig:
-    kind: str = "reduce_on_plateau"  # or "none"
-    patience: int = 5
-    factor: float = 0.9
-    monitored: str = "train_loss"  # or "val_loss"
-
-    FIELDS = {"kind": one_of("none", "reduce_on_plateau"), "patience": POSITIVE_INT,
-              "factor": FINITE, "monitored": one_of("train_loss", "val_loss")}
+    kind: Annotated[str, one_of("none", "reduce_on_plateau")] = "reduce_on_plateau"
+    patience: Annotated[int, POSITIVE_INT] = 5
+    factor: Annotated[float, FINITE] = 0.9
+    monitored: Annotated[str, one_of("train_loss", "val_loss")] = "train_loss"
 
     def __post_init__(self):
-        check_fields(asdict(self), self.FIELDS, type(self).__name__)
         if self.kind == "reduce_on_plateau" and not 0.0 < self.factor < 1.0:
             raise InvalidParams(f"plateau factor must be in (0,1), got {self.factor!r}")
 
 
-@dataclass(frozen=True)
+@config
 class PretrainConfig:
     """Every knob of the pre-training run; defaults are the desk-scale
     rendition of the reference hyperparameter table."""
 
-    k: int = 6
-    epochs: int = 200
-    batch_size: int = 128
-    lr: float = 0.001
+    k: Annotated[int, POSITIVE_INT] = 6
+    epochs: Annotated[int, NON_NEGATIVE_INT] = 200
+    batch_size: Annotated[int, POSITIVE_INT] = 128
+    lr: Annotated[float, POSITIVE] = 0.001
     loss_weights: LossWeights = LossWeights()
-    laplacian_norm: str = "unnormalized"
-    head_kind: str = GRAPH_LEVEL
-    max_nodes: int = 40
+    laplacian_norm: Annotated[str, one_of(*LAPLACIAN_NORMS)] = "unnormalized"
+    head_kind: Annotated[str, one_of(*HEAD_KINDS)] = GRAPH_LEVEL
+    max_nodes: Annotated[int, POSITIVE_INT] = 40
     scheduler: SchedulerConfig = SchedulerConfig()
-    seed: int = 0
+    seed: Annotated[int, NON_NEGATIVE_INT] = 0
     feature_config: FeatureConfig = FeatureConfig()
-    hidden_dim: int = 60
-    mp_layers: int = 4
-    update_layers: int = 3
-    head_layers: int = 5
-    head_hidden_dim: int = 2400
-    dropout: float = 0.1
-    finetune_epochs: int = 500
-    keep_pretrain_head: bool = False
-
-    FIELDS = {"k": POSITIVE_INT, "epochs": NON_NEGATIVE_INT, "batch_size": POSITIVE_INT,
-              "lr": POSITIVE, "loss_weights": OBJECT, "laplacian_norm": one_of(*LAPLACIAN_NORMS),
-              "head_kind": one_of(*HEAD_KINDS), "max_nodes": POSITIVE_INT, "scheduler": OBJECT,
-              "seed": NON_NEGATIVE_INT, "feature_config": OBJECT, "hidden_dim": POSITIVE_INT,
-              "mp_layers": POSITIVE_INT, "update_layers": POSITIVE_INT,
-              "head_layers": POSITIVE_INT, "head_hidden_dim": POSITIVE_INT, "dropout": FRACTION,
-              "finetune_epochs": NON_NEGATIVE_INT, "keep_pretrain_head": BOOL}
-
-    def __post_init__(self):
-        check_fields(asdict(self), self.FIELDS, type(self).__name__)
-
-
-def dataclass_from_dict(cls, d: dict, where: str = "config"):
-    """Build config dataclass `cls` from a plain dict: unspecified fields take
-    their defaults, a field whose default is a config dataclass is built from
-    a nested dict the same way, and a field (at any depth) that is unknown or
-    not of its kind in cls.FIELDS fails in one line starting with `where`."""
-    check_fields(d, cls.FIELDS, where, optional=cls.FIELDS)
-    nested = {f.name: type(f.default) for f in fields(cls) if is_dataclass(f.default)}
-    kwargs = {name: dataclass_from_dict(nested[name], value, f"{where}.{name}")
-              if name in nested else value for name, value in d.items()}
-    try:
-        return cls(**kwargs)
-    except InvalidParams as exc:
-        raise InvalidParams(f"{where}: {exc}") from None
-
-
-def config_to_dict(cfg: PretrainConfig) -> dict:
-    return asdict(cfg)
+    hidden_dim: Annotated[int, POSITIVE_INT] = 60
+    mp_layers: Annotated[int, POSITIVE_INT] = 4
+    update_layers: Annotated[int, POSITIVE_INT] = 3
+    head_layers: Annotated[int, POSITIVE_INT] = 5
+    head_hidden_dim: Annotated[int, POSITIVE_INT] = 2400
+    dropout: Annotated[float, FRACTION] = 0.1
+    finetune_epochs: Annotated[int, NON_NEGATIVE_INT] = 500
+    keep_pretrain_head: Annotated[bool, BOOL] = False
 
 
 def config_from_dict(d: dict) -> PretrainConfig:
     """Build a config from a plain dict; unspecified fields take defaults,
     unknown fields are rejected."""
-    return dataclass_from_dict(PretrainConfig, d)
+    return from_dict(PretrainConfig, d)
 
 
 @dataclass
@@ -446,10 +419,11 @@ def evaluate_mae(model: EigenModel, head: Mlp, examples: list[TrainingExample],
 
 
 def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
-             cfg: PretrainConfig, target_name: str, epochs: int | None = None,
+             cfg: PretrainConfig, target_name: str,
              val_examples: list[TrainingExample] | None = None,
              state: TrainState | None = None) -> tuple[RunRecord, TrainState]:
-    """Mean-absolute-error regression of a named scalar graph target.
+    """Mean-absolute-error regression of a named scalar graph target, from
+    state.epoch up to cfg.finetune_epochs (the one fine-tuning budget).
 
     The downstream head replaces the eigenvector head (both encoder and head
     weights update); with cfg.keep_pretrain_head the spectral objective keeps
@@ -457,7 +431,6 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     same encoder pass. A scheduler monitoring val_loss evaluates the MAE on
     val_examples, which it then requires.
     """
-    epochs = cfg.finetune_epochs if epochs is None else epochs
     _check_monitor(cfg, val_examples)
     for ex in examples + (val_examples or []):
         if target_name not in ex.graph.graph_targets:
@@ -480,7 +453,7 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
                                                 cfg.loss_weights))
         return loss, ()
 
-    record = _fit(examples, cfg, state, epochs, batch_losses,
+    record = _fit(examples, cfg, state, cfg.finetune_epochs, batch_losses,
                   lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
     return record, state
 
@@ -632,7 +605,7 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "kind": "pretrain" if downstream_head is None else "finetune",
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "d_in": d_in,
         "epoch": state.epoch,
         "skipped_batches": state.skipped_batches,
@@ -661,7 +634,7 @@ def _restore(path: str, blob) -> tuple:
         raise InvalidParams(f"{path} is a version {blob.get('version')} checkpoint; this "
                             f"eigenlearn reads only version {CHECKPOINT_VERSION}")
     check_fields(blob, _CHECKPOINT, f"{path}: checkpoint")
-    cfg = dataclass_from_dict(PretrainConfig, blob["config"], f"{path}: checkpoint.config")
+    cfg = from_dict(PretrainConfig, blob["config"], f"{path}: checkpoint.config")
     model = build_model(cfg, blob["d_in"])
     head = build_downstream_head(cfg) if blob["kind"] == "finetune" else None
     state = _fresh_state(model, cfg, head)

@@ -9,13 +9,18 @@ Two embeddings built from the random-walk matrix P = D^{-1} A:
 
 The bank {I - P, P - P^2, ..., P^(2^(J-1)) - P^(2^J), P^(2^J)} telescopes to
 the identity, which is the main structural invariant tested downstream.
+
+Which embeddings a graph gets is a FeatureConfig, a data.config class: each
+field is declared with its kind, and an instance with neither embedding flag
+set is rejected when it is built.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .data import BOOL, NON_NEGATIVE_INT, check_fields
+from .data import BOOL, NON_NEGATIVE_INT, config
 from .errors import IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic
 from .graphs import Graph, build_diffusion
 
@@ -40,20 +45,15 @@ class WaveletBank:
         return self.source_diffusion.shape[0]
 
 
-@dataclass(frozen=True)
+@config
 class FeatureConfig:
-    use_wavelet_positional: bool = True
-    use_diffused_dirac: bool = True
-    scales_J: int = DEFAULT_SCALES
-    dirac_seed: int = 0
-    keep_original_features: bool = False
-
-    FIELDS = {"use_wavelet_positional": BOOL, "use_diffused_dirac": BOOL,
-              "scales_J": NON_NEGATIVE_INT, "dirac_seed": NON_NEGATIVE_INT,
-              "keep_original_features": BOOL}
+    use_wavelet_positional: Annotated[bool, BOOL] = True
+    use_diffused_dirac: Annotated[bool, BOOL] = True
+    scales_J: Annotated[int, NON_NEGATIVE_INT] = DEFAULT_SCALES
+    dirac_seed: Annotated[int, NON_NEGATIVE_INT] = 0
+    keep_original_features: Annotated[bool, BOOL] = False
 
     def __post_init__(self):
-        check_fields(asdict(self), self.FIELDS, type(self).__name__)
         if not (self.use_wavelet_positional or self.use_diffused_dirac):
             raise InvalidParams("at least one embedding flag must be set")
 

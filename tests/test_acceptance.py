@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import inspect
 import time
 
@@ -360,7 +361,7 @@ def test_criterion_09_finetuning_beats_mean_baseline():
         model = tr.build_model(cfg, tr.feature_dim(examples))
         tr.pretrain(train, model, cfg)
         head = tr.build_downstream_head(cfg)
-        tr.finetune(train, model, head, cfg, "lambda_2", epochs=60)
+        tr.finetune(train, model, head, dataclasses.replace(cfg, finetune_epochs=60), "lambda_2")
         mae = tr.evaluate_mae(model, head, val, cfg, "lambda_2")
         train_mean = float(np.mean([ex.graph.graph_targets["lambda_2"] for ex in train]))
         baseline = float(np.mean([abs(ex.graph.graph_targets["lambda_2"] - train_mean)
@@ -383,7 +384,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         d_in = tr.feature_dim(examples)
 
         def run(epochs):
-            sub_cfg = tr.config_from_dict({**tr.config_to_dict(cfg), "epochs": epochs})
+            sub_cfg = tr.config_from_dict({**dataclasses.asdict(cfg), "epochs": epochs})
             model = tr.build_model(sub_cfg, d_in)
             record, state = tr.pretrain(examples, model, sub_cfg)
             return model, record, state

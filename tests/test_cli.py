@@ -77,9 +77,9 @@ def test_spectrum_p3_eigenvalues(p3_dataset, tmp_path):
 
 
 def test_spectrum_does_not_mutate_input(p3_dataset, tmp_path):
-    before = open(p3_dataset, "rb").read()
+    before = Path(p3_dataset).read_bytes()
     main(["spectrum", "--input", p3_dataset, "--output", str(tmp_path / "o.jsonl")])
-    assert open(p3_dataset, "rb").read() == before
+    assert Path(p3_dataset).read_bytes() == before
 
 
 def test_gen_data_deterministic_and_targeted(tmp_path):
@@ -93,6 +93,15 @@ def test_gen_data_deterministic_and_targeted(tmp_path):
     graphs = load_dataset(str(a))
     assert len(graphs) == 12
     assert all("lambda_2" in g.graph_targets for g in graphs)
+
+
+@pytest.mark.parametrize("n_min, n_max", [(2, 5), (17, 18)])
+def test_gen_data_grids_keep_to_the_node_range(tmp_path, n_min, n_max):
+    out = tmp_path / "grids.jsonl"
+    assert main(["--quiet", "gen-data", "--kinds", "grid", "--count", "20", "--n-min",
+                 str(n_min), "--n-max", str(n_max), "--output", str(out)]) == 0
+    sizes = {g.num_nodes for g in load_dataset(str(out))}
+    assert sizes == set(range(n_min, n_max + 1))
 
 
 def test_features_writes_embeddings_and_preserves_fields(tmp_path):
@@ -506,7 +515,7 @@ CORRUPT_FEATURE_CONFIGS = {
 CORRUPTIONS = {"checkpoint": CORRUPT_CHECKPOINTS, "dataset": CORRUPT_DATASETS,
                "config": CORRUPT_CONFIGS, "feature config": CORRUPT_FEATURE_CONFIGS}
 # the field each diagnostic must name
-NAMED_FIELDS = {
+NAMED_IN_ERROR = {
     "no_config": "'config'", "d_in_not_an_int": "checkpoint.d_in",
     "d_in_zero": "checkpoint.d_in", "lr_not_a_number": "checkpoint.optimizer.lr",
     "lr_negative": "checkpoint.optimizer.lr", "beta1_not_the_codes": "checkpoint.optimizer.beta1",
@@ -567,7 +576,7 @@ def test_a_corrupt_checkpoint_exits_1_with_one_line(inputs, tmp_path, capsys, co
     role = COMMANDS[command][0]
     content = CORRUPTIONS[role][corrupt](inputs.texts[role])
     assert_rejected_in_one_line(inputs, tmp_path, capsys, command, content,
-                                NAMED_FIELDS.get(corrupt))
+                                NAMED_IN_ERROR.get(corrupt))
 
 
 @pytest.mark.parametrize("command", range(len(COMMANDS)), ids=lambda i: f"command{i}")
@@ -601,6 +610,7 @@ def test_a_truncated_input_exits_1_with_one_line(inputs, tmp_path, capsys, comma
     ("gen-data --n-min 10 --n-max 5", "--n-min"),
     ("gen-data --count 0", "--count"),
     ("gen-data --count -3", "--count"),
+    ("gen-data --seed -1", "--seed"),
     ("gen-data --count 3 --kinds path,star --n-min 1 --n-max 1", "--n-min"),
 ])
 def test_an_out_of_range_flag_exits_1_with_one_line(inputs, tmp_path, capsys, argv, field):

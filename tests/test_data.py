@@ -1,14 +1,16 @@
 import ast
+import dataclasses
 import json
 import os
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 import pytest
 
 from eigenlearn.data import (BOOL, FINITE, FINITE_MAP, FINITE_OR_NULL, FRACTION, LIST,
                              NON_NEGATIVE, NON_NEGATIVE_INT, OBJECT, OBJECT_OR_NULL, POSITIVE,
-                             POSITIVE_INT, atomic_write_text, check_fields, dumps_graph,
+                             POSITIVE_INT, atomic_write_text, check_fields, config, dumps_graph,
                              load_dataset, one_of, save_dataset)
 from eigenlearn.errors import DatasetFormatError, InvalidParams
 from eigenlearn.graphs import Graph, generate_graph
@@ -152,6 +154,32 @@ def test_check_fields_names_a_missing_unknown_or_nested_field():
         with pytest.raises(InvalidParams, match=f"^{message}$"):
             check_fields(obj, spec, "x")
     assert check_fields({"b": {"c": 0}}, spec, "x", optional=("a",)) == {"b": {"c": 0}}
+
+
+@config
+class Part:
+    n: Annotated[int, POSITIVE_INT] = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class Plain:
+    n: int = 1
+
+
+@pytest.mark.parametrize("annotation", [int, Annotated[int, "an int"], Plain],
+                         ids=["bare", "no-kind", "plain-dataclass"])
+def test_a_config_field_declared_without_a_kind_fails_at_definition(annotation):
+    with pytest.raises(TypeError, match=r"^Bad\.n is declared as .+, neither "):
+        @config
+        class Bad:
+            n: annotation = annotation()
+
+
+def test_a_config_class_is_a_kind_whose_value_is_an_instance():
+    assert check_fields({"c": Part()}, {"c": Part}, "x") == {"c": Part()}
+    for value in ({"n": 1}, Plain(), None):
+        with pytest.raises(InvalidParams, match=r"^x\.c must be a Part, got .+$"):
+            check_fields({"c": value}, {"c": Part}, "x")
 
 
 # The calls that read a file's content, by the module that defines them.

@@ -13,6 +13,7 @@ import pytest
 from eigenlearn import autodiff as ad
 from eigenlearn import optim
 from eigenlearn import train as tr
+from eigenlearn.data import from_dict
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
                                MissingTarget, NumericalFault)
 from eigenlearn.graphs import Graph, build_adjacency, generate_graph
@@ -75,7 +76,7 @@ def test_config_defaults_match_reference_table():
 
 def test_config_roundtrip():
     cfg = small_cfg()
-    assert tr.config_from_dict(tr.config_to_dict(cfg)) == cfg
+    assert tr.config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_config_rejects_unknown_fields():
@@ -109,8 +110,72 @@ def test_config_rejects_unknown_fields():
 ])
 def test_config_rejects_a_field_of_the_wrong_type_in_one_line(cls, d, message):
     with pytest.raises(InvalidParams) as exc:
-        tr.dataclass_from_dict(cls, d)
+        from_dict(cls, d)
     assert str(exc.value) == message
+
+
+# (class, field, bad value, the diagnostic built in code or by replace, the
+# diagnostic read from a dict when it differs); "@" stands for the class name,
+# or for "config" when read from a dict. A nested config's place takes its
+# instance, and from a dict its object: a dict or a wrong config class fails
+# at the parent, except that from a dict a nested dict is read and its bad
+# leaf named.
+CONFIG_CASES = [
+    (tr.PretrainConfig, "loss_weights", {"alpha_energy": -5.0},
+     "@.loss_weights must be a LossWeights, got {'alpha_energy': -5.0}",
+     "@.loss_weights.alpha_energy must be finite and >= 0, got -5.0"),
+    (tr.PretrainConfig, "scheduler", {"patience": 0},
+     "@.scheduler must be a SchedulerConfig, got {'patience': 0}",
+     "@.scheduler.patience must be >= 1, got 0"),
+    (tr.PretrainConfig, "feature_config", {"scales_J": -1},
+     "@.feature_config must be a FeatureConfig, got {'scales_J': -1}",
+     "@.feature_config.scales_J must be >= 0, got -1"),
+    (tr.PretrainConfig, "loss_weights", tr.SchedulerConfig(),
+     "@.loss_weights must be a LossWeights, got SchedulerConfig(kind='reduce_on_plateau', "
+     "patience=5, factor=0.9, monitored='tra",
+     "@.loss_weights must be an object, got SchedulerConfig(kind='reduce_on_plateau', "
+     "patience=5, factor=0.9, monitored='tra"),
+    (tr.PretrainConfig, "scheduler", LossWeights(),
+     "@.scheduler must be a SchedulerConfig, got LossWeights(alpha_energy=1.0, beta_eigvec=2.0,"
+     " gamma_ortho=0.0)",
+     "@.scheduler must be an object, got LossWeights(alpha_energy=1.0, beta_eigvec=2.0, "
+     "gamma_ortho=0.0)"),
+    (tr.PretrainConfig, "feature_config", LossWeights(),
+     "@.feature_config must be a FeatureConfig, got LossWeights(alpha_energy=1.0, "
+     "beta_eigvec=2.0, gamma_ortho=0.0)",
+     "@.feature_config must be an object, got LossWeights(alpha_energy=1.0, "
+     "beta_eigvec=2.0, gamma_ortho=0.0)"),
+    (tr.PretrainConfig, "k", "6", "@.k must be an int, got '6'", None),
+    (tr.PretrainConfig, "dropout", 1.0, "@.dropout must be in [0, 1), got 1.0", None),
+    (LossWeights, "gamma_ortho", True, "@.gamma_ortho must be a number, got True", None),
+    (LossWeights, "beta_eigvec", -1.0, "@.beta_eigvec must be finite and >= 0, got -1.0", None),
+    (tr.SchedulerConfig, "patience", 2.0, "@.patience must be an int, got 2.0", None),
+    (tr.SchedulerConfig, "monitored", "val",
+     "@.monitored must be one of 'train_loss', 'val_loss', got 'val'", None),
+    (FeatureConfig, "use_diffused_dirac", 1, "@.use_diffused_dirac must be true or false, got 1",
+     None),
+    (FeatureConfig, "dirac_seed", -1, "@.dirac_seed must be >= 0, got -1", None),
+]
+
+
+@pytest.mark.parametrize("how", ["code", "replace", "dict"])
+@pytest.mark.parametrize("cls, name, value, message, from_dict_message", CONFIG_CASES,
+                         ids=[f"{c[0].__name__}.{c[1]}-{type(c[2]).__name__}"
+                              for c in CONFIG_CASES])
+def test_every_way_of_building_a_config_checks_it_in_one_line(how, cls, name, value,
+                                                              message, from_dict_message):
+    with pytest.raises(InvalidParams) as exc:
+        if how == "code":
+            cls(**{name: value})
+        elif how == "replace":
+            dataclasses.replace(cls(), **{name: value})
+        else:
+            from_dict(cls, {name: value})
+    if how == "dict":
+        expected = (from_dict_message or message).replace("@", "config")
+    else:
+        expected = message.replace("@", cls.__name__)
+    assert str(exc.value) == expected
 
 
 def test_config_float_fields_take_ints():
@@ -145,14 +210,14 @@ def test_config_every_field_roundtrips():
     paths = list(_leaf_paths(base))
     assert len(paths) == 28
     for path in paths:
-        d = tr.config_to_dict(base)
+        d = dataclasses.asdict(base)
         leaf = d
         for name in path[:-1]:
             leaf = leaf[name]
         leaf[path[-1]] = _non_default(leaf[path[-1]])
         cfg = tr.config_from_dict(d)
         assert cfg != base, path
-        assert tr.config_to_dict(cfg) == d
+        assert dataclasses.asdict(cfg) == d
         assert tr.config_from_dict(json.loads(json.dumps(d))) == cfg
 
 
@@ -164,7 +229,13 @@ def test_readme_config_block_is_the_default_config():
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     parsed = json.loads(block)
     assert tr.config_from_dict(parsed) == tr.PretrainConfig()
-    assert parsed == tr.config_to_dict(tr.PretrainConfig())
+    assert parsed == dataclasses.asdict(tr.PretrainConfig())
+    # the list of kinds names each leaf field by its path, in exactly one bullet
+    kinds = section[section.index("\n- "):]
+    kinds = kinds[:kinds.index("\n\n")]
+    bullets = [set(re.findall(r"`([^`]+)`", bullet)) for bullet in kinds.split("\n- ")[1:]]
+    for path in _leaf_paths(tr.PretrainConfig()):
+        assert sum(".".join(path) in names for names in bullets) == 1, path
 
 
 # --- target precomputation ---
@@ -389,7 +460,8 @@ def test_finetune_requires_target():
     model = tr.build_model(cfg, tr.feature_dim(examples))
     head = tr.build_downstream_head(cfg)
     with pytest.raises(MissingTarget):
-        tr.finetune(examples, model, head, cfg, "lambda_2", epochs=1)
+        tr.finetune(examples, model, head, dataclasses.replace(cfg, finetune_epochs=1),
+                    "lambda_2")
 
 
 def test_finetune_zero_head_on_zero_target_has_zero_error():
@@ -401,7 +473,8 @@ def test_finetune_zero_head_on_zero_target_has_zero_error():
     head = tr.build_downstream_head(cfg)
     for w in head.weights:
         w.values[:] = 0.0
-    record, _ = tr.finetune(examples, model, head, cfg, "y", epochs=1)
+    record, _ = tr.finetune(examples, model, head, dataclasses.replace(cfg, finetune_epochs=1),
+                            "y")
     assert record.rows[0].loss_total <= 1e-15
 
 
@@ -413,7 +486,8 @@ def test_finetune_learns_lambda2_better_than_mean_baseline():
     model = tr.build_model(cfg, tr.feature_dim(examples))
     pre_rec, _ = tr.pretrain(train, model, small_cfg(epochs=5, dropout=0.0))
     head = tr.build_downstream_head(cfg)
-    record, _ = tr.finetune(train, model, head, cfg, "lambda_2", epochs=40)
+    record, _ = tr.finetune(train, model, head, dataclasses.replace(cfg, finetune_epochs=40),
+                            "lambda_2")
     mae = tr.evaluate_mae(model, head, val, cfg, "lambda_2")
     train_mean = float(np.mean([ex.graph.graph_targets["lambda_2"] for ex in train]))
     baseline = float(np.mean([abs(ex.graph.graph_targets["lambda_2"] - train_mean)
@@ -429,7 +503,8 @@ def test_finetune_deterministic():
         examples = tr.precompute_targets(graphs, cfg)
         model = tr.build_model(cfg, tr.feature_dim(examples))
         head = tr.build_downstream_head(cfg)
-        record, _ = tr.finetune(examples, model, head, cfg, "lambda_2", epochs=2)
+        record, _ = tr.finetune(examples, model, head,
+                                dataclasses.replace(cfg, finetune_epochs=2), "lambda_2")
         return record.deterministic_key()
 
     assert run() == run()
@@ -514,7 +589,7 @@ def assert_resume_is_bit_for_bit(tmp_path, full_cfg):
     rec_a, state_a = tr.pretrain(examples, model_a, full_cfg)
 
     # interrupted halfway, checkpointed, resumed
-    half_cfg = tr.config_from_dict({**tr.config_to_dict(full_cfg), "epochs": full_cfg.epochs // 2})
+    half_cfg = tr.config_from_dict({**dataclasses.asdict(full_cfg), "epochs": full_cfg.epochs // 2})
     model_b = tr.build_model(half_cfg, d_in)
     rec_b1, state = tr.pretrain(examples, model_b, half_cfg)
     path = tmp_path / "ckpt.json"
@@ -620,16 +695,20 @@ def test_finetune_checkpoint_resumes_bit_for_bit(tmp_path, keep_pretrain_head):
 
     # uninterrupted: 4 fine-tuning epochs
     model_a, head_a = tr.build_model(cfg, d_in), tr.build_downstream_head(cfg)
-    rec_a, _ = tr.finetune(examples, model_a, head_a, cfg, "lambda_2", epochs=4)
+    rec_a, _ = tr.finetune(examples, model_a, head_a,
+                           dataclasses.replace(cfg, finetune_epochs=4), "lambda_2")
 
     # 2 epochs, checkpointed, loaded, 2 more
-    model_b, head_b = tr.build_model(cfg, d_in), tr.build_downstream_head(cfg)
-    rec_b1, state = tr.finetune(examples, model_b, head_b, cfg, "lambda_2", epochs=2)
+    cfg_b = dataclasses.replace(cfg, finetune_epochs=2)
+    model_b, head_b = tr.build_model(cfg_b, d_in), tr.build_downstream_head(cfg_b)
+    rec_b1, state = tr.finetune(examples, model_b, head_b, cfg_b, "lambda_2")
     path = tmp_path / "ft.json"
-    tr.save_checkpoint(str(path), model_b, cfg, state, d_in, downstream_head=head_b)
+    tr.save_checkpoint(str(path), model_b, cfg_b, state, d_in, downstream_head=head_b)
     assert read_header(path)["kind"] == "finetune"
     model_c, cfg_c, state_c, _, head_c, _ = tr.load_checkpoint(str(path))
-    rec_b2, _ = tr.finetune(examples, model_c, head_c, cfg_c, "lambda_2", epochs=4,
+    assert cfg_c == cfg_b  # the checkpoint records the budget its run ran
+    rec_b2, _ = tr.finetune(examples, model_c, head_c,
+                            dataclasses.replace(cfg_c, finetune_epochs=4), "lambda_2",
                             state=state_c)
 
     assert rec_b1.deterministic_key() + rec_b2.deterministic_key() == rec_a.deterministic_key()
@@ -828,7 +907,8 @@ def test_the_optimizer_holds_values_gradients_and_moments_in_flat_buffers(run):
     if head is None:
         tr.pretrain(examples, model, cfg, state)
     else:
-        tr.finetune(examples, model, head, cfg, "lambda_2", epochs=2, state=state)
+        tr.finetune(examples, model, head, dataclasses.replace(cfg, finetune_epochs=2),
+                    "lambda_2", state=state)
     assert slotted == [True] * 4  # backward wrote every gradient into its slot
 
 
@@ -854,8 +934,9 @@ def test_adjacencies_are_built_by_precompute_targets_and_predict_only(monkeypatc
         "kind": "reduce_on_plateau", "monitored": "val_loss"})
     model = tr.build_model(cfg, tr.feature_dim(examples))
     tr.pretrain(examples, model, monitored, val_examples=examples[:2])
-    tr.finetune(examples, model, tr.build_downstream_head(cfg), monitored, "lambda_2",
-                epochs=3, val_examples=examples[:2])
+    tr.finetune(examples, model, tr.build_downstream_head(cfg),
+                dataclasses.replace(monitored, finetune_epochs=3), "lambda_2",
+                val_examples=examples[:2])
     tr.compare_losses(examples, cfg)
     assert built == []
     # predict takes a graph, and builds its adjacency on each call
