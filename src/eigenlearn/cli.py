@@ -23,8 +23,8 @@ from .data import (_numbered_graphs, atomic_write_text, dumps_graph, from_dict, 
                    read_json)
 from .eigen import eigendecompose
 from .errors import DatasetFormatError, EigenlearnError, InvalidParams
-from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, build_laplacian,
-                     generate_graph)
+from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, build_adjacency,
+                     build_laplacian, generate_graph)
 from .invariants import run_all_checks
 from .wavelets import FeatureConfig, augment_features
 
@@ -74,7 +74,7 @@ def cmd_gen_data(args) -> int:
         if kind == "grid":
             params = _grid_shape(n)
         g = generate_graph(kind, params, seed=args.seed + i + 1)
-        s = eigendecompose(build_laplacian(g))
+        s = eigendecompose(build_laplacian(build_adjacency(g)))
         targets = {"lambda_2": float(s.eigenvalues[1])}
         lines.append(dumps_graph(Graph(g.num_nodes, g.edges, g.node_features, targets)))
     atomic_write_text(args.output, "".join(line + "\n" for line in lines))
@@ -102,7 +102,7 @@ def cmd_spectrum(args) -> int:
     graphs = load_dataset(args.input)
     lines = []
     for g in graphs:
-        s = eigendecompose(build_laplacian(g, args.norm))
+        s = eigendecompose(build_laplacian(build_adjacency(g), args.norm))
         rec = {"num_nodes": g.num_nodes,
                "eigenvalues": [float(v) for v in s.eigenvalues]}
         if not args.values_only:

@@ -33,13 +33,13 @@ class Spectrum:
 
 def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first component with |value| > tolerance is positive."""
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        nz = np.nonzero(np.abs(col) > SIGN_TOL)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, i] = -col
-    return out
+    if vectors.shape[0] == 0:
+        return vectors.copy()
+    first = np.argmax(np.abs(vectors) > SIGN_TOL, axis=0)
+    # In a column with no entry above the tolerance argmax picks row 0, whose
+    # entry is within the tolerance, so the test below leaves the column as is.
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    return np.where(lead < -SIGN_TOL, -vectors, vectors)
 
 
 def eigendecompose(m: np.ndarray) -> Spectrum:

@@ -2,14 +2,16 @@
 
 Graphs are dense-matrix backed: the target scale is tens of nodes, so every
 operator (adjacency, Laplacian, random-walk diffusion) is a plain float64
-numpy array.
+numpy array. `build_adjacency` builds the adjacency from a graph's edge
+tuple; the Laplacian and diffusion operators take that (n, n) array, so a
+caller that needs both the adjacency and an operator builds it once.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGraph, InvalidParams, IsolatedNode
+from .errors import InvalidGraph, InvalidParams, IsolatedNode, ShapeMismatch
 
 UNNORMALIZED = "unnormalized"
 SYMMETRIC = "symmetric"
@@ -64,10 +66,6 @@ class Graph:
                 raise InvalidGraph("node_features contains non-finite values")
             object.__setattr__(self, "node_features", x)
 
-    def degrees(self) -> np.ndarray:
-        """The row sums of the adjacency matrix."""
-        return build_adjacency(self).sum(axis=1)
-
     def with_features(self, x: np.ndarray) -> "Graph":
         return Graph(self.num_nodes, self.edges, x, dict(self.graph_targets))
 
@@ -81,29 +79,36 @@ def build_adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def build_laplacian(g: Graph, norm: str = UNNORMALIZED) -> np.ndarray:
-    """Graph Laplacian: D - A, or its symmetric normalization I - D^{-1/2} A D^{-1/2}.
+def _check_square(a, op: str) -> None:
+    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == a.shape[1]):
+        got = f"shape {a.shape}" if isinstance(a, np.ndarray) else f"a {type(a).__name__}"
+        raise ShapeMismatch(f"{op} takes a square (n, n) adjacency array, got {got}")
+
+
+def build_laplacian(a: np.ndarray, norm: str = UNNORMALIZED) -> np.ndarray:
+    """Graph Laplacian of the (n, n) adjacency a: D - A, or its symmetric
+    normalization I - D^{-1/2} A D^{-1/2}.
 
     Isolated nodes are allowed; the symmetric norm treats their D^{-1/2}
     diagonal entry as 0.
     """
+    _check_square(a, "build_laplacian")
     if norm not in LAPLACIAN_NORMS:
         raise InvalidParams(f"unknown Laplacian norm {norm!r}")
-    a = build_adjacency(g)
     d = a.sum(axis=1)
     if norm == UNNORMALIZED:
         return np.diag(d) - a
     d_inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    return np.eye(g.num_nodes) - (d_inv_sqrt[:, None] * a) * d_inv_sqrt[None, :]
+    return np.eye(a.shape[0]) - (d_inv_sqrt[:, None] * a) * d_inv_sqrt[None, :]
 
 
-def build_diffusion(g: Graph) -> np.ndarray:
-    """Row-stochastic random-walk matrix P = D^{-1} A.
+def build_diffusion(a: np.ndarray) -> np.ndarray:
+    """Row-stochastic random-walk matrix P = D^{-1} A of the (n, n) adjacency a.
 
     Raises IsolatedNode for degree-0 nodes: one-step walk probabilities are
     undefined there, so callers must prune or reject such graphs.
     """
-    a = build_adjacency(g)
+    _check_square(a, "build_diffusion")
     d = a.sum(axis=1)
     zero = np.nonzero(d == 0)[0]
     if zero.size:
@@ -194,9 +199,8 @@ def generate_graph(kind: str, params: dict | None = None, seed: int = 0) -> Grap
     rng = np.random.default_rng(seed)
     for _ in range(200):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        g = Graph(n, tuple(edges))
-        if np.all(g.degrees() > 0):
-            return g
+        if len({x for e in edges for x in e}) == n:
+            return Graph(n, tuple(edges))
     raise InvalidParams(
         f"could not sample an isolated-node-free G({n}, {p}) in 200 attempts"
     )

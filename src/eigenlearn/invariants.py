@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import eigendecompose, eigenvalue_clusters, lowest_k
-from .graphs import (Graph, build_diffusion, build_laplacian, count_components,
-                     generate_graph, permute_graph)
+from .graphs import (Graph, build_adjacency, build_diffusion, build_laplacian,
+                     count_components, generate_graph, permute_graph)
 from .losses import (abs_cos_mae_loss, eigenspace_rotation, eigvec_loss,
                      energy_loss, flip_column_signs, random_special_orthogonal)
 from .wavelets import (FeatureConfig, augment_features, build_wavelet_bank,
@@ -39,7 +39,7 @@ def _random_graphs(count: int, n_low: int, n_high: int, seed: int) -> list[Graph
 def check_zero_row_sums(seed: int = 0) -> CheckResult:
     worst = 0.0
     for g in _random_graphs(20, 4, 24, seed):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         worst = max(worst, float(np.max(np.abs(lap.sum(axis=1)))))
         ones = np.ones(g.num_nodes)
         worst = max(worst, float(np.linalg.norm(lap @ ones)))
@@ -49,7 +49,7 @@ def check_zero_row_sums(seed: int = 0) -> CheckResult:
 def check_spectral_reconstruction(seed: int = 1) -> CheckResult:
     worst = 0.0
     for g in _random_graphs(20, 4, 32, seed):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         s = eigendecompose(lap)
         recon = s.eigenvectors @ np.diag(s.eigenvalues) @ s.eigenvectors.T
         rel = np.linalg.norm(recon - lap) / max(np.linalg.norm(lap), 1.0)
@@ -65,7 +65,7 @@ def check_component_count(seed: int = 2) -> CheckResult:
         p = float(rng.uniform(0.05, 0.4))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = Graph(n, tuple(edges))
-        s = eigendecompose(build_laplacian(g))
+        s = eigendecompose(build_laplacian(build_adjacency(g)))
         near_zero = int(np.sum(s.eigenvalues < 1e-8))
         if near_zero != count_components(g):
             ok = False
@@ -77,7 +77,7 @@ def check_component_count(seed: int = 2) -> CheckResult:
 def check_diffusion_stochastic(seed: int = 3) -> CheckResult:
     worst = 0.0
     for g in _random_graphs(20, 3, 24, seed):
-        p = build_diffusion(g)
+        p = build_diffusion(build_adjacency(g))
         worst = max(worst, float(np.max(np.abs(p.sum(axis=1) - 1.0))))
     return CheckResult("diffusion_rows_stochastic", worst <= 1e-12, f"max deviation {worst:.2e}")
 
@@ -87,7 +87,7 @@ def check_bank_telescoping(seed: int = 4) -> CheckResult:
     worst = 0.0
     for g in _random_graphs(30, 3, 32, seed):
         j = int(rng.integers(0, 5))
-        bank = build_wavelet_bank(build_diffusion(g), j)
+        bank = build_wavelet_bank(build_diffusion(build_adjacency(g)), j)
         total = np.sum(bank.operators, axis=0)
         worst = max(worst, float(np.max(np.abs(total - np.eye(g.num_nodes)))))
     return CheckResult("wavelet_bank_telescoping", worst <= 1e-10, f"max deviation {worst:.2e}")
@@ -108,9 +108,10 @@ def check_embedding_permutation_equivariance(seed: int = 6) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for g in _random_graphs(10, 3, 12, seed):
-        emb = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(g), 2))
+        emb = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(build_adjacency(g)), 2))
         perm = list(rng.permutation(g.num_nodes))
-        emb_p = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(permute_graph(g, perm)), 2))
+        p_perm = build_diffusion(build_adjacency(permute_graph(g, perm)))
+        emb_p = diffused_dirac_embeddings(build_wavelet_bank(p_perm, 2))
         for old, new in enumerate(perm):
             worst = max(worst, float(np.max(np.abs(emb_p[new] - emb[old]))))
     return CheckResult("dirac_embedding_permutation_equivariance", worst <= 1e-12,
@@ -122,8 +123,8 @@ def check_spectra_separate_embeddings() -> CheckResult:
     # diffused dirac row multisets
     path = generate_graph("path", {"n": 4})
     star = generate_graph("star", {"n": 4})
-    e1 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(path), 2))
-    e2 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(star), 2))
+    e1 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(build_adjacency(path)), 2))
+    e2 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(build_adjacency(star)), 2))
     rows1 = sorted(map(tuple, np.round(e1, 12).tolist()))
     rows2 = sorted(map(tuple, np.round(e2, 12).tolist()))
     gap = float(np.max(np.abs(np.array(rows1) - np.array(rows2))))
@@ -141,7 +142,7 @@ def check_energy_basis_invariance(seed: int = 7) -> CheckResult:
     worst = 0.0
     graphs = _degenerate_fixtures() + _random_graphs(10, 4, 16, seed)
     for gi, g in enumerate(graphs):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         s = eigendecompose(lap)
         for ci, (lo, hi) in enumerate(eigenvalue_clusters(s.eigenvalues)):
             if hi - lo < 2:
@@ -161,7 +162,7 @@ def check_eigvec_basis_invariance(seed: int = 8) -> CheckResult:
     worst = 0.0
     graphs = _degenerate_fixtures() + _random_graphs(10, 4, 16, seed)
     for gi, g in enumerate(graphs):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         s = eigendecompose(lap)
         for ci, (lo, hi) in enumerate(eigenvalue_clusters(s.eigenvalues)):
             if hi - lo < 2:
@@ -183,7 +184,7 @@ def check_energy_rotation_invariance(seed: int = 9) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for g in _random_graphs(10, 5, 16, seed):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         n = g.num_nodes
         k = int(rng.integers(2, min(5, n)))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
@@ -195,7 +196,7 @@ def check_energy_rotation_invariance(seed: int = 9) -> CheckResult:
 
 def check_eigvec_not_rotation_invariant() -> CheckResult:
     g = generate_graph("path", {"n": 6})  # distinct eigenvalues
-    lap = build_laplacian(g)
+    lap = build_laplacian(build_adjacency(g))
     lam, psi = lowest_k(eigendecompose(lap), 3)
     rot = random_special_orthogonal(3, seed=12)
     before = eigvec_loss(psi, lap, lam)
@@ -210,7 +211,7 @@ def check_energy_floor(seed: int = 10, trials: int = 200) -> CheckResult:
     worst = np.inf
     for i in range(trials):
         g = _random_graphs(1, 5, 20, seed + i)[0]
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         n = g.num_nodes
         k = int(rng.integers(1, min(6, n) + 1))
         s = eigendecompose(lap)
@@ -225,7 +226,7 @@ def check_abs_loss_sign_invariance(seed: int = 11) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for g in _random_graphs(10, 5, 14, seed):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         lam, psi = lowest_k(eigendecompose(lap), 3)
         u = rng.standard_normal(psi.shape)
         flips = [int(i) for i in rng.integers(0, 3, size=2)]

@@ -165,10 +165,11 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
         except IsolatedNode:
             dropped += 1
             continue
-        laplacian = build_laplacian(g, cfg.laplacian_norm)
+        adjacency = build_adjacency(g)
+        laplacian = build_laplacian(adjacency, cfg.laplacian_norm)
         spectrum = eigendecompose(laplacian)
         lambda_k, psi_k = lowest_k(spectrum, cfg.k)
-        examples.append(TrainingExample(g, features, build_adjacency(g), laplacian,
+        examples.append(TrainingExample(g, features, adjacency, laplacian,
                                         lambda_k, psi_k))
     if dropped:
         log.info("dropped %d of %d graphs during target precomputation",

@@ -16,13 +16,14 @@ set is rejected when it is built.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Annotated
 
 import numpy as np
 
 from .data import BOOL, NON_NEGATIVE_INT, config
 from .errors import IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic
-from .graphs import Graph, build_diffusion
+from .graphs import Graph, build_adjacency, build_diffusion
 
 STOCHASTIC_TOL = 1e-8
 DEFAULT_SCALES = 2
@@ -119,8 +120,11 @@ def diffused_dirac_embeddings(bank: WaveletBank) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+@lru_cache(maxsize=1024)
 def pick_dirac_sources(num_nodes: int, seed: int) -> tuple[int, int]:
-    """Two distinct node indices, deterministic per (num_nodes, seed)."""
+    """Two distinct node indices, deterministic per (num_nodes, seed), so
+    memoized: a dataset draws them once per node count, not once per graph.
+    The bound keeps every node count up to a few hundred under a few seeds."""
     if num_nodes < 2:
         raise NodeCountTooSmall(f"need >= 2 nodes for dirac sources, got {num_nodes}")
     rng = np.random.default_rng(seed)
@@ -137,7 +141,7 @@ def augment_features(g: Graph, cfg: FeatureConfig) -> np.ndarray:
     if cfg.use_wavelet_positional and g.num_nodes < 2:
         raise NodeCountTooSmall(
             f"positional embeddings need >= 2 nodes, got {g.num_nodes}")
-    p = build_diffusion(g)
+    p = build_diffusion(build_adjacency(g))
     bank = build_wavelet_bank(p, cfg.scales_J)
     blocks = []
     if cfg.keep_original_features and g.node_features is not None:

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference oracles, a scalarizing
 projection, the small tape ops that `autodiff.dense` and
 `autodiff.gin_aggregate` fuse (kept as their references) and a counter of
-recorded ops, the layout of a module built alone, random graph soup, and
+recorded ops, the column loop `eigen.canonical_signs` replaced (kept as its
+reference), the layout of a module built alone, random graph soup, and
 checkpoint helpers: a header reader and editor, and an old-version writer."""
 
 import base64
@@ -166,6 +167,18 @@ def recorded_ops(tensor: ad.Tensor) -> int:
     """Backward ops recorded on the way to tensor: the reachable nodes that
     carry a backward closure (leaves and constants carry none)."""
     return sum(node._vjp is not None for node in reachable_nodes(tensor))
+
+
+def canonical_signs_loop(vectors: np.ndarray, tol: float) -> np.ndarray:
+    """Column by column: flip a column whose first entry with |value| > tol
+    is negative (the loop `eigen.canonical_signs` vectorizes)."""
+    out = vectors.copy()
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        nz = np.nonzero(np.abs(col) > tol)[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, i] = -col
+    return out
 
 
 def laid_out(module, rng: np.random.Generator):

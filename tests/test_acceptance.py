@@ -16,7 +16,8 @@ import eigenlearn as el
 from eigenlearn import autodiff as ad
 from eigenlearn import train as tr
 from eigenlearn.eigen import eigendecompose, eigenvalue_clusters, lowest_k
-from eigenlearn.graphs import build_diffusion, build_laplacian, generate_graph
+from eigenlearn.graphs import (build_adjacency, build_diffusion, build_laplacian,
+                               generate_graph)
 from eigenlearn.losses import (LossWeights, eigenspace_rotation, eigvec_loss,
                                energy_loss, random_special_orthogonal)
 from eigenlearn.nn import combined_loss_t, orthonormalize
@@ -60,11 +61,11 @@ def random_er_graphs(count, seed, n_low, n_high):
 def test_criterion_01_spectral_oracle():
     with Criterion(1, "spectral oracle correctness", 5.0):
         for n in range(3, 11):
-            s = eigendecompose(build_laplacian(generate_graph("path", {"n": n})))
+            s = eigendecompose(build_laplacian(build_adjacency(generate_graph("path", {"n": n}))))
             closed = np.sort(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n))
             assert np.max(np.abs(s.eigenvalues - closed)) <= 1e-8
         for g in random_er_graphs(100, seed=101, n_low=4, n_high=32):
-            lap = build_laplacian(g)
+            lap = build_laplacian(build_adjacency(g))
             s = eigendecompose(lap)
             recon = s.eigenvectors @ np.diag(s.eigenvalues) @ s.eigenvectors.T
             assert np.linalg.norm(recon - lap) <= 1e-8 * max(np.linalg.norm(lap), 1e-30)
@@ -75,7 +76,7 @@ def test_criterion_02_wavelet_telescoping():
         rng = np.random.default_rng(202)
         for g in random_er_graphs(100, seed=102, n_low=3, n_high=24):
             scales = int(rng.integers(0, 5))
-            bank = build_wavelet_bank(build_diffusion(g), scales)
+            bank = build_wavelet_bank(build_diffusion(build_adjacency(g)), scales)
             total = np.sum(bank.operators, axis=0)
             assert np.max(np.abs(total - np.eye(g.num_nodes))) <= 1e-10
 
@@ -89,7 +90,7 @@ def test_criterion_03_invariance_suite():
         worst_energy = 0.0
         worst_eigvec = 0.0
         for gi, g in enumerate(fixtures):
-            lap = build_laplacian(g)
+            lap = build_laplacian(build_adjacency(g))
             s = eigendecompose(lap)
             clusters = eigenvalue_clusters(s.eigenvalues)
             rich = [c for c in clusters if c[1] - c[0] >= 2] or clusters
@@ -115,12 +116,12 @@ def test_criterion_03_invariance_suite():
         # the eigenvector residual must not be
         rng = np.random.default_rng(33)
         for g in random_er_graphs(10, seed=104, n_low=5, n_high=16):
-            lap = build_laplacian(g)
+            lap = build_laplacian(build_adjacency(g))
             k = int(rng.integers(2, 5))
             q, _ = np.linalg.qr(rng.standard_normal((g.num_nodes, k)))
             rot = random_special_orthogonal(k, seed=int(rng.integers(1000)))
             assert abs(energy_loss(q, lap) - energy_loss(q @ rot, lap)) <= 1e-8
-        lap = build_laplacian(generate_graph("path", {"n": 6}))
+        lap = build_laplacian(build_adjacency(generate_graph("path", {"n": 6})))
         lam, psi = lowest_k(eigendecompose(lap), 3)
         assert np.all(np.diff(lam) > 1e-6)
         rot = random_special_orthogonal(3, seed=5)
@@ -131,7 +132,8 @@ def test_criterion_04_energy_floor():
     with Criterion(4, "variational floor of the energy loss", 10.0):
         rng = np.random.default_rng(404)
         graphs = random_er_graphs(100, seed=105, n_low=5, n_high=16)
-        spectra = [(build_laplacian(g), eigendecompose(build_laplacian(g)))
+        spectra = [(build_laplacian(build_adjacency(g)),
+                    eigendecompose(build_laplacian(build_adjacency(g))))
                    for g in graphs]
         for i in range(1000):
             lap, s = spectra[i % len(spectra)]
@@ -325,11 +327,13 @@ def test_criterion_08_distinct_spectra_distinct_embeddings():
     with Criterion(8, "path-vs-star dirac embedding separation", 1.0):
         path = generate_graph("path", {"n": 4})
         star = generate_graph("star", {"n": 4})
-        lam_p = eigendecompose(build_laplacian(path)).eigenvalues
-        lam_s = eigendecompose(build_laplacian(star)).eigenvalues
+        lam_p = eigendecompose(build_laplacian(build_adjacency(path))).eigenvalues
+        lam_s = eigendecompose(build_laplacian(build_adjacency(star))).eigenvalues
         assert np.max(np.abs(lam_p - lam_s)) > 1e-6  # genuinely non-cospectral
-        d1 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(path), 2))
-        d2 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(star), 2))
+        d1 = diffused_dirac_embeddings(
+            build_wavelet_bank(build_diffusion(build_adjacency(path)), 2))
+        d2 = diffused_dirac_embeddings(
+            build_wavelet_bank(build_diffusion(build_adjacency(star)), 2))
         rows1 = np.array(sorted(map(tuple, d1.tolist())))
         rows2 = np.array(sorted(map(tuple, d2.tolist())))
         assert np.max(np.abs(rows1 - rows2)) > 1e-6
@@ -345,7 +349,7 @@ def test_criterion_09_finetuning_beats_mean_baseline():
             n = int(rng.integers(6, 17))
             params = {"n": n, "p": 0.4} if kind == "erdos_renyi" else {"n": n}
             g = generate_graph(kind, params, seed=500 + i)
-            lam2 = float(eigendecompose(build_laplacian(g)).eigenvalues[1])
+            lam2 = float(eigendecompose(build_laplacian(build_adjacency(g))).eigenvalues[1])
             graphs.append(el.Graph(g.num_nodes, g.edges, None, {"lambda_2": lam2}))
         cfg = tr.config_from_dict({
             "k": 3, "hidden_dim": 16, "mp_layers": 2, "update_layers": 2,

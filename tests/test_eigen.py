@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenlearn.eigen import (Spectrum, canonical_signs, eigendecompose,
+from eigenlearn.eigen import (SIGN_TOL, Spectrum, canonical_signs, eigendecompose,
                               eigenvalue_clusters, lowest_k)
 from eigenlearn.errors import KTooLarge, NotSymmetric
-from eigenlearn.graphs import build_laplacian, count_components, generate_graph
-from helpers import random_graph_soup
+from eigenlearn.graphs import (build_adjacency, build_laplacian, count_components,
+                               generate_graph)
+from helpers import canonical_signs_loop, random_graph_soup
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
@@ -16,18 +17,18 @@ def path_eigenvalues(n: int) -> np.ndarray:
 
 
 def test_path3_eigenvalues_closed_form():
-    s = eigendecompose(build_laplacian(generate_graph("path", {"n": 3})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("path", {"n": 3}))))
     assert np.allclose(s.eigenvalues, [0.0, 1.0, 3.0], atol=1e-10)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_path_family_matches_closed_form(n):
-    s = eigendecompose(build_laplacian(generate_graph("path", {"n": n})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("path", {"n": n}))))
     assert np.allclose(s.eigenvalues, path_eigenvalues(n), atol=1e-8)
 
 
 def test_complete_graph_spectrum_structure():
-    s = eigendecompose(build_laplacian(generate_graph("complete", {"n": 5})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("complete", {"n": 5}))))
     assert abs(s.eigenvalues[0]) <= 1e-10
     assert np.allclose(s.eigenvalues[1:], 5.0, atol=1e-8)
 
@@ -40,7 +41,7 @@ def test_identity_matrix_spectrum():
 
 def test_eigenvalues_nondecreasing_and_orthonormal():
     for g in random_graph_soup(10, seed=3, n_high=20):
-        s = eigendecompose(build_laplacian(g))
+        s = eigendecompose(build_laplacian(build_adjacency(g)))
         assert np.all(np.diff(s.eigenvalues) >= -1e-12)
         gram = s.eigenvectors.T @ s.eigenvectors
         assert np.linalg.norm(gram - np.eye(g.num_nodes)) <= 1e-8
@@ -48,7 +49,7 @@ def test_eigenvalues_nondecreasing_and_orthonormal():
 
 def test_eigenpair_residuals():
     for g in random_graph_soup(10, seed=4, n_high=24):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         s = eigendecompose(lap)
         for i in range(g.num_nodes):
             resid = np.linalg.norm(lap @ s.eigenvectors[:, i]
@@ -59,7 +60,7 @@ def test_eigenpair_residuals():
 def test_reconstruction_against_lapack_oracle():
     # independent oracle: numpy's LAPACK eigensolver
     for g in random_graph_soup(10, seed=5, n_high=24):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         s = eigendecompose(lap)
         oracle = np.sort(np.linalg.eigvalsh(lap))
         assert np.allclose(s.eigenvalues, oracle, atol=1e-9)
@@ -69,7 +70,7 @@ def test_reconstruction_against_lapack_oracle():
 
 def test_trivial_eigenvalue_of_laplacian_is_zero():
     for g in random_graph_soup(10, seed=6):
-        s = eigendecompose(build_laplacian(g))
+        s = eigendecompose(build_laplacian(build_adjacency(g)))
         assert abs(s.eigenvalues[0]) <= 1e-10
 
 
@@ -81,13 +82,13 @@ def test_zero_eigenvalue_multiplicity_counts_components():
         p = float(rng.uniform(0.05, 0.35))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = Graph(n, tuple(edges))
-        s = eigendecompose(build_laplacian(g))
+        s = eigendecompose(build_laplacian(build_adjacency(g)))
         assert int(np.sum(s.eigenvalues < 1e-8)) == count_components(g)
 
 
 def test_sign_convention_first_significant_entry_positive():
     for g in random_graph_soup(5, seed=7):
-        s = eigendecompose(build_laplacian(g))
+        s = eigendecompose(build_laplacian(build_adjacency(g)))
         for i in range(g.num_nodes):
             col = s.eigenvectors[:, i]
             nz = np.nonzero(np.abs(col) > 1e-10)[0]
@@ -96,7 +97,7 @@ def test_sign_convention_first_significant_entry_positive():
 
 def test_deterministic_output():
     g = random_graph_soup(1, seed=8)[0]
-    lap = build_laplacian(g)
+    lap = build_laplacian(build_adjacency(g))
     a = eigendecompose(lap)
     b = eigendecompose(lap)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -116,34 +117,34 @@ def test_symmetrizes_tiny_asymmetry():
 
 
 def test_lowest_k_slices():
-    s = eigendecompose(build_laplacian(generate_graph("path", {"n": 3})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("path", {"n": 3}))))
     values, vectors = lowest_k(s, 2)
     assert np.allclose(values, [0.0, 1.0], atol=1e-10)
     assert vectors.shape == (3, 2)
 
 
 def test_lowest_k_full_spectrum_is_identity_slice():
-    s = eigendecompose(build_laplacian(generate_graph("cycle", {"n": 5})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("cycle", {"n": 5}))))
     values, vectors = lowest_k(s, 5)
     assert np.array_equal(values, s.eigenvalues)
     assert np.array_equal(vectors, s.eigenvectors)
 
 
 def test_lowest_k_too_large():
-    s = eigendecompose(build_laplacian(generate_graph("path", {"n": 3})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("path", {"n": 3}))))
     with pytest.raises(KTooLarge):
         lowest_k(s, 4)
 
 
 def test_trivial_eigenvector_is_included():
-    s = eigendecompose(build_laplacian(generate_graph("cycle", {"n": 6})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("cycle", {"n": 6}))))
     _, vectors = lowest_k(s, 2)
     constant = np.ones(6) / np.sqrt(6)
     assert np.allclose(np.abs(vectors[:, 0]), constant, atol=1e-8)
 
 
 def test_eigenvalue_clusters_on_cycle():
-    s = eigendecompose(build_laplacian(generate_graph("cycle", {"n": 6})))
+    s = eigendecompose(build_laplacian(build_adjacency(generate_graph("cycle", {"n": 6}))))
     clusters = eigenvalue_clusters(s.eigenvalues)
     sizes = [hi - lo for lo, hi in clusters]
     # C_6 spectrum: 0, 1, 1, 3, 3, 4
@@ -157,9 +158,49 @@ def test_canonical_signs_idempotent():
     assert np.array_equal(canonical_signs(once), once)
 
 
+def assert_signs_match_loop(v):
+    got, want = canonical_signs(v), canonical_signs_loop(v, SIGN_TOL)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 counts
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_canonical_signs_matches_column_loop_across_scales(seed):
+    # Entries scaled from 1e-14 to 1 straddle SIGN_TOL; zeros make columns
+    # lead with +0.0 and -0.0 as well.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+    v = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-14, 0, (n, m))
+    v[rng.random((n, m)) < 0.3] = 0.0
+    v[rng.random((n, m)) < 0.1] = -0.0
+    assert_signs_match_loop(v)
+
+
+def test_canonical_signs_matches_column_loop_at_the_tolerance():
+    # An entry of exactly +-SIGN_TOL does not lead; columns 0, 2 and 5 lead
+    # with a negative entry above it, columns 3 and 4 have none.
+    v = np.array([[SIGN_TOL, -SIGN_TOL, -SIGN_TOL, 0.0, -0.0, -1e-12],
+                  [-0.5, 0.5, -2 * SIGN_TOL, -0.0, 0.0, 3e-11],
+                  [1.0, -1.0, 1.0, -1e-11, -SIGN_TOL, -4e-10]])
+    assert_signs_match_loop(v)
+    assert np.array_equal(canonical_signs(v), v * [-1, 1, -1, 1, 1, -1])
+
+
+def test_canonical_signs_keeps_columns_below_the_tolerance():
+    v = np.array([[-1e-11, 0.0, -SIGN_TOL], [5e-11, -0.0, SIGN_TOL], [-SIGN_TOL, -1e-14, 0.0]])
+    assert_signs_match_loop(v)
+    assert np.array_equal(canonical_signs(v), v)
+
+
+@pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)])
+def test_canonical_signs_empty_inputs(shape):
+    assert_signs_match_loop(np.zeros(shape))
+
+
 def test_degenerate_cluster_projector_matches_oracle():
     # within a degenerate cluster only the projector is well-defined
-    lap = build_laplacian(generate_graph("complete", {"n": 5}))
+    lap = build_laplacian(build_adjacency(generate_graph("complete", {"n": 5})))
     s = eigendecompose(lap)
     w, v = np.linalg.eigh(lap)
     ours = s.eigenvectors[:, 1:]

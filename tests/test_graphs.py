@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenlearn.errors import InvalidGraph, InvalidParams, IsolatedNode
+from eigenlearn.errors import InvalidGraph, InvalidParams, IsolatedNode, ShapeMismatch
 from eigenlearn.graphs import (Graph, build_adjacency, build_diffusion,
                                build_laplacian, count_components,
                                generate_graph, permute_graph)
@@ -30,23 +30,23 @@ def test_complete_k3_adjacency():
 def test_path_laplacian_unnormalized():
     g = generate_graph("path", {"n": 3})
     expected = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
-    assert build_laplacian(g).tolist() == expected
+    assert build_laplacian(build_adjacency(g)).tolist() == expected
 
 
 def test_single_node_laplacian():
-    assert build_laplacian(Graph(1, ())).tolist() == [[0.0]]
+    assert build_laplacian(build_adjacency(Graph(1, ()))).tolist() == [[0.0]]
 
 
 def test_path_laplacian_symmetric_norm():
     g = generate_graph("path", {"n": 3})
     s = 1.0 / np.sqrt(2.0)
     expected = np.array([[1, -s, 0], [-s, 1, -s], [0, -s, 1]])
-    assert np.allclose(build_laplacian(g, "symmetric"), expected, atol=1e-15)
+    assert np.allclose(build_laplacian(build_adjacency(g), "symmetric"), expected, atol=1e-15)
 
 
 def test_symmetric_norm_isolated_node_row_is_zeroed():
     g = Graph(3, ((0, 1),))
-    lap = build_laplacian(g, "symmetric")
+    lap = build_laplacian(build_adjacency(g), "symmetric")
     # isolated node keeps a 1 on the diagonal from I, no off-diagonal coupling
     assert lap[2, 2] == 1.0
     assert np.all(lap[2, :2] == 0) and np.all(lap[:2, 2] == 0)
@@ -55,19 +55,32 @@ def test_symmetric_norm_isolated_node_row_is_zeroed():
 def test_path_diffusion():
     g = generate_graph("path", {"n": 3})
     expected = [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
-    assert build_diffusion(g).tolist() == expected
+    assert build_diffusion(build_adjacency(g)).tolist() == expected
 
 
 def test_k2_diffusion():
     g = generate_graph("complete", {"n": 2})
-    assert build_diffusion(g).tolist() == [[0, 1], [1, 0]]
+    assert build_diffusion(build_adjacency(g)).tolist() == [[0, 1], [1, 0]]
 
 
 def test_diffusion_rejects_isolated_node():
     g = Graph(3, ((0, 1),))
     with pytest.raises(IsolatedNode) as exc:
-        build_diffusion(g)
+        build_diffusion(build_adjacency(g))
     assert exc.value.index == 2
+
+
+@pytest.mark.parametrize("op", [build_laplacian, build_diffusion])
+@pytest.mark.parametrize("bad, got", [
+    (generate_graph("path", {"n": 3}), "got a Graph"),  # the pre-adjacency call
+    (np.zeros((3, 4)), r"got shape \(3, 4\)"),
+    (np.zeros(3), r"got shape \(3,\)"),
+    (np.zeros((2, 2, 2)), r"got shape \(2, 2, 2\)"),
+    ([[0.0, 1.0], [1.0, 0.0]], "got a list"),
+])
+def test_operators_refuse_anything_but_a_square_array(op, bad, got):
+    with pytest.raises(ShapeMismatch, match=f"^{op.__name__} takes a square .*{got}$"):
+        op(bad)
 
 
 def test_graph_rejects_self_loop():
@@ -117,7 +130,7 @@ def test_generate_complete_edge_count():
 def test_generate_star_structure():
     g = generate_graph("star", {"n": 4})
     assert g.edges == ((0, 1), (0, 2), (0, 3))
-    assert g.degrees().tolist() == [3, 1, 1, 1]
+    assert build_adjacency(g).sum(axis=1).tolist() == [3, 1, 1, 1]
 
 
 def test_generate_grid_shape():
@@ -130,7 +143,7 @@ def test_generate_erdos_renyi_deterministic():
     a = generate_graph("erdos_renyi", {"n": 10, "p": 0.4}, seed=7)
     b = generate_graph("erdos_renyi", {"n": 10, "p": 0.4}, seed=7)
     assert a.edges == b.edges
-    assert np.all(a.degrees() > 0)
+    assert np.all(build_adjacency(a).sum(axis=1) > 0)
 
 
 def test_generate_erdos_renyi_rejects_bad_p():
@@ -159,7 +172,7 @@ def test_permute_graph_moves_features_with_nodes():
 @given(n=st.integers(2, 20), seed=st.integers(0, 1000))
 def test_laplacian_rows_sum_to_zero(n, seed):
     g = generate_graph("erdos_renyi", {"n": n, "p": 0.5}, seed=seed)
-    lap = build_laplacian(g)
+    lap = build_laplacian(build_adjacency(g))
     assert np.max(np.abs(lap.sum(axis=1))) <= 1e-10
     ones = np.ones(n)
     assert np.linalg.norm(lap @ ones) <= 1e-10
@@ -169,5 +182,5 @@ def test_laplacian_rows_sum_to_zero(n, seed):
 @given(n=st.integers(2, 20), seed=st.integers(0, 1000))
 def test_diffusion_rows_sum_to_one(n, seed):
     g = generate_graph("erdos_renyi", {"n": n, "p": 0.5}, seed=seed)
-    p = build_diffusion(g)
+    p = build_diffusion(build_adjacency(g))
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eigenlearn.eigen import eigendecompose, eigenvalue_clusters, lowest_k
 from eigenlearn.errors import NotOrthonormal, ShapeMismatch
-from eigenlearn.graphs import build_laplacian, generate_graph
+from eigenlearn.graphs import build_adjacency, build_laplacian, generate_graph
 from eigenlearn.losses import (LossWeights, abs_cos_mae_loss, combined_loss,
                                eigenspace_rotation, eigvec_loss,
                                energy_abs_loss, energy_loss,
@@ -62,14 +62,14 @@ def oracle_abs_cos_mae(u, psi):
 
 
 def p3_fixture(k=2):
-    lap = build_laplacian(generate_graph("path", {"n": 3}))
+    lap = build_laplacian(build_adjacency(generate_graph("path", {"n": 3})))
     lam, psi = lowest_k(eigendecompose(lap), k)
     return lap, lam, psi
 
 
 def random_case(rng, n_low=5, n_high=14, k_max=4):
     g = random_graph_soup(1, seed=int(rng.integers(1 << 31)), n_low=n_low, n_high=n_high)[0]
-    lap = build_laplacian(g)
+    lap = build_laplacian(build_adjacency(g))
     k = int(rng.integers(1, min(k_max, g.num_nodes) + 1))
     lam, psi = lowest_k(eigendecompose(lap), k)
     u = rng.standard_normal((g.num_nodes, k))
@@ -122,7 +122,7 @@ def test_energy_loss_of_exact_lowest_two_on_path3():
 
 
 def test_energy_loss_of_highest_eigenvector_is_its_eigenvalue():
-    lap = build_laplacian(generate_graph("path", {"n": 3}))
+    lap = build_laplacian(build_adjacency(generate_graph("path", {"n": 3})))
     s = eigendecompose(lap)
     top = s.eigenvectors[:, -1:]
     assert abs(energy_loss(top, lap) - 3.0) <= 1e-10
@@ -271,7 +271,7 @@ def test_rotation_identity_case():
 
 
 def test_rotation_is_orthogonal_and_respects_complement():
-    lap = build_laplacian(generate_graph("complete", {"n": 5}))
+    lap = build_laplacian(build_adjacency(generate_graph("complete", {"n": 5})))
     s = eigendecompose(lap)
     psi = s.eigenvectors[:, 1:]  # eigenvalue 5 with multiplicity 4
     a = random_special_orthogonal(4, seed=3)
@@ -285,7 +285,7 @@ def test_rotation_is_orthogonal_and_respects_complement():
 
 
 def test_rotation_commutes_with_operator_on_degenerate_space():
-    lap = build_laplacian(generate_graph("complete", {"n": 5}))
+    lap = build_laplacian(build_adjacency(generate_graph("complete", {"n": 5})))
     s = eigendecompose(lap)
     psi = s.eigenvectors[:, 1:]
     r = eigenspace_rotation(psi, random_special_orthogonal(4, seed=9))
@@ -333,7 +333,7 @@ def degenerate_and_random_fixtures():
 def test_energy_unchanged_by_eigenspace_rotation():
     worst = 0.0
     for gi, g in enumerate(degenerate_and_random_fixtures()):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         s = eigendecompose(lap)
         rng = np.random.default_rng(gi)
         for lo, hi in eigenvalue_clusters(s.eigenvalues):
@@ -351,7 +351,7 @@ def test_energy_unchanged_by_eigenspace_rotation():
 def test_eigvec_residual_unchanged_by_eigenspace_rotation():
     worst = 0.0
     for gi, g in enumerate(degenerate_and_random_fixtures()):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         s = eigendecompose(lap)
         rng = np.random.default_rng(100 + gi)
         for lo, hi in eigenvalue_clusters(s.eigenvalues):
@@ -372,7 +372,7 @@ def test_eigvec_residual_unchanged_by_eigenspace_rotation():
 def test_energy_invariant_under_prediction_rotation():
     rng = np.random.default_rng(33)
     for g in random_graph_soup(10, seed=34, n_low=5, n_high=16):
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         k = int(rng.integers(2, 5))
         q, _ = np.linalg.qr(rng.standard_normal((g.num_nodes, k)))
         rot = random_special_orthogonal(k, seed=int(rng.integers(1000)))
@@ -381,7 +381,7 @@ def test_energy_invariant_under_prediction_rotation():
 
 def test_eigvec_not_invariant_under_prediction_rotation():
     # distinct eigenvalues: rotating the exact basis must cost > 1e-4
-    lap = build_laplacian(generate_graph("path", {"n": 6}))
+    lap = build_laplacian(build_adjacency(generate_graph("path", {"n": 6})))
     lam, psi = lowest_k(eigendecompose(lap), 3)
     assert np.all(np.diff(lam) > 1e-6)
     rot = random_special_orthogonal(3, seed=5)
@@ -395,7 +395,7 @@ def test_energy_floor_over_random_orthonormal_predictions():
     rng = np.random.default_rng(35)
     for _ in range(100):
         g = random_graph_soup(1, seed=int(rng.integers(1 << 31)), n_low=5, n_high=16)[0]
-        lap = build_laplacian(g)
+        lap = build_laplacian(build_adjacency(g))
         k = int(rng.integers(1, 5))
         s = eigendecompose(lap)
         floor = float(np.sum(s.eigenvalues[:k])) / k
@@ -424,7 +424,8 @@ def padded_batch(sizes=(7, 3, 10, 5), k=3, m=10, seed=21):
     rng = np.random.default_rng(seed)
     graphs = []
     for i, n in enumerate(sizes):
-        lap = build_laplacian(generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + i))
+        g = generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + i)
+        lap = build_laplacian(build_adjacency(g))
         lam, psi = lowest_k(eigendecompose(lap), k)
         graphs.append((rng.standard_normal((n, k)), lap, lam, psi))
     b = len(sizes)
@@ -543,7 +544,7 @@ def test_a_zero_norm_gives_the_gradient_no_direction():
     # exact eigenpairs of P3 and orthonormal columns make the residual and
     # the Gram excess exactly 0: each loss sits at its kink, where the
     # gradient is 0 rather than a division by the zero norm
-    lap = build_laplacian(generate_graph("path", {"n": 3}))
+    lap = build_laplacian(build_adjacency(generate_graph("path", {"n": 3})))
     u = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
     for value, grad in (eigvec_loss(u, lap, np.array([0.0, 1.0]), grad=True),
                         ortho_loss(np.eye(3)[:, :2], grad=True)):

@@ -377,7 +377,8 @@ ORTHO_ONLY = LossWeights(0.0, 0.0, 1.0)
 
 def loss_fixture(seed=11, n=8, k=3):
     rng = np.random.default_rng(seed)
-    lap = build_laplacian(generate_graph("erdos_renyi", {"n": n, "p": 0.5}, seed=seed))
+    g = generate_graph("erdos_renyi", {"n": n, "p": 0.5}, seed=seed)
+    lap = build_laplacian(build_adjacency(g))
     lam, psi = lowest_k(eigendecompose(lap), k)
     return rng.standard_normal((n, k)), lap, lam, psi
 
@@ -436,7 +437,7 @@ def test_sum_neighbors_over_a_block_adjacency():
 def test_tape_losses_match_numpy_losses():
     rng = np.random.default_rng(3)
     g = generate_graph("erdos_renyi", {"n": 8, "p": 0.5}, seed=1)
-    lap = build_laplacian(g)
+    lap = build_laplacian(build_adjacency(g))
     lam, psi = lowest_k(eigendecompose(lap), 3)
     u = rng.standard_normal((8, 3))
     t = ad.constant(u)
@@ -470,7 +471,7 @@ def test_full_model_gradient_check():
     rng = np.random.default_rng(7)
     g = generate_graph("erdos_renyi", {"n": 8, "p": 0.5}, seed=5)
     x = rng.standard_normal((8, 4))
-    lap = build_laplacian(g)
+    lap = build_laplacian(build_adjacency(g))
     lam, _ = lowest_k(eigendecompose(lap), 3)
     model = build_small_model()
     weights = LossWeights(1.0, 2.0, 0.0)
@@ -507,7 +508,7 @@ def test_batched_step_gradient_check():
     graphs = [generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=s)
               for n, s in ((6, 1), (9, 2), (4, 3))]
     xs = [rng.standard_normal((g.num_nodes, 4)) for g in graphs]
-    laps = [build_laplacian(g) for g in graphs]
+    laps = [build_laplacian(build_adjacency(g)) for g in graphs]
     lams = np.stack([lowest_k(eigendecompose(lap), 3)[0] for lap in laps])
     laps = pad_stack(laps, (10, 10))
     model = build_small_model()
@@ -657,7 +658,8 @@ def padded_stack(sizes=(7, 3, 10, 5), m=10, k=3, seed=31):
     u, laps, psis, lams = np.zeros((len(sizes), m, k)), [], [], []
     for i, n in enumerate(sizes):
         u[i, :n] = rng.standard_normal((n, k))
-        lap = build_laplacian(generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + i))
+        g = generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=seed + i)
+        lap = build_laplacian(build_adjacency(g))
         lam, psi = lowest_k(eigendecompose(lap), k)
         laps.append(lap)
         lams.append(lam)
@@ -731,7 +733,7 @@ def test_batched_training_loss_matches_the_per_graph_path(build, loss_name):
     graphs, xs = mixed_batch(seed=15)  # every graph's output has full column rank
     sizes = [g.num_nodes for g in graphs]
     assert sizes == [7, 3, 10, 5]
-    laps = [build_laplacian(g) for g in graphs]
+    laps = [build_laplacian(build_adjacency(g)) for g in graphs]
     spectra = [lowest_k(eigendecompose(lap), 3) for lap in laps]
     weights = LossWeights(1.0, 2.0, 0.5)
 

@@ -13,10 +13,12 @@ import pytest
 from eigenlearn import autodiff as ad
 from eigenlearn import optim
 from eigenlearn import train as tr
+from eigenlearn import wavelets
 from eigenlearn.data import from_dict
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
                                MissingTarget, NumericalFault)
-from eigenlearn.graphs import Graph, build_adjacency, generate_graph
+from eigenlearn.graphs import (LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian,
+                               generate_graph)
 from eigenlearn.losses import LossWeights
 from eigenlearn.wavelets import FeatureConfig
 from helpers import (as_old_version, edit_header, read_header, reachable_nodes,
@@ -44,8 +46,7 @@ def graph_soup(count=6, seed=0, n_low=4, n_high=10, target=False):
         g = generate_graph("erdos_renyi", {"n": n, "p": 0.5}, seed=seed + i + 1)
         if target:
             from eigenlearn.eigen import eigendecompose
-            from eigenlearn.graphs import build_laplacian
-            lam2 = float(eigendecompose(build_laplacian(g)).eigenvalues[1])
+            lam2 = float(eigendecompose(build_laplacian(build_adjacency(g))).eigenvalues[1])
             g = Graph(g.num_nodes, g.edges, None, {"lambda_2": lam2})
         graphs.append(g)
     return graphs
@@ -267,6 +268,29 @@ def test_precompute_drops_oversized_and_isolated():
     examples = tr.precompute_targets(graphs, cfg)
     assert len(examples) == 1
     assert examples[0].graph.num_nodes == 6
+
+
+def test_precompute_builds_each_adjacency_twice_and_shares_it(monkeypatch):
+    # One build for the example (the Laplacian's input too), one inside
+    # augment_features for the diffusion operator.
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return build_adjacency(g)
+
+    monkeypatch.setattr(tr, "build_adjacency", counted)
+    monkeypatch.setattr(wavelets, "build_adjacency", counted)
+    for norm in LAPLACIAN_NORMS:
+        calls.clear()
+        graphs = graph_soup(5, seed=2) + [generate_graph("path", {"n": 13})]  # too big
+        examples = tr.precompute_targets(graphs, small_cfg(laplacian_norm=norm))
+        assert len(examples) == 5
+        assert len(calls) == 2 * len(examples)
+        for ex in examples:
+            assert np.array_equal(ex.adjacency, build_adjacency(ex.graph))
+            laplacian = build_laplacian(ex.adjacency, norm)
+            assert ex.laplacian.tobytes() == laplacian.tobytes()
 
 
 def test_precompute_empty_after_filter():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eigenlearn.errors import (IndexOutOfRange, InvalidParams, IsolatedNode,
                                NodeCountTooSmall, NotStochastic)
-from eigenlearn.graphs import (Graph, build_diffusion, generate_graph,
+from eigenlearn.graphs import (Graph, build_adjacency, build_diffusion, generate_graph,
                                permute_graph)
 from eigenlearn.wavelets import (FeatureConfig, augment_features,
                                  build_wavelet_bank, diffused_dirac_embeddings,
@@ -14,7 +14,7 @@ from eigenlearn.wavelets import (FeatureConfig, augment_features,
 
 
 def path3_diffusion():
-    return build_diffusion(generate_graph("path", {"n": 3}))
+    return build_diffusion(build_adjacency(generate_graph("path", {"n": 3})))
 
 
 def test_bank_at_scale_zero_is_highpass_plus_lowpass():
@@ -36,7 +36,7 @@ def test_bank_scale_one_hand_computed():
 
 def test_bank_length_and_telescoping():
     g = generate_graph("erdos_renyi", {"n": 9, "p": 0.5}, seed=1)
-    bank = build_wavelet_bank(build_diffusion(g), 2)
+    bank = build_wavelet_bank(build_diffusion(build_adjacency(g)), 2)
     assert bank.size == 4
     total = np.sum(bank.operators, axis=0)
     assert np.max(np.abs(total - np.eye(9))) <= 1e-10
@@ -65,7 +65,7 @@ def test_positional_embedding_hand_values():
 
 def test_positional_embedding_source_swap_swaps_paired_columns():
     g = generate_graph("cycle", {"n": 8})
-    bank = build_wavelet_bank(build_diffusion(g), 1)
+    bank = build_wavelet_bank(build_diffusion(build_adjacency(g)), 1)
     w_ij = wavelet_positional_embeddings(bank, 1, 5)
     w_ji = wavelet_positional_embeddings(bank, 5, 1)
     for op in range(bank.size):
@@ -89,14 +89,14 @@ def test_dirac_embedding_path3_first_column():
 
 def test_dirac_embedding_k2_hand_value():
     g = generate_graph("complete", {"n": 2})
-    bank = build_wavelet_bank(build_diffusion(g), 0)
+    bank = build_wavelet_bank(build_diffusion(build_adjacency(g)), 0)
     d = diffused_dirac_embeddings(bank)
     assert d[0, 0] == -1.0
 
 
 def test_dirac_embedding_rows_telescope_to_diagonal_of_p():
     g = generate_graph("erdos_renyi", {"n": 10, "p": 0.4}, seed=3)
-    p = build_diffusion(g)
+    p = build_diffusion(build_adjacency(g))
     bank = build_wavelet_bank(p, 2)
     d = diffused_dirac_embeddings(bank)
     assert np.allclose(d.sum(axis=1), np.diag(p), atol=1e-12)
@@ -107,10 +107,10 @@ def test_dirac_embedding_permutation_equivariance():
     for _ in range(5):
         g = generate_graph("erdos_renyi", {"n": 10, "p": 0.5},
                            seed=int(rng.integers(1000)))
-        d = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(g), 2))
+        d = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(build_adjacency(g)), 2))
         perm = list(rng.permutation(g.num_nodes))
         gp = permute_graph(g, perm)
-        dp = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(gp), 2))
+        dp = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(build_adjacency(gp)), 2))
         for old, new in enumerate(perm):
             assert np.allclose(dp[new], d[old], atol=1e-12)
 
@@ -119,8 +119,8 @@ def test_distinct_spectra_give_distinct_dirac_rows():
     # concrete instance: path vs star on 4 nodes (different Laplacian spectra)
     path = generate_graph("path", {"n": 4})
     star = generate_graph("star", {"n": 4})
-    d1 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(path), 2))
-    d2 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(star), 2))
+    d1 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(build_adjacency(path)), 2))
+    d2 = diffused_dirac_embeddings(build_wavelet_bank(build_diffusion(build_adjacency(star)), 2))
     rows1 = np.array(sorted(map(tuple, d1.tolist())))
     rows2 = np.array(sorted(map(tuple, d2.tolist())))
     assert np.max(np.abs(rows1 - rows2)) > 1e-6
@@ -133,6 +133,27 @@ def test_pick_dirac_sources_deterministic_and_distinct():
     assert a[0] != a[1]
     with pytest.raises(NodeCountTooSmall):
         pick_dirac_sources(1, seed=0)
+
+
+def test_memoized_dirac_sources_equal_a_fresh_draw():
+    def fresh(n, seed):
+        return tuple(int(x) for x in np.random.default_rng(seed).choice(n, 2, replace=False))
+
+    pick_dirac_sources.cache_clear()
+    for cache in ("cold", "warm"):
+        for n in range(2, 101):
+            for seed in range(4):
+                got = pick_dirac_sources(n, seed)
+                assert got == fresh(n, seed), (cache, n, seed)
+                assert all(type(x) is int for x in got)
+        assert pick_dirac_sources.cache_info().hits == (0 if cache == "cold" else 99 * 4)
+
+
+def test_dirac_sources_refuse_one_node_on_every_call():
+    for _ in range(3):
+        for n in (0, 1):
+            with pytest.raises(NodeCountTooSmall):
+                pick_dirac_sources(n, 0)
 
 
 def test_augment_shapes_dirac_only():
@@ -177,7 +198,7 @@ def test_config_requires_an_embedding():
 @given(n=st.integers(3, 32), scales=st.integers(0, 4), seed=st.integers(0, 500))
 def test_telescoping_property(n, scales, seed):
     g = generate_graph("erdos_renyi", {"n": n, "p": 0.5}, seed=seed)
-    bank = build_wavelet_bank(build_diffusion(g), scales)
+    bank = build_wavelet_bank(build_diffusion(build_adjacency(g)), scales)
     total = np.sum(bank.operators, axis=0)
     assert np.max(np.abs(total - np.eye(n))) <= 1e-10
 
