@@ -203,7 +203,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
           rng: np.random.Generator | None = None) -> Tensor:
     """One dense layer as one op: x @ w + b, then ReLU when relu is set, then
     inverted dropout when rate > 0: a keep mask drawn from rng, the kept
-    entries scaled by 1/(1 - rate). Rate 0 draws nothing from rng.
+    entries scaled by 1/(1 - rate). Rate 0 draws nothing from rng; a positive
+    rate without a generator is refused (nn.Mlp passes rate 0 when it has
+    none).
 
     The pre-activation x @ w + b is checked for NaN/Inf before ReLU, which
     would map a NaN or a -Inf to 0. Backward writes dw (one product) and db (a
@@ -214,6 +216,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
         raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     if not 0.0 <= rate < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0,1), got {rate}")
+    if rate > 0.0 and rng is None:
+        raise ShapeMismatch(f"dropout rate {rate} needs a generator to draw its mask from")
     values = x.values @ w.values
     values += b.values
     _check_finite(values)

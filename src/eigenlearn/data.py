@@ -247,12 +247,21 @@ def dumps_graph(g: Graph) -> str:
     return json.dumps(graph_to_record(g), separators=(",", ":"))
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str, *buffers) -> None:
     """Write text (UTF-8), then each C-contiguous buffer's bytes straight from
-    its memory, to path via a same-directory temp file and rename."""
+    its memory, to path via a same-directory temp file and rename. The file
+    gets the mode open() would give a new one, 0o666 less the umask (mkstemp
+    alone would leave it 0o600), also where it replaces an existing file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "wb") as fh:
             fh.writelines([text.encode("utf-8"), *buffers])
         os.replace(tmp, path)

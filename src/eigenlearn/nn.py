@@ -17,6 +17,10 @@ loss comparison, `abs_cos_mae_loss_t` for its baseline arm and `mae_loss_t`
 for fine-tuning. The energy, eigenvector and orthogonality terms reach the
 tape only as parts of the combined loss.
 
+A forward pass drops out exactly when it is given a generator (`rng`), its
+one mode switch. Evaluation is the same forward without one, inside
+`autodiff.no_grad`, which records no tape.
+
 Modules declare the shapes of their parameters and allocate nothing. The
 model builders in `train` lay a whole model's parameters out as views of one
 buffer (allocate_parameters), the layout optim.Adam steps in one pass.
@@ -78,8 +82,9 @@ def allocate_parameters(params: dict[str, Tensor], rng: np.random.Generator) -> 
 
 
 class Mlp:
-    """Dense stack: affine + ReLU (+ dropout) per hidden layer, affine output;
-    each layer is one `autodiff.dense` op.
+    """Dense stack: affine + ReLU per hidden layer, affine output; each layer
+    is one `autodiff.dense` op. forward() drops out the hidden layers exactly
+    when it is given a generator.
 
     Like every module here, it declares its parameters' shapes and allocates
     nothing: a model builder lays them out (allocate_parameters).
@@ -98,13 +103,12 @@ class Mlp:
             self.weights.append(unallocated_parameter((d_in, d_out)))
             self.biases.append(unallocated_parameter((d_out,)))
 
-    def forward(self, x: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             hidden = i < last
-            rate = self.dropout_rate if training and hidden else 0.0
+            rate = self.dropout_rate if hidden and rng is not None else 0.0
             h = ad.dense(h, w, b, relu=hidden, rate=rate, rng=rng)
         return h
 
@@ -126,9 +130,9 @@ class GinLayer:
         self.update_mlp = Mlp(dims, dropout_rate)
         self.eps = unallocated_parameter(())
 
-    def forward(self, h: Tensor, adjacency: np.ndarray, training: bool = False,
+    def forward(self, h: Tensor, adjacency: np.ndarray,
                 rng: np.random.Generator | None = None) -> Tensor:
-        return self.update_mlp.forward(ad.gin_aggregate(h, self.eps, adjacency), training, rng)
+        return self.update_mlp.forward(ad.gin_aggregate(h, self.eps, adjacency), rng)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"eps": self.eps}
@@ -159,7 +163,7 @@ class GinEncoder:
             self.layers.append(GinLayer(d, hidden_dim, update_layers, dropout_rate))
             d = hidden_dim
 
-    def forward(self, adjacencies: list[np.ndarray], features: list, training: bool = False,
+    def forward(self, adjacencies: list[np.ndarray], features: list,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Node embeddings of a batch as one (B*max_nodes, hidden_dim) tensor,
         zero on phantom rows. adjacencies[i] is graph i's (n_i, n_i) adjacency
@@ -184,7 +188,7 @@ class GinEncoder:
             mask[i * m:i * m + n] = 1.0
         h = ad.constant(x)
         for layer in self.layers:
-            h = layer.forward(h, adjacency, training, rng)
+            h = layer.forward(h, adjacency, rng)
         return ad.mul(h, ad.constant(mask))
 
     def parameters(self) -> dict[str, Tensor]:
@@ -226,7 +230,7 @@ class GraphLevelHead:
         dims = [max_nodes * d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [max_nodes * k]
         self.mlp = Mlp(dims, dropout_rate)
 
-    def forward(self, z: Tensor, sizes: list[int], training: bool = False,
+    def forward(self, z: Tensor, sizes: list[int],
                 rng: np.random.Generator | None = None) -> Tensor:
         """z: (B*max_nodes, d) padded embeddings of B graphs with sizes[i]
         nodes; returns their (B, max_nodes, k) outputs, zero on phantom rows."""
@@ -234,7 +238,7 @@ class GraphLevelHead:
         if z.shape[0] != b * self.max_nodes:
             raise ShapeMismatch(f"graph-level head: {z.shape[0]} rows for {b} graphs "
                                 f"of {self.max_nodes} node slots")
-        out = self.mlp.forward(ad.reshape(z, (b, self.max_nodes * z.shape[1])), training, rng)
+        out = self.mlp.forward(ad.reshape(z, (b, self.max_nodes * z.shape[1])), rng)
         return _mask_phantom_rows(out, sizes, self.k)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -254,11 +258,11 @@ class NodeWiseHead:
         dims = [d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [k]
         self.mlp = Mlp(dims, dropout_rate)
 
-    def forward(self, z: Tensor, sizes: list[int], training: bool = False,
+    def forward(self, z: Tensor, sizes: list[int],
                 rng: np.random.Generator | None = None) -> Tensor:
         """z: (B*m, d) padded embeddings of B graphs with sizes[i] nodes;
         returns their (B, m, k) outputs, zero on phantom rows."""
-        return _mask_phantom_rows(self.mlp.forward(z, training, rng), sizes, self.k)
+        return _mask_phantom_rows(self.mlp.forward(z, rng), sizes, self.k)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
@@ -291,24 +295,27 @@ class EigenModel:
         self.encoder = encoder
         self.head = head
 
-    def forward(self, adjacencies: list[np.ndarray], features: list, training: bool = False,
+    def forward(self, adjacencies: list[np.ndarray], features: list,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Raw (B, max_nodes, k) head outputs of a batch: one encoder pass and
         one head pass over the padded batch (adjacencies and features as in
         GinEncoder.forward). A graph with fewer than k nodes has no k
-        orthonormal columns to estimate and raises ShapeMismatch."""
+        orthonormal columns to estimate and raises ShapeMismatch, as does an
+        empty batch."""
         sizes = [len(a) for a in adjacencies]
+        if not sizes:
+            raise ShapeMismatch("an empty batch has no graph to run the model on")
         for n in sizes:
             if n < self.head.k:
                 raise ShapeMismatch(f"need n >= k to orthonormalize, got {n} x {self.head.k}")
-        z = self.encoder.forward(adjacencies, features, training, rng)
-        return self.head.forward(z, sizes, training, rng)
+        z = self.encoder.forward(adjacencies, features, rng)
+        return self.head.forward(z, sizes, rng)
 
     def predict_batch(self, adjacencies: list[np.ndarray], features: list) -> np.ndarray:
-        """Evaluation-mode (no dropout, nothing recorded) orthonormal
-        eigenvector estimates of a batch of graphs: one (B, max_nodes, k)
-        array, graph i's (n_i, k) estimate in its first n_i rows, zeros
-        below."""
+        """Evaluation-mode (no generator, no dropout, nothing recorded)
+        orthonormal eigenvector estimates of a batch of graphs: one
+        (B, max_nodes, k) array, graph i's (n_i, k) estimate in its first n_i
+        rows, zeros below."""
         with ad.no_grad():
             return orthonormalize(self.forward(adjacencies, features)).values
 

@@ -350,7 +350,7 @@ def _orthonormal_outputs(model: EigenModel, batch: list[TrainingExample],
                          rng: np.random.Generator) -> ad.Tensor:
     """The batch's training-mode orthonormal outputs: one (B, max_nodes, k) QR op."""
     return orthonormalize(model.forward([ex.adjacency for ex in batch],
-                                        [ex.features for ex in batch], training=True, rng=rng))
+                                        [ex.features for ex in batch], rng))
 
 
 def _predict(model: EigenModel, batch: list[TrainingExample]) -> np.ndarray:
@@ -442,14 +442,14 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     def batch_losses(batch):
         b = len(batch)
         z = model.encoder.forward([ex.adjacency for ex in batch],
-                                  [ex.features for ex in batch], True, state.rng)
-        preds = head.forward(ad.reshape(z, (b, -1)), True, state.rng)
+                                  [ex.features for ex in batch], state.rng)
+        preds = head.forward(ad.reshape(z, (b, -1)), state.rng)
         # each graph's prediction is a 1 x 1 block of a (B, 1, 1) stack
         targets = np.array([ex.graph.graph_targets[target_name] for ex in batch])
         loss = mae_loss_t(ad.reshape(preds, (b, 1, 1)), targets.reshape(b, 1, 1))
         if cfg.keep_pretrain_head:
             spectral = padded_targets(batch, cfg.max_nodes)
-            q = orthonormalize(model.head.forward(z, spectral.sizes, True, state.rng))
+            q = orthonormalize(model.head.forward(z, spectral.sizes, state.rng))
             loss = ad.add(loss, combined_loss_t(q, spectral.laplacian, spectral.lambda_k,
                                                 cfg.loss_weights))
         return loss, ()
@@ -599,7 +599,12 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
                     extra: dict | None = None) -> None:
     """Write the run as one JSON header line, then the raw bytes of the arrays
     its `arrays` field lists (see the README's Checkpoint section), each
-    written from its place in its buffer."""
+    written from its place in its buffer. d_in must be the model's input
+    width (model.encoder.in_dim); any other is refused before anything is
+    written."""
+    if d_in != model.encoder.in_dim:
+        raise InvalidParams(f"{path}: d_in {d_in} is not the model's input width "
+                            f"{model.encoder.in_dim}")
     opt, scheduler = state.optimizer, state.scheduler
     arrays = _body(model, downstream_head, opt)
     header = {

@@ -214,7 +214,7 @@ def test_criterion_05_gradient_correctness():
         weights = LossWeights(1.0, 2.0, 0.0)
 
         def loss_tensor():
-            u = model.forward([ex.adjacency], [ad.constant(ex.features)], training=False)
+            u = model.forward([ex.adjacency], [ad.constant(ex.features)])
             lap, lam, _, _ = tr.padded_targets([ex], cfg.max_nodes)
             return combined_loss_t(orthonormalize(u), lap, lam, weights)
 

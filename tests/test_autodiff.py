@@ -275,6 +275,8 @@ def test_dense_and_gin_aggregate_reject_bad_shapes_and_rates():
     for rate in (-0.1, 1.0):
         with pytest.raises(ShapeMismatch, match="dropout rate"):
             ad.dense(x, w, b, True, rate, np.random.default_rng(0))
+    with pytest.raises(ShapeMismatch, match="dropout rate 0.5 needs a generator"):
+        ad.dense(x, w, b, True, 0.5, None)
     h, eps = ad.constant(np.ones((8, 2))), ad.constant(0.0)
     for adjacency, e in ((np.zeros((8, 8, 8)), eps), (np.zeros((2, 4, 3)), eps),
                          (np.zeros((3, 3)), eps), (np.zeros((8, 8)), ad.constant(np.zeros(2)))):

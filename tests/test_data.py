@@ -85,6 +85,21 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert target.read_text() == "new"
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
+    new, replaced = tmp_path / "new.txt", tmp_path / "replaced.txt"
+    replaced.write_text("old")
+    replaced.chmod(0o640)
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(new), "payload")
+        atomic_write_text(str(replaced), "payload")
+    finally:
+        os.umask(old)
+    for path in (new, replaced):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_feature_floats_roundtrip_exactly(tmp_path):
     x = np.array([[1.0 / 3.0, np.pi], [1e-300, -2.5e17]])
     g = Graph(2, ((0, 1),), node_features=x)

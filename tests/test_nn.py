@@ -90,7 +90,7 @@ def test_gin_layer_is_one_op_per_step_and_matches_the_small_ops(training):
         return out
 
     rng = np.random.default_rng(6)
-    fused = layer.forward(x, adjacency, training, rng)
+    fused = layer.forward(x, adjacency, rng if training else None)
     fused.backward(seed)
     fused_grads = grads()
     reference_rng = np.random.default_rng(6)
@@ -477,7 +477,7 @@ def test_full_model_gradient_check():
     weights = LossWeights(1.0, 2.0, 0.0)
 
     def loss_tensor():
-        u = model.forward([build_adjacency(g)], [ad.constant(x)], training=False)
+        u = model.forward([build_adjacency(g)], [ad.constant(x)])
         return combined_loss_t(orthonormalize(u), pad_stack([lap], (10, 10)), lam[None], weights)
 
     out = loss_tensor()
@@ -619,6 +619,8 @@ def test_predict_rejects_a_graph_with_fewer_nodes_than_k():
     graphs, xs = mixed_batch()
     with pytest.raises(ShapeMismatch, match="got 2 x 3"):
         model.predict_batch(adjacencies(graphs + [g]), xs + [np.ones((2, 4))])
+    with pytest.raises(ShapeMismatch, match="empty batch"):
+        model.predict_batch([], [])
 
 
 def test_eval_mode_deterministic_even_with_dropout_configured():
@@ -628,6 +630,17 @@ def test_eval_mode_deterministic_even_with_dropout_configured():
     a = model.predict(g, x)
     b = model.predict(g, x)
     assert np.array_equal(a, b)
+    # the mode is the generator: a forward without one drops nothing
+    a = model.forward([build_adjacency(g)], [ad.constant(x)]).values
+    b = model.forward([build_adjacency(g)], [ad.constant(x)]).values
+    assert np.array_equal(a, b)
+    # a generator given to a pass in which no layer drops out is not drawn from
+    single = laid_out(Mlp([4, 3], dropout_rate=0.4), np.random.default_rng(3))
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    out = single.forward(ad.constant(x), rng).values
+    assert rng.bit_generator.state == before
+    assert np.array_equal(out, single.forward(ad.constant(x)).values)
 
 
 def test_training_mode_dropout_changes_outputs():
@@ -635,8 +648,8 @@ def test_training_mode_dropout_changes_outputs():
     x = np.random.default_rng(1).standard_normal((6, 4))
     model = build_small_model(dropout=0.4)
     rng = np.random.default_rng(2)
-    a = model.forward([build_adjacency(g)], [ad.constant(x)], training=True, rng=rng).values
-    b = model.forward([build_adjacency(g)], [ad.constant(x)], training=True, rng=rng).values
+    a = model.forward([build_adjacency(g)], [ad.constant(x)], rng=rng).values
+    b = model.forward([build_adjacency(g)], [ad.constant(x)], rng=rng).values
     assert not np.array_equal(a, b)
 
 

@@ -689,6 +689,16 @@ def test_checkpoint_params_roundtrip_losslessly(tmp_path):
         assert state2.optimizer.v[name].base is state2.optimizer.flat_v
 
 
+def test_save_checkpoint_refuses_a_d_in_that_is_not_the_models(tmp_path):
+    cfg = small_cfg(epochs=1)
+    d_in = tr.feature_dim(tr.precompute_targets(graph_soup(2, seed=14), cfg))
+    model = tr.build_model(cfg, d_in)
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(InvalidParams, match=f"d_in 99 is not the model's input width {d_in}"):
+        tr.save_checkpoint(str(path), model, cfg, tr._fresh_state(model, cfg), 99)
+    assert not path.exists()
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "not_a_ckpt.json"
     path.write_text('{"format": "something-else"}')
