@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import train as tr
-from .data import (_numbered_graphs, atomic_write_text, dumps_graph, from_dict, load_dataset,
-                   read_json)
+from .data import (_numbered_graphs, atomic_write_text, from_dict, load_dataset, read_json,
+                   save_dataset)
 from .eigen import eigendecompose
 from .errors import DatasetFormatError, EigenlearnError, InvalidParams
 from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, build_adjacency,
@@ -64,7 +64,7 @@ def cmd_gen_data(args) -> int:
     for kind in kinds:
         if kind not in GRAPH_KINDS:
             raise InvalidParams(f"unknown graph kind {kind!r}")
-    lines = []
+    graphs = []
     for i in range(args.count):
         kind = kinds[int(rng.integers(len(kinds)))]
         n = int(rng.integers(args.n_min, args.n_max + 1))
@@ -76,8 +76,8 @@ def cmd_gen_data(args) -> int:
         g = generate_graph(kind, params, seed=args.seed + i + 1)
         s = eigendecompose(build_laplacian(build_adjacency(g)))
         targets = {"lambda_2": float(s.eigenvalues[1])}
-        lines.append(dumps_graph(Graph(g.num_nodes, g.edges, g.node_features, targets)))
-    atomic_write_text(args.output, "".join(line + "\n" for line in lines))
+        graphs.append(Graph(g.num_nodes, g.edges, g.node_features, targets))
+    save_dataset(args.output, graphs)
     log.info("wrote %d graphs to %s", args.count, args.output)
     return 0
 
@@ -86,15 +86,14 @@ def cmd_features(args) -> int:
     cfg = _config(FeatureConfig, args.config, "feature config")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, dirac_seed=args.seed)
-    lines = []
+    graphs = []
     for number, g in _numbered_graphs(args.input):
         try:
-            x = augment_features(g, cfg)
+            graphs.append(g.with_features(augment_features(g, cfg)))
         except EigenlearnError as exc:
             raise DatasetFormatError(args.input, number, str(exc)) from None
-        lines.append(dumps_graph(g.with_features(x)))
-    atomic_write_text(args.output, "".join(line + "\n" for line in lines))
-    log.info("augmented %d graphs -> %s", len(lines), args.output)
+    save_dataset(args.output, graphs)
+    log.info("augmented %d graphs -> %s", len(graphs), args.output)
     return 0
 
 

@@ -257,17 +257,21 @@ def atomic_write_text(path: str, text: str, *buffers) -> None:
     """Write text (UTF-8), then each C-contiguous buffer's bytes straight from
     its memory, to path via a same-directory temp file and rename. The file
     gets the mode open() would give a new one, 0o666 less the umask (mkstemp
-    alone would leave it 0o600), also where it replaces an existing file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    alone would leave it 0o600), also where it replaces an existing file. A
+    failed write leaves no temp file and raises one InvalidParams line naming path."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", suffix=".part")
         os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "wb") as fh:
             fh.writelines([text.encode("utf-8"), *buffers])
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InvalidParams(f"{path}: cannot write the file ({exc.strerror})") from None
         raise
 
 

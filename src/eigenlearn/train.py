@@ -3,16 +3,18 @@
 Pre-training drives the encoder + eigenvector head against the combined
 spectral objective in mini-batches; fine-tuning swaps in a downstream
 scalar-regression head over the same concatenated-padded node embeddings, and
-the loss comparison trains one model per loss. All three share one epoch
-runner (_run_epoch) and differ only in their per-batch loss function. A
-mini-batch runs as a few ops on its padded (B, max_nodes, k) stack: one
-encoder and head pass, one thin-QR op, and one op per loss over the stack,
+the loss comparison trains one model per loss. All three run through one
+epoch loop, the generator _epochs, and differ only in their per-batch loss
+function; a caller's loop over _epochs is its per-epoch hook. A mini-batch
+runs as a few ops on its padded (B, max_nodes, k) stack: one encoder and head
+pass, one thin-QR op (_spectral_pass), and one op per loss over the stack,
 against the batch's zero-padded targets (padded_targets). Every per-graph
-constant, the encoder's adjacency as well as the targets, is built once by
-precompute_targets and carried on the example. Evaluation runs the same
-stacked path without recording a tape. Runs are deterministic per seed,
-including across a checkpoint: one JSON header line with the run's scalar state
-(the generator's too) and array layout, then the parameter and moment bytes.
+constant, the adjacency as well as the targets, is built once by
+precompute_targets and carried on the example. Evaluation runs the same pass
+without a generator or a tape, and takes the spectral means from one
+combined_loss call per batch (_spectral_means). Runs are deterministic per
+seed, including across a checkpoint: one JSON header line with the run's
+scalar state (the generator's too) and array layout, then the array bytes.
 
 A run is set by one PretrainConfig, which nests a SchedulerConfig, the loss's
 LossWeights and the wavelets' FeatureConfig. Each is a data.config class: a
@@ -38,9 +40,9 @@ from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, LIST, NON_NEGATIVE,
                    read_header_and_arrays)
 from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
-                     MissingTarget, NumericalFault, RankDeficient)
+                     MissingTarget, NodeCountTooSmall, NumericalFault, RankDeficient)
 from .graphs import LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian
-from .losses import LossWeights, combined_loss, eigvec_loss, energy_loss, mae_loss
+from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
                  combined_loss_t, mae_loss_t, orthonormalize)
@@ -162,7 +164,7 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
             continue
         try:
             features = augment_features(g, cfg.feature_config)
-        except IsolatedNode:
+        except (IsolatedNode, NodeCountTooSmall):  # a one-node graph's node is isolated
             dropped += 1
             continue
         adjacency = build_adjacency(g)
@@ -290,71 +292,78 @@ def _check_monitor(cfg: PretrainConfig, val_examples) -> None:
                             "pass val_examples or monitor train_loss")
 
 
-def _run_epoch(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
-               batch_losses: BatchLosses, validate: Callable[[], float] | None) -> list[float]:
-    """Epoch state.epoch: one pass over a fresh permutation of the examples in
-    mini-batches, then one scheduler step.
+def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
+            epochs: int, batch_losses: BatchLosses, validate: Callable[[], float] | None):
+    """The one epoch loop: epochs state.epoch..epochs-1, each yielding its
+    EpochRow after its scheduler step and state.epoch increment, so a caller
+    that stops consuming can resume from state.
 
-    A batch is a fixed slice of the permutation. The sum of its per-graph
-    losses is back-propagated once, and Adam steps on the mean gradient over
-    the batch. A numerical fault or a rank-deficient orthogonalization
-    anywhere in the batch discards the whole batch (its gradients are
-    dropped, never clamped); it is counted and logged. If any batch reached
-    the optimizer, the scheduler then steps on the mean training loss, or on
-    validate() when it monitors val_loss; an epoch that changed no parameter
-    leaves the schedule as it was. Returns the means of the (loss, *metrics)
-    rows of the graphs whose batch reached the optimizer step, padded with
-    zeros to the run record's four loss columns.
+    An epoch is one pass over a fresh permutation of the examples in
+    mini-batches, each a fixed slice of the permutation. The sum of a batch's
+    per-graph losses is back-propagated once, and Adam steps on the mean
+    gradient over the batch. A numerical fault or a rank-deficient
+    orthogonalization anywhere in the batch discards the whole batch (its
+    gradients are dropped, never clamped); it is counted and logged. If any
+    batch reached the optimizer, the scheduler then steps on the mean training
+    loss, or on validate() when it monitors val_loss; an epoch that changed no
+    parameter leaves the schedule as it was. The row holds the means of the
+    (loss, *metrics) rows of the graphs whose batch reached the optimizer step,
+    padded with zeros to the run record's four loss columns.
     """
-    epoch = state.epoch
-    order = state.rng.permutation(len(examples))
-    rows = []
-    for batch in _batches([examples[i] for i in order], cfg.batch_size):
-        try:
-            loss, metrics = batch_losses(batch)
-            loss.backward(np.ones(loss.shape))
-        except (NumericalFault, RankDeficient) as exc:
-            state.optimizer.zero_grad()
-            state.skipped_batches += 1
-            log.warning("skipped batch at epoch %d: %s", epoch, exc)
-            continue
-        state.optimizer.step(grad_scale=1.0 / len(batch))
-        state.optimizer.zero_grad()
-        rows.append(np.column_stack((loss.values, *metrics)))
-        del loss  # free this batch's tape before the next batch records its own
-    means = [float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows else []
-    means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
-    if state.scheduler is not None and rows:
-        monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
-        state.scheduler.step(float(monitored))
-    state.epoch = epoch + 1
-    return means
-
-
-def _fit(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
-         epochs: int, batch_losses: BatchLosses,
-         validate: Callable[[], float] | None) -> RunRecord:
-    """Epochs state.epoch..epochs-1 of _run_epoch, one RunRecord row each."""
-    record = RunRecord()
     while state.epoch < epochs:
         started = time.perf_counter()
-        epoch = state.epoch
-        means = _run_epoch(examples, cfg, state, batch_losses, validate)
-        record.rows.append(EpochRow(epoch, *means, state.optimizer.lr,
-                                    time.perf_counter() - started))
-    record.skipped_batches = state.skipped_batches
-    return record
+        order = state.rng.permutation(len(examples))
+        rows = []
+        for batch in _batches([examples[i] for i in order], cfg.batch_size):
+            try:
+                loss, metrics = batch_losses(batch)
+                loss.backward(np.ones(loss.shape))
+            except (NumericalFault, RankDeficient) as exc:
+                state.optimizer.zero_grad()
+                state.skipped_batches += 1
+                log.warning("skipped batch at epoch %d: %s", state.epoch, exc)
+                continue
+            state.optimizer.step(grad_scale=1.0 / len(batch))
+            state.optimizer.zero_grad()
+            rows.append(np.column_stack((loss.values, *metrics)))
+            del loss  # free this batch's tape before the next batch records its own
+        means = [float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows else []
+        means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
+        if state.scheduler is not None and rows:
+            monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
+            state.scheduler.step(float(monitored))
+        state.epoch += 1
+        yield EpochRow(state.epoch - 1, *means, state.optimizer.lr,
+                       time.perf_counter() - started)
 
 
-def _orthonormal_outputs(model: EigenModel, batch: list[TrainingExample],
-                         rng: np.random.Generator) -> ad.Tensor:
-    """The batch's training-mode orthonormal outputs: one (B, max_nodes, k) QR op."""
+def _spectral_pass(model: EigenModel, batch: list[TrainingExample], cfg: PretrainConfig,
+                   rng: np.random.Generator) -> tuple[ad.Tensor, PaddedTargets]:
+    """The batch's training-mode orthonormal outputs, one (B, max_nodes, k) QR
+    op over one model pass, and its padded targets."""
+    targets = padded_targets(batch, cfg.max_nodes)
     return orthonormalize(model.forward([ex.adjacency for ex in batch],
-                                        [ex.features for ex in batch], rng))
+                                        [ex.features for ex in batch], rng)), targets
 
 
-def _predict(model: EigenModel, batch: list[TrainingExample]) -> np.ndarray:
-    return model.predict_batch([ex.adjacency for ex in batch], [ex.features for ex in batch])
+def _spectral_means(outputs: list[np.ndarray], targets: list[PaddedTargets],
+                    weights: LossWeights) -> list[float]:
+    """Means of the combined loss and its unweighted (energy, eigvec, ortho)
+    terms over orthonormal outputs (outputs[j] is batch j's padded stack,
+    targets[j] its targets), each over every graph: one combined_loss call a batch."""
+    batches = [combined_loss(u, t.laplacian, t.lambda_k, weights, terms=True)
+               for u, t in zip(outputs, targets, strict=True)]
+    return [float(np.mean(np.concatenate(column)))
+            for column in zip(*[(total, *terms) for total, terms in batches])]
+
+
+def _evaluate_spectral(model: EigenModel, batches: list[list[TrainingExample]],
+                       targets: list[PaddedTargets], weights: LossWeights) -> list[float]:
+    """_spectral_means of the model's predict_batch of each batch: the spectral
+    pass without a generator (so without dropout) and without a tape."""
+    return _spectral_means([model.predict_batch([ex.adjacency for ex in batch],
+                                                [ex.features for ex in batch])
+                            for batch in batches], targets, weights)
 
 
 def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainConfig,
@@ -366,7 +375,7 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     Per mini-batch of `batch_size` graphs: one encoder pass and one head pass
     over the padded batch -> one thin-QR op over the stack -> one combined
     loss op (a value per graph), one Adam step on the mean gradient (see
-    _run_epoch for the batch and fault semantics). The record's energy,
+    _epochs for the batch and fault semantics). The record's energy,
     eigvec and orthogonality columns come from the same loss call. A
     scheduler monitoring val_loss evaluates evaluate_pretrain_loss on
     val_examples, which it then requires.
@@ -376,41 +385,41 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
         state = _fresh_state(model, cfg)
 
     def batch_losses(batch):
-        targets = padded_targets(batch, cfg.max_nodes)
+        q, targets = _spectral_pass(model, batch, cfg, state.rng)
         loss, (energy, eigvec, ortho) = combined_loss_t(
-            _orthonormal_outputs(model, batch, state.rng), targets.laplacian,
-            targets.lambda_k, cfg.loss_weights, terms=True)
+            q, targets.laplacian, targets.lambda_k, cfg.loss_weights, terms=True)
         return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
-    record = _fit(examples, cfg, state, cfg.epochs, batch_losses,
-                  lambda: evaluate_pretrain_loss(model, val_examples, cfg))
-    return record, state
+    rows = list(_epochs(examples, cfg, state, cfg.epochs, batch_losses,
+                        lambda: evaluate_pretrain_loss(model, val_examples, cfg)))
+    return RunRecord(rows, state.skipped_batches), state
 
 
 def evaluate_pretrain_loss(model: EigenModel, examples: list[TrainingExample],
                            cfg: PretrainConfig) -> float:
     """Evaluation-mode (dropout-free, no tape) mean combined loss over a
-    dataset: one predict_batch and one loss call per batch of cfg.batch_size."""
-    values = []
-    for batch in _batches(examples, cfg.batch_size):
-        targets = padded_targets(batch, cfg.max_nodes)
-        values.append(combined_loss(_predict(model, batch), targets.laplacian,
-                                    targets.lambda_k, cfg.loss_weights))
-    return float(np.mean(np.concatenate(values)))
+    dataset, in batches of cfg.batch_size (see _evaluate_spectral)."""
+    batches = list(_batches(examples, cfg.batch_size))
+    targets = [padded_targets(batch, cfg.max_nodes) for batch in batches]
+    return _evaluate_spectral(model, batches, targets, cfg.loss_weights)[0]
+
+
+def _regression_pass(model: EigenModel, head: Mlp, batch: list[TrainingExample],
+                     rng: np.random.Generator | None = None) -> tuple[ad.Tensor, ad.Tensor]:
+    """The batch's (B, 1) downstream predictions and the encoder output z they
+    come from: one encoder pass, reshaped to the head's (B, max_nodes*hidden_dim)
+    input, and one head pass, each a training pass when given rng."""
+    z = model.encoder.forward([ex.adjacency for ex in batch], [ex.features for ex in batch], rng)
+    return head.forward(ad.reshape(z, (len(batch), -1)), rng), z
 
 
 def predict_targets(model: EigenModel, head: Mlp, examples: list[TrainingExample],
                     cfg: PretrainConfig) -> np.ndarray:
     """Evaluation-mode (no tape) downstream predictions of every example, in
-    batches of cfg.batch_size: one encoder pass per batch, reshaped to the
-    head's (B, max_nodes*hidden_dim) input."""
-    out = []
+    batches of cfg.batch_size: fine-tuning's pass without a generator."""
     with ad.no_grad():
-        for batch in _batches(examples, cfg.batch_size):
-            z = model.encoder.forward([ex.adjacency for ex in batch],
-                                      [ex.features for ex in batch])
-            out.append(head.forward(ad.reshape(z, (len(batch), -1))).values[:, 0])
-    return np.concatenate(out)
+        return np.concatenate([_regression_pass(model, head, batch)[0].values[:, 0]
+                               for batch in _batches(examples, cfg.batch_size)])
 
 
 def evaluate_mae(model: EigenModel, head: Mlp, examples: list[TrainingExample],
@@ -441,9 +450,7 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
 
     def batch_losses(batch):
         b = len(batch)
-        z = model.encoder.forward([ex.adjacency for ex in batch],
-                                  [ex.features for ex in batch], state.rng)
-        preds = head.forward(ad.reshape(z, (b, -1)), state.rng)
+        preds, z = _regression_pass(model, head, batch, state.rng)
         # each graph's prediction is a 1 x 1 block of a (B, 1, 1) stack
         targets = np.array([ex.graph.graph_targets[target_name] for ex in batch])
         loss = mae_loss_t(ad.reshape(preds, (b, 1, 1)), targets.reshape(b, 1, 1))
@@ -454,9 +461,9 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
                                                 cfg.loss_weights))
         return loss, ()
 
-    record = _fit(examples, cfg, state, cfg.finetune_epochs, batch_losses,
-                  lambda: evaluate_mae(model, head, val_examples, cfg, target_name))
-    return record, state
+    rows = list(_epochs(examples, cfg, state, cfg.finetune_epochs, batch_losses,
+                        lambda: evaluate_mae(model, head, val_examples, cfg, target_name)))
+    return RunRecord(rows, state.skipped_batches), state
 
 
 # --- loss-comparison harness ------------------------------------------------
@@ -474,16 +481,6 @@ def comparison_to_csv(rows: list[ComparisonRow]) -> str:
     return _csv(ComparisonRow, rows)
 
 
-def _evaluate_outputs(outputs: list[np.ndarray],
-                      targets: list[PaddedTargets]) -> tuple[float, float]:
-    """Single metric path for every comparison arm: mean eigvec and energy
-    losses of orthonormal outputs against each graph's own targets, one loss
-    call per batch (outputs[j] is batch j's padded stack)."""
-    ev = [eigvec_loss(u, t.laplacian, t.lambda_k) for u, t in zip(outputs, targets, strict=True)]
-    en = [energy_loss(u, t.laplacian) for u, t in zip(outputs, targets, strict=True)]
-    return float(np.mean(np.concatenate(ev))), float(np.mean(np.concatenate(en)))
-
-
 def _random_orthonormal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]
@@ -493,7 +490,8 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
                    arms: tuple[str, ...] = COMPARISON_ARMS) -> dict[str, list[ComparisonRow]]:
     """Train one identical architecture per arm (the no-training arm emits
     seeded random orthonormal outputs) and report per-epoch eigvec/energy
-    losses from one shared evaluation pass.
+    losses from one shared evaluation (_spectral_means) over the examples'
+    fixed batches.
 
     A trained arm's schedule steps once per epoch on its mean training loss;
     there is no validation split, so a val_loss schedule is rejected.
@@ -513,8 +511,8 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
                        for i, ex in enumerate(examples)]
             stacks = [pad_stack(batch, (cfg.max_nodes, cfg.k))
                       for batch in _batches(outputs, cfg.batch_size)]
-            ev, en = _evaluate_outputs(stacks, targets)
-            results[arm] = [ComparisonRow(arm, epoch, ev, en) for epoch in range(cfg.epochs)]
+            _, energy, eigvec, _ = _spectral_means(stacks, targets, cfg.loss_weights)
+            results[arm] = [ComparisonRow(arm, epoch, eigvec, energy) for epoch in range(cfg.epochs)]
         else:
             results[arm] = _train_arm(arm, examples, cfg, d_in, batches, targets)
     return results
@@ -530,17 +528,15 @@ def _train_arm(arm: str, examples: list[TrainingExample], cfg: PretrainConfig, d
     state = _fresh_state(model, cfg)
 
     def batch_losses(batch):
-        t = padded_targets(batch, cfg.max_nodes)
-        q = _orthonormal_outputs(model, batch, state.rng)
+        q, t = _spectral_pass(model, batch, cfg, state.rng)
         if arm == ARM_OURS:
             return combined_loss_t(q, t.laplacian, t.lambda_k, cfg.loss_weights), ()
         return abs_cos_mae_loss_t(q, t.psi_k, t.sizes), ()
 
     rows = []
-    for epoch in range(cfg.epochs):
-        _run_epoch(examples, cfg, state, batch_losses, None)
-        ev, en = _evaluate_outputs([_predict(model, batch) for batch in batches], targets)
-        rows.append(ComparisonRow(arm, epoch, ev, en))
+    for row in _epochs(examples, cfg, state, cfg.epochs, batch_losses, None):
+        _, energy, eigvec, _ = _evaluate_spectral(model, batches, targets, cfg.loss_weights)
+        rows.append(ComparisonRow(arm, row.epoch, eigvec, energy))
     return rows
 
 

@@ -2,8 +2,9 @@
 projection, the small tape ops that `autodiff.dense` and
 `autodiff.gin_aggregate` fuse (kept as their references) and a counter of
 recorded ops, the column loop `eigen.canonical_signs` replaced (kept as its
-reference), the layout of a module built alone, random graph soup, and
-checkpoint helpers: a header reader and editor, and an old-version writer."""
+reference), the layout of a module built alone, random graph soup,
+checkpoint helpers: a header reader and editor, and an old-version writer,
+and output paths that cannot be written."""
 
 import base64
 import json
@@ -237,3 +238,19 @@ def as_old_version(blob: bytes, version: int) -> str:
         else:
             old["params"][name] = entry
     return json.dumps(old)
+
+
+# an output path that cannot be written (see unwritable) -> the reason the OS gives
+UNWRITABLE = {
+    "missing/dir/out.jsonl": "No such file or directory",
+    "a_file/out.jsonl": "Not a directory",
+    "a_dir": "Is a directory",
+}
+
+
+def unwritable(tmp_path: Path, case: str) -> Path:
+    """The UNWRITABLE output path case, under tmp_path once it holds the
+    regular file a_file and the directory a_dir."""
+    (tmp_path / "a_file").write_text("kept")
+    (tmp_path / "a_dir").mkdir()
+    return tmp_path / case

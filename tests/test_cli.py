@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eigenlearn.cli import main
 from eigenlearn.data import load_dataset, save_dataset
 from eigenlearn.graphs import generate_graph
-from helpers import as_old_version, edit_header, read_header
+from helpers import UNWRITABLE, as_old_version, edit_header, read_header, unwritable
 
 
 def write_dataset(path, graphs):
@@ -159,6 +159,30 @@ def test_features_isolated_node_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {bad}, line 3: node 2 has degree 0; diffusion is undefined\n"
     assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_pretrain_drops_a_one_node_graph(tmp_path, small_dataset, caplog):
+    # k = 1 lets a one-node graph past the n < k filter; its node is isolated
+    data = tmp_path / "with_one_node.jsonl"
+    data.write_text('{"num_nodes": 1, "edges": []}\n' + Path(small_dataset).read_text())
+    out = tmp_path / "run.csv"
+    with caplog.at_level("INFO", logger="eigenlearn.train"):
+        assert main(["pretrain", "--input", str(data), "--config", small_config(tmp_path),
+                     "--k", "1", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert "dropped 1 of 4 graphs during target precomputation" in caplog.text
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+@pytest.mark.parametrize("command", ["gen-data --count 2", "spectrum --input {data}"])
+def test_an_unwritable_output_exits_1_naming_it(tmp_path, p3_dataset, capsys, command, case):
+    out = unwritable(tmp_path, case)
+    capsys.readouterr()
+    assert main(["--quiet", *command.format(data=p3_dataset).split(),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {out}: cannot write the file "
+                                       f"({UNWRITABLE[case]})\n")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
 
 
 def test_pretrain_writes_record_and_checkpoint(tmp_path, small_dataset):

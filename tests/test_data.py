@@ -14,6 +14,7 @@ from eigenlearn.data import (BOOL, FINITE, FINITE_MAP, FINITE_OR_NULL, FRACTION,
                              load_dataset, one_of, save_dataset)
 from eigenlearn.errors import DatasetFormatError, InvalidParams
 from eigenlearn.graphs import Graph, generate_graph
+from helpers import UNWRITABLE, unwritable
 
 
 def test_roundtrip_preserves_everything(tmp_path):
@@ -98,6 +99,17 @@ def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
         os.umask(old)
     for path in (new, replaced):
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_a_failed_write_names_the_output_and_leaves_no_temp_file(tmp_path, case):
+    path = unwritable(tmp_path, case)
+    with pytest.raises(InvalidParams) as exc:
+        atomic_write_text(str(path), "payload\n")
+    assert str(exc.value) == f"{path}: cannot write the file ({UNWRITABLE[case]})"
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "a_dir", "a_file"]
+    assert (tmp_path / "a_file").read_text() == "kept"
 
 
 def test_feature_floats_roundtrip_exactly(tmp_path):

@@ -19,7 +19,7 @@ from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
                                MissingTarget, NumericalFault)
 from eigenlearn.graphs import (LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian,
                                generate_graph)
-from eigenlearn.losses import LossWeights
+from eigenlearn.losses import LossWeights, eigvec_loss, energy_loss
 from eigenlearn.wavelets import FeatureConfig
 from helpers import (as_old_version, edit_header, read_header, reachable_nodes,
                      recorded_ops)
@@ -268,6 +268,15 @@ def test_precompute_drops_oversized_and_isolated():
     examples = tr.precompute_targets(graphs, cfg)
     assert len(examples) == 1
     assert examples[0].graph.num_nodes == 6
+
+
+def test_precompute_drops_a_one_node_graph(caplog):
+    # with k = 1 no size filter stops it, and its one node is isolated
+    cfg = small_cfg(k=1)
+    with caplog.at_level("INFO", logger="eigenlearn.train"):
+        examples = tr.precompute_targets([Graph(1, ()), generate_graph("path", {"n": 5})], cfg)
+    assert [ex.graph.num_nodes for ex in examples] == [5]
+    assert any("dropped 1 of 2" in r.message for r in caplog.records)
 
 
 def test_precompute_builds_each_adjacency_twice_and_shares_it(monkeypatch):
@@ -579,6 +588,27 @@ def test_compare_losses_steps_its_scheduler(monkeypatch):
         assert state.optimizer.lr == cfg.lr * 0.5 ** 3
 
 
+def test_the_ours_arm_trains_and_evaluates_as_pretrain_does():
+    # one loop and one pass: after E epochs the ours arm's model is the model
+    # pretrain trains on the same config, evaluated on the same fixed batches
+    cfg = small_cfg(epochs=3, batch_size=3, dropout=0.2,
+                    scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.5})
+    examples = tr.precompute_targets(graph_soup(7, seed=21), cfg)
+    last = tr.compare_losses(examples, cfg, arms=(tr.ARM_OURS,))[tr.ARM_OURS][-1]
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    tr.pretrain(examples, model, cfg)
+    eigvec, energy = [], []
+    for lo in range(0, len(examples), cfg.batch_size):
+        batch = examples[lo:lo + cfg.batch_size]
+        u = model.predict_batch([ex.adjacency for ex in batch], [ex.features for ex in batch])
+        t = tr.padded_targets(batch, cfg.max_nodes)
+        eigvec.append(eigvec_loss(u, t.laplacian, t.lambda_k))
+        energy.append(energy_loss(u, t.laplacian))
+    assert last.epoch == cfg.epochs - 1
+    assert last.loss_eigvec == np.mean(np.concatenate(eigvec))
+    assert last.loss_energy == np.mean(np.concatenate(energy))
+
+
 def test_compare_losses_rejects_val_loss_schedule():
     cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "monitored": "val_loss"})
     examples = tr.precompute_targets(graph_soup(2, seed=12), cfg)
@@ -650,6 +680,34 @@ def test_checkpoint_roundtrip_resumes_bit_for_bit_with_the_step_cut_into_pieces(
         epochs=2, batch_size=3, hidden_dim=60, max_nodes=40, head_layers=4, head_hidden_dim=600,
         scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.9}))
     assert len(optimizer.pieces) == 2
+
+
+def test_a_run_stopped_between_epochs_resumes_from_its_state_bit_for_bit(monkeypatch):
+    # the caller of the epoch loop stops consuming it after epoch 1 and goes on
+    # later from the state it left: the per-epoch boundary a hook works at
+    cfg = small_cfg(epochs=4, dropout=0.2,
+                    scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.5})
+    examples = tr.precompute_targets(graph_soup(6, seed=22), cfg)
+    d_in = tr.feature_dim(examples)
+    model_a = tr.build_model(cfg, d_in)
+    rec_a, state_a = tr.pretrain(examples, model_a, cfg)
+    epochs = tr._epochs
+
+    def first_epoch_only(*args):
+        loop = epochs(*args)
+        yield next(loop)
+        loop.close()
+
+    monkeypatch.setattr(tr, "_epochs", first_epoch_only)
+    model_b = tr.build_model(cfg, d_in)
+    rec_b1, state_b = tr.pretrain(examples, model_b, cfg)
+    monkeypatch.undo()
+    assert state_b.epoch == len(rec_b1.rows) == 1
+    rec_b2, state_b = tr.pretrain(examples, model_b, cfg, state_b)
+    assert rec_b1.deterministic_key() + rec_b2.deterministic_key() == rec_a.deterministic_key()
+    assert state_b.optimizer.lr == state_a.optimizer.lr < cfg.lr
+    for (na, pa), (nb, pb) in zip(model_a.parameters().items(), model_b.parameters().items()):
+        assert na == nb and pa.values.tobytes() == pb.values.tobytes()
 
 
 def test_checkpoint_params_roundtrip_losslessly(tmp_path):
