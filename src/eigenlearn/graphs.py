@@ -3,10 +3,13 @@
 Graphs are dense-matrix backed: the target scale is tens of nodes, so every
 operator (adjacency, Laplacian, random-walk diffusion) is a plain float64
 numpy array. `build_adjacency` builds the adjacency from a graph's edge
-tuple; the Laplacian and diffusion operators take that (n, n) array, so a
-caller that needs both the adjacency and an operator builds it once.
+tuple in one vectorized assignment, the endpoints flattened into one index
+array, with no loop over the edges in Python. The Laplacian and diffusion
+operators take that (n, n) array, so a caller that needs both the adjacency
+and an operator builds it once.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,12 @@ class Graph:
     graph_targets: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        n = self.num_nodes
+        if type(n) is not int:  # a bool is not an int here
+            if not isinstance(n, np.integer):
+                raise InvalidGraph(
+                    f"num_nodes must be an int, got {n!r} ({type(n).__name__})")
+            object.__setattr__(self, "num_nodes", int(n))
         if self.num_nodes < 1:
             raise InvalidGraph(f"num_nodes must be positive, got {self.num_nodes}")
         canonical = []
@@ -71,11 +80,14 @@ class Graph:
 
 
 def build_adjacency(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix of g."""
+    """Symmetric 0/1 float64 adjacency matrix of g: the edges' endpoints read
+    into one (2E,) index array, then one fancy-indexed assignment per
+    direction."""
     a = np.zeros((g.num_nodes, g.num_nodes))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp,
+                       count=2 * len(g.edges))
+    u, v = ends[0::2], ends[1::2]
+    a[u, v] = a[v, u] = 1.0
     return a
 
 

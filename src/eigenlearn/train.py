@@ -155,19 +155,22 @@ class RunRecord:
 def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[TrainingExample]:
     """Attach augmented features, the adjacency, the Laplacian, and the
     lowest-k spectrum to every usable graph; drop (and count) graphs
-    violating the preconditions (n < k, n > max_nodes, isolated nodes)."""
+    violating the preconditions (n < k, n > max_nodes, isolated nodes).
+
+    Each graph that passes the size filter has its adjacency built once; the
+    features' diffusion operator, the Laplacian and the example share it."""
     examples = []
     dropped = 0
     for g in graphs:
         if g.num_nodes < cfg.k or g.num_nodes > cfg.max_nodes:
             dropped += 1
             continue
+        adjacency = build_adjacency(g)
         try:
-            features = augment_features(g, cfg.feature_config)
+            features = augment_features(g, cfg.feature_config, adjacency=adjacency)
         except (IsolatedNode, NodeCountTooSmall):  # a one-node graph's node is isolated
             dropped += 1
             continue
-        adjacency = build_adjacency(g)
         laplacian = build_laplacian(adjacency, cfg.laplacian_norm)
         spectrum = eigendecompose(laplacian)
         lambda_k, psi_k = lowest_k(spectrum, cfg.k)
@@ -284,10 +287,13 @@ def _batches(examples: list, batch_size: int):
         yield examples[lo:lo + batch_size]
 
 
+def _monitors_val_loss(cfg: PretrainConfig) -> bool:
+    return cfg.scheduler.kind == "reduce_on_plateau" and cfg.scheduler.monitored == "val_loss"
+
+
 def _check_monitor(cfg: PretrainConfig, val_examples) -> None:
     """A plateau schedule on val_loss needs validation examples to monitor."""
-    if (cfg.scheduler.kind == "reduce_on_plateau" and cfg.scheduler.monitored == "val_loss"
-            and not val_examples):
+    if _monitors_val_loss(cfg) and not val_examples:
         raise InvalidParams("scheduler.monitored='val_loss' needs validation examples; "
                             "pass val_examples or monitor train_loss")
 
@@ -357,6 +363,14 @@ def _spectral_means(outputs: list[np.ndarray], targets: list[PaddedTargets],
             for column in zip(*[(total, *terms) for total, terms in batches])]
 
 
+def _fixed_batches(examples: list[TrainingExample], cfg: PretrainConfig
+                   ) -> tuple[list[list[TrainingExample]], list[PaddedTargets]]:
+    """The examples in order, in batches of cfg.batch_size, and each batch's
+    padded targets: built once for a dataset evaluated again and again."""
+    batches = list(_batches(examples, cfg.batch_size))
+    return batches, [padded_targets(batch, cfg.max_nodes) for batch in batches]
+
+
 def _evaluate_spectral(model: EigenModel, batches: list[list[TrainingExample]],
                        targets: list[PaddedTargets], weights: LossWeights) -> list[float]:
     """_spectral_means of the model's predict_batch of each batch: the spectral
@@ -377,12 +391,14 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     loss op (a value per graph), one Adam step on the mean gradient (see
     _epochs for the batch and fault semantics). The record's energy,
     eigvec and orthogonality columns come from the same loss call. A
-    scheduler monitoring val_loss evaluates evaluate_pretrain_loss on
-    val_examples, which it then requires.
+    scheduler monitoring val_loss steps on evaluate_pretrain_loss's figure
+    for val_examples, which it then requires; their batches and padded
+    targets are built once per call, not once per epoch.
     """
     _check_monitor(cfg, val_examples)
     if state is None:
         state = _fresh_state(model, cfg)
+    val = _fixed_batches(val_examples, cfg) if _monitors_val_loss(cfg) else None
 
     def batch_losses(batch):
         q, targets = _spectral_pass(model, batch, cfg, state.rng)
@@ -391,7 +407,7 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
         return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
     rows = list(_epochs(examples, cfg, state, cfg.epochs, batch_losses,
-                        lambda: evaluate_pretrain_loss(model, val_examples, cfg)))
+                        lambda: _evaluate_spectral(model, *val, cfg.loss_weights)[0]))
     return RunRecord(rows, state.skipped_batches), state
 
 
@@ -399,9 +415,7 @@ def evaluate_pretrain_loss(model: EigenModel, examples: list[TrainingExample],
                            cfg: PretrainConfig) -> float:
     """Evaluation-mode (dropout-free, no tape) mean combined loss over a
     dataset, in batches of cfg.batch_size (see _evaluate_spectral)."""
-    batches = list(_batches(examples, cfg.batch_size))
-    targets = [padded_targets(batch, cfg.max_nodes) for batch in batches]
-    return _evaluate_spectral(model, batches, targets, cfg.loss_weights)[0]
+    return _evaluate_spectral(model, *_fixed_batches(examples, cfg), cfg.loss_weights)[0]
 
 
 def _regression_pass(model: EigenModel, head: Mlp, batch: list[TrainingExample],
@@ -501,8 +515,7 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
         raise InvalidParams(f"unknown arms: {sorted(unknown)}")
     _check_monitor(cfg, None)
     d_in = feature_dim(examples)
-    batches = list(_batches(examples, cfg.batch_size))
-    targets = [padded_targets(batch, cfg.max_nodes) for batch in batches]
+    batches, targets = _fixed_batches(examples, cfg)
     results: dict[str, list[ComparisonRow]] = {}
     for arm in arms:
         if arm == ARM_RANDOM:

@@ -22,7 +22,8 @@ from typing import Annotated
 import numpy as np
 
 from .data import BOOL, NON_NEGATIVE_INT, config
-from .errors import IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic
+from .errors import (IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic,
+                     ShapeMismatch)
 from .graphs import Graph, build_adjacency, build_diffusion
 
 STOCHASTIC_TOL = 1e-8
@@ -132,17 +133,26 @@ def pick_dirac_sources(num_nodes: int, seed: int) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def augment_features(g: Graph, cfg: FeatureConfig) -> np.ndarray:
+def augment_features(g: Graph, cfg: FeatureConfig,
+                     adjacency: np.ndarray | None = None) -> np.ndarray:
     """Concatenate (original features | positional | diffused dirac) per config.
 
-    Dirac source nodes are drawn once per graph from cfg.dirac_seed, so the
+    The diffusion operator comes from adjacency, g's (n, n) adjacency array
+    when the caller has already built it (graphs.build_adjacency), else from
+    one built here. Dirac sources depend only on (g.num_nodes,
+    cfg.dirac_seed) and are memoized per pair (pick_dirac_sources), so the
     result is deterministic for a fixed (graph, config).
     """
     if cfg.use_wavelet_positional and g.num_nodes < 2:
         raise NodeCountTooSmall(
             f"positional embeddings need >= 2 nodes, got {g.num_nodes}")
-    p = build_diffusion(build_adjacency(g))
-    bank = build_wavelet_bank(p, cfg.scales_J)
+    if adjacency is None:
+        adjacency = build_adjacency(g)
+    elif np.shape(adjacency) != (g.num_nodes, g.num_nodes):
+        n = g.num_nodes
+        raise ShapeMismatch(f"augment_features: a {n}-node graph needs a ({n}, {n}) "
+                            f"adjacency, got shape {np.shape(adjacency)}")
+    bank = build_wavelet_bank(build_diffusion(adjacency), cfg.scales_J)
     blocks = []
     if cfg.keep_original_features and g.node_features is not None:
         blocks.append(g.node_features)

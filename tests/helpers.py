@@ -1,10 +1,11 @@
 """Shared test utilities: finite-difference oracles, a scalarizing
 projection, the small tape ops that `autodiff.dense` and
 `autodiff.gin_aggregate` fuse (kept as their references) and a counter of
-recorded ops, the column loop `eigen.canonical_signs` replaced (kept as its
-reference), the layout of a module built alone, random graph soup,
-checkpoint helpers: a header reader and editor, and an old-version writer,
-and output paths that cannot be written."""
+recorded ops, the column loop `eigen.canonical_signs` replaced and the edge
+loop `graphs.build_adjacency` replaced (each kept as its reference), the
+layout of a module built alone, random graph soup, checkpoint helpers: a
+header reader and editor, and an old-version writer, and output paths that
+cannot be written."""
 
 import base64
 import json
@@ -180,6 +181,16 @@ def canonical_signs_loop(vectors: np.ndarray, tol: float) -> np.ndarray:
         if nz.size and col[nz[0]] < 0:
             out[:, i] = -col
     return out
+
+
+def build_adjacency_loop(g: Graph) -> np.ndarray:
+    """Edge by edge: two item assignments per edge into a zero (n, n) float64
+    matrix (the loop `graphs.build_adjacency` vectorizes)."""
+    a = np.zeros((g.num_nodes, g.num_nodes))
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
 
 
 def laid_out(module, rng: np.random.Generator):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenlearn.errors import InvalidGraph, InvalidParams, IsolatedNode, ShapeMismatch
-from eigenlearn.graphs import (Graph, build_adjacency, build_diffusion,
+from eigenlearn.graphs import (GRAPH_KINDS, Graph, build_adjacency, build_diffusion,
                                build_laplacian, count_components,
                                generate_graph, permute_graph)
+from helpers import build_adjacency_loop, random_graph_soup
 
 
 def test_path_adjacency():
@@ -25,6 +26,41 @@ def test_complete_k3_adjacency():
     g = generate_graph("complete", {"n": 3})
     expected = np.ones((3, 3)) - np.eye(3)
     assert np.array_equal(build_adjacency(g), expected)
+
+
+# one generator call per kind, each with the parameters it takes
+KIND_PARAMS = {"path": {"n": 7}, "cycle": {"n": 7}, "complete": {"n": 7}, "star": {"n": 7},
+               "grid": {"rows": 3, "cols": 4}, "erdos_renyi": {"n": 9, "p": 0.4}}
+
+
+def assert_matches_the_loop(g):
+    got = build_adjacency(g)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, build_adjacency_loop(g))
+
+
+@pytest.mark.parametrize("g", random_graph_soup(12, seed=3, n_low=2, n_high=40)
+                         + [generate_graph(kind, KIND_PARAMS[kind], seed=1) for kind in GRAPH_KINDS]
+                         + [Graph(1, ()), Graph(3, ())],
+                         ids=lambda g: f"n{g.num_nodes}-e{len(g.edges)}")
+def test_vectorized_adjacency_matches_the_edge_loop(g):
+    assert_matches_the_loop(g)
+
+
+@st.composite
+def random_edge_sets(draw):
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # either orientation: Graph stores each edge as (min, max)
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=random_edge_sets())
+def test_vectorized_adjacency_matches_the_edge_loop_on_random_edge_sets(g):
+    assert_matches_the_loop(g)
 
 
 def test_path_laplacian_unnormalized():
@@ -103,6 +139,19 @@ def test_graph_rejects_an_endpoint_that_is_not_an_int(edge):
     with pytest.raises(InvalidGraph, match=rf"^edge {re.escape(repr(edge))} has an endpoint "
                                            "that is not an int$"):
         Graph(3, (edge,))
+
+
+@pytest.mark.parametrize("num_nodes, edges", [(3.0, ((0, 1), (1, 2))), ("3", ((0, 1),)),
+                                              (True, ((0, 1),)), (np.float64(3), ())])
+def test_graph_rejects_a_node_count_that_is_not_an_int(num_nodes, edges):
+    with pytest.raises(InvalidGraph, match=rf"^num_nodes must be an int, got "
+                                           rf"{re.escape(repr(num_nodes))} \(\w+\)$"):
+        Graph(num_nodes, edges)
+
+
+def test_graph_takes_a_numpy_int_node_count():
+    g = Graph(np.int32(3), ((0, 1), (1, 2)))
+    assert type(g.num_nodes) is int and g.num_nodes == 3
 
 
 def test_graph_takes_numpy_int_endpoints():

@@ -279,9 +279,9 @@ def test_precompute_drops_a_one_node_graph(caplog):
     assert any("dropped 1 of 2" in r.message for r in caplog.records)
 
 
-def test_precompute_builds_each_adjacency_twice_and_shares_it(monkeypatch):
-    # One build for the example (the Laplacian's input too), one inside
-    # augment_features for the diffusion operator.
+def test_precompute_builds_each_adjacency_once_and_shares_it(monkeypatch):
+    # One build per kept graph: the example's adjacency is the Laplacian's
+    # input and augment_features' too.
     calls = []
 
     def counted(g):
@@ -293,13 +293,16 @@ def test_precompute_builds_each_adjacency_twice_and_shares_it(monkeypatch):
     for norm in LAPLACIAN_NORMS:
         calls.clear()
         graphs = graph_soup(5, seed=2) + [generate_graph("path", {"n": 13})]  # too big
-        examples = tr.precompute_targets(graphs, small_cfg(laplacian_norm=norm))
+        cfg = small_cfg(laplacian_norm=norm)
+        examples = tr.precompute_targets(graphs, cfg)
         assert len(examples) == 5
-        assert len(calls) == 2 * len(examples)
+        assert len(calls) == len(examples)
         for ex in examples:
             assert np.array_equal(ex.adjacency, build_adjacency(ex.graph))
             laplacian = build_laplacian(ex.adjacency, norm)
             assert ex.laplacian.tobytes() == laplacian.tobytes()
+            features = wavelets.augment_features(ex.graph, cfg.feature_config)
+            assert ex.features.tobytes() == features.tobytes()
 
 
 def test_precompute_empty_after_filter():
@@ -388,16 +391,36 @@ def test_pretrain_val_loss_monitors_the_validation_examples(monkeypatch):
     train, val = examples[:4], examples[4:]
     model = tr.build_model(cfg, tr.feature_dim(examples))
     evaluated = []
-    original = tr.evaluate_pretrain_loss
+    original = tr._evaluate_spectral
 
-    def spy(model_, examples_, cfg_):
-        evaluated.append(examples_)
-        return original(model_, examples_, cfg_)
+    def spy(model_, batches, targets, weights):
+        evaluated.append([ex for batch in batches for ex in batch])
+        return original(model_, batches, targets, weights)
 
-    monkeypatch.setattr(tr, "evaluate_pretrain_loss", spy)
+    monkeypatch.setattr(tr, "_evaluate_spectral", spy)
     record, _ = tr.pretrain(train, model, cfg, val_examples=val)
     assert len(record.rows) == 3
     assert evaluated == [val] * 3
+
+
+def test_pretrain_val_loss_pads_the_validation_targets_once(monkeypatch):
+    cfg = small_cfg(epochs=3, batch_size=2, scheduler={
+        "kind": "reduce_on_plateau", "patience": 1, "monitored": "val_loss"})
+    examples = tr.precompute_targets(graph_soup(9, seed=6), cfg)
+    train, val = examples[:5], examples[5:]
+    padded = []
+    original = tr.padded_targets
+
+    def counted(batch, max_nodes):
+        padded.append("val" if any(ex is v for ex in batch for v in val) else "train")
+        return original(batch, max_nodes)
+
+    monkeypatch.setattr(tr, "padded_targets", counted)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    record, _ = tr.pretrain(train, model, cfg, val_examples=val)
+    assert len(record.rows) == 3
+    assert padded.count("train") == 3 * 3  # three batches of <= 2 each epoch
+    assert padded.count("val") == 2  # two batches of two, once per call
 
 
 def test_pretrain_val_loss_without_validation_examples_fails_at_the_start():

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenlearn.errors import (IndexOutOfRange, InvalidParams, IsolatedNode,
-                               NodeCountTooSmall, NotStochastic)
+                               NodeCountTooSmall, NotStochastic, ShapeMismatch)
 from eigenlearn.graphs import (Graph, build_adjacency, build_diffusion, generate_graph,
                                permute_graph)
 from eigenlearn.wavelets import (FeatureConfig, augment_features,
@@ -175,6 +177,22 @@ def test_augment_deterministic():
     g = generate_graph("erdos_renyi", {"n": 10, "p": 0.5}, seed=2)
     cfg = FeatureConfig(scales_J=2, dirac_seed=9)
     assert np.array_equal(augment_features(g, cfg), augment_features(g, cfg))
+
+
+def test_augment_on_a_given_adjacency_matches_its_own_build():
+    g = generate_graph("erdos_renyi", {"n": 10, "p": 0.5}, seed=2)
+    cfg = FeatureConfig(scales_J=2, dirac_seed=9)
+    given = augment_features(g, cfg, adjacency=build_adjacency(g))
+    assert given.tobytes() == augment_features(g, cfg).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 3), (4, 5), (4,)])
+def test_augment_refuses_an_adjacency_of_another_shape(shape):
+    g = generate_graph("path", {"n": 4})
+    with pytest.raises(ShapeMismatch, match=rf"^augment_features: a 4-node graph needs a "
+                                            rf"\(4, 4\) adjacency, got shape "
+                                            rf"{re.escape(str(shape))}$"):
+        augment_features(g, FeatureConfig(), adjacency=np.ones(shape))
 
 
 def test_augment_propagates_isolated_node():
