@@ -17,10 +17,14 @@ A leaf whose optimizer keeps its gradient in a flat buffer has a
 `grad_view` there: its first gradient contribution of a pass is written into
 that view (a weight's gradient product straight into it), later ones added.
 
-Every forward op checks its output for NaN/Inf (`dense` also its
-pre-activation, which ReLU would clean) and raises NumericalFault rather than
-letting a poisoned value propagate. Inside `with no_grad():` ops compute the
-same values but record nothing: evaluation passes build no graph.
+Every forward op checks each array it computes for NaN/Inf, once, and raises
+NumericalFault rather than letting a poisoned value propagate: `add`, `mul`,
+`gin_aggregate`, `thin_qr` (its Q) and `scalar_with_grad` their output,
+`dense` its pre-activation, which ReLU would clean, and, when it drops out,
+its scaled output. `reshape` computes nothing, its result being a view of its
+input's values, so it checks nothing; the next op that reads the view checks
+it. Inside `with no_grad():` ops compute the same values but record nothing:
+evaluation passes build no graph.
 """
 
 import contextlib
@@ -94,12 +98,16 @@ class Tensor:
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf.
 
-        For non-scalar outputs an explicit seed gradient is required.
+        For non-scalar outputs an explicit seed gradient is required; a seed
+        has the output's shape.
         """
         if seed is None:
             if self.values.size != 1:
                 raise ShapeMismatch("backward() without seed needs a scalar output")
             seed = np.ones_like(self.values)
+        seed = np.asarray(seed, dtype=np.float64)
+        if seed.shape != self.shape:
+            raise ShapeMismatch(f"backward: seed {seed.shape} for output {self.shape}")
         topo: list[Tensor] = []
         visited = set()
         stack = [(self, False)]
@@ -115,7 +123,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self.accumulate_grad(np.asarray(seed, dtype=np.float64))
+        self.accumulate_grad(seed)
         for node in reversed(topo):
             if node._vjp is not None and node.grad is not None:
                 node._vjp(node.grad)
@@ -140,12 +148,16 @@ def no_grad():
 
 
 def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
+    # An exact test that raises no warning; a sum would overflow on finite
+    # values near the float64 limit.
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise NumericalFault("op produced non-finite values")
 
 
 def _result(values: np.ndarray, parents: tuple, vjp) -> Tensor:
-    _check_finite(values)
+    """The op result holding values: recorded with its parents and backward
+    rule when recording is on and a parent needs a gradient, else a constant.
+    The op has checked the values it computed."""
     if _recording[0] and any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(values)
@@ -174,6 +186,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         values = a.values + b.values
     except ValueError as exc:
         raise ShapeMismatch(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
+    _check_finite(values)
 
     def vjp(g):
         if a.requires_grad:
@@ -189,6 +202,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         values = a.values * b.values
     except ValueError as exc:
         raise ShapeMismatch(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
+    _check_finite(values)
 
     def vjp(g):
         if a.requires_grad:
@@ -208,8 +222,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
     none).
 
     The pre-activation x @ w + b is checked for NaN/Inf before ReLU, which
-    would map a NaN or a -Inf to 0. Backward writes dw (one product) and db (a
-    column sum) into their slots and passes dx = g @ w^T on.
+    would map a NaN or a -Inf to 0, and the output once more only when dropout
+    has scaled it. ReLU runs in place on the pre-activation, and backward
+    takes its mask from the output: positive exactly where the pre-activation
+    was and dropout kept the entry (where it dropped one, g is a zero of g's
+    sign already, which the mask keeps). Backward then writes dw (one product)
+    and db (a column sum) into their slots and passes dx = g @ w^T on.
     """
     if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
@@ -221,19 +239,20 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
     values = x.values @ w.values
     values += b.values
     _check_finite(values)
-    mask = factor = None
     if relu:
-        mask = values > 0
-        values = np.where(mask, values, 0.0)
+        np.maximum(values, 0.0, out=values)
+    factor = None
     if rate > 0.0:
         factor = (rng.random(values.shape) >= rate) / (1.0 - rate)
         values = values * factor
+        _check_finite(values)
+    out = values
 
     def vjp(g):
         if factor is not None:
             g = g * factor
-        if mask is not None:
-            g = g * mask
+        if relu:
+            g = g * (out > 0)
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0), owned=True)
         if x.requires_grad:
@@ -241,7 +260,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
         if w.requires_grad:
             w.accumulate_product(x.values.T, g)
 
-    return _result(values, (x, w, b), vjp)
+    return _result(out, (x, w, b), vjp)
 
 
 def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:
@@ -263,6 +282,7 @@ def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:
     scale = 1.0 + eps.values
     values = scale * h.values
     values += np.matmul(adjacency, h.values.reshape(stacked)).reshape(h.shape)
+    _check_finite(values)
 
     def vjp(g):
         if h.requires_grad:
@@ -276,11 +296,17 @@ def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
+    """a's values in a new shape: a view, checked by the op that reads it."""
+    try:
+        values = a.values.reshape(shape)
+    except ValueError as exc:
+        raise ShapeMismatch(f"reshape: cannot reshape {a.shape} into {shape}") from exc
+
     def vjp(g):
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.shape))
 
-    return _result(a.values.reshape(shape), (a,), vjp)
+    return _result(values, (a,), vjp)
 
 
 def scalar_with_grad(a: Tensor, value, grad: np.ndarray) -> Tensor:
@@ -296,6 +322,7 @@ def scalar_with_grad(a: Tensor, value, grad: np.ndarray) -> Tensor:
     if grad.shape != a.shape or value.shape not in ((), a.shape[:1]):
         raise ShapeMismatch(f"scalar_with_grad: value {value.shape} and gradient "
                             f"{grad.shape} for input {a.shape}")
+    _check_finite(value)
 
     def vjp(g):
         if a.requires_grad:
@@ -321,13 +348,14 @@ def thin_qr(a: Tensor, rank_tol: float) -> Tensor:
         raise ShapeMismatch(f"thin_qr needs a tall matrix or a stack of them, got {a.shape}")
     q, r = np.linalg.qr(a.values)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    small = np.argwhere(np.abs(diagonal) < rank_tol)  # (graph, column) pairs in order
-    if small.size:
-        *graph, column = (int(i) for i in small[0])
+    small = np.abs(diagonal) < rank_tol
+    if small.any():
+        *graph, column = (int(i) for i in np.argwhere(small)[0])  # first (graph, column)
         raise RankDeficient(column, *graph)
     signs = np.where(diagonal < 0.0, -1.0, 1.0)
     q *= signs[..., None, :]
     r *= signs[..., :, None]
+    _check_finite(q)
 
     def vjp(g):
         if a.requires_grad:

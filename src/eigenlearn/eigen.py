@@ -45,8 +45,9 @@ def canonical_signs(vectors: np.ndarray) -> np.ndarray:
 def eigendecompose(m: np.ndarray) -> Spectrum:
     """Full spectrum of a symmetric matrix, eigenvalues ascending.
 
-    The input is symmetrized as (M + M^T)/2 before solving; asymmetry beyond
-    SYMMETRY_TOL is rejected. Within numerically degenerate eigenvalue
+    Asymmetry beyond SYMMETRY_TOL is rejected; an input within it is
+    symmetrized as (M + M^T)/2 before solving, and an exactly symmetric one
+    (asymmetry 0) is solved as given. Within numerically degenerate eigenvalue
     clusters the returned columns are some orthonormal basis of the cluster
     subspace, so comparisons there must go through projectors, not vectors.
     """
@@ -56,8 +57,10 @@ def eigendecompose(m: np.ndarray) -> Spectrum:
     asym = np.max(np.abs(m - m.T)) if m.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+    if asym:
+        m = (m + m.T) / 2.0
     try:
-        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+        values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
     return Spectrum(values, canonical_signs(vectors))

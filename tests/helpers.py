@@ -51,8 +51,14 @@ def project(t: ad.Tensor, seed: int = 0) -> ad.Tensor:
 
 # --- reference ops ------------------------------------------------------------
 # The tape ops a dense layer and a GIN aggregation were built from before each
-# became one op. They record through autodiff's own result path, so each is
-# one node with its own finite check, as it was in the library.
+# became one op. Each checks the array it computes and records it through
+# autodiff's own result constructor, so each is one node with its own finite
+# check, as it was in the library.
+
+
+def _record(values: np.ndarray, parents: tuple, vjp) -> ad.Tensor:
+    ad._check_finite(values)
+    return ad._result(values, parents, vjp)
 
 
 def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -65,7 +71,7 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
         if b.requires_grad:
             b.accumulate_product(a.values.T, g)
 
-    return ad._result(a.values @ b.values, (a, b), vjp)
+    return _record(a.values @ b.values, (a, b), vjp)
 
 
 def relu(a: ad.Tensor) -> ad.Tensor:
@@ -75,7 +81,7 @@ def relu(a: ad.Tensor) -> ad.Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * mask)
 
-    return ad._result(np.where(mask, a.values, 0.0), (a,), vjp)
+    return _record(np.where(mask, a.values, 0.0), (a,), vjp)
 
 
 def dropout(a: ad.Tensor, rate: float, rng: np.random.Generator,
@@ -95,7 +101,7 @@ def dropout(a: ad.Tensor, rate: float, rng: np.random.Generator,
         if a.requires_grad:
             a.accumulate_grad(g * factor)
 
-    return ad._result(a.values * factor, (a,), vjp)
+    return _record(a.values * factor, (a,), vjp)
 
 
 def slice_rows(a: ad.Tensor, start: int, stop: int) -> ad.Tensor:
@@ -109,7 +115,7 @@ def slice_rows(a: ad.Tensor, start: int, stop: int) -> ad.Tensor:
             full[start:stop] = g
             a.accumulate_grad(full)
 
-    return ad._result(a.values[start:stop].copy(), (a,), vjp)
+    return _record(a.values[start:stop].copy(), (a,), vjp)
 
 
 def sum_neighbors(a: ad.Tensor, adjacency: np.ndarray) -> ad.Tensor:
@@ -131,8 +137,8 @@ def sum_neighbors(a: ad.Tensor, adjacency: np.ndarray) -> ad.Tensor:
             back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked))
             a.accumulate_grad(back.reshape(a.shape), owned=True)
 
-    return ad._result(np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape),
-                      (a,), vjp)
+    return _record(np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape),
+                   (a,), vjp)
 
 
 def dense_reference(x, w, b, relu_on: bool, rate: float, rng) -> ad.Tensor:

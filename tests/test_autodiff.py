@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,20 @@ def test_backward_requires_scalar_without_seed():
         ad.mul(x, x).backward()
 
 
+def test_backward_refuses_a_seed_of_another_shape():
+    x = ad.parameter(np.ones((4, 2)))
+    with pytest.raises(ShapeMismatch, match=r"^backward: seed \(2,\) for output \(4, 2\)$"):
+        ad.mul(x, ad.constant(2.0)).backward(np.ones(2))
+    with pytest.raises(ShapeMismatch, match=r"^backward: seed \(5,\) for output \(\)$"):
+        project(x).backward(np.ones(5))
+    assert x.grad is None
+
+
+def test_reshape_refuses_a_shape_of_another_size():
+    with pytest.raises(ShapeMismatch, match=r"^reshape: cannot reshape \(8,\) into \(3, 3\)$"):
+        ad.reshape(ad.constant(np.ones(8)), (3, 3))
+
+
 def test_backward_with_explicit_seed():
     x = ad.parameter(np.ones((2, 2)))
     y = ad.mul(x, ad.constant(3.0))
@@ -114,6 +130,77 @@ def test_numerical_fault_on_overflow():
     a = ad.constant(np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NumericalFault):
         ad.mul(a, a)
+
+
+# --- the finite check: each op checks each array it computes, once ---
+
+def _poisoned_by(name: str, v: np.ndarray) -> ad.Tensor:
+    """The op `name` computing an array whose entries are v, or that v's
+    non-finite entries reach."""
+    n = v.size
+    if name == "add":
+        return ad.add(ad.constant(v), ad.constant(0.0))
+    if name == "mul":
+        return ad.mul(ad.constant(v), ad.constant(1.0))
+    if name.startswith("dense"):  # 0 @ w + v, ReLU, and in dense_dropout a dropout
+        rate = 0.5 if name == "dense_dropout" else 0.0
+        return ad.dense(ad.constant(np.zeros((1, 2))), ad.constant(np.ones((2, n))),
+                        ad.constant(v), True, rate, np.random.default_rng(0))
+    if name == "gin_aggregate":  # n one-node blocks: row i is (1 + 0) v_i + 0 v_i
+        return ad.gin_aggregate(ad.constant(v[:, None]), ad.constant(0.0), np.zeros((n, 1, 1)))
+    if name == "thin_qr":
+        return ad.thin_qr(ad.constant(v[:, None]), 1e-12)
+    assert name == "scalar_with_grad"
+    return ad.scalar_with_grad(ad.constant(np.zeros((n, 1))), v, np.zeros((n, 1)))
+
+
+COMPUTING_OPS = ["add", "mul", "dense", "dense_dropout", "gin_aggregate", "thin_qr",
+                 "scalar_with_grad"]
+
+
+def test_finite_values_whose_sum_overflows_pass_without_a_warning():
+    big = np.full(4, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("add", "mul", "dense", "gin_aggregate", "scalar_with_grad"):
+            assert np.array_equal(_poisoned_by(name, big).values.ravel(), big), name
+
+
+@pytest.mark.parametrize("name", COMPUTING_OPS)
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_a_non_finite_value_anywhere_raises_from_every_op_that_computes_an_array(
+        name, poison, position):
+    v = np.arange(1.0, 8.0)
+    v[position] = poison
+    with np.errstate(all="ignore"), pytest.raises(NumericalFault):
+        _poisoned_by(name, v)
+
+
+def test_reshape_checks_nothing_and_the_next_op_does():
+    view = ad.reshape(ad.constant(np.array([1.0, np.nan, 2.0, 3.0])), (2, 2))
+    assert np.isnan(view.values[0, 1])
+    with pytest.raises(NumericalFault):
+        ad.add(view, ad.constant(0.0))
+
+
+@pytest.mark.parametrize("name, checks", [(name, 1 + (name == "dense_dropout"))
+                                          for name in COMPUTING_OPS] + [("reshape", 0)])
+def test_each_op_checks_each_array_it_computes_once(monkeypatch, name, checks):
+    checked = []
+    check = ad._check_finite
+
+    def spy(values):
+        checked.append(values.shape)
+        check(values)
+
+    monkeypatch.setattr(ad, "_check_finite", spy)
+    v = np.arange(1.0, 8.0)
+    if name == "reshape":
+        ad.reshape(ad.constant(v), (7, 1))
+    else:
+        _poisoned_by(name, v)
+    assert len(checked) == checks
 
 
 def test_shape_mismatch_on_bad_matmul():
@@ -203,20 +290,39 @@ def _run(build, arrays, seed_grad):
     return out, [t.grad for t in inputs]
 
 
+def _dense_inputs(edges: bool, rng: np.random.Generator) -> list:
+    """x, w and b of a dense layer; with edges, pre-activations x @ w + b that
+    hold exact +0.0 and -0.0 (x_ik w_kj products that underflow to a zero of
+    their sign, plus b of either sign), subnormals of both signs and normal
+    values, a pair of rows each."""
+    if not edges:
+        return [rng.standard_normal((6, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)]
+    scale = np.array([1e-200, -1e-200, 1e-120, -1e-120, 1e190, -1e190])[:, None]
+    arrays = [scale * rng.uniform(1.0, 2.0, (6, 4)), np.full((4, 5), 1e-200),
+              np.array([0.0, -0.0, 0.0, -0.0, 0.0])]
+    pre = arrays[0] @ arrays[1] + arrays[2]
+    zero, tiny = pre == 0.0, np.abs(pre) < np.finfo(np.float64).tiny
+    assert np.signbit(pre[zero]).any() and not np.signbit(pre[zero]).all()
+    assert (pre[tiny & ~zero] > 0).any() and (pre[tiny & ~zero] < 0).any()
+    return arrays
+
+
+@pytest.mark.parametrize("edges", [False, True])
 @pytest.mark.parametrize("relu_on", [True, False])
 @pytest.mark.parametrize("rate", [0.0, 0.4])
-def test_dense_is_its_composition_bit_for_bit(relu_on, rate):
+def test_dense_is_its_composition_bit_for_bit(relu_on, rate, edges):
+    # Bytes, not values, are compared, so a zero of the wrong sign counts.
     rng = np.random.default_rng(21)
-    arrays = [rng.standard_normal((6, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)]
+    arrays = _dense_inputs(edges, rng)
     seed_grad = rng.standard_normal((6, 5))
     fused_rng, composed_rng = np.random.default_rng(8), np.random.default_rng(8)
     fused, fused_grads = _run(lambda x, w, b: ad.dense(x, w, b, relu_on, rate, fused_rng),
                               arrays, seed_grad)
     composed, composed_grads = _run(
         lambda x, w, b: dense_reference(x, w, b, relu_on, rate, composed_rng), arrays, seed_grad)
-    assert np.array_equal(fused.values, composed.values)
+    assert fused.values.tobytes() == composed.values.tobytes()
     for mine, reference in zip(fused_grads, composed_grads):
-        assert np.array_equal(mine, reference)
+        assert mine.tobytes() == reference.tobytes()
     # the mask is drawn at the same point of the stream, and nothing else is
     assert fused_rng.bit_generator.state == composed_rng.bit_generator.state
     assert (fused_rng.bit_generator.state == np.random.default_rng(8).bit_generator.state) \

@@ -116,6 +116,25 @@ def test_symmetrizes_tiny_asymmetry():
     assert np.allclose(s.eigenvalues, [0.5, 1.5], atol=1e-9)
 
 
+def test_solves_an_exactly_symmetric_input_as_given(monkeypatch):
+    solved = []
+    eigh = np.linalg.eigh
+
+    def spy(m):
+        solved.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    lap = build_laplacian(build_adjacency(generate_graph("erdos_renyi", {"n": 12, "p": 0.4},
+                                                         seed=2)))
+    eigendecompose(lap)
+    assert solved.pop() is lap
+    near = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
+    eigendecompose(near)
+    seen = solved.pop()
+    assert np.array_equal(seen, (near + near.T) / 2.0) and np.array_equal(seen, seen.T)
+
+
 def test_lowest_k_slices():
     s = eigendecompose(build_laplacian(build_adjacency(generate_graph("path", {"n": 3}))))
     values, vectors = lowest_k(s, 2)
