@@ -13,9 +13,13 @@ whole GIN aggregation (`gin_aggregate`), broadcasting `add` and `mul`,
 which records a loss whose value and gradient come in closed form from
 `losses`.
 
-A leaf whose optimizer keeps its gradient in a flat buffer has a
-`grad_view` there: its first gradient contribution of a pass is written into
-that view (a weight's gradient product straight into it), later ones added.
+A weight's gradient contribution from `dense` is kept as its two factors,
+the pair (x^T, g), and not multiplied (Tensor.accumulate_product). Reading
+`.grad` forms the product; optim.Adam forms it block by block inside its
+update, in the same row blocks (Tensor.product_rows), so a training step
+writes no array the size of a weight for its gradient. Every other
+contribution (a bias's, eps's, an activation's) is an array, added as it
+arrives.
 
 Every forward op checks each array it computes for NaN/Inf, once, and raises
 NumericalFault rather than letting a poisoned value propagate: `add`, `mul`,
@@ -28,24 +32,63 @@ evaluation passes build no graph.
 """
 
 import contextlib
-import weakref
 
 import numpy as np
 
 from .errors import NumericalFault, RankDeficient, ShapeMismatch
 
 
-class Tensor:
-    """Dense real array plus gradient slot and the local backward rule."""
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y, formed in the row blocks of Tensor.product_rows."""
+    out = np.empty((x.shape[0], y.shape[1]))
+    for r0, r1 in Tensor.product_rows(*out.shape):
+        np.matmul(x[r0:r1], y, out=out[r0:r1])
+    return out
 
-    __slots__ = ("values", "requires_grad", "grad", "_grad_view", "_parents", "_vjp")
+
+class Tensor:
+    """Dense real array plus gradient and the local backward rule.
+
+    The gradient is the sum of its contributions in arrival order. Until a
+    product arrives (accumulate_product) it is one array, each contribution
+    added as it comes; from then on the contributions are kept as terms,
+    arrays and (x, y) pairs standing for x @ y, and reading `grad` forms
+    their sum, in the same order and so to the same bits, each product in
+    the row blocks of product_rows.
+    """
+
+    __slots__ = ("values", "requires_grad", "_grad", "_terms", "_parents", "_vjp")
+
+    # The most outputs of a gradient product x @ y formed in one matmul; a
+    # larger one is formed in row blocks (product_rows).
+    PRODUCT_BLOCK = 1 << 15
+
+    @staticmethod
+    def product_rows(rows: int, cols: int) -> list[tuple[int, int]]:
+        """The row blocks (r0, r1) in which a (rows, cols) gradient product is
+        formed: the whole product when it has at most PRODUCT_BLOCK outputs,
+        fewer than four rows or one column; else as many blocks as it has
+        PRODUCT_BLOCKs, rounded up, their row counts differing by at most one.
+
+        Both readers of a product, `grad` and optim.Adam's step (which forms
+        each block just before updating it), form it in these blocks, so a
+        step applies exactly the gradient that `grad` shows. A block has at
+        least two rows and two columns, so it is a GEMM, never a GEMV. With
+        OpenBLAS a block is then, for the shapes the models use, bit for bit
+        those rows of the product formed whole, but not for every shape: a
+        block of a few hundred thousand multiply-adds can take a small-matrix
+        kernel that rounds differently (it does for 250 or 300 columns)."""
+        if rows * cols <= Tensor.PRODUCT_BLOCK or rows < 4 or cols < 2:
+            return [(0, rows)]
+        count = min(-(-rows * cols // Tensor.PRODUCT_BLOCK), rows // 2)
+        return [(i * rows // count, (i + 1) * rows // count) for i in range(count)]
 
     def __init__(self, values, requires_grad: bool = False,
                  _parents: tuple = (), _vjp=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = None
-        self._grad_view = None
+        self._grad = None
+        self._terms = None
         self._parents = _parents
         self._vjp = _vjp
 
@@ -54,46 +97,61 @@ class Tensor:
         return self.values.shape
 
     @property
-    def grad_view(self) -> np.ndarray | None:
-        """Where the first gradient contribution of a pass is written: the
-        parameter's slot in its optimizer's gradient buffer (optim.Adam),
-        while the optimizer keeps it. The tensor holds it weakly, so a model
-        does not keep a dropped optimizer's buffer alive."""
-        return None if self._grad_view is None else self._grad_view()
+    def grad(self) -> np.ndarray | None:
+        """The gradient accumulated so far, or None; reading it forms any
+        pending products."""
+        if self._terms is not None:
+            terms, self._terms = self._terms, None
+            for term in terms:
+                value = _product(*term) if isinstance(term, tuple) else term
+                if self._grad is None:
+                    self._grad = value
+                else:
+                    self._grad += value
+        return self._grad
 
-    @grad_view.setter
-    def grad_view(self, view: np.ndarray | None) -> None:
-        self._grad_view = None if view is None else weakref.ref(view)
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad, self._terms = value, None
+
+    def grad_terms(self) -> list:
+        """The gradient's terms in arrival order, without forming a product:
+        arrays, each of the tensor's shape and owned by it, and (x, y) pairs
+        standing for x @ y. [] when there is no gradient."""
+        if self._terms is not None:
+            return list(self._terms)
+        return [] if self._grad is None else [self._grad]
 
     def item(self) -> float:
         """The value of a one-element tensor (a scalar, or a batch of one)."""
         return float(self.values.item())
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g to the gradient. The first contribution is written into
-        grad_view when there is one; otherwise owned=True says g is a fresh
-        array nothing else refers to, so it is kept without a copy."""
-        if self.grad is not None:
-            self.grad += g
-            return
-        view = self.grad_view
-        if view is not None:
-            np.copyto(view, g)
-            self.grad = view
+        """Add g to the gradient. owned=True says g is a fresh array of the
+        tensor's shape that nothing else refers to, so it is kept without a
+        copy."""
+        if self._terms is not None:
+            self._terms.append(g if owned else np.broadcast_to(g, self.shape).copy())
+        elif self._grad is not None:
+            self._grad += g
         elif owned:
-            self.grad = g
+            self._grad = g
         else:
-            self.grad = np.zeros_like(self.values)
-            self.grad += g
+            self._grad = np.zeros_like(self.values)
+            self._grad += g
 
     def accumulate_product(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Add x @ y to the gradient; a first product is computed straight
-        into grad_view, with no temporary the size of the gradient."""
-        view = self.grad_view if self.grad is None else None
-        if view is not None:
-            self.grad = np.matmul(x, y, out=view)
-        else:
-            self.accumulate_grad(x @ y, owned=True)
+        """Add x @ y to the gradient as the pair (x, y), not multiplied: the
+        product is formed when the gradient is read, or by optim.Adam inside
+        its step. Both factors are read then, so they must not change before."""
+        if (x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]
+                or (x.shape[0], y.shape[1]) != self.shape):
+            raise ShapeMismatch(f"gradient product {x.shape} @ {y.shape} for a tensor "
+                                f"of shape {self.shape}")
+        if self._terms is None:
+            self._terms = [] if self._grad is None else [self._grad]
+            self._grad = None
+        self._terms.append((x, y))
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf.
@@ -226,8 +284,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
     has scaled it. ReLU runs in place on the pre-activation, and backward
     takes its mask from the output: positive exactly where the pre-activation
     was and dropout kept the entry (where it dropped one, g is a zero of g's
-    sign already, which the mask keeps). Backward then writes dw (one product)
-    and db (a column sum) into their slots and passes dx = g @ w^T on.
+    sign already, which the mask keeps). Backward then adds db (a column sum),
+    records dw as its factors (x^T, g) (Tensor.accumulate_product) and passes
+    dx = g @ w^T on.
     """
     if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
@@ -256,7 +315,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0), owned=True)
         if x.requires_grad:
-            x.accumulate_product(g, w.values.T)
+            x.accumulate_grad(g @ w.values.T, owned=True)
         if w.requires_grad:
             w.accumulate_product(x.values.T, g)
 

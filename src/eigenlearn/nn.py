@@ -61,11 +61,14 @@ def unallocated_parameter(shape: tuple) -> Tensor:
     return ad.parameter(np.broadcast_to(0.0, shape))
 
 
-def allocate_parameters(params: dict[str, Tensor], rng: np.random.Generator) -> np.ndarray:
+def allocate_parameters(params: dict[str, Tensor],
+                        rng: np.random.Generator | None) -> np.ndarray:
     """Lay the parameters out, in order, as consecutive views of one new
     float64 buffer, and initialise them in that order: each matrix (a layer's
     weights) Glorot-uniform from rng, drawn straight into its view, everything
-    else (biases, the GIN eps) zero. Returns the buffer.
+    else (biases, the GIN eps) zero. Returns the buffer. Without a generator
+    every value stays zero, for a caller that fills them all itself (a
+    checkpoint load).
 
     The model builders (train.build_model, train.build_downstream_head) are
     its only callers: each lays out a whole model at once, so its parameters
@@ -75,7 +78,7 @@ def allocate_parameters(params: dict[str, Tensor], rng: np.random.Generator) -> 
     for p in params.values():
         view = flat[offset:offset + p.values.size].reshape(p.shape)
         offset += view.size
-        if view.ndim == 2:
+        if view.ndim == 2 and rng is not None:
             glorot_uniform(rng, *view.shape, out=view)
         p.values = view
     return flat

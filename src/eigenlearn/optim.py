@@ -1,18 +1,20 @@
 """Adam and a reduce-on-plateau learning-rate schedule.
 
-Adam keeps the gradients, first moments and second moments of its parameters
-in three flat float64 buffers, one slot per parameter in the order of its
-parameter dict. A backward pass writes each parameter's first gradient
-contribution straight into its slot (`Tensor.grad_view`), the only place a
-step reads a gradient from. The values stay where their model put them: a
+Adam keeps the first and second moments of its parameters in two flat
+float64 buffers, one slot per parameter in the order of its parameter dict,
+and keeps no gradient buffer. The values stay where their model put them: a
 model built by `train.build_model` holds all its values in one buffer
-(`nn.allocate_parameters`). So a step makes one sliced pass over each run of
+(`nn.allocate_parameters`). So a step makes one blocked pass over each run of
 parameters whose values are adjacent in memory, one run for a whole model,
-instead of a dozen numpy calls per parameter. The update is Kingma and Ba's
-folded form (both bias corrections in the step size and epsilon), and a run
-of millions of values is cut into pieces that threads update at once, one
-per usable CPU: the update is elementwise and numpy releases the interpreter
-lock inside it, so the pieces change nothing but the time.
+instead of a dozen numpy calls per parameter. Each block's gradient is formed
+in a block-sized scratch just before the block's update: a weight's gradient
+from the factors that `autodiff.dense` recorded (the rows of x^T @ g that the
+block covers), any other gradient copied from its array. The update is
+Kingma and Ba's folded form (both bias corrections in the step size and
+epsilon), and a run of millions of values is cut into pieces that threads
+update at once, one per usable CPU: the update is elementwise and numpy
+releases the interpreter lock inside it, so the pieces change nothing but the
+time.
 """
 
 import math
@@ -41,32 +43,73 @@ def _place(a: np.ndarray) -> tuple[np.ndarray, int] | None:
     return base, (a.ctypes.data - base.ctypes.data) // a.itemsize
 
 
+def _refuse_shared(params: dict[str, Tensor]) -> None:
+    """Refuse, in one line naming both, two names for one tensor and two
+    parameters whose (contiguous) values overlap: a step would update those
+    values twice."""
+    names: dict[int, str] = {}
+    for name, p in params.items():
+        if id(p) in names:
+            raise ValueError(f"Adam: parameters {names[id(p)]!r} and {name!r} are one tensor")
+        names[id(p)] = name
+    extents = sorted((p.values.ctypes.data, p.values.ctypes.data + p.values.nbytes, name)
+                     for name, p in params.items() if p.values.size)
+    end, last = 0, None  # the furthest end so far, and whose it is
+    for start, stop, name in extents:
+        if start < end:
+            raise ValueError(f"Adam: the values of parameters {last!r} and {name!r} overlap")
+        if stop > end:
+            end, last = stop, name
+
+
+def _form(terms: list, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write elements lo:hi of the flattened sum of a gradient's terms into
+    out, in the terms' arrival order: a (flat) array term's elements are
+    copied or added, an (x, y) term's are rows lo/c:hi/c of x @ y (c its
+    column count), one of the product's row blocks (Tensor.product_rows)."""
+    for i, term in enumerate(terms):
+        if type(term) is tuple:
+            x, y = term
+            cols = y.shape[1]
+            rows = x[lo // cols:hi // cols]
+            if i == 0:
+                np.matmul(rows, y, out=out.reshape(-1, cols))
+            else:
+                out += (rows @ y).reshape(-1)
+        elif i == 0:
+            np.copyto(out, term[lo:hi])
+        else:
+            out += term[lo:hi]
+
+
 class Adam:
     """Standard Adam with bias correction over a named parameter dict.
 
-    step() consumes the gradients that have accumulated in the slots (callers
+    step() consumes the gradients the parameters have accumulated (callers
     batching by gradient accumulation pass grad_scale = 1/batch to average
-    them): it updates the moments and the parameter values in place and uses
-    the gradient buffer as scratch, so the gradients hold no meaning
-    afterwards and must be cleared with zero_grad() before the next pass.
-    Every parameter must have its gradient in its slot, as backward (or
-    Tensor.accumulate_grad) puts it there; a step fails before it changes
-    anything when one has not.
+    them) and updates the moments and the parameter values in place; it
+    leaves the gradients as they were, and zero_grad() clears them before the
+    next pass. Every parameter must have a gradient of its shape; a step
+    fails before it changes anything when one has not. Two names for one
+    tensor, or two parameters whose values overlap, are refused when the
+    optimizer is built.
 
     `runs` holds, for each maximal sequence of parameters (in dict order)
     whose values are adjacent slices of one buffer, its values as one 1-D
     view and the names; a parameter with an array of its own is a run of its
-    own. A run's slots are adjacent too, so each run is one pass. `pieces`
-    cuts each run, at BLOCK boundaries, into at most usable_cpus() pieces of
-    at least MIN_PIECE values each, as (values, gradients, m, v) 1-D views: a
-    desk-scale run is one piece, and a step that has cut no run uses no
-    thread.
+    own. A run's moment slots are adjacent too, so each run is one pass, in
+    blocks (see _blocks). `pieces` cuts each run, between blocks, into at
+    most usable_cpus() pieces of about MIN_PIECE values or more each, as
+    (values, m, v, blocks): a desk-scale run is one piece, and a step that
+    has cut no run uses no thread.
     """
 
-    # Elements per slice of the in-place update: the slices of m, v, the
-    # gradient, the values and the scratch stay in cache across the update's
-    # twelve passes, and no temporary grows with the parameter size.
-    BLOCK = 1 << 15
+    # Values per block of the in-place update: the slices of m, v and the
+    # values and the block's gradient and scratch stay in cache across the
+    # update's twelve passes, and no temporary grows with the parameter size.
+    # A matrix's blocks are the row blocks its gradient products are formed
+    # in, which Tensor.PRODUCT_BLOCK sizes, so the two are one constant.
+    BLOCK = Tensor.PRODUCT_BLOCK
     # Fewest values in a piece of a run. Updating this many takes milliseconds,
     # so starting a thread for a piece (tens of microseconds) stays a small
     # share of the step, and desk-scale models are never cut.
@@ -80,17 +123,17 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        for p in self.params.values():
+            if not p.values.flags.c_contiguous:
+                p.values = np.ascontiguousarray(p.values)
+        _refuse_shared(self.params)
         size = sum(p.values.size for p in self.params.values())
-        self.flat_grad, self.flat_m, self.flat_v = np.zeros(size), np.zeros(size), np.zeros(size)
-        # the gradient slots, held here because Tensor.grad_view refers to them weakly
-        self._grads, self.m, self.v = {}, {}, {}
+        self.flat_m, self.flat_v = np.zeros(size), np.zeros(size)
+        self.m, self.v = {}, {}
         self.runs: list[tuple[np.ndarray, list[str]]] = []
         lo, follows = 0, None  # (buffer, offset) just past the previous parameter's values
         for name, p in self.params.items():
-            if not p.values.flags.c_contiguous:
-                p.values = np.ascontiguousarray(p.values)
             hi = lo + p.values.size
-            self._grads[name] = p.grad_view = self.flat_grad[lo:hi].reshape(p.shape)
             self.m[name] = self.flat_m[lo:hi].reshape(p.shape)
             self.v[name] = self.flat_v[lo:hi].reshape(p.shape)
             place = _place(p.values)
@@ -102,19 +145,58 @@ class Adam:
                 self.runs.append((p.values.reshape(-1), [name]))
             follows = place and (place[0], place[1] + p.values.size)
             lo = hi
-        self.pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        cpus, first = usable_cpus(), 0  # first: the run's first slot
-        for values, _ in self.runs:
+        self.pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, list]] = []
+        cpus, first = usable_cpus(), 0  # first: the run's first moment slot
+        for values, names in self.runs:
+            blocks = list(self._blocks(names))
             count = max(1, min(cpus, values.size // self.MIN_PIECE))
-            # a multiple of BLOCK, and at least MIN_PIECE when count > 1; the
-            # last piece takes what is left over
-            length = values.size // count // self.BLOCK * self.BLOCK
-            cuts = [i * length for i in range(count)] + [values.size]
-            for lo, hi in zip(cuts, cuts[1:]):
-                self.pieces.append((values[lo:hi], *(flat[first + lo:first + hi] for flat in
-                                                     (self.flat_grad, self.flat_m, self.flat_v))))
+            starts = np.cumsum([0] + [n for n, _ in blocks])  # and the run's end
+            # cut before the first block that starts at or past each equal share
+            cuts = sorted({int(np.searchsorted(starts[:-1], i * values.size // count))
+                           for i in range(count)})
+            for i, j in zip(cuts, cuts[1:] + [len(blocks)]):
+                lo, hi = first + starts[i], first + starts[j]
+                self.pieces.append((values[starts[i]:starts[j]], self.flat_m[lo:hi],
+                                    self.flat_v[lo:hi], blocks[i:j]))
             first += values.size
+        # two block-sized scratch arrays per piece, kept: allocating them
+        # afresh for each step made a desk-scale step about a third slower
+        self._scratch = [np.empty((2, max(n for n, _ in piece[3]))) for piece in self.pieces]
         self._threads = min(len(self.pieces), cpus) if len(self.pieces) > len(self.runs) else 1
+
+    def _blocks(self, names: list[str]):
+        """The blocks of a run with these parameters, in order, each as
+        (size, fills): a fill (name, lo, hi, at) puts elements lo:hi of the
+        parameter's flattened gradient at offset `at` of the block.
+
+        A matrix is cut into the row blocks in which its gradient products are
+        formed (Tensor.product_rows), any other parameter into BLOCKs. A
+        parameter left whole is packed with its neighbours, as many to a
+        block as fit in BLOCK values; a cut one gets blocks of its own.
+        """
+        block, filled = [], 0
+        for name in names:
+            p = self.params[name]
+            size = p.values.size
+            if p.values.ndim == 2:
+                cols = p.shape[1]
+                cuts = [(r0 * cols, r1 * cols) for r0, r1 in Tensor.product_rows(*p.shape)]
+            else:
+                cuts = [(lo, min(lo + self.BLOCK, size)) for lo in range(0, max(size, 1), self.BLOCK)]
+            if len(cuts) == 1:
+                if block and filled + size > self.BLOCK:
+                    yield filled, block
+                    block, filled = [], 0
+                block.append((name, 0, size, filled))
+                filled += size
+                continue
+            if block:
+                yield filled, block
+                block, filled = [], 0
+            for lo, hi in cuts:
+                yield hi - lo, [(name, lo, hi, 0)]
+        if block:
+            yield filled, block
 
     def step(self, grad_scale: float = 1.0) -> None:
         """One update in Kingma and Ba's folded form (arXiv:1412.6980, section 2):
@@ -126,22 +208,40 @@ class Adam:
             v = beta2 * v + ((1 - beta2) * grad_scale**2) * (grad * grad)
             values = values - lr_t * m / (sqrt(v) + eps_t)
 
-        so it is bit-identical to that out-of-place form, however the runs are
-        cut into pieces. It is the textbook update with the bias corrections
-        moved into lr_t and eps_t; m and v keep their textbook meaning, and the
-        values agree with the textbook ones up to rounding.
+        with grad each parameter's `.grad`, so it is bit-identical to that
+        out-of-place form, however the runs are cut into blocks and pieces. It
+        is the textbook update with the bias corrections moved into lr_t and
+        eps_t; m and v keep their textbook meaning, and the values agree with
+        the textbook ones up to rounding.
+
+        A gradient term that may share memory with values the step updates (a
+        parameter that fed a dense layer as its input, say) is formed before
+        any value changes.
         """
+        runs = [values for values, _ in self.runs]
+        grads = {}  # name -> terms, each array flattened
         for name, p in self.params.items():
-            if p.grad is not self._grads[name]:
-                raise ValueError(f"Adam.step: parameter {name!r} has no gradient in its "
-                                 "slot; backward or accumulate_grad puts it there")
+            terms = p.grad_terms()
+            if not terms:
+                raise ValueError(f"Adam.step: parameter {name!r} has no gradient; "
+                                 "backward or accumulate_grad gives it one")
+            for term in terms:
+                if type(term) is not tuple and term.shape != p.shape:
+                    raise ValueError(f"Adam.step: parameter {name!r} has a gradient of "
+                                     f"shape {term.shape} for values of shape {p.shape}")
+                for a in (term if type(term) is tuple else (term,)):
+                    for values in runs:
+                        if np.may_share_memory(a, values):
+                            terms = [np.array(p.grad)]
+            grads[name] = [t if type(t) is tuple else np.ascontiguousarray(t).reshape(-1)
+                           for t in terms]
         self.t += 1
         root2 = math.sqrt(1.0 - self.beta2 ** self.t)
         factors = (self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2,
                    (1.0 - self.beta1) * grad_scale, (1.0 - self.beta2) * grad_scale ** 2)
         if self._threads == 1:
-            for piece in self.pieces:
-                self._update(piece, *factors)
+            for piece, buffers in zip(self.pieces, self._scratch):
+                self._update(piece, buffers, grads, *factors)
         else:
             # imported only by a process that steps a cut run: imported with
             # this module (it brings in logging), it slowed perfbench's
@@ -149,16 +249,23 @@ class Adam:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(self._threads) as pool:
                 # list() reads every result, so an error in a piece is raised here
-                list(pool.map(lambda piece: self._update(piece, *factors), self.pieces))
+                list(pool.map(lambda piece, buffers: self._update(piece, buffers, grads, *factors),
+                              self.pieces, self._scratch))
 
-    def _update(self, piece, lr_t: float, eps_t: float, a1: float, a2: float) -> None:
-        """The step's twelve in-place passes over one piece, slice by slice."""
-        values, grad, m, v = piece
-        scratch = np.empty(min(self.BLOCK, values.size))
-        for lo in range(0, values.size, self.BLOCK):
-            hi = min(lo + self.BLOCK, values.size)
-            g, mb, vb, pb = grad[lo:hi], m[lo:hi], v[lo:hi], values[lo:hi]
-            tmp = scratch[: hi - lo]
+    def _update(self, piece, buffers: np.ndarray, grads: dict, lr_t: float, eps_t: float,
+                a1: float, a2: float) -> None:
+        """The step's twelve in-place passes over one piece, block by block,
+        each block's gradient formed first in the first of the piece's two
+        scratch buffers."""
+        values, m, v, blocks = piece
+        grad, scratch = buffers
+        lo = 0
+        for n, fills in blocks:
+            hi = lo + n
+            g, tmp = grad[:n], scratch[:n]
+            for name, start, stop, at in fills:
+                _form(grads[name], start, stop, g[at:at + stop - start])
+            mb, vb, pb = m[lo:hi], v[lo:hi], values[lo:hi]
             mb *= self.beta1
             np.multiply(g, a1, out=tmp)
             mb += tmp
@@ -171,6 +278,7 @@ class Adam:
             np.multiply(mb, lr_t, out=tmp)
             tmp /= g
             pb -= tmp
+            lo = hi
 
     def zero_grad(self) -> None:
         for p in self.params.values():

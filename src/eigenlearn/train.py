@@ -25,6 +25,7 @@ checkpoint header's config is dataclasses.asdict of it.
 
 import json
 import logging
+import os
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -221,9 +222,59 @@ def feature_dim(examples: list[TrainingExample]) -> int:
     return dims.pop()
 
 
-def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
+def _mlp_size(d_in: int, hidden: int, layers: int, d_out: int) -> int:
+    """The parameter count of Mlp([d_in] + [hidden] * (layers - 1) + [d_out])."""
+    if layers == 1:
+        return (d_in + 1) * d_out
+    return (d_in + 1) * hidden + (layers - 2) * (hidden + 1) * hidden + (hidden + 1) * d_out
+
+
+def model_size(cfg: PretrainConfig, d_in: int) -> int:
+    """The number of parameter values build_model(cfg, d_in) lays out, in
+    closed form: nothing is built or allocated, whatever the config."""
+    h = cfg.hidden_dim
+    # each GIN layer: eps, then an update MLP of update_layers layers of width
+    # h; the first layer's first weight is d_in x h, not h x h
+    encoder = cfg.mp_layers * (1 + _mlp_size(h, h, cfg.update_layers, h)) - (h - d_in) * h
+    if cfg.head_kind == GRAPH_LEVEL:
+        head = _mlp_size(cfg.max_nodes * h, cfg.head_hidden_dim, cfg.head_layers,
+                         cfg.max_nodes * cfg.k)
+    else:
+        head = _mlp_size(h, cfg.head_hidden_dim, cfg.head_layers, cfg.k)
+    return encoder + head
+
+
+def downstream_head_size(cfg: PretrainConfig) -> int:
+    """The number of parameter values build_downstream_head(cfg) lays out."""
+    return _mlp_size(cfg.max_nodes * cfg.hidden_dim, cfg.head_hidden_dim, cfg.head_layers, 1)
+
+
+# Fields that the parameter counts depend on, named when a model is refused.
+_SIZE_FIELDS = ("hidden_dim", "mp_layers", "update_layers", "head_kind", "head_layers",
+                "head_hidden_dim", "max_nodes", "k")
+
+
+def _check_fits(what: str, size: int, cfg: PretrainConfig) -> None:
+    """Refuse, in one line naming the config fields, a model whose values and
+    Adam's two moments (three float64 buffers of `size` values) would not fit
+    in the machine's physical memory."""
+    if not hasattr(os, "sysconf"):  # no page counts to compare with (Windows)
+        return
+    need = 3 * 8 * size
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        fields = ", ".join(f"{name}={getattr(cfg, name)!r}" for name in _SIZE_FIELDS)
+        raise InvalidParams(f"the {what} of this config has {size:.3g} parameters, whose values "
+                            f"and Adam moments need {need:.3g} bytes, more than the {memory:.3g} "
+                            f"bytes of this machine's memory; lower some of {fields}")
+
+
+def build_model(cfg: PretrainConfig, d_in: int, draw: bool = True) -> EigenModel:
     """The model of a config, its parameters laid out as views of one buffer
-    and initialised from generator stream 0."""
+    and initialised from generator stream 0; with draw=False left zero, for a
+    caller that fills every value (load_checkpoint). A model that would not fit
+    in memory is refused before anything is built."""
+    _check_fits("model", model_size(cfg, d_in), cfg)
     encoder = GinEncoder(d_in, cfg.hidden_dim, cfg.mp_layers, cfg.update_layers,
                          cfg.dropout, cfg.max_nodes)
     if cfg.head_kind == GRAPH_LEVEL:
@@ -233,16 +284,18 @@ def build_model(cfg: PretrainConfig, d_in: int) -> EigenModel:
         head = NodeWiseHead(cfg.hidden_dim, cfg.k, cfg.head_hidden_dim,
                             cfg.head_layers, cfg.dropout)
     model = EigenModel(encoder, head)
-    allocate_parameters(model.parameters(), np.random.default_rng([cfg.seed, 0]))
+    allocate_parameters(model.parameters(), np.random.default_rng([cfg.seed, 0]) if draw else None)
     return model
 
 
-def build_downstream_head(cfg: PretrainConfig) -> Mlp:
+def build_downstream_head(cfg: PretrainConfig, draw: bool = True) -> Mlp:
     """Scalar-regression head over the concatenated-padded node embeddings,
-    its parameters one buffer, initialised from generator stream 3."""
+    its parameters one buffer, initialised from generator stream 3 (left zero
+    with draw=False, as in build_model)."""
+    _check_fits("downstream head", downstream_head_size(cfg), cfg)
     hidden = [cfg.head_hidden_dim] * (cfg.head_layers - 1)
     head = Mlp([cfg.max_nodes * cfg.hidden_dim] + hidden + [1], cfg.dropout)
-    allocate_parameters(head.parameters(), np.random.default_rng([cfg.seed, 3]))
+    allocate_parameters(head.parameters(), np.random.default_rng([cfg.seed, 3]) if draw else None)
     return head
 
 
@@ -650,8 +703,9 @@ def _restore(path: str, blob) -> tuple:
                             f"eigenlearn reads only version {CHECKPOINT_VERSION}")
     check_fields(blob, _CHECKPOINT, f"{path}: checkpoint")
     cfg = from_dict(PretrainConfig, blob["config"], f"{path}: checkpoint.config")
-    model = build_model(cfg, blob["d_in"])
-    head = build_downstream_head(cfg) if blob["kind"] == "finetune" else None
+    # the body fills every value, so nothing is drawn to be overwritten
+    model = build_model(cfg, blob["d_in"], draw=False)
+    head = build_downstream_head(cfg, draw=False) if blob["kind"] == "finetune" else None
     state = _fresh_state(model, cfg, head)
     arrays = _body(model, head, state.optimizer)
     # compared as JSON text, so that a shape of floats or bools differs too

@@ -150,6 +150,23 @@ def test_pretrain_val_loss_schedule_exits_1(tmp_path, small_dataset, capsys):
     assert "val_loss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("head_hidden_dim", 10 ** 12), ("hidden_dim", 10 ** 8), ("max_nodes", 10 ** 9),
+    ("head_layers", 10 ** 10),
+])
+def test_a_model_too_large_for_memory_exits_1_with_one_line(tmp_path, small_dataset, capsys,
+                                                            field, value):
+    # each once died inside build_model with a traceback (a numpy
+    # ValueError or MemoryError); the count is now taken before anything is built
+    code = main(["pretrain", "--input", small_dataset, "--config",
+                 small_config(tmp_path, **{field: value}), "--output", str(tmp_path / "run.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: the model of this config has ")
+    assert f"{field}={value}" in err and "Traceback" not in err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_features_isolated_node_exit_1(tmp_path, capsys):
     # the graph on line 3, after a blank line, has an isolated node
     bad = tmp_path / "iso.jsonl"

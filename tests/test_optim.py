@@ -8,6 +8,7 @@ import pytest
 from eigenlearn import autodiff as ad
 from eigenlearn import nn, optim
 from eigenlearn import train as tr
+from eigenlearn.errors import ShapeMismatch
 from eigenlearn.optim import Adam, ReduceLROnPlateau
 
 
@@ -24,22 +25,53 @@ def test_zero_gradient_is_a_fixed_point():
     assert np.array_equal(p.values, before)
 
 
-@pytest.mark.parametrize("give_b_a_gradient", [
-    lambda p: None,
-    lambda p: setattr(p, "grad", np.ones(p.shape)),
-], ids=["none", "set_by_hand"])
-def test_a_step_fails_in_one_line_and_changes_nothing_without_every_gradient_in_its_slot(
-        give_b_a_gradient):
+@pytest.mark.parametrize("give_b_a_gradient, message", [
+    (lambda p: None, r"parameter 'b' has no gradient; backward or accumulate_grad gives it one"),
+    (lambda p: setattr(p, "grad", np.ones(2)),
+     r"parameter 'b' has a gradient of shape \(2,\) for values of shape \(1,\)"),
+], ids=["none", "misshapen_by_hand"])
+def test_a_step_fails_in_one_line_and_changes_nothing_without_every_gradient(
+        give_b_a_gradient, message):
     params = {"a": make_param([1.0, 2.0]), "b": make_param([3.0])}
     opt = Adam(params)
     params["a"].accumulate_grad(np.array([0.5, -0.5]))
     give_b_a_gradient(params["b"])
-    with pytest.raises(ValueError, match=r"^Adam\.step: parameter 'b' has no gradient in its "
-                                         r"slot[^\n]*$"):
+    with pytest.raises(ValueError, match=rf"^Adam\.step: {message}$"):
         opt.step()
     assert params["a"].values.tolist() == [1.0, 2.0] and params["b"].values.tolist() == [3.0]
     assert opt.t == 0 and not opt.flat_m.any() and not opt.flat_v.any()
-    assert opt.flat_grad.tolist() == [0.5, -0.5, 0.0]
+    assert params["a"].grad.tolist() == [0.5, -0.5]
+
+
+def test_a_gradient_set_by_hand_is_stepped_like_an_accumulated_one():
+    by_hand, accumulated = make_param([1.0, -2.0]), make_param([1.0, -2.0])
+    opts = Adam({"p": by_hand}, lr=0.1), Adam({"p": accumulated}, lr=0.1)
+    by_hand.grad = np.array([0.25, 3.0])
+    accumulated.accumulate_grad(np.array([0.25, 3.0]))
+    for opt in opts:
+        opt.step()
+    assert by_hand.values.tobytes() == accumulated.values.tobytes()
+    assert opts[0].m["p"].tobytes() == opts[1].m["p"].tobytes()
+
+
+@pytest.mark.parametrize("params, message", [
+    (lambda p, q: {"a": p, "b": q, "c": p}, "parameters 'a' and 'c' are one tensor"),
+    (lambda p, q: {"a": p, "b": ad.parameter(p.values[1:])},
+     "the values of parameters 'a' and 'b' overlap"),
+    (lambda p, q: {"b": ad.parameter(p.values[2:]), "a": p, "c": q},
+     "the values of parameters 'a' and 'b' overlap"),  # named in memory order
+], ids=["one_tensor_twice", "a_view_of_another", "a_view_listed_first"])
+def test_the_optimizer_refuses_values_it_would_step_twice_in_one_line(params, message):
+    p, q = make_param(np.zeros(4)), make_param(np.zeros(4))
+    with pytest.raises(ValueError, match=rf"^Adam: {message}$"):
+        Adam(params(p, q))
+
+
+def test_the_optimizer_accepts_adjacent_views_of_one_buffer():
+    flat = np.zeros(6)
+    params = {"a": ad.parameter(flat[:2]), "b": ad.parameter(flat[2:5]),
+              "c": ad.parameter(flat[5:])}
+    assert [names for _, names in Adam(params).runs] == [["a", "b", "c"]]
 
 
 def test_first_step_closed_form():
@@ -184,8 +216,10 @@ def test_cutting_a_run_into_pieces_changes_no_bit(monkeypatch, cpus):
     size = sum(math.prod(shape) for shape in shapes.values())
     assert [len(opt.pieces) for opt in (whole, cut)] == [1, min(cpus, size // Adam.MIN_PIECE)]
     sizes = [piece[0].size for piece in cut.pieces]
-    assert sum(sizes) == size and min(sizes) >= Adam.MIN_PIECE
-    assert all(n % block == 0 for n in sizes[:-1])
+    # pieces of whole blocks, each within a block of an equal share
+    assert [sum(n for n, _ in piece[3]) for piece in cut.pieces] == sizes
+    largest = max(n for piece in cut.pieces for n, _ in piece[3])
+    assert sum(sizes) == size and min(sizes) >= size // len(sizes) - largest
     for t in range(1, 5):
         grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         for params, opt in ((params1, whole), (params_n, cut)):
@@ -214,17 +248,25 @@ def test_an_error_in_a_piece_is_raised_by_the_step(monkeypatch):
         opt.step()
 
 
-def test_a_dropped_optimizer_leaves_no_gradient_buffer_behind():
-    # parameters refer to their gradient slots weakly: once the optimizer is
-    # gone its buffer is freed, and a gradient gets an array of its own
-    p = make_param(np.ones(3))
-    opt = Adam({"p": p})
-    buffer = weakref.ref(opt.flat_grad)
+def test_a_step_leaves_the_gradients_as_they_were_and_a_dropped_optimizer_frees_its_buffers():
+    # the step forms each weight's gradient in a scratch of its own: the
+    # factors are not written, and the gradient read afterwards is the one
+    # the step used; the parameters refer to no buffer of the optimizer
+    rng = np.random.default_rng(2)
+    w, b = make_param(rng.standard_normal((3, 4))), make_param(np.zeros(4))
+    x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+    opt = Adam({"w": w, "b": b})
+    w.accumulate_product(x.T, g)
+    b.accumulate_grad(g.sum(axis=0), owned=True)
+    factors = x.copy(), g.copy()
+    opt.step()
+    assert x.tobytes() == factors[0].tobytes() and g.tobytes() == factors[1].tobytes()
+    assert w.grad.tobytes() == (x.T @ g).tobytes()
+    assert b.grad.tobytes() == g.sum(axis=0).tobytes()
+    buffers = weakref.ref(opt.flat_m), weakref.ref(opt.flat_v)
     del opt
     gc.collect()
-    assert buffer() is None and p.grad_view is None
-    p.accumulate_grad(np.full(3, 2.0))
-    assert p.grad.tolist() == [2.0, 2.0, 2.0]
+    assert [ref() for ref in buffers] == [None, None]
 
 
 def test_step_updates_values_in_place():
@@ -278,3 +320,114 @@ def test_plateau_needs_threshold_sized_improvement():
     sched.step(1.0)
     sched.step(1.0 - 1e-9)  # below threshold: counts as no improvement
     assert opt.lr == 0.5
+
+
+# A run whose blocks include one inside a matrix (w0 is cut into three, w2
+# into two) and one spanning several small parameters (b0, w1, b1, eps). w0
+# has the default graph-level head's output width (max_nodes * k = 240), for
+# which OpenBLAS forms a row block bit for bit as those rows of the whole
+# product; for some other widths (250 columns, say) it does not.
+FACTOR_SHAPES = {"w0": (300, 240), "b0": (240,), "w1": (240, 7), "b1": (7,), "eps": (),
+                 "w2": (7, 5000)}
+ODD_SHAPES = dict(FACTOR_SHAPES, w0=(300, 250), b0=(250,), w1=(250, 7))
+
+
+def formed_as_grad(x, y):
+    """x @ y as `Tensor.grad` forms it, in its row blocks."""
+    t = ad.parameter(np.zeros((x.shape[0], y.shape[1])))
+    t.accumulate_product(x, y)
+    return t.grad
+
+
+def twin_runs(shapes, seed=0):
+    """Two parameter dicts of these shapes, each laid out in one buffer, with
+    the same values."""
+    twins = []
+    for _ in range(2):
+        params = {name: ad.parameter(np.zeros(shape)) for name, shape in shapes.items()}
+        nn.allocate_parameters(params, np.random.default_rng(seed))
+        twins.append(params)
+    return twins
+
+
+def assert_same_state(params_a, opt_a, params_b, opt_b, where):
+    for name in params_a:
+        assert params_a[name].values.tobytes() == params_b[name].values.tobytes(), (name, where)
+    assert opt_a.flat_m.tobytes() == opt_b.flat_m.tobytes(), where
+    assert opt_a.flat_v.tobytes() == opt_b.flat_v.tobytes(), where
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("contributions", [1, 2])
+@pytest.mark.parametrize("batch", [1, 4, 700])
+@pytest.mark.parametrize("shapes, form", [(FACTOR_SHAPES, lambda x, y: x @ y),
+                                          (ODD_SHAPES, formed_as_grad)], ids=["product", "odd"])
+def test_a_step_given_factors_is_bit_identical_to_one_given_their_product(
+        monkeypatch, shapes, form, batch, contributions, cpus):
+    # the reference is given each product as an array: formed whole for the
+    # heads' shapes, and in its row blocks (as `.grad` forms it) for any shape
+    monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+    factored, formed = twin_runs(shapes)
+    opt_f, opt_a = Adam(factored, lr=0.01), Adam(formed, lr=0.01)
+    fills = [fills for *_, blocks in opt_f.pieces for _, fills in blocks]
+    assert [name for name, *_ in fills[0]] == ["w0"] and sum(f[0][0] == "w0" for f in fills) == 3
+    assert ["b0", "w1", "b1", "eps"] in [[name for name, *_ in f] for f in fills]
+    assert len(opt_f.pieces) == cpus == opt_f._threads
+    rng = np.random.default_rng(batch)
+    for t in range(1, 4):
+        for name, shape in shapes.items():
+            if len(shape) == 2:
+                for _ in range(contributions):
+                    x, g = rng.standard_normal((batch, shape[0])), rng.standard_normal((batch, shape[1]))
+                    factored[name].accumulate_product(x.T, g)
+                    formed[name].accumulate_grad(form(x.T, g), owned=True)
+            else:
+                g = rng.standard_normal(shape)
+                factored[name].accumulate_grad(g)
+                formed[name].accumulate_grad(g)
+        for opt in (opt_f, opt_a):
+            opt.step(grad_scale=1.0 / batch)
+            opt.zero_grad()
+        assert_same_state(factored, opt_f, formed, opt_a, t)
+
+
+def test_a_parameter_that_feeds_a_dense_layer_gets_its_gradient_formed_before_it_changes():
+    # x comes first in the run, so its values are updated before w's blocks;
+    # w's factor x^T is a view of them, and must be read before they change
+    shapes = {"x": (5, 40), "w": (40, 900), "b": (900,)}
+    factored, formed = twin_runs(shapes)
+    opts = Adam(factored, lr=0.1), Adam(formed, lr=0.1)
+    seed = np.random.default_rng(4).standard_normal((5, 900))
+    for t in range(1, 4):
+        for params in (factored, formed):
+            ad.dense(params["x"], params["w"], params["b"], relu=True).backward(seed)
+        assert isinstance(factored["w"].grad_terms()[0], tuple)
+        assert np.shares_memory(factored["w"].grad_terms()[0][0], opts[0].runs[0][0])
+        for p in formed.values():
+            p.grad = np.array(p.grad)  # formed, and copied, before the step
+        for opt in opts:
+            opt.step()
+            opt.zero_grad()
+        assert_same_state(factored, opts[0], formed, opts[1], t)
+
+
+def test_reading_a_gradient_forms_its_terms_in_arrival_order():
+    rng = np.random.default_rng(3)
+    p = make_param(np.zeros((6, 5)))
+    x1, g1, x2, g2 = (rng.standard_normal(shape) for shape in ((4, 6), (4, 5), (3, 6), (3, 5)))
+    a, c = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    p.accumulate_grad(a)
+    p.accumulate_product(x1.T, g1)
+    p.accumulate_grad(c)
+    p.accumulate_product(x2.T, g2)
+    assert [type(term) for term in p.grad_terms()] == [np.ndarray, tuple, np.ndarray, tuple]
+    expected = a.copy()
+    expected += x1.T @ g1
+    expected += c
+    expected += x2.T @ g2
+    assert p.grad.tobytes() == expected.tobytes()
+    assert len(p.grad_terms()) == 1  # formed once, kept as one array
+    with pytest.raises(ShapeMismatch, match=r"^gradient product \(6, 4\) @ \(3, 5\) for a "
+                                            r"tensor of shape \(6, 5\)$"):
+        p.accumulate_product(x1.T, g2)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -994,7 +995,7 @@ def test_only_the_model_builders_lay_parameters_out():
 
 
 @pytest.mark.parametrize("run", ["pretrain", "finetune", "finetune-keep-head"])
-def test_the_optimizer_holds_values_gradients_and_moments_in_flat_buffers(run):
+def test_the_optimizer_holds_values_and_moments_in_flat_buffers_and_weights_as_factors(run):
     cfg = small_cfg(epochs=2, keep_pretrain_head=run == "finetune-keep-head")
     examples = tr.precompute_targets(graph_soup(5, seed=16, target=True), cfg)
     model = tr.build_model(cfg, tr.feature_dim(examples))
@@ -1012,19 +1013,92 @@ def test_the_optimizer_holds_values_gradients_and_moments_in_flat_buffers(run):
         for name in names:
             p = opt.params[name]
             assert np.shares_memory(p.values, values) and p.values.base is values.base
-            assert p.grad_view.base is opt.flat_grad
             assert opt.m[name].base is opt.flat_m and opt.v[name].base is opt.flat_v
-    slotted = []
+    factored = []
     step = opt.step
-    opt.step = lambda grad_scale: (
-        slotted.append(all(p.grad is p.grad_view for p in opt.params.values())),
-        step(grad_scale))
+
+    def each_weight_gives_its_factors(grad_scale):
+        # a weight's gradient reaches the step as its one (x^T, g) pair from
+        # backward, every other parameter's as one array
+        factored.append(all(
+            [type(term) for term in p.grad_terms()] == [tuple if p.values.ndim == 2 else np.ndarray]
+            for p in opt.params.values()))
+        step(grad_scale)
+
+    opt.step = each_weight_gives_its_factors
     if head is None:
         tr.pretrain(examples, model, cfg, state)
     else:
         tr.finetune(examples, model, head, dataclasses.replace(cfg, finetune_epochs=2),
                     "lambda_2", state=state)
-    assert slotted == [True] * 4  # backward wrote every gradient into its slot
+    assert factored == [True] * 4
+
+
+def test_a_training_batch_allocates_two_model_sized_buffers_not_three():
+    # numpy reports its buffers to tracemalloc: building the state allocates
+    # Adam's m and v, and a batch's weight gradients reach the step as their
+    # factors, so nothing else near the model's size is allocated
+    cfg = small_cfg(epochs=1, batch_size=4, hidden_dim=60, max_nodes=40, head_layers=4,
+                    head_hidden_dim=600)
+    examples = tr.precompute_targets(graph_soup(4, seed=18), cfg)
+    d_in = tr.feature_dim(examples)
+    model = tr.build_model(cfg, d_in)
+    model_bytes = next(iter(model.parameters().values())).values.base.nbytes
+    assert model_bytes > 16_000_000  # far more than a batch of four graphs needs besides
+    tracemalloc.start()
+    try:
+        state = tr._fresh_state(model, cfg)
+        record, _ = tr.pretrain(examples, model, cfg, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.optimizer.t == 1 and record.skipped_batches == 0
+    assert 2 * model_bytes <= peak < 2.5 * model_bytes, peak / model_bytes
+
+
+@pytest.mark.parametrize("head_kind", tr.HEAD_KINDS)
+@pytest.mark.parametrize("shape", [
+    {}, {"mp_layers": 1, "update_layers": 1, "head_layers": 1},
+    {"mp_layers": 3, "update_layers": 4, "head_layers": 3, "hidden_dim": 9, "k": 3},
+], ids=["small", "one_layer_each", "deeper"])
+def test_the_closed_form_parameter_counts_are_the_sizes_of_the_built_buffers(head_kind, shape):
+    cfg = small_cfg(head_kind=head_kind, **shape)
+    for d_in in (1, 7, 40):
+        values = next(iter(tr.build_model(cfg, d_in).parameters().values())).values
+        assert tr.model_size(cfg, d_in) == values.base.size
+    values = next(iter(tr.build_downstream_head(cfg).parameters().values())).values
+    assert tr.downstream_head_size(cfg) == values.base.size
+
+
+def test_a_model_that_does_not_fit_in_memory_is_refused_before_it_is_built(monkeypatch):
+    cfg = small_cfg()
+    fits = 3 * 8 * tr.model_size(cfg, 7)
+    page = os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(tr.os, "sysconf", lambda name: {"SC_PAGE_SIZE": page,
+                                                        "SC_PHYS_PAGES": fits // page}[name])
+    monkeypatch.setattr(tr, "GinEncoder", None)  # building anything would fail otherwise
+    with pytest.raises(InvalidParams, match=r"^the model of this config has [^\n]* more than the "
+                                            r"[^\n]* bytes of this machine's memory; lower some "
+                                            r"of hidden_dim=6, mp_layers=2, [^\n]*k=2$"):
+        tr.build_model(cfg, 7)
+
+
+def test_a_checkpoint_load_draws_no_initialisation(tmp_path, monkeypatch):
+    cfg = small_cfg(epochs=1)
+    examples = tr.precompute_targets(graph_soup(3, seed=19, target=True), cfg)
+    d_in = tr.feature_dim(examples)
+    model, head = tr.build_model(cfg, d_in), tr.build_downstream_head(cfg)
+    _, state = tr.finetune(examples, model, head, dataclasses.replace(cfg, finetune_epochs=1),
+                           "lambda_2")
+    path = tmp_path / "ft.ckpt"
+    tr.save_checkpoint(str(path), model, cfg, state, d_in, head)
+    drawn = []
+    monkeypatch.setattr("eigenlearn.nn.glorot_uniform", lambda *args, **kw: drawn.append(args))
+    loaded, _, _, _, loaded_head, _ = tr.load_checkpoint(str(path))
+    assert drawn == []
+    for saved, restored in ((model, loaded), (head, loaded_head)):
+        for (na, pa), (nb, pb) in zip(saved.parameters().items(), restored.parameters().items()):
+            assert na == nb and pa.values.tobytes() == pb.values.tobytes()
 
 
 def test_adjacencies_are_built_by_precompute_targets_and_predict_only(monkeypatch):
