@@ -14,12 +14,13 @@ which records a loss whose value and gradient come in closed form from
 `losses`.
 
 A weight's gradient contribution from `dense` is kept as its two factors,
-the pair (x^T, g), and not multiplied (Tensor.accumulate_product). Reading
-`.grad` forms the product; optim.Adam forms it block by block inside its
-update, in the same row blocks (Tensor.product_rows), so a training step
-writes no array the size of a weight for its gradient. Every other
-contribution (a bias's, eps's, an activation's) is an array, added as it
-arrives.
+the pair (x^T, g), and not multiplied (Tensor.accumulate_product). One
+method, Tensor.form_grad, forms any slice of a gradient from its terms, in
+the row blocks of Tensor.product_rows: reading `.grad` calls it block by
+block, and optim.Adam calls it for each block inside its update, so a
+training step writes no array the size of a weight for its gradient. Every
+other contribution (a bias's, eps's, an activation's) is an array, added as
+it arrives.
 
 Every forward op checks each array it computes for NaN/Inf, once, and raises
 NumericalFault rather than letting a poisoned value propagate: `add`, `mul`,
@@ -38,14 +39,6 @@ import numpy as np
 from .errors import NumericalFault, RankDeficient, ShapeMismatch
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y, formed in the row blocks of Tensor.product_rows."""
-    out = np.empty((x.shape[0], y.shape[1]))
-    for r0, r1 in Tensor.product_rows(*out.shape):
-        np.matmul(x[r0:r1], y, out=out[r0:r1])
-    return out
-
-
 class Tensor:
     """Dense real array plus gradient and the local backward rule.
 
@@ -53,8 +46,7 @@ class Tensor:
     product arrives (accumulate_product) it is one array, each contribution
     added as it comes; from then on the contributions are kept as terms,
     arrays and (x, y) pairs standing for x @ y, and reading `grad` forms
-    their sum, in the same order and so to the same bits, each product in
-    the row blocks of product_rows.
+    their sum in that order, in the row blocks of product_rows (form_grad).
     """
 
     __slots__ = ("values", "requires_grad", "_grad", "_terms", "_parents", "_vjp")
@@ -73,11 +65,9 @@ class Tensor:
         Both readers of a product, `grad` and optim.Adam's step (which forms
         each block just before updating it), form it in these blocks, so a
         step applies exactly the gradient that `grad` shows. A block has at
-        least two rows and two columns, so it is a GEMM, never a GEMV. With
-        OpenBLAS a block is then, for the shapes the models use, bit for bit
-        those rows of the product formed whole, but not for every shape: a
-        block of a few hundred thousand multiply-adds can take a small-matrix
-        kernel that rounds differently (it does for 250 or 300 columns)."""
+        least two rows and two columns, so it is a GEMM, never a GEMV.
+        Whether a block is bit for bit those rows of the product formed whole
+        depends on the BLAS kernel it takes, not on this code."""
         if rows * cols <= Tensor.PRODUCT_BLOCK or rows < 4 or cols < 2:
             return [(0, rows)]
         count = min(-(-rows * cols // Tensor.PRODUCT_BLOCK), rows // 2)
@@ -101,13 +91,11 @@ class Tensor:
         """The gradient accumulated so far, or None; reading it forms any
         pending products."""
         if self._terms is not None:
-            terms, self._terms = self._terms, None
-            for term in terms:
-                value = _product(*term) if isinstance(term, tuple) else term
-                if self._grad is None:
-                    self._grad = value
-                else:
-                    self._grad += value
+            grad = np.empty(self.shape)
+            flat, cols = grad.reshape(-1), self.shape[1]
+            for r0, r1 in Tensor.product_rows(*self.shape):
+                self.form_grad(r0 * cols, r1 * cols, flat[r0 * cols:r1 * cols])
+            self._grad, self._terms = grad, None
         return self._grad
 
     @grad.setter
@@ -121,6 +109,31 @@ class Tensor:
         if self._terms is not None:
             return list(self._terms)
         return [] if self._grad is None else [self._grad]
+
+    def form_grad(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write elements lo:hi of the flattened gradient into the 1-D out,
+        summing its terms in arrival order: an array term's elements are
+        copied or added, an (x, y) term's are rows lo/c:hi/c of x @ y (c its
+        column count). With products among the terms, lo:hi is one of the
+        row blocks of product_rows: `grad` forms each of them with this
+        method, and optim.Adam's step forms each just before it updates it,
+        so the two agree bit for bit. Without products any lo:hi will do."""
+        if hi == lo:
+            return
+        terms = self._terms if self._terms is not None else [self._grad]
+        for i, term in enumerate(terms):
+            if type(term) is tuple:
+                x, y = term
+                cols = y.shape[1]
+                rows = x[lo // cols:hi // cols]
+                if i == 0:
+                    np.matmul(rows, y, out=out.reshape(-1, cols))
+                else:
+                    out += (rows @ y).reshape(-1)
+            elif i == 0:
+                np.copyto(out, term.reshape(-1)[lo:hi])
+            else:
+                out += term.reshape(-1)[lo:hi]
 
     def item(self) -> float:
         """The value of a one-element tensor (a scalar, or a batch of one)."""
@@ -149,7 +162,7 @@ class Tensor:
             raise ShapeMismatch(f"gradient product {x.shape} @ {y.shape} for a tensor "
                                 f"of shape {self.shape}")
         if self._terms is None:
-            self._terms = [] if self._grad is None else [self._grad]
+            self._terms = [] if self._grad is None else [np.ascontiguousarray(self._grad)]
             self._grad = None
         self._terms.append((x, y))
 

@@ -7,8 +7,9 @@ model built by `train.build_model` holds all its values in one buffer
 (`nn.allocate_parameters`). So a step makes one blocked pass over each run of
 parameters whose values are adjacent in memory, one run for a whole model,
 instead of a dozen numpy calls per parameter. Each block's gradient is formed
-in a block-sized scratch just before the block's update: a weight's gradient
-from the factors that `autodiff.dense` recorded (the rows of x^T @ g that the
+in a block-sized scratch just before the block's update, by
+`Tensor.form_grad`, which `.grad` forms gradients with too: a weight's from
+the factors that `autodiff.dense` recorded (the rows of x^T @ g that the
 block covers), any other gradient copied from its array. The update is
 Kingma and Ba's folded form (both bias corrections in the step size and
 epsilon), and a run of millions of values is cut into pieces that threads
@@ -62,26 +63,6 @@ def _refuse_shared(params: dict[str, Tensor]) -> None:
             end, last = stop, name
 
 
-def _form(terms: list, lo: int, hi: int, out: np.ndarray) -> None:
-    """Write elements lo:hi of the flattened sum of a gradient's terms into
-    out, in the terms' arrival order: a (flat) array term's elements are
-    copied or added, an (x, y) term's are rows lo/c:hi/c of x @ y (c its
-    column count), one of the product's row blocks (Tensor.product_rows)."""
-    for i, term in enumerate(terms):
-        if type(term) is tuple:
-            x, y = term
-            cols = y.shape[1]
-            rows = x[lo // cols:hi // cols]
-            if i == 0:
-                np.matmul(rows, y, out=out.reshape(-1, cols))
-            else:
-                out += (rows @ y).reshape(-1)
-        elif i == 0:
-            np.copyto(out, term[lo:hi])
-        else:
-            out += term[lo:hi]
-
-
 class Adam:
     """Standard Adam with bias correction over a named parameter dict.
 
@@ -99,7 +80,7 @@ class Adam:
     view and the names; a parameter with an array of its own is a run of its
     own. A run's moment slots are adjacent too, so each run is one pass, in
     blocks (see _blocks). `pieces` cuts each run, between blocks, into at
-    most usable_cpus() pieces of about MIN_PIECE values or more each, as
+    most usable_cpus() pieces of at least MIN_PIECE values each, as
     (values, m, v, blocks): a desk-scale run is one piece, and a step that
     has cut no run uses no thread.
     """
@@ -151,9 +132,14 @@ class Adam:
             blocks = list(self._blocks(names))
             count = max(1, min(cpus, values.size // self.MIN_PIECE))
             starts = np.cumsum([0] + [n for n, _ in blocks])  # and the run's end
-            # cut before the first block that starts at or past each equal share
-            cuts = sorted({int(np.searchsorted(starts[:-1], i * values.size // count))
-                           for i in range(count)})
+            # cut before the first block at or past the next equal share that
+            # leaves MIN_PIECE values or more on either side of the cut
+            cuts = [0]
+            for j in range(1, len(blocks)):
+                if (starts[j] * count >= len(cuts) * values.size
+                        and starts[j] - starts[cuts[-1]] >= self.MIN_PIECE
+                        and values.size - starts[j] >= self.MIN_PIECE):
+                    cuts.append(j)
             for i, j in zip(cuts, cuts[1:] + [len(blocks)]):
                 lo, hi = first + starts[i], first + starts[j]
                 self.pieces.append((values[starts[i]:starts[j]], self.flat_m[lo:hi],
@@ -219,29 +205,32 @@ class Adam:
         any value changes.
         """
         runs = [values for values, _ in self.runs]
-        grads = {}  # name -> terms, each array flattened
         for name, p in self.params.items():
             terms = p.grad_terms()
             if not terms:
                 raise ValueError(f"Adam.step: parameter {name!r} has no gradient; "
                                  "backward or accumulate_grad gives it one")
+            arrays = []
             for term in terms:
-                if type(term) is not tuple and term.shape != p.shape:
+                if type(term) is tuple:
+                    arrays += term
+                elif term.shape != p.shape:
                     raise ValueError(f"Adam.step: parameter {name!r} has a gradient of "
                                      f"shape {term.shape} for values of shape {p.shape}")
-                for a in (term if type(term) is tuple else (term,)):
-                    for values in runs:
-                        if np.may_share_memory(a, values):
-                            terms = [np.array(p.grad)]
-            grads[name] = [t if type(t) is tuple else np.ascontiguousarray(t).reshape(-1)
-                           for t in terms]
+                else:
+                    arrays.append(term)
+            if any(type(term) is not tuple and not term.flags.c_contiguous for term in terms) \
+                    or any(np.may_share_memory(a, values) for a in arrays for values in runs):
+                # formed now, into an array of its own that form_grad reads
+                # without a copy and that the update cannot change
+                p.grad = np.array(p.grad, order="C")
         self.t += 1
         root2 = math.sqrt(1.0 - self.beta2 ** self.t)
         factors = (self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2,
                    (1.0 - self.beta1) * grad_scale, (1.0 - self.beta2) * grad_scale ** 2)
         if self._threads == 1:
             for piece, buffers in zip(self.pieces, self._scratch):
-                self._update(piece, buffers, grads, *factors)
+                self._update(piece, buffers, *factors)
         else:
             # imported only by a process that steps a cut run: imported with
             # this module (it brings in logging), it slowed perfbench's
@@ -249,14 +238,14 @@ class Adam:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(self._threads) as pool:
                 # list() reads every result, so an error in a piece is raised here
-                list(pool.map(lambda piece, buffers: self._update(piece, buffers, grads, *factors),
+                list(pool.map(lambda piece, buffers: self._update(piece, buffers, *factors),
                               self.pieces, self._scratch))
 
-    def _update(self, piece, buffers: np.ndarray, grads: dict, lr_t: float, eps_t: float,
+    def _update(self, piece, buffers: np.ndarray, lr_t: float, eps_t: float,
                 a1: float, a2: float) -> None:
         """The step's twelve in-place passes over one piece, block by block,
-        each block's gradient formed first in the first of the piece's two
-        scratch buffers."""
+        each block's gradient formed first (Tensor.form_grad) in the first of
+        the piece's two scratch buffers."""
         values, m, v, blocks = piece
         grad, scratch = buffers
         lo = 0
@@ -264,7 +253,7 @@ class Adam:
             hi = lo + n
             g, tmp = grad[:n], scratch[:n]
             for name, start, stop, at in fills:
-                _form(grads[name], start, stop, g[at:at + stop - start])
+                self.params[name].form_grad(start, stop, g[at:at + stop - start])
             mb, vb, pb = m[lo:hi], v[lo:hi], values[lo:hi]
             mb *= self.beta1
             np.multiply(g, a1, out=tmp)

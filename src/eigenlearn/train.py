@@ -25,6 +25,7 @@ checkpoint header's config is dataclasses.asdict of it.
 
 import json
 import logging
+import math
 import os
 import time
 from collections.abc import Callable
@@ -264,9 +265,19 @@ def _check_fits(what: str, size: int, cfg: PretrainConfig) -> None:
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         fields = ", ".join(f"{name}={getattr(cfg, name)!r}" for name in _SIZE_FIELDS)
-        raise InvalidParams(f"the {what} of this config has {size:.3g} parameters, whose values "
-                            f"and Adam moments need {need:.3g} bytes, more than the {memory:.3g} "
-                            f"bytes of this machine's memory; lower some of {fields}")
+        raise InvalidParams(f"the {what} of this config has {_approx(size)} parameters, whose "
+                            f"values and Adam moments need {_approx(need)} bytes, more than the "
+                            f"{_approx(memory)} bytes of this machine's memory; lower some of "
+                            f"{fields}")
+
+
+def _approx(n: int) -> str:
+    """A positive int to three significant digits (1.23e+45), or, beyond the
+    float range, as the power of ten it exceeds."""
+    try:
+        return f"{n:.3g}"
+    except OverflowError:
+        return f"over 1e+{int((n.bit_length() - 1) * math.log10(2))}"
 
 
 def build_model(cfg: PretrainConfig, d_in: int, draw: bool = True) -> EigenModel:

@@ -152,7 +152,7 @@ def test_pretrain_val_loss_schedule_exits_1(tmp_path, small_dataset, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("head_hidden_dim", 10 ** 12), ("hidden_dim", 10 ** 8), ("max_nodes", 10 ** 9),
-    ("head_layers", 10 ** 10),
+    ("head_layers", 10 ** 10), pytest.param("hidden_dim", 10 ** 400, id="hidden_dim-10**400"),
 ])
 def test_a_model_too_large_for_memory_exits_1_with_one_line(tmp_path, small_dataset, capsys,
                                                             field, value):

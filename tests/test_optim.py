@@ -54,6 +54,30 @@ def test_a_gradient_set_by_hand_is_stepped_like_an_accumulated_one():
     assert opts[0].m["p"].tobytes() == opts[1].m["p"].tobytes()
 
 
+def test_a_strided_gradient_set_by_hand_is_stepped_like_an_accumulated_one():
+    # a transposed array, set by hand and then added to by a product, and an
+    # array that is a view of the values themselves
+    rng = np.random.default_rng(5)
+    start, x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+    by_hand, accumulated = make_param(start.T), make_param(start.T)
+    opts = Adam({"p": by_hand}, lr=0.1), Adam({"p": accumulated}, lr=0.1)
+    for _ in range(2):
+        by_hand.grad = start.T
+        by_hand.accumulate_product(x.T, y)
+        accumulated.accumulate_grad(start.T)
+        accumulated.accumulate_product(x.T, y)
+        for opt in opts:
+            opt.step()
+            opt.zero_grad()
+    by_hand.grad, values = by_hand.values, by_hand.values.copy()
+    accumulated.accumulate_grad(accumulated.values)
+    for opt in opts:
+        opt.step()
+    assert not np.array_equal(by_hand.values, values)
+    assert by_hand.values.tobytes() == accumulated.values.tobytes()
+    assert opts[0].v["p"].tobytes() == opts[1].v["p"].tobytes()
+
+
 @pytest.mark.parametrize("params, message", [
     (lambda p, q: {"a": p, "b": q, "c": p}, "parameters 'a' and 'c' are one tensor"),
     (lambda p, q: {"a": p, "b": ad.parameter(p.values[1:])},
@@ -196,11 +220,14 @@ def test_step_over_a_model_and_standalone_parameters_is_bit_identical_to_the_for
 
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_cutting_a_run_into_pieces_changes_no_bit(monkeypatch, cpus):
-    # sizes that are no multiples of BLOCK, in one run of more than three
-    # times a (lowered) piece minimum
+    # sizes that are no multiples of BLOCK, in one run of more than four
+    # times a (lowered) piece minimum; w0 is cut into three row blocks of
+    # 2 * BLOCK + 10 values, w1 (two rows) is one block of its own. With 8
+    # CPUs the fourth equal share falls in the two small blocks at the end,
+    # which would make a piece of fewer than MIN_PIECE values.
     block = Adam.BLOCK
     monkeypatch.setattr(Adam, "MIN_PIECE", 2 * block)
-    shapes = {"w0": (3, block + 5), "b0": (block - 3,), "w1": (2, block + 7), "b1": (7,),
+    shapes = {"w0": (6, block + 5), "b0": (block - 3,), "w1": (2, block + 7), "b1": (7,),
               "eps": ()}
     rng = np.random.default_rng(8)
 
@@ -214,12 +241,10 @@ def test_cutting_a_run_into_pieces_changes_no_bit(monkeypatch, cpus):
     params1, whole = build(1)
     params_n, cut = build(cpus)
     size = sum(math.prod(shape) for shape in shapes.values())
-    assert [len(opt.pieces) for opt in (whole, cut)] == [1, min(cpus, size // Adam.MIN_PIECE)]
+    assert [len(opt.pieces) for opt in (whole, cut)] == [1, min(cpus, 3)]
     sizes = [piece[0].size for piece in cut.pieces]
-    # pieces of whole blocks, each within a block of an equal share
-    assert [sum(n for n, _ in piece[3]) for piece in cut.pieces] == sizes
-    largest = max(n for piece in cut.pieces for n, _ in piece[3])
-    assert sum(sizes) == size and min(sizes) >= size // len(sizes) - largest
+    assert [sum(n for n, _ in piece[3]) for piece in cut.pieces] == sizes  # whole blocks
+    assert sum(sizes) == size and min(sizes) >= Adam.MIN_PIECE
     for t in range(1, 5):
         grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         for params, opt in ((params1, whole), (params_n, cut)):
@@ -230,6 +255,34 @@ def test_cutting_a_run_into_pieces_changes_no_bit(monkeypatch, cpus):
         for name in shapes:
             assert np.array_equal(params1[name].values, params_n[name].values), (name, t)
         assert np.array_equal(whole.flat_m, cut.flat_m) and np.array_equal(whole.flat_v, cut.flat_v)
+
+
+@pytest.mark.parametrize("shape, cpus", [((2, 2 ** 21), 2), ((4, 2 ** 20), 4)])
+def test_a_matrix_in_fewer_blocks_than_cpus_is_cut_into_no_empty_piece(monkeypatch, shape, cpus):
+    # a matrix of fewer than four rows is one block, one cut at rows // 2 two
+    # blocks: fewer blocks than the equal shares of `cpus` pieces. Built at
+    # full size (zeros are not touched until written), then stepped at a
+    # 32nd of it with MIN_PIECE lowered alike, against one piece.
+    monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+    opt = Adam({"w": make_param(np.zeros(shape))})
+    assert [piece[0].size for piece in opt.pieces] == [(r1 - r0) * shape[1] for r0, r1 in
+                                                       ad.Tensor.product_rows(*shape)]
+    monkeypatch.setattr(Adam, "MIN_PIECE", Adam.MIN_PIECE // 32)
+    shape = shape[0], shape[1] // 32
+    rng = np.random.default_rng(6)
+    params, opts = [], []
+    for usable in (1, cpus):
+        monkeypatch.setattr(optim, "usable_cpus", lambda: usable)
+        params.append(make_param(np.random.default_rng(7).standard_normal(shape)))
+        opts.append(Adam({"w": params[-1]}, lr=0.01))
+    assert [len(opt.pieces) for opt in opts] == [1, len(ad.Tensor.product_rows(*shape))]
+    for t in range(1, 4):
+        x, g = rng.standard_normal((5, shape[0])), rng.standard_normal((5, shape[1]))
+        for p, opt in zip(params, opts):
+            p.accumulate_product(x.T, g)
+            opt.step()
+            opt.zero_grad()
+        assert_same_state({"w": params[0]}, opts[0], {"w": params[1]}, opts[1], t)
 
 
 def test_an_error_in_a_piece_is_raised_by_the_step(monkeypatch):
@@ -324,9 +377,9 @@ def test_plateau_needs_threshold_sized_improvement():
 
 # A run whose blocks include one inside a matrix (w0 is cut into three, w2
 # into two) and one spanning several small parameters (b0, w1, b1, eps). w0
-# has the default graph-level head's output width (max_nodes * k = 240), for
-# which OpenBLAS forms a row block bit for bit as those rows of the whole
-# product; for some other widths (250 columns, say) it does not.
+# has the default graph-level head's output width (max_nodes * k = 240) or
+# one for which some BLAS kernels round a row block differently from those
+# rows of the whole product (250 columns).
 FACTOR_SHAPES = {"w0": (300, 240), "b0": (240,), "w1": (240, 7), "b1": (7,), "eps": (),
                  "w2": (7, 5000)}
 ODD_SHAPES = dict(FACTOR_SHAPES, w0=(300, 250), b0=(250,), w1=(250, 7))
@@ -360,12 +413,11 @@ def assert_same_state(params_a, opt_a, params_b, opt_b, where):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("contributions", [1, 2])
 @pytest.mark.parametrize("batch", [1, 4, 700])
-@pytest.mark.parametrize("shapes, form", [(FACTOR_SHAPES, lambda x, y: x @ y),
-                                          (ODD_SHAPES, formed_as_grad)], ids=["product", "odd"])
+@pytest.mark.parametrize("shapes", [FACTOR_SHAPES, ODD_SHAPES], ids=["head", "odd"])
 def test_a_step_given_factors_is_bit_identical_to_one_given_their_product(
-        monkeypatch, shapes, form, batch, contributions, cpus):
-    # the reference is given each product as an array: formed whole for the
-    # heads' shapes, and in its row blocks (as `.grad` forms it) for any shape
+        monkeypatch, shapes, batch, contributions, cpus):
+    # the reference is given each product as an array, formed in its row
+    # blocks as `.grad` forms it: the step applies exactly what `.grad` shows
     monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
     monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
     factored, formed = twin_runs(shapes)
@@ -381,7 +433,7 @@ def test_a_step_given_factors_is_bit_identical_to_one_given_their_product(
                 for _ in range(contributions):
                     x, g = rng.standard_normal((batch, shape[0])), rng.standard_normal((batch, shape[1]))
                     factored[name].accumulate_product(x.T, g)
-                    formed[name].accumulate_grad(form(x.T, g), owned=True)
+                    formed[name].accumulate_grad(formed_as_grad(x.T, g), owned=True)
             else:
                 g = rng.standard_normal(shape)
                 factored[name].accumulate_grad(g)
