@@ -13,14 +13,14 @@ whole GIN aggregation (`gin_aggregate`), broadcasting `add` and `mul`,
 which records a loss whose value and gradient come in closed form from
 `losses`.
 
-A weight's gradient contribution from `dense` is kept as its two factors,
-the pair (x^T, g), and not multiplied (Tensor.accumulate_product). One
-method, Tensor.form_grad, forms any slice of a gradient from its terms, in
-the row blocks of Tensor.product_rows: reading `.grad` calls it block by
-block, and optim.Adam calls it for each block inside its update, so a
-training step writes no array the size of a weight for its gradient. Every
-other contribution (a bias's, eps's, an activation's) is an array, added as
-it arrives.
+A tensor keeps its gradient as one list of terms it owns, in arrival order:
+a weight's contribution from `dense` as its two factors, the pair (x^T, g),
+not multiplied (Tensor.accumulate_product); any other (a bias's, eps's, an
+activation's) as a C-contiguous array of the tensor's shape. One method,
+Tensor.form_grad, forms any slice of a gradient from its terms, in the row
+blocks of Tensor.product_rows: reading `.grad` calls it block by block, and
+optim.Adam calls it for each block inside its update, so a training step
+writes no array the size of a weight for its gradient.
 
 Every forward op checks each array it computes for NaN/Inf, once, and raises
 NumericalFault rather than letting a poisoned value propagate: `add`, `mul`,
@@ -42,14 +42,14 @@ from .errors import NumericalFault, RankDeficient, ShapeMismatch
 class Tensor:
     """Dense real array plus gradient and the local backward rule.
 
-    The gradient is the sum of its contributions in arrival order. Until a
-    product arrives (accumulate_product) it is one array, each contribution
-    added as it comes; from then on the contributions are kept as terms,
-    arrays and (x, y) pairs standing for x @ y, and reading `grad` forms
-    their sum in that order, in the row blocks of product_rows (form_grad).
+    The gradient is one list of terms, in arrival order, that the tensor
+    owns: C-contiguous arrays of its shape (accumulate_grad, the `grad`
+    setter) and (x, y) pairs standing for x @ y (accumulate_product).
+    Reading `grad` forms their sum in that order, in the row blocks of
+    product_rows (form_grad), and keeps it as the one term.
     """
 
-    __slots__ = ("values", "requires_grad", "_grad", "_terms", "_parents", "_vjp")
+    __slots__ = ("values", "requires_grad", "_terms", "_parents", "_vjp")
 
     # The most outputs of a gradient product x @ y formed in one matmul; a
     # larger one is formed in row blocks (product_rows).
@@ -77,8 +77,7 @@ class Tensor:
                  _parents: tuple = (), _vjp=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self._grad = None
-        self._terms = None
+        self._terms = []
         self._parents = _parents
         self._vjp = _vjp
 
@@ -88,27 +87,35 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """The gradient accumulated so far, or None; reading it forms any
-        pending products."""
-        if self._terms is not None:
+        """The gradient accumulated so far, or None; reading it forms the sum
+        of several terms, or a product, into one array, kept as the one term."""
+        terms = self._terms
+        if not terms:
+            return None
+        if len(terms) > 1 or type(terms[0]) is tuple:
             grad = np.empty(self.shape)
-            flat, cols = grad.reshape(-1), self.shape[1]
-            for r0, r1 in Tensor.product_rows(*self.shape):
-                self.form_grad(r0 * cols, r1 * cols, flat[r0 * cols:r1 * cols])
-            self._grad, self._terms = grad, None
-        return self._grad
+            rows, cols = self.shape if grad.ndim == 2 else (1, grad.size)
+            for r0, r1 in Tensor.product_rows(rows, cols):
+                self.form_grad(r0 * cols, r1 * cols, grad.reshape(-1)[r0 * cols:r1 * cols])
+            self._terms = terms = [grad]
+        return terms[0]
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        self._grad, self._terms = value, None
+        """Keep a copy of value, an array of the tensor's shape (ShapeMismatch
+        otherwise), as the gradient; None clears it."""
+        if value is not None:
+            value = np.array(value, dtype=np.float64, order="C")
+            if value.shape != self.shape:
+                raise ShapeMismatch(f"a gradient of shape {value.shape} for a tensor of "
+                                    f"shape {self.shape}")
+        self._terms = [] if value is None else [value]
 
     def grad_terms(self) -> list:
         """The gradient's terms in arrival order, without forming a product:
         arrays, each of the tensor's shape and owned by it, and (x, y) pairs
         standing for x @ y. [] when there is no gradient."""
-        if self._terms is not None:
-            return list(self._terms)
-        return [] if self._grad is None else [self._grad]
+        return list(self._terms)
 
     def form_grad(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Write elements lo:hi of the flattened gradient into the 1-D out,
@@ -120,8 +127,7 @@ class Tensor:
         so the two agree bit for bit. Without products any lo:hi will do."""
         if hi == lo:
             return
-        terms = self._terms if self._terms is not None else [self._grad]
-        for i, term in enumerate(terms):
+        for i, term in enumerate(self._terms):
             if type(term) is tuple:
                 x, y = term
                 cols = y.shape[1]
@@ -140,18 +146,11 @@ class Tensor:
         return float(self.values.item())
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g to the gradient. owned=True says g is a fresh array of the
-        tensor's shape that nothing else refers to, so it is kept without a
-        copy."""
-        if self._terms is not None:
-            self._terms.append(g if owned else np.broadcast_to(g, self.shape).copy())
-        elif self._grad is not None:
-            self._grad += g
-        elif owned:
-            self._grad = g
-        else:
-            self._grad = np.zeros_like(self.values)
-            self._grad += g
+        """Add g to the gradient as a term of its own. owned=True says g is a
+        fresh C-contiguous array of the tensor's shape that nothing else
+        refers to, so it is kept without a copy; any other g is copied,
+        broadcast to the tensor's shape (as 0.0 + g)."""
+        self._terms.append(g if owned else np.add(0.0, g, out=np.empty(self.shape)))
 
     def accumulate_product(self, x: np.ndarray, y: np.ndarray) -> None:
         """Add x @ y to the gradient as the pair (x, y), not multiplied: the
@@ -161,9 +160,6 @@ class Tensor:
                 or (x.shape[0], y.shape[1]) != self.shape):
             raise ShapeMismatch(f"gradient product {x.shape} @ {y.shape} for a tensor "
                                 f"of shape {self.shape}")
-        if self._terms is None:
-            self._terms = [] if self._grad is None else [np.ascontiguousarray(self._grad)]
-            self._grad = None
         self._terms.append((x, y))
 
     def backward(self, seed: np.ndarray | None = None) -> None:
@@ -434,6 +430,6 @@ def thin_qr(a: Tensor, rank_tol: float) -> Tensor:
             m = -(np.swapaxes(g, -1, -2) @ q)
             m = np.where(np.tri(m.shape[-1], dtype=bool), m, np.swapaxes(m, -1, -2))  # copyltu
             back = np.linalg.solve(r, np.swapaxes(g + q @ m, -1, -2))
-            a.accumulate_grad(np.swapaxes(back, -1, -2), owned=True)
+            a.accumulate_grad(np.swapaxes(back, -1, -2))  # copied: a transpose
 
     return _result(q, (a,), vjp)

@@ -23,8 +23,8 @@ from .data import (_numbered_graphs, atomic_write_text, from_dict, load_dataset,
                    save_dataset)
 from .eigen import eigendecompose
 from .errors import DatasetFormatError, EigenlearnError, InvalidParams
-from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, build_adjacency,
-                     build_laplacian, generate_graph)
+from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, adjacency_fits,
+                     build_adjacency, build_laplacian, generate_graph)
 from .invariants import run_all_checks
 from .wavelets import FeatureConfig, augment_features
 
@@ -59,6 +59,9 @@ def cmd_gen_data(args) -> int:
         raise InvalidParams(f"--n-min must be >= 2, got {args.n_min}")
     if args.n_max < args.n_min:
         raise InvalidParams(f"--n-max {args.n_max} must be >= --n-min {args.n_min}")
+    if not adjacency_fits(args.n_max):
+        raise InvalidParams(f"--n-max {args.n_max}: a graph of that many nodes needs an n x n "
+                            f"float64 adjacency, more than this machine's memory")
     rng = np.random.default_rng(args.seed)
     kinds = args.kinds.split(",")
     for kind in kinds:
@@ -98,17 +101,19 @@ def cmd_features(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    graphs = load_dataset(args.input)
     lines = []
-    for g in graphs:
-        s = eigendecompose(build_laplacian(build_adjacency(g), args.norm))
+    for number, g in _numbered_graphs(args.input):
+        try:
+            s = eigendecompose(build_laplacian(build_adjacency(g), args.norm))
+        except EigenlearnError as exc:
+            raise DatasetFormatError(args.input, number, str(exc)) from None
         rec = {"num_nodes": g.num_nodes,
                "eigenvalues": [float(v) for v in s.eigenvalues]}
         if not args.values_only:
             rec["eigenvectors"] = [[float(v) for v in row] for row in s.eigenvectors]
         lines.append(json.dumps(rec, separators=(",", ":")))
     atomic_write_text(args.output, "".join(line + "\n" for line in lines))
-    log.info("wrote spectra of %d graphs to %s", len(graphs), args.output)
+    log.info("wrote spectra of %d graphs to %s", len(lines), args.output)
     return 0
 
 

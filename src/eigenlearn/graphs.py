@@ -6,10 +6,13 @@ numpy array. `build_adjacency` builds the adjacency from a graph's edge
 tuple in one vectorized assignment, the endpoints flattened into one index
 array, with no loop over the edges in Python. The Laplacian and diffusion
 operators take that (n, n) array, so a caller that needs both the adjacency
-and an operator builds it once.
+and an operator builds it once. A graph whose adjacency would not fit in
+the machine's physical memory is refused before anything is allocated.
 """
 
+import functools
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +82,29 @@ class Graph:
         return Graph(self.num_nodes, self.edges, x, dict(self.graph_targets))
 
 
+@functools.cache
+def physical_memory() -> float:
+    """The bytes of this machine's physical memory, read once per process;
+    infinite where the platform gives no page counts (Windows)."""
+    if hasattr(os, "sysconf"):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return float("inf")
+
+
+def adjacency_fits(n: int) -> bool:
+    """Whether an (n, n) float64 adjacency fits in physical memory."""
+    return 8 * n * n <= physical_memory()
+
+
 def build_adjacency(g: Graph) -> np.ndarray:
     """Symmetric 0/1 float64 adjacency matrix of g: the edges' endpoints read
     into one (2E,) index array, then one fancy-indexed assignment per
-    direction."""
-    a = np.zeros((g.num_nodes, g.num_nodes))
+    direction. InvalidGraph when the matrix would not fit in memory."""
+    n = g.num_nodes
+    if not adjacency_fits(n):
+        raise InvalidGraph(f"a graph of {n} nodes needs an n x n float64 adjacency, more "
+                           f"than the {physical_memory()} bytes of this machine's memory")
+    a = np.zeros((n, n))
     ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp,
                        count=2 * len(g.edges))
     u, v = ends[0::2], ends[1::2]

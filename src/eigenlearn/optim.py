@@ -12,10 +12,9 @@ in a block-sized scratch just before the block's update, by
 the factors that `autodiff.dense` recorded (the rows of x^T @ g that the
 block covers), any other gradient copied from its array. The update is
 Kingma and Ba's folded form (both bias corrections in the step size and
-epsilon), and a run of millions of values is cut into pieces that threads
-update at once, one per usable CPU: the update is elementwise and numpy
-releases the interpreter lock inside it, so the pieces change nothing but the
-time.
+epsilon). A model of millions of values has its blocks dealt to one thread
+per usable CPU: the update is elementwise and numpy releases the interpreter
+lock inside it, so the threads change nothing but the time.
 """
 
 import math
@@ -70,19 +69,18 @@ class Adam:
     batching by gradient accumulation pass grad_scale = 1/batch to average
     them) and updates the moments and the parameter values in place; it
     leaves the gradients as they were, and zero_grad() clears them before the
-    next pass. Every parameter must have a gradient of its shape; a step
-    fails before it changes anything when one has not. Two names for one
-    tensor, or two parameters whose values overlap, are refused when the
-    optimizer is built.
+    next pass. Every parameter must have a gradient; a step fails before it
+    changes anything when one has none. Two names for one tensor, or two
+    parameters whose values overlap, are refused when the optimizer is built.
 
     `runs` holds, for each maximal sequence of parameters (in dict order)
     whose values are adjacent slices of one buffer, its values as one 1-D
     view and the names; a parameter with an array of its own is a run of its
     own. A run's moment slots are adjacent too, so each run is one pass, in
-    blocks (see _blocks). `pieces` cuts each run, between blocks, into at
-    most usable_cpus() pieces of at least MIN_PIECE values each, as
-    (values, m, v, blocks): a desk-scale run is one piece, and a step that
-    has cut no run uses no thread.
+    blocks (see _blocks). `blocks` lists the blocks of every run in order, as
+    (values, m, v, fills) views. A step deals them to its threads, at most
+    one per usable CPU and per MIN_PIECE values: thread i updates blocks i,
+    i + T, i + 2T, ... of T. A desk-scale model is stepped on no thread.
     """
 
     # Values per block of the in-place update: the slices of m, v and the
@@ -91,9 +89,9 @@ class Adam:
     # A matrix's blocks are the row blocks its gradient products are formed
     # in, which Tensor.PRODUCT_BLOCK sizes, so the two are one constant.
     BLOCK = Tensor.PRODUCT_BLOCK
-    # Fewest values in a piece of a run. Updating this many takes milliseconds,
-    # so starting a thread for a piece (tens of microseconds) stays a small
-    # share of the step, and desk-scale models are never cut.
+    # Fewest values per thread of a step. Updating this many takes
+    # milliseconds, so starting a thread (tens of microseconds) stays a small
+    # share of the step, and desk-scale models use no thread.
     MIN_PIECE = 1 << 20
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
@@ -126,29 +124,19 @@ class Adam:
                 self.runs.append((p.values.reshape(-1), [name]))
             follows = place and (place[0], place[1] + p.values.size)
             lo = hi
-        self.pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, list]] = []
-        cpus, first = usable_cpus(), 0  # first: the run's first moment slot
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, list]] = []
+        at = 0  # the block's first moment slot
         for values, names in self.runs:
-            blocks = list(self._blocks(names))
-            count = max(1, min(cpus, values.size // self.MIN_PIECE))
-            starts = np.cumsum([0] + [n for n, _ in blocks])  # and the run's end
-            # cut before the first block at or past the next equal share that
-            # leaves MIN_PIECE values or more on either side of the cut
-            cuts = [0]
-            for j in range(1, len(blocks)):
-                if (starts[j] * count >= len(cuts) * values.size
-                        and starts[j] - starts[cuts[-1]] >= self.MIN_PIECE
-                        and values.size - starts[j] >= self.MIN_PIECE):
-                    cuts.append(j)
-            for i, j in zip(cuts, cuts[1:] + [len(blocks)]):
-                lo, hi = first + starts[i], first + starts[j]
-                self.pieces.append((values[starts[i]:starts[j]], self.flat_m[lo:hi],
-                                    self.flat_v[lo:hi], blocks[i:j]))
-            first += values.size
-        # two block-sized scratch arrays per piece, kept: allocating them
+            lo = 0  # and its first value in the run
+            for n, fills in self._blocks(names):
+                self.blocks.append((values[lo:lo + n], self.flat_m[at:at + n],
+                                    self.flat_v[at:at + n], fills))
+                lo, at = lo + n, at + n
+        self._threads = max(1, min(usable_cpus(), size // self.MIN_PIECE, len(self.blocks)))
+        # two block-sized scratch arrays per thread, kept: allocating them
         # afresh for each step made a desk-scale step about a third slower
-        self._scratch = [np.empty((2, max(n for n, _ in piece[3]))) for piece in self.pieces]
-        self._threads = min(len(self.pieces), cpus) if len(self.pieces) > len(self.runs) else 1
+        largest = max((values.size for values, *_ in self.blocks), default=0)
+        self._scratch = [np.empty((2, largest)) for _ in range(self._threads)]
 
     def _blocks(self, names: list[str]):
         """The blocks of a run with these parameters, in order, each as
@@ -195,79 +183,63 @@ class Adam:
             values = values - lr_t * m / (sqrt(v) + eps_t)
 
         with grad each parameter's `.grad`, so it is bit-identical to that
-        out-of-place form, however the runs are cut into blocks and pieces. It
+        out-of-place form, however many threads the blocks are dealt to. It
         is the textbook update with the bias corrections moved into lr_t and
         eps_t; m and v keep their textbook meaning, and the values agree with
         the textbook ones up to rounding.
 
-        A gradient term that may share memory with values the step updates (a
-        parameter that fed a dense layer as its input, say) is formed before
-        any value changes.
+        A gradient factor that may share memory with values the step updates
+        (a parameter that fed a dense layer as its input, say) is formed
+        before any value changes.
         """
-        runs = [values for values, _ in self.runs]
         for name, p in self.params.items():
             terms = p.grad_terms()
             if not terms:
                 raise ValueError(f"Adam.step: parameter {name!r} has no gradient; "
                                  "backward or accumulate_grad gives it one")
-            arrays = []
-            for term in terms:
-                if type(term) is tuple:
-                    arrays += term
-                elif term.shape != p.shape:
-                    raise ValueError(f"Adam.step: parameter {name!r} has a gradient of "
-                                     f"shape {term.shape} for values of shape {p.shape}")
-                else:
-                    arrays.append(term)
-            if any(type(term) is not tuple and not term.flags.c_contiguous for term in terms) \
-                    or any(np.may_share_memory(a, values) for a in arrays for values in runs):
-                # formed now, into an array of its own that form_grad reads
-                # without a copy and that the update cannot change
-                p.grad = np.array(p.grad, order="C")
+            if any(np.may_share_memory(factor, values) for term in terms if type(term) is tuple
+                   for factor in term for values, _ in self.runs):
+                p.grad  # formed now, into an array of its own that the update cannot change
         self.t += 1
         root2 = math.sqrt(1.0 - self.beta2 ** self.t)
         factors = (self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2,
                    (1.0 - self.beta1) * grad_scale, (1.0 - self.beta2) * grad_scale ** 2)
-        if self._threads == 1:
-            for piece, buffers in zip(self.pieces, self._scratch):
-                self._update(piece, buffers, *factors)
-        else:
-            # imported only by a process that steps a cut run: imported with
-            # this module (it brings in logging), it slowed perfbench's
-            # spectra-prep, which never steps, by about 2% (2 CPUs)
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(self._threads) as pool:
-                # list() reads every result, so an error in a piece is raised here
-                list(pool.map(lambda piece, buffers: self._update(piece, buffers, *factors),
-                              self.pieces, self._scratch))
+        count = self._threads
+        if count == 1:
+            self._update(self.blocks, self._scratch[0], *factors)
+            return
+        # imported only by a process that steps on threads: imported with this
+        # module (it brings in logging), it slowed perfbench's spectra-prep,
+        # which never steps, by about 2% (2 CPUs)
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(count) as pool:
+            # list() reads every result, so an error in a thread is raised here
+            list(pool.map(lambda i: self._update(self.blocks[i::count], self._scratch[i], *factors),
+                          range(count)))
 
-    def _update(self, piece, buffers: np.ndarray, lr_t: float, eps_t: float,
+    def _update(self, blocks: list, buffers: np.ndarray, lr_t: float, eps_t: float,
                 a1: float, a2: float) -> None:
-        """The step's twelve in-place passes over one piece, block by block,
-        each block's gradient formed first (Tensor.form_grad) in the first of
-        the piece's two scratch buffers."""
-        values, m, v, blocks = piece
+        """The step's twelve in-place passes over each of these blocks, its
+        gradient formed first (Tensor.form_grad) in the first of the two
+        scratch buffers."""
         grad, scratch = buffers
-        lo = 0
-        for n, fills in blocks:
-            hi = lo + n
+        for values, m, v, fills in blocks:
+            n = values.size
             g, tmp = grad[:n], scratch[:n]
             for name, start, stop, at in fills:
                 self.params[name].form_grad(start, stop, g[at:at + stop - start])
-            mb, vb, pb = m[lo:hi], v[lo:hi], values[lo:hi]
-            mb *= self.beta1
+            m *= self.beta1
             np.multiply(g, a1, out=tmp)
-            mb += tmp
-            vb *= self.beta2
+            m += tmp
+            v *= self.beta2
             g *= g
             g *= a2
-            vb += g
-            np.sqrt(vb, out=g)
+            v += g
+            np.sqrt(v, out=g)
             g += eps_t
-            np.multiply(mb, lr_t, out=tmp)
+            np.multiply(m, lr_t, out=tmp)
             tmp /= g
-            pb -= tmp
-            lo = hi
+            values -= tmp
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -26,7 +26,7 @@ checkpoint header's config is dataclasses.asdict of it.
 import json
 import logging
 import math
-import os
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -37,13 +37,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, LIST, NON_NEGATIVE,
-                   NON_NEGATIVE_INT, OBJECT, OBJECT_OR_NULL, POSITIVE, POSITIVE_INT,
+                   NON_NEGATIVE_INT, OBJECT, OBJECT_OR_NULL, POSITIVE, POSITIVE_INT, Kind,
                    atomic_write_text, check_fields, config, from_dict, one_of,
                    read_header_and_arrays)
 from .eigen import eigendecompose, lowest_k
 from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
                      MissingTarget, NodeCountTooSmall, NumericalFault, RankDeficient)
-from .graphs import LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian
+from .graphs import LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian, physical_memory
 from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
@@ -250,25 +250,23 @@ def downstream_head_size(cfg: PretrainConfig) -> int:
     return _mlp_size(cfg.max_nodes * cfg.hidden_dim, cfg.head_hidden_dim, cfg.head_layers, 1)
 
 
-# Fields that the parameter counts depend on, named when a model is refused.
+# Fields that a model's memory need depends on, named when a model is refused.
 _SIZE_FIELDS = ("hidden_dim", "mp_layers", "update_layers", "head_kind", "head_layers",
-                "head_hidden_dim", "max_nodes", "k")
+                "head_hidden_dim", "max_nodes", "k", "batch_size")
 
 
 def _check_fits(what: str, size: int, cfg: PretrainConfig) -> None:
     """Refuse, in one line naming the config fields, a model whose values and
-    Adam's two moments (three float64 buffers of `size` values) would not fit
-    in the machine's physical memory."""
-    if not hasattr(os, "sysconf"):  # no page counts to compare with (Windows)
-        return
-    need = 3 * 8 * size
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    Adam's two moments (three float64 buffers of `size` values) and a batch's
+    two (batch_size, max_nodes, max_nodes) float64 stacks (padded Laplacians,
+    the encoder's adjacency) would not fit in the machine's physical memory."""
+    need, memory = 8 * (3 * size + 2 * cfg.batch_size * cfg.max_nodes ** 2), physical_memory()
     if need > memory:
         fields = ", ".join(f"{name}={getattr(cfg, name)!r}" for name in _SIZE_FIELDS)
         raise InvalidParams(f"the {what} of this config has {_approx(size)} parameters, whose "
-                            f"values and Adam moments need {_approx(need)} bytes, more than the "
-                            f"{_approx(memory)} bytes of this machine's memory; lower some of "
-                            f"{fields}")
+                            f"values and Adam moments, with a batch's padded stacks, need "
+                            f"{_approx(need)} bytes, more than the {_approx(memory)} bytes of "
+                            f"this machine's memory; lower some of {fields}")
 
 
 def _approx(n: int) -> str:
@@ -579,6 +577,7 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
         raise InvalidParams(f"unknown arms: {sorted(unknown)}")
     _check_monitor(cfg, None)
     d_in = feature_dim(examples)
+    _check_fits("model", model_size(cfg, d_in), cfg)  # before the batches are padded
     batches, targets = _fixed_batches(examples, cfg)
     results: dict[str, list[ComparisonRow]] = {}
     for arm in arms:
@@ -643,8 +642,10 @@ def _layout(arrays: dict) -> list:
 # the scalars, a load sets only the state a fresh run cannot rebuild
 # (_RESUMED); the others must equal the fresh state's: the code's betas, eps and
 # threshold, the config's patience and factor.
+# Adam's step count is the exponent of a float power, so it must convert to a float.
 _ADAM = {"lr": NON_NEGATIVE, "beta1": FINITE, "beta2": FINITE, "eps": FINITE,
-         "t": NON_NEGATIVE_INT}
+         "t": Kind("an int", lambda v: type(v) is int, ">= 0 and within the floats",
+                   lambda v: 0 <= v <= sys.float_info.max)}
 _PLATEAU = {"patience": POSITIVE_INT, "factor": FINITE, "threshold": FINITE,
             "best": FINITE_OR_NULL, "num_bad": NON_NEGATIVE_INT}
 _CHECKPOINT = {
@@ -734,7 +735,7 @@ def _restore(path: str, blob) -> tuple:
         _resume(state.scheduler, check_fields(blob["scheduler"], _PLATEAU, where), where)
     try:
         state.rng.bit_generator.state = blob["rng_state"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParams(f"{path}: the checkpoint's rng_state is not a "
                             f"{type(state.rng.bit_generator).__name__} state ({exc!r})") from None
     state.epoch, state.skipped_batches = blob["epoch"], blob["skipped_batches"]

@@ -24,7 +24,7 @@ import numpy as np
 from .data import BOOL, NON_NEGATIVE_INT, config
 from .errors import (IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic,
                      ShapeMismatch)
-from .graphs import Graph, build_adjacency, build_diffusion
+from .graphs import Graph, build_adjacency, build_diffusion, physical_memory
 
 STOCHASTIC_TOL = 1e-8
 DEFAULT_SCALES = 2
@@ -83,10 +83,13 @@ def build_wavelet_bank(p: np.ndarray, scales: int) -> WaveletBank:
         raise InvalidParams(f"diffusion matrix must be square, got {p.shape}")
     if scales < 0:
         raise InvalidParams("scales must be >= 0")
+    n = p.shape[0]
+    if 8 * (scales + 2) * n * n > physical_memory():
+        raise InvalidParams(f"a wavelet bank of {scales} scales holds scales + 2 operators of "
+                            f"{n} x {n} floats, more than this machine's memory; lower scales_J")
     row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
     if row_err > STOCHASTIC_TOL:
         raise NotStochastic(f"row sums deviate from 1 by {row_err:.3e}")
-    n = p.shape[0]
     ops = [np.eye(n) - p]
     power = p  # holds P^(2^(j-1)) at the top of iteration j
     for _ in range(1, scales + 1):

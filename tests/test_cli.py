@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -153,6 +154,9 @@ def test_pretrain_val_loss_schedule_exits_1(tmp_path, small_dataset, capsys):
 @pytest.mark.parametrize("field, value", [
     ("head_hidden_dim", 10 ** 12), ("hidden_dim", 10 ** 8), ("max_nodes", 10 ** 9),
     ("head_layers", 10 ** 10), pytest.param("hidden_dim", 10 ** 400, id="hidden_dim-10**400"),
+    # a small model whose two padded (batch_size, max_nodes, max_nodes)
+    # stacks would not fit
+    ("batch_size", 10 ** 12),
 ])
 def test_a_model_too_large_for_memory_exits_1_with_one_line(tmp_path, small_dataset, capsys,
                                                             field, value):
@@ -653,6 +657,8 @@ def test_a_truncated_input_exits_1_with_one_line(inputs, tmp_path, capsys, comma
     ("gen-data --count -3", "--count"),
     ("gen-data --seed -1", "--seed"),
     ("gen-data --count 3 --kinds path,star --n-min 1 --n-max 1", "--n-min"),
+    # refused before anything is generated, by the bound build_adjacency keeps
+    ("gen-data --count 1 --n-max 1000000000000", "--n-max 1000000000000"),
 ])
 def test_an_out_of_range_flag_exits_1_with_one_line(inputs, tmp_path, capsys, argv, field):
     out = tmp_path / "out"
@@ -662,3 +668,102 @@ def test_an_out_of_range_flag_exits_1_with_one_line(inputs, tmp_path, capsys, ar
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and field in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "features"])
+@pytest.mark.parametrize("record", ['{"num_nodes": 1000000000000}',
+                                    '{"num_nodes": 3000000, "edges": [[0, 1]]}'],
+                         ids=["no_edges", "one_edge"])
+def test_a_graph_too_big_for_a_dense_adjacency_exits_1_naming_its_line(
+        tmp_path, p3_dataset, capsys, command, record):
+    # each once died in build_adjacency with a traceback: numpy's "array is
+    # too big" or an allocation of tens of TiB
+    data, out = tmp_path / "big.jsonl", tmp_path / "out.jsonl"
+    data.write_text(Path(p3_dataset).read_text() + record + "\n")
+    capsys.readouterr()
+    assert main(["--quiet", command, "--input", str(data), "--output", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {data}, line 2: a graph of ") and "memory" in err
+    assert not out.exists()
+
+
+# --- one mutated int field keeps the one-line contract -------------------------
+
+# For what is mutated, the (role of the file {bad}, arguments) that read it:
+# configs of both head kinds, and each command that reads a checkpoint.
+FUZZED = {
+    "record": [("dataset", "spectrum --input {bad} --output {out}"),
+               ("dataset", "features --input {bad} --output {out}"),
+               ("dataset", "pretrain --input {bad} --output {out} --config {config}")],
+    "config": [("config", "pretrain --input {data} --output {out} --config {bad}"),
+               ("node-wise config", "compare-losses --input {data} --output {out} --config {bad}"),
+               ("node-wise config", "pretrain --input {data} --output {out} --config {bad}"),
+               ("config", "compare-losses --input {data} --output {out} --config {bad}")],
+    "checkpoint header": [
+        ("checkpoint", "pretrain --input {data} --output {out} --epochs 3 --resume {bad} "
+                       "--checkpoint-out {out}.ckpt"),
+        ("checkpoint", "finetune --input {data} --output {out} --epochs 1 --checkpoint {bad} "
+                       "--checkpoint-out {out}.ckpt")],
+}
+# A budget of 10**12 epochs is valid, and only takes long, so no budget is mutated.
+BUDGETS = ("epochs", "finetune_epochs")
+INTS = st.sampled_from([0, -1, 10 ** 12, 10 ** 400]) | st.integers(-2, 40)
+
+
+def _int_fields(blob, path=()):
+    """The path of each int field of a JSON object and of the objects in it,
+    other than a budget (a bool is no int)."""
+    for key, value in blob.items():
+        if type(value) is dict:
+            yield from _int_fields(value, path + (key,))
+        elif type(value) is int and key not in BUDGETS:
+            yield path + (key,)
+
+
+def _mutate(blob, choice):
+    fields = list(_int_fields(blob))
+    path = fields[choice.field % len(fields)]
+    for key in path[:-1]:
+        blob = blob[key]
+    blob[path[-1]] = choice.value
+
+
+def _mutated(text, choice):
+    """text with one int field set to the chosen value: in a chosen record of a
+    dataset, in a config, or in a checkpoint's header (its body kept)."""
+    if isinstance(text, bytes):
+        return edit_header(text, lambda header: _mutate(header, choice))
+    lines = text.splitlines()
+    i = choice.line % len(lines)
+    blob = json.loads(lines[i])
+    _mutate(blob, choice)
+    lines[i] = json.dumps(blob)
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("mutated", FUZZED)
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(choice=st.builds(SimpleNamespace, command=st.integers(0, 99), line=st.integers(0, 99),
+                        field=st.integers(0, 99), value=INTS))
+def test_one_int_field_mutated_exits_0_1_or_2_with_at_most_one_line(inputs, tmp_path, capsys,
+                                                                     mutated, choice):
+    commands = FUZZED[mutated]
+    role, args = commands[choice.command % len(commands)]
+    texts = dict(inputs.texts, **{"node-wise config": _with(inputs.texts["config"],
+                                                            head_kind="node_wise")})
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    bad, out = work / "bad", work / "out"
+    bad.write_bytes(_utf8(_mutated(texts[role], choice)))
+    out.mkdir()
+    argv = [arg.format(bad=bad, out=out / "result", **inputs.paths) for arg in args.split()]
+    capsys.readouterr()
+    try:
+        code = main(["--quiet", *argv])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    err = capsys.readouterr().err.strip()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code != 1 or len(err.splitlines()) <= 1
+    assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import math
 import weakref
@@ -25,22 +26,34 @@ def test_zero_gradient_is_a_fixed_point():
     assert np.array_equal(p.values, before)
 
 
-@pytest.mark.parametrize("give_b_a_gradient, message", [
-    (lambda p: None, r"parameter 'b' has no gradient; backward or accumulate_grad gives it one"),
-    (lambda p: setattr(p, "grad", np.ones(2)),
-     r"parameter 'b' has a gradient of shape \(2,\) for values of shape \(1,\)"),
-], ids=["none", "misshapen_by_hand"])
-def test_a_step_fails_in_one_line_and_changes_nothing_without_every_gradient(
-        give_b_a_gradient, message):
+def test_a_step_fails_in_one_line_and_changes_nothing_without_every_gradient():
     params = {"a": make_param([1.0, 2.0]), "b": make_param([3.0])}
     opt = Adam(params)
     params["a"].accumulate_grad(np.array([0.5, -0.5]))
-    give_b_a_gradient(params["b"])
-    with pytest.raises(ValueError, match=rf"^Adam\.step: {message}$"):
+    with pytest.raises(ValueError, match=r"^Adam\.step: parameter 'b' has no gradient; "
+                                         r"backward or accumulate_grad gives it one$"):
         opt.step()
     assert params["a"].values.tolist() == [1.0, 2.0] and params["b"].values.tolist() == [3.0]
     assert opt.t == 0 and not opt.flat_m.any() and not opt.flat_v.any()
     assert params["a"].grad.tolist() == [0.5, -0.5]
+
+
+def test_a_gradient_is_kept_as_terms_of_its_own_and_a_misshapen_one_is_refused():
+    # what accumulate_grad (not owned) and the setter are given is copied, so
+    # a later change to the caller's array changes no gradient
+    p, given, set_by_hand = make_param(np.zeros((2, 3))), np.ones((2, 3)), np.ones((3, 2))
+    p.accumulate_grad(given)
+    p.accumulate_grad(np.array([0.5, 0.0, 2.0]))  # broadcast to the tensor's shape
+    given += 1.0
+    assert [term.tolist() for term in p.grad_terms()] == [[[1.0] * 3] * 2, [[0.5, 0.0, 2.0]] * 2]
+    assert all(term.flags.c_contiguous for term in p.grad_terms())
+    p.grad = set_by_hand.T
+    set_by_hand += 1.0
+    assert p.grad.tolist() == [[1.0] * 3] * 2 and p.grad.flags.c_contiguous
+    with pytest.raises(ShapeMismatch, match=r"^a gradient of shape \(3, 2\) for a tensor of "
+                                            r"shape \(2, 3\)$"):
+        p.grad = set_by_hand
+    assert p.grad.tolist() == [[1.0] * 3] * 2
 
 
 def test_a_gradient_set_by_hand_is_stepped_like_an_accumulated_one():
@@ -218,86 +231,96 @@ def test_step_over_a_model_and_standalone_parameters_is_bit_identical_to_the_for
             assert np.array_equal(opt.v[name], v[name]), (name, t)
 
 
-@pytest.mark.parametrize("cpus", [2, 3, 8])
-def test_cutting_a_run_into_pieces_changes_no_bit(monkeypatch, cpus):
-    # sizes that are no multiples of BLOCK, in one run of more than four
-    # times a (lowered) piece minimum; w0 is cut into three row blocks of
-    # 2 * BLOCK + 10 values, w1 (two rows) is one block of its own. With 8
-    # CPUs the fourth equal share falls in the two small blocks at the end,
-    # which would make a piece of fewer than MIN_PIECE values.
+def test_dealing_the_blocks_to_threads_changes_no_bit(monkeypatch):
+    # the layout fine-tuning builds: several buffers (an encoder, a head and
+    # a second head, each one run) with matrices cut into row blocks and
+    # small parameters packed together; sizes that are no multiples of
+    # BLOCK, and MIN_PIECE lowered so that 8 threads each get blocks
     block = Adam.BLOCK
-    monkeypatch.setattr(Adam, "MIN_PIECE", 2 * block)
-    shapes = {"w0": (6, block + 5), "b0": (block - 3,), "w1": (2, block + 7), "b1": (7,),
-              "eps": ()}
+    monkeypatch.setattr(Adam, "MIN_PIECE", block)
+    layout = [{"w0": (6, block + 5), "b0": (block - 3,), "eps": ()},
+              {"w1": (2, block + 7), "b1": (7,), "w2": (40, 900), "b2": (900,)},
+              {"w3": (9, 2 * block + 1), "b3": (3,)}]
     rng = np.random.default_rng(8)
 
-    def build(usable):
-        params = {name: ad.parameter(np.zeros(shape)) for name, shape in shapes.items()}
-        flat = nn.allocate_parameters(params, np.random.default_rng(0))
-        flat[:] = np.random.default_rng(9).standard_normal(flat.size)
-        monkeypatch.setattr(optim, "usable_cpus", lambda: usable)
-        return params, Adam(params, lr=0.01)
+    def build(threads):
+        monkeypatch.setattr(optim, "usable_cpus", lambda: threads)
+        params = {}
+        for i, shapes in enumerate(layout):
+            buffer = {name: ad.parameter(np.zeros(shape)) for name, shape in shapes.items()}
+            flat = nn.allocate_parameters(buffer, np.random.default_rng(0))
+            flat[:] = np.random.default_rng(9 + i).standard_normal(flat.size)
+            params.update(buffer)
+        opt = Adam(params, lr=0.01)
+        assert [names for _, names in opt.runs] == [list(shapes) for shapes in layout]
+        assert opt._threads == threads
+        return params, opt
 
-    params1, whole = build(1)
-    params_n, cut = build(cpus)
-    size = sum(math.prod(shape) for shape in shapes.values())
-    assert [len(opt.pieces) for opt in (whole, cut)] == [1, min(cpus, 3)]
-    sizes = [piece[0].size for piece in cut.pieces]
-    assert [sum(n for n, _ in piece[3]) for piece in cut.pieces] == sizes  # whole blocks
-    assert sum(sizes) == size and min(sizes) >= Adam.MIN_PIECE
-    for t in range(1, 5):
-        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-        for params, opt in ((params1, whole), (params_n, cut)):
+    builds = [build(threads) for threads in (1, 2, 3, 8)]
+    for t in range(1, 4):
+        grads = {name: (rng.standard_normal((5, shape[0])).T, rng.standard_normal((5, shape[1])))
+                 if len(shape) == 2 else rng.standard_normal(shape)
+                 for shapes in layout for name, shape in shapes.items()}
+        for params, opt in builds:
             for name, g in grads.items():
-                params[name].accumulate_grad(g)
+                if type(g) is tuple:
+                    params[name].accumulate_product(*g)
+                else:
+                    params[name].accumulate_grad(g)
             opt.step(grad_scale=0.25)
             opt.zero_grad()
-        for name in shapes:
-            assert np.array_equal(params1[name].values, params_n[name].values), (name, t)
-        assert np.array_equal(whole.flat_m, cut.flat_m) and np.array_equal(whole.flat_v, cut.flat_v)
+        for params, opt in builds[1:]:
+            assert_same_state(builds[0][0], builds[0][1], params, opt, (t, opt._threads))
 
 
-@pytest.mark.parametrize("shape, cpus", [((2, 2 ** 21), 2), ((4, 2 ** 20), 4)])
-def test_a_matrix_in_fewer_blocks_than_cpus_is_cut_into_no_empty_piece(monkeypatch, shape, cpus):
+@pytest.mark.parametrize("shape, cpus, threads", [((2, 2 ** 16), 2, 1), ((4, 2 ** 15), 4, 2)])
+def test_a_step_starts_no_more_threads_than_there_are_blocks(monkeypatch, shape, cpus, threads):
     # a matrix of fewer than four rows is one block, one cut at rows // 2 two
-    # blocks: fewer blocks than the equal shares of `cpus` pieces. Built at
-    # full size (zeros are not touched until written), then stepped at a
-    # 32nd of it with MIN_PIECE lowered alike, against one piece.
+    # blocks: fewer blocks than usable CPUs, with MIN_PIECE lowered so that
+    # the values alone would allow eight threads
+    monkeypatch.setattr(Adam, "MIN_PIECE", shape[0] * shape[1] // 8)
     monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
-    opt = Adam({"w": make_param(np.zeros(shape))})
-    assert [piece[0].size for piece in opt.pieces] == [(r1 - r0) * shape[1] for r0, r1 in
-                                                       ad.Tensor.product_rows(*shape)]
-    monkeypatch.setattr(Adam, "MIN_PIECE", Adam.MIN_PIECE // 32)
-    shape = shape[0], shape[1] // 32
-    rng = np.random.default_rng(6)
-    params, opts = [], []
-    for usable in (1, cpus):
-        monkeypatch.setattr(optim, "usable_cpus", lambda: usable)
-        params.append(make_param(np.random.default_rng(7).standard_normal(shape)))
-        opts.append(Adam({"w": params[-1]}, lr=0.01))
-    assert [len(opt.pieces) for opt in opts] == [1, len(ad.Tensor.product_rows(*shape))]
-    for t in range(1, 4):
-        x, g = rng.standard_normal((5, shape[0])), rng.standard_normal((5, shape[1]))
-        for p, opt in zip(params, opts):
-            p.accumulate_product(x.T, g)
-            opt.step()
-            opt.zero_grad()
-        assert_same_state({"w": params[0]}, opts[0], {"w": params[1]}, opts[1], t)
+    started, shares = [], []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    update = Adam._update
+
+    def recording_update(self, blocks, *rest):
+        shares.append([values.ctypes.data for values, *_ in blocks])
+        update(self, blocks, *rest)
+
+    monkeypatch.setattr(Adam, "_update", recording_update)
+    p = make_param(np.random.default_rng(7).standard_normal(shape))
+    opt = Adam({"p": p}, lr=0.01)
+    assert len(opt.blocks) == threads
+    p.accumulate_grad(np.ones(shape))
+    opt.step()
+    assert started == ([threads] if threads > 1 else [])
+    assert sorted(len(share) for share in shares) == [1] * threads
+    assert sorted(sum(shares, [])) == sorted(values.ctypes.data for values, *_ in opt.blocks)
 
 
-def test_an_error_in_a_piece_is_raised_by_the_step(monkeypatch):
+def test_an_error_in_one_threads_share_is_raised_by_the_step(monkeypatch):
     monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
     p = make_param(np.zeros(2 * Adam.BLOCK))
     opt = Adam({"p": p})
-    assert len(opt.pieces) == 2
+    assert len(opt.blocks) == opt._threads == 2
+    update = Adam._update
 
-    def fail(self, piece, *factors):
-        raise MemoryError("piece")
+    def fail_in_the_second_share(self, blocks, *rest):
+        if blocks[0][0].ctypes.data != p.values.ctypes.data:
+            raise MemoryError("the second share")
+        update(self, blocks, *rest)
 
-    monkeypatch.setattr(Adam, "_update", fail)
+    monkeypatch.setattr(Adam, "_update", fail_in_the_second_share)
     p.accumulate_grad(np.ones(p.shape))
-    with pytest.raises(MemoryError, match="piece"):
+    with pytest.raises(MemoryError, match="the second share"):
         opt.step()
 
 
@@ -422,10 +445,10 @@ def test_a_step_given_factors_is_bit_identical_to_one_given_their_product(
     monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
     factored, formed = twin_runs(shapes)
     opt_f, opt_a = Adam(factored, lr=0.01), Adam(formed, lr=0.01)
-    fills = [fills for *_, blocks in opt_f.pieces for _, fills in blocks]
+    fills = [fills for *_, fills in opt_f.blocks]
     assert [name for name, *_ in fills[0]] == ["w0"] and sum(f[0][0] == "w0" for f in fills) == 3
     assert ["b0", "w1", "b1", "eps"] in [[name for name, *_ in f] for f in fills]
-    assert len(opt_f.pieces) == cpus == opt_f._threads
+    assert opt_f._threads == cpus
     rng = np.random.default_rng(batch)
     for t in range(1, 4):
         for name, shape in shapes.items():

@@ -694,16 +694,16 @@ def test_checkpoint_roundtrip_resumes_bit_for_bit(tmp_path):
         epochs=6, scheduler={"kind": "reduce_on_plateau", "patience": 2, "factor": 0.9}))
 
 
-def test_checkpoint_roundtrip_resumes_bit_for_bit_with_the_step_cut_into_pieces(
+def test_checkpoint_roundtrip_resumes_bit_for_bit_with_the_step_on_two_threads(
         tmp_path, monkeypatch):
-    # 2.2M parameters, just over two pieces' worth, so with two usable CPUs
-    # each step updates two pieces on two threads (most of the test's time
-    # goes to writing and reading the checkpoint)
+    # 2.2M parameters, over twice MIN_PIECE, so with two usable CPUs each
+    # step deals its blocks to two threads (most of the test's time goes to
+    # writing and reading the checkpoint)
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
     optimizer = assert_resume_is_bit_for_bit(tmp_path, small_cfg(
         epochs=2, batch_size=3, hidden_dim=60, max_nodes=40, head_layers=4, head_hidden_dim=600,
         scheduler={"kind": "reduce_on_plateau", "patience": 1, "factor": 0.9}))
-    assert len(optimizer.pieces) == 2
+    assert optimizer._threads == 2
 
 
 def test_a_run_stopped_between_epochs_resumes_from_its_state_bit_for_bit(monkeypatch):
@@ -917,7 +917,9 @@ def _of_bytes(edit):
     (lambda b: b["optimizer"].update(t="x"),
      r"ckpt\.json: checkpoint\.optimizer\.t must be an int, got 'x'$"),
     (lambda b: b["optimizer"].update(t=-1),
-     r"ckpt\.json: checkpoint\.optimizer\.t must be >= 0, got -1$"),
+     r"ckpt\.json: checkpoint\.optimizer\.t must be >= 0 and within the floats, got -1$"),
+    (lambda b: b["optimizer"].update(t=10 ** 400),  # once an OverflowError in the step
+     r"ckpt\.json: checkpoint\.optimizer\.t must be >= 0 and within the floats, got 10{79}$"),
     (lambda b: b.update(scheduler=5),
      r"ckpt\.json: checkpoint\.scheduler must be null or an object, got 5$"),
     (lambda b: b["scheduler"].pop("num_bad"),
@@ -925,6 +927,8 @@ def _of_bytes(edit):
     (lambda b: b.update(rng_state=5),
      r"ckpt\.json: checkpoint\.rng_state must be an object, got 5$"),
     (lambda b: b.update(rng_state={}),
+     r"ckpt\.json: the checkpoint's rng_state is not a PCG64 state"),
+    (lambda b: b["rng_state"]["state"].update(inc=-1),  # once an OverflowError
      r"ckpt\.json: the checkpoint's rng_state is not a PCG64 state"),
     (lambda b: b["config"].update(k="x"),
      r"ckpt\.json: checkpoint\.config\.k must be an int, got 'x'$"),
@@ -934,8 +938,9 @@ def _of_bytes(edit):
         "moment-ragged-list", "arrays-not-a-list", "kind-without-its-arrays", "version-2",
         "d_in-not-an-int", "d_in-zero", "epoch-negative", "epoch-float",
         "skipped-batches-bool", "skipped-batches-null", "lr-not-a-number", "beta1-bool",
-        "beta2-null", "eps-nan", "t-not-an-int", "t-negative", "scheduler-not-an-object",
+        "beta2-null", "eps-nan", "t-not-an-int", "t-negative", "t-beyond-the-floats", "scheduler-not-an-object",
         "scheduler-field-missing", "rng-state-not-an-object", "rng-state-not-pcg64",
+        "rng-state-out-of-range",
         "config-k-not-an-int"])
 def test_checkpoint_rejects_entries_that_do_not_fit_its_config(tmp_path, edit, message):
     cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "patience": 2,
@@ -1071,15 +1076,18 @@ def test_the_closed_form_parameter_counts_are_the_sizes_of_the_built_buffers(hea
 
 
 def test_a_model_that_does_not_fit_in_memory_is_refused_before_it_is_built(monkeypatch):
+    # the values, Adam's two moments and a batch's two padded stacks, one byte short
     cfg = small_cfg()
-    fits = 3 * 8 * tr.model_size(cfg, 7)
-    page = os.sysconf("SC_PAGE_SIZE")
-    monkeypatch.setattr(tr.os, "sysconf", lambda name: {"SC_PAGE_SIZE": page,
-                                                        "SC_PHYS_PAGES": fits // page}[name])
+    need = 8 * (3 * tr.model_size(cfg, 7) + 2 * cfg.batch_size * cfg.max_nodes ** 2)
+    monkeypatch.setattr(tr, "physical_memory", lambda: need - 1)
     monkeypatch.setattr(tr, "GinEncoder", None)  # building anything would fail otherwise
     with pytest.raises(InvalidParams, match=r"^the model of this config has [^\n]* more than the "
                                             r"[^\n]* bytes of this machine's memory; lower some "
-                                            r"of hidden_dim=6, mp_layers=2, [^\n]*k=2$"):
+                                            r"of hidden_dim=6, mp_layers=2, [^\n]*k=2, "
+                                            r"batch_size=4$"):
+        tr.build_model(cfg, 7)
+    monkeypatch.setattr(tr, "physical_memory", lambda: need)
+    with pytest.raises(TypeError):  # past the check: GinEncoder is None
         tr.build_model(cfg, 7)
 
 
