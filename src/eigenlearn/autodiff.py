@@ -17,10 +17,11 @@ A tensor keeps its gradient as one list of terms it owns, in arrival order:
 a weight's contribution from `dense` as its two factors, the pair (x^T, g),
 not multiplied (Tensor.accumulate_product); any other (a bias's, eps's, an
 activation's) as a C-contiguous array of the tensor's shape. One method,
-Tensor.form_grad, forms any slice of a gradient from its terms, in the row
-blocks of Tensor.product_rows: reading `.grad` calls it block by block, and
-optim.Adam calls it for each block inside its update, so a training step
-writes no array the size of a weight for its gradient.
+Tensor.form_grad, forms any slice of a gradient from its terms, and one
+method, Tensor.grad_blocks, says which slices: a large matrix's row blocks,
+any other tensor whole. Reading `.grad` forms it block by block, and
+optim.Adam forms each block inside its update, so a training step writes no
+array the size of a weight for its gradient.
 
 Every forward op checks each array it computes for NaN/Inf, once, and raises
 NumericalFault rather than letting a poisoned value propagate: `add`, `mul`,
@@ -45,33 +46,36 @@ class Tensor:
     The gradient is one list of terms, in arrival order, that the tensor
     owns: C-contiguous arrays of its shape (accumulate_grad, the `grad`
     setter) and (x, y) pairs standing for x @ y (accumulate_product).
-    Reading `grad` forms their sum in that order, in the row blocks of
-    product_rows (form_grad), and keeps it as the one term.
+    Reading `grad` forms their sum in that order, in the blocks of
+    grad_blocks (form_grad), and keeps it as the one term.
     """
 
     __slots__ = ("values", "requires_grad", "_terms", "_parents", "_vjp")
 
     # The most outputs of a gradient product x @ y formed in one matmul; a
-    # larger one is formed in row blocks (product_rows).
+    # larger one is formed in row blocks (grad_blocks).
     PRODUCT_BLOCK = 1 << 15
 
-    @staticmethod
-    def product_rows(rows: int, cols: int) -> list[tuple[int, int]]:
-        """The row blocks (r0, r1) in which a (rows, cols) gradient product is
-        formed: the whole product when it has at most PRODUCT_BLOCK outputs,
-        fewer than four rows or one column; else as many blocks as it has
-        PRODUCT_BLOCKs, rounded up, their row counts differing by at most one.
+    def grad_blocks(self) -> list[tuple[int, int]]:
+        """The ranges (lo, hi) of the flattened gradient, in order, in which
+        it is formed. A (rows, cols) matrix with more than PRODUCT_BLOCK
+        values, at least four rows and two columns is cut into row blocks, as
+        many as it has PRODUCT_BLOCKs, rounded up, but at most rows // 2,
+        their row counts differing by at most one; any other tensor is formed
+        whole.
 
-        Both readers of a product, `grad` and optim.Adam's step (which forms
+        Both readers of a gradient, `grad` and optim.Adam's step (which forms
         each block just before updating it), form it in these blocks, so a
-        step applies exactly the gradient that `grad` shows. A block has at
-        least two rows and two columns, so it is a GEMM, never a GEMV.
+        step applies exactly the gradient that `grad` shows. A row block has
+        at least two rows and two columns, so it is a GEMM, never a GEMV.
         Whether a block is bit for bit those rows of the product formed whole
         depends on the BLAS kernel it takes, not on this code."""
-        if rows * cols <= Tensor.PRODUCT_BLOCK or rows < 4 or cols < 2:
-            return [(0, rows)]
-        count = min(-(-rows * cols // Tensor.PRODUCT_BLOCK), rows // 2)
-        return [(i * rows // count, (i + 1) * rows // count) for i in range(count)]
+        size = self.values.size
+        rows, cols = self.shape if self.values.ndim == 2 else (1, size)
+        if size <= Tensor.PRODUCT_BLOCK or rows < 4 or cols < 2:
+            return [(0, size)]
+        count = min(-(-size // Tensor.PRODUCT_BLOCK), rows // 2)
+        return [(i * rows // count * cols, (i + 1) * rows // count * cols) for i in range(count)]
 
     def __init__(self, values, requires_grad: bool = False,
                  _parents: tuple = (), _vjp=None):
@@ -94,9 +98,8 @@ class Tensor:
             return None
         if len(terms) > 1 or type(terms[0]) is tuple:
             grad = np.empty(self.shape)
-            rows, cols = self.shape if grad.ndim == 2 else (1, grad.size)
-            for r0, r1 in Tensor.product_rows(rows, cols):
-                self.form_grad(r0 * cols, r1 * cols, grad.reshape(-1)[r0 * cols:r1 * cols])
+            for lo, hi in self.grad_blocks():
+                self.form_grad(lo, hi, grad.reshape(-1)[lo:hi])
             self._terms = terms = [grad]
         return terms[0]
 
@@ -122,7 +125,7 @@ class Tensor:
         summing its terms in arrival order: an array term's elements are
         copied or added, an (x, y) term's are rows lo/c:hi/c of x @ y (c its
         column count). With products among the terms, lo:hi is one of the
-        row blocks of product_rows: `grad` forms each of them with this
+        blocks of grad_blocks: `grad` forms each of them with this
         method, and optim.Adam's step forms each just before it updates it,
         so the two agree bit for bit. Without products any lo:hi will do."""
         if hi == lo:

@@ -134,7 +134,8 @@ def cmd_pretrain(args) -> int:
     cfg = dataclasses.replace(base, **overrides)
     examples = tr.precompute_targets(load_dataset(args.input), cfg)
     if model is None:
-        model = tr.build_model(cfg, tr.feature_dim(examples))
+        with tr.naming(args.config):
+            model = tr.build_model(cfg, tr.feature_dim(examples))
     record, state = tr.pretrain(examples, model, cfg, state)
     atomic_write_text(args.output, record.to_csv())
     if args.checkpoint_out:
@@ -164,7 +165,8 @@ def cmd_finetune(args) -> int:
     tr_examples = [examples[i] for i in order[n_val:]]
     if not tr_examples:
         raise InvalidParams(f"--val-fraction {args.val_fraction} leaves no training graph")
-    head = tr.build_downstream_head(cfg)
+    with tr.naming(args.checkpoint):
+        head = tr.build_downstream_head(cfg)
     record, state = tr.finetune(tr_examples, model, head, cfg, args.target,
                                 val_examples=val or None)
     atomic_write_text(args.output, record.to_csv())
@@ -184,7 +186,8 @@ def cmd_finetune(args) -> int:
 def cmd_compare_losses(args) -> int:
     cfg = dataclasses.replace(_config(tr.PretrainConfig, args.config), **_overrides(args))
     examples = tr.precompute_targets(load_dataset(args.input), cfg)
-    results = tr.compare_losses(examples, cfg)
+    with tr.naming(args.config):
+        results = tr.compare_losses(examples, cfg)
     rows = [row for arm in tr.COMPARISON_ARMS for row in results[arm]]
     atomic_write_text(args.output, tr.comparison_to_csv(rows))
     for arm, arm_rows in results.items():

@@ -18,7 +18,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 from typing import Annotated, NamedTuple, get_origin
 
@@ -218,8 +217,8 @@ def graph_to_record(g: Graph) -> dict:
 
 def record_to_graph(rec) -> Graph:
     check_fields(rec, _RECORD, "record", optional=("edges", "node_features", "targets"))
-    # Graph converts the features with one np.asarray
-    return Graph(rec["num_nodes"], tuple(tuple(e) for e in rec.get("edges", [])),
+    # Graph checks each edge is a pair and converts the features with one np.asarray
+    return Graph(rec["num_nodes"], rec.get("edges", ()),
                  rec.get("node_features"), dict(rec.get("targets", {})))
 
 
@@ -247,23 +246,20 @@ def dumps_graph(g: Graph) -> str:
     return json.dumps(graph_to_record(g), separators=(",", ":"))
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path: str, text: str, *buffers) -> None:
     """Write text (UTF-8), then each C-contiguous buffer's bytes straight from
-    its memory, to path via a same-directory temp file and rename. The file
-    gets the mode open() would give a new one, 0o666 less the umask (mkstemp
-    alone would leave it 0o600), also where it replaces an existing file. A
-    failed write leaves no temp file and raises one InvalidParams line naming path."""
+    its memory, to path via a new temp file of a random name in its directory,
+    and rename. The temp file is created as open() would create a new file, so
+    the umask gives it its mode (0o666 less the umask), also where it replaces
+    an existing file. A failed write leaves no temp file and raises one
+    InvalidParams line naming path."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp-", suffix=".part")
-        os.fchmod(fd, 0o666 & ~_umask())
+        name = os.path.join(os.path.dirname(os.path.abspath(path)),
+                            f".tmp-{os.urandom(8).hex()}.part")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                     0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.writelines([text.encode("utf-8"), *buffers])
         os.replace(tmp, path)

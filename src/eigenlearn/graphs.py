@@ -50,9 +50,11 @@ class Graph:
         canonical = []
         seen = set()
         for e in self.edges:
-            if len(e) != 2:
-                raise InvalidGraph(f"edge {e!r} is not a pair")
-            u, v = e
+            try:
+                e = tuple(e)
+                u, v = e
+            except (TypeError, ValueError):  # not a sequence, or not of two
+                raise InvalidGraph(f"edge {e!r} is not a pair") from None
             if type(u) is not int or type(v) is not int:  # a bool is not an int here
                 if not all(type(x) is int or isinstance(x, np.integer) for x in e):
                     raise InvalidGraph(f"edge {e!r} has an endpoint that is not an int")

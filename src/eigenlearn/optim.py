@@ -4,17 +4,18 @@ Adam keeps the first and second moments of its parameters in two flat
 float64 buffers, one slot per parameter in the order of its parameter dict,
 and keeps no gradient buffer. The values stay where their model put them: a
 model built by `train.build_model` holds all its values in one buffer
-(`nn.allocate_parameters`). So a step makes one blocked pass over each run of
-parameters whose values are adjacent in memory, one run for a whole model,
-instead of a dozen numpy calls per parameter. Each block's gradient is formed
-in a block-sized scratch just before the block's update, by
-`Tensor.form_grad`, which `.grad` forms gradients with too: a weight's from
-the factors that `autodiff.dense` recorded (the rows of x^T @ g that the
-block covers), any other gradient copied from its array. The update is
-Kingma and Ba's folded form (both bias corrections in the step size and
-epsilon). A model of millions of values has its blocks dealt to one thread
-per usable CPU: the update is elementwise and numpy releases the interpreter
-lock inside it, so the threads change nothing but the time.
+(`nn.allocate_parameters`). So a step makes one pass over a list of blocks,
+small parameters adjacent in memory packed into one, instead of a dozen numpy
+calls per parameter. The blocks cut each parameter as `Tensor.grad_blocks`
+says, which `.grad` forms gradients in too, and each block's gradient is
+formed in a block-sized scratch just before the block's update, by
+`Tensor.form_grad`: a weight's from the factors that `autodiff.dense`
+recorded (the rows of x^T @ g that the block covers), any other gradient
+copied from its array. The update is Kingma and Ba's folded form (both bias
+corrections in the step size and epsilon). A model of millions of values has
+its blocks dealt to one thread per usable CPU: the update is elementwise and
+numpy releases the interpreter lock inside it, so the threads change nothing
+but the time.
 """
 
 import math
@@ -73,21 +74,23 @@ class Adam:
     changes anything when one has none. Two names for one tensor, or two
     parameters whose values overlap, are refused when the optimizer is built.
 
-    `runs` holds, for each maximal sequence of parameters (in dict order)
-    whose values are adjacent slices of one buffer, its values as one 1-D
-    view and the names; a parameter with an array of its own is a run of its
-    own. A run's moment slots are adjacent too, so each run is one pass, in
-    blocks (see _blocks). `blocks` lists the blocks of every run in order, as
-    (values, m, v, fills) views. A step deals them to its threads, at most
-    one per usable CPU and per MIN_PIECE values: thread i updates blocks i,
-    i + T, i + 2T, ... of T. A desk-scale model is stepped on no thread.
+    `blocks` tiles the values and the moment slots of every parameter, in
+    dict order, each block as (values, m, v, fills) views: a fill (name, lo,
+    hi, at) puts elements lo:hi of the parameter's flattened gradient at
+    offset `at` of the block. It is built in one pass. A parameter that
+    grad_blocks() cuts into several ranges gets one block per range. One it
+    forms whole joins the open block when its values start where the block's
+    end, in the same buffer, and the block stays within BLOCK values; else it
+    opens a block. A step deals the blocks to its threads, at most one per
+    usable CPU and per MIN_PIECE values: thread i updates blocks i, i + T,
+    i + 2T, ... of T. A desk-scale model is stepped on no thread.
     """
 
     # Values per block of the in-place update: the slices of m, v and the
     # values and the block's gradient and scratch stay in cache across the
     # update's twelve passes, and no temporary grows with the parameter size.
-    # A matrix's blocks are the row blocks its gradient products are formed
-    # in, which Tensor.PRODUCT_BLOCK sizes, so the two are one constant.
+    # A large matrix's blocks are the row blocks its gradient is formed in,
+    # which Tensor.PRODUCT_BLOCK sizes, so the two are one constant.
     BLOCK = Tensor.PRODUCT_BLOCK
     # Fewest values per thread of a step. Updating this many takes
     # milliseconds, so starting a thread (tens of microseconds) stays a small
@@ -109,68 +112,36 @@ class Adam:
         size = sum(p.values.size for p in self.params.values())
         self.flat_m, self.flat_v = np.zeros(size), np.zeros(size)
         self.m, self.v = {}, {}
-        self.runs: list[tuple[np.ndarray, list[str]]] = []
-        lo, follows = 0, None  # (buffer, offset) just past the previous parameter's values
-        for name, p in self.params.items():
-            hi = lo + p.values.size
-            self.m[name] = self.flat_m[lo:hi].reshape(p.shape)
-            self.v[name] = self.flat_v[lo:hi].reshape(p.shape)
-            place = _place(p.values)
-            if place and follows and place[0] is follows[0] and place[1] == follows[1]:
-                values, names = self.runs[-1]
-                run = place[0].reshape(-1)[place[1] - values.size:place[1] + p.values.size]
-                self.runs[-1] = (run, names + [name])
-            else:
-                self.runs.append((p.values.reshape(-1), [name]))
-            follows = place and (place[0], place[1] + p.values.size)
-            lo = hi
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, list]] = []
-        at = 0  # the block's first moment slot
-        for values, names in self.runs:
-            lo = 0  # and its first value in the run
-            for n, fills in self._blocks(names):
-                self.blocks.append((values[lo:lo + n], self.flat_m[at:at + n],
-                                    self.flat_v[at:at + n], fills))
-                lo, at = lo + n, at + n
+        self._buffers = {}  # the arrays the values are views of, by id
+        at, follows = 0, None  # the next moment slot; the open block's (buffer, end)
+        for name, p in self.params.items():
+            n = p.values.size
+            self.m[name] = self.flat_m[at:at + n].reshape(p.shape)
+            self.v[name] = self.flat_v[at:at + n].reshape(p.shape)
+            place = _place(p.values)
+            buffer = place[0] if place else p.values
+            self._buffers[id(buffer)] = buffer
+            cuts = p.grad_blocks()
+            if (len(cuts) == 1 and place and follows and follows[0] is buffer
+                    and follows[1] == place[1] and self.blocks[-1][0].size + n <= self.BLOCK):
+                filled, fills = self.blocks[-1][0].size, self.blocks[-1][3]
+                fills.append((name, 0, n, filled))
+                self.blocks[-1] = (buffer.reshape(-1)[place[1] - filled:place[1] + n],
+                                   self.flat_m[at - filled:at + n], self.flat_v[at - filled:at + n],
+                                   fills)
+            else:
+                flat = p.values.reshape(-1)
+                self.blocks += [(flat[lo:hi], self.flat_m[at + lo:at + hi],
+                                 self.flat_v[at + lo:at + hi], [(name, lo, hi, 0)])
+                                for lo, hi in cuts]
+            follows = len(cuts) == 1 and place and (buffer, place[1] + n)
+            at += n
         self._threads = max(1, min(usable_cpus(), size // self.MIN_PIECE, len(self.blocks)))
         # two block-sized scratch arrays per thread, kept: allocating them
         # afresh for each step made a desk-scale step about a third slower
         largest = max((values.size for values, *_ in self.blocks), default=0)
         self._scratch = [np.empty((2, largest)) for _ in range(self._threads)]
-
-    def _blocks(self, names: list[str]):
-        """The blocks of a run with these parameters, in order, each as
-        (size, fills): a fill (name, lo, hi, at) puts elements lo:hi of the
-        parameter's flattened gradient at offset `at` of the block.
-
-        A matrix is cut into the row blocks in which its gradient products are
-        formed (Tensor.product_rows), any other parameter into BLOCKs. A
-        parameter left whole is packed with its neighbours, as many to a
-        block as fit in BLOCK values; a cut one gets blocks of its own.
-        """
-        block, filled = [], 0
-        for name in names:
-            p = self.params[name]
-            size = p.values.size
-            if p.values.ndim == 2:
-                cols = p.shape[1]
-                cuts = [(r0 * cols, r1 * cols) for r0, r1 in Tensor.product_rows(*p.shape)]
-            else:
-                cuts = [(lo, min(lo + self.BLOCK, size)) for lo in range(0, max(size, 1), self.BLOCK)]
-            if len(cuts) == 1:
-                if block and filled + size > self.BLOCK:
-                    yield filled, block
-                    block, filled = [], 0
-                block.append((name, 0, size, filled))
-                filled += size
-                continue
-            if block:
-                yield filled, block
-                block, filled = [], 0
-            for lo, hi in cuts:
-                yield hi - lo, [(name, lo, hi, 0)]
-        if block:
-            yield filled, block
 
     def step(self, grad_scale: float = 1.0) -> None:
         """One update in Kingma and Ba's folded form (arXiv:1412.6980, section 2):
@@ -188,17 +159,17 @@ class Adam:
         eps_t; m and v keep their textbook meaning, and the values agree with
         the textbook ones up to rounding.
 
-        A gradient factor that may share memory with values the step updates
-        (a parameter that fed a dense layer as its input, say) is formed
-        before any value changes.
+        A gradient factor that may share memory with a buffer the values are
+        views of (a parameter that fed a dense layer as its input, say) is
+        formed before any value changes.
         """
         for name, p in self.params.items():
             terms = p.grad_terms()
             if not terms:
                 raise ValueError(f"Adam.step: parameter {name!r} has no gradient; "
                                  "backward or accumulate_grad gives it one")
-            if any(np.may_share_memory(factor, values) for term in terms if type(term) is tuple
-                   for factor in term for values, _ in self.runs):
+            if any(np.may_share_memory(factor, buffer) for term in terms if type(term) is tuple
+                   for factor in term for buffer in self._buffers.values()):
                 p.grad  # formed now, into an array of its own that the update cannot change
         self.t += 1
         root2 = math.sqrt(1.0 - self.beta2 ** self.t)

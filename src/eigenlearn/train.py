@@ -23,6 +23,7 @@ built, in code, by dataclasses.replace or from a dict (config_from_dict); the
 checkpoint header's config is dataclasses.asdict of it.
 """
 
+import contextlib
 import json
 import logging
 import math
@@ -267,6 +268,18 @@ def _check_fits(what: str, size: int, cfg: PretrainConfig) -> None:
                             f"values and Adam moments, with a batch's padded stacks, need "
                             f"{_approx(need)} bytes, more than the {_approx(memory)} bytes of "
                             f"this machine's memory; lower some of {fields}")
+
+
+@contextlib.contextmanager
+def naming(path: str | None):
+    """Prefix a refusal (InvalidParams) of a config, raised inside, with path,
+    the file the config came from; without a file, pass it on as it is."""
+    try:
+        yield
+    except InvalidParams as exc:
+        if path is None:
+            raise
+        raise InvalidParams(f"{path}: {exc}") from None
 
 
 def _approx(n: int) -> str:
@@ -716,8 +729,9 @@ def _restore(path: str, blob) -> tuple:
     check_fields(blob, _CHECKPOINT, f"{path}: checkpoint")
     cfg = from_dict(PretrainConfig, blob["config"], f"{path}: checkpoint.config")
     # the body fills every value, so nothing is drawn to be overwritten
-    model = build_model(cfg, blob["d_in"], draw=False)
-    head = build_downstream_head(cfg, draw=False) if blob["kind"] == "finetune" else None
+    with naming(path):
+        model = build_model(cfg, blob["d_in"], draw=False)
+        head = build_downstream_head(cfg, draw=False) if blob["kind"] == "finetune" else None
     state = _fresh_state(model, cfg, head)
     arrays = _body(model, head, state.optimizer)
     # compared as JSON text, so that a shape of floats or bools differs too

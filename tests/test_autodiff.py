@@ -77,6 +77,35 @@ def test_structural_op_gradients():
     check_op_gradient(lambda x: project(sum_neighbors(x, adj)), [a])
 
 
+B = ad.Tensor.PRODUCT_BLOCK
+
+
+@pytest.mark.parametrize("shape, sizes", [
+    ((), [1]), ((0,), [0]), ((3 * B,), [3 * B]), ((3, B), [3 * B]),  # formed whole
+    ((2 * B, 1), [2 * B]), ((4, B // 4), [B]),
+    ((4, B), [2 * B, 2 * B]),  # at most rows // 2 blocks
+    ((300, 240), [100 * 240] * 3), ((301, 240), [100 * 240, 100 * 240, 101 * 240]),
+])
+def test_grad_blocks_cut_a_large_matrix_into_even_row_blocks_and_nothing_else(shape, sizes):
+    blocks = ad.parameter(np.zeros(shape)).grad_blocks()
+    assert [hi - lo for lo, hi in blocks] == sizes
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+
+
+def test_reading_a_gradient_forms_it_in_its_grad_blocks(monkeypatch):
+    rng = np.random.default_rng(1)
+    t = ad.parameter(np.zeros((300, 240)))
+    x, g = rng.standard_normal((300, 5)), rng.standard_normal((5, 240))
+    t.accumulate_product(x, g)
+    formed = []
+    form = ad.Tensor.form_grad
+    monkeypatch.setattr(ad.Tensor, "form_grad",
+                        lambda self, lo, hi, out: formed.append((lo, hi)) or form(self, lo, hi, out))
+    grad = t.grad
+    assert formed == t.grad_blocks() and len(formed) == 3
+    assert np.allclose(grad, x @ g, rtol=1e-14, atol=1e-14)
+
+
 def test_gradient_accumulates_over_reuse():
     x = ad.parameter(np.array([2.0]))
     y = ad.add(ad.mul(x, x), x)  # x^2 + x -> d/dx = 2x + 1 = 5

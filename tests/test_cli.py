@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eigenlearn import train as tr
 from eigenlearn.cli import main
 from eigenlearn.data import load_dataset, save_dataset
 from eigenlearn.graphs import generate_graph
@@ -162,13 +163,50 @@ def test_a_model_too_large_for_memory_exits_1_with_one_line(tmp_path, small_data
                                                             field, value):
     # each once died inside build_model with a traceback (a numpy
     # ValueError or MemoryError); the count is now taken before anything is built
-    code = main(["pretrain", "--input", small_dataset, "--config",
-                 small_config(tmp_path, **{field: value}), "--output", str(tmp_path / "run.csv")])
+    config = small_config(tmp_path, **{field: value})
+    code = main(["pretrain", "--input", small_dataset, "--config", config,
+                 "--output", str(tmp_path / "run.csv")])
     assert code == 1
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and err.startswith("error: the model of this config has ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {config}: the model of this config has ")
     assert f"{field}={value}" in err and "Traceback" not in err
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["compare-losses", "resume", "finetune", "finetune-head"])
+def test_a_model_too_large_for_memory_is_refused_naming_the_file_of_its_config(
+        tmp_path, capsys, monkeypatch, pre_and_ft_checkpoints, command):
+    data, pre, _ = pre_and_ft_checkpoints
+    out, big = tmp_path / "out.csv", tmp_path / "big"
+    what = "model"
+    if command == "compare-losses":
+        big = small_config(tmp_path, head_kind="node_wise", max_nodes=200000, k=3, hidden_dim=8,
+                           head_hidden_dim=8, epochs=1)
+        argv = ["compare-losses", "--input", str(data), "--config", big]
+    elif command == "finetune-head":
+        # a node-wise model that fits, and a downstream head that does not
+        assert main(["--quiet", "pretrain", "--input", str(data), "--output",
+                     str(tmp_path / "pre.csv"),
+                     "--config", small_config(tmp_path, k=3, head_kind="node_wise"),
+                     "--checkpoint-out", str(big)]) == 0
+        cfg = tr.config_from_dict(read_header(big)["config"])
+        size = tr.downstream_head_size(cfg)
+        assert tr.model_size(cfg, read_header(big)["d_in"]) < size
+        need = 8 * (3 * size + 2 * cfg.batch_size * cfg.max_nodes ** 2)
+        monkeypatch.setattr(tr, "physical_memory", lambda: need - 1)
+        argv, what = ["finetune", "--input", str(data), "--checkpoint", str(big)], "downstream head"
+    else:
+        big.write_bytes(edit_header(pre.read_bytes(), lambda header: header["config"].update(
+            head_hidden_dim=10 ** 12)))
+        argv = (["pretrain", "--input", str(data), "--resume", str(big)] if command == "resume"
+                else ["finetune", "--input", str(data), "--checkpoint", str(big)])
+    capsys.readouterr()
+    assert main(["--quiet", *argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {big}: the {what} of this config has ")
+    assert not out.exists()
 
 
 def test_features_isolated_node_exit_1(tmp_path, capsys):
@@ -531,6 +569,9 @@ CORRUPT_DATASETS = {
     "features_inf": lambda text: text + '{"num_nodes": 2, "node_features": [[Infinity], [0]]}\n',
     "edge_float_endpoint": lambda text: text + '{"num_nodes": 3, "edges": [[0.9, 1], [1, 2]]}\n',
     "edge_bool_endpoint": lambda text: text + '{"num_nodes": 3, "edges": [[true, 2]]}\n',
+    "edge_an_int": lambda text: text + '{"num_nodes": 3, "edges": [5]}\n',
+    "edge_null": lambda text: text + '{"num_nodes": 3, "edges": [[0, 1], null]}\n',
+    "edge_of_three": lambda text: text + '{"num_nodes": 3, "edges": [[0, 1, 2]]}\n',
 }
 # a config has no field to be missing: every field has a default
 CORRUPT_CONFIGS = {
@@ -580,6 +621,8 @@ NAMED_IN_ERROR = {
     "record_unknown_field": "'nodes'",
     "target_nan": "record.targets", "features_inf": "node_features",
     "edge_float_endpoint": "edge (0.9, 1)", "edge_bool_endpoint": "edge (True, 2)",
+    "edge_an_int": ": edge 5 is not a pair", "edge_null": ": edge None is not a pair",
+    "edge_of_three": ": edge (0, 1, 2) is not a pair",
     "unknown_field": "unknown fields", "k_not_an_int": "config.k", "lr_nan": "config.lr",
     "lr_zero": "config.lr", "batch_size_zero": "config.batch_size",
     "hidden_dim_zero": "config.hidden_dim", "mp_layers_zero": "config.mp_layers",

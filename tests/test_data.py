@@ -101,6 +101,20 @@ def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+def test_atomic_write_never_sets_the_umask(tmp_path, monkeypatch):
+    # setting it, even for a moment, would leave a file that another thread
+    # creates then unmasked
+    calls = []
+    monkeypatch.setattr(os, "umask", lambda *args: calls.append(args) or 0)
+    new, replaced = tmp_path / "new.txt", tmp_path / "replaced.txt"
+    replaced.write_text("old")
+    atomic_write_text(str(new), "payload")
+    atomic_write_text(str(replaced), "payload")
+    assert calls == []
+    assert new.read_text() == replaced.read_text() == "payload"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "replaced.txt"]
+
+
 @pytest.mark.parametrize("case", sorted(UNWRITABLE))
 def test_a_failed_write_names_the_output_and_leaves_no_temp_file(tmp_path, case):
     path = unwritable(tmp_path, case)

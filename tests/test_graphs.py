@@ -134,6 +134,13 @@ def test_graph_rejects_out_of_range_edge():
         Graph(3, ((0, 3),))
 
 
+@pytest.mark.parametrize("edge, shown", [(5, "5"), (None, "None"), ((0, 1, 2), "(0, 1, 2)"),
+                                         ([0], "(0,)"), ((), "()")])
+def test_graph_rejects_an_edge_that_is_not_a_pair(edge, shown):
+    with pytest.raises(InvalidGraph, match=rf"^edge {re.escape(shown)} is not a pair$"):
+        Graph(3, ((0, 1), edge))
+
+
 @pytest.mark.parametrize("edge", [(0.9, 1), (True, 2), (0, 2.0), ("0", 1)])
 def test_graph_rejects_an_endpoint_that_is_not_an_int(edge):
     with pytest.raises(InvalidGraph, match=rf"^edge {re.escape(repr(edge))} has an endpoint "

@@ -104,11 +104,16 @@ def test_the_optimizer_refuses_values_it_would_step_twice_in_one_line(params, me
         Adam(params(p, q))
 
 
+def block_names(opt):
+    """The names each of the optimizer's blocks fills, block by block."""
+    return [[name for name, *_ in fills] for *_, fills in opt.blocks]
+
+
 def test_the_optimizer_accepts_adjacent_views_of_one_buffer():
     flat = np.zeros(6)
     params = {"a": ad.parameter(flat[:2]), "b": ad.parameter(flat[2:5]),
               "c": ad.parameter(flat[5:])}
-    assert [names for _, names in Adam(params).runs] == [["a", "b", "c"]]
+    assert block_names(Adam(params)) == [["a", "b", "c"]]
 
 
 def test_first_step_closed_form():
@@ -205,8 +210,8 @@ def test_in_place_step_is_bit_identical_to_out_of_place_formula():
 
 
 def test_step_over_a_model_and_standalone_parameters_is_bit_identical_to_the_formula():
-    # a built model's parameters are one run, each standalone parameter a run
-    # of its own
+    # a built model's small parameters are one block, each standalone
+    # parameter a block of its own
     cfg = tr.config_from_dict({"k": 2, "hidden_dim": 4, "mp_layers": 2, "update_layers": 2,
                                "head_layers": 2, "head_hidden_dim": 8, "max_nodes": 6})
     model = tr.build_model(cfg, 3).parameters()
@@ -214,7 +219,7 @@ def test_step_over_a_model_and_standalone_parameters_is_bit_identical_to_the_for
     params = {"first": make_param(rng.standard_normal((2, 3))), **model,
               "middle": make_param(rng.standard_normal(4)), "last": make_param(np.array(0.5))}
     opt = Adam(params, lr=0.01)
-    assert [names for _, names in opt.runs] == [["first"], list(model), ["middle"], ["last"]]
+    assert block_names(opt) == [["first"], list(model), ["middle"], ["last"]]
     reference = {name: p.values.copy() for name, p in params.items()}
     m = {name: np.zeros(p.shape) for name, p in params.items()}
     v = {name: np.zeros(p.shape) for name, p in params.items()}
@@ -233,7 +238,7 @@ def test_step_over_a_model_and_standalone_parameters_is_bit_identical_to_the_for
 
 def test_dealing_the_blocks_to_threads_changes_no_bit(monkeypatch):
     # the layout fine-tuning builds: several buffers (an encoder, a head and
-    # a second head, each one run) with matrices cut into row blocks and
+    # a second head, no block spanning two) with matrices cut into row blocks and
     # small parameters packed together; sizes that are no multiples of
     # BLOCK, and MIN_PIECE lowered so that 8 threads each get blocks
     block = Adam.BLOCK
@@ -252,7 +257,8 @@ def test_dealing_the_blocks_to_threads_changes_no_bit(monkeypatch):
             flat[:] = np.random.default_rng(9 + i).standard_normal(flat.size)
             params.update(buffer)
         opt = Adam(params, lr=0.01)
-        assert [names for _, names in opt.runs] == [list(shapes) for shapes in layout]
+        assert all(any(set(names) <= set(shapes) for shapes in layout)
+                   for names in block_names(opt))
         assert opt._threads == threads
         return params, opt
 
@@ -271,6 +277,53 @@ def test_dealing_the_blocks_to_threads_changes_no_bit(monkeypatch):
             opt.zero_grad()
         for params, opt in builds[1:]:
             assert_same_state(builds[0][0], builds[0][1], params, opt, (t, opt._threads))
+
+
+@pytest.mark.parametrize("layout", ["model", "standalone", "finetune-keep-head"])
+def test_the_blocks_tile_every_parameter_in_order_as_grad_blocks_cuts_it(layout):
+    # a model with a head matrix cut into row blocks, or standalone
+    # parameters (formed whole however large, empty, scalar, cut) around a
+    # small model, or the three buffers fine-tuning steps
+    cfg = tr.config_from_dict({"head_hidden_dim": 600, "keep_pretrain_head": True})
+    block = Adam.BLOCK
+    if layout == "standalone":
+        small = tr.build_model(tr.config_from_dict({"hidden_dim": 4, "head_hidden_dim": 8}), 3)
+        params = {"long": make_param(np.zeros(2 * block + 1)), "empty": make_param(np.zeros(0)),
+                  **small.parameters(), "few_rows": make_param(np.zeros((3, block))),
+                  "one_column": make_param(np.zeros((2 * block, 1))),
+                  "cut": make_param(np.zeros((9, block // 2 + 3))), "scalar": make_param(0.5)}
+    else:
+        model = tr.build_model(cfg, 12, draw=False)
+        params = model.parameters()
+        if layout == "finetune-keep-head":
+            head = tr.build_downstream_head(cfg, draw=False)
+            params = {**{n: p for n, p in params.items() if n.startswith("encoder.")},
+                      **{f"downstream.{n}": p for n, p in head.parameters().items()},
+                      **{n: p for n, p in params.items() if n.startswith("head.")}}
+    opt = Adam(params)
+    fills = [(name, lo, hi) for *_, block_fills in opt.blocks for name, lo, hi, _ in block_fills]
+    assert fills == [(name, lo, hi) for name, p in params.items()
+                     for lo, hi in p.grad_blocks()]
+    assert sum(len(p.grad_blocks()) > 1 for p in params.values()) >= 1
+    at = 0  # the block's first moment slot
+    for values, m, v, block_fills in opt.blocks:
+        assert values.size == m.size == v.size == sum(hi - lo for _, lo, hi, _ in block_fills)
+        offset = 0
+        for name, lo, hi, put in block_fills:
+            assert put == offset
+            if hi > lo:  # an empty array's address means nothing
+                flat = params[name].values.reshape(-1)
+                assert values[put:].ctypes.data == flat[lo:].ctypes.data
+                assert m[put:].ctypes.data == opt.m[name].reshape(-1)[lo:].ctypes.data
+                assert m.ctypes.data == opt.flat_m.ctypes.data + 8 * at
+                assert v.ctypes.data == opt.flat_v.ctypes.data + 8 * at
+            offset += hi - lo
+        # a parameter cut into several ranges has a block per range, and only
+        # whole parameters are packed, within BLOCK values
+        cut = [len(params[name].grad_blocks()) > 1 for name, *_ in block_fills]
+        assert (cut == [True]) if any(cut) else (len(cut) == 1 or values.size <= block)
+        at += values.size
+    assert at == opt.flat_m.size == opt.flat_v.size
 
 
 @pytest.mark.parametrize("shape, cpus, threads", [((2, 2 ** 16), 2, 1), ((4, 2 ** 15), 4, 2)])
@@ -308,7 +361,7 @@ def test_a_step_starts_no_more_threads_than_there_are_blocks(monkeypatch, shape,
 def test_an_error_in_one_threads_share_is_raised_by_the_step(monkeypatch):
     monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
-    p = make_param(np.zeros(2 * Adam.BLOCK))
+    p = make_param(np.zeros((4, Adam.BLOCK // 2)))  # cut into two row blocks
     opt = Adam({"p": p})
     assert len(opt.blocks) == opt._threads == 2
     update = Adam._update
@@ -478,7 +531,7 @@ def test_a_parameter_that_feeds_a_dense_layer_gets_its_gradient_formed_before_it
         for params in (factored, formed):
             ad.dense(params["x"], params["w"], params["b"], relu=True).backward(seed)
         assert isinstance(factored["w"].grad_terms()[0], tuple)
-        assert np.shares_memory(factored["w"].grad_terms()[0][0], opts[0].runs[0][0])
+        assert np.shares_memory(factored["w"].grad_terms()[0][0], factored["x"].values)
         for p in formed.values():
             p.grad = np.array(p.grad)  # formed, and copied, before the step
         for opt in opts:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -764,8 +765,12 @@ def test_checkpoint_params_roundtrip_losslessly(tmp_path):
                                                             for n in adam]
     assert state2.epoch == state.epoch
     assert state2.rng.bit_generator.state == state.rng.bit_generator.state
-    # loaded into place: the values are still one buffer, the moments its slots
-    assert [names for _, names in state2.optimizer.runs] == [list(loaded.parameters())]
+    # loaded into place: the values are still one buffer, in dict order, the
+    # moments its slots
+    values = [p.values for p in state2.optimizer.params.values()]
+    assert all(v.base is values[0].base for v in values)
+    assert ([v.ctypes.data - values[0].base.ctypes.data for v in values]
+            == [8 * n for n in np.cumsum([0] + [v.size for v in values[:-1]])])
     for name in saved:
         assert state2.optimizer.m[name].base is state2.optimizer.flat_m
         assert state2.optimizer.v[name].base is state2.optimizer.flat_v
@@ -992,6 +997,27 @@ def callers(package: Path, name: str) -> list[str]:
     return sorted(found)
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    # every import in every module, at its top or inside a function (as
+    # Adam.step imports concurrent.futures), names the package itself, numpy
+    # or a module of the standard library
+    package = Path(__file__).parent.parent / "src" / "eigenlearn"
+    imported: dict[str, set] = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["eigenlearn" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], set()).add(path.name)
+    allowed = {"eigenlearn", "numpy", *sys.stdlib_module_names}
+    assert {top: files for top, files in imported.items() if top not in allowed} == {}
+    assert imported["concurrent"] == {"optim.py"} and "numpy" in imported
+
+
 def test_only_the_model_builders_lay_parameters_out():
     # one way in for parameters: no module lays out its own
     package = Path(__file__).parent.parent / "src" / "eigenlearn"
@@ -1007,18 +1033,17 @@ def test_the_optimizer_holds_values_and_moments_in_flat_buffers_and_weights_as_f
     head = None if run == "pretrain" else tr.build_downstream_head(cfg)
     state = tr._fresh_state(model, cfg, head)
     opt = state.optimizer
-    # one run per model buffer it owns: the model; or the encoder, the
-    # downstream head and, kept, the eigenvector head
-    runs = ([model.parameters()] if head is None else
-            [model.encoder.parameters(), head.parameters()]
-            + [model.head.parameters()] * cfg.keep_pretrain_head)
-    assert [len(names) for _, names in opt.runs] == [len(r) for r in runs]
-    for (values, names), params in zip(opt.runs, runs):
-        assert [opt.params[name] for name in names] == list(params.values())
-        for name in names:
-            p = opt.params[name]
-            assert np.shares_memory(p.values, values) and p.values.base is values.base
-            assert opt.m[name].base is opt.flat_m and opt.v[name].base is opt.flat_v
+    # the model buffers it owns, in order: the model; or the encoder, the
+    # downstream head and, kept, the eigenvector head; each block lies in one
+    parts = ([model.parameters()] if head is None else
+             [model.encoder.parameters(), head.parameters()]
+             + [model.head.parameters()] * cfg.keep_pretrain_head)
+    assert list(opt.params.values()) == [p for part in parts for p in part.values()]
+    assert all(len({id(p.values.base) for p in part.values()}) == 1 for part in parts)
+    for values, _, _, fills in opt.blocks:
+        assert all(opt.params[name].values.base is values.base for name, *_ in fills)
+    for name in opt.params:
+        assert opt.m[name].base is opt.flat_m and opt.v[name].base is opt.flat_v
     factored = []
     step = opt.step
 
