@@ -174,38 +174,26 @@ def test_a_model_too_large_for_memory_exits_1_with_one_line(tmp_path, small_data
     assert not (tmp_path / "run.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["compare-losses", "resume", "finetune", "finetune-head"])
-def test_a_model_too_large_for_memory_is_refused_naming_the_file_of_its_config(
-        tmp_path, capsys, monkeypatch, pre_and_ft_checkpoints, command):
-    data, pre, _ = pre_and_ft_checkpoints
-    out, big = tmp_path / "out.csv", tmp_path / "big"
-    what = "model"
-    if command == "compare-losses":
-        big = small_config(tmp_path, head_kind="node_wise", max_nodes=200000, k=3, hidden_dim=8,
-                           head_hidden_dim=8, epochs=1)
-        argv = ["compare-losses", "--input", str(data), "--config", big]
-    elif command == "finetune-head":
-        # a node-wise model that fits, and a downstream head that does not
-        assert main(["--quiet", "pretrain", "--input", str(data), "--output",
-                     str(tmp_path / "pre.csv"),
-                     "--config", small_config(tmp_path, k=3, head_kind="node_wise"),
-                     "--checkpoint-out", str(big)]) == 0
-        cfg = tr.config_from_dict(read_header(big)["config"])
-        size = tr.downstream_head_size(cfg)
-        assert tr.model_size(cfg, read_header(big)["d_in"]) < size
-        need = 8 * (3 * size + 2 * cfg.batch_size * cfg.max_nodes ** 2)
-        monkeypatch.setattr(tr, "physical_memory", lambda: need - 1)
-        argv, what = ["finetune", "--input", str(data), "--checkpoint", str(big)], "downstream head"
-    else:
-        big.write_bytes(edit_header(pre.read_bytes(), lambda header: header["config"].update(
-            head_hidden_dim=10 ** 12)))
-        argv = (["pretrain", "--input", str(data), "--resume", str(big)] if command == "resume"
-                else ["finetune", "--input", str(data), "--checkpoint", str(big)])
+def test_a_downstream_head_too_large_for_memory_is_refused_naming_the_checkpoint(
+        tmp_path, capsys, monkeypatch, small_dataset):
+    # a node-wise model that fits, and a downstream head that does not (the
+    # model too large in a config or a checkpoint: CORRUPT_CONFIGS and
+    # CORRUPT_CHECKPOINTS)
+    data, out, checkpoint = small_dataset, tmp_path / "out.csv", tmp_path / "nw"
+    assert main(["--quiet", "pretrain", "--input", data, "--output", str(tmp_path / "pre.csv"),
+                 "--config", small_config(tmp_path, k=3, head_kind="node_wise"),
+                 "--checkpoint-out", str(checkpoint)]) == 0
+    cfg = tr.config_from_dict(read_header(checkpoint)["config"])
+    size = tr.downstream_head_size(cfg)
+    assert tr.model_size(cfg, read_header(checkpoint)["d_in"]) < size
+    need = 8 * (3 * size + 2 * cfg.batch_size * cfg.max_nodes ** 2)
+    monkeypatch.setattr(tr, "physical_memory", lambda: need - 1)
     capsys.readouterr()
-    assert main(["--quiet", *argv, "--output", str(out)]) == 1
+    assert main(["--quiet", "finetune", "--input", data, "--checkpoint", str(checkpoint),
+                 "--output", str(out)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: {big}: the {what} of this config has ")
+    assert err.startswith(f"error: {checkpoint}: the downstream head of this config has ")
     assert not out.exists()
 
 
@@ -556,6 +544,7 @@ CORRUPT_CHECKPOINTS = {
     "factor_not_the_configs": lambda text: _with_in(text, "scheduler", factor=5.0),
     "rng_state_not_an_object": lambda text: _with(text, rng_state=5),
     "config_batch_size_zero": lambda text: _with_in(text, "config", batch_size=0),
+    "config_too_large_for_memory": lambda text: _with_in(text, "config", head_hidden_dim=10 ** 12),
 }
 CORRUPT_DATASETS = {
     **CORRUPT_FILES,
@@ -588,6 +577,8 @@ CORRUPT_CONFIGS = {
     "seed_negative": lambda text: _with(text, seed=-1),
     "dropout_one": lambda text: _with(text, dropout=1.0),
     "patience_zero": lambda text: _with(text, scheduler={"patience": 0}),
+    "too_large_for_memory": lambda text: _with(text, head_kind="node_wise", max_nodes=200000,
+                                               hidden_dim=8, head_hidden_dim=8),
 }
 CORRUPT_FEATURE_CONFIGS = {
     **CORRUPT_FILES,
@@ -611,6 +602,8 @@ NAMED_IN_ERROR = {
     "factor_not_the_configs": "checkpoint.scheduler.factor",
     "rng_state_not_an_object": "checkpoint.rng_state",
     "config_batch_size_zero": "checkpoint.config.batch_size",
+    "config_too_large_for_memory": ": the model of this config has ",
+    "too_large_for_memory": ": the model of this config has ",
     "arrays_wrong_shape": "checkpoint.arrays[1]", "arrays_missing_entry": "checkpoint.arrays[",
     "arrays_extra_entry": "checkpoint.arrays[", "version_2": "version 2 checkpoint",
     "body_one_byte_short": "the body ends after", "trailing_bytes": "the body goes on past",

@@ -308,15 +308,16 @@ def test_the_blocks_tile_every_parameter_in_order_as_grad_blocks_cuts_it(layout)
     at = 0  # the block's first moment slot
     for values, m, v, block_fills in opt.blocks:
         assert values.size == m.size == v.size == sum(hi - lo for _, lo, hi, _ in block_fills)
+        if values.size:  # an empty array's address means nothing
+            assert m.ctypes.data == opt.flat_m.ctypes.data + 8 * at
+            assert v.ctypes.data == opt.flat_v.ctypes.data + 8 * at
         offset = 0
         for name, lo, hi, put in block_fills:
             assert put == offset
-            if hi > lo:  # an empty array's address means nothing
+            if hi > lo:
                 flat = params[name].values.reshape(-1)
                 assert values[put:].ctypes.data == flat[lo:].ctypes.data
                 assert m[put:].ctypes.data == opt.m[name].reshape(-1)[lo:].ctypes.data
-                assert m.ctypes.data == opt.flat_m.ctypes.data + 8 * at
-                assert v.ctypes.data == opt.flat_v.ctypes.data + 8 * at
             offset += hi - lo
         # a parameter cut into several ranges has a block per range, and only
         # whole parameters are packed, within BLOCK values
