@@ -29,11 +29,14 @@ NumericalFault rather than letting a poisoned value propagate: `add`, `mul`,
 `dense` its pre-activation, which ReLU would clean, and, when it drops out,
 its scaled output. `reshape` computes nothing, its result being a view of its
 input's values, so it checks nothing; the next op that reads the view checks
-it. Inside `with no_grad():` ops compute the same values but record nothing:
-evaluation passes build no graph.
+it. Inside `with no_grad():` an op returns the bare np.ndarray it computed
+right after that check, building no Tensor, parent tuple or backward closure,
+so an evaluation pass builds no graph and pays for none. Every op takes a
+bare float64 array wherever it takes a constant Tensor (the previous op's
+result inside no_grad, a mask, an input batch) and gives the same bits as
+for `constant` of it; while recording, it wraps such an array as a constant
+parent, so a tape holds Tensors only.
 """
-
-import contextlib
 
 import numpy as np
 
@@ -202,19 +205,25 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+# An op's input or result: a Tensor, or a bare float64 array (an op's result
+# inside no_grad, or any input an op takes as a constant).
+Value = Tensor | np.ndarray
+
 _recording = [True]
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Ops inside the block keep neither parents nor a backward closure, so
-    their results are constants: the values are the same, nothing can be
-    back-propagated, and no graph is kept alive."""
-    previous, _recording[0] = _recording[0], False
-    try:
-        yield
-    finally:
-        _recording[0] = previous
+class no_grad:
+    """A block in which ops record nothing: each returns the bare np.ndarray
+    it computed (the same values as when recording) and builds no Tensor,
+    parent tuple or backward closure, so nothing can be back-propagated and
+    no graph is kept alive. Ops take those arrays back as inputs. Recording
+    is restored on leaving the block, also by an exception."""
+
+    def __enter__(self):
+        self._previous, _recording[0] = _recording[0], False
+
+    def __exit__(self, *exc_info):
+        _recording[0] = self._previous
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -224,11 +233,21 @@ def _check_finite(values: np.ndarray) -> None:
         raise NumericalFault("op produced non-finite values")
 
 
+def _values(a: Value) -> np.ndarray:
+    """An op input's values: a Tensor's, or a bare array itself."""
+    return a.values if isinstance(a, Tensor) else a
+
+
+def _tensor(a: Value) -> Tensor:
+    """An op input as a tape parent: a bare array as a constant."""
+    return a if isinstance(a, Tensor) else Tensor(a)
+
+
 def _result(values: np.ndarray, parents: tuple, vjp) -> Tensor:
-    """The op result holding values: recorded with its parents and backward
-    rule when recording is on and a parent needs a gradient, else a constant.
-    The op has checked the values it computed."""
-    if _recording[0] and any(p.requires_grad for p in parents):
+    """The result of an op run while recording, holding values: recorded with
+    its parents and backward rule when a parent needs a gradient, else a
+    constant. The op has checked the values it computed."""
+    if any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(values)
 
@@ -251,12 +270,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Value, b: Value) -> Value:
+    av, bv = _values(a), _values(b)
     try:
-        values = a.values + b.values
+        values = av + bv
     except ValueError as exc:
-        raise ShapeMismatch(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
+        raise ShapeMismatch(f"add: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values)
+    if not _recording[0]:
+        return values
+    a, b = _tensor(a), _tensor(b)
 
     def vjp(g):
         if a.requires_grad:
@@ -267,12 +290,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(values, (a, b), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: Value, b: Value) -> Value:
+    av, bv = _values(a), _values(b)
     try:
-        values = a.values * b.values
+        values = av * bv
     except ValueError as exc:
-        raise ShapeMismatch(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
+        raise ShapeMismatch(f"mul: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values)
+    if not _recording[0]:
+        return values
+    a, b = _tensor(a), _tensor(b)
 
     def vjp(g):
         if a.requires_grad:
@@ -283,8 +310,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(values, (a, b), vjp)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0,
-          rng: np.random.Generator | None = None) -> Tensor:
+def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
+          rng: np.random.Generator | None = None) -> Value:
     """One dense layer as one op: x @ w + b, then ReLU when relu is set, then
     inverted dropout when rate > 0: a keep mask drawn from rng, the kept
     entries scaled by 1/(1 - rate). Rate 0 draws nothing from rng; a positive
@@ -300,15 +327,15 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
     records dw as its factors (x^T, g) (Tensor.accumulate_product) and passes
     dx = g @ w^T on.
     """
-    if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+    xv, wv, bv = _values(x), _values(w), _values(b)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeMismatch(f"dense: {xv.shape} @ {wv.shape} + {bv.shape}")
     if not 0.0 <= rate < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0,1), got {rate}")
     if rate > 0.0 and rng is None:
         raise ShapeMismatch(f"dropout rate {rate} needs a generator to draw its mask from")
-    values = x.values @ w.values
-    values += b.values
+    values = xv @ wv
+    values += bv
     _check_finite(values)
     if relu:
         np.maximum(values, 0.0, out=values)
@@ -317,6 +344,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
         factor = (rng.random(values.shape) >= rate) / (1.0 - rate)
         values = values * factor
         _check_finite(values)
+    if not _recording[0]:
+        return values
+    x, w, b = _tensor(x), _tensor(w), _tensor(b)
     out = values
 
     def vjp(g):
@@ -334,7 +364,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
     return _result(out, (x, w, b), vjp)
 
 
-def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:
+def gin_aggregate(h: Value, eps: Value, adjacency: np.ndarray) -> Value:
     """GIN aggregation (1 + eps) * h + A h, as one op: row v of A h is the sum
     of h's rows over v's neighbors, and eps is a scalar.
 
@@ -343,17 +373,21 @@ def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:
     forward, one backward.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    rows = h.shape[0]
+    hv, epsv = _values(h), _values(eps)
+    rows = hv.shape[0]
     blocks, m = (1, rows) if adjacency.ndim == 2 else adjacency.shape[:2]
-    if (h.values.ndim != 2 or eps.shape != () or adjacency.ndim not in (2, 3)
+    if (hv.ndim != 2 or epsv.shape != () or adjacency.ndim not in (2, 3)
             or blocks * m != rows or adjacency.shape[-2:] != (m, m)):
-        raise ShapeMismatch(f"gin_aggregate: {h.shape} and eps {eps.shape} with "
+        raise ShapeMismatch(f"gin_aggregate: {hv.shape} and eps {epsv.shape} with "
                             f"adjacency {adjacency.shape}")
-    stacked = (blocks, m, h.shape[1])
-    scale = 1.0 + eps.values
-    values = scale * h.values
-    values += np.matmul(adjacency, h.values.reshape(stacked)).reshape(h.shape)
+    stacked = (blocks, m, hv.shape[1])
+    scale = 1.0 + epsv
+    values = scale * hv
+    values += np.matmul(adjacency, hv.reshape(stacked)).reshape(hv.shape)
     _check_finite(values)
+    if not _recording[0]:
+        return values
+    h, eps = _tensor(h), _tensor(eps)
 
     def vjp(g):
         if h.requires_grad:
@@ -366,12 +400,16 @@ def gin_aggregate(h: Tensor, eps: Tensor, adjacency: np.ndarray) -> Tensor:
     return _result(values, (h, eps), vjp)
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
+def reshape(a: Value, shape: tuple) -> Value:
     """a's values in a new shape: a view, checked by the op that reads it."""
+    av = _values(a)
     try:
-        values = a.values.reshape(shape)
+        values = av.reshape(shape)
     except ValueError as exc:
-        raise ShapeMismatch(f"reshape: cannot reshape {a.shape} into {shape}") from exc
+        raise ShapeMismatch(f"reshape: cannot reshape {av.shape} into {shape}") from exc
+    if not _recording[0]:
+        return values
+    a = _tensor(a)
 
     def vjp(g):
         if a.requires_grad:
@@ -380,7 +418,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _result(values, (a,), vjp)
 
 
-def scalar_with_grad(a: Tensor, value, grad: np.ndarray) -> Tensor:
+def scalar_with_grad(a: Value, value, grad: np.ndarray) -> Value:
     """A loss of a whose value and gradient at a.values were computed outside
     the tape (a closed-form loss), recorded as one node.
 
@@ -390,10 +428,14 @@ def scalar_with_grad(a: Tensor, value, grad: np.ndarray) -> Tensor:
     and backward scales it by entry b of the seed.
     """
     value = np.asarray(value, dtype=np.float64)
-    if grad.shape != a.shape or value.shape not in ((), a.shape[:1]):
+    shape = _values(a).shape
+    if grad.shape != shape or value.shape not in ((), shape[:1]):
         raise ShapeMismatch(f"scalar_with_grad: value {value.shape} and gradient "
-                            f"{grad.shape} for input {a.shape}")
+                            f"{grad.shape} for input {shape}")
     _check_finite(value)
+    if not _recording[0]:
+        return value
+    a = _tensor(a)
 
     def vjp(g):
         if a.requires_grad:
@@ -403,7 +445,7 @@ def scalar_with_grad(a: Tensor, value, grad: np.ndarray) -> Tensor:
     return _result(value, (a,), vjp)
 
 
-def thin_qr(a: Tensor, rank_tol: float) -> Tensor:
+def thin_qr(a: Value, rank_tol: float) -> Value:
     """Q of the thin QR factorization a = QR of a tall matrix, or of each
     matrix of a (B, m, k) stack in one call, signs fixed so that R has a
     positive diagonal (Q is then unique, and equals what Gram-Schmidt on the
@@ -415,9 +457,10 @@ def thin_qr(a: Tensor, rank_tol: float) -> Tensor:
     arXiv:1710.08717), per matrix: M = -dQ^T Q, dA = (dQ + Q copyltu(M)) R^-T,
     where copyltu(M) copies M's lower triangle onto its upper one.
     """
-    if a.values.ndim not in (2, 3) or a.shape[-2] < a.shape[-1]:
-        raise ShapeMismatch(f"thin_qr needs a tall matrix or a stack of them, got {a.shape}")
-    q, r = np.linalg.qr(a.values)
+    av = _values(a)
+    if av.ndim not in (2, 3) or av.shape[-2] < av.shape[-1]:
+        raise ShapeMismatch(f"thin_qr needs a tall matrix or a stack of them, got {av.shape}")
+    q, r = np.linalg.qr(av)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     small = np.abs(diagonal) < rank_tol
     if small.any():
@@ -425,8 +468,11 @@ def thin_qr(a: Tensor, rank_tol: float) -> Tensor:
         raise RankDeficient(column, *graph)
     signs = np.where(diagonal < 0.0, -1.0, 1.0)
     q *= signs[..., None, :]
-    r *= signs[..., :, None]
     _check_finite(q)
+    if not _recording[0]:
+        return q
+    a = _tensor(a)
+    r *= signs[..., :, None]  # only backward reads R
 
     def vjp(g):
         if a.requires_grad:

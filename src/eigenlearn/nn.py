@@ -19,12 +19,17 @@ tape only as parts of the combined loss.
 
 A forward pass drops out exactly when it is given a generator (`rng`), its
 one mode switch. Evaluation is the same forward without one, inside
-`autodiff.no_grad`, which records no tape.
+`autodiff.no_grad`, which records no tape: there every op returns a bare
+np.ndarray and takes one back, so a forward pass, and each module's, returns
+an array and builds no Tensor. Modules hand the ops their constants (an input
+batch, a phantom-row mask) as bare arrays too.
 
 Modules declare the shapes of their parameters and allocate nothing. The
 model builders in `train` lay a whole model's parameters out as views of one
 buffer (allocate_parameters), the layout optim.Adam steps in one pass.
 """
+
+import math
 
 import numpy as np
 
@@ -106,7 +111,7 @@ class Mlp:
             self.weights.append(unallocated_parameter((d_in, d_out)))
             self.biases.append(unallocated_parameter((d_out,)))
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, x: ad.Value, rng: np.random.Generator | None = None) -> ad.Value:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -133,8 +138,8 @@ class GinLayer:
         self.update_mlp = Mlp(dims, dropout_rate)
         self.eps = unallocated_parameter(())
 
-    def forward(self, h: Tensor, adjacency: np.ndarray,
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, h: ad.Value, adjacency: np.ndarray,
+                rng: np.random.Generator | None = None) -> ad.Value:
         return self.update_mlp.forward(ad.gin_aggregate(h, self.eps, adjacency), rng)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -167,7 +172,7 @@ class GinEncoder:
             d = hidden_dim
 
     def forward(self, adjacencies: list[np.ndarray], features: list,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> ad.Value:
         """Node embeddings of a batch as one (B*max_nodes, hidden_dim) tensor,
         zero on phantom rows. adjacencies[i] is graph i's (n_i, n_i) adjacency
         (graphs.build_adjacency) and features[i] its (n_i, in_dim) array (a
@@ -189,10 +194,10 @@ class GinEncoder:
             x[i * m:i * m + n] = f
             adjacency[i, :n, :n] = a
             mask[i * m:i * m + n] = 1.0
-        h = ad.constant(x)
+        h = x
         for layer in self.layers:
             h = layer.forward(h, adjacency, rng)
-        return ad.mul(h, ad.constant(mask))
+        return ad.mul(h, mask)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -202,18 +207,21 @@ class GinEncoder:
         return out
 
 
-def _mask_phantom_rows(out: Tensor, sizes: list[int], k: int) -> Tensor:
+def _mask_phantom_rows(out: ad.Value, sizes: list[int], k: int) -> ad.Value:
     """A head's output for a batch of graphs with sizes[i] nodes, reshaped to
     (B, max_nodes, k) with the rows past each graph's size multiplied by zero
     (one constant mask), so phantom nodes reach neither a prediction nor a
     loss and receive no gradient."""
     b = len(sizes)
-    m = out.values.size // (b * k)
-    if out.values.size != b * m * k or max(sizes) > m:
+    size = math.prod(out.shape)
+    m = size // (b * k)
+    if size != b * m * k or max(sizes) > m:
         raise ShapeMismatch(f"head output {out.shape} does not hold {b} graphs of up to "
                             f"{max(sizes)} nodes with {k} columns")
-    mask = np.arange(m)[None, :, None] < np.asarray(sizes)[:, None, None]
-    return ad.mul(ad.reshape(out, (b, m, k)), ad.constant(mask.astype(np.float64)))
+    mask = np.zeros((b, m, 1))
+    for i, n in enumerate(sizes):
+        mask[i, :n] = 1.0
+    return ad.mul(ad.reshape(out, (b, m, k)), mask)
 
 
 class GraphLevelHead:
@@ -233,8 +241,8 @@ class GraphLevelHead:
         dims = [max_nodes * d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [max_nodes * k]
         self.mlp = Mlp(dims, dropout_rate)
 
-    def forward(self, z: Tensor, sizes: list[int],
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, z: ad.Value, sizes: list[int],
+                rng: np.random.Generator | None = None) -> ad.Value:
         """z: (B*max_nodes, d) padded embeddings of B graphs with sizes[i]
         nodes; returns their (B, max_nodes, k) outputs, zero on phantom rows."""
         b = len(sizes)
@@ -261,8 +269,8 @@ class NodeWiseHead:
         dims = [d_hidden] + [mlp_hidden] * (mlp_layers - 1) + [k]
         self.mlp = Mlp(dims, dropout_rate)
 
-    def forward(self, z: Tensor, sizes: list[int],
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, z: ad.Value, sizes: list[int],
+                rng: np.random.Generator | None = None) -> ad.Value:
         """z: (B*m, d) padded embeddings of B graphs with sizes[i] nodes;
         returns their (B, m, k) outputs, zero on phantom rows."""
         return _mask_phantom_rows(self.mlp.forward(z, rng), sizes, self.k)
@@ -271,7 +279,7 @@ class NodeWiseHead:
         return {f"mlp.{name}": p for name, p in self.mlp.parameters().items()}
 
 
-def orthonormalize(u_tilde: Tensor) -> Tensor:
+def orthonormalize(u_tilde: ad.Value) -> ad.Value:
     """Q with Q^T Q = I and span(Q) = span(input), for one (n, k) matrix or
     for each graph of a padded (B, max_nodes, k) batch: the thin-QR Q with a
     positive R diagonal, recorded as one op (`autodiff.thin_qr`). Zero
@@ -299,7 +307,7 @@ class EigenModel:
         self.head = head
 
     def forward(self, adjacencies: list[np.ndarray], features: list,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> ad.Value:
         """Raw (B, max_nodes, k) head outputs of a batch: one encoder pass and
         one head pass over the padded batch (adjacencies and features as in
         GinEncoder.forward). A graph with fewer than k nodes has no k
@@ -318,9 +326,11 @@ class EigenModel:
         """Evaluation-mode (no generator, no dropout, nothing recorded)
         orthonormal eigenvector estimates of a batch of graphs: one
         (B, max_nodes, k) array, graph i's (n_i, k) estimate in its first n_i
-        rows, zeros below."""
+        rows, zeros below. The pass runs inside autodiff.no_grad, so every op
+        returns a bare array and no Tensor is built; the result is the thin-QR
+        op's own array."""
         with ad.no_grad():
-            return orthonormalize(self.forward(adjacencies, features)).values
+            return orthonormalize(self.forward(adjacencies, features))
 
     def predict(self, g: Graph, features: np.ndarray) -> np.ndarray:
         """The (n, k) estimate of one graph: predict_batch of a batch of one,
@@ -336,7 +346,9 @@ class EigenModel:
 # --- training objectives as single ops --------------------------------------
 # Each records the value and gradient its numpy definition in `losses`
 # returns: for one (n, k) matrix a scalar, for a padded (B, max_nodes, k)
-# stack one value per graph (with targets padded alike), as one node.
+# stack one value per graph (with targets padded alike), as one node. Each
+# takes a recorded pass's Tensor; evaluation, whose passes return bare arrays,
+# calls the numpy definitions in `losses` directly.
 
 
 def combined_loss_t(u_hat: Tensor, laplacian: np.ndarray, lambda_k: np.ndarray,

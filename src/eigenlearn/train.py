@@ -217,7 +217,15 @@ def padded_targets(batch: list[TrainingExample], max_nodes: int) -> PaddedTarget
                          np.array([ex.graph.num_nodes for ex in batch]))
 
 
+def _require_examples(examples: list, what: str) -> None:
+    """Refuse an empty example list in one line: training on it would report
+    a loss of 0.0, and evaluating it would fail deep inside numpy."""
+    if not examples:
+        raise InvalidParams(f"{what} needs at least one example, got none")
+
+
 def feature_dim(examples: list[TrainingExample]) -> int:
+    _require_examples(examples, "feature_dim")
     dims = {ex.features.shape[1] for ex in examples}
     if len(dims) != 1:
         raise InvalidParams(f"inconsistent feature dims across dataset: {sorted(dims)}")
@@ -470,6 +478,7 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     for val_examples, which it then requires; their batches and padded
     targets are built once per call, not once per epoch.
     """
+    _require_examples(examples, "pretrain")
     _check_monitor(cfg, val_examples)
     if state is None:
         state = _fresh_state(model, cfg)
@@ -490,6 +499,7 @@ def evaluate_pretrain_loss(model: EigenModel, examples: list[TrainingExample],
                            cfg: PretrainConfig) -> float:
     """Evaluation-mode (dropout-free, no tape) mean combined loss over a
     dataset, in batches of cfg.batch_size (see _evaluate_spectral)."""
+    _require_examples(examples, "evaluate_pretrain_loss")
     return _evaluate_spectral(model, *_fixed_batches(examples, cfg), cfg.loss_weights)[0]
 
 
@@ -506,13 +516,15 @@ def predict_targets(model: EigenModel, head: Mlp, examples: list[TrainingExample
                     cfg: PretrainConfig) -> np.ndarray:
     """Evaluation-mode (no tape) downstream predictions of every example, in
     batches of cfg.batch_size: fine-tuning's pass without a generator."""
+    _require_examples(examples, "predict_targets")
     with ad.no_grad():
-        return np.concatenate([_regression_pass(model, head, batch)[0].values[:, 0]
+        return np.concatenate([_regression_pass(model, head, batch)[0][:, 0]
                                for batch in _batches(examples, cfg.batch_size)])
 
 
 def evaluate_mae(model: EigenModel, head: Mlp, examples: list[TrainingExample],
                  cfg: PretrainConfig, target_name: str) -> float:
+    _require_examples(examples, "evaluate_mae")
     targets = [ex.graph.graph_targets[target_name] for ex in examples]
     return mae_loss(predict_targets(model, head, examples, cfg), targets)
 
@@ -530,6 +542,7 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     same encoder pass. A scheduler monitoring val_loss evaluates the MAE on
     val_examples, which it then requires.
     """
+    _require_examples(examples, "finetune")
     _check_monitor(cfg, val_examples)
     for ex in examples + (val_examples or []):
         if target_name not in ex.graph.graph_targets:
@@ -585,6 +598,7 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
     A trained arm's schedule steps once per epoch on its mean training loss;
     there is no validation split, so a val_loss schedule is rejected.
     """
+    _require_examples(examples, "compare_losses")
     unknown = set(arms) - set(COMPARISON_ARMS)
     if unknown:
         raise InvalidParams(f"unknown arms: {sorted(unknown)}")

@@ -1,11 +1,12 @@
 """Shared test utilities: finite-difference oracles, a scalarizing
 projection, the small tape ops that `autodiff.dense` and
-`autodiff.gin_aggregate` fuse (kept as their references) and a counter of
-recorded ops, the column loop `eigen.canonical_signs` replaced and the edge
-loop `graphs.build_adjacency` replaced (each kept as its reference), the
-layout of a module built alone, random graph soup, checkpoint helpers: a
-header reader and editor, and an old-version writer, and output paths that
-cannot be written."""
+`autodiff.gin_aggregate` fuse (kept as their references), a counter of
+recorded ops, a spy on every op's result and every Tensor constructed, the
+column loop `eigen.canonical_signs` replaced and the edge loop
+`graphs.build_adjacency` replaced (each kept as its reference), the layout of
+a module built alone, random graph soup, checkpoint helpers: a header reader
+and editor, and an old-version writer, and output paths that cannot be
+written."""
 
 import base64
 import json
@@ -169,6 +170,28 @@ def reachable_nodes(tensor: ad.Tensor) -> list:
                 nodes.append(parent)
                 stack.append(parent)
     return nodes
+
+
+OPS = ("add", "mul", "dense", "gin_aggregate", "reshape", "scalar_with_grad", "thin_qr")
+
+
+def spy_on_ops(monkeypatch) -> tuple[list, list]:
+    """Patch every autodiff op and Tensor.__init__; returns the lists each
+    op's result (in call order) and each Tensor constructed are appended to."""
+    results, tensors = [], []
+    for name in OPS:
+        def spy(*args, _op=getattr(ad, name), **kwargs):
+            results.append(_op(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(ad, name, spy)
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tensors.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    return results, tensors
 
 
 def recorded_ops(tensor: ad.Tensor) -> int:

@@ -7,7 +7,7 @@ from eigenlearn import autodiff as ad
 from eigenlearn.errors import NumericalFault, ShapeMismatch
 from helpers import (dense_reference, dropout, gin_aggregate_reference, matmul,
                      max_rel_error, numeric_gradient, project, recorded_ops, relu,
-                     slice_rows, sum_neighbors)
+                     slice_rows, spy_on_ops, sum_neighbors)
 
 
 def check_op_gradient(build, arrays, h=1e-5, tol=1e-4):
@@ -263,30 +263,84 @@ def test_dropout_deterministic_per_seed():
     assert np.array_equal(a.values, b.values)
 
 
+def _every_op(x: np.ndarray, params: dict) -> list:
+    """One pass through all seven ops, x and the mask fed as bare arrays;
+    returns each op's result."""
+    adjacency = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+                          [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+    mask = np.array([[1.0], [1.0], [1.0], [0.0]])
+    out = [ad.gin_aggregate(x, params["eps"], adjacency)]
+    out.append(ad.dense(out[-1], params["w"], params["b"], relu=True))
+    out.append(ad.mul(ad.add(out[-1], params["shift"]), mask))
+    out.append(ad.reshape(out[-1], (1, 4, 2)))
+    out.append(ad.thin_qr(out[-1], 1e-8))
+    q = out[-1].values if isinstance(out[-1], ad.Tensor) else out[-1]
+    out.append(ad.scalar_with_grad(out[-1], np.sum(q), np.ones_like(q)))
+    return out
+
+
 def test_no_grad_records_nothing_and_changes_no_value(monkeypatch):
     rng = np.random.default_rng(3)
-    w, x = ad.parameter(rng.standard_normal((3, 2))), ad.constant(rng.standard_normal((4, 3)))
-
-    def forward():
-        return project(relu(ad.add(matmul(x, w), ad.parameter(np.ones(2)))))
-
-    produced = []
-    result = ad._result
-
-    def spy(*args):
-        produced.append(result(*args))
-        return produced[-1]
-
-    monkeypatch.setattr(ad, "_result", spy)
-    recorded = forward()
-    assert all(t._parents for t in produced)
-    produced.clear()
+    x = rng.standard_normal((4, 3))
+    params = {"eps": ad.parameter(np.array(0.25)), "w": ad.parameter(rng.standard_normal((3, 2))),
+              "b": ad.parameter(np.ones(2)), "shift": ad.parameter(rng.standard_normal(2))}
+    results, tensors = spy_on_ops(monkeypatch)
+    recorded = _every_op(x, params)
+    assert all(t._parents for t in recorded)
+    results.clear()
+    tensors.clear()
     with ad.no_grad():
-        quiet = forward()
-    assert len(produced) == 4
-    assert all(t._parents == () and t._vjp is None and not t.requires_grad for t in produced)
-    assert np.array_equal(quiet.values, recorded.values)
-    assert forward()._parents  # recording resumes after the block
+        quiet = _every_op(x, params)
+    assert len(results) == 7 and all(type(r) is np.ndarray for r in results)
+    assert tensors == []  # no Tensor, so no parent tuple or closure, inside the block
+    for r, q in zip(recorded, quiet, strict=True):
+        assert np.array_equal(q, r.values)
+    assert _every_op(x, params)[-1]._parents  # recording resumes after the block
+
+
+# Each op with every input it can take as a constant given by wrap(array): a
+# bare array or ad.constant of it. params are parameters of the other inputs.
+BARE_INPUTS = {
+    "add": lambda wrap, a, p: ad.add(wrap(a["x"]), p["row"]),
+    "mul": lambda wrap, a, p: ad.mul(p["row"], wrap(a["x"])),
+    "dense-x-b": lambda wrap, a, p: ad.dense(wrap(a["x"]), p["w"], wrap(a["b"]), relu=True),
+    "dense-w": lambda wrap, a, p: ad.dense(p["x"], wrap(a["w"]), p["b"]),
+    "gin_aggregate-h": lambda wrap, a, p: ad.gin_aggregate(wrap(a["x"]), p["eps"], a["adj"]),
+    "gin_aggregate-eps": lambda wrap, a, p: ad.gin_aggregate(p["x"], wrap(a["eps"]), a["adj"]),
+    "reshape": lambda wrap, a, p: ad.reshape(wrap(a["x"]), (2, 2, 3)),
+    "thin_qr": lambda wrap, a, p: ad.thin_qr(wrap(a["x"]), 1e-8),
+    "scalar_with_grad": lambda wrap, a, p: ad.scalar_with_grad(
+        wrap(a["x"]), np.sum(a["x"] ** 2), 2.0 * a["x"]),
+}
+
+
+@pytest.mark.parametrize("recording", [True, False], ids=["recording", "no_grad"])
+@pytest.mark.parametrize("case", sorted(BARE_INPUTS))
+def test_a_bare_array_input_gives_the_bits_of_a_constant(case, recording):
+    rng = np.random.default_rng(11)
+    arrays = {"x": rng.standard_normal((4, 3)), "w": rng.standard_normal((3, 3)),
+              "b": rng.standard_normal(3), "eps": np.array(0.5),
+              "adj": np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0],
+                               [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])}
+    outs = []
+    for wrap in (ad.constant, lambda a: a):
+        params = {name: ad.parameter(arrays[name].copy())
+                  for name in ("x", "w", "b", "eps")}
+        params["row"] = ad.parameter(np.linspace(-1.0, 1.0, 3))
+        if recording:
+            out = BARE_INPUTS[case](wrap, arrays, params)
+            if out.requires_grad:
+                out.backward(np.cos(np.arange(out.values.size)).reshape(out.shape))
+            outs.append((out.values, [p.grad for p in params.values()]))
+        else:
+            with ad.no_grad():
+                out = BARE_INPUTS[case](wrap, arrays, params)
+            assert type(out) is np.ndarray
+            outs.append((out, []))
+    (constant, constant_grads), (bare, bare_grads) = outs
+    assert constant.tobytes() == bare.tobytes() and constant.shape == bare.shape
+    for g, h in zip(constant_grads, bare_grads, strict=True):
+        assert (g is None and h is None) or np.array_equal(g, h)
 
 
 def test_no_grad_restores_recording_after_an_error():
@@ -294,6 +348,11 @@ def test_no_grad_restores_recording_after_an_error():
         with ad.no_grad():
             ad.add(ad.parameter(np.array([np.inf])), ad.constant(1.0))
     assert ad.mul(ad.parameter(np.ones(2)), ad.constant(2.0))._parents
+    with pytest.raises(NumericalFault), np.errstate(over="ignore"):
+        with ad.no_grad():
+            ad.mul(np.array([1e200, 1.0]), np.array([1e200, 1.0]))  # overflows to inf
+    product = ad.mul(ad.parameter(np.ones(2)), np.full(2, 2.0))
+    assert isinstance(product, ad.Tensor) and product._parents
 
 
 def test_scalar_with_grad_takes_one_value_per_graph_of_a_stack():

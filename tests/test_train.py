@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import copy
 import dataclasses
 import json
@@ -18,13 +17,13 @@ from eigenlearn import train as tr
 from eigenlearn import wavelets
 from eigenlearn.data import from_dict
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
-                               MissingTarget, NumericalFault)
+                               MissingTarget, NumericalFault, ShapeMismatch)
 from eigenlearn.graphs import (LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian,
                                generate_graph)
-from eigenlearn.losses import LossWeights, eigvec_loss, energy_loss
+from eigenlearn.losses import LossWeights, eigvec_loss, energy_loss, mae_loss
 from eigenlearn.wavelets import FeatureConfig
 from helpers import (as_old_version, edit_header, read_header, reachable_nodes,
-                     recorded_ops)
+                     recorded_ops, spy_on_ops)
 
 
 def small_cfg(**overrides):
@@ -311,6 +310,33 @@ def test_precompute_empty_after_filter():
     cfg = small_cfg(k=8)
     with pytest.raises(EmptyDatasetAfterFilter):
         tr.precompute_targets([generate_graph("path", {"n": 4})], cfg)
+
+
+# Every training and evaluation entry point, called on an empty example list.
+EMPTY_CALLS = {
+    "pretrain": lambda model, head, cfg: tr.pretrain([], model, cfg),
+    "finetune": lambda model, head, cfg: tr.finetune([], model, head, cfg, "lambda_2"),
+    "evaluate_pretrain_loss": lambda model, head, cfg: tr.evaluate_pretrain_loss(model, [], cfg),
+    "predict_targets": lambda model, head, cfg: tr.predict_targets(model, head, [], cfg),
+    "evaluate_mae": lambda model, head, cfg: tr.evaluate_mae(model, head, [], cfg, "lambda_2"),
+    "compare_losses": lambda model, head, cfg: tr.compare_losses([], cfg),
+    "feature_dim": lambda model, head, cfg: tr.feature_dim([]),
+    "predict_batch": lambda model, head, cfg: model.predict_batch([], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CALLS))
+def test_an_empty_example_list_is_refused_in_one_line(name):
+    cfg = small_cfg()
+    model = tr.build_model(cfg, 5)
+    head = tr.build_downstream_head(cfg)
+    error = ShapeMismatch if name == "predict_batch" else InvalidParams
+    with pytest.raises(error) as caught:
+        EMPTY_CALLS[name](model, head, cfg)
+    message = str(caught.value)
+    assert "\n" not in message
+    if error is InvalidParams:
+        assert message == f"{name} needs at least one example, got none"
 
 
 # --- pretraining ---
@@ -1244,6 +1270,8 @@ def test_a_rank_deficient_graph_drops_its_batch_and_is_named(caplog):
 
 
 EVALUATIONS = {
+    "predict": lambda model, head, examples, cfg: np.concatenate(
+        [model.predict(ex.graph, ex.features) for ex in examples]),
     "predict_batch": lambda model, head, examples, cfg: model.predict_batch(
         [ex.adjacency for ex in examples], [ex.features for ex in examples]),
     "predict_targets": lambda model, head, examples, cfg: tr.predict_targets(
@@ -1255,24 +1283,47 @@ EVALUATIONS = {
 }
 
 
+def _recorded_spectral(model, batches, cfg) -> list:
+    """Each batch's orthonormal outputs from the recorded spectral training
+    pass, given no generator."""
+    return [tr._spectral_pass(model, batch, cfg, None)[0].values for batch in batches]
+
+
+def _recorded_targets(model, head, examples, cfg) -> np.ndarray:
+    """The downstream predictions from the recorded regression training pass,
+    given no generator."""
+    return np.concatenate([tr._regression_pass(model, head, batch)[0].values[:, 0]
+                           for batch in tr._batches(examples, cfg.batch_size)])
+
+
+# EVALUATIONS' values from the recorded passes training runs.
+RECORDED = {
+    "predict": lambda model, head, examples, cfg: np.concatenate(
+        [_recorded_spectral(model, [[ex]], cfg)[0][0, :ex.graph.num_nodes] for ex in examples]),
+    "predict_batch": lambda model, head, examples, cfg: _recorded_spectral(
+        model, [examples], cfg)[0],
+    "predict_targets": _recorded_targets,
+    "evaluate_pretrain_loss": lambda model, head, examples, cfg: tr._spectral_means(
+        _recorded_spectral(model, tr._batches(examples, cfg.batch_size), cfg),
+        [tr.padded_targets(batch, cfg.max_nodes)
+         for batch in tr._batches(examples, cfg.batch_size)], cfg.loss_weights)[0],
+    "evaluate_mae": lambda model, head, examples, cfg: mae_loss(
+        _recorded_targets(model, head, examples, cfg),
+        [ex.graph.graph_targets["lambda_2"] for ex in examples]),
+}
+
+
 @pytest.mark.parametrize("name", sorted(EVALUATIONS))
 def test_evaluation_records_no_tape_and_gives_the_recorded_values(monkeypatch, name):
     cfg = small_cfg(batch_size=3)
     examples = tr.precompute_targets(graph_soup(5, seed=13, target=True), cfg)
     model = tr.build_model(cfg, tr.feature_dim(examples))
     head = tr.build_downstream_head(cfg)
-    produced = []
-    result = ad._result
-
-    def spy(*args):
-        produced.append(result(*args))
-        return produced[-1]
-
-    monkeypatch.setattr(ad, "_result", spy)
+    results, tensors = spy_on_ops(monkeypatch)
     quiet = EVALUATIONS[name](model, head, examples, cfg)
-    assert produced and all(t._parents == () and t._vjp is None for t in produced)
-    produced.clear()
-    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)  # record as training does
-    recorded = EVALUATIONS[name](model, head, examples, cfg)
-    assert any(t._parents for t in produced)
+    assert results and all(type(r) is np.ndarray for r in results)
+    assert tensors == []  # no Tensor, so no parent tuple or closure, anywhere in the pass
+    results.clear()
+    recorded = RECORDED[name](model, head, examples, cfg)
+    assert any(isinstance(r, ad.Tensor) and r._parents for r in results)
     assert np.array_equal(quiet, recorded)
