@@ -17,7 +17,7 @@ from .train import (PretrainConfig, RunRecord, SchedulerConfig, compare_losses,
                     finetune, precompute_targets, pretrain)
 from .wavelets import (FeatureConfig, WaveletBank, augment_features,
                        build_wavelet_bank, diffused_dirac_embeddings,
-                       wavelet_positional_embeddings)
+                       structural_embeddings, wavelet_positional_embeddings)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "build_adjacency", "build_laplacian", "build_diffusion", "generate_graph",
     "eigendecompose", "lowest_k", "eigenvalue_clusters",
     "build_wavelet_bank", "wavelet_positional_embeddings",
-    "diffused_dirac_embeddings", "augment_features",
+    "diffused_dirac_embeddings", "structural_embeddings", "augment_features",
     "eigvec_loss", "energy_loss", "energy_abs_loss", "ortho_loss",
     "abs_cos_mae_loss", "combined_loss", "eigenspace_rotation",
     "random_special_orthogonal",

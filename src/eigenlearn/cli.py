@@ -22,7 +22,7 @@ from . import train as tr
 from .data import (_numbered_graphs, atomic_write_text, from_dict, load_dataset, read_json,
                    save_dataset)
 from .eigen import eigendecompose
-from .errors import DatasetFormatError, EigenlearnError, InvalidParams
+from .errors import DatasetFormatError, EigenlearnError, InvalidParams, NothingTrained
 from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, adjacency_fits,
                      build_adjacency, build_laplacian, generate_graph)
 from .invariants import run_all_checks
@@ -48,6 +48,15 @@ def _grid_shape(n: int) -> dict:
     """The most nearly square grid of exactly n nodes (1 x n for a prime n)."""
     rows = max(r for r in range(1, math.isqrt(n) + 1) if n % r == 0)
     return {"rows": rows, "cols": n // rows}
+
+
+def _require_trained(record: tr.RunRecord) -> None:
+    """Refuse, before anything is written, a run whose last epoch committed no
+    batch: its losses are NaN (see train._epochs), and exit 0 would pass it
+    off as a run that trained."""
+    if record.rows and math.isnan(record.rows[-1].loss_total):
+        raise NothingTrained(f"epoch {record.rows[-1].epoch} committed no batch: every batch "
+                             f"of it was skipped ({record.skipped_batches} skipped in the run)")
 
 
 def cmd_gen_data(args) -> int:
@@ -137,6 +146,7 @@ def cmd_pretrain(args) -> int:
         with tr.naming(args.config):
             model = tr.build_model(cfg, tr.feature_dim(examples))
     record, state = tr.pretrain(examples, model, cfg, state)
+    _require_trained(record)
     atomic_write_text(args.output, record.to_csv())
     if args.checkpoint_out:
         tr.save_checkpoint(args.checkpoint_out, model, cfg, state, model.encoder.in_dim)
@@ -169,6 +179,7 @@ def cmd_finetune(args) -> int:
         head = tr.build_downstream_head(cfg)
     record, state = tr.finetune(tr_examples, model, head, cfg, args.target,
                                 val_examples=val or None)
+    _require_trained(record)
     atomic_write_text(args.output, record.to_csv())
     if args.checkpoint_out:
         tr.save_checkpoint(args.checkpoint_out, model, cfg, state, model.encoder.in_dim,

@@ -18,11 +18,14 @@ class InvalidParams(EigenlearnError):
 
 
 class IsolatedNode(EigenlearnError):
-    """A degree-0 node where a random-walk operator is required."""
+    """A degree-0 node where a random-walk operator is required; graph_index
+    says which graph of a stack (None for a single adjacency)."""
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, graph_index: int | None = None):
         self.index = index
-        super().__init__(f"node {index} has degree 0; diffusion is undefined")
+        self.graph_index = graph_index
+        where = "" if graph_index is None else f" of graph {graph_index} in the stack"
+        super().__init__(f"node {index}{where} has degree 0; diffusion is undefined")
 
 
 class NotSymmetric(EigenlearnError):
@@ -80,6 +83,10 @@ class RankDeficient(EigenlearnError):
 
 class NumericalFault(EigenlearnError):
     """A forward op produced NaN or Inf."""
+
+
+class NothingTrained(EigenlearnError):
+    """A run's last epoch committed no batch: every one of them was skipped."""
 
 
 class EmptyDatasetAfterFilter(EigenlearnError):

@@ -5,8 +5,12 @@ operator (adjacency, Laplacian, random-walk diffusion) is a plain float64
 numpy array. `build_adjacency` builds the adjacency from a graph's edge
 tuple in one vectorized assignment, the endpoints flattened into one index
 array, with no loop over the edges in Python. The Laplacian and diffusion
-operators take that (n, n) array, so a caller that needs both the adjacency
-and an operator builds it once. A graph whose adjacency would not fit in
+operators take that (n, n) array, or a (B, n, n) stack of the adjacencies of
+B graphs of one node count, and give every matrix of a stack the bits it gets
+alone; so a caller that needs both the adjacency and an operator builds it
+once, and one that has many graphs of one size (train.precompute_targets)
+pays numpy's per-call cost once per stack, not once per graph. A refusal on
+a stack names the first bad graph. A graph whose adjacency would not fit in
 the machine's physical memory is refused before anything is allocated.
 """
 
@@ -115,14 +119,16 @@ def build_adjacency(g: Graph) -> np.ndarray:
 
 
 def _check_square(a, op: str) -> None:
-    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == a.shape[1]):
+    if not (isinstance(a, np.ndarray) and a.ndim in (2, 3) and a.shape[-1] == a.shape[-2]):
         got = f"shape {a.shape}" if isinstance(a, np.ndarray) else f"a {type(a).__name__}"
-        raise ShapeMismatch(f"{op} takes a square (n, n) adjacency array, got {got}")
+        raise ShapeMismatch(f"{op} takes a square (n, n) adjacency array or a (B, n, n) "
+                            f"stack of them, got {got}")
 
 
 def build_laplacian(a: np.ndarray, norm: str = UNNORMALIZED) -> np.ndarray:
-    """Graph Laplacian of the (n, n) adjacency a: D - A, or its symmetric
-    normalization I - D^{-1/2} A D^{-1/2}.
+    """Graph Laplacian of the (n, n) adjacency a, or of each adjacency of a
+    (B, n, n) stack: D - A, or its symmetric normalization
+    I - D^{-1/2} A D^{-1/2}.
 
     Isolated nodes are allowed; the symmetric norm treats their D^{-1/2}
     diagonal entry as 0.
@@ -130,25 +136,39 @@ def build_laplacian(a: np.ndarray, norm: str = UNNORMALIZED) -> np.ndarray:
     _check_square(a, "build_laplacian")
     if norm not in LAPLACIAN_NORMS:
         raise InvalidParams(f"unknown Laplacian norm {norm!r}")
-    d = a.sum(axis=1)
+    d = a.sum(axis=-1)
+    n = a.shape[-1]
     if norm == UNNORMALIZED:
-        return np.diag(d) - a
+        # as np.diag(d) - a: an entry off the diagonal is 0.0 - a_ij, not -a_ij
+        lap = np.zeros(a.shape, np.result_type(d, a))
+        lap[..., np.arange(n), np.arange(n)] = d
+        lap -= a
+        return lap
     d_inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    return np.eye(a.shape[0]) - (d_inv_sqrt[:, None] * a) * d_inv_sqrt[None, :]
+    return np.eye(n) - (d_inv_sqrt[..., :, None] * a) * d_inv_sqrt[..., None, :]
+
+
+def has_isolated_node(a: np.ndarray) -> np.ndarray:
+    """Whether the adjacency a (a bool), or each adjacency of a stack (a (B,)
+    bool array), has a node of degree 0: the test build_diffusion refuses by."""
+    return (a.sum(axis=-1) == 0).any(axis=-1)
 
 
 def build_diffusion(a: np.ndarray) -> np.ndarray:
-    """Row-stochastic random-walk matrix P = D^{-1} A of the (n, n) adjacency a.
+    """Row-stochastic random-walk matrix P = D^{-1} A of the (n, n) adjacency
+    a, or of each adjacency of a (B, n, n) stack.
 
-    Raises IsolatedNode for degree-0 nodes: one-step walk probabilities are
+    Raises IsolatedNode for degree-0 nodes, naming the first one (and on a
+    stack, the first graph that has one): one-step walk probabilities are
     undefined there, so callers must prune or reject such graphs.
     """
     _check_square(a, "build_diffusion")
-    d = a.sum(axis=1)
-    zero = np.nonzero(d == 0)[0]
-    if zero.size:
-        raise IsolatedNode(int(zero[0]))
-    return a / d[:, None]
+    d = a.sum(axis=-1)
+    zero = d == 0
+    if zero.any():
+        *graph, node = (int(i) for i in np.argwhere(zero)[0])  # first (graph, node)
+        raise IsolatedNode(node, *graph)
+    return a / d[..., None]
 
 
 def count_components(g: Graph) -> int:

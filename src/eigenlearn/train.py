@@ -10,7 +10,8 @@ runs as a few ops on its padded (B, max_nodes, k) stack: one encoder and head
 pass, one thin-QR op (_spectral_pass), and one op per loss over the stack,
 against the batch's zero-padded targets (padded_targets). Every per-graph
 constant, the adjacency as well as the targets, is built once by
-precompute_targets and carried on the example. Evaluation runs the same pass
+precompute_targets, which runs each operator once per stack of graphs of one
+node count, and carried on the example. Evaluation runs the same pass
 without a generator or a tape, and takes the spectral means from one
 combined_loss call per batch (_spectral_means). Runs are deterministic per
 seed, including across a checkpoint: one JSON header line with the run's
@@ -42,15 +43,16 @@ from .data import (BOOL, FINITE, FINITE_OR_NULL, FRACTION, LIST, NON_NEGATIVE,
                    atomic_write_text, check_fields, config, from_dict, one_of,
                    read_header_and_arrays)
 from .eigen import eigendecompose, lowest_k
-from .errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
-                     MissingTarget, NodeCountTooSmall, NumericalFault, RankDeficient)
-from .graphs import LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian, physical_memory
+from .errors import (EmptyDatasetAfterFilter, InvalidParams, MissingTarget, NumericalFault,
+                     RankDeficient)
+from .graphs import (LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian,
+                     has_isolated_node, physical_memory)
 from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
                  combined_loss_t, mae_loss_t, orthonormalize)
 from .optim import Adam, ReduceLROnPlateau
-from .wavelets import FeatureConfig, augment_features
+from .wavelets import FeatureConfig, structural_embeddings, with_original_features
 
 log = logging.getLogger("eigenlearn.train")
 
@@ -155,33 +157,63 @@ class RunRecord:
                 for r in self.rows]
 
 
+# The most adjacency values precompute_targets stacks into one call of each
+# operator: graphs of one node count go in chunks of at most this many values
+# (one graph a chunk from 91 nodes up). Small graphs gain most from stacking,
+# since numpy's per-call cost dominates their operators; at 100 nodes eigh
+# dominates and a stack gains nothing, and a larger chunk would only raise
+# peak memory by the chunk's operators and spectra.
+STACK_VALUES = 2 ** 14
+
+
 def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[TrainingExample]:
     """Attach augmented features, the adjacency, the Laplacian, and the
-    lowest-k spectrum to every usable graph; drop (and count) graphs
-    violating the preconditions (n < k, n > max_nodes, isolated nodes).
+    lowest-k spectrum to every usable graph; drop (and count, by reason)
+    graphs violating the preconditions (n < k, n > max_nodes, isolated nodes).
+    The examples keep the graphs' order.
 
-    Each graph that passes the size filter has its adjacency built once; the
-    features' diffusion operator, the Laplacian and the example share it."""
-    examples = []
-    dropped = 0
-    for g in graphs:
-        if g.num_nodes < cfg.k or g.num_nodes > cfg.max_nodes:
-            dropped += 1
-            continue
-        adjacency = build_adjacency(g)
-        try:
-            features = augment_features(g, cfg.feature_config, adjacency=adjacency)
-        except (IsolatedNode, NodeCountTooSmall):  # a one-node graph's node is isolated
-            dropped += 1
-            continue
-        laplacian = build_laplacian(adjacency, cfg.laplacian_norm)
-        spectrum = eigendecompose(laplacian)
-        lambda_k, psi_k = lowest_k(spectrum, cfg.k)
-        examples.append(TrainingExample(g, features, adjacency, laplacian,
-                                        lambda_k, psi_k))
-    if dropped:
-        log.info("dropped %d of %d graphs during target precomputation",
-                 dropped, len(graphs))
+    Graphs of one node count are stacked, in chunks of at most STACK_VALUES
+    adjacency values: each graph that passes the size filter has its
+    adjacency built once, into its chunk's stack, which the example carries a
+    view of. Graphs with an isolated node leave the chunk before its
+    operators run, and each operator (the features' diffusion and wavelet
+    bank, the Laplacian, the eigensolver) then runs once per chunk, giving
+    each graph the bits its own per-graph call would."""
+    too_small = too_large = isolated = 0
+    by_size: dict[int, list[tuple[int, Graph]]] = {}
+    for i, g in enumerate(graphs):
+        if g.num_nodes < cfg.k:
+            too_small += 1
+        elif g.num_nodes > cfg.max_nodes:
+            too_large += 1
+        else:
+            by_size.setdefault(g.num_nodes, []).append((i, g))
+    examples: list[TrainingExample | None] = [None] * len(graphs)
+    for n, members in by_size.items():
+        per_chunk = max(1, STACK_VALUES // (n * n))
+        for lo in range(0, len(members), per_chunk):
+            chunk = members[lo:lo + per_chunk]
+            adjacency = np.stack([build_adjacency(g) for _, g in chunk])
+            bad = has_isolated_node(adjacency)
+            if bad.any():
+                isolated += int(bad.sum())
+                chunk = [member for member, b in zip(chunk, bad) if not b]
+                if not chunk:
+                    continue
+                adjacency = adjacency[~bad]
+            features = structural_embeddings(adjacency, cfg.feature_config)
+            laplacians = build_laplacian(adjacency, cfg.laplacian_norm)
+            lambda_k, psi_k = lowest_k(eigendecompose(laplacians), cfg.k)
+            for j, (i, g) in enumerate(chunk):
+                examples[i] = TrainingExample(
+                    g, with_original_features(g, cfg.feature_config, features[j]),
+                    adjacency[j], laplacians[j], lambda_k[j], psi_k[j])
+    examples = [ex for ex in examples if ex is not None]
+    if too_small + too_large + isolated:
+        log.info("dropped %d of %d graphs during target precomputation: %d with fewer than "
+                 "k=%d nodes, %d with more than max_nodes=%d, %d with an isolated node",
+                 too_small + too_large + isolated, len(graphs), too_small, cfg.k,
+                 too_large, cfg.max_nodes, isolated)
     if not examples:
         raise EmptyDatasetAfterFilter(
             f"no graph survived filtering (k={cfg.k}, max_nodes={cfg.max_nodes})")
@@ -382,7 +414,8 @@ def _check_monitor(cfg: PretrainConfig, val_examples) -> None:
 
 
 def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
-            epochs: int, batch_losses: BatchLosses, validate: Callable[[], float] | None):
+            epochs: int, batch_losses: BatchLosses, validate: Callable[[], float] | None,
+            columns: int = 1):
     """The one epoch loop: epochs state.epoch..epochs-1, each yielding its
     EpochRow after its scheduler step and state.epoch increment, so a caller
     that stops consuming can resume from state.
@@ -397,7 +430,9 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
     loss, or on validate() when it monitors val_loss; an epoch that changed no
     parameter leaves the schedule as it was. The row holds the means of the
     (loss, *metrics) rows of the graphs whose batch reached the optimizer step,
-    padded with zeros to the run record's four loss columns.
+    padded with zeros to the run record's four loss columns. The objective
+    fills `columns` of them; in an epoch that committed no batch they are NaN,
+    since a made-up 0.0 would read as a perfect fit.
     """
     while state.epoch < epochs:
         started = time.perf_counter()
@@ -416,7 +451,8 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
             state.optimizer.zero_grad()
             rows.append(np.column_stack((loss.values, *metrics)))
             del loss  # free this batch's tape before the next batch records its own
-        means = [float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows else []
+        means = ([float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows
+                 else [math.nan] * columns)
         means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
         if state.scheduler is not None and rows:
             monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
@@ -491,7 +527,8 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
         return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
     rows = list(_epochs(examples, cfg, state, cfg.epochs, batch_losses,
-                        lambda: _evaluate_spectral(model, *val, cfg.loss_weights)[0]))
+                        lambda: _evaluate_spectral(model, *val, cfg.loss_weights)[0],
+                        columns=4))
     return RunRecord(rows, state.skipped_batches), state
 
 

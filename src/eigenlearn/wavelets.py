@@ -10,6 +10,14 @@ Two embeddings built from the random-walk matrix P = D^{-1} A:
 The bank {I - P, P - P^2, ..., P^(2^(J-1)) - P^(2^J), P^(2^J)} telescopes to
 the identity, which is the main structural invariant tested downstream.
 
+Every function here takes one graph's (n, n) matrix or a (B, n, n) stack of
+the matrices of B graphs of one node count, and gives each graph of a stack
+the bits it gets alone; a refusal on a stack names the first bad matrix.
+structural_embeddings computes both embeddings of an adjacency or a stack;
+with_original_features puts a graph's own features before them when the
+config keeps them; augment_features is the two in turn for one graph, as
+train.precompute_targets is for stacks.
+
 Which embeddings a graph gets is a FeatureConfig, a data.config class: each
 field is declared with its kind, and an instance with neither embedding flag
 set is rejected when it is built.
@@ -32,7 +40,8 @@ DEFAULT_SCALES = 2
 
 @dataclass(frozen=True)
 class WaveletBank:
-    """Operators [psi_0, ..., psi_J, P^(2^J)], all n x n, plus the source P."""
+    """Operators [psi_0, ..., psi_J, P^(2^J)], all n x n, plus the source P;
+    each (B, n, n) for the bank of a stack."""
 
     scales: int
     operators: tuple[np.ndarray, ...]
@@ -44,7 +53,7 @@ class WaveletBank:
 
     @property
     def n(self) -> int:
-        return self.source_diffusion.shape[0]
+        return self.source_diffusion.shape[-1]
 
 
 @config
@@ -73,23 +82,28 @@ class FeatureConfig:
 
 
 def build_wavelet_bank(p: np.ndarray, scales: int) -> WaveletBank:
-    """Diffusion wavelet bank of a row-stochastic matrix.
+    """Diffusion wavelet bank of a row-stochastic matrix, or of each matrix of
+    a (B, n, n) stack.
 
     psi_0 = I - P, psi_j = P^(2^(j-1)) - P^(2^j) for 1 <= j <= scales, closed
     by the low-pass P^(2^scales). Powers come from repeated squaring.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise InvalidParams(f"diffusion matrix must be square, got {p.shape}")
+    if p.ndim not in (2, 3) or p.shape[-1] != p.shape[-2]:
+        raise InvalidParams(f"diffusion matrix must be square, or a (B, n, n) stack of "
+                            f"square matrices, got {p.shape}")
     if scales < 0:
         raise InvalidParams("scales must be >= 0")
-    n = p.shape[0]
-    if 8 * (scales + 2) * n * n > physical_memory():
+    n = p.shape[-1]
+    if 8 * (scales + 2) * p.size > physical_memory():
         raise InvalidParams(f"a wavelet bank of {scales} scales holds scales + 2 operators of "
-                            f"{n} x {n} floats, more than this machine's memory; lower scales_J")
-    row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
-    if row_err > STOCHASTIC_TOL:
-        raise NotStochastic(f"row sums deviate from 1 by {row_err:.3e}")
+                            f"shape {p.shape} in floats, more than this machine's memory; "
+                            "lower scales_J")
+    row_err = np.max(np.abs(p.sum(axis=-1) - 1.0), axis=-1)
+    bad = np.flatnonzero(row_err > STOCHASTIC_TOL)
+    if bad.size:
+        where = "" if p.ndim == 2 else f" of matrix {bad[0]} in the stack"
+        raise NotStochastic(f"row sums{where} deviate from 1 by {row_err.flat[bad[0]]:.3e}")
     ops = [np.eye(n) - p]
     power = p  # holds P^(2^(j-1)) at the top of iteration j
     for _ in range(1, scales + 1):
@@ -101,7 +115,8 @@ def build_wavelet_bank(p: np.ndarray, scales: int) -> WaveletBank:
 
 
 def wavelet_positional_embeddings(bank: WaveletBank, node_i: int, node_j: int) -> np.ndarray:
-    """n x 2(J+2) matrix: per operator, the columns of the two dirac sources.
+    """n x 2(J+2) matrix (B x n x 2(J+2) for the bank of a stack): per
+    operator, the columns of the two dirac sources.
 
     Column layout is operator-major: (op_0 @ i, op_0 @ j, op_1 @ i, ...).
     """
@@ -110,18 +125,16 @@ def wavelet_positional_embeddings(bank: WaveletBank, node_i: int, node_j: int) -
         raise IndexOutOfRange(f"source nodes ({node_i}, {node_j}) outside [0,{n})")
     if node_i == node_j:
         raise InvalidParams("dirac source nodes must be distinct")
-    cols = []
-    for op in bank.operators:
-        cols.append(op[:, node_i])
-        cols.append(op[:, node_j])
-    return np.stack(cols, axis=1)
+    cols = [op[..., [node_i, node_j]] for op in bank.operators]
+    return np.concatenate(cols, axis=-1)
 
 
 def diffused_dirac_embeddings(bank: WaveletBank) -> np.ndarray:
-    """n x (J+2) matrix: entry (m, k) = <row m of operator k, row m of P>."""
+    """n x (J+2) matrix (B x n x (J+2) for the bank of a stack): entry (m, k)
+    = <row m of operator k, row m of P>."""
     p = bank.source_diffusion
-    cols = [np.sum(op * p, axis=1) for op in bank.operators]
-    return np.stack(cols, axis=1)
+    cols = [np.sum(op * p, axis=-1) for op in bank.operators]
+    return np.stack(cols, axis=-1)
 
 
 @lru_cache(maxsize=1024)
@@ -136,32 +149,49 @@ def pick_dirac_sources(num_nodes: int, seed: int) -> tuple[int, int]:
     return int(i), int(j)
 
 
+def structural_embeddings(adjacency: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """The (positional | diffused dirac) embeddings, per config, of one
+    graph's (n, n) adjacency, or of each graph of a (B, n, n) stack: an
+    (n, d) or a (B, n, d) array.
+
+    Dirac sources depend only on (n, cfg.dirac_seed) and are memoized per pair
+    (pick_dirac_sources), so the result is deterministic for a fixed (graph,
+    config), and every graph of a stack takes the same two.
+    """
+    if cfg.use_wavelet_positional and np.shape(adjacency)[-2:] == (1, 1):
+        raise NodeCountTooSmall("positional embeddings need >= 2 nodes, got 1")
+    bank = build_wavelet_bank(build_diffusion(adjacency), cfg.scales_J)
+    blocks = []
+    if cfg.use_wavelet_positional:
+        i, j = pick_dirac_sources(bank.n, cfg.dirac_seed)
+        blocks.append(wavelet_positional_embeddings(bank, i, j))
+    if cfg.use_diffused_dirac:
+        blocks.append(diffused_dirac_embeddings(bank))
+    return np.concatenate(blocks, axis=-1)
+
+
+def with_original_features(g: Graph, cfg: FeatureConfig, embeddings: np.ndarray) -> np.ndarray:
+    """g's encoder input from its (n, d) structural embeddings: g's own node
+    features before them when cfg keeps them and g has some, else the
+    embeddings as they are."""
+    if cfg.keep_original_features and g.node_features is not None:
+        return np.concatenate([g.node_features, embeddings], axis=1)
+    return embeddings
+
+
 def augment_features(g: Graph, cfg: FeatureConfig,
                      adjacency: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate (original features | positional | diffused dirac) per config.
+    """Concatenate (original features | positional | diffused dirac) per config:
+    with_original_features of g's structural_embeddings.
 
     The diffusion operator comes from adjacency, g's (n, n) adjacency array
     when the caller has already built it (graphs.build_adjacency), else from
-    one built here. Dirac sources depend only on (g.num_nodes,
-    cfg.dirac_seed) and are memoized per pair (pick_dirac_sources), so the
-    result is deterministic for a fixed (graph, config).
+    one built here.
     """
-    if cfg.use_wavelet_positional and g.num_nodes < 2:
-        raise NodeCountTooSmall(
-            f"positional embeddings need >= 2 nodes, got {g.num_nodes}")
     if adjacency is None:
         adjacency = build_adjacency(g)
     elif np.shape(adjacency) != (g.num_nodes, g.num_nodes):
         n = g.num_nodes
         raise ShapeMismatch(f"augment_features: a {n}-node graph needs a ({n}, {n}) "
                             f"adjacency, got shape {np.shape(adjacency)}")
-    bank = build_wavelet_bank(build_diffusion(adjacency), cfg.scales_J)
-    blocks = []
-    if cfg.keep_original_features and g.node_features is not None:
-        blocks.append(g.node_features)
-    if cfg.use_wavelet_positional:
-        i, j = pick_dirac_sources(g.num_nodes, cfg.dirac_seed)
-        blocks.append(wavelet_positional_embeddings(bank, i, j))
-    if cfg.use_diffused_dirac:
-        blocks.append(diffused_dirac_embeddings(bank))
-    return np.concatenate(blocks, axis=1)
+    return with_original_features(g, cfg, structural_embeddings(adjacency, cfg))

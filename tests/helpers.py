@@ -4,9 +4,10 @@ projection, the small tape ops that `autodiff.dense` and
 recorded ops, a spy on every op's result and every Tensor constructed, the
 column loop `eigen.canonical_signs` replaced and the edge loop
 `graphs.build_adjacency` replaced (each kept as its reference), the layout of
-a module built alone, random graph soup, checkpoint helpers: a header reader
-and editor, and an old-version writer, and output paths that cannot be
-written."""
+a module built alone, random graph soup, stacks of adjacencies and the
+bitwise check that an operator gives each matrix of a stack what it gives it
+alone, checkpoint helpers: a header reader and editor, and an old-version
+writer, and output paths that cannot be written."""
 
 import base64
 import json
@@ -17,7 +18,7 @@ import numpy as np
 
 from eigenlearn import autodiff as ad
 from eigenlearn.errors import ShapeMismatch
-from eigenlearn.graphs import Graph, generate_graph
+from eigenlearn.graphs import Graph, build_adjacency, generate_graph
 from eigenlearn.nn import allocate_parameters
 
 
@@ -238,6 +239,36 @@ def random_connected_graph(rng: np.random.Generator, n_low: int = 4, n_high: int
 def random_graph_soup(count: int, seed: int, n_low: int = 4, n_high: int = 16) -> list[Graph]:
     rng = np.random.default_rng(seed)
     return [random_connected_graph(rng, n_low, n_high) for _ in range(count)]
+
+
+# The node counts every stacked operator is pinned at.
+STACK_SIZES = (1, 2, 8, 16, 40)
+
+
+def adjacency_stack(n: int, count: int = 5, seed: int = 0) -> np.ndarray:
+    """A (count, n, n) stack of adjacencies of n-node graphs: G(n, p) with
+    no isolated node (p varies from graph to graph), except that a one-node
+    graph has nothing but its isolated node."""
+    if n == 1:
+        return np.zeros((count, 1, 1))
+    rng = np.random.default_rng([seed, n])
+    return np.stack([build_adjacency(generate_graph(
+        "erdos_renyi", {"n": n, "p": float(rng.uniform(0.2, 0.8))}, seed=seed + i))
+        for i in range(count)])
+
+
+def assert_same_bits(stacked, alone) -> None:
+    """The arrays an operator gave a stack (stacked, each with the stack's
+    leading axis) equal the arrays it gave each matrix alone (alone[i] for
+    matrix i) bit for bit, in shape and dtype too."""
+    stacked = stacked if isinstance(stacked, tuple) else (stacked,)
+    assert len(alone) == len(stacked[0])
+    for i, one in enumerate(alone):
+        one = one if isinstance(one, tuple) else (one,)
+        assert len(one) == len(stacked)
+        for s, a in zip(stacked, one):
+            assert s[i].shape == a.shape and s[i].dtype == a.dtype
+            assert s[i].tobytes() == a.tobytes()
 
 
 def read_header(path) -> dict:

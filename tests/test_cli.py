@@ -345,6 +345,28 @@ def pre_and_ft_checkpoints(tmp_path):
     return data, pre, ft
 
 
+@pytest.mark.parametrize("command, last", [(["pretrain", "--epochs", "4", "--resume"], 3),
+                                           (["finetune", "--epochs", "2", "--checkpoint"], 1)])
+def test_a_run_whose_last_epoch_trained_nothing_exits_1_naming_it(tmp_path, capsys, command,
+                                                                   last, pre_and_ft_checkpoints):
+    # One NaN weight (a checkpoint may hold any float64) makes every batch fault,
+    # so no epoch commits a batch: the run must not pass for a perfect fit.
+    data, pre, _ = pre_and_ft_checkpoints
+    model, cfg, state, d_in, _, _ = tr.load_checkpoint(str(pre))
+    name = next(n for n in model.parameters() if n.startswith("encoder."))
+    model.parameters()[name].values.flat[0] = np.nan
+    poisoned = tmp_path / "nan.json"
+    tr.save_checkpoint(str(poisoned), model, cfg, state, d_in)
+    capsys.readouterr()
+    out, ckpt = tmp_path / "out.csv", tmp_path / "out.json"
+    code = main(["--quiet", command[0], "--input", str(data), "--output", str(out),
+                 "--checkpoint-out", str(ckpt), *command[1:], str(poisoned)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: epoch {last} committed no batch: every batch "
+                                       "of it was skipped (4 skipped in the run)\n")
+    assert not out.exists() and not ckpt.exists()
+
+
 def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys, pre_and_ft_checkpoints):
     data, _, ft = pre_and_ft_checkpoints
     capsys.readouterr()

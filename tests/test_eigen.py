@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 from eigenlearn.eigen import (SIGN_TOL, Spectrum, canonical_signs, eigendecompose,
                               eigenvalue_clusters, lowest_k)
 from eigenlearn.errors import KTooLarge, NotSymmetric
-from eigenlearn.graphs import (build_adjacency, build_laplacian, count_components,
-                               generate_graph)
-from helpers import canonical_signs_loop, random_graph_soup
+from eigenlearn.graphs import (LAPLACIAN_NORMS, build_adjacency, build_laplacian,
+                               count_components, generate_graph)
+from helpers import (STACK_SIZES, adjacency_stack, assert_same_bits, canonical_signs_loop,
+                     random_graph_soup)
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
@@ -215,6 +218,73 @@ def test_canonical_signs_keeps_columns_below_the_tolerance():
 @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)])
 def test_canonical_signs_empty_inputs(shape):
     assert_signs_match_loop(np.zeros(shape))
+
+
+@pytest.mark.parametrize("norm", LAPLACIAN_NORMS)
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_the_spectra_of_a_stack_are_each_matrix_own_bit_for_bit(n, norm):
+    laplacians = build_laplacian(adjacency_stack(n), norm)
+    s = eigendecompose(laplacians)
+    alone = [eigendecompose(m) for m in laplacians]
+    assert s.n == n
+    assert_same_bits((s.eigenvalues, s.eigenvectors),
+                     [(one.eigenvalues, one.eigenvectors) for one in alone])
+    for k in sorted({1, min(3, n), n}):
+        assert_same_bits(lowest_k(s, k), [lowest_k(one, k) for one in alone])
+    raw = np.linalg.eigh(laplacians)[1]
+    assert_same_bits(canonical_signs(raw), [canonical_signs(v) for v in raw])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_canonical_signs_of_a_stack_match_the_column_loop(seed):
+    # entries straddling SIGN_TOL, and signed zeros, as in the single-matrix case
+    rng = np.random.default_rng(seed)
+    b, n, m = 4, int(rng.integers(1, 20)), int(rng.integers(1, 20))
+    v = rng.standard_normal((b, n, m)) * 10.0 ** rng.uniform(-14, 0, (b, n, m))
+    v[rng.random((b, n, m)) < 0.3] = 0.0
+    v[rng.random((b, n, m)) < 0.1] = -0.0
+    assert_same_bits(canonical_signs(v), [canonical_signs_loop(one, SIGN_TOL) for one in v])
+
+
+def test_a_stack_symmetrizes_only_the_matrices_that_need_it(monkeypatch):
+    solved = []
+    eigh = np.linalg.eigh
+
+    def spy(m):
+        solved.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    stack = build_laplacian(adjacency_stack(6, count=4))
+    stack[1, 0, 1] += 1e-12
+    stack[3, 2, 5] -= 3e-13
+    given = stack.copy()
+    s = eigendecompose(stack)
+    seen = solved.pop()
+    assert stack.tobytes() == given.tobytes()  # the caller's stack is left alone
+    for i in (0, 2):
+        assert seen[i].tobytes() == stack[i].tobytes()
+    for i in (1, 3):
+        assert np.array_equal(seen[i], (stack[i] + stack[i].T) / 2.0)
+    alone = [eigendecompose(m) for m in stack]
+    assert_same_bits((s.eigenvalues, s.eigenvectors),
+                     [(one.eigenvalues, one.eigenvectors) for one in alone])
+
+
+def test_a_stack_with_asymmetric_matrices_is_refused_naming_the_first():
+    stack = np.stack([np.eye(3)] * 5)
+    stack[3, 0, 1] = 2.0
+    stack[2, 1, 2] = 0.5
+    with pytest.raises(NotSymmetric, match=r"^asymmetry 5\.000e-01 of matrix 2 in the stack "
+                                           r"exceeds 1e-10$"):
+        eigendecompose(stack)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (2, 2, 3, 3)])
+def test_eigendecompose_refuses_anything_but_a_square_matrix_or_a_stack(shape):
+    with pytest.raises(NotSymmetric, match=r"^expected a square matrix or a \(B, n, n\) "
+                                           rf"stack of them, got shape {re.escape(str(shape))}$"):
+        eigendecompose(np.zeros(shape))
 
 
 def test_degenerate_cluster_projector_matches_oracle():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenlearn.errors import InvalidGraph, InvalidParams, IsolatedNode, ShapeMismatch
-from eigenlearn.graphs import (GRAPH_KINDS, Graph, build_adjacency, build_diffusion,
-                               build_laplacian, count_components,
-                               generate_graph, permute_graph)
-from helpers import build_adjacency_loop, random_graph_soup
+from eigenlearn.graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, Graph, build_adjacency,
+                               build_diffusion, build_laplacian, count_components,
+                               generate_graph, has_isolated_node, permute_graph)
+from helpers import (STACK_SIZES, adjacency_stack, assert_same_bits, build_adjacency_loop,
+                     random_graph_soup)
 
 
 def test_path_adjacency():
@@ -103,7 +104,7 @@ def test_diffusion_rejects_isolated_node():
     g = Graph(3, ((0, 1),))
     with pytest.raises(IsolatedNode) as exc:
         build_diffusion(build_adjacency(g))
-    assert exc.value.index == 2
+    assert exc.value.index == 2 and exc.value.graph_index is None
 
 
 @pytest.mark.parametrize("op", [build_laplacian, build_diffusion])
@@ -111,12 +112,45 @@ def test_diffusion_rejects_isolated_node():
     (generate_graph("path", {"n": 3}), "got a Graph"),  # the pre-adjacency call
     (np.zeros((3, 4)), r"got shape \(3, 4\)"),
     (np.zeros(3), r"got shape \(3,\)"),
-    (np.zeros((2, 2, 2)), r"got shape \(2, 2, 2\)"),
+    (np.zeros((2, 2, 3)), r"got shape \(2, 2, 3\)"),  # a stack of non-square matrices
     ([[0.0, 1.0], [1.0, 0.0]], "got a list"),
 ])
 def test_operators_refuse_anything_but_a_square_array(op, bad, got):
     with pytest.raises(ShapeMismatch, match=f"^{op.__name__} takes a square .*{got}$"):
         op(bad)
+
+
+@pytest.mark.parametrize("norm", LAPLACIAN_NORMS)
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_the_laplacians_of_a_stack_are_each_graphs_own_bit_for_bit(n, norm):
+    stack = adjacency_stack(n)
+    if n > 2:  # an isolated node, which the Laplacian allows
+        stack[1, 2, :] = stack[1, :, 2] = 0.0
+    assert_same_bits(build_laplacian(stack, norm), [build_laplacian(a, norm) for a in stack])
+    if norm == "unnormalized":  # 0.0 - a_ij off the diagonal, never -0.0
+        assert_same_bits(build_laplacian(stack), [np.diag(a.sum(axis=1)) - a for a in stack])
+
+
+@pytest.mark.parametrize("n", STACK_SIZES[1:])  # a one-node graph's node is isolated
+def test_the_diffusions_of_a_stack_are_each_graphs_own_bit_for_bit(n):
+    stack = adjacency_stack(n)
+    assert not has_isolated_node(stack).any()
+    assert_same_bits(build_diffusion(stack), [build_diffusion(a) for a in stack])
+
+
+def test_a_stack_with_isolated_nodes_is_refused_naming_its_first_graph():
+    stack = adjacency_stack(6)
+    stack[3, 1, :] = stack[3, :, 1] = 0.0
+    stack[2, 5, :] = stack[2, :, 5] = 0.0
+    stack[2, 4, :] = stack[2, :, 4] = 0.0
+    assert has_isolated_node(stack).tolist() == [False, False, True, True, False]
+    assert [has_isolated_node(a) for a in stack] == has_isolated_node(stack).tolist()
+    with pytest.raises(IsolatedNode, match=r"^node 4 of graph 2 in the stack has degree 0; "
+                                           r"diffusion is undefined$") as exc:
+        build_diffusion(stack)
+    assert (exc.value.index, exc.value.graph_index) == (4, 2)
+    with pytest.raises(IsolatedNode, match=r"^node 0 of graph 0 in the stack "):
+        build_diffusion(adjacency_stack(1))
 
 
 def test_graph_rejects_self_loop():

@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -16,8 +17,10 @@ from eigenlearn import optim
 from eigenlearn import train as tr
 from eigenlearn import wavelets
 from eigenlearn.data import from_dict
-from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams,
-                               MissingTarget, NumericalFault, ShapeMismatch)
+from eigenlearn.eigen import eigendecompose, lowest_k
+from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
+                               MissingTarget, NodeCountTooSmall, NumericalFault,
+                               ShapeMismatch)
 from eigenlearn.graphs import (LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian,
                                generate_graph)
 from eigenlearn.losses import LossWeights, eigvec_loss, energy_loss, mae_loss
@@ -261,14 +264,18 @@ def test_precompute_drops_undersized_graphs(caplog):
     assert any("dropped 1 of 10" in r.message for r in caplog.records)
 
 
-def test_precompute_drops_oversized_and_isolated():
+def test_precompute_drops_oversized_and_isolated(caplog):
     cfg = small_cfg(max_nodes=8)
     graphs = [generate_graph("path", {"n": 12}),   # too big
               Graph(5, ((0, 1), (1, 2))),          # isolated nodes
               generate_graph("cycle", {"n": 6})]
-    examples = tr.precompute_targets(graphs, cfg)
+    with caplog.at_level("INFO", logger="eigenlearn.train"):
+        examples = tr.precompute_targets(graphs, cfg)
     assert len(examples) == 1
     assert examples[0].graph.num_nodes == 6
+    assert [r.message for r in caplog.records] == [
+        "dropped 2 of 3 graphs during target precomputation: 0 with fewer than k=2 nodes, "
+        "1 with more than max_nodes=8, 1 with an isolated node"]
 
 
 def test_precompute_drops_a_one_node_graph(caplog):
@@ -304,6 +311,76 @@ def test_precompute_builds_each_adjacency_once_and_shares_it(monkeypatch):
             assert ex.laplacian.tobytes() == laplacian.tobytes()
             features = wavelets.augment_features(ex.graph, cfg.feature_config)
             assert ex.features.tobytes() == features.tobytes()
+
+
+def precompute_one_by_one(graphs, cfg):
+    """The per-graph composition precompute_targets stacks: build_adjacency,
+    augment_features, build_laplacian, eigendecompose, lowest_k, graph by
+    graph, dropping what fails the size filter or has an isolated node (a
+    one-node graph's node is isolated); returns the examples and the count
+    dropped."""
+    examples, dropped = [], 0
+    for g in graphs:
+        if not cfg.k <= g.num_nodes <= cfg.max_nodes:
+            dropped += 1
+            continue
+        adjacency = build_adjacency(g)
+        try:
+            features = wavelets.augment_features(g, cfg.feature_config, adjacency=adjacency)
+        except (IsolatedNode, NodeCountTooSmall):
+            dropped += 1
+            continue
+        laplacian = build_laplacian(adjacency, cfg.laplacian_norm)
+        lambda_k, psi_k = lowest_k(eigendecompose(laplacian), cfg.k)
+        examples.append(tr.TrainingExample(g, features, adjacency, laplacian, lambda_k, psi_k))
+    return examples, dropped
+
+
+def mixed_dataset():
+    """Repeated node counts (seven graphs of 6 nodes, one with an isolated
+    node among them), one-node and two-node graphs, graphs over max_nodes=10,
+    and node features on every other graph."""
+    rng = np.random.default_rng(9)
+    graphs = []
+    for i, n in enumerate([6, 9, 6, 1, 6, 12, 9, 6, 2, 6, 8, 6, 11, 6, 3, 9]):
+        if n == 1:
+            g = Graph(1, ())
+        elif n == 2:
+            g = generate_graph("path", {"n": 2})
+        else:
+            g = generate_graph("erdos_renyi", {"n": n, "p": 0.6}, seed=40 + i)
+        if i == 9:  # a 6-node graph whose node 5 is isolated, inside a chunk
+            g = Graph(6, tuple(e for e in g.edges if 5 not in e))
+        if i % 2:
+            g = g.with_features(rng.standard_normal((n, 2)))
+        graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["structural", "kept-features"])
+@pytest.mark.parametrize("norm", LAPLACIAN_NORMS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_precompute_gives_the_per_graph_composition_bit_for_bit(monkeypatch, caplog, k,
+                                                                norm, keep):
+    # chunks of at most three 6-node graphs, so the seven of them span three
+    monkeypatch.setattr(tr, "STACK_VALUES", 3 * 6 * 6 + 5)
+    cfg = small_cfg(k=k, max_nodes=10, laplacian_norm=norm,
+                    feature_config={"scales_J": 2, "keep_original_features": keep})
+    graphs = mixed_dataset()
+    want, dropped = precompute_one_by_one(graphs, cfg)
+    with caplog.at_level("INFO", logger="eigenlearn.train"):
+        got = tr.precompute_targets(graphs, cfg)
+    assert [ex.graph for ex in got] == [ex.graph for ex in want]  # the input order
+    assert all(a.graph is b.graph for a, b in zip(got, want))
+    for a, b in zip(got, want):
+        for name in ("features", "adjacency", "laplacian", "lambda_k", "psi_k"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    # two over max_nodes, the isolated node and the one-node graph, and at k=3
+    # the one-node graph (then too small) and the two-node graph
+    assert dropped == (4 if k == 1 else 5)
+    assert [r.message.split(":")[0] for r in caplog.records] == [
+        f"dropped {dropped} of {len(graphs)} graphs during target precomputation"]
 
 
 def test_precompute_empty_after_filter():
@@ -522,6 +599,27 @@ def test_an_epoch_whose_every_batch_is_skipped_leaves_the_schedule_alone(monkeyp
         expected.append(shadow.lr)
     assert [row.lr for row in record.rows] == expected
     assert state.scheduler.best > 0.0
+
+
+def test_an_epoch_that_commits_no_batch_records_nan_not_a_perfect_fit(monkeypatch):
+    # one batch an epoch, and epoch 1's fails: pretraining fills four loss
+    # columns, fine-tuning one (the other three stay 0.0)
+    cfg = small_cfg(epochs=3, finetune_epochs=3, batch_size=8, dropout=0.0)
+    examples = tr.precompute_targets(graph_soup(4, seed=5, target=True), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    fault_on_call(monkeypatch, "combined_loss_t", 2)
+    record, _ = tr.pretrain(examples, model, cfg)
+    losses = [(r.loss_total, r.loss_energy, r.loss_eigvec, r.ortho_residual)
+              for r in record.rows]
+    assert all(math.isfinite(v) for v in losses[0] + losses[2])
+    assert all(math.isnan(v) for v in losses[1])
+    assert "\n1,nan,nan,nan,nan," in record.to_csv()
+    fault_on_call(monkeypatch, "mae_loss_t", 1)
+    record, _ = tr.finetune(examples, model, tr.build_downstream_head(cfg), cfg, "lambda_2")
+    first, *rest = [(r.loss_total, r.loss_energy, r.loss_eigvec, r.ortho_residual)
+                    for r in record.rows]
+    assert math.isnan(first[0]) and first[1:] == (0.0, 0.0, 0.0)
+    assert all(math.isfinite(r[0]) and r[1:] == (0.0, 0.0, 0.0) for r in rest)
 
 
 def test_runrecord_csv_roundtrip_format():
@@ -744,8 +842,8 @@ def test_a_run_stopped_between_epochs_resumes_from_its_state_bit_for_bit(monkeyp
     rec_a, state_a = tr.pretrain(examples, model_a, cfg)
     epochs = tr._epochs
 
-    def first_epoch_only(*args):
-        loop = epochs(*args)
+    def first_epoch_only(*args, **kwargs):
+        loop = epochs(*args, **kwargs)
         yield next(loop)
         loop.close()
 

@@ -11,8 +11,9 @@ from eigenlearn.graphs import (Graph, build_adjacency, build_diffusion, generate
                                permute_graph)
 from eigenlearn.wavelets import (FeatureConfig, augment_features,
                                  build_wavelet_bank, diffused_dirac_embeddings,
-                                 pick_dirac_sources,
-                                 wavelet_positional_embeddings)
+                                 pick_dirac_sources, structural_embeddings,
+                                 wavelet_positional_embeddings, with_original_features)
+from helpers import STACK_SIZES, adjacency_stack, assert_same_bits
 
 
 def path3_diffusion():
@@ -205,6 +206,72 @@ def test_augment_small_graph_needs_two_nodes():
     g = Graph(1, ())
     with pytest.raises(NodeCountTooSmall):
         augment_features(g, FeatureConfig(use_diffused_dirac=False))
+
+
+def random_stochastic_stack(n: int, count: int = 5, seed: int = 0) -> np.ndarray:
+    """count dense row-stochastic n x n matrices (a one-node one is [[1.0]])."""
+    x = np.random.default_rng([seed, n]).random((count, n, n))
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("scales", [0, 2])
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_the_banks_and_embeddings_of_a_stack_are_each_matrix_own_bit_for_bit(n, scales):
+    p = random_stochastic_stack(n)
+    bank = build_wavelet_bank(p, scales)
+    alone = [build_wavelet_bank(one, scales) for one in p]
+    assert bank.n == n and bank.size == scales + 2
+    assert_same_bits(bank.operators, [one.operators for one in alone])
+    assert_same_bits(diffused_dirac_embeddings(bank),
+                     [diffused_dirac_embeddings(one) for one in alone])
+    if n > 1:  # two distinct dirac sources
+        i, j = pick_dirac_sources(n, 3)
+        assert_same_bits(wavelet_positional_embeddings(bank, i, j),
+                         [wavelet_positional_embeddings(one, i, j) for one in alone])
+
+
+CONFIGS = [FeatureConfig(), FeatureConfig(scales_J=0, dirac_seed=4),
+           FeatureConfig(use_wavelet_positional=False, scales_J=3),
+           FeatureConfig(use_diffused_dirac=False, keep_original_features=True)]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))
+@pytest.mark.parametrize("n", STACK_SIZES[1:])  # a one-node graph's node is isolated
+def test_the_embeddings_of_a_stack_are_each_graphs_augmented_features(n, cfg):
+    stack = adjacency_stack(n)
+    embeddings = structural_embeddings(stack, cfg)
+    assert embeddings.shape == (len(stack), n, cfg.embedding_dim())
+    assert_same_bits(embeddings, [structural_embeddings(a, cfg) for a in stack])
+    assert_same_bits(embeddings, [augment_features(Graph(n, ()), cfg, adjacency=a)
+                                  for a in stack])
+
+
+def test_the_original_features_go_first_only_when_kept():
+    g = generate_graph("cycle", {"n": 4}).with_features(np.arange(8.0).reshape(4, 2))
+    embeddings = np.ones((4, 3))
+    kept = with_original_features(g, FeatureConfig(keep_original_features=True), embeddings)
+    assert np.array_equal(kept, np.hstack([g.node_features, embeddings]))
+    assert with_original_features(g, FeatureConfig(), embeddings) is embeddings
+    bare = generate_graph("cycle", {"n": 4})
+    assert with_original_features(bare, FeatureConfig(keep_original_features=True),
+                                  embeddings) is embeddings
+
+
+def test_a_stack_with_a_matrix_that_is_not_stochastic_is_refused_naming_the_first():
+    p = random_stochastic_stack(4)
+    p[3, 0, 0] += 1e-3
+    p[1, 2, 1] += 1e-2
+    with pytest.raises(NotStochastic, match=r"^row sums of matrix 1 in the stack deviate "
+                                            r"from 1 by 1\.000e-02$"):
+        build_wavelet_bank(p, 2)
+
+
+def test_the_embeddings_of_one_node_graphs_are_refused():
+    stack = adjacency_stack(1)
+    with pytest.raises(NodeCountTooSmall):
+        structural_embeddings(stack, FeatureConfig())
+    with pytest.raises(IsolatedNode, match=r"^node 0 of graph 0 in the stack "):
+        structural_embeddings(stack, FeatureConfig(use_wavelet_positional=False))
 
 
 def test_config_requires_an_embedding():
