@@ -38,6 +38,8 @@ for `constant` of it; while recording, it wraps such an array as a constant
 parent, so a tape holds Tensors only.
 """
 
+import contextlib
+
 import numpy as np
 
 from .errors import NumericalFault, RankDeficient, ShapeMismatch
@@ -95,14 +97,20 @@ class Tensor:
     @property
     def grad(self) -> np.ndarray | None:
         """The gradient accumulated so far, or None; reading it forms the sum
-        of several terms, or a product, into one array, kept as the one term."""
+        of several terms, or a product, into one array, kept as the one term.
+        Products are formed at one BLAS thread (optim.one_blas_thread)."""
         terms = self._terms
         if not terms:
             return None
         if len(terms) > 1 or type(terms[0]) is tuple:
             grad = np.empty(self.shape)
-            for lo, hi in self.grad_blocks():
-                self.form_grad(lo, hi, grad.reshape(-1)[lo:hi])
+            hold = contextlib.nullcontext()
+            if any(type(term) is tuple for term in terms):
+                from .optim import one_blas_thread  # optim imports this module
+                hold = one_blas_thread()  # products at one BLAS thread, as Adam's step forms them
+            with hold:
+                for lo, hi in self.grad_blocks():
+                    self.form_grad(lo, hi, grad.reshape(-1)[lo:hi])
             self._terms = terms = [grad]
         return terms[0]
 

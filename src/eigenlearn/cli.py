@@ -26,6 +26,7 @@ from .errors import DatasetFormatError, EigenlearnError, InvalidParams, NothingT
 from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, adjacency_fits,
                      build_adjacency, build_laplacian, generate_graph)
 from .invariants import run_all_checks
+from .optim import blas_threads, usable_cpus
 from .wavelets import FeatureConfig, augment_features
 
 log = logging.getLogger("eigenlearn")
@@ -57,6 +58,24 @@ def _require_trained(record: tr.RunRecord) -> None:
     if record.rows and math.isnan(record.rows[-1].loss_total):
         raise NothingTrained(f"epoch {record.rows[-1].epoch} committed no batch: every batch "
                              f"of it was skipped ({record.skipped_batches} skipped in the run)")
+
+
+def _blas_build() -> str:
+    """The name and version of the BLAS numpy was built with, or 'unknown'."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
+def _log_environment() -> None:
+    """One INFO line with what a run's speed and its bits depend on: the
+    numpy version, the BLAS build and thread count, the usable CPUs."""
+    if log.isEnabledFor(logging.INFO):
+        threads = blas_threads()
+        log.info("numpy %s, BLAS %s, BLAS threads %s, usable CPUs %d", np.__version__,
+                 _blas_build(), "unknown" if threads is None else threads, usable_cpus())
 
 
 def cmd_gen_data(args) -> int:
@@ -304,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         level = logging.ERROR
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
+    _log_environment()
     try:
         return args.func(args)
     except (FileNotFoundError, EigenlearnError) as exc:

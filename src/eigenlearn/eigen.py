@@ -51,7 +51,8 @@ def eigendecompose(m: np.ndarray) -> Spectrum:
     """Full spectrum of a symmetric matrix, or of each matrix of a stack,
     eigenvalues ascending.
 
-    Asymmetry beyond SYMMETRY_TOL is rejected; a matrix within it is
+    Asymmetry beyond SYMMETRY_TOL, and a NaN or infinite entry, is
+    rejected, naming the first bad matrix of a stack; a matrix within it is
     symmetrized as (M + M^T)/2 before solving, and an exactly symmetric one
     (asymmetry 0) is solved as given, so on a stack only the matrices that
     need it are symmetrized. Within numerically degenerate eigenvalue
@@ -62,9 +63,15 @@ def eigendecompose(m: np.ndarray) -> Spectrum:
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise NotSymmetric(f"expected a square matrix or a (B, n, n) stack of them, "
                            f"got shape {m.shape}")
-    asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(asym > SYMMETRY_TOL)
+    # a non-finite entry makes its matrix's asymmetry NaN (x - x is NaN for
+    # x = NaN or +-inf), which fails the test below as well
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(~(asym <= SYMMETRY_TOL))
     if bad.size:
+        if np.isnan(asym.flat[bad[0]]):
+            name = "the matrix" if m.ndim == 2 else f"matrix {bad[0]} in the stack"
+            raise NotSymmetric(f"{name} holds a non-finite value")
         where = "" if m.ndim == 2 else f" of matrix {bad[0]} in the stack"
         raise NotSymmetric(f"asymmetry {asym.flat[bad[0]]:.3e}{where} exceeds {SYMMETRY_TOL}")
     need = asym != 0  # for one matrix a 0-d mask, which indexes it as a stack of one

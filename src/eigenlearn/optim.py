@@ -16,10 +16,18 @@ corrections in the step size and epsilon). A model of millions of values has
 its blocks dealt to one thread per usable CPU: the update is elementwise and
 numpy releases the interpreter lock inside it, so the threads change nothing
 but the time.
+
+worker_threads is the one place eigenlearn starts threads: a pool of up to
+one thread per usable CPU, with the OpenBLAS bundled with numpy held at one
+thread while the pool is open, so that the pool's threads and BLAS's own do
+not compete for the same CPUs. Adam.step and train.precompute_targets use it.
 """
 
+import contextlib
+import functools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -32,6 +40,107 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) functions of the thread count of the OpenBLAS bundled
+    with numpy's wheel, called through ctypes, or None where that library or
+    its symbols are absent. Looked up once per process."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy has loaded: dlopen returns its handle
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """The bundled OpenBLAS's thread count now, or None where it cannot be read."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+def _one_blas_thread_by_env() -> bool:
+    """Whether the thread variables already keep BLAS at one thread: every
+    one of them that is set says 1, and one at least is set."""
+    said = [os.environ[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                                          "VECLIB_MAXIMUM_THREADS") if name in os.environ]
+    return bool(said) and all(value.strip() == "1" for value in said)
+
+
+# How many holds of the BLAS thread count are open in this process, and the
+# count the first of them found. The count is process-wide, so holds that
+# overlap (opened by two threads of a caller) restore it once, when the last
+# one closes.
+_hold_lock = threading.Lock()
+_hold = {"open": 0, "found": 1}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold the bundled OpenBLAS at one thread while open; its count is
+    restored when the last open hold closes, whatever was raised inside. The
+    hold is process-wide: BLAS work that a caller runs in another thread
+    meanwhile runs on one thread too. A no-op where the count cannot be set."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _hold_lock:
+        if not _hold["open"]:
+            _hold["found"] = get()
+            if _hold["found"] != 1:
+                put(1)
+        _hold["open"] += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _hold["open"] -= 1
+            if not _hold["open"] and _hold["found"] != 1:
+                put(_hold["found"])
+
+
+@contextlib.contextmanager
+def worker_threads(wanted: int | None = None):
+    """A thread pool (concurrent.futures.ThreadPoolExecutor) to run work on:
+    of `wanted` threads, at most one per usable CPU, for a caller that waits
+    for the pool; by default of one thread per usable CPU but one, for a
+    caller that keeps working meanwhile and so takes a CPU itself. Or None,
+    and no thread, when the work is to run inline on the caller's thread.
+    Either way the work runs under one_blas_thread(), so the pool's threads
+    and BLAS's own do not compete for the CPUs, and where the work runs
+    changes no bit. The pool's threads have ended when this closes.
+
+    The work runs inline when no thread is wanted, and where the BLAS thread
+    count cannot be set (another BLAS, or a numpy without the bundled
+    OpenBLAS) unless the thread variables already say 1.
+    """
+    if wanted is None:
+        count = usable_cpus() - 1
+    else:
+        count = min(wanted, usable_cpus()) if wanted > 0 else 0
+    with one_blas_thread():
+        if not count or (_openblas() is None and not _one_blas_thread_by_env()):
+            yield None
+            return
+        # imported only by a process that starts threads: imported with this
+        # module (it brings in logging), it slowed perfbench's spectra-prep by
+        # about 2% (2 CPUs)
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(count) as pool:
+            yield pool
 
 
 def _place(a: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -81,9 +190,10 @@ class Adam:
     grad_blocks() cuts into several ranges gets one block per range. One it
     forms whole joins the open block when its values start where the block's
     end, in the same buffer, and the block stays within BLOCK values; else it
-    opens a block. A step deals the blocks to its threads, at most one per
-    usable CPU and per MIN_PIECE values: thread i updates blocks i, i + T,
-    i + 2T, ... of T. A desk-scale model is stepped on no thread.
+    opens a block. A step deals the blocks to its threads (worker_threads),
+    at most one per usable CPU and per MIN_PIECE values: thread i updates
+    blocks i, i + T, i + 2T, ... of T. A desk-scale model is stepped on no
+    thread.
     """
 
     # Values per block of the in-place update: the slices of m, v and the
@@ -154,7 +264,10 @@ class Adam:
             values = values - lr_t * m / (sqrt(v) + eps_t)
 
         with grad each parameter's `.grad`, so it is bit-identical to that
-        out-of-place form, however many threads the blocks are dealt to. It
+        out-of-place form, however many threads the blocks are dealt to: the
+        step runs under worker_threads, so it forms its gradient products at
+        one BLAS thread, as `.grad` does, and its bits do not depend on the
+        BLAS thread count. It
         is the textbook update with the bias corrections moved into lr_t and
         eps_t; m and v keep their textbook meaning, and the values agree with
         the textbook ones up to rounding.
@@ -176,17 +289,14 @@ class Adam:
         factors = (self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2,
                    (1.0 - self.beta1) * grad_scale, (1.0 - self.beta2) * grad_scale ** 2)
         count = self._threads
-        if count == 1:
-            self._update(self.blocks, self._scratch[0], *factors)
-            return
-        # imported only by a process that steps on threads: imported with this
-        # module (it brings in logging), it slowed perfbench's spectra-prep,
-        # which never steps, by about 2% (2 CPUs)
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(count) as pool:
-            # list() reads every result, so an error in a thread is raised here
-            list(pool.map(lambda i: self._update(self.blocks[i::count], self._scratch[i], *factors),
-                          range(count)))
+        # a lone share runs here: a thread of its own would only add its start-up
+        with worker_threads(count if count > 1 else 0) as pool:
+            if pool is None:
+                self._update(self.blocks, self._scratch[0], *factors)
+            else:
+                # list() reads every result, so an error in a thread is raised here
+                list(pool.map(lambda i: self._update(self.blocks[i::count], self._scratch[i],
+                                                     *factors), range(count)))
 
     def _update(self, blocks: list, buffers: np.ndarray, lr_t: float, eps_t: float,
                 a1: float, a2: float) -> None:

@@ -25,6 +25,7 @@ checkpoint header's config is dataclasses.asdict of it.
 """
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -51,7 +52,7 @@ from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
                  combined_loss_t, mae_loss_t, orthonormalize)
-from .optim import Adam, ReduceLROnPlateau
+from .optim import Adam, ReduceLROnPlateau, one_blas_thread, worker_threads
 from .wavelets import FeatureConfig, structural_embeddings, with_original_features
 
 log = logging.getLogger("eigenlearn.train")
@@ -162,8 +163,29 @@ class RunRecord:
 # (one graph a chunk from 91 nodes up). Small graphs gain most from stacking,
 # since numpy's per-call cost dominates their operators; at 100 nodes eigh
 # dominates and a stack gains nothing, and a larger chunk would only raise
-# peak memory by the chunk's operators and spectra.
+# peak memory by the chunk's operators and spectra. A chunk of at least half
+# this many values (a graph of 91 nodes or more, or a stack of smaller graphs
+# as large) is solved on a worker thread (precompute_targets): its solve takes
+# about a millisecond, while starting a thread pool takes a few tenths of one,
+# which the solve of a smaller chunk would not repay.
 STACK_VALUES = 2 ** 14
+
+
+def _lowest_spectra(laplacians: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_k, psi_k) of each Laplacian of a stack: all a solve keeps, so
+    no full n x n spectrum outlives its chunk."""
+    return lowest_k(eigendecompose(laplacians), k)
+
+
+def _chunks(by_size: dict[int, list[tuple[int, Graph]]]):
+    """The (index, graph) members of each chunk of graphs of one node count,
+    of at most STACK_VALUES adjacency values, with their stacked adjacency;
+    node count by node count, in order."""
+    for n, members in by_size.items():
+        per_chunk = max(1, STACK_VALUES // (n * n))
+        for lo in range(0, len(members), per_chunk):
+            chunk = members[lo:lo + per_chunk]
+            yield chunk, np.stack([build_adjacency(g) for _, g in chunk])
 
 
 def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[TrainingExample]:
@@ -178,7 +200,18 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
     view of. Graphs with an isolated node leave the chunk before its
     operators run, and each operator (the features' diffusion and wavelet
     bank, the Laplacian, the eigensolver) then runs once per chunk, giving
-    each graph the bits its own per-graph call would."""
+    each graph the bits its own per-graph call would at one BLAS thread.
+
+    Everything runs at one BLAS thread (optim.one_blas_thread), so the
+    examples do not depend on the BLAS thread count. A chunk of at least
+    STACK_VALUES // 2 adjacency values has its spectra solved on a worker
+    thread, while this thread goes on to build the next chunks' adjacency,
+    Laplacian and features; smaller chunks are solved here, after every
+    chunk is built. The workers (optim.worker_threads, one per usable CPU
+    but this thread's) are started by the first such chunk and have ended
+    before this returns or raises. A failure raises what a chunk-by-chunk
+    loop would: the error of the first failing chunk, in chunk order.
+    """
     too_small = too_large = isolated = 0
     by_size: dict[int, list[tuple[int, Graph]]] = {}
     for i, g in enumerate(graphs):
@@ -189,25 +222,39 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
         else:
             by_size.setdefault(g.num_nodes, []).append((i, g))
     examples: list[TrainingExample | None] = [None] * len(graphs)
-    for n, members in by_size.items():
-        per_chunk = max(1, STACK_VALUES // (n * n))
-        for lo in range(0, len(members), per_chunk):
-            chunk = members[lo:lo + per_chunk]
-            adjacency = np.stack([build_adjacency(g) for _, g in chunk])
-            bad = has_isolated_node(adjacency)
-            if bad.any():
-                isolated += int(bad.sum())
-                chunk = [member for member, b in zip(chunk, bad) if not b]
-                if not chunk:
-                    continue
-                adjacency = adjacency[~bad]
-            features = structural_embeddings(adjacency, cfg.feature_config)
-            laplacians = build_laplacian(adjacency, cfg.laplacian_norm)
-            lambda_k, psi_k = lowest_k(eigendecompose(laplacians), cfg.k)
+    # each built chunk, in chunk order, with the call that gives its spectra
+    built: list[tuple[list, np.ndarray, np.ndarray, np.ndarray, Callable]] = []
+    failure = None
+    with one_blas_thread(), contextlib.ExitStack() as threads:
+        pool, opened = None, False
+        try:
+            for chunk, adjacency in _chunks(by_size):
+                bad = has_isolated_node(adjacency)
+                if bad.any():
+                    isolated += int(bad.sum())
+                    chunk = [member for member, b in zip(chunk, bad) if not b]
+                    if not chunk:
+                        continue
+                    adjacency = adjacency[~bad]
+                features = structural_embeddings(adjacency, cfg.feature_config)
+                laplacians = build_laplacian(adjacency, cfg.laplacian_norm)
+                large = adjacency.size >= STACK_VALUES // 2
+                if large and not opened:
+                    pool, opened = threads.enter_context(worker_threads()), True
+                solve = (pool.submit(_lowest_spectra, laplacians, cfg.k).result
+                         if large and pool is not None
+                         else functools.partial(_lowest_spectra, laplacians, cfg.k))
+                built.append((chunk, adjacency, features, laplacians, solve))
+        except Exception as exc:  # raised below, after the chunks built before it
+            failure = exc
+        for chunk, adjacency, features, laplacians, solve in built:
+            lambda_k, psi_k = solve()
             for j, (i, g) in enumerate(chunk):
                 examples[i] = TrainingExample(
                     g, with_original_features(g, cfg.feature_config, features[j]),
                     adjacency[j], laplacians[j], lambda_k[j], psi_k[j])
+    if failure is not None:
+        raise failure
     examples = [ex for ex in examples if ex is not None]
     if too_small + too_large + isolated:
         log.info("dropped %d of %d graphs during target precomputation: %d with fewer than "
@@ -413,6 +460,14 @@ def _check_monitor(cfg: PretrainConfig, val_examples) -> None:
                             "pass val_examples or monitor train_loss")
 
 
+def _quiet_floats():
+    """Overflow, invalid and divide-by-zero produce their Inf or NaN without
+    a warning: each op's finite check turns the result into NumericalFault,
+    which skips the batch, under any warning filter. Entered once per batch,
+    not per op, since entering costs about a microsecond."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
             epochs: int, batch_losses: BatchLosses, validate: Callable[[], float] | None,
             columns: int = 1):
@@ -425,7 +480,8 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
     per-graph losses is back-propagated once, and Adam steps on the mean
     gradient over the batch. A numerical fault or a rank-deficient
     orthogonalization anywhere in the batch discards the whole batch (its
-    gradients are dropped, never clamped); it is counted and logged. If any
+    gradients are dropped, never clamped); it is counted and logged. Each
+    batch's pass and step, and validate(), run under _quiet_floats. If any
     batch reached the optimizer, the scheduler then steps on the mean training
     loss, or on validate() when it monitors val_loss; an epoch that changed no
     parameter leaves the schedule as it was. The row holds the means of the
@@ -439,15 +495,16 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
         order = state.rng.permutation(len(examples))
         rows = []
         for batch in _batches([examples[i] for i in order], cfg.batch_size):
-            try:
-                loss, metrics = batch_losses(batch)
-                loss.backward(np.ones(loss.shape))
-            except (NumericalFault, RankDeficient) as exc:
-                state.optimizer.zero_grad()
-                state.skipped_batches += 1
-                log.warning("skipped batch at epoch %d: %s", state.epoch, exc)
-                continue
-            state.optimizer.step(grad_scale=1.0 / len(batch))
+            with _quiet_floats():
+                try:
+                    loss, metrics = batch_losses(batch)
+                    loss.backward(np.ones(loss.shape))
+                except (NumericalFault, RankDeficient) as exc:
+                    state.optimizer.zero_grad()
+                    state.skipped_batches += 1
+                    log.warning("skipped batch at epoch %d: %s", state.epoch, exc)
+                    continue
+                state.optimizer.step(grad_scale=1.0 / len(batch))
             state.optimizer.zero_grad()
             rows.append(np.column_stack((loss.values, *metrics)))
             del loss  # free this batch's tape before the next batch records its own
@@ -455,7 +512,11 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
                  else [math.nan] * columns)
         means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
         if state.scheduler is not None and rows:
-            monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
+            if cfg.scheduler.monitored == "val_loss":
+                with _quiet_floats():
+                    monitored = validate()
+            else:
+                monitored = means[0]
             state.scheduler.step(float(monitored))
         state.epoch += 1
         yield EpochRow(state.epoch - 1, *means, state.optimizer.lr,

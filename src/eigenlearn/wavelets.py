@@ -86,7 +86,9 @@ def build_wavelet_bank(p: np.ndarray, scales: int) -> WaveletBank:
     a (B, n, n) stack.
 
     psi_0 = I - P, psi_j = P^(2^(j-1)) - P^(2^j) for 1 <= j <= scales, closed
-    by the low-pass P^(2^scales). Powers come from repeated squaring.
+    by the low-pass P^(2^scales). Powers come from repeated squaring. A P
+    whose row sums deviate from 1 by more than STOCHASTIC_TOL, or that holds
+    a non-finite value, is refused, naming the first bad matrix of a stack.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim not in (2, 3) or p.shape[-1] != p.shape[-2]:
@@ -99,9 +101,15 @@ def build_wavelet_bank(p: np.ndarray, scales: int) -> WaveletBank:
         raise InvalidParams(f"a wavelet bank of {scales} scales holds scales + 2 operators of "
                             f"shape {p.shape} in floats, more than this machine's memory; "
                             "lower scales_J")
-    row_err = np.max(np.abs(p.sum(axis=-1) - 1.0), axis=-1)
-    bad = np.flatnonzero(row_err > STOCHASTIC_TOL)
+    # a NaN entry, or +inf and -inf in one row, makes the row error NaN,
+    # which fails the test below as well
+    with np.errstate(invalid="ignore"):
+        row_err = np.max(np.abs(p.sum(axis=-1) - 1.0), axis=-1)
+    bad = np.flatnonzero(~(row_err <= STOCHASTIC_TOL))
     if bad.size:
+        if np.isnan(row_err.flat[bad[0]]):
+            name = "the matrix" if p.ndim == 2 else f"matrix {bad[0]} in the stack"
+            raise NotStochastic(f"{name} holds a non-finite value")
         where = "" if p.ndim == 2 else f" of matrix {bad[0]} in the stack"
         raise NotStochastic(f"row sums{where} deviate from 1 by {row_err.flat[bad[0]]:.3e}")
     ops = [np.eye(n) - p]

@@ -241,6 +241,18 @@ def random_graph_soup(count: int, seed: int, n_low: int = 4, n_high: int = 16) -
     return [random_connected_graph(rng, n_low, n_high) for _ in range(count)]
 
 
+def threads_mix(seed: int = 0) -> list[Graph]:
+    """Graphs whose 100-node chunks precompute_targets solves on worker
+    threads: 8 graphs of 16 nodes, 4 of 40 and 4 of 100, then one 16-node
+    graph with an isolated node, one too small for k=6 and one too large for
+    max_nodes=100, all G(n, 0.3)."""
+    sizes = [16] * 8 + [40] * 4 + [100] * 4 + [16, 4, 101]
+    graphs = [generate_graph("erdos_renyi", {"n": n, "p": 0.3}, seed=seed + i)
+              for i, n in enumerate(sizes)]
+    graphs[16] = Graph(16, tuple(e for e in graphs[16].edges if 15 not in e))
+    return graphs
+
+
 # The node counts every stacked operator is pinned at.
 STACK_SIZES = (1, 2, 8, 16, 40)
 

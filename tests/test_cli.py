@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -365,6 +368,37 @@ def test_a_run_whose_last_epoch_trained_nothing_exits_1_naming_it(tmp_path, caps
     assert capsys.readouterr().err == (f"error: epoch {last} committed no batch: every batch "
                                        "of it was skipped (4 skipped in the run)\n")
     assert not out.exists() and not ckpt.exists()
+
+
+def test_an_overflowing_run_exits_1_in_one_line_under_an_error_filter_for_warnings(
+        tmp_path, small_dataset, capsys):
+    # pytest turns every warning into an error (pyproject's filterwarnings):
+    # an lr of 1e308 overflows the parameters, and each batch must then be
+    # skipped as a NumericalFault, not end the run with numpy's RuntimeWarning
+    capsys.readouterr()
+    out = tmp_path / "run.csv"
+    code = main(["--quiet", "pretrain", "--epochs", "2", "--input", small_dataset,
+                 "--config", small_config(tmp_path, lr=1e308), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) <= 1 and "Traceback" not in err
+    assert err.startswith("error: epoch 1 committed no batch") and not out.exists()
+
+
+def test_each_command_logs_its_environment_in_one_line_unless_quiet(tmp_path):
+    src = Path(__file__).parent.parent / "src"
+    lines = []
+    for quiet in ([], ["--quiet"]):
+        child = subprocess.run(
+            [sys.executable, "-m", "eigenlearn.cli", *quiet, "gen-data", "--count", "2",
+             "--output", str(tmp_path / "d.jsonl")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert child.returncode == 0, child.stderr
+        lines.append(child.stderr.splitlines())
+    assert re.fullmatch(r"INFO eigenlearn: numpy \S+, BLAS .+, BLAS threads (\d+|unknown), "
+                        r"usable CPUs \d+", lines[0][0])
+    assert lines[0][1].startswith("INFO eigenlearn: wrote 2 graphs")
+    assert lines[1] == []
 
 
 def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys, pre_and_ft_checkpoints):

@@ -280,6 +280,21 @@ def test_a_stack_with_asymmetric_matrices_is_refused_naming_the_first():
         eigendecompose(stack)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+def test_a_non_finite_matrix_is_refused_naming_the_first(bad, stacked):
+    # symmetric, so only the non-finite test can refuse it; NaN passed the
+    # asymmetry test once, since NaN > SYMMETRY_TOL is False
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = bad
+    name = "the matrix"
+    if stacked:
+        m = np.stack([np.eye(3), m, m])
+        name = "matrix 1 in the stack"
+    with pytest.raises(NotSymmetric, match=rf"^{name} holds a non-finite value$"):
+        eigendecompose(m)
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (2, 2, 3, 3)])
 def test_eigendecompose_refuses_anything_but_a_square_matrix_or_a_stack(shape):
     with pytest.raises(NotSymmetric, match=r"^expected a square matrix or a \(B, n, n\) "

@@ -1,6 +1,8 @@
 import concurrent.futures
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -560,3 +562,145 @@ def test_reading_a_gradient_forms_its_terms_in_arrival_order():
     with pytest.raises(ShapeMismatch, match=r"^gradient product \(6, 4\) @ \(3, 5\) for a "
                                             r"tensor of shape \(6, 5\)$"):
         p.accumulate_product(x1.T, g2)
+
+
+# --- the thread budget: worker_threads and the hold of the BLAS thread count ---
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's bundled OpenBLAS set to two threads for the test, and its
+    count restored after it; the test is skipped where it cannot be set."""
+    blas = optim._openblas()
+    if blas is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    found = optim.blas_threads()
+    blas[1](2)
+    yield
+    blas[1](found)
+
+
+def raise_in_a_worker():
+    raise ValueError("in a worker")
+
+
+def test_worker_threads_hold_blas_at_one_thread_and_restore_it(monkeypatch, blas_at_two):
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    with optim.worker_threads(2) as pool:
+        assert pool is not None
+        assert pool.submit(optim.blas_threads).result() == optim.blas_threads() == 1
+    assert optim.blas_threads() == 2
+    with pytest.raises(ValueError, match="in a worker"):
+        with optim.worker_threads(2) as pool:
+            pool.submit(raise_in_a_worker).result()
+    assert optim.blas_threads() == 2
+    with optim.worker_threads(0) as pool:  # inline, under the hold as well
+        assert pool is None and optim.blas_threads() == 1
+    assert optim.blas_threads() == 2
+    # overlapping holds restore the count once, when the last one closes
+    with optim.one_blas_thread():
+        with optim.worker_threads(2):
+            pass
+        assert optim.blas_threads() == 1
+    assert optim.blas_threads() == 2
+
+
+def test_holds_overlapping_in_many_threads_keep_one_blas_thread_and_restore_the_count(
+        blas_at_two):
+    # more threads than CPUs open and close holds at a short switch interval:
+    # a lost update of the open-hold count would leave it nonzero, or restore
+    # the count while another thread's hold is open
+    seen, errors = set(), []
+
+    def hold_often():
+        try:
+            for _ in range(200):
+                with optim.one_blas_thread():
+                    seen.add(optim.blas_threads())
+        except BaseException as exc:  # reported below: a thread's error is lost otherwise
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold_often) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert seen == {1} and optim._hold["open"] == 0 and optim.blas_threads() == 2
+
+
+def test_a_step_that_fails_in_a_thread_restores_the_blas_thread_count(monkeypatch, blas_at_two):
+    monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    p = make_param(np.zeros((4, Adam.BLOCK // 2)))  # cut into two row blocks
+    opt = Adam({"p": p})
+    assert opt._threads == 2
+    held = []
+
+    def fail(self, blocks, *rest):
+        held.append(optim.blas_threads())
+        raise MemoryError("a share")
+
+    monkeypatch.setattr(Adam, "_update", fail)
+    p.accumulate_grad(np.ones(p.shape))
+    with pytest.raises(MemoryError, match="a share"):
+        opt.step()
+    assert held and set(held) == {1} and optim.blas_threads() == 2
+
+
+def test_work_runs_inline_without_the_blas_symbols_unless_the_thread_variables_say_1(
+        monkeypatch):
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(optim, "_openblas", lambda: None)
+    assert optim.blas_threads() is None
+    for name in THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+    def pool_of(wanted=2):
+        with optim.worker_threads(wanted) as pool:
+            return pool
+
+    assert pool_of() is None
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert pool_of() is not None
+    assert pool_of(0) is None
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert pool_of() is not None
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")  # one variable says otherwise
+    assert pool_of() is None
+
+
+def test_a_step_without_the_blas_symbols_runs_inline_with_the_same_bits(monkeypatch):
+    monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    for name in THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    rng = np.random.default_rng(6)
+    start, x, g = rng.standard_normal((8, Adam.BLOCK // 4)), rng.standard_normal((5, 8)), \
+        rng.standard_normal((5, Adam.BLOCK // 4))
+    runs = []
+    for symbols in (True, False):
+        if not symbols:
+            monkeypatch.setattr(optim, "_openblas", lambda: None)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a thread pool was built")
+
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        p = make_param(start.copy())
+        opt = Adam({"p": p}, lr=0.01)
+        assert opt._threads == 2
+        for _ in range(2):
+            p.accumulate_product(x.T, g)
+            opt.step()
+            opt.zero_grad()
+        runs.append((p.values.tobytes(), opt.flat_m.tobytes(), opt.flat_v.tobytes()))
+    assert runs[0] == runs[1]

@@ -1,11 +1,14 @@
 import ast
+import concurrent.futures
 import copy
 import dataclasses
 import json
 import math
 import os
 import re
+import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,14 +22,14 @@ from eigenlearn import wavelets
 from eigenlearn.data import from_dict
 from eigenlearn.eigen import eigendecompose, lowest_k
 from eigenlearn.errors import (EmptyDatasetAfterFilter, InvalidParams, IsolatedNode,
-                               MissingTarget, NodeCountTooSmall, NumericalFault,
-                               ShapeMismatch)
+                               MissingTarget, NoConvergence, NodeCountTooSmall,
+                               NotStochastic, NotSymmetric, NumericalFault, ShapeMismatch)
 from eigenlearn.graphs import (LAPLACIAN_NORMS, Graph, build_adjacency, build_laplacian,
                                generate_graph)
 from eigenlearn.losses import LossWeights, eigvec_loss, energy_loss, mae_loss
 from eigenlearn.wavelets import FeatureConfig
-from helpers import (as_old_version, edit_header, read_header, reachable_nodes,
-                     recorded_ops, spy_on_ops)
+from helpers import (as_old_version, edit_header, random_graph_soup, read_header,
+                     reachable_nodes, recorded_ops, spy_on_ops, threads_mix)
 
 
 def small_cfg(**overrides):
@@ -381,6 +384,217 @@ def test_precompute_gives_the_per_graph_composition_bit_for_bit(monkeypatch, cap
     assert dropped == (4 if k == 1 else 5)
     assert [r.message.split(":")[0] for r in caplog.records] == [
         f"dropped {dropped} of {len(graphs)} graphs during target precomputation"]
+
+
+# --- precompute on worker threads ---
+
+THREADS_CFG = {"max_nodes": 100}  # keeps the 100-node graphs of threads_mix
+EXAMPLE_ARRAYS = ("features", "adjacency", "laplacian", "lambda_k", "psi_k")
+
+
+def example_bytes(examples) -> list[bytes]:
+    return [getattr(ex, name).tobytes() for ex in examples for name in EXAMPLE_ARRAYS]
+
+
+def recording_pool(monkeypatch, events: list):
+    """Make every thread pool built from now on record, into events, its
+    building ("pool", workers), each submitted call's future ("submit",
+    future) and its shutdown ("shutdown",)."""
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            events.append(("pool", workers))
+            super().__init__(workers)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            events.append(("submit", future))
+            return future
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            events.append(("shutdown",))
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+
+
+def test_precompute_gives_the_same_bytes_on_one_and_on_two_cpus(monkeypatch, caplog):
+    # the 100-node chunks go to workers, one per usable CPU but the calling
+    # thread's, only with two usable CPUs or more; either way the examples
+    # are the per-graph composition's bytes, in input order, with the same
+    # dropped counts and log line
+    cfg = tr.config_from_dict(THREADS_CFG)
+    graphs = threads_mix()
+    with optim.one_blas_thread():
+        want, dropped = precompute_one_by_one(graphs, cfg)
+    assert dropped == 3
+    for cpus, pools in [(1, []), (2, [("pool", 1)]), (3, [("pool", 2)])]:
+        monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+        events = []
+        recording_pool(monkeypatch, events)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="eigenlearn.train"):
+            got = tr.precompute_targets(graphs, cfg)
+        assert [e for e in events if e[0] == "pool"] == pools
+        assert [ex.graph for ex in got] == graphs[:16]
+        assert example_bytes(got) == example_bytes(want)
+        assert caplog.messages == [
+            "dropped 3 of 19 graphs during target precomputation: 1 with fewer than k=6 "
+            "nodes, 1 with more than max_nodes=100, 1 with an isolated node"]
+
+
+def test_precompute_of_a_desk_mix_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    before = threading.active_count()
+    examples = tr.precompute_targets(random_graph_soup(50, seed=1, n_low=8, n_high=16),
+                                     tr.config_from_dict({}))
+    assert len(examples) == 50 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_the_pool_opens_at_the_first_chunk_worth_a_thread_and_closes_before_precompute_ends(
+        monkeypatch, fail):
+    # chunk order: the 16-node chunk, the 40-node chunk, then four 100-node
+    # chunks of one graph each; the last one's features fail with fail=True
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    events = []
+    recording_pool(monkeypatch, events)
+    features = tr.structural_embeddings
+
+    def recorded(adjacency, cfg):
+        events.append(("features", adjacency.shape))
+        if fail and sum(e[0] == "features" for e in events) == 6:
+            raise NotStochastic("the last chunk")
+        return features(adjacency, cfg)
+
+    monkeypatch.setattr(tr, "structural_embeddings", recorded)
+    before = threading.active_count()
+    if fail:
+        with pytest.raises(NotStochastic, match="the last chunk"):
+            tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
+    else:
+        tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
+    assert threading.active_count() == before  # no thread outlives the call
+    kinds = [e[0] if e[0] != "features" else e[1] for e in events]
+    one = (1, 100, 100)
+    assert kinds == [(8, 16, 16), (4, 40, 40), one, "pool", "submit", one, "submit", one,
+                     "submit", one] + ([] if fail else ["submit"]) + ["shutdown"]
+    for future in [e[1] for e in events if e[0] == "submit"]:
+        # a worker hands back the lowest k eigenpairs alone, no full spectrum
+        lambda_k, psi_k = future.result()
+        assert lambda_k.shape == (1, 6) and psi_k.shape == (1, 100, 6)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failure_raises_the_error_of_the_first_failing_chunk(monkeypatch, cpus):
+    # the first 100-node chunk's solve fails, on a worker with two CPUs, only
+    # after the next chunk's preparation has failed: the first chunk's error
+    # is the one raised, as a chunk-by-chunk loop would raise it
+    monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+    later_failed = threading.Event()
+    solve, features = tr.eigendecompose, tr.structural_embeddings
+    hundreds = []
+
+    def failing_solve(laplacians):
+        if laplacians.shape[-1] == 100:
+            assert later_failed.wait(timeout=30)
+            raise NoConvergence("the first 100-node chunk")
+        return solve(laplacians)
+
+    def failing_features(adjacency, cfg):
+        if adjacency.shape[-1] == 100:
+            hundreds.append(adjacency)
+            if len(hundreds) == 2:
+                later_failed.set()
+                raise NotStochastic("the second 100-node chunk")
+        return features(adjacency, cfg)
+
+    monkeypatch.setattr(tr, "eigendecompose", failing_solve)
+    monkeypatch.setattr(tr, "structural_embeddings", failing_features)
+    with pytest.raises(NoConvergence, match="the first 100-node chunk"):
+        tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
+    assert later_failed.is_set()
+    monkeypatch.setattr(tr, "eigendecompose", solve)  # no earlier failure: the later one
+    hundreds.clear()
+    with pytest.raises(NotStochastic, match="the second 100-node chunk"):
+        tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
+
+
+def test_a_non_finite_laplacian_is_refused_alike_inline_and_from_a_worker(monkeypatch):
+    laplacian = tr.build_laplacian
+    messages = []
+
+    def poisoned(adjacency, norm):
+        out = laplacian(adjacency, norm)
+        if adjacency.shape[-1] == 100:
+            out[0, 3, 7] = out[0, 7, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(tr, "build_laplacian", poisoned)
+    for cpus in (1, 2):
+        monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+        with pytest.raises(NotSymmetric) as caught:
+            tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
+        messages.append((type(caught.value), str(caught.value)))
+    assert messages == [(NotSymmetric, "matrix 0 in the stack holds a non-finite value")] * 2
+
+
+# One interpreter's digests (SHA-256) of precompute_targets over threads_mix
+# and of one Adam step on two threads, given the same factor terms, of a
+# 2.7M-value model; first the BLAS thread count it started with. Run as
+# python -c CHILD <src dir> <tests dir>.
+CHILD = """
+import hashlib, sys, threading
+sys.path[:0] = sys.argv[1:3]
+import eigenlearn
+assert "concurrent.futures" not in sys.modules, "import eigenlearn imported concurrent.futures"
+assert threading.active_count() == 1, "import eigenlearn started a thread"
+import numpy as np
+from eigenlearn import optim, train as tr
+from helpers import threads_mix
+print(optim.blas_threads())
+optim.usable_cpus = lambda: 2  # a threaded step and pool whatever the machine
+digest = hashlib.sha256()
+for ex in tr.precompute_targets(threads_mix(), tr.config_from_dict({"max_nodes": 100})):
+    for name in ("features", "adjacency", "laplacian", "lambda_k", "psi_k"):
+        digest.update(getattr(ex, name).tobytes())
+print(digest.hexdigest())
+params = tr.build_model(tr.config_from_dict({"head_hidden_dim": 600}), 12).parameters()
+opt = optim.Adam(params)
+assert opt._threads == 2
+rng = np.random.default_rng(0)
+for p in params.values():
+    if p.values.ndim == 2:
+        p.accumulate_product(rng.standard_normal((128, p.shape[0])).T,
+                             rng.standard_normal((128, p.shape[1])))
+    else:
+        p.accumulate_grad(rng.standard_normal(p.shape))
+opt.step(grad_scale=1 / 128)
+digest = hashlib.sha256()
+for p in params.values():
+    digest.update(p.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_precompute_and_a_threaded_step_give_the_same_bytes_at_one_and_two_blas_threads():
+    if optim._openblas() is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    here = Path(__file__).parent
+    outputs = []
+    for threads in ("1", "2"):
+        child = subprocess.run([sys.executable, "-c", CHILD, str(here.parent / "src"), str(here)],
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout.split())
+    if (os.cpu_count() or 1) > 1:  # OpenBLAS starts no more threads than CPUs
+        assert [out[0] for out in outputs] == ["1", "2"]
+    assert len(outputs[0]) == 3 and outputs[0][1:] == outputs[1][1:]
 
 
 def test_precompute_empty_after_filter():

@@ -266,6 +266,24 @@ def test_a_stack_with_a_matrix_that_is_not_stochastic_is_refused_naming_the_firs
         build_wavelet_bank(p, 2)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf_and_minus_inf"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+def test_a_non_finite_diffusion_matrix_is_refused_naming_the_first(bad, stacked):
+    # a NaN entry, or +inf and -inf in one row, makes the row error NaN,
+    # which once passed the test, since NaN > STOCHASTIC_TOL is False
+    p = random_stochastic_stack(3)
+    if bad == "nan":
+        p[1, 2, 0] = np.nan
+    else:
+        p[1, 2, 0], p[1, 2, 1] = np.inf, -np.inf
+    p[2] = p[1]
+    name = "matrix 1 in the stack"
+    if not stacked:
+        p, name = p[1], "the matrix"
+    with pytest.raises(NotStochastic, match=rf"^{name} holds a non-finite value$"):
+        build_wavelet_bank(p, 2)
+
+
 def test_the_embeddings_of_one_node_graphs_are_refused():
     stack = adjacency_stack(1)
     with pytest.raises(NodeCountTooSmall):
