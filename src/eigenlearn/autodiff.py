@@ -35,10 +35,19 @@ so an evaluation pass builds no graph and pays for none. Every op takes a
 bare float64 array wherever it takes a constant Tensor (the previous op's
 result inside no_grad, a mask, an input batch) and gives the same bits as
 for `constant` of it; while recording, it wraps such an array as a constant
-parent, so a tape holds Tensors only.
+parent, so a tape holds Tensors only. Whether ops record is kept per
+thread: a no_grad block in one thread leaves other threads' ops recording.
+
+`dense` forms its two products, x @ w forward and g @ w^T backward, as one
+matmul each, but for a weight of at least SPLIT_VALUES values while the
+OpenBLAS bundled with numpy runs at one thread and two CPUs are usable. Then
+each is formed in two column blocks, one of them on a worker thread
+(optim.worker_threads), with the bits of the one matmul (_product).
 """
 
 import contextlib
+import contextvars
+import threading
 
 import numpy as np
 
@@ -217,7 +226,14 @@ class Tensor:
 # inside no_grad, or any input an op takes as a constant).
 Value = Tensor | np.ndarray
 
-_recording = [True]
+
+# The ident of each thread inside a no_grad block, mapped to how many blocks
+# it is inside. A thread changes only its own entry, so a no_grad block in one
+# thread leaves every other thread's ops recording. While no thread is inside
+# one, an op's test is one truth test of this dict (about 14 ns); reading a
+# threading.local flag took about 58 ns, about 2.5% of a desk training step.
+_quiet_threads: dict[int, int] = {}
+_thread_ident = threading.get_ident
 
 
 class no_grad:
@@ -225,13 +241,19 @@ class no_grad:
     it computed (the same values as when recording) and builds no Tensor,
     parent tuple or backward closure, so nothing can be back-propagated and
     no graph is kept alive. Ops take those arrays back as inputs. Recording
-    is restored on leaving the block, also by an exception."""
+    is restored on leaving the block, also by an exception. The block holds
+    for the thread that enters it: ops that other threads run meanwhile
+    record as before."""
 
     def __enter__(self):
-        self._previous, _recording[0] = _recording[0], False
+        thread = _thread_ident()
+        _quiet_threads[thread] = _quiet_threads.get(thread, 0) + 1
 
     def __exit__(self, *exc_info):
-        _recording[0] = self._previous
+        thread = _thread_ident()
+        depth = _quiet_threads.pop(thread) - 1
+        if depth:
+            _quiet_threads[thread] = depth
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -285,7 +307,7 @@ def add(a: Value, b: Value) -> Value:
     except ValueError as exc:
         raise ShapeMismatch(f"add: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values)
-    if not _recording[0]:
+    if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     a, b = _tensor(a), _tensor(b)
 
@@ -305,7 +327,7 @@ def mul(a: Value, b: Value) -> Value:
     except ValueError as exc:
         raise ShapeMismatch(f"mul: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values)
-    if not _recording[0]:
+    if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     a, b = _tensor(a), _tensor(b)
 
@@ -316,6 +338,56 @@ def mul(a: Value, b: Value) -> Value:
             b.accumulate_grad(_unbroadcast(g * a.values, b.shape))
 
     return _result(values, (a, b), vjp)
+
+
+# A weight of at least this many values has dense's two products, x @ w and
+# g @ w^T, formed in two column blocks on two threads when BLAS runs on one
+# thread (_product). Measured at one BLAS thread on 2 CPUs: a 2048 x 1024
+# weight, the smallest split, broke even at one row (0.52 ms) and gained from
+# 4 rows up (forward 1.66 -> 1.11 ms); 2400 x 2400 went from 1.8 to 1.0 ms at
+# one row and from 4.0 to 2.4 ms at 4; a head_hidden_dim 600 layer (2400 x
+# 600, 1.44M values) lost at one row (0.36 -> 0.70 ms), since starting the
+# worker costs more than half its product saves. More blocks of a 2400 x
+# 2400 weight, dealt alternately to the two threads, won little or lost: four
+# and six took 2.6 and 2.7 ms at 4 rows against 2.8 for two, 15.2 and 16.6 ms
+# at 128 rows against 14.9, and six took 2.5 ms at one row against 1.0.
+SPLIT_VALUES = 1 << 21
+# The cut between the two blocks falls on a multiple of this many columns of
+# the result, so that each block takes the BLAS kernels that its columns take
+# in the whole product: a cut elsewhere changed the last bits of a few columns.
+SPLIT_ALIGN = 64
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b: dense's x @ w, b the weight, or g @ w^T, b its transpose.
+
+    When b has at least SPLIT_VALUES values (dense tests that first, so
+    that a desk-scale product makes no call) and 2 * SPLIT_ALIGN columns, the
+    OpenBLAS bundled with numpy runs at one thread (optim.blas_on_one_thread)
+    and the process may use two CPUs, the result is formed in two column
+    blocks, cut at the multiple of SPLIT_ALIGN at or below the middle. Each
+    is one matmul into its view of the one result: the left one on this
+    thread, the right one on a worker (optim.worker_threads), in a copy of
+    this thread's context so that the caller's np.errstate holds there too.
+    The worker's error is raised here. The cut depends on b's shape alone,
+    and each block gives those columns of the whole product bit for bit, so
+    the CPU count changes no bit. Otherwise, and at any other BLAS thread
+    count, where BLAS threads the product itself, it is one matmul."""
+    if b.size < SPLIT_VALUES or b.shape[1] < 2 * SPLIT_ALIGN:
+        return a @ b
+    from . import optim  # optim imports this module
+    if optim.usable_cpus() < 2 or not optim.blas_on_one_thread():
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    cut = b.shape[1] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
+    # blas_on_one_thread held, worker_threads gives a pool: its thread count
+    # is set or the thread variables say 1
+    with optim.worker_threads(1) as pool:
+        right = pool.submit(contextvars.copy_context().run, np.matmul, a, b[:, cut:],
+                            out=out[:, cut:])
+        np.matmul(a, b[:, :cut], out=out[:, :cut])
+        right.result()
+    return out
 
 
 def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
@@ -334,6 +406,11 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
     sign already, which the mask keeps). Backward then adds db (a column sum),
     records dw as its factors (x^T, g) (Tensor.accumulate_product) and passes
     dx = g @ w^T on.
+
+    x @ w and g @ w^T are each one matmul, but for a weight of at least
+    SPLIT_VALUES values at one BLAS thread on two CPUs or more, where each is
+    formed in two column blocks on two threads (_product): the same bits,
+    in about two thirds of the time.
     """
     xv, wv, bv = _values(x), _values(w), _values(b)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
@@ -342,7 +419,8 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
         raise ShapeMismatch(f"dropout rate must be in [0,1), got {rate}")
     if rate > 0.0 and rng is None:
         raise ShapeMismatch(f"dropout rate {rate} needs a generator to draw its mask from")
-    values = xv @ wv
+    # a desk-scale weight pays this one comparison, and no call of _product
+    values = xv @ wv if wv.size < SPLIT_VALUES else _product(xv, wv)
     values += bv
     _check_finite(values)
     if relu:
@@ -352,7 +430,7 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
         factor = (rng.random(values.shape) >= rate) / (1.0 - rate)
         values = values * factor
         _check_finite(values)
-    if not _recording[0]:
+    if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     x, w, b = _tensor(x), _tensor(w), _tensor(b)
     out = values
@@ -365,7 +443,8 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0), owned=True)
         if x.requires_grad:
-            x.accumulate_grad(g @ w.values.T, owned=True)
+            wt = w.values.T
+            x.accumulate_grad(g @ wt if wt.size < SPLIT_VALUES else _product(g, wt), owned=True)
         if w.requires_grad:
             w.accumulate_product(x.values.T, g)
 
@@ -393,7 +472,7 @@ def gin_aggregate(h: Value, eps: Value, adjacency: np.ndarray) -> Value:
     values = scale * hv
     values += np.matmul(adjacency, hv.reshape(stacked)).reshape(hv.shape)
     _check_finite(values)
-    if not _recording[0]:
+    if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     h, eps = _tensor(h), _tensor(eps)
 
@@ -415,7 +494,7 @@ def reshape(a: Value, shape: tuple) -> Value:
         values = av.reshape(shape)
     except ValueError as exc:
         raise ShapeMismatch(f"reshape: cannot reshape {av.shape} into {shape}") from exc
-    if not _recording[0]:
+    if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     a = _tensor(a)
 
@@ -441,7 +520,7 @@ def scalar_with_grad(a: Value, value, grad: np.ndarray) -> Value:
         raise ShapeMismatch(f"scalar_with_grad: value {value.shape} and gradient "
                             f"{grad.shape} for input {shape}")
     _check_finite(value)
-    if not _recording[0]:
+    if _quiet_threads and _thread_ident() in _quiet_threads:
         return value
     a = _tensor(a)
 
@@ -477,7 +556,7 @@ def thin_qr(a: Value, rank_tol: float) -> Value:
     signs = np.where(diagonal < 0.0, -1.0, 1.0)
     q *= signs[..., None, :]
     _check_finite(q)
-    if not _recording[0]:
+    if _quiet_threads and _thread_ident() in _quiet_threads:
         return q
     a = _tensor(a)
     r *= signs[..., :, None]  # only backward reads R

@@ -156,6 +156,11 @@ def cmd_pretrain(args) -> int:
             if name != "epochs" and value != getattr(base, name):
                 raise InvalidParams(f"--{name} {value} cannot change the checkpoint's "
                                     f"{name}={getattr(base, name)} on --resume")
+        now = blas_threads()
+        if state.blas_threads is not None and state.blas_threads != now:
+            log.warning("%s was saved at %d BLAS threads and this run has %s: the continuation "
+                        "will not match an uninterrupted run bit for bit", args.resume,
+                        state.blas_threads, "an unknown count" if now is None else now)
     else:
         model = state = None
         base = _config(tr.PretrainConfig, args.config)

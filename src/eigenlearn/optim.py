@@ -20,10 +20,13 @@ but the time.
 worker_threads is the one place eigenlearn starts threads: a pool of up to
 one thread per usable CPU, with the OpenBLAS bundled with numpy held at one
 thread while the pool is open, so that the pool's threads and BLAS's own do
-not compete for the same CPUs. Adam.step and train.precompute_targets use it.
+not compete for the same CPUs. Adam.step, train.precompute_targets and, for a
+weight of at least autodiff.SPLIT_VALUES values when BLAS already runs at one
+thread, autodiff.dense's two products use it.
 """
 
 import contextlib
+import contextvars
 import functools
 import math
 import os
@@ -67,6 +70,13 @@ def blas_threads() -> int | None:
     """The bundled OpenBLAS's thread count now, or None where it cannot be read."""
     blas = _openblas()
     return None if blas is None else blas[0]()
+
+
+def blas_on_one_thread() -> bool:
+    """Whether the bundled OpenBLAS runs at one thread: its count reads 1,
+    or, where it cannot be read, the thread variables say 1."""
+    threads = blas_threads()
+    return _one_blas_thread_by_env() if threads is None else threads == 1
 
 
 def _one_blas_thread_by_env() -> bool:
@@ -115,13 +125,18 @@ def one_blas_thread():
 @contextlib.contextmanager
 def worker_threads(wanted: int | None = None):
     """A thread pool (concurrent.futures.ThreadPoolExecutor) to run work on:
-    of `wanted` threads, at most one per usable CPU, for a caller that waits
-    for the pool; by default of one thread per usable CPU but one, for a
-    caller that keeps working meanwhile and so takes a CPU itself. Or None,
-    and no thread, when the work is to run inline on the caller's thread.
-    Either way the work runs under one_blas_thread(), so the pool's threads
-    and BLAS's own do not compete for the CPUs, and where the work runs
-    changes no bit. The pool's threads have ended when this closes.
+    of `wanted` threads, at most one per usable CPU, for a caller that knows
+    how many pieces it deals out; by default of one thread per usable CPU but
+    one, for a caller that keeps working meanwhile and so takes a CPU itself.
+    Or None, and no thread, when the work is to run inline on the caller's
+    thread. Either way the work runs under one_blas_thread(), so the pool's
+    threads and BLAS's own do not compete for the CPUs, and where the work
+    runs changes no bit. The pool's threads have ended when this closes.
+
+    Its callers: Adam.step (one thread per share of its blocks, the caller
+    waiting), train.precompute_targets (the default pool, the caller building
+    chunks meanwhile) and autodiff's dense products of a wide weight (one
+    thread for one of two column blocks, the caller forming the other).
 
     The work runs inline when no thread is wanted, and where the BLAS thread
     count cannot be set (another BLAS, or a numpy without the bundled
@@ -294,9 +309,13 @@ class Adam:
             if pool is None:
                 self._update(self.blocks, self._scratch[0], *factors)
             else:
-                # list() reads every result, so an error in a thread is raised here
-                list(pool.map(lambda i: self._update(self.blocks[i::count], self._scratch[i],
-                                                     *factors), range(count)))
+                # each share runs in a copy of this thread's context, so the
+                # caller's np.errstate holds in the threads too; list() reads
+                # every result, so an error in a thread is raised here
+                contexts = [contextvars.copy_context() for _ in range(count)]
+                list(pool.map(lambda i: contexts[i].run(self._update, self.blocks[i::count],
+                                                        self._scratch[i], *factors),
+                              range(count)))
 
     def _update(self, blocks: list, buffers: np.ndarray, lr_t: float, eps_t: float,
                 a1: float, a2: float) -> None:

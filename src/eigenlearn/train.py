@@ -52,7 +52,7 @@ from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
                  combined_loss_t, mae_loss_t, orthonormalize)
-from .optim import Adam, ReduceLROnPlateau, one_blas_thread, worker_threads
+from .optim import Adam, ReduceLROnPlateau, blas_threads, one_blas_thread, worker_threads
 from .wavelets import FeatureConfig, structural_embeddings, with_original_features
 
 log = logging.getLogger("eigenlearn.train")
@@ -410,13 +410,18 @@ def build_downstream_head(cfg: PretrainConfig, draw: bool = True) -> Mlp:
 
 @dataclass
 class TrainState:
-    """Everything that must survive a checkpoint to resume bit-for-bit."""
+    """Everything that must survive a checkpoint to resume bit-for-bit, and
+    blas_threads: the BLAS thread count (optim.blas_threads) of the run that
+    saved the checkpoint this state was loaded from, None where that count
+    was unknown or the file does not record it. Runs are bit-identical only
+    at one BLAS thread count, so a resumed run compares it with its own."""
 
     optimizer: Adam
     scheduler: ReduceLROnPlateau | None
     rng: np.random.Generator
     epoch: int = 0
     skipped_batches: int = 0
+    blas_threads: int | None = None
 
 
 def _fresh_state(model: EigenModel, cfg: PretrainConfig,
@@ -481,14 +486,15 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
     gradient over the batch. A numerical fault or a rank-deficient
     orthogonalization anywhere in the batch discards the whole batch (its
     gradients are dropped, never clamped); it is counted and logged. Each
-    batch's pass and step, and validate(), run under _quiet_floats. If any
-    batch reached the optimizer, the scheduler then steps on the mean training
-    loss, or on validate() when it monitors val_loss; an epoch that changed no
-    parameter leaves the schedule as it was. The row holds the means of the
-    (loss, *metrics) rows of the graphs whose batch reached the optimizer step,
-    padded with zeros to the run record's four loss columns. The objective
-    fills `columns` of them; in an epoch that committed no batch they are NaN,
-    since a made-up 0.0 would read as a perfect fit.
+    batch's pass and step, the epoch's means and validate() run under
+    _quiet_floats. If any batch reached the optimizer, the scheduler then
+    steps on the mean training loss, or on validate() when it monitors
+    val_loss; an epoch that changed no parameter leaves the schedule as it
+    was. The row holds the means of the (loss, *metrics) rows of the graphs
+    whose batch reached the optimizer step, padded with zeros to the run
+    record's four loss columns. The objective fills `columns` of them; in an
+    epoch that committed no batch they are NaN, since a made-up 0.0 would
+    read as a perfect fit.
     """
     while state.epoch < epochs:
         started = time.perf_counter()
@@ -508,8 +514,9 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
             state.optimizer.zero_grad()
             rows.append(np.column_stack((loss.values, *metrics)))
             del loss  # free this batch's tape before the next batch records its own
-        means = ([float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows
-                 else [math.nan] * columns)
+        with _quiet_floats():  # finite losses can sum past the largest float
+            means = ([float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows
+                     else [math.nan] * columns)
         means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
         if state.scheduler is not None and rows:
             if cfg.scheduler.monitored == "val_loss":
@@ -773,11 +780,15 @@ _ADAM = {"lr": NON_NEGATIVE, "beta1": FINITE, "beta2": FINITE, "eps": FINITE,
                    lambda v: 0 <= v <= sys.float_info.max)}
 _PLATEAU = {"patience": POSITIVE_INT, "factor": FINITE, "threshold": FINITE,
             "best": FINITE_OR_NULL, "num_bad": NON_NEGATIVE_INT}
+# blas_threads came after the first version-3 files, so a file may lack it.
 _CHECKPOINT = {
     "format": one_of(CHECKPOINT_FORMAT), "version": POSITIVE_INT,
     "kind": one_of("pretrain", "finetune"), "config": OBJECT, "d_in": POSITIVE_INT,
-    "epoch": NON_NEGATIVE_INT, "skipped_batches": NON_NEGATIVE_INT, "optimizer": _ADAM,
-    "scheduler": OBJECT_OR_NULL, "rng_state": OBJECT, "extra": OBJECT, "arrays": LIST,
+    "epoch": NON_NEGATIVE_INT, "skipped_batches": NON_NEGATIVE_INT,
+    "blas_threads": Kind("null or an int", lambda v: v is None or type(v) is int,
+                         "null or >= 1", lambda v: v is None or v >= 1),
+    "optimizer": _ADAM, "scheduler": OBJECT_OR_NULL, "rng_state": OBJECT, "extra": OBJECT,
+    "arrays": LIST,
 }
 _RESUMED = ("lr", "t", "best", "num_bad")
 
@@ -798,9 +809,10 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
                     extra: dict | None = None) -> None:
     """Write the run as one JSON header line, then the raw bytes of the arrays
     its `arrays` field lists (see the README's Checkpoint section), each
-    written from its place in its buffer. d_in must be the model's input
-    width (model.encoder.in_dim); any other is refused before anything is
-    written."""
+    written from its place in its buffer. The header records the BLAS thread
+    count the run saves at (optim.blas_threads, null where unknown). d_in must
+    be the model's input width (model.encoder.in_dim); any other is refused
+    before anything is written."""
     if d_in != model.encoder.in_dim:
         raise InvalidParams(f"{path}: d_in {d_in} is not the model's input width "
                             f"{model.encoder.in_dim}")
@@ -814,6 +826,7 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
         "d_in": d_in,
         "epoch": state.epoch,
         "skipped_batches": state.skipped_batches,
+        "blas_threads": blas_threads(),
         "optimizer": {name: getattr(opt, name) for name in _ADAM},
         "scheduler": {name: getattr(scheduler, name) for name in _PLATEAU} if scheduler else None,
         "rng_state": state.rng.bit_generator.state,
@@ -838,7 +851,7 @@ def _restore(path: str, blob) -> tuple:
     if blob.get("version") != CHECKPOINT_VERSION:
         raise InvalidParams(f"{path} is a version {blob.get('version')} checkpoint; this "
                             f"eigenlearn reads only version {CHECKPOINT_VERSION}")
-    check_fields(blob, _CHECKPOINT, f"{path}: checkpoint")
+    check_fields(blob, _CHECKPOINT, f"{path}: checkpoint", optional=("blas_threads",))
     cfg = from_dict(PretrainConfig, blob["config"], f"{path}: checkpoint.config")
     # the body fills every value, so nothing is drawn to be overwritten
     with naming(path):
@@ -865,4 +878,5 @@ def _restore(path: str, blob) -> tuple:
         raise InvalidParams(f"{path}: the checkpoint's rng_state is not a "
                             f"{type(state.rng.bit_generator).__name__} state ({exc!r})") from None
     state.epoch, state.skipped_batches = blob["epoch"], blob["skipped_batches"]
+    state.blas_threads = blob.get("blas_threads")
     return (model, cfg, state, blob["d_in"], head, blob["extra"]), list(arrays.values())

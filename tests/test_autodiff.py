@@ -1,13 +1,17 @@
+import concurrent.futures
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from eigenlearn import autodiff as ad
+from eigenlearn import optim
+from eigenlearn import train as tr
 from eigenlearn.errors import NumericalFault, ShapeMismatch
 from helpers import (dense_reference, dropout, gin_aggregate_reference, matmul,
-                     max_rel_error, numeric_gradient, project, recorded_ops, relu,
-                     slice_rows, spy_on_ops, sum_neighbors)
+                     max_rel_error, numeric_gradient, project, random_graph_soup,
+                     recorded_ops, relu, slice_rows, spy_on_ops, sum_neighbors)
 
 
 def check_op_gradient(build, arrays, h=1e-5, tol=1e-4):
@@ -355,6 +359,15 @@ def test_no_grad_restores_recording_after_an_error():
     assert isinstance(product, ad.Tensor) and product._parents
 
 
+def test_nested_no_grad_blocks_of_one_instance_restore_recording_at_the_outer_exit():
+    block = ad.no_grad()
+    with block:
+        with block:
+            pass
+        assert type(ad.mul(ad.parameter(np.ones(2)), np.full(2, 2.0))) is np.ndarray
+    assert ad.mul(ad.parameter(np.ones(2)), np.full(2, 2.0))._parents
+
+
 def test_scalar_with_grad_takes_one_value_per_graph_of_a_stack():
     rng = np.random.default_rng(4)
     a = ad.parameter(rng.standard_normal((3, 4, 2)))
@@ -476,3 +489,191 @@ def test_dense_and_gin_aggregate_reject_bad_shapes_and_rates():
                          (np.zeros((3, 3)), eps), (np.zeros((8, 8)), ad.constant(np.zeros(2)))):
         with pytest.raises(ShapeMismatch, match=r"^gin_aggregate: "):
             ad.gin_aggregate(h, e, adjacency)
+
+
+def test_a_no_grad_block_in_one_thread_leaves_the_other_threads_ops_recording():
+    entered, release, seen, errors = threading.Event(), threading.Event(), [], []
+
+    def hold_a_block_open():
+        try:
+            with ad.no_grad():
+                entered.set()
+                release.wait(timeout=60)
+                seen.append(ad.mul(ad.parameter(np.ones(2)), np.full(2, 2.0)))
+        except BaseException as exc:  # reported below: a thread's error is lost otherwise
+            errors.append(exc)
+            entered.set()
+
+    worker = threading.Thread(target=hold_a_block_open)
+    worker.start()
+    try:
+        assert entered.wait(timeout=60)
+        product = ad.mul(ad.parameter(np.ones(2)), np.full(2, 2.0))
+        assert isinstance(product, ad.Tensor) and product._parents
+        with ad.no_grad():  # blocks of two threads interleave
+            release.set()
+            worker.join(timeout=60)
+            assert type(ad.add(ad.parameter(np.ones(2)), np.ones(2))) is np.ndarray
+    finally:
+        release.set()
+        worker.join(timeout=60)
+    assert errors == [] and len(seen) == 1 and type(seen[0]) is np.ndarray
+    assert ad.mul(ad.parameter(np.ones(2)), np.full(2, 2.0))._parents  # recording again
+
+
+# --- dense's products of a wide weight, split over two threads ----------------
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """The bundled OpenBLAS at one thread for the test, through the hold, or,
+    where its count cannot be set, by the thread variables; two usable CPUs."""
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    if optim._openblas() is None:
+        for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        yield
+        return
+    with optim.one_blas_thread():
+        yield
+
+
+def pools_built(monkeypatch) -> list:
+    """The worker counts of the thread pools built from now on."""
+    built = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            built.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return built
+
+
+def refuse_pools(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+
+# (rows, columns) of wide weights: at the threshold, square, and with an odd
+# column count whose middle is no multiple of SPLIT_ALIGN
+WIDE = [(2048, 1024), (1500, 1501)]
+
+
+@pytest.mark.parametrize("rows", [1, 4, 128])
+@pytest.mark.parametrize("shape", WIDE, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_the_split_products_are_the_whole_ones_byte_for_byte(monkeypatch, one_blas_thread,
+                                                             shape, rows):
+    assert shape[0] * shape[1] >= ad.SPLIT_VALUES
+    built = pools_built(monkeypatch)
+    rng = np.random.default_rng(rows)
+    w = rng.standard_normal(shape)
+    x, g = rng.standard_normal((rows, shape[0])), rng.standard_normal((rows, shape[1]))
+    forward, backward = ad._product(x, w), ad._product(g, w.T)
+    assert built == [1, 1]
+    assert forward.tobytes() == (x @ w).tobytes()
+    assert backward.tobytes() == (g @ w.T).tobytes()
+    assert forward.flags.c_contiguous and backward.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", WIDE, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_dense_gives_the_same_bytes_on_one_and_on_two_cpus(monkeypatch, one_blas_thread,
+                                                            shape):
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_normal((4, shape[0])), rng.standard_normal(shape),
+              rng.standard_normal(shape[1])]
+    seed_grad = rng.standard_normal((4, shape[1]))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+        built = pools_built(monkeypatch)
+        x, w, b = (ad.parameter(a.copy()) for a in arrays)
+        out = ad.dense(x, w, b, relu=True)
+        out.backward(seed_grad)
+        assert built == ([1, 1] if cpus == 2 else [])
+        runs.append([out.values.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
+    assert runs[0] == runs[1]
+
+
+def test_dense_starts_no_thread_at_two_blas_threads(monkeypatch):
+    blas = optim._openblas()
+    if blas is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    refuse_pools(monkeypatch)
+    rng = np.random.default_rng(6)
+    x, w = ad.parameter(rng.standard_normal((4, 2048))), ad.parameter(rng.standard_normal((2048, 1024)))
+    found = optim.blas_threads()
+    blas[1](2)
+    try:
+        ad.dense(x, w, ad.constant(np.zeros(1024))).backward(np.ones((4, 1024)))
+    finally:
+        blas[1](found)
+    assert x.grad.shape == (4, 2048)
+
+
+def test_dense_starts_no_thread_below_the_threshold(monkeypatch, one_blas_thread):
+    refuse_pools(monkeypatch)
+    rng = np.random.default_rng(7)
+    # a head_hidden_dim 600 layer's weight, the widest of that config
+    x, w = ad.parameter(rng.standard_normal((1, 2400))), ad.parameter(rng.standard_normal((2400, 600)))
+    assert w.values.size < ad.SPLIT_VALUES
+    ad.dense(x, w, ad.constant(np.zeros(600))).backward(np.ones((1, 600)))
+    assert x.grad.shape == (1, 2400)
+
+
+def test_a_compare_desk_run_starts_no_thread(monkeypatch, one_blas_thread):
+    refuse_pools(monkeypatch)
+    before = threading.active_count()
+    cfg = tr.config_from_dict({  # the acceptance-criterion-7 desk config
+        "k": 3, "hidden_dim": 16, "mp_layers": 2, "update_layers": 2, "head_layers": 3,
+        "head_hidden_dim": 128, "max_nodes": 16, "dropout": 0.0, "seed": 0, "batch_size": 8,
+        "lr": 0.002, "scheduler": {"kind": "none"}, "feature_config": {"scales_J": 2},
+        "epochs": 2})
+    examples = tr.precompute_targets(random_graph_soup(10, seed=2, n_low=8, n_high=16), cfg)
+    rows = tr.compare_losses(examples, cfg)
+    assert rows and threading.active_count() == before
+
+
+def test_an_error_in_the_workers_block_is_raised_by_dense_and_the_count_restored(monkeypatch):
+    blas = optim._openblas()
+    if blas is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    matmul = np.matmul
+
+    def fail_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("the worker's block")
+        return matmul(*args, **kwargs)
+
+    rng = np.random.default_rng(8)
+    x, w = ad.parameter(rng.standard_normal((4, 2048))), ad.parameter(rng.standard_normal((2048, 1024)))
+    found = optim.blas_threads()
+    blas[1](2)
+    try:
+        with optim.one_blas_thread():  # a caller's hold: the split runs inside it
+            monkeypatch.setattr(np, "matmul", fail_off_the_main_thread)
+            with pytest.raises(MemoryError, match="the worker's block"):
+                ad.dense(x, w, ad.constant(np.zeros(1024)))
+            monkeypatch.setattr(np, "matmul", matmul)
+            assert optim.blas_threads() == 1 and optim._hold["open"] == 1
+        assert optim.blas_threads() == 2 and optim._hold["open"] == 0
+    finally:
+        blas[1](found)
+
+
+def test_the_workers_block_runs_under_the_callers_errstate(monkeypatch, one_blas_thread):
+    # pytest turns warnings into errors: an overflow in the worker's block
+    # warned, and so raised, when the worker ignored the caller's errstate
+    built = pools_built(monkeypatch)
+    x, w = np.full((2, 2048), 1e300), np.full((2048, 1024), 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFault):
+            ad.dense(ad.constant(x), ad.parameter(w), ad.constant(np.zeros(1024)))
+    assert built == [1]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eigenlearn import optim
 from eigenlearn import train as tr
 from eigenlearn.cli import main
 from eigenlearn.data import load_dataset, save_dataset
@@ -283,6 +285,66 @@ def test_pretrain_resume_matches_straight_run(tmp_path, small_dataset):
 
     joined = strip_seconds(first.read_text())[1:] + strip_seconds(second.read_text())[1:]
     assert joined == strip_seconds(straight.read_text())[1:]
+
+
+@pytest.fixture
+def half_run(tmp_path, small_dataset):
+    """A 2-epoch pretrain checkpoint of small_dataset, and a function that
+    resumes it for 2 more epochs from the given file, without --quiet:
+    (exit code, the eigenlearn warnings logged)."""
+    ckpt = tmp_path / "half.ckpt"
+    assert main(["--quiet", "pretrain", "--input", small_dataset, "--output",
+                 str(tmp_path / "first.csv"), "--config", small_config(tmp_path),
+                 "--checkpoint-out", str(ckpt)]) == 0
+
+    def resume(path, caplog):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="eigenlearn"):
+            code = main(["pretrain", "--input", small_dataset, "--output",
+                         str(tmp_path / "second.csv"), "--resume", str(path), "--epochs", "4"])
+        return code, [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+    return ckpt, resume
+
+
+def test_a_checkpoint_records_the_blas_thread_count_and_resume_warns_when_it_differs(
+        tmp_path, half_run, caplog):
+    ckpt, resume = half_run
+    now = optim.blas_threads()
+    assert read_header(ckpt)["blas_threads"] == now
+    assert resume(ckpt, caplog) == (0, [])
+    other = tmp_path / "other.ckpt"
+    other.write_bytes(edit_header(ckpt.read_bytes(),
+                                  lambda header: header.update(blas_threads=(now or 1) + 3)))
+    code, warnings = resume(other, caplog)
+    assert code == 0 and len(warnings) == 1 and "\n" not in warnings[0]
+    assert warnings[0] == (f"{other} was saved at {(now or 1) + 3} BLAS threads and this run "
+                           f"has {'an unknown count' if now is None else now}: the continuation "
+                           "will not match an uninterrupted run bit for bit")
+
+
+def test_a_checkpoint_without_the_blas_thread_count_resumes_without_a_warning(
+        tmp_path, half_run, caplog):
+    ckpt, resume = half_run
+    older = tmp_path / "older.ckpt"
+    older.write_bytes(edit_header(ckpt.read_bytes(), lambda header: header.pop("blas_threads")))
+    assert resume(older, caplog) == (0, [])
+    assert (tmp_path / "second.csv").exists()
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.0, "2", True])
+def test_a_bad_blas_thread_count_in_a_checkpoint_exits_1_naming_it(tmp_path, half_run, capsys,
+                                                                   value):
+    ckpt, _ = half_run
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(edit_header(ckpt.read_bytes(), lambda header: header.update(blas_threads=value)))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert main(["--quiet", "pretrain", "--input", str(tmp_path / "unused.jsonl"), "--output",
+                 str(out), "--resume", str(bad), "--epochs", "4"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{bad}: checkpoint.blas_threads must be" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, field", [("--k", "3", "k=2"), ("--seed", "7", "seed=0")])
@@ -859,3 +921,43 @@ def test_one_int_field_mutated_exits_0_1_or_2_with_at_most_one_line(inputs, tmp_
     assert code in (0, 1, 2) and "Traceback" not in err
     assert code != 1 or len(err.splitlines()) <= 1
     assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
+
+
+# --- one mutated float field keeps the one-line contract -----------------------
+
+# The float fields of a config, each as its path, set whether or not the file
+# names it (the loss weights are left at their defaults there).
+FLOAT_FIELDS = [("lr",), ("dropout",), ("scheduler", "factor"), ("loss_weights", "alpha_energy"),
+                ("loss_weights", "beta_eigvec"), ("loss_weights", "gamma_ortho")]
+FLOATS = st.sampled_from([1e308, 5e-324, 1 - 2 ** -53, -0.0, 0.0, 1.0, -1.0, 1e-300]) \
+    | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(choice=st.builds(SimpleNamespace, node_wise=st.booleans(),
+                        field=st.sampled_from(FLOAT_FIELDS), value=FLOATS))
+def test_one_float_field_mutated_exits_0_only_when_the_last_epoch_trained(inputs, tmp_path,
+                                                                          capsys, choice):
+    blob = json.loads(inputs.texts["config"])
+    if choice.node_wise:
+        blob["head_kind"] = "node_wise"
+    *parents, name = choice.field
+    target = blob
+    for key in parents:
+        target = target.setdefault(key, {})
+    target[name] = choice.value
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    bad, out = work / "bad.json", work / "record.csv"
+    bad.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = main(["--quiet", "pretrain", "--input", str(inputs.paths["data"]), "--output", str(out),
+                 "--config", str(bad)])
+    err = capsys.readouterr().err.strip()
+    assert code in (0, 1) and "Traceback" not in err
+    assert len(err.splitlines()) == (code == 1)
+    if code == 0:  # exit 0: the last epoch committed a batch, so its loss is no NaN
+        last = out.read_text().splitlines()[-1].split(",")
+        assert not math.isnan(float(last[1]))
+    else:
+        assert not out.exists()

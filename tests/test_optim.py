@@ -704,3 +704,18 @@ def test_a_step_without_the_blas_symbols_runs_inline_with_the_same_bits(monkeypa
             opt.zero_grad()
         runs.append((p.values.tobytes(), opt.flat_m.tobytes(), opt.flat_v.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_a_threaded_step_runs_under_the_callers_errstate(monkeypatch):
+    # pytest turns warnings into errors: the overflow of grad * grad warned
+    # in the step's threads, and so raised, when they ignored the caller's
+    # errstate
+    monkeypatch.setattr(Adam, "MIN_PIECE", Adam.BLOCK)
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    p = make_param(np.zeros((4, Adam.BLOCK // 2)))  # cut into two row blocks
+    opt = Adam({"p": p})
+    assert opt._threads == 2
+    p.accumulate_grad(np.full(p.shape, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        opt.step()
+    assert np.all(opt.flat_v == np.inf)

@@ -545,8 +545,10 @@ def test_a_non_finite_laplacian_is_refused_alike_inline_and_from_a_worker(monkey
 
 # One interpreter's digests (SHA-256) of precompute_targets over threads_mix
 # and of one Adam step on two threads, given the same factor terms, of a
-# 2.7M-value model; first the BLAS thread count it started with. Run as
-# python -c CHILD <src dir> <tests dir>.
+# 2.7M-value model; first the BLAS thread count it started with. It also
+# asserts that a dense pass through a weight of autodiff.SPLIT_VALUES values
+# gives the same bytes on two usable CPUs as on one, and starts a worker only
+# at one BLAS thread. Run as python -c CHILD <src dir> <tests dir>.
 CHILD = """
 import hashlib, sys, threading
 sys.path[:0] = sys.argv[1:3]
@@ -578,6 +580,30 @@ digest = hashlib.sha256()
 for p in params.values():
     digest.update(p.values.tobytes())
 print(digest.hexdigest())
+# a dense pass through a weight of autodiff.SPLIT_VALUES values: at one BLAS
+# thread split over two threads, with the bits of the pass on one CPU; at two,
+# one matmul on no thread
+import concurrent.futures
+from eigenlearn import autodiff as ad
+rng = np.random.default_rng(1)
+arrays = [rng.standard_normal((4, 2048)), rng.standard_normal((2048, 1024)),
+          rng.standard_normal(1024)]
+assert arrays[1].size == ad.SPLIT_VALUES
+def dense_digest():
+    x, w, b = (ad.parameter(a.copy()) for a in arrays)
+    out = ad.dense(x, w, b, relu=True)
+    out.backward(np.cos(np.arange(out.values.size)).reshape(out.shape))
+    return hashlib.sha256(b"".join(a.tobytes() for a in (out.values, x.grad, w.grad, b.grad)))
+built, Executor = [], concurrent.futures.ThreadPoolExecutor
+class Pool(Executor):
+    def __init__(self, workers):
+        built.append(workers)
+        super().__init__(workers)
+concurrent.futures.ThreadPoolExecutor = Pool
+split = dense_digest().digest()
+optim.usable_cpus = lambda: 1
+assert dense_digest().digest() == split
+assert built == ([1, 1] if optim.blas_threads() == 1 else []), built
 """
 
 
