@@ -40,13 +40,13 @@ thread: a no_grad block in one thread leaves other threads' ops recording.
 
 `dense` forms its two products, x @ w forward and g @ w^T backward, as one
 matmul each, but for a weight of at least SPLIT_VALUES values while the
-OpenBLAS bundled with numpy runs at one thread and two CPUs are usable. Then
-each is formed in two column blocks, one of them on a worker thread
-(optim.worker_threads), with the bits of the one matmul (_product).
+OpenBLAS bundled with numpy runs at one thread. Then each is formed in two
+column blocks, the left one on the calling thread and the right one
+submitted to optim.worker_threads (a worker where a second CPU is usable,
+else the calling thread), with the bits of the one matmul (_product).
 """
 
 import contextlib
-import contextvars
 import threading
 
 import numpy as np
@@ -362,31 +362,28 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b: dense's x @ w, b the weight, or g @ w^T, b its transpose.
 
     When b has at least SPLIT_VALUES values (dense tests that first, so
-    that a desk-scale product makes no call) and 2 * SPLIT_ALIGN columns, the
-    OpenBLAS bundled with numpy runs at one thread (optim.blas_on_one_thread)
-    and the process may use two CPUs, the result is formed in two column
-    blocks, cut at the multiple of SPLIT_ALIGN at or below the middle. Each
-    is one matmul into its view of the one result: the left one on this
-    thread, the right one on a worker (optim.worker_threads), in a copy of
-    this thread's context so that the caller's np.errstate holds there too.
-    The worker's error is raised here. The cut depends on b's shape alone,
-    and each block gives those columns of the whole product bit for bit, so
-    the CPU count changes no bit. Otherwise, and at any other BLAS thread
-    count, where BLAS threads the product itself, it is one matmul."""
+    that a desk-scale product makes no call) and 2 * SPLIT_ALIGN columns and
+    the OpenBLAS bundled with numpy runs at one thread
+    (optim.blas_on_one_thread), the result is formed in two column blocks,
+    cut at the multiple of SPLIT_ALIGN at or below the middle. Each is one
+    matmul into its view of the one result: the left one on this thread,
+    the right one submitted to optim.worker_threads, which forms it on a
+    worker, or on this thread where one CPU is usable, and raises its error
+    here. The cut depends on b's shape alone, and each block gives those
+    columns of the whole product bit for bit, so the CPU count changes no
+    bit. Otherwise, and at any other BLAS thread count, where BLAS threads
+    the product itself, it is one matmul."""
     if b.size < SPLIT_VALUES or b.shape[1] < 2 * SPLIT_ALIGN:
         return a @ b
     from . import optim  # optim imports this module
-    if optim.usable_cpus() < 2 or not optim.blas_on_one_thread():
+    if not optim.blas_on_one_thread():
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]))
     cut = b.shape[1] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
-    # blas_on_one_thread held, worker_threads gives a pool: its thread count
-    # is set or the thread variables say 1
-    with optim.worker_threads(1) as pool:
-        right = pool.submit(contextvars.copy_context().run, np.matmul, a, b[:, cut:],
-                            out=out[:, cut:])
+    with optim.worker_threads(1) as submit:
+        right = submit(np.matmul, a, b[:, cut:], out=out[:, cut:])
         np.matmul(a, b[:, :cut], out=out[:, :cut])
-        right.result()
+        right()
     return out
 
 
@@ -408,9 +405,9 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
     dx = g @ w^T on.
 
     x @ w and g @ w^T are each one matmul, but for a weight of at least
-    SPLIT_VALUES values at one BLAS thread on two CPUs or more, where each is
-    formed in two column blocks on two threads (_product): the same bits,
-    in about two thirds of the time.
+    SPLIT_VALUES values at one BLAS thread, where each is formed in two
+    column blocks, on two threads where two CPUs are usable (_product): the
+    same bits, in about two thirds of the time.
     """
     xv, wv, bv = _values(x), _values(w), _values(b)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:

@@ -13,16 +13,20 @@ formed in a block-sized scratch just before the block's update, by
 recorded (the rows of x^T @ g that the block covers), any other gradient
 copied from its array. The update is Kingma and Ba's folded form (both bias
 corrections in the step size and epsilon). A model of millions of values has
-its blocks dealt to one thread per usable CPU: the update is elementwise and
-numpy releases the interpreter lock inside it, so the threads change nothing
-but the time.
+its blocks dealt to one thread per usable CPU, the caller's among them: the
+update is elementwise and numpy releases the interpreter lock inside it, so
+the threads change nothing but the time.
 
-worker_threads is the one place eigenlearn starts threads: a pool of up to
-one thread per usable CPU, with the OpenBLAS bundled with numpy held at one
-thread while the pool is open, so that the pool's threads and BLAS's own do
-not compete for the same CPUs. Adam.step, train.precompute_targets and, for a
-weight of at least autodiff.SPLIT_VALUES values when BLAS already runs at one
-thread, autodiff.dense's two products use it.
+worker_threads is the one place eigenlearn starts threads. Its caller asks
+for workers beside itself, and gets `submit`, one call shape for work that
+may run on a worker or on the caller: submit(fn, *args) returns a callable
+that gives fn's result or raises its error. The caller counts as one of the
+threads that compute at once, so at most one worker per usable CPU but one
+starts, and the OpenBLAS bundled with numpy is held at one thread while
+they run, so that they and BLAS's own threads do not compete for the same
+CPUs. Adam.step, train.precompute_targets and, for a weight of at least
+autodiff.SPLIT_VALUES values when BLAS already runs at one thread,
+autodiff.dense's two products use it.
 """
 
 import contextlib
@@ -79,12 +83,15 @@ def blas_on_one_thread() -> bool:
     return _one_blas_thread_by_env() if threads is None else threads == 1
 
 
+# The environment variables that set the thread count of a BLAS library.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
 def _one_blas_thread_by_env() -> bool:
     """Whether the thread variables already keep BLAS at one thread: every
     one of them that is set says 1, and one at least is set."""
-    said = [os.environ[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                          "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                                          "VECLIB_MAXIMUM_THREADS") if name in os.environ]
+    said = [os.environ[name] for name in THREAD_VARS if name in os.environ]
     return bool(said) and all(value.strip() == "1" for value in said)
 
 
@@ -123,39 +130,39 @@ def one_blas_thread():
 
 
 @contextlib.contextmanager
-def worker_threads(wanted: int | None = None):
-    """A thread pool (concurrent.futures.ThreadPoolExecutor) to run work on:
-    of `wanted` threads, at most one per usable CPU, for a caller that knows
-    how many pieces it deals out; by default of one thread per usable CPU but
-    one, for a caller that keeps working meanwhile and so takes a CPU itself.
-    Or None, and no thread, when the work is to run inline on the caller's
-    thread. Either way the work runs under one_blas_thread(), so the pool's
-    threads and BLAS's own do not compete for the CPUs, and where the work
-    runs changes no bit. The pool's threads have ended when this closes.
+def worker_threads(workers: int):
+    """Start at most min(workers, usable_cpus() - 1) threads beside the
+    calling thread, and yield submit(fn, *args, **kwargs): it returns a
+    zero-argument callable that gives fn's result or raises its error.
 
-    Its callers: Adam.step (one thread per share of its blocks, the caller
-    waiting), train.precompute_targets (the default pool, the caller building
-    chunks meanwhile) and autodiff's dense products of a wide weight (one
-    thread for one of two column blocks, the caller forming the other).
+    With threads, fn runs on one of them, in a copy of the caller's context
+    (so the caller's np.errstate holds there too), and the callable is its
+    future's result. Without, the callable is fn with its arguments bound,
+    run on the caller when it is called. No thread starts when workers is 0,
+    on one usable CPU, and where the BLAS thread count cannot be set
+    (another BLAS, or a numpy without the bundled OpenBLAS) unless the
+    thread variables already say 1. Either way the work runs under
+    one_blas_thread(), so the threads and BLAS's own do not compete for the
+    CPUs, and where it runs changes no bit. The threads have ended when this
+    closes, inside the hold.
 
-    The work runs inline when no thread is wanted, and where the BLAS thread
-    count cannot be set (another BLAS, or a numpy without the bundled
-    OpenBLAS) unless the thread variables already say 1.
+    Its callers: Adam.step (one worker per share of its blocks but the
+    caller's), train.precompute_targets (one per chunk worth a thread, the
+    caller building chunks meanwhile) and autodiff's dense products of a
+    wide weight (one, for one of two column blocks).
     """
-    if wanted is None:
-        count = usable_cpus() - 1
-    else:
-        count = min(wanted, usable_cpus()) if wanted > 0 else 0
+    count = min(workers, usable_cpus() - 1)
     with one_blas_thread():
-        if not count or (_openblas() is None and not _one_blas_thread_by_env()):
-            yield None
+        if count < 1 or (_openblas() is None and not _one_blas_thread_by_env()):
+            yield functools.partial
             return
         # imported only by a process that starts threads: imported with this
         # module (it brings in logging), it slowed perfbench's spectra-prep by
         # about 2% (2 CPUs)
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(count) as pool:
-            yield pool
+            yield lambda fn, *args, **kwargs: pool.submit(
+                contextvars.copy_context().run, fn, *args, **kwargs).result
 
 
 def _place(a: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -205,10 +212,11 @@ class Adam:
     grad_blocks() cuts into several ranges gets one block per range. One it
     forms whole joins the open block when its values start where the block's
     end, in the same buffer, and the block stays within BLOCK values; else it
-    opens a block. A step deals the blocks to its threads (worker_threads),
-    at most one per usable CPU and per MIN_PIECE values: thread i updates
-    blocks i, i + T, i + 2T, ... of T. A desk-scale model is stepped on no
-    thread.
+    opens a block. A step deals the blocks to T threads, at most one per
+    usable CPU and per MIN_PIECE values: thread i updates blocks i, i + T,
+    i + 2T, ... of T, thread 0 being the caller and the others
+    worker_threads' T - 1 workers. A desk-scale model is stepped on the
+    caller alone.
     """
 
     # Values per block of the in-place update: the slices of m, v and the
@@ -304,18 +312,14 @@ class Adam:
         factors = (self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2,
                    (1.0 - self.beta1) * grad_scale, (1.0 - self.beta2) * grad_scale ** 2)
         count = self._threads
-        # a lone share runs here: a thread of its own would only add its start-up
-        with worker_threads(count if count > 1 else 0) as pool:
-            if pool is None:
-                self._update(self.blocks, self._scratch[0], *factors)
-            else:
-                # each share runs in a copy of this thread's context, so the
-                # caller's np.errstate holds in the threads too; list() reads
-                # every result, so an error in a thread is raised here
-                contexts = [contextvars.copy_context() for _ in range(count)]
-                list(pool.map(lambda i: contexts[i].run(self._update, self.blocks[i::count],
-                                                        self._scratch[i], *factors),
-                              range(count)))
+        # share 0 runs here, the others on workers: a step of one share
+        # starts no thread, which would only add its start-up
+        with worker_threads(count - 1) as submit:
+            shares = [submit(self._update, self.blocks[i::count], self._scratch[i], *factors)
+                      for i in range(1, count)]
+            self._update(self.blocks[::count], self._scratch[0], *factors)
+            for share in shares:
+                share()
 
     def _update(self, blocks: list, buffers: np.ndarray, lr_t: float, eps_t: float,
                 a1: float, a2: float) -> None:

@@ -52,7 +52,7 @@ from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
                  combined_loss_t, mae_loss_t, orthonormalize)
-from .optim import Adam, ReduceLROnPlateau, blas_threads, one_blas_thread, worker_threads
+from .optim import Adam, ReduceLROnPlateau, blas_threads, worker_threads
 from .wavelets import FeatureConfig, structural_embeddings, with_original_features
 
 log = logging.getLogger("eigenlearn.train")
@@ -177,15 +177,15 @@ def _lowest_spectra(laplacians: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return lowest_k(eigendecompose(laplacians), k)
 
 
-def _chunks(by_size: dict[int, list[tuple[int, Graph]]]):
+def _chunks(by_size: dict[int, list[tuple[int, Graph]]]) -> list[list[tuple[int, Graph]]]:
     """The (index, graph) members of each chunk of graphs of one node count,
-    of at most STACK_VALUES adjacency values, with their stacked adjacency;
-    node count by node count, in order."""
+    of at most STACK_VALUES adjacency values; node count by node count, in
+    order."""
+    chunks = []
     for n, members in by_size.items():
         per_chunk = max(1, STACK_VALUES // (n * n))
-        for lo in range(0, len(members), per_chunk):
-            chunk = members[lo:lo + per_chunk]
-            yield chunk, np.stack([build_adjacency(g) for _, g in chunk])
+        chunks += [members[lo:lo + per_chunk] for lo in range(0, len(members), per_chunk)]
+    return chunks
 
 
 def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[TrainingExample]:
@@ -202,15 +202,16 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
     bank, the Laplacian, the eigensolver) then runs once per chunk, giving
     each graph the bits its own per-graph call would at one BLAS thread.
 
-    Everything runs at one BLAS thread (optim.one_blas_thread), so the
-    examples do not depend on the BLAS thread count. A chunk of at least
+    Everything runs at one BLAS thread (optim.worker_threads holds it), so
+    the examples do not depend on the BLAS thread count. A chunk of at least
     STACK_VALUES // 2 adjacency values has its spectra solved on a worker
     thread, while this thread goes on to build the next chunks' adjacency,
     Laplacian and features; smaller chunks are solved here, after every
-    chunk is built. The workers (optim.worker_threads, one per usable CPU
-    but this thread's) are started by the first such chunk and have ended
-    before this returns or raises. A failure raises what a chunk-by-chunk
-    loop would: the error of the first failing chunk, in chunk order.
+    chunk is built. The workers, one per such chunk of the chunk plan, and
+    at most one per usable CPU but this thread's, start before the first
+    chunk is built and have ended before this returns or raises. A failure
+    raises what a chunk-by-chunk loop would: the error of the first failing
+    chunk, in chunk order.
     """
     too_small = too_large = isolated = 0
     by_size: dict[int, list[tuple[int, Graph]]] = {}
@@ -222,13 +223,16 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
         else:
             by_size.setdefault(g.num_nodes, []).append((i, g))
     examples: list[TrainingExample | None] = [None] * len(graphs)
+    chunks = _chunks(by_size)
+    workers = sum(len(chunk) * chunk[0][1].num_nodes ** 2 >= STACK_VALUES // 2
+                  for chunk in chunks)
     # each built chunk, in chunk order, with the call that gives its spectra
     built: list[tuple[list, np.ndarray, np.ndarray, np.ndarray, Callable]] = []
     failure = None
-    with one_blas_thread(), contextlib.ExitStack() as threads:
-        pool, opened = None, False
+    with worker_threads(workers) as submit:
         try:
-            for chunk, adjacency in _chunks(by_size):
+            for chunk in chunks:
+                adjacency = np.stack([build_adjacency(g) for _, g in chunk])
                 bad = has_isolated_node(adjacency)
                 if bad.any():
                     isolated += int(bad.sum())
@@ -239,11 +243,8 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
                 features = structural_embeddings(adjacency, cfg.feature_config)
                 laplacians = build_laplacian(adjacency, cfg.laplacian_norm)
                 large = adjacency.size >= STACK_VALUES // 2
-                if large and not opened:
-                    pool, opened = threads.enter_context(worker_threads()), True
-                solve = (pool.submit(_lowest_spectra, laplacians, cfg.k).result
-                         if large and pool is not None
-                         else functools.partial(_lowest_spectra, laplacians, cfg.k))
+                solve = (submit if large else functools.partial)(_lowest_spectra, laplacians,
+                                                                 cfg.k)
                 built.append((chunk, adjacency, features, laplacians, solve))
         except Exception as exc:  # raised below, after the chunks built before it
             failure = exc

@@ -30,8 +30,7 @@ from typing import Annotated
 import numpy as np
 
 from .data import BOOL, NON_NEGATIVE_INT, config
-from .errors import (IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic,
-                     ShapeMismatch)
+from .errors import IndexOutOfRange, InvalidParams, NodeCountTooSmall, NotStochastic
 from .graphs import Graph, build_adjacency, build_diffusion, physical_memory
 
 STOCHASTIC_TOL = 1e-8
@@ -187,19 +186,8 @@ def with_original_features(g: Graph, cfg: FeatureConfig, embeddings: np.ndarray)
     return embeddings
 
 
-def augment_features(g: Graph, cfg: FeatureConfig,
-                     adjacency: np.ndarray | None = None) -> np.ndarray:
+def augment_features(g: Graph, cfg: FeatureConfig) -> np.ndarray:
     """Concatenate (original features | positional | diffused dirac) per config:
-    with_original_features of g's structural_embeddings.
-
-    The diffusion operator comes from adjacency, g's (n, n) adjacency array
-    when the caller has already built it (graphs.build_adjacency), else from
-    one built here.
-    """
-    if adjacency is None:
-        adjacency = build_adjacency(g)
-    elif np.shape(adjacency) != (g.num_nodes, g.num_nodes):
-        n = g.num_nodes
-        raise ShapeMismatch(f"augment_features: a {n}-node graph needs a ({n}, {n}) "
-                            f"adjacency, got shape {np.shape(adjacency)}")
-    return with_original_features(g, cfg, structural_embeddings(adjacency, cfg))
+    with_original_features of g's structural_embeddings, over the adjacency
+    built here (graphs.build_adjacency)."""
+    return with_original_features(g, cfg, structural_embeddings(build_adjacency(g), cfg))

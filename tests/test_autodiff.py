@@ -530,8 +530,7 @@ def one_blas_thread(monkeypatch):
     where its count cannot be set, by the thread variables; two usable CPUs."""
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
     if optim._openblas() is None:
-        for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                     "VECLIB_MAXIMUM_THREADS"):
+        for name in optim.THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         yield

@@ -12,7 +12,7 @@ from eigenlearn import autodiff as ad
 from eigenlearn import nn, optim
 from eigenlearn import train as tr
 from eigenlearn.errors import ShapeMismatch
-from eigenlearn.optim import Adam, ReduceLROnPlateau
+from eigenlearn.optim import THREAD_VARS, Adam, ReduceLROnPlateau
 
 
 def make_param(values):
@@ -356,7 +356,7 @@ def test_a_step_starts_no_more_threads_than_there_are_blocks(monkeypatch, shape,
     assert len(opt.blocks) == threads
     p.accumulate_grad(np.ones(shape))
     opt.step()
-    assert started == ([threads] if threads > 1 else [])
+    assert started == ([threads - 1] if threads > 1 else [])  # share 0 runs on the caller
     assert sorted(len(share) for share in shares) == [1] * threads
     assert sorted(sum(shares, [])) == sorted(values.ctypes.data for values, *_ in opt.blocks)
 
@@ -566,10 +566,6 @@ def test_reading_a_gradient_forms_its_terms_in_arrival_order():
 
 # --- the thread budget: worker_threads and the hold of the BLAS thread count ---
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
 @pytest.fixture
 def blas_at_two():
     """numpy's bundled OpenBLAS set to two threads for the test, and its
@@ -587,24 +583,58 @@ def raise_in_a_worker():
     raise ValueError("in a worker")
 
 
+def on_a_worker(workers: int = 1) -> bool:
+    """Whether worker_threads(workers) runs a submitted call on another thread."""
+    with optim.worker_threads(workers) as submit:
+        return submit(threading.get_ident)() != threading.get_ident()
+
+
 def test_worker_threads_hold_blas_at_one_thread_and_restore_it(monkeypatch, blas_at_two):
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
-    with optim.worker_threads(2) as pool:
-        assert pool is not None
-        assert pool.submit(optim.blas_threads).result() == optim.blas_threads() == 1
-    assert optim.blas_threads() == 2
+    with optim.worker_threads(2) as submit:
+        assert submit(optim.blas_threads)() == optim.blas_threads() == 1
+    assert optim.blas_threads() == 2 and on_a_worker(2)
     with pytest.raises(ValueError, match="in a worker"):
-        with optim.worker_threads(2) as pool:
-            pool.submit(raise_in_a_worker).result()
+        with optim.worker_threads(2) as submit:
+            submit(raise_in_a_worker)()
     assert optim.blas_threads() == 2
-    with optim.worker_threads(0) as pool:  # inline, under the hold as well
-        assert pool is None and optim.blas_threads() == 1
-    assert optim.blas_threads() == 2
+    with optim.worker_threads(0):  # no worker, under the hold as well
+        assert optim.blas_threads() == 1
+    assert optim.blas_threads() == 2 and not on_a_worker(0)
     # overlapping holds restore the count once, when the last one closes
     with optim.one_blas_thread():
         with optim.worker_threads(2):
             pass
         assert optim.blas_threads() == 1
+    assert optim.blas_threads() == 2
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 1), (1, 1), (2, 0)],
+                         ids=["pool", "one-cpu", "no-worker"])
+def test_a_submitted_call_runs_as_it_would_on_the_caller(monkeypatch, blas_at_two, cpus,
+                                                          workers):
+    # on a worker or deferred to the caller, a submitted call sees the
+    # caller's errstate and one BLAS thread, and its error is raised by the
+    # callable submit returned; a deferred call runs only when called
+    monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+    pooled = cpus > 1 and workers > 0
+    ran = []
+
+    def seen():
+        ran.append(threading.get_ident())
+        return np.geterr(), optim.blas_threads()
+
+    with np.errstate(over="ignore", divide="raise", invalid="warn"):
+        caller = np.geterr()
+        with optim.worker_threads(workers) as submit:
+            call = submit(seen)
+            if not pooled:
+                assert ran == []
+            assert call() == (caller, 1)
+            assert (ran != [threading.get_ident()]) == pooled
+            failing = submit(raise_in_a_worker)
+            with pytest.raises(ValueError, match="in a worker"):
+                failing()
     assert optim.blas_threads() == 2
 
 
@@ -664,18 +694,14 @@ def test_work_runs_inline_without_the_blas_symbols_unless_the_thread_variables_s
     for name in THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
 
-    def pool_of(wanted=2):
-        with optim.worker_threads(wanted) as pool:
-            return pool
-
-    assert pool_of() is None
+    assert not on_a_worker()
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert pool_of() is not None
-    assert pool_of(0) is None
+    assert on_a_worker()
+    assert not on_a_worker(0)
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert pool_of() is not None
+    assert on_a_worker()
     monkeypatch.setenv("OMP_NUM_THREADS", "4")  # one variable says otherwise
-    assert pool_of() is None
+    assert not on_a_worker()
 
 
 def test_a_step_without_the_blas_symbols_runs_inline_with_the_same_bits(monkeypatch):

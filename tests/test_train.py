@@ -329,7 +329,7 @@ def precompute_one_by_one(graphs, cfg):
             continue
         adjacency = build_adjacency(g)
         try:
-            features = wavelets.augment_features(g, cfg.feature_config, adjacency=adjacency)
+            features = wavelets.augment_features(g, cfg.feature_config)
         except (IsolatedNode, NodeCountTooSmall):
             dropped += 1
             continue
@@ -456,10 +456,13 @@ def test_precompute_of_a_desk_mix_starts_no_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-def test_the_pool_opens_at_the_first_chunk_worth_a_thread_and_closes_before_precompute_ends(
+def test_the_pool_opens_once_before_the_first_chunk_and_closes_before_precompute_ends(
         monkeypatch, fail):
     # chunk order: the 16-node chunk, the 40-node chunk, then four 100-node
-    # chunks of one graph each; the last one's features fail with fail=True
+    # chunks of one graph each; the last one's features fail with fail=True.
+    # The four 100-node chunks are worth a thread, so the pool is built from
+    # the chunk plan before any chunk, with one worker beside the caller on
+    # two CPUs (a desk mix builds none: the test above)
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
     events = []
     recording_pool(monkeypatch, events)
@@ -479,9 +482,9 @@ def test_the_pool_opens_at_the_first_chunk_worth_a_thread_and_closes_before_prec
     else:
         tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
     assert threading.active_count() == before  # no thread outlives the call
-    kinds = [e[0] if e[0] != "features" else e[1] for e in events]
+    kinds = [e[0] if e[0] not in ("features", "pool") else e[1] for e in events]
     one = (1, 100, 100)
-    assert kinds == [(8, 16, 16), (4, 40, 40), one, "pool", "submit", one, "submit", one,
+    assert kinds == [1, (8, 16, 16), (4, 40, 40), one, "submit", one, "submit", one,
                      "submit", one] + ([] if fail else ["submit"]) + ["shutdown"]
     for future in [e[1] for e in events if e[0] == "submit"]:
         # a worker hands back the lowest k eigenpairs alone, no full spectrum
@@ -1363,7 +1366,7 @@ def callers(package: Path, name: str) -> list[str]:
 
 def test_numpy_is_the_only_runtime_dependency():
     # every import in every module, at its top or inside a function (as
-    # Adam.step imports concurrent.futures), names the package itself, numpy
+    # optim.worker_threads imports concurrent.futures), names the package itself, numpy
     # or a module of the standard library
     package = Path(__file__).parent.parent / "src" / "eigenlearn"
     imported: dict[str, set] = {}
@@ -1380,6 +1383,27 @@ def test_numpy_is_the_only_runtime_dependency():
     allowed = {"eigenlearn", "numpy", *sys.stdlib_module_names}
     assert {top: files for top, files in imported.items() if top not in allowed} == {}
     assert imported["concurrent"] == {"optim.py"} and "numpy" in imported
+
+
+def test_only_worker_threads_starts_threads():
+    # one place builds a thread pool, starts a thread or copies a context for
+    # one: every other piece of threaded work goes through its submit
+    package = Path(__file__).parent.parent / "src" / "eigenlearn"
+    starters = {"ThreadPoolExecutor", "threading.Thread", "copy_context"}
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    names = {ast.unparse(node), getattr(node, "attr", None)}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {f"{node.module}.{alias.name}" for alias in node.names} | {
+                        alias.name for alias in node.names}
+                else:
+                    continue
+                if names & starters:
+                    found.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert found == {"optim.py:worker_threads"}
 
 
 def test_only_the_model_builders_lay_parameters_out():
