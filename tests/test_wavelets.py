@@ -178,6 +178,19 @@ def test_augment_deterministic():
     assert np.array_equal(augment_features(g, cfg), augment_features(g, cfg))
 
 
+@pytest.mark.parametrize("keep", [False, True], ids=["embeddings", "kept"])
+def test_augment_is_the_embeddings_of_its_adjacency_behind_the_kept_features(keep):
+    # a caller that holds g's adjacency already gets augment_features' bits
+    # from with_original_features of its structural_embeddings
+    g = generate_graph("erdos_renyi", {"n": 10, "p": 0.5}, seed=2).with_features(
+        np.arange(20.0).reshape(10, 2))
+    cfg = FeatureConfig(scales_J=2, dirac_seed=9, keep_original_features=keep)
+    given = with_original_features(g, cfg, structural_embeddings(build_adjacency(g), cfg))
+    augmented = augment_features(g, cfg)
+    assert augmented.shape == (10, cfg.embedding_dim(2))
+    assert given.tobytes() == augmented.tobytes()
+
+
 def test_augment_propagates_isolated_node():
     g = Graph(4, ((0, 1),))
     with pytest.raises(IsolatedNode):
