@@ -263,6 +263,14 @@ def _check_finite(values: np.ndarray) -> None:
         raise NumericalFault("op produced non-finite values")
 
 
+def quiet_floats():
+    """Overflow, invalid and divide-by-zero give Inf or NaN without a warning,
+    which an op's finite check turns into NumericalFault under any warning
+    filter. Entered per epoch (train._epochs) and per CLI command, not per
+    op: entering costs about a microsecond."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _values(a: Value) -> np.ndarray:
     """An op input's values: a Tensor's, or a bare array itself."""
     return a.values if isinstance(a, Tensor) else a

@@ -19,10 +19,12 @@ import sys
 import numpy as np
 
 from . import train as tr
+from .autodiff import quiet_floats
 from .data import (_numbered_graphs, atomic_write_text, from_dict, load_dataset, read_json,
                    save_dataset)
 from .eigen import eigendecompose
-from .errors import DatasetFormatError, EigenlearnError, InvalidParams, NothingTrained
+from .errors import (DatasetFormatError, EigenlearnError, InvalidParams, NothingTrained,
+                     NumericalFault)
 from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, adjacency_fits,
                      build_adjacency, build_laplacian, generate_graph)
 from .invariants import run_all_checks
@@ -204,17 +206,18 @@ def cmd_finetune(args) -> int:
     record, state = tr.finetune(tr_examples, model, head, cfg, args.target,
                                 val_examples=val or None)
     _require_trained(record)
-    atomic_write_text(args.output, record.to_csv())
-    if args.checkpoint_out:
-        tr.save_checkpoint(args.checkpoint_out, model, cfg, state, model.encoder.in_dim,
-                           downstream_head=head, extra={"target": args.target})
-    if val:
-        mae = tr.evaluate_mae(model, head, val, cfg, args.target)
+    if val:  # evaluated before anything is written, so a fault there writes nothing
+        with tr.naming("held-out evaluation", NumericalFault):
+            mae = tr.evaluate_mae(model, head, val, cfg, args.target)
         train_mean = float(np.mean([ex.graph.graph_targets[args.target]
                                     for ex in tr_examples]))
         base = float(np.mean([abs(ex.graph.graph_targets[args.target] - train_mean)
                               for ex in val]))
         log.info("held-out MAE %.6f (predict-the-mean baseline %.6f)", mae, base)
+    atomic_write_text(args.output, record.to_csv())
+    if args.checkpoint_out:
+        tr.save_checkpoint(args.checkpoint_out, model, cfg, state, model.encoder.in_dim,
+                           downstream_head=head, extra={"target": args.target})
     return 0
 
 
@@ -330,7 +333,8 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     _log_environment()
     try:
-        return args.func(args)
+        with quiet_floats():  # a float fault reaches the finite checks, not a warning
+            return args.func(args)
     except (FileNotFoundError, EigenlearnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -286,13 +286,9 @@ def orthonormalize(u_tilde: ad.Value) -> ad.Value:
     (phantom) rows stay exactly zero.
 
     Raises RankDeficient(j) for the first column j with |R_jj| < RANK_TOL;
-    in a batch, RankDeficient(j, i) for the first such graph i.
+    in a batch, RankDeficient(j, i) for the first such graph i, and
+    ShapeMismatch for anything but a tall matrix or a stack of them.
     """
-    if len(u_tilde.shape) not in (2, 3):
-        raise ShapeMismatch(f"orthonormalize needs a matrix or a stack, got {u_tilde.shape}")
-    n, k = u_tilde.shape[-2:]
-    if n < k:
-        raise ShapeMismatch(f"need n >= k to orthonormalize, got {n} x {k}")
     return ad.thin_qr(u_tilde, RANK_TOL)
 
 

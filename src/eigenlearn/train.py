@@ -163,11 +163,11 @@ class RunRecord:
 # (one graph a chunk from 91 nodes up). Small graphs gain most from stacking,
 # since numpy's per-call cost dominates their operators; at 100 nodes eigh
 # dominates and a stack gains nothing, and a larger chunk would only raise
-# peak memory by the chunk's operators and spectra. A chunk of at least half
-# this many values (a graph of 91 nodes or more, or a stack of smaller graphs
-# as large) is solved on a worker thread (precompute_targets): its solve takes
-# about a millisecond, while starting a thread pool takes a few tenths of one,
-# which the solve of a smaller chunk would not repay.
+# peak memory by the chunk's operators and spectra. A chunk planned at half
+# this many values or more (a graph of 91 nodes or more, or a stack of smaller
+# graphs as large) is solved on a worker thread (precompute_targets): its
+# solve takes about a millisecond, while starting a thread pool takes a few
+# tenths of one, which the solve of a smaller chunk would not repay.
 STACK_VALUES = 2 ** 14
 
 
@@ -203,15 +203,15 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
     each graph the bits its own per-graph call would at one BLAS thread.
 
     Everything runs at one BLAS thread (optim.worker_threads holds it), so
-    the examples do not depend on the BLAS thread count. A chunk of at least
-    STACK_VALUES // 2 adjacency values has its spectra solved on a worker
-    thread, while this thread goes on to build the next chunks' adjacency,
-    Laplacian and features; smaller chunks are solved here, after every
-    chunk is built. The workers, one per such chunk of the chunk plan, and
-    at most one per usable CPU but this thread's, start before the first
-    chunk is built and have ended before this returns or raises. A failure
-    raises what a chunk-by-chunk loop would: the error of the first failing
-    chunk, in chunk order.
+    the examples do not depend on the BLAS thread count. A chunk planned at
+    STACK_VALUES // 2 adjacency values or more (before the isolated-node
+    filter) has its spectra solved on a worker thread, while this thread
+    goes on to build the next chunks' adjacency, Laplacian and features;
+    smaller chunks are solved here, after every chunk is built. The workers,
+    one per such chunk, and at most one per usable CPU but this thread's,
+    start before the first chunk is built and have ended before this
+    returns or raises. A failure raises what a chunk-by-chunk loop would:
+    the error of the first failing chunk, in chunk order.
     """
     too_small = too_large = isolated = 0
     by_size: dict[int, list[tuple[int, Graph]]] = {}
@@ -224,14 +224,13 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
             by_size.setdefault(g.num_nodes, []).append((i, g))
     examples: list[TrainingExample | None] = [None] * len(graphs)
     chunks = _chunks(by_size)
-    workers = sum(len(chunk) * chunk[0][1].num_nodes ** 2 >= STACK_VALUES // 2
-                  for chunk in chunks)
+    large = [len(chunk) * chunk[0][1].num_nodes ** 2 >= STACK_VALUES // 2 for chunk in chunks]
     # each built chunk, in chunk order, with the call that gives its spectra
     built: list[tuple[list, np.ndarray, np.ndarray, np.ndarray, Callable]] = []
     failure = None
-    with worker_threads(workers) as submit:
+    with worker_threads(sum(large)) as submit:
         try:
-            for chunk in chunks:
+            for chunk, on_worker in zip(chunks, large):
                 adjacency = np.stack([build_adjacency(g) for _, g in chunk])
                 bad = has_isolated_node(adjacency)
                 if bad.any():
@@ -242,9 +241,8 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
                     adjacency = adjacency[~bad]
                 features = structural_embeddings(adjacency, cfg.feature_config)
                 laplacians = build_laplacian(adjacency, cfg.laplacian_norm)
-                large = adjacency.size >= STACK_VALUES // 2
-                solve = (submit if large else functools.partial)(_lowest_spectra, laplacians,
-                                                                 cfg.k)
+                solve = (submit if on_worker else functools.partial)(_lowest_spectra,
+                                                                     laplacians, cfg.k)
                 built.append((chunk, adjacency, features, laplacians, solve))
         except Exception as exc:  # raised below, after the chunks built before it
             failure = exc
@@ -359,15 +357,16 @@ def _check_fits(what: str, size: int, cfg: PretrainConfig) -> None:
 
 
 @contextlib.contextmanager
-def naming(path: str | None):
-    """Prefix a refusal (InvalidParams) of a config, raised inside, with path,
-    the file the config came from; without a file, pass it on as it is."""
+def naming(where: str | None, errors=InvalidParams):
+    """Prefix an error of the kinds errors (by default a config's refusal)
+    raised inside with where: the file the config came from, or the step
+    that failed. With where None, pass it on as it is."""
     try:
         yield
-    except InvalidParams as exc:
-        if path is None:
-            raise
-        raise InvalidParams(f"{path}: {exc}") from None
+    except errors as exc:
+        if where is not None:
+            exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _approx(n: int) -> str:
@@ -466,14 +465,6 @@ def _check_monitor(cfg: PretrainConfig, val_examples) -> None:
                             "pass val_examples or monitor train_loss")
 
 
-def _quiet_floats():
-    """Overflow, invalid and divide-by-zero produce their Inf or NaN without
-    a warning: each op's finite check turns the result into NumericalFault,
-    which skips the batch, under any warning filter. Entered once per batch,
-    not per op, since entering costs about a microsecond."""
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
 def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainState,
             epochs: int, batch_losses: BatchLosses, validate: Callable[[], float] | None,
             columns: int = 1):
@@ -486,23 +477,23 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
     per-graph losses is back-propagated once, and Adam steps on the mean
     gradient over the batch. A numerical fault or a rank-deficient
     orthogonalization anywhere in the batch discards the whole batch (its
-    gradients are dropped, never clamped); it is counted and logged. Each
-    batch's pass and step, the epoch's means and validate() run under
-    _quiet_floats. If any batch reached the optimizer, the scheduler then
-    steps on the mean training loss, or on validate() when it monitors
-    val_loss; an epoch that changed no parameter leaves the schedule as it
-    was. The row holds the means of the (loss, *metrics) rows of the graphs
-    whose batch reached the optimizer step, padded with zeros to the run
-    record's four loss columns. The objective fills `columns` of them; in an
-    epoch that committed no batch they are NaN, since a made-up 0.0 would
-    read as a perfect fit.
+    gradients are dropped, never clamped); it is counted and logged. If any
+    batch reached the optimizer, the scheduler then steps on the mean
+    training loss, or on validate() when it monitors val_loss; an epoch that
+    changed no parameter leaves the schedule as it was. All of an epoch but
+    its yield runs under one autodiff.quiet_floats. The row holds the means
+    of the (loss, *metrics) rows of the graphs whose batch reached the
+    optimizer step, padded with zeros to the run record's four loss
+    columns. The objective fills `columns` of them; in an epoch that
+    committed no batch they are NaN, since a made-up 0.0 would read as a
+    perfect fit.
     """
     while state.epoch < epochs:
         started = time.perf_counter()
         order = state.rng.permutation(len(examples))
         rows = []
-        for batch in _batches([examples[i] for i in order], cfg.batch_size):
-            with _quiet_floats():
+        with ad.quiet_floats():
+            for batch in _batches([examples[i] for i in order], cfg.batch_size):
                 try:
                     loss, metrics = batch_losses(batch)
                     loss.backward(np.ones(loss.shape))
@@ -512,20 +503,16 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
                     log.warning("skipped batch at epoch %d: %s", state.epoch, exc)
                     continue
                 state.optimizer.step(grad_scale=1.0 / len(batch))
-            state.optimizer.zero_grad()
-            rows.append(np.column_stack((loss.values, *metrics)))
-            del loss  # free this batch's tape before the next batch records its own
-        with _quiet_floats():  # finite losses can sum past the largest float
+                state.optimizer.zero_grad()
+                rows.append(np.column_stack((loss.values, *metrics)))
+                del loss  # free this batch's tape before the next batch records its own
+            # finite losses can sum past the largest float
             means = ([float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows
                      else [math.nan] * columns)
-        means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
-        if state.scheduler is not None and rows:
-            if cfg.scheduler.monitored == "val_loss":
-                with _quiet_floats():
-                    monitored = validate()
-            else:
-                monitored = means[0]
-            state.scheduler.step(float(monitored))
+            means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
+            if state.scheduler is not None and rows:
+                monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
+                state.scheduler.step(float(monitored))
         state.epoch += 1
         yield EpochRow(state.epoch - 1, *means, state.optimizer.lr,
                        time.perf_counter() - started)
@@ -690,8 +677,8 @@ def comparison_to_csv(rows: list[ComparisonRow]) -> str:
 
 
 def _random_orthonormal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, k)))
-    return q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]
+    with ad.no_grad():
+        return ad.thin_qr(rng.standard_normal((n, k)), 0.0)
 
 
 def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
@@ -744,7 +731,8 @@ def _train_arm(arm: str, examples: list[TrainingExample], cfg: PretrainConfig, d
 
     rows = []
     for row in _epochs(examples, cfg, state, cfg.epochs, batch_losses, None):
-        _, energy, eigvec, _ = _evaluate_spectral(model, batches, targets, cfg.loss_weights)
+        with naming(f"{arm} arm, epoch {row.epoch}", (NumericalFault, RankDeficient)):
+            _, energy, eigvec, _ = _evaluate_spectral(model, batches, targets, cfg.loss_weights)
         rows.append(ComparisonRow(arm, row.epoch, eigvec, energy))
     return rows
 

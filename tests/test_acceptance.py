@@ -238,11 +238,12 @@ def test_criterion_05_gradient_correctness():
 
 def test_every_tape_op_has_a_criterion_05_gradient_check(monkeypatch):
     # every public op of autodiff that builds a Tensor (all but the leaf
-    # constructors and no_grad) must be applied by an entry of criterion 5's
-    # primitive list that names it, so a new op cannot land unchecked
+    # constructors, no_grad and the float policy quiet_floats) must be applied
+    # by an entry of criterion 5's primitive list that names it, so a new op
+    # cannot land unchecked
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-           and not name.startswith("_")} - {"constant", "parameter", "no_grad"}
+           and not name.startswith("_")} - {"constant", "parameter", "no_grad", "quiet_floats"}
     applied = []
 
     def spy(name, fn):

@@ -931,14 +931,13 @@ FLOAT_FIELDS = [("lr",), ("dropout",), ("scheduler", "factor"), ("loss_weights",
                 ("loss_weights", "beta_eigvec"), ("loss_weights", "gamma_ortho")]
 FLOATS = st.sampled_from([1e308, 5e-324, 1 - 2 ** -53, -0.0, 0.0, 1.0, -1.0, 1e-300]) \
     | st.floats(-2.0, 2.0)
+FLOAT_CHOICES = st.builds(SimpleNamespace, node_wise=st.booleans(),
+                          field=st.sampled_from(FLOAT_FIELDS), value=FLOATS)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(choice=st.builds(SimpleNamespace, node_wise=st.booleans(),
-                        field=st.sampled_from(FLOAT_FIELDS), value=FLOATS))
-def test_one_float_field_mutated_exits_0_only_when_the_last_epoch_trained(inputs, tmp_path,
-                                                                          capsys, choice):
+def _float_mutated(inputs, tmp_path, choice) -> Path:
+    """A fresh directory holding bad.json: the inputs' config with the chosen
+    float field set to the chosen value (and a node-wise head, if chosen)."""
     blob = json.loads(inputs.texts["config"])
     if choice.node_wise:
         blob["head_kind"] = "node_wise"
@@ -948,16 +947,59 @@ def test_one_float_field_mutated_exits_0_only_when_the_last_epoch_trained(inputs
         target = target.setdefault(key, {})
     target[name] = choice.value
     work = Path(tempfile.mkdtemp(dir=tmp_path))
-    bad, out = work / "bad.json", work / "record.csv"
-    bad.write_text(json.dumps(blob))
+    (work / "bad.json").write_text(json.dumps(blob))
+    return work
+
+
+def _exits_in_one_line(capsys, argv: list, outputs: list) -> int:
+    """main's exit code for argv, after checking that it is 0 or 1, that it
+    printed one line to stderr on exit 1 and none on exit 0, with no
+    traceback, and that exit 1 left none of outputs behind."""
     capsys.readouterr()
-    code = main(["--quiet", "pretrain", "--input", str(inputs.paths["data"]), "--output", str(out),
-                 "--config", str(bad)])
+    code = main(["--quiet", *argv])
     err = capsys.readouterr().err.strip()
     assert code in (0, 1) and "Traceback" not in err
-    assert len(err.splitlines()) == (code == 1)
-    if code == 0:  # exit 0: the last epoch committed a batch, so its loss is no NaN
+    assert len(err.splitlines()) == (code == 1), err
+    assert code == 0 or not [path for path in outputs if path.exists()]
+    return code
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(choice=FLOAT_CHOICES)
+def test_one_float_field_mutated_exits_0_only_when_the_last_epoch_trained(inputs, tmp_path,
+                                                                          capsys, choice):
+    work = _float_mutated(inputs, tmp_path, choice)
+    bad, out = work / "bad.json", work / "record.csv"
+    argv = ["pretrain", "--input", str(inputs.paths["data"]), "--output", str(out),
+            "--config", str(bad)]
+    if _exits_in_one_line(capsys, argv, [out]) == 0:
+        # the last epoch committed a batch, so its loss is no NaN
         last = out.read_text().splitlines()[-1].split(",")
         assert not math.isnan(float(last[1]))
-    else:
-        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare-losses", "finetune"])
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(choice=FLOAT_CHOICES)
+def test_one_float_field_mutated_fails_compare_losses_and_finetune_in_one_line(
+        inputs, tmp_path, capsys, command, choice):
+    # a fault in an evaluation run outside the epoch loop (compare-losses'
+    # per-epoch one, finetune's held-out one) is one line, with no numpy
+    # warning before it, and finetune writes nothing before it has evaluated
+    work = _float_mutated(inputs, tmp_path, choice)
+    bad, out, checkpoint = work / "bad.json", work / "out", work / "out.ckpt"
+    data = str(inputs.paths["data"])
+    if command == "compare-losses":
+        _exits_in_one_line(capsys, ["compare-losses", "--input", data, "--output", str(out),
+                                    "--config", str(bad)], [out])
+        return
+    # finetune starts from a checkpoint whose config holds the mutated value
+    pretrained = work / "pre.ckpt"
+    if _exits_in_one_line(capsys, ["pretrain", "--input", data, "--output", str(work / "pre.csv"),
+                                   "--config", str(bad), "--epochs", "0",
+                                   "--checkpoint-out", str(pretrained)], [pretrained]) == 0:
+        _exits_in_one_line(capsys, ["finetune", "--input", data, "--output", str(out),
+                                    "--epochs", "1", "--checkpoint", str(pretrained),
+                                    "--checkpoint-out", str(checkpoint)], [out, checkpoint])

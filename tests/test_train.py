@@ -490,6 +490,15 @@ def test_the_pool_opens_once_before_the_first_chunk_and_closes_before_precompute
         # a worker hands back the lowest k eigenpairs alone, no full spectrum
         lambda_k, psi_k = future.result()
         assert lambda_k.shape == (1, 6) and psi_k.shape == (1, 100, 6)
+    # a chunk is worth a thread by its plan: 32 graphs of 16 nodes are half of
+    # STACK_VALUES, and the one dropped for its isolated node leaves
+    # 31 x 256 < 8192 values, solved on the worker started for the chunk still
+    events.clear()
+    graphs = [generate_graph("erdos_renyi", {"n": 16, "p": 0.5}, seed=i) for i in range(32)]
+    graphs[5] = Graph(16, tuple(e for e in graphs[5].edges if 15 not in e))
+    assert len(tr.precompute_targets(graphs, tr.config_from_dict({}))) == 31
+    assert [e[1] if e[0] in ("features", "pool") else e[0] for e in events] == [
+        1, (31, 16, 16), "submit", "shutdown"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1404,6 +1413,16 @@ def test_only_worker_threads_starts_threads():
                 if names & starters:
                     found.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
     assert found == {"optim.py:worker_threads"}
+
+
+def test_the_float_policy_is_entered_once_per_epoch_and_once_per_command():
+    # overflow reaches the ops' finite checks as NumericalFault in two
+    # scopes only; the other errstate blocks ignore the invalid operations
+    # by which the eigensolver and the wavelet bank detect NaN
+    package = Path(__file__).parent.parent / "src" / "eigenlearn"
+    assert callers(package, "quiet_floats") == ["cli.py:main", "train.py:_epochs"]
+    assert callers(package, "errstate") == ["autodiff.py:quiet_floats", "eigen.py:eigendecompose",
+                                            "wavelets.py:build_wavelet_bank"]
 
 
 def test_only_the_model_builders_lay_parameters_out():
