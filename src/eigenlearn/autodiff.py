@@ -39,11 +39,11 @@ parent, so a tape holds Tensors only. Whether ops record is kept per
 thread: a no_grad block in one thread leaves other threads' ops recording.
 
 `dense` forms its two products, x @ w forward and g @ w^T backward, as one
-matmul each, but for a weight of at least SPLIT_VALUES values while the
-OpenBLAS bundled with numpy runs at one thread. Then each is formed in two
-column blocks, the left one on the calling thread and the right one
-submitted to optim.worker_threads (a worker where a second CPU is usable,
-else the calling thread), with the bits of the one matmul (_product).
+matmul each, but for a weight of at least SPLIT_VALUES values. Then each is
+formed in two column blocks, the left one on the calling thread and the
+right one submitted to optim.worker_threads (a worker where a second CPU is
+usable, else the calling thread), with the bits of the one matmul at one
+BLAS thread (_product).
 """
 
 import contextlib
@@ -349,8 +349,8 @@ def mul(a: Value, b: Value) -> Value:
 
 
 # A weight of at least this many values has dense's two products, x @ w and
-# g @ w^T, formed in two column blocks on two threads when BLAS runs on one
-# thread (_product). Measured at one BLAS thread on 2 CPUs: a 2048 x 1024
+# g @ w^T, formed in two column blocks, on two threads where two CPUs are
+# usable (_product). Measured at one BLAS thread on 2 CPUs: a 2048 x 1024
 # weight, the smallest split, broke even at one row (0.52 ms) and gained from
 # 4 rows up (forward 1.66 -> 1.11 ms); 2400 x 2400 went from 1.8 to 1.0 ms at
 # one row and from 4.0 to 2.4 ms at 4; a head_hidden_dim 600 layer (2400 x
@@ -370,22 +370,20 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b: dense's x @ w, b the weight, or g @ w^T, b its transpose.
 
     When b has at least SPLIT_VALUES values (dense tests that first, so
-    that a desk-scale product makes no call) and 2 * SPLIT_ALIGN columns and
-    the OpenBLAS bundled with numpy runs at one thread
-    (optim.blas_on_one_thread), the result is formed in two column blocks,
-    cut at the multiple of SPLIT_ALIGN at or below the middle. Each is one
-    matmul into its view of the one result: the left one on this thread,
-    the right one submitted to optim.worker_threads, which forms it on a
-    worker, or on this thread where one CPU is usable, and raises its error
-    here. The cut depends on b's shape alone, and each block gives those
-    columns of the whole product bit for bit, so the CPU count changes no
-    bit. Otherwise, and at any other BLAS thread count, where BLAS threads
-    the product itself, it is one matmul."""
+    that a desk-scale product makes no call) and 2 * SPLIT_ALIGN columns,
+    the result is formed in two column blocks, cut at the multiple of
+    SPLIT_ALIGN at or below the middle. Each is one matmul into its view of
+    the one result, under optim.worker_threads' hold of one BLAS thread:
+    the left one on this thread, the right one submitted, which forms it on
+    a worker, or on this thread where one CPU is usable, and raises its
+    error here. The cut depends on b's shape alone, and each block gives
+    those columns of the whole product at one BLAS thread bit for bit, so
+    neither the CPU count nor the BLAS thread count changes a bit. At two
+    BLAS threads the whole product can differ: a probe found products of
+    odd width that did. Otherwise it is one matmul."""
     if b.size < SPLIT_VALUES or b.shape[1] < 2 * SPLIT_ALIGN:
         return a @ b
     from . import optim  # optim imports this module
-    if not optim.blas_on_one_thread():
-        return a @ b
     out = np.empty((a.shape[0], b.shape[1]))
     cut = b.shape[1] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
     with optim.worker_threads(1) as submit:
@@ -413,9 +411,9 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
     dx = g @ w^T on.
 
     x @ w and g @ w^T are each one matmul, but for a weight of at least
-    SPLIT_VALUES values at one BLAS thread, where each is formed in two
-    column blocks, on two threads where two CPUs are usable (_product): the
-    same bits, in about two thirds of the time.
+    SPLIT_VALUES values, where each is formed in two column blocks, on two
+    threads where two CPUs are usable (_product): the bits of the whole
+    product at one BLAS thread, in about two thirds of the time.
     """
     xv, wv, bv = _values(x), _values(w), _values(b)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:

@@ -28,7 +28,7 @@ from .errors import (DatasetFormatError, EigenlearnError, InvalidParams, Nothing
 from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, adjacency_fits,
                      build_adjacency, build_laplacian, generate_graph)
 from .invariants import run_all_checks
-from .optim import blas_threads, usable_cpus
+from .optim import blas_threads, one_blas_thread, usable_cpus
 from .wavelets import FeatureConfig, augment_features
 
 log = logging.getLogger("eigenlearn")
@@ -73,7 +73,9 @@ def _blas_build() -> str:
 
 def _log_environment() -> None:
     """One INFO line with what a run's speed and its bits depend on: the
-    numpy version, the BLAS build and thread count, the usable CPUs."""
+    numpy version, the BLAS build, the usable CPUs, and the BLAS thread
+    count, which is the machine's default: every command then holds it at
+    one (main)."""
     if log.isEnabledFor(logging.INFO):
         threads = blas_threads()
         log.info("numpy %s, BLAS %s, BLAS threads %s, usable CPUs %d", np.__version__,
@@ -158,11 +160,6 @@ def cmd_pretrain(args) -> int:
             if name != "epochs" and value != getattr(base, name):
                 raise InvalidParams(f"--{name} {value} cannot change the checkpoint's "
                                     f"{name}={getattr(base, name)} on --resume")
-        now = blas_threads()
-        if state.blas_threads is not None and state.blas_threads != now:
-            log.warning("%s was saved at %d BLAS threads and this run has %s: the continuation "
-                        "will not match an uninterrupted run bit for bit", args.resume,
-                        state.blas_threads, "an unknown count" if now is None else now)
     else:
         model = state = None
         base = _config(tr.PretrainConfig, args.config)
@@ -333,7 +330,9 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     _log_environment()
     try:
-        with quiet_floats():  # a float fault reaches the finite checks, not a warning
+        # a float fault reaches the finite checks, not a warning; BLAS runs on
+        # one thread, so no bit depends on the machine's BLAS threading
+        with quiet_floats(), one_blas_thread():
             return args.func(args)
     except (FileNotFoundError, EigenlearnError) as exc:
         print(f"error: {exc}", file=sys.stderr)

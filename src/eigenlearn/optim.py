@@ -25,8 +25,7 @@ threads that compute at once, so at most one worker per usable CPU but one
 starts, and the OpenBLAS bundled with numpy is held at one thread while
 they run, so that they and BLAS's own threads do not compete for the same
 CPUs. Adam.step, train.precompute_targets and, for a weight of at least
-autodiff.SPLIT_VALUES values when BLAS already runs at one thread,
-autodiff.dense's two products use it.
+autodiff.SPLIT_VALUES values, autodiff.dense's two products use it.
 """
 
 import contextlib
@@ -74,13 +73,6 @@ def blas_threads() -> int | None:
     """The bundled OpenBLAS's thread count now, or None where it cannot be read."""
     blas = _openblas()
     return None if blas is None else blas[0]()
-
-
-def blas_on_one_thread() -> bool:
-    """Whether the bundled OpenBLAS runs at one thread: its count reads 1,
-    or, where it cannot be read, the thread variables say 1."""
-    threads = blas_threads()
-    return _one_blas_thread_by_env() if threads is None else threads == 1
 
 
 # The environment variables that set the thread count of a BLAS library.

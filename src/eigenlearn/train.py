@@ -52,7 +52,7 @@ from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
                  combined_loss_t, mae_loss_t, orthonormalize)
-from .optim import Adam, ReduceLROnPlateau, blas_threads, worker_threads
+from .optim import Adam, ReduceLROnPlateau, one_blas_thread, worker_threads
 from .wavelets import FeatureConfig, structural_embeddings, with_original_features
 
 log = logging.getLogger("eigenlearn.train")
@@ -410,18 +410,13 @@ def build_downstream_head(cfg: PretrainConfig, draw: bool = True) -> Mlp:
 
 @dataclass
 class TrainState:
-    """Everything that must survive a checkpoint to resume bit-for-bit, and
-    blas_threads: the BLAS thread count (optim.blas_threads) of the run that
-    saved the checkpoint this state was loaded from, None where that count
-    was unknown or the file does not record it. Runs are bit-identical only
-    at one BLAS thread count, so a resumed run compares it with its own."""
+    """Everything that must survive a checkpoint to resume bit-for-bit."""
 
     optimizer: Adam
     scheduler: ReduceLROnPlateau | None
     rng: np.random.Generator
     epoch: int = 0
     skipped_batches: int = 0
-    blas_threads: int | None = None
 
 
 def _fresh_state(model: EigenModel, cfg: PretrainConfig,
@@ -569,6 +564,10 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     scheduler monitoring val_loss steps on evaluate_pretrain_loss's figure
     for val_examples, which it then requires; their batches and padded
     targets are built once per call, not once per epoch.
+
+    The epochs run under optim.one_blas_thread, so the run's bits do not
+    depend on the BLAS thread count. The hold is process-wide: BLAS work
+    that the caller runs in another thread meanwhile runs on one thread too.
     """
     _require_examples(examples, "pretrain")
     _check_monitor(cfg, val_examples)
@@ -582,9 +581,10 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
             q, targets.laplacian, targets.lambda_k, cfg.loss_weights, terms=True)
         return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
-    rows = list(_epochs(examples, cfg, state, cfg.epochs, batch_losses,
-                        lambda: _evaluate_spectral(model, *val, cfg.loss_weights)[0],
-                        columns=4))
+    with one_blas_thread():
+        rows = list(_epochs(examples, cfg, state, cfg.epochs, batch_losses,
+                            lambda: _evaluate_spectral(model, *val, cfg.loss_weights)[0],
+                            columns=4))
     return RunRecord(rows, state.skipped_batches), state
 
 
@@ -633,7 +633,8 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     weights update); with cfg.keep_pretrain_head the spectral objective keeps
     training alongside the regression loss through the retained head, on the
     same encoder pass. A scheduler monitoring val_loss evaluates the MAE on
-    val_examples, which it then requires.
+    val_examples, which it then requires. The epochs run under
+    optim.one_blas_thread, a process-wide hold, as in pretrain.
     """
     _require_examples(examples, "finetune")
     _check_monitor(cfg, val_examples)
@@ -656,8 +657,9 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
                                                 cfg.loss_weights))
         return loss, ()
 
-    rows = list(_epochs(examples, cfg, state, cfg.finetune_epochs, batch_losses,
-                        lambda: evaluate_mae(model, head, val_examples, cfg, target_name)))
+    with one_blas_thread():
+        rows = list(_epochs(examples, cfg, state, cfg.finetune_epochs, batch_losses,
+                            lambda: evaluate_mae(model, head, val_examples, cfg, target_name)))
     return RunRecord(rows, state.skipped_batches), state
 
 
@@ -689,7 +691,9 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
     fixed batches.
 
     A trained arm's schedule steps once per epoch on its mean training loss;
-    there is no validation split, so a val_loss schedule is rejected.
+    there is no validation split, so a val_loss schedule is rejected. The
+    arms, their evaluations included, run under optim.one_blas_thread, a
+    process-wide hold, as in pretrain.
     """
     _require_examples(examples, "compare_losses")
     unknown = set(arms) - set(COMPARISON_ARMS)
@@ -700,17 +704,19 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
     _check_fits("model", model_size(cfg, d_in), cfg)  # before the batches are padded
     batches, targets = _fixed_batches(examples, cfg)
     results: dict[str, list[ComparisonRow]] = {}
-    for arm in arms:
-        if arm == ARM_RANDOM:
-            outputs = [_random_orthonormal(ex.graph.num_nodes, cfg.k,
-                                           np.random.default_rng([cfg.seed, 2, i]))
-                       for i, ex in enumerate(examples)]
-            stacks = [pad_stack(batch, (cfg.max_nodes, cfg.k))
-                      for batch in _batches(outputs, cfg.batch_size)]
-            _, energy, eigvec, _ = _spectral_means(stacks, targets, cfg.loss_weights)
-            results[arm] = [ComparisonRow(arm, epoch, eigvec, energy) for epoch in range(cfg.epochs)]
-        else:
-            results[arm] = _train_arm(arm, examples, cfg, d_in, batches, targets)
+    with one_blas_thread():
+        for arm in arms:
+            if arm == ARM_RANDOM:
+                outputs = [_random_orthonormal(ex.graph.num_nodes, cfg.k,
+                                               np.random.default_rng([cfg.seed, 2, i]))
+                           for i, ex in enumerate(examples)]
+                stacks = [pad_stack(batch, (cfg.max_nodes, cfg.k))
+                          for batch in _batches(outputs, cfg.batch_size)]
+                _, energy, eigvec, _ = _spectral_means(stacks, targets, cfg.loss_weights)
+                results[arm] = [ComparisonRow(arm, epoch, eigvec, energy)
+                                for epoch in range(cfg.epochs)]
+            else:
+                results[arm] = _train_arm(arm, examples, cfg, d_in, batches, targets)
     return results
 
 
@@ -769,7 +775,8 @@ _ADAM = {"lr": NON_NEGATIVE, "beta1": FINITE, "beta2": FINITE, "eps": FINITE,
                    lambda v: 0 <= v <= sys.float_info.max)}
 _PLATEAU = {"patience": POSITIVE_INT, "factor": FINITE, "threshold": FINITE,
             "best": FINITE_OR_NULL, "num_bad": NON_NEGATIVE_INT}
-# blas_threads came after the first version-3 files, so a file may lack it.
+# Version-3 files saved before every run computed at one BLAS thread carry
+# blas_threads, the count they were saved at: still checked, then ignored.
 _CHECKPOINT = {
     "format": one_of(CHECKPOINT_FORMAT), "version": POSITIVE_INT,
     "kind": one_of("pretrain", "finetune"), "config": OBJECT, "d_in": POSITIVE_INT,
@@ -798,10 +805,9 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
                     extra: dict | None = None) -> None:
     """Write the run as one JSON header line, then the raw bytes of the arrays
     its `arrays` field lists (see the README's Checkpoint section), each
-    written from its place in its buffer. The header records the BLAS thread
-    count the run saves at (optim.blas_threads, null where unknown). d_in must
-    be the model's input width (model.encoder.in_dim); any other is refused
-    before anything is written."""
+    written from its place in its buffer. d_in must be the model's input
+    width (model.encoder.in_dim); any other is refused before anything is
+    written."""
     if d_in != model.encoder.in_dim:
         raise InvalidParams(f"{path}: d_in {d_in} is not the model's input width "
                             f"{model.encoder.in_dim}")
@@ -815,7 +821,6 @@ def save_checkpoint(path: str, model: EigenModel, cfg: PretrainConfig,
         "d_in": d_in,
         "epoch": state.epoch,
         "skipped_batches": state.skipped_batches,
-        "blas_threads": blas_threads(),
         "optimizer": {name: getattr(opt, name) for name in _ADAM},
         "scheduler": {name: getattr(scheduler, name) for name in _PLATEAU} if scheduler else None,
         "rng_state": state.rng.bit_generator.state,
@@ -867,5 +872,4 @@ def _restore(path: str, blob) -> tuple:
         raise InvalidParams(f"{path}: the checkpoint's rng_state is not a "
                             f"{type(state.rng.bit_generator).__name__} state ({exc!r})") from None
     state.epoch, state.skipped_batches = blob["epoch"], blob["skipped_batches"]
-    state.blas_threads = blob.get("blas_threads")
     return (model, cfg, state, blob["d_in"], head, blob["extra"]), list(arrays.values())

@@ -599,21 +599,37 @@ def test_dense_gives_the_same_bytes_on_one_and_on_two_cpus(monkeypatch, one_blas
     assert runs[0] == runs[1]
 
 
-def test_dense_starts_no_thread_at_two_blas_threads(monkeypatch):
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("shape", WIDE, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_dense_splits_at_two_blas_threads_and_gives_the_one_thread_bytes(monkeypatch, shape,
+                                                                         rows):
     blas = optim._openblas()
     if blas is None:
         pytest.skip("the BLAS thread count of this numpy cannot be set")
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
-    refuse_pools(monkeypatch)
     rng = np.random.default_rng(6)
-    x, w = ad.parameter(rng.standard_normal((4, 2048))), ad.parameter(rng.standard_normal((2048, 1024)))
+    arrays = [rng.standard_normal((rows, shape[0])), rng.standard_normal(shape)]
+    seed_grad = rng.standard_normal((rows, shape[1]))
+
+    def run():
+        x, w = (ad.parameter(a.copy()) for a in arrays)
+        out = ad.dense(x, w, ad.constant(np.zeros(shape[1])))
+        out.backward(seed_grad)
+        return [a.tobytes() for a in (out.values, x.grad, w.grad)]
+
+    with optim.one_blas_thread():
+        whole = [(arrays[0] @ arrays[1]).tobytes(), (seed_grad @ arrays[1].T).tobytes()]
+        at_one = run()
+    built = pools_built(monkeypatch)
     found = optim.blas_threads()
     blas[1](2)
     try:
-        ad.dense(x, w, ad.constant(np.zeros(1024))).backward(np.ones((4, 1024)))
+        at_two = run()
+        assert optim.blas_threads() == 2
     finally:
         blas[1](found)
-    assert x.grad.shape == (4, 2048)
+    assert built == [1, 1]
+    assert at_two == at_one and at_one[:2] == whole
 
 
 def test_dense_starts_no_thread_below_the_threshold(monkeypatch, one_blas_thread):

@@ -18,7 +18,8 @@ from eigenlearn import train as tr
 from eigenlearn.cli import main
 from eigenlearn.data import load_dataset, save_dataset
 from eigenlearn.graphs import generate_graph
-from helpers import UNWRITABLE, as_old_version, edit_header, read_header, unwritable
+from helpers import (UNWRITABLE, as_old_version, edit_header, random_graph_soup, read_header,
+                     unwritable)
 
 
 def write_dataset(path, graphs):
@@ -307,29 +308,27 @@ def half_run(tmp_path, small_dataset):
     return ckpt, resume
 
 
-def test_a_checkpoint_records_the_blas_thread_count_and_resume_warns_when_it_differs(
-        tmp_path, half_run, caplog):
-    ckpt, resume = half_run
-    now = optim.blas_threads()
-    assert read_header(ckpt)["blas_threads"] == now
-    assert resume(ckpt, caplog) == (0, [])
-    other = tmp_path / "other.ckpt"
-    other.write_bytes(edit_header(ckpt.read_bytes(),
-                                  lambda header: header.update(blas_threads=(now or 1) + 3)))
-    code, warnings = resume(other, caplog)
-    assert code == 0 and len(warnings) == 1 and "\n" not in warnings[0]
-    assert warnings[0] == (f"{other} was saved at {(now or 1) + 3} BLAS threads and this run "
-                           f"has {'an unknown count' if now is None else now}: the continuation "
-                           "will not match an uninterrupted run bit for bit")
-
-
 def test_a_checkpoint_without_the_blas_thread_count_resumes_without_a_warning(
         tmp_path, half_run, caplog):
     ckpt, resume = half_run
-    older = tmp_path / "older.ckpt"
-    older.write_bytes(edit_header(ckpt.read_bytes(), lambda header: header.pop("blas_threads")))
-    assert resume(older, caplog) == (0, [])
+    assert "blas_threads" not in read_header(ckpt)  # a new file is such a file
+    assert resume(ckpt, caplog) == (0, [])
     assert (tmp_path / "second.csv").exists()
+
+
+@pytest.mark.parametrize("value", [None, 1, 2, 64])
+def test_a_checkpoint_with_any_valid_blas_thread_count_resumes_as_without_it(
+        tmp_path, half_run, caplog, value):
+    # files saved before every run computed at one BLAS thread carry the
+    # count they were saved at; it is read and ignored
+    ckpt, resume = half_run
+    assert resume(ckpt, caplog) == (0, [])
+    without = strip_seconds((tmp_path / "second.csv").read_text())
+    older = tmp_path / "older.ckpt"
+    older.write_bytes(edit_header(ckpt.read_bytes(),
+                                  lambda header: header.update(blas_threads=value)))
+    assert resume(older, caplog) == (0, [])
+    assert strip_seconds((tmp_path / "second.csv").read_text()) == without
 
 
 @pytest.mark.parametrize("value", [0, -1, 2.0, "2", True])
@@ -463,6 +462,35 @@ def test_each_command_logs_its_environment_in_one_line_unless_quiet(tmp_path):
     assert lines[1] == []
 
 
+def test_pretrain_and_spectrum_give_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # every command computes at one BLAS thread: a head_hidden_dim 600 run,
+    # whose head products BLAS would thread, and spectra of the same graphs
+    # are byte-identical whatever the machine's default BLAS thread count
+    if optim._openblas() is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    src = Path(__file__).parent.parent / "src"
+    data = write_dataset(tmp_path / "graphs.jsonl", random_graph_soup(24, seed=11, n_low=10,
+                                                                       n_high=30))
+    config = small_config(tmp_path, k=3, epochs=2, batch_size=8, max_nodes=30, dropout=0.1,
+                          hidden_dim=60, mp_layers=4, update_layers=3, head_layers=5,
+                          head_hidden_dim=600, lr=0.001, feature_config={})
+    outputs = []
+    for threads in ("1", "2"):
+        run = tmp_path / threads
+        run.mkdir()
+        for argv in (["pretrain", "--input", data, "--config", config, "--output",
+                      str(run / "record.csv"), "--checkpoint-out", str(run / "run.ckpt")],
+                     ["spectrum", "--input", data, "--output", str(run / "spectra.jsonl")]):
+            child = subprocess.run(
+                [sys.executable, "-m", "eigenlearn.cli", "--quiet", *argv],
+                env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+        outputs.append([strip_seconds((run / "record.csv").read_text()),
+                        (run / "run.ckpt").read_bytes(), (run / "spectra.jsonl").read_bytes()])
+    assert len(outputs[0][0]) == 3 and outputs[0] == outputs[1]
+
+
 def test_pretrain_resume_rejects_a_finetune_checkpoint(tmp_path, capsys, pre_and_ft_checkpoints):
     data, _, ft = pre_and_ft_checkpoints
     capsys.readouterr()
@@ -557,6 +585,15 @@ def test_check_invariants_passes_and_writes_summary(tmp_path, capsys):
 # --- every file a subcommand reads fails in one line ---------------------------
 
 
+class Inputs(SimpleNamespace):
+    """The inputs fixture, whose repr leaves out the files' texts: Hypothesis
+    reprs the arguments of a failing example, and a checkpoint's bytes made
+    that repr too large to report."""
+
+    def __repr__(self) -> str:
+        return f"Inputs(paths={self.paths!r})"
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Valid input files of every role, written once: a dataset with targets
@@ -575,10 +612,10 @@ def inputs(tmp_path_factory):
                  "--config", config, "--checkpoint-out", str(checkpoint)]) == 0
     files = {"dataset": data, "config": config, "feature config": features,
              "checkpoint": checkpoint}
-    return SimpleNamespace(paths={"data": data, "one_graph": one_graph, "config": config,
-                                  "checkpoint": checkpoint},
-                           texts={role: Path(path).read_bytes() if role == "checkpoint"
-                                  else Path(path).read_text() for role, path in files.items()})
+    return Inputs(paths={"data": data, "one_graph": one_graph, "config": config,
+                         "checkpoint": checkpoint},
+                  texts={role: Path(path).read_bytes() if role == "checkpoint"
+                         else Path(path).read_text() for role, path in files.items()})
 
 
 # (the role of the file {bad}, the arguments): each subcommand with each file it reads

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from eigenlearn import autodiff as ad
-from eigenlearn import nn, optim
+from eigenlearn import cli, nn, optim
 from eigenlearn import train as tr
-from eigenlearn.errors import ShapeMismatch
+from eigenlearn.data import save_dataset
+from eigenlearn.errors import NumericalFault, ShapeMismatch
 from eigenlearn.optim import THREAD_VARS, Adam, ReduceLROnPlateau
+from helpers import random_graph_soup
 
 
 def make_param(values):
@@ -665,6 +667,48 @@ def test_holds_overlapping_in_many_threads_keep_one_blas_thread_and_restore_the_
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert seen == {1} and optim._hold["open"] == 0 and optim.blas_threads() == 2
+
+
+def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_count(
+        monkeypatch, tmp_path, blas_at_two):
+    # a CLI command that exits 0 and one that exits 1, then a library
+    # pretrain that raises in its second batch: each computes at one BLAS
+    # thread and leaves the count it found
+    dataset = tmp_path / "graphs.jsonl"
+    graphs = random_graph_soup(6, seed=4, n_low=5, n_high=9)
+    save_dataset(str(dataset), graphs)
+    inside, decompose = [], cli.eigendecompose
+
+    def spectrum_with(fail):
+        def eigendecompose(laplacian):
+            inside.append(optim.blas_threads())
+            if fail:
+                raise NumericalFault("a command that fails")
+            return decompose(laplacian)
+        monkeypatch.setattr(cli, "eigendecompose", eigendecompose)
+        return cli.main(["--quiet", "spectrum", "--input", str(dataset),
+                         "--output", str(tmp_path / "spectra.jsonl")])
+
+    assert spectrum_with(fail=False) == 0 and optim.blas_threads() == 2
+    assert spectrum_with(fail=True) == 1 and optim.blas_threads() == 2
+    assert inside == [1] * len(graphs) + [1]
+    cfg = tr.config_from_dict({"k": 2, "hidden_dim": 4, "head_hidden_dim": 8, "max_nodes": 9,
+                               "batch_size": 2, "epochs": 2, "scheduler": {"kind": "none"}})
+    examples = tr.precompute_targets(graphs, cfg)
+    assert optim.blas_threads() == 2
+    inside.clear()
+    loss = tr.combined_loss_t
+
+    def fail_in_the_second_batch(*args, **kwargs):
+        inside.append(optim.blas_threads())
+        if len(inside) == 2:
+            raise MemoryError("mid-run")
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "combined_loss_t", fail_in_the_second_batch)
+    with pytest.raises(MemoryError, match="mid-run"):
+        tr.pretrain(examples, tr.build_model(cfg, tr.feature_dim(examples)), cfg)
+    assert inside == [1, 1] and optim.blas_threads() == 2 and optim._hold["open"] == 0
 
 
 def test_a_step_that_fails_in_a_thread_restores_the_blas_thread_count(monkeypatch, blas_at_two):

@@ -557,10 +557,11 @@ def test_a_non_finite_laplacian_is_refused_alike_inline_and_from_a_worker(monkey
 
 # One interpreter's digests (SHA-256) of precompute_targets over threads_mix
 # and of one Adam step on two threads, given the same factor terms, of a
-# 2.7M-value model; first the BLAS thread count it started with. It also
-# asserts that a dense pass through a weight of autodiff.SPLIT_VALUES values
-# gives the same bytes on two usable CPUs as on one, and starts a worker only
-# at one BLAS thread. Run as python -c CHILD <src dir> <tests dir>.
+# 2.7M-value model, and of a dense pass through a weight of
+# autodiff.SPLIT_VALUES values; first the BLAS thread count it started with.
+# It also asserts that the dense pass starts a worker for each of its two
+# products at any BLAS thread count, with the same bytes on two usable CPUs
+# as on one. Run as python -c CHILD <src dir> <tests dir>.
 CHILD = """
 import hashlib, sys, threading
 sys.path[:0] = sys.argv[1:3]
@@ -592,9 +593,8 @@ digest = hashlib.sha256()
 for p in params.values():
     digest.update(p.values.tobytes())
 print(digest.hexdigest())
-# a dense pass through a weight of autodiff.SPLIT_VALUES values: at one BLAS
-# thread split over two threads, with the bits of the pass on one CPU; at two,
-# one matmul on no thread
+# a dense pass through a weight of autodiff.SPLIT_VALUES values: split over
+# two threads, with the bits of the pass on one CPU
 import concurrent.futures
 from eigenlearn import autodiff as ad
 rng = np.random.default_rng(1)
@@ -615,7 +615,8 @@ concurrent.futures.ThreadPoolExecutor = Pool
 split = dense_digest().digest()
 optim.usable_cpus = lambda: 1
 assert dense_digest().digest() == split
-assert built == ([1, 1] if optim.blas_threads() == 1 else []), built
+assert built == [1, 1], built
+print(split.hex())
 """
 
 
@@ -632,7 +633,7 @@ def test_precompute_and_a_threaded_step_give_the_same_bytes_at_one_and_two_blas_
         outputs.append(child.stdout.split())
     if (os.cpu_count() or 1) > 1:  # OpenBLAS starts no more threads than CPUs
         assert [out[0] for out in outputs] == ["1", "2"]
-    assert len(outputs[0]) == 3 and outputs[0][1:] == outputs[1][1:]
+    assert len(outputs[0]) == 4 and outputs[0][1:] == outputs[1][1:]
 
 
 def test_precompute_empty_after_filter():
