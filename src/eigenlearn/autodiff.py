@@ -24,29 +24,29 @@ optim.Adam forms each block inside its update, so a training step writes no
 array the size of a weight for its gradient.
 
 Every forward op checks each array it computes for NaN/Inf, once, and raises
-NumericalFault rather than letting a poisoned value propagate: `add`, `mul`,
-`gin_aggregate`, `thin_qr` (its Q) and `scalar_with_grad` their output,
-`dense` its pre-activation, which ReLU would clean, and, when it drops out,
-its scaled output. `reshape` computes nothing, its result being a view of its
-input's values, so it checks nothing; the next op that reads the view checks
-it. Inside `with no_grad():` an op returns the bare np.ndarray it computed
-right after that check, building no Tensor, parent tuple or backward closure,
-so an evaluation pass builds no graph and pays for none. Every op takes a
-bare float64 array wherever it takes a constant Tensor (the previous op's
-result inside no_grad, a mask, an input batch) and gives the same bits as
-for `constant` of it; while recording, it wraps such an array as a constant
-parent, so a tape holds Tensors only. Whether ops record is kept per
-thread: a no_grad block in one thread leaves other threads' ops recording.
+NumericalFault naming the op ("dense produced non-finite values") rather than
+letting a poisoned value propagate: `add`, `mul`, `gin_aggregate`, `thin_qr`
+(its Q) and `scalar_with_grad` their output, `dense` its pre-activation,
+which ReLU would clean, and, when it drops out, its scaled output. `reshape`
+computes nothing, its result being a view of its input's values, so it checks
+nothing; the next op that reads the view checks it. Inside `with no_grad():`
+an op returns the bare np.ndarray it computed right after that check,
+building no Tensor, parent tuple or backward closure, so an evaluation pass
+builds no graph and pays for none. Every op takes a bare float64 array
+wherever it takes a constant Tensor (the previous op's result inside no_grad,
+a mask, an input batch) and gives the same bits as for `constant` of it;
+while recording, it wraps such an array as a constant parent, so a tape holds
+Tensors only. Whether ops record is kept per thread: a no_grad block in one
+thread leaves other threads' ops recording.
 
 `dense` forms its two products, x @ w forward and g @ w^T backward, as one
 matmul each, but for a weight of at least SPLIT_VALUES values. Then each is
 formed in two column blocks, the left one on the calling thread and the
-right one submitted to optim.worker_threads (a worker where a second CPU is
-usable, else the calling thread), with the bits of the one matmul at one
-BLAS thread (_product).
+right one submitted to optim.worker_threads (its scope's worker where a
+second CPU is usable, else the calling thread), with the bits of the one
+matmul at one BLAS thread (_product).
 """
 
-import contextlib
 import threading
 
 import numpy as np
@@ -106,18 +106,15 @@ class Tensor:
     @property
     def grad(self) -> np.ndarray | None:
         """The gradient accumulated so far, or None; reading it forms the sum
-        of several terms, or a product, into one array, kept as the one term.
-        Products are formed at one BLAS thread (optim.one_blas_thread)."""
+        of several terms, or a product, into one array, kept as the one term,
+        inside optim.worker_threads: at one BLAS thread, as Adam forms it."""
         terms = self._terms
         if not terms:
             return None
         if len(terms) > 1 or type(terms[0]) is tuple:
+            from .optim import worker_threads  # optim imports this module
             grad = np.empty(self.shape)
-            hold = contextlib.nullcontext()
-            if any(type(term) is tuple for term in terms):
-                from .optim import one_blas_thread  # optim imports this module
-                hold = one_blas_thread()  # products at one BLAS thread, as Adam's step forms them
-            with hold:
+            with worker_threads():
                 for lo, hi in self.grad_blocks():
                     self.form_grad(lo, hi, grad.reshape(-1)[lo:hi])
             self._terms = terms = [grad]
@@ -256,11 +253,11 @@ class no_grad:
             _quiet_threads[thread] = depth
 
 
-def _check_finite(values: np.ndarray) -> None:
+def _check_finite(values: np.ndarray, op: str) -> None:
     # An exact test that raises no warning; a sum would overflow on finite
     # values near the float64 limit.
     if not np.logical_and.reduce(np.isfinite(values), axis=None):
-        raise NumericalFault("op produced non-finite values")
+        raise NumericalFault(f"{op} produced non-finite values")
 
 
 def quiet_floats():
@@ -314,7 +311,7 @@ def add(a: Value, b: Value) -> Value:
         values = av + bv
     except ValueError as exc:
         raise ShapeMismatch(f"add: cannot broadcast {av.shape} with {bv.shape}") from exc
-    _check_finite(values)
+    _check_finite(values, "add")
     if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     a, b = _tensor(a), _tensor(b)
@@ -334,7 +331,7 @@ def mul(a: Value, b: Value) -> Value:
         values = av * bv
     except ValueError as exc:
         raise ShapeMismatch(f"mul: cannot broadcast {av.shape} with {bv.shape}") from exc
-    _check_finite(values)
+    _check_finite(values, "mul")
     if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     a, b = _tensor(a), _tensor(b)
@@ -373,20 +370,20 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     that a desk-scale product makes no call) and 2 * SPLIT_ALIGN columns,
     the result is formed in two column blocks, cut at the multiple of
     SPLIT_ALIGN at or below the middle. Each is one matmul into its view of
-    the one result, under optim.worker_threads' hold of one BLAS thread:
+    the one result, inside optim.worker_threads, so at one BLAS thread:
     the left one on this thread, the right one submitted, which forms it on
-    a worker, or on this thread where one CPU is usable, and raises its
-    error here. The cut depends on b's shape alone, and each block gives
-    those columns of the whole product at one BLAS thread bit for bit, so
-    neither the CPU count nor the BLAS thread count changes a bit. At two
-    BLAS threads the whole product can differ: a probe found products of
-    odd width that did. Otherwise it is one matmul."""
+    the scope's worker, or on this thread where one CPU is usable, and
+    raises its error here. The cut depends on b's shape alone, and each
+    block gives those columns of the whole product at one BLAS thread bit
+    for bit, so neither the CPU count nor the BLAS thread count changes a
+    bit. At two BLAS threads the whole product can differ: a probe found
+    products of odd width that did. Otherwise it is one matmul."""
     if b.size < SPLIT_VALUES or b.shape[1] < 2 * SPLIT_ALIGN:
         return a @ b
     from . import optim  # optim imports this module
     out = np.empty((a.shape[0], b.shape[1]))
     cut = b.shape[1] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
-    with optim.worker_threads(1) as submit:
+    with optim.worker_threads() as submit:
         right = submit(np.matmul, a, b[:, cut:], out=out[:, cut:])
         np.matmul(a, b[:, :cut], out=out[:, :cut])
         right()
@@ -411,9 +408,10 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
     dx = g @ w^T on.
 
     x @ w and g @ w^T are each one matmul, but for a weight of at least
-    SPLIT_VALUES values, where each is formed in two column blocks, on two
-    threads where two CPUs are usable (_product): the bits of the whole
-    product at one BLAS thread, in about two thirds of the time.
+    SPLIT_VALUES values, where each is formed in two column blocks, on this
+    thread and optim.worker_threads' worker where two CPUs are usable
+    (_product): the bits of the whole product at one BLAS thread, in about
+    two thirds of the time.
     """
     xv, wv, bv = _values(x), _values(w), _values(b)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
@@ -425,14 +423,14 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
     # a desk-scale weight pays this one comparison, and no call of _product
     values = xv @ wv if wv.size < SPLIT_VALUES else _product(xv, wv)
     values += bv
-    _check_finite(values)
+    _check_finite(values, "dense")
     if relu:
         np.maximum(values, 0.0, out=values)
     factor = None
     if rate > 0.0:
         factor = (rng.random(values.shape) >= rate) / (1.0 - rate)
         values = values * factor
-        _check_finite(values)
+        _check_finite(values, "dense")
     if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     x, w, b = _tensor(x), _tensor(w), _tensor(b)
@@ -474,7 +472,7 @@ def gin_aggregate(h: Value, eps: Value, adjacency: np.ndarray) -> Value:
     scale = 1.0 + epsv
     values = scale * hv
     values += np.matmul(adjacency, hv.reshape(stacked)).reshape(hv.shape)
-    _check_finite(values)
+    _check_finite(values, "gin_aggregate")
     if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     h, eps = _tensor(h), _tensor(eps)
@@ -522,7 +520,7 @@ def scalar_with_grad(a: Value, value, grad: np.ndarray) -> Value:
     if grad.shape != shape or value.shape not in ((), shape[:1]):
         raise ShapeMismatch(f"scalar_with_grad: value {value.shape} and gradient "
                             f"{grad.shape} for input {shape}")
-    _check_finite(value)
+    _check_finite(value, "scalar_with_grad")
     if _quiet_threads and _thread_ident() in _quiet_threads:
         return value
     a = _tensor(a)
@@ -558,7 +556,7 @@ def thin_qr(a: Value, rank_tol: float) -> Value:
         raise RankDeficient(column, *graph)
     signs = np.where(diagonal < 0.0, -1.0, 1.0)
     q *= signs[..., None, :]
-    _check_finite(q)
+    _check_finite(q, "thin_qr")
     if _quiet_threads and _thread_ident() in _quiet_threads:
         return q
     a = _tensor(a)

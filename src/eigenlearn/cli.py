@@ -28,7 +28,7 @@ from .errors import (DatasetFormatError, EigenlearnError, InvalidParams, Nothing
 from .graphs import (GRAPH_KINDS, LAPLACIAN_NORMS, UNNORMALIZED, Graph, adjacency_fits,
                      build_adjacency, build_laplacian, generate_graph)
 from .invariants import run_all_checks
-from .optim import blas_threads, one_blas_thread, usable_cpus
+from .optim import blas_threads, usable_cpus, worker_threads
 from .wavelets import FeatureConfig, augment_features
 
 log = logging.getLogger("eigenlearn")
@@ -331,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     _log_environment()
     try:
         # a float fault reaches the finite checks, not a warning; BLAS runs on
-        # one thread, so no bit depends on the machine's BLAS threading
-        with quiet_floats(), one_blas_thread():
+        # one thread, so no bit depends on the machine's BLAS threading, and
+        # the command starts its workers once
+        with quiet_floats(), worker_threads():
             return args.func(args)
     except (FileNotFoundError, EigenlearnError) as exc:
         print(f"error: {exc}", file=sys.stderr)

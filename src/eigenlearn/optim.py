@@ -17,15 +17,13 @@ its blocks dealt to one thread per usable CPU, the caller's among them: the
 update is elementwise and numpy releases the interpreter lock inside it, so
 the threads change nothing but the time.
 
-worker_threads is the one place eigenlearn starts threads. Its caller asks
-for workers beside itself, and gets `submit`, one call shape for work that
-may run on a worker or on the caller: submit(fn, *args) returns a callable
-that gives fn's result or raises its error. The caller counts as one of the
-threads that compute at once, so at most one worker per usable CPU but one
-starts, and the OpenBLAS bundled with numpy is held at one thread while
-they run, so that they and BLAS's own threads do not compete for the same
-CPUs. Adam.step, train.precompute_targets and, for a weight of at least
-autodiff.SPLIT_VALUES values, autodiff.dense's two products use it.
+worker_threads is the one thread scope of a run: while it is open the
+OpenBLAS bundled with numpy computes at one thread, and it yields `submit`,
+one call shape for work that may run on a worker or on the caller. Scopes
+that nest or overlap share one hold and one pool of workers, built on the
+first submit, so a run starts its workers once. Adam.step,
+train.precompute_targets and, for a weight of at least autodiff.SPLIT_VALUES
+values, autodiff.dense's two products submit work to it.
 """
 
 import contextlib
@@ -87,74 +85,67 @@ def _one_blas_thread_by_env() -> bool:
     return bool(said) and all(value.strip() == "1" for value in said)
 
 
-# How many holds of the BLAS thread count are open in this process, and the
-# count the first of them found. The count is process-wide, so holds that
-# overlap (opened by two threads of a caller) restore it once, when the last
-# one closes.
-_hold_lock = threading.Lock()
-_hold = {"open": 0, "found": 1}
+# The one thread scope of the process, guarded by _scope_lock: how many
+# scopes are open, the BLAS thread count the outermost found (1 where it
+# cannot be set), and the worker pool, built on the first submit.
+_scope_lock = threading.Lock()
+_scope = {"open": 0, "found": 1, "pool": None}
 
 
 @contextlib.contextmanager
-def one_blas_thread():
-    """Hold the bundled OpenBLAS at one thread while open; its count is
-    restored when the last open hold closes, whatever was raised inside. The
-    hold is process-wide: BLAS work that a caller runs in another thread
-    meanwhile runs on one thread too. A no-op where the count cannot be set."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    with _hold_lock:
-        if not _hold["open"]:
-            _hold["found"] = get()
-            if _hold["found"] != 1:
-                put(1)
-        _hold["open"] += 1
-    try:
-        yield
-    finally:
-        with _hold_lock:
-            _hold["open"] -= 1
-            if not _hold["open"] and _hold["found"] != 1:
-                put(_hold["found"])
+def worker_threads():
+    """Hold the bundled OpenBLAS at one thread while open, and yield
+    submit(fn, *args, **kwargs): it returns a zero-argument callable that
+    gives fn's result or raises its error.
 
-
-@contextlib.contextmanager
-def worker_threads(workers: int):
-    """Start at most min(workers, usable_cpus() - 1) threads beside the
-    calling thread, and yield submit(fn, *args, **kwargs): it returns a
-    zero-argument callable that gives fn's result or raises its error.
-
-    With threads, fn runs on one of them, in a copy of the caller's context
-    (so the caller's np.errstate holds there too), and the callable is its
-    future's result. Without, the callable is fn with its arguments bound,
-    run on the caller when it is called. No thread starts when workers is 0,
-    on one usable CPU, and where the BLAS thread count cannot be set
+    Scopes that nest or overlap, in any threads, share the outermost one's
+    hold and one pool of at most usable_cpus() - 1 workers, built on the
+    first submit: a scope that submits nothing starts no thread. fn runs on
+    a worker in a copy of the caller's context (so its np.errstate holds
+    there too). On one usable CPU, and where the count cannot be set
     (another BLAS, or a numpy without the bundled OpenBLAS) unless the
-    thread variables already say 1. Either way the work runs under
-    one_blas_thread(), so the threads and BLAS's own do not compete for the
-    CPUs, and where it runs changes no bit. The threads have ended when this
-    closes, inside the hold.
+    thread variables already say 1, no worker starts and the callable runs
+    fn on the caller when called. Where fn runs changes no bit. A submitted
+    call neither submits nor opens a scope, which could wait for ever on
+    the pool or on the lock.
 
-    Its callers: Adam.step (one worker per share of its blocks but the
-    caller's), train.precompute_targets (one per chunk worth a thread, the
-    caller building chunks meanwhile) and autodiff's dense products of a
-    wide weight (one, for one of two column blocks).
+    When the last scope closes, whatever was raised inside, its workers are
+    joined, then the count it found is restored, under the one lock that
+    opening takes: no worker computes at the restored count, and no scope
+    opened meanwhile reads a half-restored one.
     """
-    count = min(workers, usable_cpus() - 1)
-    with one_blas_thread():
-        if count < 1 or (_openblas() is None and not _one_blas_thread_by_env()):
-            yield functools.partial
-            return
-        # imported only by a process that starts threads: imported with this
-        # module (it brings in logging), it slowed perfbench's spectra-prep by
-        # about 2% (2 CPUs)
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(count) as pool:
-            yield lambda fn, *args, **kwargs: pool.submit(
-                contextvars.copy_context().run, fn, *args, **kwargs).result
+    with _scope_lock:
+        if not _scope["open"]:
+            blas = _openblas()
+            _scope["found"] = 1 if blas is None else blas[0]()
+            if _scope["found"] != 1:
+                blas[1](1)
+        _scope["open"] += 1
+
+    def submit(fn, *args, **kwargs):
+        pool = _scope["pool"]
+        if pool is None:
+            workers = usable_cpus() - 1
+            if workers < 1 or (_openblas() is None and not _one_blas_thread_by_env()):
+                return functools.partial(fn, *args, **kwargs)
+            # imported with this module (it brings in logging), it slowed
+            # perfbench's spectra-prep by about 2% (2 CPUs)
+            from concurrent.futures import ThreadPoolExecutor
+            with _scope_lock:
+                pool = _scope["pool"] = _scope["pool"] or ThreadPoolExecutor(workers)
+        return pool.submit(contextvars.copy_context().run, fn, *args, **kwargs).result
+
+    try:
+        yield submit
+    finally:
+        with _scope_lock:
+            _scope["open"] -= 1
+            if not _scope["open"]:
+                pool, _scope["pool"] = _scope["pool"], None
+                if pool is not None:
+                    pool.shutdown()
+                if _scope["found"] != 1:
+                    _openblas()[1](_scope["found"])
 
 
 def _place(a: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -206,9 +197,8 @@ class Adam:
     end, in the same buffer, and the block stays within BLOCK values; else it
     opens a block. A step deals the blocks to T threads, at most one per
     usable CPU and per MIN_PIECE values: thread i updates blocks i, i + T,
-    i + 2T, ... of T, thread 0 being the caller and the others
-    worker_threads' T - 1 workers. A desk-scale model is stepped on the
-    caller alone.
+    i + 2T, ... of T, thread 0 being the caller, the others submitted to
+    worker_threads. A desk-scale model is stepped on the caller alone.
     """
 
     # Values per block of the in-place update: the slices of m, v and the
@@ -280,9 +270,8 @@ class Adam:
 
         with grad each parameter's `.grad`, so it is bit-identical to that
         out-of-place form, however many threads the blocks are dealt to: the
-        step runs under worker_threads, so it forms its gradient products at
-        one BLAS thread, as `.grad` does, and its bits do not depend on the
-        BLAS thread count. It
+        step runs inside worker_threads, so it forms its gradient products at
+        one BLAS thread, as `.grad` does, whatever the BLAS thread count. It
         is the textbook update with the bias corrections moved into lr_t and
         eps_t; m and v keep their textbook meaning, and the values agree with
         the textbook ones up to rounding.
@@ -305,8 +294,8 @@ class Adam:
                    (1.0 - self.beta1) * grad_scale, (1.0 - self.beta2) * grad_scale ** 2)
         count = self._threads
         # share 0 runs here, the others on workers: a step of one share
-        # starts no thread, which would only add its start-up
-        with worker_threads(count - 1) as submit:
+        # submits nothing, so it starts no thread
+        with worker_threads() as submit:
             shares = [submit(self._update, self.blocks[i::count], self._scratch[i], *factors)
                       for i in range(1, count)]
             self._update(self.blocks[::count], self._scratch[0], *factors)

@@ -52,7 +52,7 @@ from .losses import LossWeights, combined_loss, mae_loss
 from .nn import (GRAPH_LEVEL, HEAD_KINDS, EigenModel, GinEncoder, GraphLevelHead,
                  Mlp, NodeWiseHead, abs_cos_mae_loss_t, allocate_parameters,
                  combined_loss_t, mae_loss_t, orthonormalize)
-from .optim import Adam, ReduceLROnPlateau, one_blas_thread, worker_threads
+from .optim import Adam, ReduceLROnPlateau, worker_threads
 from .wavelets import FeatureConfig, structural_embeddings, with_original_features
 
 log = logging.getLogger("eigenlearn.train")
@@ -166,8 +166,9 @@ class RunRecord:
 # peak memory by the chunk's operators and spectra. A chunk planned at half
 # this many values or more (a graph of 91 nodes or more, or a stack of smaller
 # graphs as large) is solved on a worker thread (precompute_targets): its
-# solve takes about a millisecond, while starting a thread pool takes a few
-# tenths of one, which the solve of a smaller chunk would not repay.
+# solve takes about a millisecond, while handing it over (the first time,
+# starting the run's pool) takes up to a few tenths of one, which the solve
+# of a smaller chunk would not repay.
 STACK_VALUES = 2 ** 14
 
 
@@ -202,16 +203,14 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
     bank, the Laplacian, the eigensolver) then runs once per chunk, giving
     each graph the bits its own per-graph call would at one BLAS thread.
 
-    Everything runs at one BLAS thread (optim.worker_threads holds it), so
+    Everything runs inside optim.worker_threads, so at one BLAS thread, and
     the examples do not depend on the BLAS thread count. A chunk planned at
     STACK_VALUES // 2 adjacency values or more (before the isolated-node
-    filter) has its spectra solved on a worker thread, while this thread
-    goes on to build the next chunks' adjacency, Laplacian and features;
-    smaller chunks are solved here, after every chunk is built. The workers,
-    one per such chunk, and at most one per usable CPU but this thread's,
-    start before the first chunk is built and have ended before this
-    returns or raises. A failure raises what a chunk-by-chunk loop would:
-    the error of the first failing chunk, in chunk order.
+    filter) has its spectra solved by a submitted call, on the scope's
+    workers, while this thread goes on to build the next chunks'
+    adjacency, Laplacian and features; smaller chunks are solved here,
+    after every chunk is built. A failure raises what a chunk-by-chunk loop
+    would: the error of the first failing chunk, in chunk order.
     """
     too_small = too_large = isolated = 0
     by_size: dict[int, list[tuple[int, Graph]]] = {}
@@ -228,7 +227,7 @@ def precompute_targets(graphs: list[Graph], cfg: PretrainConfig) -> list[Trainin
     # each built chunk, in chunk order, with the call that gives its spectra
     built: list[tuple[list, np.ndarray, np.ndarray, np.ndarray, Callable]] = []
     failure = None
-    with worker_threads(sum(large)) as submit:
+    with worker_threads() as submit:
         try:
             for chunk, on_worker in zip(chunks, large):
                 adjacency = np.stack([build_adjacency(g) for _, g in chunk])
@@ -565,9 +564,10 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     for val_examples, which it then requires; their batches and padded
     targets are built once per call, not once per epoch.
 
-    The epochs run under optim.one_blas_thread, so the run's bits do not
-    depend on the BLAS thread count. The hold is process-wide: BLAS work
-    that the caller runs in another thread meanwhile runs on one thread too.
+    The epochs run in one optim.worker_threads scope: at one BLAS thread, so
+    the run's bits do not depend on the BLAS thread count, and with one
+    worker pool for the whole run. The hold is process-wide: BLAS work that
+    the caller runs in another thread meanwhile runs on one thread too.
     """
     _require_examples(examples, "pretrain")
     _check_monitor(cfg, val_examples)
@@ -581,7 +581,7 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
             q, targets.laplacian, targets.lambda_k, cfg.loss_weights, terms=True)
         return loss, (energy, eigvec, cfg.k * ortho)  # ortho_loss is ||U^T U - I|| / k
 
-    with one_blas_thread():
+    with worker_threads():
         rows = list(_epochs(examples, cfg, state, cfg.epochs, batch_losses,
                             lambda: _evaluate_spectral(model, *val, cfg.loss_weights)[0],
                             columns=4))
@@ -633,8 +633,8 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     weights update); with cfg.keep_pretrain_head the spectral objective keeps
     training alongside the regression loss through the retained head, on the
     same encoder pass. A scheduler monitoring val_loss evaluates the MAE on
-    val_examples, which it then requires. The epochs run under
-    optim.one_blas_thread, a process-wide hold, as in pretrain.
+    val_examples, which it then requires. The epochs run in one
+    optim.worker_threads scope, as in pretrain.
     """
     _require_examples(examples, "finetune")
     _check_monitor(cfg, val_examples)
@@ -657,7 +657,7 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
                                                 cfg.loss_weights))
         return loss, ()
 
-    with one_blas_thread():
+    with worker_threads():
         rows = list(_epochs(examples, cfg, state, cfg.finetune_epochs, batch_losses,
                             lambda: evaluate_mae(model, head, val_examples, cfg, target_name)))
     return RunRecord(rows, state.skipped_batches), state
@@ -688,23 +688,28 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
     """Train one identical architecture per arm (the no-training arm emits
     seeded random orthonormal outputs) and report per-epoch eigvec/energy
     losses from one shared evaluation (_spectral_means) over the examples'
-    fixed batches.
+    fixed batches. arms names distinct arms of COMPARISON_ARMS; a bare
+    string, an unknown arm or a repeated one is refused in one line.
 
     A trained arm's schedule steps once per epoch on its mean training loss;
     there is no validation split, so a val_loss schedule is rejected. The
-    arms, their evaluations included, run under optim.one_blas_thread, a
-    process-wide hold, as in pretrain.
+    arms, their evaluations included, run in one optim.worker_threads
+    scope, as in pretrain.
     """
     _require_examples(examples, "compare_losses")
+    if isinstance(arms, str):
+        raise InvalidParams(f"arms must be a tuple of arm names, got the string {arms!r}")
     unknown = set(arms) - set(COMPARISON_ARMS)
     if unknown:
         raise InvalidParams(f"unknown arms: {sorted(unknown)}")
+    if len(set(arms)) < len(arms):
+        raise InvalidParams(f"each arm may be named once, got {list(arms)}")
     _check_monitor(cfg, None)
     d_in = feature_dim(examples)
     _check_fits("model", model_size(cfg, d_in), cfg)  # before the batches are padded
     batches, targets = _fixed_batches(examples, cfg)
     results: dict[str, list[ComparisonRow]] = {}
-    with one_blas_thread():
+    with worker_threads():
         for arm in arms:
             if arm == ARM_RANDOM:
                 outputs = [_random_orthonormal(ex.graph.num_nodes, cfg.k,

@@ -58,8 +58,8 @@ def project(t: ad.Tensor, seed: int = 0) -> ad.Tensor:
 # check, as it was in the library.
 
 
-def _record(values: np.ndarray, parents: tuple, vjp) -> ad.Tensor:
-    ad._check_finite(values)
+def _record(op: str, values: np.ndarray, parents: tuple, vjp) -> ad.Tensor:
+    ad._check_finite(values, op)
     return ad._result(values, parents, vjp)
 
 
@@ -73,7 +73,7 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
         if b.requires_grad:
             b.accumulate_product(a.values.T, g)
 
-    return _record(a.values @ b.values, (a, b), vjp)
+    return _record("matmul", a.values @ b.values, (a, b), vjp)
 
 
 def relu(a: ad.Tensor) -> ad.Tensor:
@@ -83,7 +83,7 @@ def relu(a: ad.Tensor) -> ad.Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * mask)
 
-    return _record(np.where(mask, a.values, 0.0), (a,), vjp)
+    return _record("relu", np.where(mask, a.values, 0.0), (a,), vjp)
 
 
 def dropout(a: ad.Tensor, rate: float, rng: np.random.Generator,
@@ -103,7 +103,7 @@ def dropout(a: ad.Tensor, rate: float, rng: np.random.Generator,
         if a.requires_grad:
             a.accumulate_grad(g * factor)
 
-    return _record(a.values * factor, (a,), vjp)
+    return _record("dropout", a.values * factor, (a,), vjp)
 
 
 def slice_rows(a: ad.Tensor, start: int, stop: int) -> ad.Tensor:
@@ -117,7 +117,7 @@ def slice_rows(a: ad.Tensor, start: int, stop: int) -> ad.Tensor:
             full[start:stop] = g
             a.accumulate_grad(full)
 
-    return _record(a.values[start:stop].copy(), (a,), vjp)
+    return _record("slice_rows", a.values[start:stop].copy(), (a,), vjp)
 
 
 def sum_neighbors(a: ad.Tensor, adjacency: np.ndarray) -> ad.Tensor:
@@ -139,8 +139,8 @@ def sum_neighbors(a: ad.Tensor, adjacency: np.ndarray) -> ad.Tensor:
             back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked))
             a.accumulate_grad(back.reshape(a.shape), owned=True)
 
-    return _record(np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape),
-                   (a,), vjp)
+    return _record("sum_neighbors",
+                   np.matmul(adjacency, a.values.reshape(stacked)).reshape(a.shape), (a,), vjp)
 
 
 def dense_reference(x, w, b, relu_on: bool, rate: float, rng) -> ad.Tensor:

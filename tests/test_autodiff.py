@@ -206,7 +206,9 @@ def test_a_non_finite_value_anywhere_raises_from_every_op_that_computes_an_array
         name, poison, position):
     v = np.arange(1.0, 8.0)
     v[position] = poison
-    with np.errstate(all="ignore"), pytest.raises(NumericalFault):
+    op = name.removesuffix("_dropout")
+    with np.errstate(all="ignore"), pytest.raises(NumericalFault,
+                                                  match=f"^{op} produced non-finite values$"):
         _poisoned_by(name, v)
 
 
@@ -223,9 +225,9 @@ def test_each_op_checks_each_array_it_computes_once(monkeypatch, name, checks):
     checked = []
     check = ad._check_finite
 
-    def spy(values):
+    def spy(values, op):
         checked.append(values.shape)
-        check(values)
+        check(values, op)
 
     monkeypatch.setattr(ad, "_check_finite", spy)
     v = np.arange(1.0, 8.0)
@@ -526,16 +528,15 @@ def test_a_no_grad_block_in_one_thread_leaves_the_other_threads_ops_recording():
 
 @pytest.fixture
 def one_blas_thread(monkeypatch):
-    """The bundled OpenBLAS at one thread for the test, through the hold, or,
-    where its count cannot be set, by the thread variables; two usable CPUs."""
+    """The test inside one optim.worker_threads scope, as a training call
+    runs, on two usable CPUs: the bundled OpenBLAS at one thread, or, where
+    its count cannot be set, the thread variables saying 1."""
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
     if optim._openblas() is None:
         for name in optim.THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        yield
-        return
-    with optim.one_blas_thread():
+    with optim.worker_threads():
         yield
 
 
@@ -574,7 +575,7 @@ def test_the_split_products_are_the_whole_ones_byte_for_byte(monkeypatch, one_bl
     w = rng.standard_normal(shape)
     x, g = rng.standard_normal((rows, shape[0])), rng.standard_normal((rows, shape[1]))
     forward, backward = ad._product(x, w), ad._product(g, w.T)
-    assert built == [1, 1]
+    assert built == [1]  # one pool for the scope, built by its first product
     assert forward.tobytes() == (x @ w).tobytes()
     assert backward.tobytes() == (g @ w.T).tobytes()
     assert forward.flags.c_contiguous and backward.flags.c_contiguous
@@ -594,7 +595,7 @@ def test_dense_gives_the_same_bytes_on_one_and_on_two_cpus(monkeypatch, one_blas
         x, w, b = (ad.parameter(a.copy()) for a in arrays)
         out = ad.dense(x, w, b, relu=True)
         out.backward(seed_grad)
-        assert built == ([1, 1] if cpus == 2 else [])
+        assert built == ([1] if cpus == 2 else [])
         runs.append([out.values.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
     assert runs[0] == runs[1]
 
@@ -617,7 +618,7 @@ def test_dense_splits_at_two_blas_threads_and_gives_the_one_thread_bytes(monkeyp
         out.backward(seed_grad)
         return [a.tobytes() for a in (out.values, x.grad, w.grad)]
 
-    with optim.one_blas_thread():
+    with optim.worker_threads():
         whole = [(arrays[0] @ arrays[1]).tobytes(), (seed_grad @ arrays[1].T).tobytes()]
         at_one = run()
     built = pools_built(monkeypatch)
@@ -628,7 +629,7 @@ def test_dense_splits_at_two_blas_threads_and_gives_the_one_thread_bytes(monkeyp
         assert optim.blas_threads() == 2
     finally:
         blas[1](found)
-    assert built == [1, 1]
+    assert built == [1, 1]  # outside a caller's scope, each product opens its own
     assert at_two == at_one and at_one[:2] == whole
 
 
@@ -669,16 +670,17 @@ def test_an_error_in_the_workers_block_is_raised_by_dense_and_the_count_restored
 
     rng = np.random.default_rng(8)
     x, w = ad.parameter(rng.standard_normal((4, 2048))), ad.parameter(rng.standard_normal((2048, 1024)))
-    found = optim.blas_threads()
+    found, before = optim.blas_threads(), threading.active_count()
     blas[1](2)
     try:
-        with optim.one_blas_thread():  # a caller's hold: the split runs inside it
+        with optim.worker_threads():  # a caller's scope: the split runs inside it
             monkeypatch.setattr(np, "matmul", fail_off_the_main_thread)
             with pytest.raises(MemoryError, match="the worker's block"):
                 ad.dense(x, w, ad.constant(np.zeros(1024)))
             monkeypatch.setattr(np, "matmul", matmul)
-            assert optim.blas_threads() == 1 and optim._hold["open"] == 1
-        assert optim.blas_threads() == 2 and optim._hold["open"] == 0
+            assert optim.blas_threads() == 1 and optim._scope["open"] == 1
+        assert optim.blas_threads() == 2 and optim._scope["open"] == 0
+        assert threading.active_count() == before  # the worker joined as the scope closed
     finally:
         blas[1](found)
 

@@ -341,9 +341,9 @@ def test_a_step_starts_no_more_threads_than_there_are_blocks(monkeypatch, shape,
     started, shares = [], []
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, workers):
-            started.append(workers)
-            super().__init__(workers)
+        def shutdown(self, *args, **kwargs):
+            started.append(len(self._threads))  # the workers it started
+            super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     update = Adam._update
@@ -585,95 +585,135 @@ def raise_in_a_worker():
     raise ValueError("in a worker")
 
 
-def on_a_worker(workers: int = 1) -> bool:
-    """Whether worker_threads(workers) runs a submitted call on another thread."""
-    with optim.worker_threads(workers) as submit:
+def on_a_worker() -> bool:
+    """Whether worker_threads() runs a submitted call on another thread."""
+    with optim.worker_threads() as submit:
         return submit(threading.get_ident)() != threading.get_ident()
 
 
 def test_worker_threads_hold_blas_at_one_thread_and_restore_it(monkeypatch, blas_at_two):
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
-    with optim.worker_threads(2) as submit:
+    with optim.worker_threads() as submit:
         assert submit(optim.blas_threads)() == optim.blas_threads() == 1
-    assert optim.blas_threads() == 2 and on_a_worker(2)
+    assert optim.blas_threads() == 2 and on_a_worker()
     with pytest.raises(ValueError, match="in a worker"):
-        with optim.worker_threads(2) as submit:
+        with optim.worker_threads() as submit:
             submit(raise_in_a_worker)()
     assert optim.blas_threads() == 2
-    with optim.worker_threads(0):  # no worker, under the hold as well
+    with optim.worker_threads():  # a scope that submits nothing holds as well
         assert optim.blas_threads() == 1
-    assert optim.blas_threads() == 2 and not on_a_worker(0)
-    # overlapping holds restore the count once, when the last one closes
-    with optim.one_blas_thread():
-        with optim.worker_threads(2):
-            pass
-        assert optim.blas_threads() == 1
+    assert optim.blas_threads() == 2
+    # nested scopes share the outer one's hold and its one worker, and
+    # restore the count once, when the outer one closes
+    with optim.worker_threads() as outer:
+        worker = outer(threading.get_ident)()
+        with optim.worker_threads() as inner:
+            assert inner(threading.get_ident)() == worker != threading.get_ident()
+        assert optim.blas_threads() == 1 and outer(threading.get_ident)() == worker
     assert optim.blas_threads() == 2
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 1), (1, 1), (2, 0)],
-                         ids=["pool", "one-cpu", "no-worker"])
+@pytest.mark.parametrize("cpus, nested", [(2, False), (1, False), (2, True)],
+                         ids=["pool", "one-cpu", "nested"])
 def test_a_submitted_call_runs_as_it_would_on_the_caller(monkeypatch, blas_at_two, cpus,
-                                                          workers):
-    # on a worker or deferred to the caller, a submitted call sees the
+                                                          nested):
+    # on a worker (of the scope's pool, or of an outer scope's built
+    # before it) or deferred to the caller, a submitted call sees the
     # caller's errstate and one BLAS thread, and its error is raised by the
     # callable submit returned; a deferred call runs only when called
     monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
-    pooled = cpus > 1 and workers > 0
+    pooled = cpus > 1
     ran = []
 
     def seen():
         ran.append(threading.get_ident())
         return np.geterr(), optim.blas_threads()
 
-    with np.errstate(over="ignore", divide="raise", invalid="warn"):
-        caller = np.geterr()
-        with optim.worker_threads(workers) as submit:
-            call = submit(seen)
-            if not pooled:
-                assert ran == []
-            assert call() == (caller, 1)
-            assert (ran != [threading.get_ident()]) == pooled
-            failing = submit(raise_in_a_worker)
-            with pytest.raises(ValueError, match="in a worker"):
-                failing()
+    with optim.worker_threads() as outer:
+        if nested:
+            outer(int)()
+        with np.errstate(over="ignore", divide="raise", invalid="warn"):
+            caller = np.geterr()
+            with optim.worker_threads() as submit:
+                call = submit(seen)
+                if not pooled:
+                    assert ran == []
+                assert call() == (caller, 1)
+                assert (ran != [threading.get_ident()]) == pooled
+                failing = submit(raise_in_a_worker)
+                with pytest.raises(ValueError, match="in a worker"):
+                    failing()
     assert optim.blas_threads() == 2
 
 
 def test_holds_overlapping_in_many_threads_keep_one_blas_thread_and_restore_the_count(
-        blas_at_two):
-    # more threads than CPUs open and close holds at a short switch interval:
-    # a lost update of the open-hold count would leave it nonzero, or restore
-    # the count while another thread's hold is open
+        monkeypatch, blas_at_two):
+    # more threads than CPUs open and close scopes, and submit to their
+    # shared pool, at a short switch interval: a lost update of the open
+    # count would leave it nonzero, restore the count while another thread's
+    # scope is open, or build a second pool. Each hold sets one thread and
+    # its restore the two it found, so the setter's calls alternate; under a
+    # scope left open meanwhile, the count is set and restored once
+    get, put = optim._openblas()
+    puts = []
+
+    def recording_put(count):
+        puts.append(count)
+        put(count)
+
+    monkeypatch.setattr(optim, "_openblas", lambda: (get, recording_put))
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     seen, errors = set(), []
 
     def hold_often():
         try:
-            for _ in range(200):
-                with optim.one_blas_thread():
+            for i in range(200):
+                with optim.worker_threads() as submit:
                     seen.add(optim.blas_threads())
+                    if i % 10 == 0:
+                        seen.add(submit(optim.blas_threads)())
         except BaseException as exc:  # reported below: a thread's error is lost otherwise
             errors.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    def run_threads():
         threads = [threading.Thread(target=hold_often) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and errors == []
+
+    interval, before = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads()
+        assert puts == [1, 2] * (len(puts) // 2) and puts and set(pools) == {1}
+        puts.clear()
+        pools.clear()
+        with optim.worker_threads():
+            run_threads()
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and errors == []
-    assert seen == {1} and optim._hold["open"] == 0 and optim.blas_threads() == 2
+    assert seen == {1} and puts == [1, 2] and pools == [1]
+    assert optim._scope["open"] == 0 and optim.blas_threads() == 2
+    assert threading.active_count() == before
 
 
 def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_count(
         monkeypatch, tmp_path, blas_at_two):
     # a CLI command that exits 0 and one that exits 1, then a library
-    # pretrain that raises in its second batch: each computes at one BLAS
-    # thread and leaves the count it found
+    # pretrain that raises in its second batch, after a first step that
+    # started a worker: each computes at one BLAS thread and leaves the
+    # count it found and no thread
+    before = threading.active_count()
     dataset = tmp_path / "graphs.jsonl"
     graphs = random_graph_soup(6, seed=4, n_low=5, n_high=9)
     save_dataset(str(dataset), graphs)
@@ -691,6 +731,7 @@ def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_coun
 
     assert spectrum_with(fail=False) == 0 and optim.blas_threads() == 2
     assert spectrum_with(fail=True) == 1 and optim.blas_threads() == 2
+    assert threading.active_count() == before
     assert inside == [1] * len(graphs) + [1]
     cfg = tr.config_from_dict({"k": 2, "hidden_dim": 4, "head_hidden_dim": 8, "max_nodes": 9,
                                "batch_size": 2, "epochs": 2, "scheduler": {"kind": "none"}})
@@ -706,9 +747,23 @@ def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_coun
         return loss(*args, **kwargs)
 
     monkeypatch.setattr(tr, "combined_loss_t", fail_in_the_second_batch)
+    # a step of two shares, so the first batch's step starts a worker
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(Adam, "BLOCK", 64)
+    monkeypatch.setattr(Adam, "MIN_PIECE", 64)
+    workers = []
+    update = Adam._update
+
+    def recording_update(self, *args):
+        workers.append(threading.current_thread() is not threading.main_thread())
+        update(self, *args)
+
+    monkeypatch.setattr(Adam, "_update", recording_update)
     with pytest.raises(MemoryError, match="mid-run"):
         tr.pretrain(examples, tr.build_model(cfg, tr.feature_dim(examples)), cfg)
-    assert inside == [1, 1] and optim.blas_threads() == 2 and optim._hold["open"] == 0
+    assert inside == [1, 1] and sorted(workers) == [False, True]
+    assert optim.blas_threads() == 2 and optim._scope["open"] == 0
+    assert threading.active_count() == before
 
 
 def test_a_step_that_fails_in_a_thread_restores_the_blas_thread_count(monkeypatch, blas_at_two):
@@ -741,7 +796,6 @@ def test_work_runs_inline_without_the_blas_symbols_unless_the_thread_variables_s
     assert not on_a_worker()
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert on_a_worker()
-    assert not on_a_worker(0)
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     assert on_a_worker()
     monkeypatch.setenv("OMP_NUM_THREADS", "4")  # one variable says otherwise

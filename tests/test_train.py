@@ -399,7 +399,7 @@ def example_bytes(examples) -> list[bytes]:
 def recording_pool(monkeypatch, events: list):
     """Make every thread pool built from now on record, into events, its
     building ("pool", workers), each submitted call's future ("submit",
-    future) and its shutdown ("shutdown",)."""
+    future) and its shutdown ("shutdown", the number of workers it started)."""
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, workers):
@@ -412,8 +412,9 @@ def recording_pool(monkeypatch, events: list):
             return future
 
         def shutdown(self, *args, **kwargs):
+            started = len(self._threads)
             super().shutdown(*args, **kwargs)
-            events.append(("shutdown",))
+            events.append(("shutdown", started))
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
 
@@ -425,7 +426,7 @@ def test_precompute_gives_the_same_bytes_on_one_and_on_two_cpus(monkeypatch, cap
     # dropped counts and log line
     cfg = tr.config_from_dict(THREADS_CFG)
     graphs = threads_mix()
-    with optim.one_blas_thread():
+    with optim.worker_threads():
         want, dropped = precompute_one_by_one(graphs, cfg)
     assert dropped == 3
     for cpus, pools in [(1, []), (2, [("pool", 1)]), (3, [("pool", 2)])]:
@@ -456,13 +457,13 @@ def test_precompute_of_a_desk_mix_starts_no_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-def test_the_pool_opens_once_before_the_first_chunk_and_closes_before_precompute_ends(
+def test_the_pool_opens_at_the_first_submit_and_closes_before_precompute_ends(
         monkeypatch, fail):
     # chunk order: the 16-node chunk, the 40-node chunk, then four 100-node
     # chunks of one graph each; the last one's features fail with fail=True.
-    # The four 100-node chunks are worth a thread, so the pool is built from
-    # the chunk plan before any chunk, with one worker beside the caller on
-    # two CPUs (a desk mix builds none: the test above)
+    # The four 100-node chunks are worth a thread, so the first of them
+    # builds the pool, with one worker beside the caller on two CPUs (a desk
+    # mix builds none: the test above)
     monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
     events = []
     recording_pool(monkeypatch, events)
@@ -484,8 +485,9 @@ def test_the_pool_opens_once_before_the_first_chunk_and_closes_before_precompute
     assert threading.active_count() == before  # no thread outlives the call
     kinds = [e[0] if e[0] not in ("features", "pool") else e[1] for e in events]
     one = (1, 100, 100)
-    assert kinds == [1, (8, 16, 16), (4, 40, 40), one, "submit", one, "submit", one,
+    assert kinds == [(8, 16, 16), (4, 40, 40), one, 1, "submit", one, "submit", one,
                      "submit", one] + ([] if fail else ["submit"]) + ["shutdown"]
+    assert events[-1] == ("shutdown", 1)
     for future in [e[1] for e in events if e[0] == "submit"]:
         # a worker hands back the lowest k eigenpairs alone, no full spectrum
         lambda_k, psi_k = future.result()
@@ -498,7 +500,7 @@ def test_the_pool_opens_once_before_the_first_chunk_and_closes_before_precompute
     graphs[5] = Graph(16, tuple(e for e in graphs[5].edges if 15 not in e))
     assert len(tr.precompute_targets(graphs, tr.config_from_dict({}))) == 31
     assert [e[1] if e[0] in ("features", "pool") else e[0] for e in events] == [
-        1, (31, 16, 16), "submit", "shutdown"]
+        (31, 16, 16), 1, "submit", "shutdown"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -536,6 +538,35 @@ def test_a_failure_raises_the_error_of_the_first_failing_chunk(monkeypatch, cpus
         tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
 
 
+def test_a_chunk_solve_that_fails_in_a_callers_scope_raises_and_its_worker_ends_with_it(
+        monkeypatch):
+    # precompute inside a caller's open scope (as a CLI command runs it): the
+    # failing solve's error is raised, and the scope's one worker lives on
+    # until the scope closes, which joins it before restoring the count
+    blas = optim._openblas()
+    if blas is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    monkeypatch.setattr(optim, "usable_cpus", lambda: 2)
+    solve = tr.eigendecompose
+
+    def fail_on_a_worker(laplacians):
+        if threading.current_thread() is not threading.main_thread():
+            raise NoConvergence("a worker's chunk")
+        return solve(laplacians)
+
+    monkeypatch.setattr(tr, "eigendecompose", fail_on_a_worker)
+    found, before = optim.blas_threads(), threading.active_count()
+    blas[1](2)
+    try:
+        with optim.worker_threads():
+            with pytest.raises(NoConvergence, match="a worker's chunk"):
+                tr.precompute_targets(threads_mix(), tr.config_from_dict(THREADS_CFG))
+            assert optim.blas_threads() == 1 and threading.active_count() == before + 1
+        assert optim.blas_threads() == 2 and threading.active_count() == before
+    finally:
+        blas[1](found)
+
+
 def test_a_non_finite_laplacian_is_refused_alike_inline_and_from_a_worker(monkeypatch):
     laplacian = tr.build_laplacian
     messages = []
@@ -559,9 +590,10 @@ def test_a_non_finite_laplacian_is_refused_alike_inline_and_from_a_worker(monkey
 # and of one Adam step on two threads, given the same factor terms, of a
 # 2.7M-value model, and of a dense pass through a weight of
 # autodiff.SPLIT_VALUES values; first the BLAS thread count it started with.
-# It also asserts that the dense pass starts a worker for each of its two
-# products at any BLAS thread count, with the same bytes on two usable CPUs
-# as on one. Run as python -c CHILD <src dir> <tests dir>.
+# It also asserts that the dense pass, inside one worker_threads scope as a
+# training call runs it, forms both products with one pool at any BLAS
+# thread count, with the same bytes on two usable CPUs as on one. Run as
+# python -c CHILD <src dir> <tests dir>.
 CHILD = """
 import hashlib, sys, threading
 sys.path[:0] = sys.argv[1:3]
@@ -612,10 +644,11 @@ class Pool(Executor):
         built.append(workers)
         super().__init__(workers)
 concurrent.futures.ThreadPoolExecutor = Pool
-split = dense_digest().digest()
+with optim.worker_threads():
+    split = dense_digest().digest()
 optim.usable_cpus = lambda: 1
 assert dense_digest().digest() == split
-assert built == [1, 1], built
+assert built == [1], built
 print(split.hex())
 """
 
@@ -709,6 +742,30 @@ def test_pretrain_seed_changes_trajectory():
         record, _ = tr.pretrain(examples, model, cfg)
         recs.append(record.deterministic_key())
     assert recs[0] != recs[1]
+
+
+def test_a_wide_pretrain_builds_one_pool_and_starts_one_worker(monkeypatch):
+    # the head's first weight has autodiff.SPLIT_VALUES values (2048 x 1024),
+    # so each of the two batches splits its forward and backward products,
+    # and each step (2.2M values) deals its blocks to two threads: six
+    # submitted calls, which all go to the run's one pool and its one worker,
+    # with the bytes of the run on one CPU, which starts no thread
+    cfg = small_cfg(epochs=1, batch_size=2, hidden_dim=128, max_nodes=16, head_hidden_dim=1024)
+    examples = tr.precompute_targets(graph_soup(4, seed=5), cfg)
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+        events = []
+        recording_pool(monkeypatch, events)
+        model = tr.build_model(cfg, tr.feature_dim(examples))
+        assert model.head.mlp.weights[0].values.size == ad.SPLIT_VALUES
+        record, state = tr.pretrain(examples, model, cfg)
+        runs.append([record.deterministic_key(), model.parameters()["head.mlp.w0"].values.tobytes(),
+                     state.optimizer.flat_m.tobytes(), state.optimizer.flat_v.tobytes()])
+        assert [e[0] for e in events] == (["pool"] + ["submit"] * 6 + ["shutdown"]
+                                          if cpus == 2 else [])
+        assert events[:1] + events[-1:] == ([("pool", 1), ("shutdown", 1)] if cpus == 2 else [])
+    assert state.optimizer._threads == 1 and runs[0] == runs[1]
 
 
 def test_pretrain_loss_decreases_and_invariants_hold():
@@ -1018,11 +1075,19 @@ def test_compare_losses_rejects_val_loss_schedule():
         tr.compare_losses(examples, cfg)
 
 
-def test_compare_losses_rejects_unknown_arm():
+@pytest.mark.parametrize("arms, message", [
+    (("nonsense",), "unknown arms: ['nonsense']"),
+    ((tr.ARM_OURS, tr.ARM_OURS), "each arm may be named once, got ['eigvec_ours', 'eigvec_ours']"),
+    (tr.ARM_OURS, "arms must be a tuple of arm names, got the string 'eigvec_ours'"),
+], ids=["unknown", "repeated", "string"])
+def test_compare_losses_rejects_unknown_arm(arms, message):
+    # a repeated arm trained twice into one entry, and a string was taken
+    # as its letters ("unknown arms: ['_', 'c', 'e', ...]")
     cfg = small_cfg(epochs=1)
     examples = tr.precompute_targets(graph_soup(2, seed=12), cfg)
-    with pytest.raises(InvalidParams):
-        tr.compare_losses(examples, cfg, arms=("nonsense",))
+    with pytest.raises(InvalidParams) as caught:
+        tr.compare_losses(examples, cfg, arms=arms)
+    assert str(caught.value) == message
 
 
 def test_comparison_csv_format():
@@ -1426,6 +1491,27 @@ def test_the_float_policy_is_entered_once_per_epoch_and_once_per_command():
                                             "wavelets.py:build_wavelet_bank"]
 
 
+def test_the_thread_scope_is_entered_by_each_run_and_each_piece_of_threaded_work():
+    # one scope holds the BLAS thread count and owns the pool: each command
+    # and training call enters it, as does each piece of work that submits,
+    # and .grad, which forms products; only it sets the count, blas_threads
+    # taking the getter alone
+    package = Path(__file__).parent.parent / "src" / "eigenlearn"
+    assert callers(package, "worker_threads") == [
+        "autodiff.py:Tensor", "autodiff.py:_product", "cli.py:main", "optim.py:Adam",
+        "train.py:compare_losses", "train.py:finetune", "train.py:precompute_targets",
+        "train.py:pretrain"]
+    assert callers(package, "_openblas") == ["optim.py:blas_threads", "optim.py:worker_threads"]
+    taken = {}
+    for top in ast.parse((package / "optim.py").read_text()).body:
+        if getattr(top, "name", None) in ("blas_threads", "worker_threads"):
+            taken[top.name] = {node.slice.value for node in ast.walk(top)
+                               if isinstance(node, ast.Subscript)
+                               and isinstance(node.slice, ast.Constant)
+                               and type(node.slice.value) is int}
+    assert taken == {"blas_threads": {0}, "worker_threads": {0, 1}}
+
+
 def test_only_the_model_builders_lay_parameters_out():
     # one way in for parameters: no module lays out its own
     package = Path(__file__).parent.parent / "src" / "eigenlearn"
@@ -1649,6 +1735,19 @@ def test_a_rank_deficient_graph_drops_its_batch_and_is_named(caplog):
     warnings = [r.message for r in caplog.records if "skipped batch" in r.message]
     assert warnings == ["skipped batch at epoch 0: column 1 of graph 2 in the batch collapsed "
                         "below tolerance during orthonormalization"]
+
+
+def test_a_non_finite_feature_drops_its_batch_and_the_warning_names_the_op(caplog):
+    # the first op to compute from the poisoned feature is the encoder's
+    # first aggregation
+    cfg = small_cfg(epochs=1, dropout=0.0)
+    examples = tr.precompute_targets(graph_soup(4, seed=3), cfg)
+    examples[0].features[0, 0] = np.inf
+    with caplog.at_level("WARNING", logger="eigenlearn.train"):
+        record, _ = tr.pretrain(examples, tr.build_model(cfg, tr.feature_dim(examples)), cfg)
+    assert record.skipped_batches == 1
+    assert [r.message for r in caplog.records if "skipped batch" in r.message] == [
+        "skipped batch at epoch 0: gin_aggregate produced non-finite values"]
 
 
 EVALUATIONS = {
