@@ -29,15 +29,16 @@ letting a poisoned value propagate: `add`, `mul`, `gin_aggregate`, `thin_qr`
 (its Q) and `scalar_with_grad` their output, `dense` its pre-activation,
 which ReLU would clean, and, when it drops out, its scaled output. `reshape`
 computes nothing, its result being a view of its input's values, so it checks
-nothing; the next op that reads the view checks it. Inside `with no_grad():`
-an op returns the bare np.ndarray it computed right after that check,
-building no Tensor, parent tuple or backward closure, so an evaluation pass
-builds no graph and pays for none. Every op takes a bare float64 array
-wherever it takes a constant Tensor (the previous op's result inside no_grad,
-a mask, an input batch) and gives the same bits as for `constant` of it;
-while recording, it wraps such an array as a constant parent, so a tape holds
-Tensors only. Whether ops record is kept per thread: a no_grad block in one
-thread leaves other threads' ops recording.
+nothing; the next op that reads the view checks it. A float fault reaches
+these checks, not a numpy warning, under optim.worker_threads' float policy.
+Inside `with no_grad():` an op returns the bare np.ndarray it computed right
+after that check, building no Tensor, parent tuple or backward closure, so an
+evaluation pass builds no graph and pays for none. Every op takes a bare
+float64 array wherever it takes a constant Tensor (the previous op's result
+inside no_grad, a mask, an input batch) and gives the same bits as for
+`constant` of it; while recording, it wraps such an array as a constant
+parent, so a tape holds Tensors only. Whether ops record is kept per thread:
+a no_grad block in one thread leaves other threads' ops recording.
 
 `dense` forms its two products, x @ w forward and g @ w^T backward, as one
 matmul each, but for a weight of at least SPLIT_VALUES values. Then each is
@@ -258,14 +259,6 @@ def _check_finite(values: np.ndarray, op: str) -> None:
     # values near the float64 limit.
     if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise NumericalFault(f"{op} produced non-finite values")
-
-
-def quiet_floats():
-    """Overflow, invalid and divide-by-zero give Inf or NaN without a warning,
-    which an op's finite check turns into NumericalFault under any warning
-    filter. Entered per epoch (train._epochs) and per CLI command, not per
-    op: entering costs about a microsecond."""
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _values(a: Value) -> np.ndarray:

@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import train as tr
-from .autodiff import quiet_floats
 from .data import (_numbered_graphs, atomic_write_text, from_dict, load_dataset, read_json,
                    save_dataset)
 from .eigen import eigendecompose
@@ -330,10 +329,9 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     _log_environment()
     try:
-        # a float fault reaches the finite checks, not a warning; BLAS runs on
-        # one thread, so no bit depends on the machine's BLAS threading, and
-        # the command starts its workers once
-        with quiet_floats(), worker_threads():
+        # the command's one compute scope: BLAS at one thread, so no bit depends
+        # on the machine's BLAS threading, float faults as NumericalFault, one pool
+        with worker_threads():
             return args.func(args)
     except (FileNotFoundError, EigenlearnError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,11 +17,12 @@ its blocks dealt to one thread per usable CPU, the caller's among them: the
 update is elementwise and numpy releases the interpreter lock inside it, so
 the threads change nothing but the time.
 
-worker_threads is the one thread scope of a run: while it is open the
-OpenBLAS bundled with numpy computes at one thread, and it yields `submit`,
-one call shape for work that may run on a worker or on the caller. Scopes
-that nest or overlap share one hold and one pool of workers, built on the
-first submit, so a run starts its workers once. Adam.step,
+worker_threads is the one compute scope of a run: while it is open the
+OpenBLAS bundled with numpy computes at one thread, a float fault gives Inf
+or NaN for the ops' finite checks rather than a warning, and it yields
+`submit`, one call shape for work that may run on a worker or on the
+caller. Scopes that nest or overlap share one hold and one pool of workers,
+built on the first submit, so a run starts its workers once. Adam.step,
 train.precompute_targets and, for a weight of at least autodiff.SPLIT_VALUES
 values, autodiff.dense's two products submit work to it.
 """
@@ -94,20 +95,26 @@ _scope = {"open": 0, "found": 1, "pool": None}
 
 @contextlib.contextmanager
 def worker_threads():
-    """Hold the bundled OpenBLAS at one thread while open, and yield
-    submit(fn, *args, **kwargs): it returns a zero-argument callable that
-    gives fn's result or raises its error.
+    """Hold the bundled OpenBLAS at one thread and set the float policy
+    while open, and yield submit(fn, *args, **kwargs): it returns a
+    zero-argument callable that gives fn's result or raises its error.
+
+    The float policy is an np.errstate that each entry sets (errstate is per
+    context) and its close undoes: overflow, invalid and divide-by-zero give
+    Inf or NaN, as ever, but without a warning, so the ops' finite checks
+    raise NumericalFault under any warning filter. Library calls that open a
+    scope (Adam.step, a formed `.grad`, precompute_targets) so run quiet
+    outside a run too: overflow there gives Inf or NaN with no warning.
 
     Scopes that nest or overlap, in any threads, share the outermost one's
     hold and one pool of at most usable_cpus() - 1 workers, built on the
     first submit: a scope that submits nothing starts no thread. fn runs on
-    a worker in a copy of the caller's context (so its np.errstate holds
-    there too). On one usable CPU, and where the count cannot be set
-    (another BLAS, or a numpy without the bundled OpenBLAS) unless the
-    thread variables already say 1, no worker starts and the callable runs
-    fn on the caller when called. Where fn runs changes no bit. A submitted
-    call neither submits nor opens a scope, which could wait for ever on
-    the pool or on the lock.
+    a worker in a copy of the caller's context, errstate included. On one
+    usable CPU, and where the count cannot be set (another BLAS, or a numpy
+    without the bundled OpenBLAS) unless the thread variables already say
+    1, no worker starts and the callable runs fn on the caller when called.
+    Where fn runs changes no bit. A submitted call neither submits nor
+    opens a scope, which could wait for ever on the pool or on the lock.
 
     When the last scope closes, whatever was raised inside, its workers are
     joined, then the count it found is restored, under the one lock that
@@ -136,7 +143,8 @@ def worker_threads():
         return pool.submit(contextvars.copy_context().run, fn, *args, **kwargs).result
 
     try:
-        yield submit
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield submit
     finally:
         with _scope_lock:
             _scope["open"] -= 1

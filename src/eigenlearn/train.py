@@ -474,10 +474,10 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
     gradients are dropped, never clamped); it is counted and logged. If any
     batch reached the optimizer, the scheduler then steps on the mean
     training loss, or on validate() when it monitors val_loss; an epoch that
-    changed no parameter leaves the schedule as it was. All of an epoch but
-    its yield runs under one autodiff.quiet_floats. The row holds the means
-    of the (loss, *metrics) rows of the graphs whose batch reached the
-    optimizer step, padded with zeros to the run record's four loss
+    changed no parameter leaves the schedule as it was, all under the
+    caller's optim.worker_threads scope and its float policy. The row holds
+    the means of the (loss, *metrics) rows of the graphs whose batch reached
+    the optimizer step, padded with zeros to the run record's four loss
     columns. The objective fills `columns` of them; in an epoch that
     committed no batch they are NaN, since a made-up 0.0 would read as a
     perfect fit.
@@ -486,27 +486,26 @@ def _epochs(examples: list[TrainingExample], cfg: PretrainConfig, state: TrainSt
         started = time.perf_counter()
         order = state.rng.permutation(len(examples))
         rows = []
-        with ad.quiet_floats():
-            for batch in _batches([examples[i] for i in order], cfg.batch_size):
-                try:
-                    loss, metrics = batch_losses(batch)
-                    loss.backward(np.ones(loss.shape))
-                except (NumericalFault, RankDeficient) as exc:
-                    state.optimizer.zero_grad()
-                    state.skipped_batches += 1
-                    log.warning("skipped batch at epoch %d: %s", state.epoch, exc)
-                    continue
-                state.optimizer.step(grad_scale=1.0 / len(batch))
+        for batch in _batches([examples[i] for i in order], cfg.batch_size):
+            try:
+                loss, metrics = batch_losses(batch)
+                loss.backward(np.ones(loss.shape))
+            except (NumericalFault, RankDeficient) as exc:
                 state.optimizer.zero_grad()
-                rows.append(np.column_stack((loss.values, *metrics)))
-                del loss  # free this batch's tape before the next batch records its own
-            # finite losses can sum past the largest float
-            means = ([float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows
-                     else [math.nan] * columns)
-            means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
-            if state.scheduler is not None and rows:
-                monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
-                state.scheduler.step(float(monitored))
+                state.skipped_batches += 1
+                log.warning("skipped batch at epoch %d: %s", state.epoch, exc)
+                continue
+            state.optimizer.step(grad_scale=1.0 / len(batch))
+            state.optimizer.zero_grad()
+            rows.append(np.column_stack((loss.values, *metrics)))
+            del loss  # free this batch's tape before the next batch records its own
+        # finite losses can sum past the largest float
+        means = ([float(v) for v in np.mean(np.concatenate(rows), axis=0)] if rows
+                 else [math.nan] * columns)
+        means += [0.0] * (4 - len(means))  # finetune fills one of the four columns
+        if state.scheduler is not None and rows:
+            monitored = validate() if cfg.scheduler.monitored == "val_loss" else means[0]
+            state.scheduler.step(float(monitored))
         state.epoch += 1
         yield EpochRow(state.epoch - 1, *means, state.optimizer.lr,
                        time.perf_counter() - started)
@@ -565,9 +564,9 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
     targets are built once per call, not once per epoch.
 
     The epochs run in one optim.worker_threads scope: at one BLAS thread, so
-    the run's bits do not depend on the BLAS thread count, and with one
-    worker pool for the whole run. The hold is process-wide: BLAS work that
-    the caller runs in another thread meanwhile runs on one thread too.
+    the run's bits do not depend on the BLAS thread count, under its float
+    policy and with one worker pool. The hold is process-wide: BLAS work
+    that the caller runs in another thread meanwhile runs on one thread too.
     """
     _require_examples(examples, "pretrain")
     _check_monitor(cfg, val_examples)
@@ -633,8 +632,8 @@ def finetune(examples: list[TrainingExample], model: EigenModel, head: Mlp,
     weights update); with cfg.keep_pretrain_head the spectral objective keeps
     training alongside the regression loss through the retained head, on the
     same encoder pass. A scheduler monitoring val_loss evaluates the MAE on
-    val_examples, which it then requires. The epochs run in one
-    optim.worker_threads scope, as in pretrain.
+    val_examples, which it then requires. The epochs, their validation
+    included, run in one optim.worker_threads scope, as in pretrain.
     """
     _require_examples(examples, "finetune")
     _check_monitor(cfg, val_examples)
@@ -693,8 +692,8 @@ def compare_losses(examples: list[TrainingExample], cfg: PretrainConfig,
 
     A trained arm's schedule steps once per epoch on its mean training loss;
     there is no validation split, so a val_loss schedule is rejected. The
-    arms, their evaluations included, run in one optim.worker_threads
-    scope, as in pretrain.
+    arms, their per-epoch evaluations included, run in one
+    optim.worker_threads scope, as in pretrain.
     """
     _require_examples(examples, "compare_losses")
     if isinstance(arms, str):

@@ -619,7 +619,8 @@ def test_a_submitted_call_runs_as_it_would_on_the_caller(monkeypatch, blas_at_tw
                                                           nested):
     # on a worker (of the scope's pool, or of an outer scope's built
     # before it) or deferred to the caller, a submitted call sees the
-    # caller's errstate and one BLAS thread, and its error is raised by the
+    # caller's errstate, set inside the scope since each entry sets its own
+    # float policy, and one BLAS thread, and its error is raised by the
     # callable submit returned; a deferred call runs only when called
     monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
     pooled = cpus > 1
@@ -632,9 +633,9 @@ def test_a_submitted_call_runs_as_it_would_on_the_caller(monkeypatch, blas_at_tw
     with optim.worker_threads() as outer:
         if nested:
             outer(int)()
-        with np.errstate(over="ignore", divide="raise", invalid="warn"):
-            caller = np.geterr()
-            with optim.worker_threads() as submit:
+        with optim.worker_threads() as submit:
+            with np.errstate(over="ignore", divide="raise", invalid="warn"):
+                caller = np.geterr()
                 call = submit(seen)
                 if not pooled:
                     assert ran == []
@@ -711,9 +712,10 @@ def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_coun
         monkeypatch, tmp_path, blas_at_two):
     # a CLI command that exits 0 and one that exits 1, then a library
     # pretrain that raises in its second batch, after a first step that
-    # started a worker: each computes at one BLAS thread and leaves the
-    # count it found and no thread
-    before = threading.active_count()
+    # started a worker: each computes at one BLAS thread under the float
+    # policy, and leaves the count and the errstate it found and no thread
+    before, caller = threading.active_count(), np.geterr()
+    held = (1, {**caller, "over": "ignore", "invalid": "ignore", "divide": "ignore"})
     dataset = tmp_path / "graphs.jsonl"
     graphs = random_graph_soup(6, seed=4, n_low=5, n_high=9)
     save_dataset(str(dataset), graphs)
@@ -721,7 +723,7 @@ def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_coun
 
     def spectrum_with(fail):
         def eigendecompose(laplacian):
-            inside.append(optim.blas_threads())
+            inside.append((optim.blas_threads(), np.geterr()))
             if fail:
                 raise NumericalFault("a command that fails")
             return decompose(laplacian)
@@ -729,10 +731,10 @@ def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_coun
         return cli.main(["--quiet", "spectrum", "--input", str(dataset),
                          "--output", str(tmp_path / "spectra.jsonl")])
 
-    assert spectrum_with(fail=False) == 0 and optim.blas_threads() == 2
-    assert spectrum_with(fail=True) == 1 and optim.blas_threads() == 2
+    assert spectrum_with(fail=False) == 0 and optim.blas_threads() == 2 and np.geterr() == caller
+    assert spectrum_with(fail=True) == 1 and optim.blas_threads() == 2 and np.geterr() == caller
     assert threading.active_count() == before
-    assert inside == [1] * len(graphs) + [1]
+    assert inside == [held] * len(graphs) + [held]
     cfg = tr.config_from_dict({"k": 2, "hidden_dim": 4, "head_hidden_dim": 8, "max_nodes": 9,
                                "batch_size": 2, "epochs": 2, "scheduler": {"kind": "none"}})
     examples = tr.precompute_targets(graphs, cfg)
@@ -741,7 +743,7 @@ def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_coun
     loss = tr.combined_loss_t
 
     def fail_in_the_second_batch(*args, **kwargs):
-        inside.append(optim.blas_threads())
+        inside.append((optim.blas_threads(), np.geterr()))
         if len(inside) == 2:
             raise MemoryError("mid-run")
         return loss(*args, **kwargs)
@@ -761,8 +763,8 @@ def test_a_command_and_a_training_call_hold_one_blas_thread_and_restore_the_coun
     monkeypatch.setattr(Adam, "_update", recording_update)
     with pytest.raises(MemoryError, match="mid-run"):
         tr.pretrain(examples, tr.build_model(cfg, tr.feature_dim(examples)), cfg)
-    assert inside == [1, 1] and sorted(workers) == [False, True]
-    assert optim.blas_threads() == 2 and optim._scope["open"] == 0
+    assert inside == [held, held] and sorted(workers) == [False, True]
+    assert optim.blas_threads() == 2 and optim._scope["open"] == 0 and np.geterr() == caller
     assert threading.active_count() == before
 
 
