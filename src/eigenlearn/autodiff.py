@@ -31,14 +31,18 @@ which ReLU would clean, and, when it drops out, its scaled output. `reshape`
 computes nothing, its result being a view of its input's values, so it checks
 nothing; the next op that reads the view checks it. A float fault reaches
 these checks, not a numpy warning, under optim.worker_threads' float policy.
-Inside `with no_grad():` an op returns the bare np.ndarray it computed right
-after that check, building no Tensor, parent tuple or backward closure, so an
-evaluation pass builds no graph and pays for none. Every op takes a bare
-float64 array wherever it takes a constant Tensor (the previous op's result
-inside no_grad, a mask, an input batch) and gives the same bits as for
-`constant` of it; while recording, it wraps such an array as a constant
-parent, so a tape holds Tensors only. Whether ops record is kept per thread:
-a no_grad block in one thread leaves other threads' ops recording.
+
+After that check every op hands its values, its inputs as parents and its
+backward closure vjp(g, *parents) to one function, _result, which alone
+decides whether the op records. Inside `with no_grad():` it returns the bare
+np.ndarray, so an evaluation pass builds no Tensor and keeps no graph; each
+op still builds its closure and parent tuple, which are dropped. Every op
+takes a bare float64 array wherever it takes a constant Tensor (the previous
+op's result inside no_grad, a mask, an input batch) and gives the same bits
+as for `constant` of it; while recording, _result wraps such an array as a
+constant parent, so a tape holds Tensors only. Whether ops record is kept
+per thread: a no_grad block in one thread leaves other threads' ops
+recording.
 
 `dense` forms its two products, x @ w forward and g @ w^T backward, as one
 matmul each, but for a weight of at least SPLIT_VALUES values. Then each is
@@ -214,7 +218,7 @@ class Tensor:
         self.accumulate_grad(seed)
         for node in reversed(topo):
             if node._vjp is not None and node.grad is not None:
-                node._vjp(node.grad)
+                node._vjp(node.grad, *node._parents)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -228,20 +232,20 @@ Value = Tensor | np.ndarray
 # The ident of each thread inside a no_grad block, mapped to how many blocks
 # it is inside. A thread changes only its own entry, so a no_grad block in one
 # thread leaves every other thread's ops recording. While no thread is inside
-# one, an op's test is one truth test of this dict (about 14 ns); reading a
+# one, _result's test is one truth test of this dict (about 14 ns); reading a
 # threading.local flag took about 58 ns, about 2.5% of a desk training step.
 _quiet_threads: dict[int, int] = {}
 _thread_ident = threading.get_ident
 
 
 class no_grad:
-    """A block in which ops record nothing: each returns the bare np.ndarray
-    it computed (the same values as when recording) and builds no Tensor,
-    parent tuple or backward closure, so nothing can be back-propagated and
-    no graph is kept alive. Ops take those arrays back as inputs. Recording
-    is restored on leaving the block, also by an exception. The block holds
-    for the thread that enters it: ops that other threads run meanwhile
-    record as before."""
+    """A block in which ops record nothing: _result hands back the bare
+    np.ndarray each op computed (the same values as when recording) and
+    builds no Tensor, so nothing can be back-propagated and no graph is kept
+    alive; the op's closure and parent tuple are built and dropped. Ops take
+    those arrays back as inputs. Recording is restored on leaving the block,
+    also by an exception. The block holds for the thread that enters it: ops
+    that other threads run meanwhile record as before."""
 
     def __enter__(self):
         thread = _thread_ident()
@@ -271,10 +275,16 @@ def _tensor(a: Value) -> Tensor:
     return a if isinstance(a, Tensor) else Tensor(a)
 
 
-def _result(values: np.ndarray, parents: tuple, vjp) -> Tensor:
-    """The result of an op run while recording, holding values: recorded with
-    its parents and backward rule when a parent needs a gradient, else a
-    constant. The op has checked the values it computed."""
+def _result(values: np.ndarray, parents: tuple, vjp) -> Value:
+    """An op's result, holding the values it computed and checked: the one
+    place that decides whether an op records. Inside no_grad it is values
+    itself. Otherwise each bare-array parent becomes a constant Tensor
+    (_tensor), and the result is a Tensor recorded with the parents and vjp
+    when a parent needs a gradient, else a constant. backward calls
+    vjp(g, *parents) with the recorded parents."""
+    if _quiet_threads and _thread_ident() in _quiet_threads:
+        return values
+    parents = tuple(map(_tensor, parents))
     if any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(values)
@@ -305,11 +315,8 @@ def add(a: Value, b: Value) -> Value:
     except ValueError as exc:
         raise ShapeMismatch(f"add: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values, "add")
-    if _quiet_threads and _thread_ident() in _quiet_threads:
-        return values
-    a, b = _tensor(a), _tensor(b)
 
-    def vjp(g):
+    def vjp(g, a, b):
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
@@ -325,11 +332,8 @@ def mul(a: Value, b: Value) -> Value:
     except ValueError as exc:
         raise ShapeMismatch(f"mul: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values, "mul")
-    if _quiet_threads and _thread_ident() in _quiet_threads:
-        return values
-    a, b = _tensor(a), _tensor(b)
 
-    def vjp(g):
+    def vjp(g, a, b):
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(g * b.values, a.shape))
         if b.requires_grad:
@@ -424,16 +428,12 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
         factor = (rng.random(values.shape) >= rate) / (1.0 - rate)
         values = values * factor
         _check_finite(values, "dense")
-    if _quiet_threads and _thread_ident() in _quiet_threads:
-        return values
-    x, w, b = _tensor(x), _tensor(w), _tensor(b)
-    out = values
 
-    def vjp(g):
+    def vjp(g, x, w, b):
         if factor is not None:
             g = g * factor
         if relu:
-            g = g * (out > 0)
+            g = g * (values > 0)
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0), owned=True)
         if x.requires_grad:
@@ -442,7 +442,7 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
         if w.requires_grad:
             w.accumulate_product(x.values.T, g)
 
-    return _result(out, (x, w, b), vjp)
+    return _result(values, (x, w, b), vjp)
 
 
 def gin_aggregate(h: Value, eps: Value, adjacency: np.ndarray) -> Value:
@@ -466,11 +466,8 @@ def gin_aggregate(h: Value, eps: Value, adjacency: np.ndarray) -> Value:
     values = scale * hv
     values += np.matmul(adjacency, hv.reshape(stacked)).reshape(hv.shape)
     _check_finite(values, "gin_aggregate")
-    if _quiet_threads and _thread_ident() in _quiet_threads:
-        return values
-    h, eps = _tensor(h), _tensor(eps)
 
-    def vjp(g):
+    def vjp(g, h, eps):
         if h.requires_grad:
             back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked)).reshape(h.shape)
             back += g * scale
@@ -488,11 +485,8 @@ def reshape(a: Value, shape: tuple) -> Value:
         values = av.reshape(shape)
     except ValueError as exc:
         raise ShapeMismatch(f"reshape: cannot reshape {av.shape} into {shape}") from exc
-    if _quiet_threads and _thread_ident() in _quiet_threads:
-        return values
-    a = _tensor(a)
 
-    def vjp(g):
+    def vjp(g, a):
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.shape))
 
@@ -514,11 +508,8 @@ def scalar_with_grad(a: Value, value, grad: np.ndarray) -> Value:
         raise ShapeMismatch(f"scalar_with_grad: value {value.shape} and gradient "
                             f"{grad.shape} for input {shape}")
     _check_finite(value, "scalar_with_grad")
-    if _quiet_threads and _thread_ident() in _quiet_threads:
-        return value
-    a = _tensor(a)
 
-    def vjp(g):
+    def vjp(g, a):
         if a.requires_grad:
             a.accumulate_grad(grad * g.reshape(g.shape + (1,) * (grad.ndim - g.ndim)),
                               owned=True)
@@ -536,7 +527,9 @@ def thin_qr(a: Value, rank_tol: float) -> Value:
 
     Backward is the standard QR rule with no gradient on R (Seeger et al.,
     arXiv:1710.08717), per matrix: M = -dQ^T Q, dA = (dQ + Q copyltu(M)) R^-T,
-    where copyltu(M) copies M's lower triangle onto its upper one.
+    where copyltu(M) copies M's lower triangle onto its upper one. Only Q is
+    sign-fixed in place; backward fixes R's signs as it solves against it
+    (a product by +-1, so exact).
     """
     av = _values(a)
     if av.ndim not in (2, 3) or av.shape[-2] < av.shape[-1]:
@@ -550,16 +543,12 @@ def thin_qr(a: Value, rank_tol: float) -> Value:
     signs = np.where(diagonal < 0.0, -1.0, 1.0)
     q *= signs[..., None, :]
     _check_finite(q, "thin_qr")
-    if _quiet_threads and _thread_ident() in _quiet_threads:
-        return q
-    a = _tensor(a)
-    r *= signs[..., :, None]  # only backward reads R
 
-    def vjp(g):
+    def vjp(g, a):
         if a.requires_grad:
             m = -(np.swapaxes(g, -1, -2) @ q)
             m = np.where(np.tri(m.shape[-1], dtype=bool), m, np.swapaxes(m, -1, -2))  # copyltu
-            back = np.linalg.solve(r, np.swapaxes(g + q @ m, -1, -2))
+            back = np.linalg.solve(r * signs[..., :, None], np.swapaxes(g + q @ m, -1, -2))
             a.accumulate_grad(np.swapaxes(back, -1, -2))  # copied: a transpose
 
     return _result(q, (a,), vjp)

@@ -324,13 +324,17 @@ class EigenModel:
         (B, max_nodes, k) array, graph i's (n_i, k) estimate in its first n_i
         rows, zeros below. The pass runs inside autodiff.no_grad, so every op
         returns a bare array and no Tensor is built; the result is the thin-QR
-        op's own array."""
+        op's own array. It opens no optim.worker_threads scope, which would
+        cost every predict a scope entry: a library caller who wants the
+        run's float policy and one BLAS thread opens optim.worker_threads()
+        around it, as the CLI's commands and train's evaluations do."""
         with ad.no_grad():
             return orthonormalize(self.forward(adjacencies, features))
 
     def predict(self, g: Graph, features: np.ndarray) -> np.ndarray:
         """The (n, k) estimate of one graph: predict_batch of a batch of one,
-        on the adjacency it builds."""
+        on the adjacency it builds; like predict_batch, it opens no
+        optim.worker_threads scope."""
         return self.predict_batch([build_adjacency(g)], [features])[0, :g.num_nodes]
 
     def parameters(self) -> dict[str, Tensor]:

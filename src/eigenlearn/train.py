@@ -590,9 +590,11 @@ def pretrain(examples: list[TrainingExample], model: EigenModel, cfg: PretrainCo
 def evaluate_pretrain_loss(model: EigenModel, examples: list[TrainingExample],
                            cfg: PretrainConfig) -> float:
     """Evaluation-mode (dropout-free, no tape) mean combined loss over a
-    dataset, in batches of cfg.batch_size (see _evaluate_spectral)."""
+    dataset, in batches of cfg.batch_size (see _evaluate_spectral), inside
+    optim.worker_threads, as in pretrain."""
     _require_examples(examples, "evaluate_pretrain_loss")
-    return _evaluate_spectral(model, *_fixed_batches(examples, cfg), cfg.loss_weights)[0]
+    with worker_threads():
+        return _evaluate_spectral(model, *_fixed_batches(examples, cfg), cfg.loss_weights)[0]
 
 
 def _regression_pass(model: EigenModel, head: Mlp, batch: list[TrainingExample],
@@ -607,9 +609,10 @@ def _regression_pass(model: EigenModel, head: Mlp, batch: list[TrainingExample],
 def predict_targets(model: EigenModel, head: Mlp, examples: list[TrainingExample],
                     cfg: PretrainConfig) -> np.ndarray:
     """Evaluation-mode (no tape) downstream predictions of every example, in
-    batches of cfg.batch_size: fine-tuning's pass without a generator."""
+    batches of cfg.batch_size: fine-tuning's pass without a generator,
+    inside optim.worker_threads, as in finetune."""
     _require_examples(examples, "predict_targets")
-    with ad.no_grad():
+    with worker_threads(), ad.no_grad():
         return np.concatenate([_regression_pass(model, head, batch)[0][:, 0]
                                for batch in _batches(examples, cfg.batch_size)])
 

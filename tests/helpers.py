@@ -55,12 +55,14 @@ def project(t: ad.Tensor, seed: int = 0) -> ad.Tensor:
 # The tape ops a dense layer and a GIN aggregation were built from before each
 # became one op. Each checks the array it computes and records it through
 # autodiff's own result constructor, so each is one node with its own finite
-# check, as it was in the library.
+# check, as it was in the library. Each takes Tensors only, so its backward
+# closure reads them from its scope: _record drops the parents that backward
+# passes.
 
 
 def _record(op: str, values: np.ndarray, parents: tuple, vjp) -> ad.Tensor:
     ad._check_finite(values, op)
-    return ad._result(values, parents, vjp)
+    return ad._result(values, parents, lambda g, *_: vjp(g))
 
 
 def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:

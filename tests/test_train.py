@@ -1082,6 +1082,27 @@ def test_an_overflowing_evaluation_of_a_library_comparison_raises_one_numerical_
     assert np.geterr() == caller  # the policy ends with the call
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda model, head, examples, cfg: tr.evaluate_pretrain_loss(model, examples, cfg),
+    lambda model, head, examples, cfg: tr.evaluate_mae(model, head, examples, cfg, "lambda_2"),
+], ids=["evaluate_pretrain_loss", "evaluate_mae"])
+def test_a_standalone_evaluation_that_overflows_raises_one_numerical_fault(evaluate):
+    # under pyproject's error filter, a library evaluation outside any run
+    # opens the compute scope itself: its overflow reaches the finite checks
+    # as NumericalFault, not as numpy's RuntimeWarning from a matmul
+    cfg = small_cfg(dropout=0.0)
+    examples = tr.precompute_targets(graph_soup(4, seed=5, target=True), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    head = tr.build_downstream_head(cfg)
+    for p in [*model.parameters().values(), *head.parameters().values()]:
+        p.values[...] = 1e200
+    caller = np.geterr()
+    with pytest.raises(NumericalFault) as caught:
+        evaluate(model, head, examples, cfg)
+    assert str(caught.value) == "dense produced non-finite values"
+    assert np.geterr() == caller
+
+
 def test_compare_losses_rejects_val_loss_schedule():
     cfg = small_cfg(epochs=1, scheduler={"kind": "reduce_on_plateau", "monitored": "val_loss"})
     examples = tr.precompute_targets(graph_soup(2, seed=12), cfg)
@@ -1506,16 +1527,43 @@ def test_the_float_policy_is_set_by_the_compute_scope_alone():
     assert not [path.name for path in package.glob("*.py") if "quiet_floats" in path.read_text()]
 
 
+def test_whether_an_op_records_is_decided_in_one_place():
+    # autodiff._result alone tests for no_grad and wraps a bare-array parent
+    # as a constant; each op hands it a backward closure that takes the
+    # recorded parents as arguments, so no op keeps a wrapped copy of its own
+    package = Path(__file__).parent.parent / "src" / "eigenlearn"
+
+    def readers(name):
+        found = set()
+        for path in sorted(package.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if (getattr(node, "id", None) == name and isinstance(node.ctx, ast.Load)
+                            or getattr(node, "attr", None) == name):
+                        found.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        return sorted(found)
+
+    assert readers("_quiet_threads") == ["autodiff.py:_result", "autodiff.py:no_grad"]
+    assert readers("_tensor") == ["autodiff.py:_result"]  # the one call, through map
+    vjps = {top.name: [len(node.args.args) for node in ast.walk(top)
+                       if isinstance(node, ast.FunctionDef) and node.name == "vjp"]
+            for top in ast.parse((package / "autodiff.py").read_text()).body
+            if isinstance(top, ast.FunctionDef)}
+    assert {name: args for name, args in vjps.items() if args} == {
+        "add": [3], "mul": [3], "dense": [4], "gin_aggregate": [3], "reshape": [2],
+        "scalar_with_grad": [2], "thin_qr": [2]}
+
+
 def test_the_thread_scope_is_entered_by_each_run_and_each_piece_of_threaded_work():
-    # one scope holds the BLAS thread count and owns the pool: each command
-    # and training call enters it, as does each piece of work that submits,
-    # and .grad, which forms products; only it sets the count, blas_threads
-    # taking the getter alone
+    # one scope holds the BLAS thread count and owns the pool: each command,
+    # training call and library evaluation enters it, as does each piece of
+    # work that submits, and .grad, which forms products; only it sets the
+    # count, blas_threads taking the getter alone
     package = Path(__file__).parent.parent / "src" / "eigenlearn"
     assert callers(package, "worker_threads") == [
         "autodiff.py:Tensor", "autodiff.py:_product", "cli.py:main", "optim.py:Adam",
-        "train.py:compare_losses", "train.py:finetune", "train.py:precompute_targets",
-        "train.py:pretrain"]
+        "train.py:compare_losses", "train.py:evaluate_pretrain_loss", "train.py:finetune",
+        "train.py:precompute_targets", "train.py:predict_targets", "train.py:pretrain"]
     assert callers(package, "_openblas") == ["optim.py:blas_threads", "optim.py:worker_threads"]
     taken = {}
     for top in ast.parse((package / "optim.py").read_text()).body:
