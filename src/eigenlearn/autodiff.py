@@ -14,9 +14,12 @@ which records a loss whose value and gradient come in closed form from
 `losses`.
 
 A tensor keeps its gradient as one list of terms it owns, in arrival order:
-a weight's contribution from `dense` as its two factors, the pair (x^T, g),
-not multiplied (Tensor.accumulate_product); any other (a bias's, eps's, an
-activation's) as a C-contiguous array of the tensor's shape. One method,
+a weight's contribution from `dense` as copies of its two factors, the pair
+(x^T, g), not multiplied (Tensor.accumulate_product); any other (a bias's,
+eps's, an activation's) as a C-contiguous array of the tensor's shape, kept
+as given when the op made it fresh and copied otherwise
+(Tensor.accumulate_grad). So no write to an op's arrays or a parameter's
+values, an optimizer step's included, changes a term once kept. One method,
 Tensor.form_grad, forms any slice of a gradient from its terms, and one
 method, Tensor.grad_blocks, says which slices: a large matrix's row blocks,
 any other tensor whole. Reading `.grad` forms it block by block, and
@@ -138,8 +141,8 @@ class Tensor:
 
     def grad_terms(self) -> list:
         """The gradient's terms in arrival order, without forming a product:
-        arrays, each of the tensor's shape and owned by it, and (x, y) pairs
-        standing for x @ y. [] when there is no gradient."""
+        arrays of the tensor's shape and (x, y) pairs standing for x @ y,
+        each owned by it. [] when there is no gradient."""
         return list(self._terms)
 
     def form_grad(self, lo: int, hi: int, out: np.ndarray) -> None:
@@ -178,14 +181,15 @@ class Tensor:
         self._terms.append(g if owned else np.add(0.0, g, out=np.empty(self.shape)))
 
     def accumulate_product(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Add x @ y to the gradient as the pair (x, y), not multiplied: the
+        """Add x @ y to the gradient as copies of x and y, not multiplied: the
         product is formed when the gradient is read, or by optim.Adam inside
-        its step. Both factors are read then, so they must not change before."""
+        its step. Each copy keeps its factor's memory layout (dense hands over
+        x^T, a transposed view), which the product's bits depend on."""
         if (x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]
                 or (x.shape[0], y.shape[1]) != self.shape):
             raise ShapeMismatch(f"gradient product {x.shape} @ {y.shape} for a tensor "
                                 f"of shape {self.shape}")
-        self._terms.append((x, y))
+        self._terms.append((x.copy(order="K"), y.copy(order="K")))
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf.

@@ -334,7 +334,9 @@ class EigenModel:
     def predict(self, g: Graph, features: np.ndarray) -> np.ndarray:
         """The (n, k) estimate of one graph: predict_batch of a batch of one,
         on the adjacency it builds; like predict_batch, it opens no
-        optim.worker_threads scope."""
+        optim.worker_threads scope. It agrees with the graph's rows of a
+        larger batch's predict_batch to rounding (about 1e-15), not bit for
+        bit: an estimate depends on the batch it is computed in."""
         return self.predict_batch([build_adjacency(g)], [features])[0, :g.num_nodes]
 
     def parameters(self) -> dict[str, Tensor]:

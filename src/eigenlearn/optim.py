@@ -236,7 +236,6 @@ class Adam:
         self.flat_m, self.flat_v = np.zeros(size), np.zeros(size)
         self.m, self.v = {}, {}
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, list]] = []
-        self._buffers = {}  # the arrays the values are views of, by id
         at, follows = 0, None  # the next moment slot; the open block's (buffer, end)
         for name, p in self.params.items():
             n = p.values.size
@@ -244,7 +243,6 @@ class Adam:
             self.v[name] = self.flat_v[at:at + n].reshape(p.shape)
             place = _place(p.values)
             buffer = place[0] if place else p.values
-            self._buffers[id(buffer)] = buffer
             cuts = p.grad_blocks()
             if (len(cuts) == 1 and place and follows and follows[0] is buffer
                     and follows[1] == place[1] and self.blocks[-1][0].size + n <= self.BLOCK):
@@ -283,19 +281,11 @@ class Adam:
         is the textbook update with the bias corrections moved into lr_t and
         eps_t; m and v keep their textbook meaning, and the values agree with
         the textbook ones up to rounding.
-
-        A gradient factor that may share memory with a buffer the values are
-        views of (a parameter that fed a dense layer as its input, say) is
-        formed before any value changes.
         """
         for name, p in self.params.items():
-            terms = p.grad_terms()
-            if not terms:
+            if not p.grad_terms():
                 raise ValueError(f"Adam.step: parameter {name!r} has no gradient; "
                                  "backward or accumulate_grad gives it one")
-            if any(np.may_share_memory(factor, buffer) for term in terms if type(term) is tuple
-                   for factor in term for buffer in self._buffers.values()):
-                p.grad  # formed now, into an array of its own that the update cannot change
         self.t += 1
         root2 = math.sqrt(1.0 - self.beta2 ** self.t)
         factors = (self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2,

@@ -527,7 +527,8 @@ def test_a_step_given_factors_is_bit_identical_to_one_given_their_product(
 
 def test_a_parameter_that_feeds_a_dense_layer_gets_its_gradient_formed_before_it_changes():
     # x comes first in the run, so its values are updated before w's blocks;
-    # w's factor x^T is a view of them, and must be read before they change
+    # w keeps a copy of its factor x^T, so the step applies the gradient of
+    # the values before it
     shapes = {"x": (5, 40), "w": (40, 900), "b": (900,)}
     factored, formed = twin_runs(shapes)
     opts = Adam(factored, lr=0.1), Adam(formed, lr=0.1)
@@ -536,13 +537,32 @@ def test_a_parameter_that_feeds_a_dense_layer_gets_its_gradient_formed_before_it
         for params in (factored, formed):
             ad.dense(params["x"], params["w"], params["b"], relu=True).backward(seed)
         assert isinstance(factored["w"].grad_terms()[0], tuple)
-        assert np.shares_memory(factored["w"].grad_terms()[0][0], factored["x"].values)
+        assert not np.shares_memory(factored["w"].grad_terms()[0][0], factored["x"].values)
         for p in formed.values():
             p.grad = np.array(p.grad)  # formed, and copied, before the step
         for opt in opts:
             opt.step()
             opt.zero_grad()
         assert_same_state(factored, opts[0], formed, opts[1], t)
+
+
+def test_factors_written_over_after_they_are_kept_change_no_gradient():
+    # each twin's w is handed the same factors; the caller then writes over
+    # the first twin's, and its gradient and step stay those of the second
+    shapes = {"w": (40, 900), "b": (900,)}
+    overwritten, kept = twin_runs(shapes)
+    opts = Adam(overwritten, lr=0.1), Adam(kept, lr=0.1)
+    rng = np.random.default_rng(6)
+    x, g = rng.standard_normal((5, 40)), rng.standard_normal((5, 900))
+    bias = rng.standard_normal(900)
+    for params, xt, gg in ((overwritten, x.T, g), (kept, x.T.copy(order="K"), g.copy())):
+        params["w"].accumulate_product(xt, gg)
+        params["b"].accumulate_grad(bias)
+    x[...], g[...] = 7.0, -3.0
+    for opt in opts:
+        opt.step()  # forms each product from the factors it kept
+    assert_same_state(overwritten, opts[0], kept, opts[1], 1)
+    assert overwritten["w"].grad.tobytes() == kept["w"].grad.tobytes()
 
 
 def test_reading_a_gradient_forms_its_terms_in_arrival_order():

@@ -2,9 +2,12 @@ import ast
 import concurrent.futures
 import copy
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eigenlearn
 from eigenlearn import autodiff as ad
 from eigenlearn import optim
 from eigenlearn import train as tr
@@ -244,6 +248,32 @@ def test_readme_config_block_is_the_default_config():
     bullets = [set(re.findall(r"`([^`]+)`", bullet)) for bullet in kinds.split("\n- ")[1:]]
     for path in _leaf_paths(tr.PretrainConfig()):
         assert sum(".".join(path) in names for names in bullets) == 1, path
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name in the README that starts with the package,
+    # one of its modules or a class it defines names something that exists
+    modules = {info.name: importlib.import_module(f"eigenlearn.{info.name}")
+               for info in pkgutil.iter_modules(eigenlearn.__path__)}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__.startswith("eigenlearn.")}
+    heads = {"eigenlearn": eigenlearn, **classes, **modules}
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`", fh.read()))
+    checked = [name for name in names if name.split(".")[0] in heads]
+    for name in checked:
+        head, *rest = name.split(".")
+        obj = heads[head]
+        for i, attr in enumerate(rest):
+            if inspect.isclass(obj) and not hasattr(obj, attr) and i == len(rest) - 1:
+                # an attribute of its instances: one the class annotates or sets on self
+                assert re.search(rf"^\s+{attr}:|\bself\.{attr}\b[^=\n]*=(?!=)",
+                                 inspect.getsource(obj), re.M), name
+                break
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+    assert len(checked) >= 16
 
 
 # --- target precomputation ---
