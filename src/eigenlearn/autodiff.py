@@ -1,10 +1,11 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
-Each op records its parents and a vector-Jacobian closure on the result
-Tensor; `backward()` replays the recording in reverse topological order. The
-recording is per-result (one forward/backward pass owns its graph), there is
-no global tape, and the one op that needs randomness (dense's dropout) takes
-an explicit generator, so runs are deterministic end to end.
+Each op records its parents, its backward (a module-level function) and what
+that reads on its result Tensor; `backward()` replays the recording in
+reverse topological order. The recording is per-result (one forward/backward
+pass owns its graph), there is no global tape, and the one op that needs
+randomness (dense's dropout) takes an explicit generator, so runs are
+deterministic end to end.
 
 The op set is only what the model runs, each op one node with a closed-form
 backward: a whole dense layer (`dense`: product, bias, ReLU and dropout), the
@@ -35,24 +36,22 @@ computes nothing, its result being a view of its input's values, so it checks
 nothing; the next op that reads the view checks it. A float fault reaches
 these checks, not a numpy warning, under optim.worker_threads' float policy.
 
-After that check every op hands its values, its inputs as parents and its
-backward closure vjp(g, *parents) to one function, _result, which alone
-decides whether the op records. Inside `with no_grad():` it returns the bare
-np.ndarray, so an evaluation pass builds no Tensor and keeps no graph; each
-op still builds its closure and parent tuple, which are dropped. Every op
-takes a bare float64 array wherever it takes a constant Tensor (the previous
-op's result inside no_grad, a mask, an input batch) and gives the same bits
-as for `constant` of it; while recording, _result wraps such an array as a
-constant parent, so a tape holds Tensors only. Whether ops record is kept
-per thread: a no_grad block in one thread leaves other threads' ops
-recording.
-
-`dense` forms its two products, x @ w forward and g @ w^T backward, as one
-matmul each, but for a weight of at least SPLIT_VALUES values. Then each is
-formed in two column blocks, the left one on the calling thread and the
-right one submitted to optim.worker_threads (its scope's worker where a
-second CPU is usable, else the calling thread), with the bits of the one
-matmul at one BLAS thread (_product).
+After that check every op hands one function, _result, which alone decides
+whether the op records, its values, its inputs as parents, its backward
+_<op>_backward(g, saved, *parents) and `saved`, the arrays that backward
+reads beyond its parents: none for `add`, `mul` and `reshape`; for `dense`
+its output (None without ReLU; the mask is where it is positive) and its
+dropout factor (None without dropout); for `gin_aggregate` the adjacency,
+its stacked shape and 1 + eps; for `scalar_with_grad` the loss gradient; for
+`thin_qr` Q, R and the signs that made R's diagonal positive. A recorded
+node keeps these and nothing more. Inside `with no_grad():` _result returns
+the bare np.ndarray, so an evaluation pass builds no Tensor and keeps no
+graph. Every op takes a bare float64 array wherever it takes a constant
+Tensor (the previous op's result inside no_grad, a mask, an input batch) and
+gives the same bits as for `constant` of it; while recording, _result wraps
+such an array as a constant parent, so a tape holds Tensors only. Whether
+ops record is kept per thread: a no_grad block in one thread leaves other
+threads' ops recording. How `dense` forms its products: _product.
 """
 
 import threading
@@ -63,7 +62,8 @@ from .errors import NumericalFault, RankDeficient, ShapeMismatch
 
 
 class Tensor:
-    """Dense real array plus gradient and the local backward rule.
+    """Dense real array plus gradient and, for an op's recorded result, its
+    parents, its backward and what that reads (_saved).
 
     The gradient is one list of terms, in arrival order, that the tensor
     owns: C-contiguous arrays of its shape (accumulate_grad, the `grad`
@@ -72,7 +72,7 @@ class Tensor:
     grad_blocks (form_grad), and keeps it as the one term.
     """
 
-    __slots__ = ("values", "requires_grad", "_terms", "_parents", "_vjp")
+    __slots__ = ("values", "requires_grad", "_terms", "_parents", "_backward", "_saved")
 
     # The most outputs of a gradient product x @ y formed in one matmul; a
     # larger one is formed in row blocks (grad_blocks).
@@ -100,12 +100,13 @@ class Tensor:
         return [(i * rows // count * cols, (i + 1) * rows // count * cols) for i in range(count)]
 
     def __init__(self, values, requires_grad: bool = False,
-                 _parents: tuple = (), _vjp=None):
+                 _parents: tuple = (), _backward=None, _saved: tuple = ()):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self._terms = []
         self._parents = _parents
-        self._vjp = _vjp
+        self._backward = _backward
+        self._saved = _saved
 
     @property
     def shape(self) -> tuple:
@@ -221,8 +222,8 @@ class Tensor:
                     stack.append((parent, False))
         self.accumulate_grad(seed)
         for node in reversed(topo):
-            if node._vjp is not None and node.grad is not None:
-                node._vjp(node.grad, *node._parents)
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad, node._saved, *node._parents)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -246,10 +247,9 @@ class no_grad:
     """A block in which ops record nothing: _result hands back the bare
     np.ndarray each op computed (the same values as when recording) and
     builds no Tensor, so nothing can be back-propagated and no graph is kept
-    alive; the op's closure and parent tuple are built and dropped. Ops take
-    those arrays back as inputs. Recording is restored on leaving the block,
-    also by an exception. The block holds for the thread that enters it: ops
-    that other threads run meanwhile record as before."""
+    alive. Ops take those arrays back as inputs. Recording is restored on
+    leaving the block, also by an exception. The block holds for the thread
+    that enters it: ops that other threads run meanwhile record as before."""
 
     def __enter__(self):
         thread = _thread_ident()
@@ -279,18 +279,19 @@ def _tensor(a: Value) -> Tensor:
     return a if isinstance(a, Tensor) else Tensor(a)
 
 
-def _result(values: np.ndarray, parents: tuple, vjp) -> Value:
+def _result(values: np.ndarray, parents: tuple, backward, saved: tuple = ()) -> Value:
     """An op's result, holding the values it computed and checked: the one
     place that decides whether an op records. Inside no_grad it is values
     itself. Otherwise each bare-array parent becomes a constant Tensor
-    (_tensor), and the result is a Tensor recorded with the parents and vjp
-    when a parent needs a gradient, else a constant. backward calls
-    vjp(g, *parents) with the recorded parents."""
+    (_tensor), and the result is a Tensor recorded with the parents, backward
+    and saved when a parent needs a gradient, else a constant.
+    Tensor.backward calls backward(g, saved, *parents)."""
     if _quiet_threads and _thread_ident() in _quiet_threads:
         return values
     parents = tuple(map(_tensor, parents))
     if any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, _parents=parents, _vjp=vjp)
+        return Tensor(values, requires_grad=True, _parents=parents, _backward=backward,
+                      _saved=saved)
     return Tensor(values)
 
 
@@ -319,14 +320,14 @@ def add(a: Value, b: Value) -> Value:
     except ValueError as exc:
         raise ShapeMismatch(f"add: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values, "add")
+    return _result(values, (a, b), _add_backward)
 
-    def vjp(g, a, b):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return _result(values, (a, b), vjp)
+def _add_backward(g, saved, a, b):
+    if a.requires_grad:
+        a.accumulate_grad(_unbroadcast(g, a.shape))
+    if b.requires_grad:
+        b.accumulate_grad(_unbroadcast(g, b.shape))
 
 
 def mul(a: Value, b: Value) -> Value:
@@ -336,14 +337,14 @@ def mul(a: Value, b: Value) -> Value:
     except ValueError as exc:
         raise ShapeMismatch(f"mul: cannot broadcast {av.shape} with {bv.shape}") from exc
     _check_finite(values, "mul")
+    return _result(values, (a, b), _mul_backward)
 
-    def vjp(g, a, b):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.values, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.values, b.shape))
 
-    return _result(values, (a, b), vjp)
+def _mul_backward(g, saved, a, b):
+    if a.requires_grad:
+        a.accumulate_grad(_unbroadcast(g * b.values, a.shape))
+    if b.requires_grad:
+        b.accumulate_grad(_unbroadcast(g * a.values, b.shape))
 
 
 # A weight of at least this many values has dense's two products, x @ w and
@@ -406,13 +407,8 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
     was and dropout kept the entry (where it dropped one, g is a zero of g's
     sign already, which the mask keeps). Backward then adds db (a column sum),
     records dw as its factors (x^T, g) (Tensor.accumulate_product) and passes
-    dx = g @ w^T on.
-
-    x @ w and g @ w^T are each one matmul, but for a weight of at least
-    SPLIT_VALUES values, where each is formed in two column blocks, on this
-    thread and optim.worker_threads' worker where two CPUs are usable
-    (_product): the bits of the whole product at one BLAS thread, in about
-    two thirds of the time.
+    dx = g @ w^T on. x @ w and g @ w^T are each one matmul, but for a weight
+    of at least SPLIT_VALUES values, whose products _product splits.
     """
     xv, wv, bv = _values(x), _values(w), _values(b)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
@@ -432,21 +428,22 @@ def dense(x: Value, w: Value, b: Value, relu: bool = False, rate: float = 0.0,
         factor = (rng.random(values.shape) >= rate) / (1.0 - rate)
         values = values * factor
         _check_finite(values, "dense")
+    return _result(values, (x, w, b), _dense_backward, (values if relu else None, factor))
 
-    def vjp(g, x, w, b):
-        if factor is not None:
-            g = g * factor
-        if relu:
-            g = g * (values > 0)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0), owned=True)
-        if x.requires_grad:
-            wt = w.values.T
-            x.accumulate_grad(g @ wt if wt.size < SPLIT_VALUES else _product(g, wt), owned=True)
-        if w.requires_grad:
-            w.accumulate_product(x.values.T, g)
 
-    return _result(values, (x, w, b), vjp)
+def _dense_backward(g, saved, x, w, b):
+    output, factor = saved
+    if factor is not None:
+        g = g * factor
+    if output is not None:
+        g = g * (output > 0)
+    if b.requires_grad:
+        b.accumulate_grad(g.sum(axis=0), owned=True)
+    if x.requires_grad:
+        wt = w.values.T
+        x.accumulate_grad(g @ wt if wt.size < SPLIT_VALUES else _product(g, wt), owned=True)
+    if w.requires_grad:
+        w.accumulate_product(x.values.T, g)
 
 
 def gin_aggregate(h: Value, eps: Value, adjacency: np.ndarray) -> Value:
@@ -470,16 +467,17 @@ def gin_aggregate(h: Value, eps: Value, adjacency: np.ndarray) -> Value:
     values = scale * hv
     values += np.matmul(adjacency, hv.reshape(stacked)).reshape(hv.shape)
     _check_finite(values, "gin_aggregate")
+    return _result(values, (h, eps), _gin_aggregate_backward, (adjacency, stacked, scale))
 
-    def vjp(g, h, eps):
-        if h.requires_grad:
-            back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked)).reshape(h.shape)
-            back += g * scale
-            h.accumulate_grad(back, owned=True)
-        if eps.requires_grad:
-            eps.accumulate_grad(_unbroadcast(g * h.values, eps.shape))
 
-    return _result(values, (h, eps), vjp)
+def _gin_aggregate_backward(g, saved, h, eps):
+    adjacency, stacked, scale = saved
+    if h.requires_grad:
+        back = np.matmul(np.swapaxes(adjacency, -1, -2), g.reshape(stacked)).reshape(h.shape)
+        back += g * scale
+        h.accumulate_grad(back, owned=True)
+    if eps.requires_grad:
+        eps.accumulate_grad(_unbroadcast(g * h.values, eps.shape))
 
 
 def reshape(a: Value, shape: tuple) -> Value:
@@ -489,12 +487,12 @@ def reshape(a: Value, shape: tuple) -> Value:
         values = av.reshape(shape)
     except ValueError as exc:
         raise ShapeMismatch(f"reshape: cannot reshape {av.shape} into {shape}") from exc
+    return _result(values, (a,), _reshape_backward)
 
-    def vjp(g, a):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
 
-    return _result(values, (a,), vjp)
+def _reshape_backward(g, saved, a):
+    if a.requires_grad:
+        a.accumulate_grad(g.reshape(a.shape))
 
 
 def scalar_with_grad(a: Value, value, grad: np.ndarray) -> Value:
@@ -512,13 +510,13 @@ def scalar_with_grad(a: Value, value, grad: np.ndarray) -> Value:
         raise ShapeMismatch(f"scalar_with_grad: value {value.shape} and gradient "
                             f"{grad.shape} for input {shape}")
     _check_finite(value, "scalar_with_grad")
+    return _result(value, (a,), _scalar_with_grad_backward, (grad,))
 
-    def vjp(g, a):
-        if a.requires_grad:
-            a.accumulate_grad(grad * g.reshape(g.shape + (1,) * (grad.ndim - g.ndim)),
-                              owned=True)
 
-    return _result(value, (a,), vjp)
+def _scalar_with_grad_backward(g, saved, a):
+    (grad,) = saved
+    if a.requires_grad:
+        a.accumulate_grad(grad * g.reshape(g.shape + (1,) * (grad.ndim - g.ndim)), owned=True)
 
 
 def thin_qr(a: Value, rank_tol: float) -> Value:
@@ -547,12 +545,13 @@ def thin_qr(a: Value, rank_tol: float) -> Value:
     signs = np.where(diagonal < 0.0, -1.0, 1.0)
     q *= signs[..., None, :]
     _check_finite(q, "thin_qr")
+    return _result(q, (a,), _thin_qr_backward, (q, r, signs))
 
-    def vjp(g, a):
-        if a.requires_grad:
-            m = -(np.swapaxes(g, -1, -2) @ q)
-            m = np.where(np.tri(m.shape[-1], dtype=bool), m, np.swapaxes(m, -1, -2))  # copyltu
-            back = np.linalg.solve(r * signs[..., :, None], np.swapaxes(g + q @ m, -1, -2))
-            a.accumulate_grad(np.swapaxes(back, -1, -2))  # copied: a transpose
 
-    return _result(q, (a,), vjp)
+def _thin_qr_backward(g, saved, a):
+    q, r, signs = saved
+    if a.requires_grad:
+        m = -(np.swapaxes(g, -1, -2) @ q)
+        m = np.where(np.tri(m.shape[-1], dtype=bool), m, np.swapaxes(m, -1, -2))  # copyltu
+        back = np.linalg.solve(r * signs[..., :, None], np.swapaxes(g + q @ m, -1, -2))
+        a.accumulate_grad(np.swapaxes(back, -1, -2))  # copied: a transpose

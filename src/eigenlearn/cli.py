@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("compare-losses", help="train the loss-comparison arms and export the series")
+    p = sub.add_parser("compare-losses",
+                       help="train the loss-comparison arms and export the series")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--config")

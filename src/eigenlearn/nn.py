@@ -9,13 +9,13 @@ aggregation is one tape op over the whole batch (`autodiff.gin_aggregate`),
 and so is each layer of the encoder's update MLPs and of the node-wise and
 graph-level heads (`autodiff.dense`: product, bias, ReLU and dropout). A
 head's output is one (B, max_nodes, k) stack whose phantom rows (those past
-each graph's node count) are zero. Orthonormalization is one thin-QR op over the stack, and each training
-objective is one op over it too, built on its single numpy definition in
-`losses`, which returns each graph's value together with the closed-form
-gradient: `combined_loss_t` for pre-training and the eigvec_ours arm of the
-loss comparison, `abs_cos_mae_loss_t` for its baseline arm and `mae_loss_t`
-for fine-tuning. The energy, eigenvector and orthogonality terms reach the
-tape only as parts of the combined loss.
+each graph's node count) are zero. Orthonormalization is one thin-QR op over
+the stack, and each training objective is one op over it too, built on its
+single numpy definition in `losses`, which returns each graph's value
+together with the closed-form gradient: `combined_loss_t` for pre-training
+and the eigvec_ours arm of the loss comparison, `abs_cos_mae_loss_t` for its
+baseline arm and `mae_loss_t` for fine-tuning. The energy, eigenvector and
+orthogonality terms reach the tape only as parts of the combined loss.
 
 A forward pass drops out exactly when it is given a generator (`rng`), its
 one mode switch. Evaluation is the same forward without one, inside

@@ -55,14 +55,20 @@ def project(t: ad.Tensor, seed: int = 0) -> ad.Tensor:
 # The tape ops a dense layer and a GIN aggregation were built from before each
 # became one op. Each checks the array it computes and records it through
 # autodiff's own result constructor, so each is one node with its own finite
-# check, as it was in the library. Each takes Tensors only, so its backward
-# closure reads them from its scope: _record drops the parents that backward
-# passes.
+# check, as it was in the library. Each takes Tensors only and keeps its
+# backward as a closure vjp(g) over them, as it was written: _record hands the
+# closure to _result as what the node saves, and _replay, the node's backward,
+# calls it with g alone, dropping the parents that backward passes.
+
+
+def _replay(g, saved, *parents):
+    (vjp,) = saved
+    vjp(g)
 
 
 def _record(op: str, values: np.ndarray, parents: tuple, vjp) -> ad.Tensor:
     ad._check_finite(values, op)
-    return ad._result(values, parents, lambda g, *_: vjp(g))
+    return ad._result(values, parents, _replay, (vjp,))
 
 
 def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -199,8 +205,8 @@ def spy_on_ops(monkeypatch) -> tuple[list, list]:
 
 def recorded_ops(tensor: ad.Tensor) -> int:
     """Backward ops recorded on the way to tensor: the reachable nodes that
-    carry a backward closure (leaves and constants carry none)."""
-    return sum(node._vjp is not None for node in reachable_nodes(tensor))
+    carry a backward (leaves and constants carry none)."""
+    return sum(node._backward is not None for node in reachable_nodes(tensor))
 
 
 def canonical_signs_loop(vectors: np.ndarray, tol: float) -> np.ndarray:

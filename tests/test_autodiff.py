@@ -298,7 +298,7 @@ def test_no_grad_records_nothing_and_changes_no_value(monkeypatch):
     with ad.no_grad():
         quiet = _every_op(x, params)
     assert len(results) == 7 and all(type(r) is np.ndarray for r in results)
-    assert tensors == []  # no Tensor, so no parent tuple or closure, inside the block
+    assert tensors == []  # no Tensor, so no node and nothing it keeps, inside the block
     for r, q in zip(recorded, quiet, strict=True):
         assert np.array_equal(q, r.values)
     assert _every_op(x, params)[-1]._parents  # recording resumes after the block

@@ -32,7 +32,7 @@ from eigenlearn.graphs import (LAPLACIAN_NORMS, Graph, build_adjacency, build_la
                                generate_graph)
 from eigenlearn.losses import LossWeights, eigvec_loss, energy_loss, mae_loss
 from eigenlearn.wavelets import FeatureConfig
-from helpers import (as_old_version, edit_header, random_graph_soup, read_header,
+from helpers import (OPS, as_old_version, edit_header, random_graph_soup, read_header,
                      reachable_nodes, recorded_ops, spy_on_ops, threads_mix)
 
 
@@ -1525,6 +1525,13 @@ def test_numpy_is_the_only_runtime_dependency():
     assert imported["concurrent"] == {"optim.py"} and "numpy" in imported
 
 
+def test_no_source_line_is_wider_than_100_characters():
+    package = Path(__file__).parent.parent / "src" / "eigenlearn"
+    wide = [f"{path.name}:{number}" for path in sorted(package.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert wide == []
+
+
 def test_only_worker_threads_starts_threads():
     # one place builds a thread pool, starts a thread or copies a context for
     # one: every other piece of threaded work goes through its submit
@@ -1559,8 +1566,9 @@ def test_the_float_policy_is_set_by_the_compute_scope_alone():
 
 def test_whether_an_op_records_is_decided_in_one_place():
     # autodiff._result alone tests for no_grad and wraps a bare-array parent
-    # as a constant; each op hands it a backward closure that takes the
-    # recorded parents as arguments, so no op keeps a wrapped copy of its own
+    # as a constant; each op hands it a module-level backward that takes g,
+    # the op's saved arrays and the recorded parents as arguments, so no op
+    # keeps a wrapped copy of its own, and no function of autodiff builds one
     package = Path(__file__).parent.parent / "src" / "eigenlearn"
 
     def readers(name):
@@ -1575,13 +1583,56 @@ def test_whether_an_op_records_is_decided_in_one_place():
 
     assert readers("_quiet_threads") == ["autodiff.py:_result", "autodiff.py:no_grad"]
     assert readers("_tensor") == ["autodiff.py:_result"]  # the one call, through map
-    vjps = {top.name: [len(node.args.args) for node in ast.walk(top)
-                       if isinstance(node, ast.FunctionDef) and node.name == "vjp"]
-            for top in ast.parse((package / "autodiff.py").read_text()).body
-            if isinstance(top, ast.FunctionDef)}
-    assert {name: args for name, args in vjps.items() if args} == {
-        "add": [3], "mul": [3], "dense": [4], "gin_aggregate": [3], "reshape": [2],
-        "scalar_with_grad": [2], "thin_qr": [2]}
+    defs = [node for top in ast.parse((package / "autodiff.py").read_text()).body  # methods too
+            for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
+            if isinstance(node, ast.FunctionDef)]
+    assert [(top.name, type(node).__name__) for top in defs for node in ast.walk(top)
+            if node is not top and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                     ast.Lambda, ast.ClassDef))] == []
+    functions = {node.name: node for node in defs}
+    for op in OPS:
+        calls = [node for node in ast.walk(functions[op]) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_result"]
+        assert len(calls) == 1 and calls[0].args[2].id == f"_{op}_backward"
+        params = [arg.arg for arg in functions[f"_{op}_backward"].args.args]
+        assert params == ["g", "saved", *(parent.id for parent in calls[0].args[1].elts)]
+
+
+@pytest.mark.parametrize("run", ["pretrain", "finetune-keep-head"])
+def test_a_recorded_batch_keeps_module_level_backwards_and_no_function_in_what_they_read(
+        monkeypatch, run):
+    # one batch of a pretrain (graph-level head, dropout on) or of a finetune
+    # that keeps the eigenvector head: each op node's backward is a function
+    # of autodiff itself, and what it saves is arrays, 1 + eps, shapes and None
+    cfg = small_cfg(epochs=1, finetune_epochs=1, batch_size=5, dropout=0.2,
+                    keep_pretrain_head=run == "finetune-keep-head")
+    assert cfg.head_kind == tr.GRAPH_LEVEL
+    examples = tr.precompute_targets(graph_soup(5, seed=16, target=True), cfg)
+    model = tr.build_model(cfg, tr.feature_dim(examples))
+    tapes = []
+    backward = ad.Tensor.backward
+
+    def spy(self, seed=None):
+        tapes.append(reachable_nodes(self))
+        return backward(self, seed)
+
+    monkeypatch.setattr(ad.Tensor, "backward", spy)
+    if run == "pretrain":
+        tr.pretrain(examples, model, cfg)
+    else:
+        tr.finetune(examples, model, tr.build_downstream_head(cfg), cfg, "lambda_2")
+    assert len(tapes) == 1  # the one batch
+    backwards = {node._backward for node in tapes[0] if node._backward is not None}
+    for function in backwards:
+        assert "<locals>" not in function.__qualname__
+        assert function.__module__ == "eigenlearn.autodiff"
+        assert getattr(ad, function.__name__) is function
+    ops = set(OPS) - {"add"} if run == "pretrain" else set(OPS)  # finetune adds two losses
+    assert {f.__name__ for f in backwards} == {f"_{op}_backward" for op in ops}
+    for node in tapes[0]:
+        assert not any(callable(item) for item in node._saved)
+        assert all(item is None or isinstance(item, (np.ndarray, np.float64, tuple))
+                   for item in node._saved)
 
 
 def test_the_thread_scope_is_entered_by_each_run_and_each_piece_of_threaded_work():
@@ -1896,7 +1947,7 @@ def test_evaluation_records_no_tape_and_gives_the_recorded_values(monkeypatch, n
     results, tensors = spy_on_ops(monkeypatch)
     quiet = EVALUATIONS[name](model, head, examples, cfg)
     assert results and all(type(r) is np.ndarray for r in results)
-    assert tensors == []  # no Tensor, so no parent tuple or closure, anywhere in the pass
+    assert tensors == []  # no Tensor, so no node and nothing it keeps, anywhere in the pass
     results.clear()
     recorded = RECORDED[name](model, head, examples, cfg)
     assert any(isinstance(r, ad.Tensor) and r._parents for r in results)
